@@ -29,6 +29,7 @@ from repro.phy.mcs import select_lte_cqi
 from repro.phy.resource_grid import ResourceGrid, bits_per_prb
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.hub import ambient_registry
+from repro.telemetry.registry import linear_buckets
 
 
 @dataclass
@@ -48,6 +49,17 @@ class UeRadioContext:
 #: scalar path until they are added here.
 _BATCH_DL_SCHEDULERS = (RoundRobinScheduler, MaxCiScheduler,
                         ProportionalFairScheduler, QosAwareScheduler)
+
+#: Linear bucket ladders for the cell's histograms: dB values (often
+#: negative), a [0, 1] fraction and a PRB count would all land in one
+#: or two of the registry's log-scale default buckets, and exported
+#: quantiles are only as fine as the bucket that holds them. The dB
+#: spans are what the unclipped link budget yields from cell edge to a
+#: UE a few metres from an interference-free small cell.
+_RSRP_DBM_BUCKETS = linear_buckets(-140.0, 20.0, 32)  # 5 dB
+_SINR_DB_BUCKETS = linear_buckets(-20.0, 120.0, 70)  # 2 dB
+_FRACTION_BUCKETS = linear_buckets(0.0, 1.0, 20)
+_PRB_BUCKETS = linear_buckets(0.0, 100.0, 100)  # one per PRB at 20 MHz
 
 
 class Cell:
@@ -94,12 +106,16 @@ class Cell:
         # handed one. Instruments cached; recording is passive.
         if metrics is None:
             metrics = ambient_registry()
-        self._m_rsrp = metrics.histogram("phy.rsrp_dbm", cell=name)
-        self._m_sinr = metrics.histogram("phy.sinr_db", cell=name)
-        self._m_harq = metrics.histogram("phy.harq.goodput_factor", cell=name)
+        self._m_rsrp = metrics.histogram("phy.rsrp_dbm", cell=name,
+                                         buckets=_RSRP_DBM_BUCKETS)
+        self._m_sinr = metrics.histogram("phy.sinr_db", cell=name,
+                                         buckets=_SINR_DB_BUCKETS)
+        self._m_harq = metrics.histogram("phy.harq.goodput_factor", cell=name,
+                                         buckets=_FRACTION_BUCKETS)
         self._m_no_cqi = metrics.counter("phy.mcs.below_cqi_floor", cell=name)
         self._m_ttis = metrics.counter("mac.cell.ttis", cell=name)
-        self._m_prbs = metrics.histogram("mac.cell.granted_prbs", cell=name)
+        self._m_prbs = metrics.histogram("mac.cell.granted_prbs", cell=name,
+                                         buckets=_PRB_BUCKETS)
         self._m_attached = metrics.gauge("mac.cell.attached_ues", cell=name)
 
     @property

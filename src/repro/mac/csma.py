@@ -20,11 +20,13 @@ from typing import Dict, FrozenSet, List, Optional
 import numpy as np
 
 from repro.telemetry.hub import ambient_registry
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import MetricsRegistry, linear_buckets
 
 #: 802.11 DCF defaults (802.11b/g-era, matching Bianchi's parametrization).
 CW_MIN = 16
 CW_MAX = 1024
+#: backoff draws are integers in [1, CW_MAX): 8-slot linear buckets
+_BACKOFF_BUCKETS = linear_buckets(0.0, float(CW_MAX), 128)
 
 
 @dataclass
@@ -117,7 +119,8 @@ class CsmaSimulation:
         self._m_sent = metrics.counter("mac.csma.frames_sent")
         self._m_delivered = metrics.counter("mac.csma.frames_delivered")
         self._m_collisions = metrics.counter("mac.csma.collisions")
-        self._m_backoff = metrics.histogram("mac.csma.backoff_slots")
+        self._m_backoff = metrics.histogram("mac.csma.backoff_slots",
+                                            buckets=_BACKOFF_BUCKETS)
         for node in nodes:
             node.cw = CW_MIN
             node.backoff = int(self.rng.integers(0, node.cw))

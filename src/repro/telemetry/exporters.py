@@ -11,6 +11,13 @@ Three consumers, three formats:
   text for eyeballs and scrapers.
 * **terminal summary** — a :class:`ResultTable` digest per subsystem,
   printed by the CLI after an instrumented run.
+
+Metrics schema 2. Columns and series names are those of schema 1; what
+changed is where histogram ``p50``/``p95``/``p99`` values come from: the
+instrument's P² tracker when that quantile was declared at creation,
+otherwise linear interpolation inside the cumulative buckets (error at
+most one bucket width; schema 1 exported P² estimates for the default
+trio and a literal ``0.0`` for quantiles a custom set left out).
 """
 
 from __future__ import annotations

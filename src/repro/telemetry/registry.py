@@ -15,8 +15,9 @@ style questions become ``registry.query("mac.harq.*")`` filtered by
 label.
 
 Histograms keep fixed buckets (cumulative, Prometheus-style ``le``
-bounds) *and* streaming quantiles via the P² algorithm (Jain & Chlamtac,
-1985): p50/p95/p99 in O(1) memory without storing samples.
+bounds) always on and derive quantiles from them when read; only the
+quantiles an instrument declares get a streaming P² tracker (Jain &
+Chlamtac, 1985), so nothing is paid per sample for a number no one reads.
 """
 
 from __future__ import annotations
@@ -27,13 +28,20 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "P2Quantile", "DEFAULT_BUCKETS"]
+           "P2Quantile", "DEFAULT_BUCKETS", "linear_buckets"]
 
 #: Default histogram bucket upper bounds: half-decade geometric ladder
 #: wide enough for both latencies in seconds and counts/sizes.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     1e-6, 1e-5, 1e-4, 1e-3, 3e-3, 1e-2, 3e-2, 1e-1, 3e-1,
     1.0, 3.0, 10.0, 30.0, 100.0, 1e3, 1e4, 1e6, float("inf"))
+
+
+def linear_buckets(lo: float, hi: float, n: int) -> Tuple[float, ...]:
+    """``n`` equal-width buckets over ``[lo, hi]`` (bounds ``lo``..``hi``):
+    the ladder for dB, fraction and small-integer instruments, whose
+    samples would all share one or two rungs of :data:`DEFAULT_BUCKETS`."""
+    return tuple(lo + (hi - lo) * i / n for i in range(n + 1))
 
 
 def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
@@ -132,9 +140,9 @@ class P2Quantile:
 
     The marker state lives in scalar slots (``_h0``..``_h4`` heights,
     ``_n1``..``_n4`` positions, ``_d1``..``_d3`` desired positions)
-    rather than lists: ``observe`` runs three times per histogram
-    sample on the E7 hot path, and straight-line float code over slots
-    beats list indexing by ~2x while computing operation-for-operation
+    rather than lists: ``observe`` runs once per declared quantile per
+    sample (E17/E18's SLA histograms), and straight-line float code over
+    slots beats list indexing by ~2x while computing operation-for-operation
     the same arithmetic as the textbook loops (marker 0's position is
     pinned at 1.0 and desired positions 0/4 are never read, so neither
     is stored). ``_warmup`` collects the first five samples, then the
@@ -278,33 +286,31 @@ class P2Quantile:
 
 
 class Histogram(_Instrument):
-    """Fixed cumulative buckets plus streaming p50/p95/p99.
+    """Fixed cumulative buckets; P² trackers only for declared readers.
 
-    Quantile tracking is *deferred*: samples are appended to a bounded
-    pending buffer and replayed — in arrival order, so the P² estimates
-    are bit-identical to eager updates — only when a quantile is
-    actually read or the buffer fills. Most histograms in a run are
-    never queried for quantiles, which makes ``observe`` an O(1) append
-    on the hot path (the control-plane queue-wait histograms dominated
-    E7's profile before this). Memory stays bounded by
-    :data:`PENDING_CAP` samples per histogram.
+    Always-on state is ``count``/``sum``/``min``/``max`` plus one
+    counter per bucket — an ``observe`` is a few adds and a bisect, and
+    memory is O(buckets). A :class:`P2Quantile` tracker exists only for
+    each quantile named in ``quantiles=`` (an instrument whose reader
+    needs a tight tail estimate, e.g. an SLA p99.9); those are fed
+    eagerly. Any other quantile is derived when read, by interpolating
+    inside the cumulative buckets — accurate to one bucket width, so an
+    instrument whose values are not positive log-scale quantities
+    should pass its own ``buckets=`` ladder (see :func:`linear_buckets`).
     """
 
     __slots__ = ("buckets", "bucket_counts", "count", "sum", "min", "max",
-                 "_quantiles", "_pending", "_bucket_arr")
+                 "_quantiles", "_bucket_arr")
     kind = "histogram"
-
-    QUANTILES = (0.5, 0.95, 0.99)
-    #: flush the pending-sample buffer into the P² trackers at this size
-    PENDING_CAP = 4096
 
     def __init__(self, name: str, labels: Dict[str, str],
                  buckets: Optional[Sequence[float]] = None,
                  quantiles: Optional[Sequence[float]] = None) -> None:
         super().__init__(name, labels)
         bounds = tuple(buckets) if buckets else DEFAULT_BUCKETS
-        if list(bounds) != sorted(bounds):
-            raise ValueError(f"histogram {name}: buckets must be sorted")
+        if any(lo >= hi for lo, hi in zip(bounds, bounds[1:])):
+            raise ValueError(
+                f"histogram {name}: buckets must be strictly increasing")
         if bounds[-1] != float("inf"):
             bounds = bounds + (float("inf"),)
         self.buckets = bounds
@@ -313,9 +319,7 @@ class Histogram(_Instrument):
         self.sum = 0.0
         self.min = float("inf")
         self.max = float("-inf")
-        self._quantiles = tuple(P2Quantile(q)
-                                for q in (quantiles or self.QUANTILES))
-        self._pending: List[float] = []
+        self._quantiles = tuple(P2Quantile(q) for q in quantiles or ())
         self._bucket_arr: Optional[np.ndarray] = None
 
     def observe_many(self, values: Sequence[float]) -> None:
@@ -325,10 +329,8 @@ class Histogram(_Instrument):
         The running sum is accumulated sequentially (same additions in
         the same order as the scalar path); bucket placement vectorizes
         through ``np.searchsorted`` (identical index semantics to
-        ``bisect_left``); pending quantile samples are appended in
-        arrival order, so the deferred P² replay sees the same sequence
-        regardless of flush boundaries. This is the batch TTI engine's
-        per-cell SINR observation path.
+        ``bisect_left``). This is the batch TTI engine's per-cell SINR
+        observation path.
         """
         vals = np.asarray(values, dtype=float).tolist()
         if not vals:
@@ -348,14 +350,11 @@ class Histogram(_Instrument):
             self._bucket_arr = np.array(self.buckets)
         idx = np.searchsorted(self._bucket_arr, vals, side="left")
         counts = np.bincount(idx, minlength=len(self.bucket_counts))
-        bucket_counts = self.bucket_counts
-        for i, c in enumerate(counts.tolist()):
-            if c:
-                bucket_counts[i] += c
-        pending = self._pending
-        pending.extend(vals)
-        if len(pending) >= self.PENDING_CAP:
-            self._flush_quantiles()
+        self.bucket_counts = [have + new for have, new
+                              in zip(self.bucket_counts, counts.tolist())]
+        for tracker in self._quantiles:
+            for value in vals:
+                tracker.observe(value)
 
     def observe(self, value: float) -> None:
         """Record one sample."""
@@ -368,65 +367,64 @@ class Histogram(_Instrument):
         # first bound with value <= bound, by binary search — the index
         # bisect_left returns is exactly the one the linear scan found
         self.bucket_counts[bisect_left(self.buckets, value)] += 1
-        pending = self._pending
-        pending.append(value)
-        if len(pending) >= self.PENDING_CAP:
-            self._flush_quantiles()
-
-    def _flush_quantiles(self) -> None:
-        """Replay buffered samples into the P² trackers, in order."""
-        pending = self._pending
-        if not pending:
-            return
-        self._pending = []
-        trackers = self._quantiles
-        if len(trackers) == 3:  # the default p50/p95/p99, unrolled
-            q50, q95, q99 = trackers
-            for value in pending:
-                q50.observe(value)
-                q95.observe(value)
-                q99.observe(value)
-            return
-        # custom quantile sets (e.g. E17's p999): trackers are
-        # independent, so per-tracker replay order is equivalent
-        for tracker in trackers:
-            for value in pending:
-                tracker.observe(value)
+        for tracker in self._quantiles:
+            tracker.observe(value)
 
     @property
     def mean(self) -> float:
         """Arithmetic mean of all observations (nan when empty)."""
         return self.sum / self.count if self.count else float("nan")
 
-    def quantile(self, q: float) -> float:
-        """Streaming estimate for one of the tracked quantiles."""
-        self._flush_quantiles()
-        for tracker in self._quantiles:
-            if tracker.q == q:
-                return tracker.estimate
-        raise KeyError(f"quantile {q} not tracked "
-                       f"(have {tuple(t.q for t in self._quantiles)})")
+    def _bucket_quantile(self, q: float) -> float:
+        """Interpolate ``q`` inside the cumulative buckets.
 
-    def _row_quantile(self, q: float) -> float:
-        """``row()`` helper: tracked estimate, or 0.0 when this histogram
-        was created with a custom quantile set that omits ``q``."""
+        Finds the bucket holding the ``q * count``-th sample and assumes
+        its samples are spread evenly between its edges, with the edges
+        pulled in to the observed ``[min, max]`` (which also gives the
+        open-ended first and ``+inf`` buckets a finite edge). The result
+        is within that bucket's width of the true quantile and exact
+        when all samples are equal.
+        """
+        rank = q * self.count
+        below = 0
+        lo = self.min
+        for bound, in_bucket in zip(self.buckets, self.bucket_counts):
+            if in_bucket and below + in_bucket >= rank:
+                hi = min(bound, self.max)
+                return lo + (hi - lo) * (rank - below) / in_bucket
+            below += in_bucket
+            lo = max(bound, self.min)
+        return self.max
+
+    def quantile(self, q: float) -> float:
+        """Estimate of quantile ``q`` (nan when empty): the P² tracker's
+        if ``q`` was declared at creation, else derived from the buckets
+        and kept between the declared estimates on either side of it."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError("quantile must be in [0, 1]")
+        if not self.count:
+            return float("nan")
+        floor, ceiling = self.min, self.max
         for tracker in self._quantiles:
             if tracker.q == q:
                 return tracker.estimate
-        return 0.0
+            if tracker.q < q:
+                floor = max(floor, tracker.estimate)
+            else:
+                ceiling = min(ceiling, tracker.estimate)
+        return max(floor, min(self._bucket_quantile(q), ceiling))
 
     def row(self) -> Dict[str, Any]:
         """Snapshot row for exporters."""
         empty = self.count == 0
-        self._flush_quantiles()
         return {"kind": self.kind, "name": self.name, "labels": self.labels,
                 "count": self.count, "sum": self.sum,
                 "min": 0.0 if empty else self.min,
                 "max": 0.0 if empty else self.max,
                 "mean": 0.0 if empty else self.mean,
-                "p50": 0.0 if empty else self._row_quantile(0.5),
-                "p95": 0.0 if empty else self._row_quantile(0.95),
-                "p99": 0.0 if empty else self._row_quantile(0.99)}
+                "p50": 0.0 if empty else self.quantile(0.5),
+                "p95": 0.0 if empty else self.quantile(0.95),
+                "p99": 0.0 if empty else self.quantile(0.99)}
 
 
 class MetricsRegistry:

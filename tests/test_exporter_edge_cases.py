@@ -1,13 +1,13 @@
-"""Exporter edge cases: label escaping, deferred quantiles, folded stacks.
+"""Exporter edge cases: label escaping, quantile state, folded stacks.
 
 Three corners the happy-path telemetry tests never hit:
 
 * Prometheus text exposition requires backslash-escaping of ``\\``,
   ``"`` and newlines inside label values — a label carrying any of them
   must still produce a one-line, parseable series;
-* the histogram's deferred P² pending buffer must survive being read
-  *mid-run* (which flushes it) and then observed into again before the
-  export read — estimates must match an eagerly-flushed twin exactly;
+* a histogram keeps no per-sample state unless a quantile reader was
+  declared, and reading quantiles *mid-run* never changes what a later
+  export reads;
 * the collapsed-stack (``.folded``) export must emit the
   ``frame;frame;leaf <integer>`` grammar flamegraph tooling parses,
   for both wall-clock callback sites and simulated-time span trees.
@@ -53,40 +53,36 @@ def test_plain_labels_stay_untouched(tmp_path):
     assert 'arm="dlte"' in path.read_text()
 
 
-# -- deferred quantile buffer mid-run reads -----------------------------------
+# -- quantile state: nothing per sample, mid-run reads are pure ---------------
 
 
-def test_pending_replay_after_midrun_read_matches_eager():
-    deferred = Histogram("h", {})
-    eager = Histogram("h", {})
-    samples1 = [float(i % 17) for i in range(200)]
-    samples2 = [float((i * 7) % 23) for i in range(300)]
-    for v in samples1:
-        deferred.observe(v)
-        eager.observe(v)
-        eager.quantile(0.5)  # flush the twin every sample
-    # mid-run read: flushes the 200 pending samples into the trackers
-    mid = deferred.quantile(0.95)
-    assert mid == eager.quantile(0.95)
-    # keep observing: the buffer refills after the flush...
-    for v in samples2:
-        deferred.observe(v)
-        eager.observe(v)
-        eager.quantile(0.5)
-    # ...and the export-time row replays only the *new* tail, in order
-    row_d, row_e = deferred.row(), eager.row()
-    assert row_d["count"] == row_e["count"] == 500
-    for key in ("p50", "p95", "p99", "sum", "min", "max"):
-        assert row_d[key] == row_e[key], key
-
-
-def test_pending_buffer_flushes_at_cap():
+def test_undeclared_histogram_owns_no_trackers_or_samples():
     histogram = Histogram("h", {})
-    for i in range(Histogram.PENDING_CAP + 10):
-        histogram.observe(float(i))
-    # cap reached mid-run: at most the post-flush tail is pending
-    assert len(histogram._pending) == 10
-    assert histogram.count == Histogram.PENDING_CAP + 10
+    for i in range(100_000):
+        histogram.observe(float(i % 977))
+    assert histogram.count == 100_000
+    assert histogram._quantiles == ()
+    # every container it holds is O(buckets): no per-sample storage
+    for slot in Histogram.__slots__:
+        value = getattr(histogram, slot)
+        if hasattr(value, "__len__"):
+            assert len(value) <= len(histogram.buckets), slot
+
+
+def test_midrun_read_leaves_later_estimates_unchanged():
+    # reading quantiles (declared or bucket-derived) is pure: a twin
+    # that is read after every sample ends in the same exported row
+    quiet = Histogram("h", {}, quantiles=(0.5, 0.99))
+    polled = Histogram("h", {}, quantiles=(0.5, 0.99))
+    for i in range(500):
+        value = float((i * 7) % 23)
+        quiet.observe(value)
+        polled.observe(value)
+        polled.quantile(0.5)
+        polled.quantile(0.95)
+        polled.row()
+    assert quiet.row() == polled.row()
+    assert quiet.bucket_counts == polled.bucket_counts
 
 
 # -- folded-stack export ------------------------------------------------------

@@ -325,18 +325,17 @@ def test_env_default(monkeypatch):
 
 def test_observe_many_matches_sequential_observe():
     import numpy as np
-    rega, regb = MetricsRegistry(), MetricsRegistry()
-    ha = rega.histogram("x")
-    hb = regb.histogram("x")
     rng = random.Random(11)
     vals = [rng.uniform(-40.0, 60.0) for _ in range(500)]
-    for v in vals:
-        ha.observe(v)
-    for lo in range(0, 500, 37):  # uneven chunks: boundary-independent
-        hb.observe_many(np.array(vals[lo:lo + 37]))
-    assert ha.count == hb.count
-    assert ha.sum == hb.sum
-    assert ha.min == hb.min and ha.max == hb.max
-    assert ha.bucket_counts == hb.bucket_counts
-    assert ha.quantile(0.5) == hb.quantile(0.5)
-    assert ha.quantile(0.99) == hb.quantile(0.99)
+    for quantiles in (None, (0.5, 0.99)):  # bucket-derived and declared
+        ha = MetricsRegistry().histogram("x", quantiles=quantiles)
+        hb = MetricsRegistry().histogram("x", quantiles=quantiles)
+        for v in vals:
+            ha.observe(v)
+        for lo in range(0, 500, 37):  # uneven chunks: boundary-independent
+            hb.observe_many(np.array(vals[lo:lo + 37]))
+        assert ha.count == hb.count
+        assert ha.sum == hb.sum
+        assert ha.min == hb.min and ha.max == hb.max
+        assert ha.bucket_counts == hb.bucket_counts
+        assert ha.row() == hb.row()

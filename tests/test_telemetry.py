@@ -8,11 +8,15 @@ passive, so instrumented runs are bit-identical to uninstrumented ones.
 
 import json
 import math
+import random
+from bisect import bisect_left
 
 import numpy as np
 import pytest
 
 from repro.core import DLTENetwork
+from repro.experiments import e5_coordination
+from repro.metrics.stats import percentile
 from repro.simcore import Simulator
 from repro.telemetry import (
     HUB,
@@ -30,6 +34,7 @@ from repro.telemetry.exporters import (
     write_metrics_csv,
     write_metrics_text,
 )
+from repro.telemetry.registry import linear_buckets
 from repro.workloads import RuralTown
 
 
@@ -151,13 +156,110 @@ class TestP2Quantile:
         assert math.isnan(P2Quantile(0.5).estimate)
 
     def test_histogram_quantiles_plumbed(self):
-        hist = MetricsRegistry().histogram("h")
+        # undeclared quantiles come from the buckets, declared from P2
+        undeclared = MetricsRegistry().histogram(
+            "h", buckets=linear_buckets(0.0, 100.0, 10))
+        declared = MetricsRegistry().histogram("h", quantiles=(0.5, 0.95))
+        tracker = P2Quantile(0.95)
         for v in range(1, 101):
-            hist.observe(float(v))
-        assert abs(hist.quantile(0.5) - 50.0) < 5.0
-        assert abs(hist.quantile(0.95) - 95.0) < 5.0
-        with pytest.raises(KeyError):
-            hist.quantile(0.42)
+            undeclared.observe(float(v))
+            declared.observe(float(v))
+            tracker.observe(float(v))
+        assert abs(undeclared.quantile(0.5) - 50.0) < 5.0
+        assert abs(undeclared.quantile(0.95) - 95.0) < 5.0
+        assert abs(undeclared.quantile(0.42) - 42.0) < 5.0
+        assert declared.quantile(0.95) == tracker.estimate
+        with pytest.raises(ValueError):
+            undeclared.quantile(1.5)
+        assert math.isnan(MetricsRegistry().histogram("empty").quantile(0.5))
+
+    def test_declared_quantiles_match_parent_commit_bit_for_bit(self):
+        # same P2 arithmetic, same observation order: eager updates must
+        # reproduce the estimates the deferred replay produced before
+        rng = random.Random(2026)
+        hist = Histogram("nas.time_to_attach_s", {},
+                         quantiles=(0.5, 0.99, 0.999))
+        for _ in range(5000):
+            hist.observe(rng.lognormvariate(-2.0, 0.8))
+        assert hist.quantile(0.5) == 0.13097622715512203
+        assert hist.quantile(0.99) == 0.815078080869781
+        assert hist.quantile(0.999) == 1.757040966060203
+
+
+def _true_bucket_width(hist, value):
+    """Width of the (min/max-clamped) bucket that holds ``value``."""
+    i = bisect_left(hist.buckets, value)
+    lo = max(hist.buckets[i - 1], hist.min) if i else hist.min
+    return min(hist.buckets[i], hist.max) - lo
+
+
+class TestBucketQuantiles:
+    @pytest.mark.parametrize("buckets,draw", [
+        (linear_buckets(0.0, 100.0, 20), lambda r: r.uniform(0.0, 100.0)),
+        (None, lambda r: r.lognormvariate(-3.0, 1.5)),
+        (linear_buckets(-140.0, -40.0, 20), lambda r: r.gauss(-95.0, 9.0)),
+    ], ids=["uniform", "lognormal", "negative-db"])
+    def test_error_within_one_bucket_width(self, buckets, draw):
+        rng = random.Random(5)
+        samples = [draw(rng) for _ in range(20_000)]
+        hist = Histogram("h", {}, buckets=buckets)
+        hist.observe_many(samples)
+        for q in (0.5, 0.95, 0.99):
+            exact = percentile(samples, q * 100.0)
+            width = _true_bucket_width(hist, exact)
+            assert abs(hist.quantile(q) - exact) <= width, q
+        row = hist.row()
+        assert (row["min"] <= row["p50"] <= row["p95"] <= row["p99"]
+                <= row["max"])
+
+    def test_exact_when_all_samples_equal(self):
+        for value in (-87.5, 0.0, 0.25, 3.0e7):
+            hist = Histogram("h", {})
+            for _ in range(50):
+                hist.observe(value)
+            row = hist.row()
+            assert row["p50"] == row["p95"] == row["p99"] == value
+
+    def test_radio_instrument_ladders_span_what_they_observe(self):
+        # dB / fraction / integer instruments declare linear ladders: on
+        # the log-scale default every negative dB sample shares bucket 0.
+        # Nothing may fall off either end, so the exported quantiles are
+        # good to one ladder step.
+        HUB.start_run()
+        try:
+            e5_coordination.run(n_aps=2, ue_per_ap=8)
+        except BaseException:
+            HUB.abort_run()
+            raise
+        run = HUB.finish_run()
+        seen = set()
+        for _tag, registry in run.registries:
+            for hist in registry.query("phy") + registry.query("mac"):
+                if isinstance(hist, Histogram) and hist.count:
+                    seen.add(hist.name)
+                    assert hist.bucket_counts[0] == 0, hist
+                    assert hist.bucket_counts[-1] == 0, hist
+        assert seen == {"phy.rsrp_dbm", "phy.sinr_db",
+                        "phy.harq.goodput_factor", "mac.cell.granted_prbs",
+                        "mac.csma.backoff_slots"}
+
+    def test_custom_quantile_set_rows_are_ordered_not_zero(self):
+        # E18-style instrument: p95 is not declared, and used to export
+        # as a real-looking 0.0; it now comes from the buckets
+        rng = random.Random(18)
+        hist = Histogram("e18.sla.web_s", {}, quantiles=(0.5, 0.99, 0.999))
+        for _ in range(3000):
+            hist.observe(rng.lognormvariate(-1.0, 1.0))
+        row = hist.row()
+        assert row["p50"] == hist.quantile(0.5)
+        assert row["p99"] == hist.quantile(0.99)
+        assert row["p95"] > 0.0
+        assert (row["min"] <= row["p50"] <= row["p95"] <= row["p99"]
+                <= row["max"])
+
+    def test_duplicate_bucket_bounds_rejected(self):
+        with pytest.raises(ValueError):
+            MetricsRegistry().histogram("h", buckets=[1.0, 1.0, 2.0])
 
 
 # -- spans ------------------------------------------------------------------
