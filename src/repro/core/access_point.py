@@ -368,9 +368,10 @@ class DLTEAccessPoint:
         self.enb.detach_ue(ue.ue_id)
         self.cell.remove_ue(ue.ue_id)
         if host is not None:
+            # routes first: re-decides packets inside the forwarding delay
+            self.router.remove_routes_to(host.name)
             host.links.pop(self.router.name, None)
             self.router.links.pop(host.name, None)
-            self.router.remove_routes_to(host.name)
             stale = self._ue_addresses.pop(ue.ue_id, None)
             if stale is not None and stale in host.addresses:
                 host.remove_address(stale)

@@ -228,10 +228,11 @@ class DLTENetwork(_BaseNetwork):
         gateway. Raises if the AP is isolated (no mesh links).
         """
         ap = self.aps[ap_id]
-        # sever the uplink both ways
+        # sever the uplink both ways (routes first: that re-decides the
+        # packets still inside the core's forwarding delay)
+        self.internet.remove_routes_to(ap.router.name)
         ap.router.links.pop(self.internet.name, None)
         self.internet.links.pop(ap.router.name, None)
-        self.internet.remove_routes_to(ap.router.name)
         # pick the surviving mesh neighbour (a peer AP router we still link)
         neighbors = [other for other in self.aps.values()
                      if other.ap_id != ap_id

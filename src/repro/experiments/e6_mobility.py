@@ -172,9 +172,10 @@ class CorridorHarness:
         if old_index is None:
             return
         old = self.ap_routers[old_index]
+        # routes first: that re-decides packets inside the forwarding delay
+        old.remove_routes_to("client")
         self.client.links.pop(old.name, None)
         old.links.pop("client", None)
-        old.remove_routes_to("client")
         if len(self.client.addresses) > 1:
             self.client.addresses = self.client.addresses[:1]
         self._overlap_ap = None
@@ -183,9 +184,10 @@ class CorridorHarness:
         if self._current_ap is None:
             return
         old = self.ap_routers[self._current_ap]
+        # routes first: that re-decides packets inside the forwarding delay
+        old.remove_routes_to("client")
         self.client.links.pop(old.name, None)
         old.links.pop("client", None)
-        old.remove_routes_to("client")
         self._current_ap = None
 
 

@@ -12,6 +12,9 @@ clock (plus once at the end via :meth:`verify`):
   attributed to a cause (``overflow + down + loss + aqm == dropped``);
   managed links (AQM/ECN/``queue_bytes``) additionally satisfy the same
   law in *bytes* — marking instead of dropping must not leak a byte;
+  reading the link admits its due deferred offers, so none may remain;
+* **router hand-off** (:meth:`watch_router`): ``forwarded`` equals the
+  offers its links admitted plus those still pending;
 * **NAT accounting** (:meth:`watch_nat`): bindings only exist for
   flows that translated outbound;
 * **tunnel conservation** (:meth:`watch_tunnel`): across all watched
@@ -114,10 +117,14 @@ class InvariantChecker:
                     f"+ in_flight={link.in_flight}")
             if link.in_flight < 0:
                 problems.append(f"negative in_flight: {link.in_flight}")
-            if link.queue_depth > link.queue_packets:
+            depth = link.queue_depth  # a touch: admits every due offer
+            if depth > link.queue_packets:
                 problems.append(
-                    f"queue over capacity: {link.queue_depth} > "
-                    f"{link.queue_packets}")
+                    f"queue over capacity: {depth} > {link.queue_packets}")
+            if link._offers and link._offers[0][0] <= self.sim.now:
+                problems.append(
+                    f"offer due at {link._offers[0][0]} still pending "
+                    f"after a touch")
             if link._managed:
                 # managed links (AQM / queue_bytes) carry the same
                 # conservation law in bytes — an AQM that marks instead
@@ -144,6 +151,25 @@ class InvariantChecker:
             return problems
 
         self.register("link-conservation", link.name, check)
+
+    def watch_router(self, router: Any) -> None:
+        """Audit a :class:`~repro.net.nodes.Router`'s hand-off to its
+        links: every forwarded packet is an offer a link has admitted
+        or still holds. Links are remembered once seen, so one popped
+        from ``router.links`` keeps counting."""
+        seen: dict = {}
+
+        def check() -> List[str]:
+            for link in router.links.values():
+                seen[id(link)] = link
+            admitted = sum(link.offers_admitted for link in seen.values())
+            pending = sum(len(link._offers) for link in seen.values())
+            if router.forwarded != admitted + pending:
+                return [f"offer leak: forwarded={router.forwarded} != "
+                        f"admitted={admitted} + pending={pending}"]
+            return []
+
+        self.register("router-offers", router.name, check)
 
     def watch_agent(self, agent: Any) -> None:
         """Audit a :class:`~repro.epc.agents.ControlAgent`'s message

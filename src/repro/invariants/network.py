@@ -25,6 +25,7 @@ from typing import Any, Iterable, List
 
 from repro.invariants.checks import InvariantChecker
 from repro.net.nat import NatRouter
+from repro.net.nodes import Router
 from repro.spectrum.grants import in_contention
 
 __all__ = ["iter_control_agents", "watch_federation", "watch_network",
@@ -90,6 +91,8 @@ def watch_topology(checker: InvariantChecker, roots: Iterable[Any]) -> int:
     for node in nodes:
         for link in getattr(node, "links", {}).values():
             checker.watch_link(link)
+        if isinstance(node, Router):
+            checker.watch_router(node)
         if isinstance(node, NatRouter):
             checker.watch_nat(node)
         tunnels = getattr(node, "tunnels", None)

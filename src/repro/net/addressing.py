@@ -10,9 +10,16 @@ one pool at the P-GW. Built on the stdlib ``ipaddress`` module.
 from __future__ import annotations
 
 import ipaddress
+from operator import attrgetter
 from typing import List, Optional, Set, Union
 
 IPv4Address = ipaddress.IPv4Address
+
+#: ``address_key(addr)`` is the address's 32-bit integer form — a dict
+#: key for per-packet tables. ``IPv4Address.__hash__``/``__int__`` are
+#: Python-level methods in the stdlib; reading the slot through a C
+#: attrgetter keeps a forwarding-cache hit free of Python frames.
+address_key = attrgetter("_ip")
 
 
 class PoolExhausted(Exception):

@@ -22,14 +22,20 @@ drains every delivery that is due when it fires. Service completions
 are pure float arithmetic (``done += tx``; ``deliver = done + delay``),
 identical to the times the old per-event chain produced, and queued
 packets are promoted into service *lazily* whenever the link is
-touched. Net effect: one heap event per busy period segment instead of
-two per packet, with byte-identical delivery times.
+touched. Net effect: one heap event per delivery instead of two per
+packet, with byte-identical delivery times.
+
+Routers extend the argument one stage upstream: a forwarding hop is not
+an event but an *offer* for a future instant (:meth:`Link.send_at`),
+admitted lazily, in order, as of its own time, before anything else
+reads or changes the link — a transit hop on an idle link is a single
+wake-up aimed at the packet's delivery.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Deque, Optional, Tuple
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.net.aqm import DROP, MARK, PASS, AqmDiscipline
 from repro.net.packet import ECN_CE, ECN_ECT, Packet
@@ -54,13 +60,11 @@ class Link:
 
     Managed mode (default off): installing an AQM discipline
     (:meth:`set_aqm`) or a ``queue_bytes`` limit routes sends through
-    :meth:`_send_managed`, which additionally keeps a byte-granular
+    :meth:`_admit_managed`, which additionally keeps a byte-granular
     conservation ledger (``offered_bytes == delivered_bytes +
     dropped_bytes + in_flight_bytes``), per-packet enqueue timestamps
     for sojourn-time AQM, the ``aqm`` drop cause, and ECN
-    mark-instead-of-drop. An unmanaged link pays exactly one extra
-    predictable branch per send/delivery over the seed's fast path —
-    the microbenchmark suite holds that line.
+    mark-instead-of-drop.
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
@@ -86,10 +90,14 @@ class Link:
         #: when the packet currently in service finishes serializing;
         #: the link is busy iff this is in the future
         self._service_done = 0.0
-        #: True while the one live wake-up event (aimed at the flight
-        #: head's delivery) is queued; wake-ups are never cancelled, so
-        #: they ride the simulator's handle-free fast path
-        self._wakeup = False
+        #: deferred sends (at, packet) from :meth:`send_at`, ``at``
+        #: monotone; admitted lazily by :meth:`_admit_due`
+        self._offers: Deque[Tuple[float, Packet]] = deque()
+        self.offers_admitted = 0
+        #: earliest time a live wake-up is aimed at (inf: none), never
+        #: later than the next possible delivery. Wake-ups are never
+        #: cancelled (handle-free fast path); a stale one is absorbed.
+        self._wakeup_at = _INF
         # fault state
         self.up = True
         self.loss_rate = 0.0
@@ -119,9 +127,9 @@ class Link:
         self.in_flight_bytes = 0
         self._egress_bytes = 0
         self._egress_times: Optional[Deque[float]] = None
-        #: the link's own loss stream, fetched once instead of a
-        #: per-send f-string + registry lookup
-        self._loss_rng = sim.rng(f"link-loss:{name}")
+        #: the link's own loss stream, fetched by the first
+        #: set_loss_rate(> 0): most links never lose a packet
+        self._loss_rng = None
         # telemetry instruments, fetched once so the hot path is an
         # attribute access plus an integer add
         metrics = sim.metrics
@@ -178,8 +186,11 @@ class Link:
     @property
     def queue_depth(self) -> int:
         """Packets currently waiting (excludes the one being serialized)."""
-        if self._egress and self._service_done <= self.sim.now:
-            self._advance(self.sim.now)
+        now = self.sim.now
+        if self._offers:
+            self._admit_due(now)
+        if self._egress and self._service_done <= now:
+            self._advance(now)
         return len(self._egress)
 
     # -- fault state -------------------------------------------------------
@@ -188,6 +199,7 @@ class Link:
         """Raise or cut the link; cutting loses every queued packet."""
         if up == self.up:
             return
+        self._admit_due(self.sim.now)
         self.up = up
         self.sim.trace("fault", f"link {self.name} {'up' if up else 'down'}")
         if not up:
@@ -213,11 +225,14 @@ class Link:
         """Set the per-packet drop probability (0 disables loss)."""
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss rate must be in [0, 1]")
+        self._admit_due(self.sim.now)
         if loss_rate != self.loss_rate:
             self.sim.trace("fault", f"link {self.name} loss={loss_rate:g}")
+        if loss_rate > 0.0 and self._loss_rng is None:
+            self._loss_rng = self.sim.rng(f"link-loss:{self.name}")
         self.loss_rate = loss_rate
 
-    def _drop(self, cause: str) -> bool:
+    def _drop(self, cause: str, at: float) -> bool:
         self.dropped += 1
         if cause == "overflow":
             self.dropped_overflow += 1
@@ -228,29 +243,73 @@ class Link:
         else:
             self.dropped_loss += 1
         self._m_drops[cause].inc()
-        self.sim.trace("drop", f"link {self.name}: {cause}")
+        self.sim.trace("drop", f"link {self.name}: {cause}", at=at)
         return False
 
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False (and counts a drop by cause)
         when the link is down, the loss draw fails, the queue is full,
-        or — in managed mode — the AQM discipline says drop."""
+        or — in managed mode — the AQM discipline says drop. Tie rule:
+        an offer (:meth:`send_at`) due at this instant is admitted first."""
         if self.receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        now = self.sim.now
+        if self._offers:
+            self._admit_due(now)
         if self._managed:
-            return self._send_managed(packet)
+            return self._admit_managed(now, packet)
+        return self._admit(now, packet)
+
+    def send_at(self, at: float, packet: Packet) -> None:
+        """Offer ``packet`` as if :meth:`send` were called at time ``at``.
+
+        ``at`` must be ``>= now`` and non-decreasing across calls (a link
+        has one owner, offering at ``now + forwarding_delay_s``). The
+        verdict is reached as of ``at`` and has nowhere to be returned.
+        """
+        if self.receiver is None:
+            raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        self._offers.append((at, packet))
+        if not self._flight:
+            # nothing owed to the flight: aim at the earliest this packet
+            # can arrive (same association order as _start_service)
+            rate = self.rate_bps
+            due = (at + (packet.size_bytes * 8.0 / rate
+                         if rate != _INF else 0.0)) + self.delay_s
+            if due < self._wakeup_at:
+                self._wakeup_at = due
+                self.sim.post_at(due, self._drain)
+
+    def recall_offers(self, now: float) -> List[Tuple[float, Packet]]:
+        """Take back the offers not yet due (their owner re-decides them)."""
+        self._admit_due(now)
+        recalled = list(self._offers)
+        self._offers.clear()
+        return recalled
+
+    def _admit_due(self, now: float) -> None:
+        """Admit every due offer, in order, each as of its own time; runs
+        before anything else reads or changes the link."""
+        offers = self._offers
+        admit = self._admit_managed if self._managed else self._admit
+        while offers and offers[0][0] <= now:
+            at, packet = offers.popleft()
+            self.offers_admitted += 1
+            admit(at, packet)
+
+    def _admit(self, now: float, packet: Packet) -> bool:
+        """Unmanaged admission of ``packet`` as of time ``now``."""
         self.offered += 1
         if not self.up:
-            return self._drop("down")
+            return self._drop("down", now)
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
-            return self._drop("loss")
-        now = self.sim.now
+            return self._drop("loss", now)
         if self._egress and self._service_done <= now:
             self._advance(now)
         if self._service_done > now:  # serializer busy: join the queue
             egress = self._egress
             if len(egress) >= self.queue_packets:
-                return self._drop("overflow")
+                return self._drop("overflow", now)
             egress.append(packet)
             self.in_flight += 1
             qlen = len(egress)
@@ -263,18 +322,17 @@ class Link:
         self._start_service(now, packet)
         return True
 
-    def _send_managed(self, packet: Packet) -> bool:
-        """Managed-mode send: byte ledger, byte capacity, AQM, ECN."""
+    def _admit_managed(self, now: float, packet: Packet) -> bool:
+        """Managed admission: byte ledger, byte capacity, AQM, ECN."""
         size = packet.size_bytes
         self.offered += 1
         self.offered_bytes += size
         if not self.up:
             self.dropped_bytes += size
-            return self._drop("down")
+            return self._drop("down", now)
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
             self.dropped_bytes += size
-            return self._drop("loss")
-        now = self.sim.now
+            return self._drop("loss", now)
         if self._egress and self._service_done <= now:
             self._advance_managed(now)
         aqm = self._aqm
@@ -284,14 +342,14 @@ class Link:
                     self.queue_bytes is not None
                     and self._egress_bytes + size > self.queue_bytes):
                 self.dropped_bytes += size
-                return self._drop("overflow")
+                return self._drop("overflow", now)
             if aqm is not None:
                 verdict = aqm.on_enqueue(len(egress), self._egress_bytes,
                                          packet, now)
                 if verdict != PASS and (verdict == DROP
                                         or not self._mark(packet)):
                     self.dropped_bytes += size
-                    return self._drop("aqm")
+                    return self._drop("aqm", now)
             egress.append(packet)
             self._egress_times.append(now)
             self._egress_bytes += size
@@ -312,7 +370,7 @@ class Link:
                 verdict = aqm.on_dequeue(0.0, now)
             if verdict != PASS and (verdict == DROP or not self._mark(packet)):
                 self.dropped_bytes += size
-                return self._drop("aqm")
+                return self._drop("aqm", now)
         self.in_flight += 1
         self.in_flight_bytes += size
         self._start_service(now, packet)
@@ -333,9 +391,10 @@ class Link:
         self._m_bytes.inc(size)
         flight = self._flight
         flight.append((done + self.delay_s, packet))
-        if not self._wakeup:
-            self._wakeup = True
-            self.sim.post_at(flight[0][0], self._drain)
+        due = flight[0][0]
+        if due < self._wakeup_at:
+            self._wakeup_at = due
+            self.sim.post_at(due, self._drain)
 
     def _advance(self, now: float) -> None:
         """Promote queued packets whose service has started by ``now``."""
@@ -373,16 +432,20 @@ class Link:
                     self.in_flight -= 1
                     self.in_flight_bytes -= size
                     self.dropped_bytes += size
-                    self._drop("aqm")
+                    self._drop("aqm", now)
                     self._m_queue.set(len(egress))
                     continue
             self._start_service(self._service_done, packet)
             self._m_queue.set(len(egress))
 
     def _drain(self) -> None:
-        """Wake-up event: hand over every delivery that is due."""
-        self._wakeup = False
+        """Wake-up event: admit what was offered, hand over what is due.
+        ``_wakeup_at`` names this event until the tail re-aims, so
+        nothing in between re-posts; a stale wake-up falls through."""
         now = self.sim.now
+        offers = self._offers
+        if offers and offers[0][0] <= now:
+            self._admit_due(now)
         flight = self._flight
         receiver = self.receiver
         managed = self._managed
@@ -394,7 +457,7 @@ class Link:
                     size = packet.size_bytes
                     self.in_flight_bytes -= size
                     self.dropped_bytes += size
-                self._drop("down")  # cut mid-flight
+                self._drop("down", now)  # cut mid-flight
                 continue
             if managed:
                 size = packet.size_bytes
@@ -403,10 +466,20 @@ class Link:
             self.delivered += 1
             self._m_delivered.inc()
             receiver(packet)
-        self._advance(now)
-        if flight and not self._wakeup:
-            self._wakeup = True
-            self.sim.post_at(flight[0][0], self._drain)
+        if self._egress:
+            self._advance(now)
+        if self._wakeup_at <= now:
+            self._wakeup_at = _INF
+        if flight:
+            due = flight[0][0]
+        elif offers:
+            # every pending offer arrives later than it is admitted
+            due = offers[0][0]
+        else:
+            return
+        if due < self._wakeup_at:
+            self._wakeup_at = due
+            self.sim.post_at(due, self._drain)
 
     def __repr__(self) -> str:
         rate = ("inf" if self.rate_bps == float("inf")

@@ -3,9 +3,10 @@
 from __future__ import annotations
 
 import ipaddress
+from operator import itemgetter
 from typing import Callable, Dict, List, Optional, Tuple, Union
 
-from repro.net.addressing import IPv4Address
+from repro.net.addressing import IPv4Address, address_key
 from repro.net.links import Link
 from repro.net.packet import Packet
 from repro.simcore.simulator import Simulator
@@ -43,7 +44,11 @@ class NetworkNode:
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving on any inbound link."""
         self.received += 1
-        packet.record_hop(self.name)
+        hops = packet.hops  # Packet.record_hop, inlined: once per hop
+        if hops is None:
+            packet.hops = [self.name]
+        else:
+            hops.append(self.name)
         self.handle(packet)
 
     def handle(self, packet: Packet) -> None:
@@ -103,13 +108,26 @@ class Host(NetworkNode):
 
 
 class Router(NetworkNode):
-    """Longest-prefix-match forwarding over static routes."""
+    """Longest-prefix-match forwarding over static routes.
+
+    The next hop is looked up at *ingress* and the packet offered to
+    that link for ``now + forwarding_delay_s`` (:meth:`Link.send_at`):
+    a transit hop is no event of its own, and ``forwarded``/``no_route``
+    count at arrival. A route change re-decides the offers still inside
+    the delay; popping an entry of ``links`` or assigning
+    ``default_route`` does not (withdraw routes first).
+    """
 
     def __init__(self, sim: Simulator, name: str,
                  forwarding_delay_s: float = 20e-6) -> None:
         super().__init__(sim, name)
         self.forwarding_delay_s = forwarding_delay_s
         self._routes: List[Tuple[ipaddress.IPv4Network, str]] = []
+        #: forwarding cache: address_key(dst) -> matched neighbour *name*
+        #: (None: no prefix matches, use the live ``default_route``)
+        self._fib: Dict[int, Optional[str]] = {}
+        #: time the latest offer falls due (are any inside the delay?)
+        self._offered_until = 0.0
         self.default_route: Optional[str] = None
         self.forwarded = 0
         self.no_route = 0
@@ -118,38 +136,60 @@ class Router(NetworkNode):
         self.local_addresses: List[IPv4Address] = []
 
     def add_route(self, prefix: PrefixLike, neighbor_name: str) -> None:
-        """Install a static route; most-specific prefix wins on lookup."""
+        """Install a static route; most-specific prefix wins on lookup,
+        equal-length prefixes keep insertion order."""
         net = ipaddress.IPv4Network(prefix)
-        self._routes.append((net, neighbor_name))
-        self._routes.sort(key=lambda r: r[0].prefixlen, reverse=True)
+        routes = self._routes
+        index = len(routes)
+        while index and routes[index - 1][0].prefixlen < net.prefixlen:
+            index -= 1
+        routes.insert(index, (net, neighbor_name))
+        self._routes_changed()
 
     def remove_routes_to(self, neighbor_name: str) -> int:
         """Withdraw every route via a neighbour; returns count removed."""
         before = len(self._routes)
         self._routes = [r for r in self._routes if r[1] != neighbor_name]
+        self._routes_changed()
         return before - len(self._routes)
+
+    def _routes_changed(self) -> None:
+        """Drop cached lookups and re-decide, for the same instant, the
+        offers still inside the forwarding delay (rare: none, usually)."""
+        self._fib.clear()
+        now = self.sim.now
+        if self._offered_until > now:
+            recalled: List[Tuple[float, Packet]] = []
+            for link in self.links.values():
+                recalled += link.recall_offers(now)
+            recalled.sort(key=itemgetter(0))  # re-offer in time order
+            for at, packet in recalled:
+                link = self.links.get(self.lookup(packet.dst))
+                if link is None:
+                    self.forwarded -= 1
+                    self.no_route += 1
+                else:
+                    link.send_at(at, packet)
 
     def lookup(self, dst: IPv4Address) -> Optional[str]:
         """Next-hop neighbour for ``dst`` (longest match, then default)."""
-        for net, neighbor in self._routes:
-            if dst in net:
-                return neighbor
-        return self.default_route
+        key = address_key(dst)
+        try:
+            neighbor = self._fib[key]
+        except KeyError:
+            neighbor = self._fib[key] = next(
+                (name for net, name in self._routes if dst in net), None)
+        return neighbor if neighbor is not None else self.default_route
 
     def handle(self, packet: Packet) -> None:
-        if packet.dst in self.local_addresses and self.local_handler:
+        dst = packet.dst
+        if dst in self.local_addresses and self.local_handler:
             self.local_handler(packet)
             return
-        sim = self.sim
-        sim.post_at(sim.now + self.forwarding_delay_s, self._forward, packet)
-
-    def _forward(self, packet: Packet) -> None:
-        if packet.dst is None:
-            self.no_route += 1
-            return
-        neighbor = self.lookup(packet.dst)
-        if neighbor is None or neighbor not in self.links:
+        link = None if dst is None else self.links.get(self.lookup(dst))
+        if link is None:
             self.no_route += 1
             return
         self.forwarded += 1
-        self.links[neighbor].send(packet)
+        self._offered_until = at = self.sim.now + self.forwarding_delay_s
+        link.send_at(at, packet)

@@ -219,6 +219,13 @@ class CrossShardLink(Link):
             "cross-shard links deliver through a CrossShardLinkExit in "
             "the destination shard, not a local receiver")
 
+    def send_at(self, at: float, packet: Packet) -> None:
+        """Post the send itself: this link's wake-ups do not drain a
+        flight (delivery is the boundary's), so nothing would admit a
+        deferred offer on time."""
+        self.offers_admitted += 1  # handed to the heap, never pending
+        self.sim.post_at(at, self.send, packet)
+
     def _start_service(self, start: float, packet: Packet) -> None:
         size = packet.size_bytes
         rate = self.rate_bps

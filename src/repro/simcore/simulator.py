@@ -115,14 +115,21 @@ class Simulator:
         self._profiler = value
         self._observed = value is not None or self._tracer is not None
 
-    def trace(self, category: str, message: str, **fields: Any) -> None:
-        """Record a trace event if a tracer is installed (else no-op)."""
+    def trace(self, category: str, message: str,
+              at: Optional[float] = None, **fields: Any) -> None:
+        """Record a trace event if a tracer is installed (else no-op).
+
+        ``at`` stamps the event with a time other than ``now`` — for a
+        verdict evaluated lazily that belongs to an earlier instant
+        (a link admitting a deferred offer).
+        """
         if not self._observed:
             return
         if self._profiler is not None:
             self._profiler.note_category(category)
         if self._tracer is not None:
-            self._tracer.record(self.now, category, message, **fields)
+            self._tracer.record(self.now if at is None else at,
+                                category, message, **fields)
 
     @property
     def metrics(self):

@@ -44,16 +44,26 @@ class Tracer:
             raise ValueError("need room for at least one event")
         self._events: Deque[TraceEvent] = deque(maxlen=max_events)
         self._categories = frozenset(categories) if categories else None
+        #: True once a back-dated event landed behind a later one;
+        #: :meth:`events` restores time order before anything reads
+        self._backdated = False
         self.recorded = 0
         self.filtered = 0
 
     def record(self, time_s: float, category: str, message: str,
                **fields: Any) -> None:
-        """Append an event (subject to the category filter)."""
+        """Append an event (subject to the category filter).
+
+        ``time_s`` may lie before the newest event's (a lazily evaluated
+        verdict stamped with the instant it belongs to); readers still
+        see the trace in time order, arrival order within one instant.
+        """
         if self._categories is not None and category not in self._categories:
             self.filtered += 1
             return
         self.recorded += 1
+        if self._events and time_s < self._events[-1].time_s:
+            self._backdated = True
         self._events.append(TraceEvent(time_s=time_s, category=category,
                                        message=message, fields=fields))
 
@@ -62,7 +72,12 @@ class Tracer:
     def events(self, category: Optional[str] = None,
                since_s: float = float("-inf"),
                until_s: float = float("inf")) -> List[TraceEvent]:
-        """Events matching the filters, in arrival order."""
+        """Events matching the filters, in time (then arrival) order."""
+        if self._backdated:
+            self._events = deque(
+                sorted(self._events, key=lambda e: e.time_s),
+                maxlen=self._events.maxlen)
+            self._backdated = False
         return [e for e in self._events
                 if (category is None or e.category == category)
                 and since_s <= e.time_s <= until_s]
@@ -96,7 +111,7 @@ class Tracer:
         """
         count = 0
         with open(path, "w") as fh:
-            for event in self._events:
+            for event in self.events():
                 fh.write(json.dumps(
                     {"type": "trace", "time_s": event.time_s,
                      "category": event.category, "message": event.message,

@@ -183,3 +183,21 @@ def test_network_run_emits_protocol_traces():
     assert net.sim.tracer.count("coordination") >= 2  # both APs installed
     for event in net.sim.tracer.events("attach"):
         assert "address" in event.fields
+
+
+def test_backdated_records_are_read_in_time_order(tmp_path):
+    """sim.trace(at=) stamps a lazily reached verdict with its own
+    instant; readers and the JSONL export see one time-ordered trace,
+    arrival order kept within an instant."""
+    sim = Simulator()
+    sim.tracer = Tracer()
+    sim.schedule(1.0, sim.trace, "x", "first")
+    sim.schedule(2.0, sim.trace, "x", "late", 0.5)
+    sim.schedule(2.0, sim.trace, "x", "tie", 1.0)
+    sim.run()
+    assert [(e.time_s, e.message) for e in sim.tracer.events()] == [
+        (0.5, "late"), (1.0, "first"), (1.0, "tie")]
+    path = str(tmp_path / "trace.jsonl")
+    sim.tracer.to_jsonl(path)
+    assert [e.message for e in Tracer.from_jsonl(path).events()] == [
+        "late", "first", "tie"]
