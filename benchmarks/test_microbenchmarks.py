@@ -14,9 +14,12 @@ from repro.mac.csma import CsmaNode, CsmaSimulation
 from repro.mac.schedulers import ProportionalFairScheduler, SchedulableUser
 from repro.metrics.stats import summarize
 from repro.phy import LinkBudget, OkumuraHata, Radio, get_band
-from repro.phy.propagation import cached_path_loss, model_for_frequency
+from repro.phy.propagation import model_for_frequency
 from repro.simcore import Simulator
 from repro.telemetry import MetricsRegistry
+
+# repo root on sys.path: run as ``python -m pytest benchmarks/...`` from it
+from tests.reference import scalar_tti
 
 
 def test_kernel_event_throughput(benchmark):
@@ -82,13 +85,13 @@ def test_cell_tti_rate(benchmark):
     assert delivered
 
 
-def _massed_cell(n_ues: int, batch: bool) -> Cell:
+def _massed_cell(n_ues: int) -> Cell:
     """One cell, PF downlink, ``n_ues`` randomly placed UEs."""
     band = get_band("lte5")
     budget = LinkBudget(OkumuraHata(environment="open"), band.dl_mhz,
                         band.bandwidth_hz)
     cell = Cell("bench", band, Point(0, 0), budget,
-                scheduler=ProportionalFairScheduler(), batch=batch)
+                scheduler=ProportionalFairScheduler())
     rng = np.random.default_rng(42)
     for i in range(n_ues):
         cell.add_ue(UeRadioContext(
@@ -99,19 +102,18 @@ def _massed_cell(n_ues: int, batch: bool) -> Cell:
 
 
 @pytest.mark.parametrize("n_ues", [64, 256, 1024])
-@pytest.mark.parametrize("mode", ["scalar", "batch"])
-def test_cell_tti_ue_scaling(benchmark, n_ues, mode):
-    """UE-count scaling of one steady-state TTI, scalar vs batch.
+def test_cell_tti_ue_scaling(benchmark, n_ues):
+    """UE-count scaling of one steady-state TTI.
 
-    The batch engine's payoff grows with UE count: the scalar path is
-    O(n) Python objects per TTI while the batch path amortizes the PHY
-    into cached arrays. Before timing, one TTI on a paired cell of the
-    *other* flavor checks the two paths deliver byte-identical maps at
-    this scale (the contract PERFORMANCE.md documents)."""
-    cell = _massed_cell(n_ues, batch=(mode == "batch"))
-    twin = _massed_cell(n_ues, batch=(mode != "batch"))
-    first, twin_first = cell.schedule_tti(), twin.schedule_tti()
-    assert first == twin_first and list(first) == list(twin_first)
+    The arena amortizes the PHY into cached arrays where a per-UE walk
+    is O(n) Python objects per TTI. Before timing, the first TTI is
+    checked against the scalar oracle on a twin cell: byte-identical
+    delivered maps at this scale (the contract PERFORMANCE.md
+    documents)."""
+    cell = _massed_cell(n_ues)
+    first = cell.schedule_tti()
+    expected = scalar_tti.schedule_tti(_massed_cell(n_ues))
+    assert first == expected and list(first) == list(expected)
 
     delivered = benchmark(cell.schedule_tti)
     assert delivered
@@ -141,39 +143,16 @@ def test_summarize_ndarray_fast_path(benchmark):
 
 
 def test_path_loss_vectorized_vs_scalar(benchmark):
-    """The E3/E4 grid fast path: one ``path_loss_db_many`` call over a
-    4k-point distance grid, checked against the scalar model per point
-    (the fast path must agree to well under 1e-9 dB)."""
+    """The E3/E4 grid path: one ``path_loss_db_many`` call over a
+    4k-point distance grid, bit-identical to the scalar model per
+    point."""
     freq = 881.5
     model = model_for_frequency(freq)
     distances = np.linspace(50.0, 30_000.0, 4096)
 
     losses = benchmark(model.path_loss_db_many, distances, freq)
     scalar = [model.path_loss_db(float(d), freq) for d in distances]
-    assert np.max(np.abs(losses - np.asarray(scalar))) < 1e-9
-
-
-def test_cached_path_loss_lookup_rate(benchmark):
-    """The stationary-link fast path: the memoized per-(model, freq)
-    loss closure on a small recurring distance set — the per-TTI pattern
-    every cell produces — must match the uncached model exactly."""
-    freq = 881.5
-    model = model_for_frequency(freq)
-    lookup = cached_path_loss(model, freq)
-    distances = [float(d) for d in np.linspace(100.0, 3000.0, 32)]
-
-    def hot_loop():
-        total = 0.0
-        for _ in range(1000):
-            for d in distances:
-                total += lookup(d)
-        return total
-
-    total = benchmark(hot_loop)
-    expected = 1000 * sum(model.path_loss_db(d, freq) for d in distances)
-    assert abs(total - expected) < 1e-9 * expected
-    for d in distances:
-        assert abs(lookup(d) - model.path_loss_db(d, freq)) < 1e-9
+    assert losses.tolist() == scalar
 
 
 def test_link_budget_cached_snr(benchmark):

@@ -61,7 +61,6 @@ import traceback
 from typing import List, Optional
 
 from repro.experiments import ALL_EXPERIMENTS
-from repro.mac.arena import set_batch_default
 from repro.metrics.tables import ResultTable
 from repro.runner import (
     SupervisorReport,
@@ -359,11 +358,6 @@ def main(argv: List[str] = None) -> int:
                         help="journal finished experiments to "
                              "DIR/manifest.jsonl and, on rerun, replay "
                              "them byte-for-byte instead of re-executing")
-    parser.add_argument("--scalar-tti", action="store_true",
-                        help="run cells on the scalar reference TTI path "
-                             "instead of the vectorized batch engine "
-                             "(tables are byte-identical either way; "
-                             "equivalent to REPRO_BATCH_TTI=0)")
     parser.add_argument("--exp-arg", action="append", default=[],
                         metavar="KEY=VAL", dest="exp_args",
                         help="pass KEY=VAL through to the experiment's "
@@ -413,10 +407,6 @@ def main(argv: List[str] = None) -> int:
             exp_args[key] = ast.literal_eval(value)
         except (ValueError, SyntaxError):
             exp_args[key] = value
-    if args.scalar_tti:
-        set_batch_default(False)
-        # spawn-method workers rebuild module state from the environment
-        os.environ["REPRO_BATCH_TTI"] = "0"
     set_jobs(args.jobs)
 
     if args.list:

@@ -12,21 +12,12 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional
 
 from repro.geo.points import Point
-from repro.mac.arena import UeArena, batch_default
-from repro.mac.schedulers import (
-    LteScheduler,
-    MaxCiScheduler,
-    ProportionalFairScheduler,
-    QosAwareScheduler,
-    RoundRobinScheduler,
-    SchedulableUser,
-)
+from repro.mac.arena import UeArena
+from repro.mac.schedulers import LteScheduler, ProportionalFairScheduler
 from repro.mac.uplink import ContiguousUplinkScheduler
 from repro.phy.bands import Band
-from repro.phy.harq import harq_goodput_factor
 from repro.phy.linkbudget import LinkBudget, Radio
-from repro.phy.mcs import select_lte_cqi
-from repro.phy.resource_grid import ResourceGrid, bits_per_prb
+from repro.phy.resource_grid import ResourceGrid
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.hub import ambient_registry
 from repro.telemetry.registry import linear_buckets
@@ -43,13 +34,6 @@ class UeRadioContext:
     priority: int = 9
 
 
-#: Downlink scheduler classes with a verified batch (``_assign_batch``)
-#: twin. Exact-type membership: a subclass overriding ``_assign`` would
-#: silently diverge from an inherited batch twin, so subclasses take the
-#: scalar path until they are added here.
-_BATCH_DL_SCHEDULERS = (RoundRobinScheduler, MaxCiScheduler,
-                        ProportionalFairScheduler, QosAwareScheduler)
-
 #: Linear bucket ladders for the cell's histograms: dB values (often
 #: negative), a [0, 1] fraction and a PRB count would all land in one
 #: or two of the registry's log-scale default buckets, and exported
@@ -65,11 +49,8 @@ _PRB_BUCKETS = linear_buckets(0.0, 100.0, 100)  # one per PRB at 20 MHz
 class Cell:
     """One sector of an eNodeB.
 
-    ``batch`` selects the TTI engine: the vectorized per-cell UE arena
-    (default, see :mod:`repro.mac.arena`) or the scalar reference path.
-    Both produce bit-identical grants, delivered bits, telemetry, and
-    EWMA state; ``None`` defers to the process-wide default
-    (``arena.batch_default()`` / ``REPRO_BATCH_TTI``).
+    Per-TTI scheduling runs over the cell's UE arena (see
+    :mod:`repro.mac.arena`), which mirrors ``_ues`` slot for slot.
     """
 
     def __init__(self, name: str, band: Band, position: Point,
@@ -80,8 +61,7 @@ class Cell:
                  scheduler: Optional[LteScheduler] = None,
                  harq_enabled: bool = True,
                  harq_max_retx: int = 3,
-                 metrics: Optional[MetricsRegistry] = None,
-                 batch: Optional[bool] = None) -> None:
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self.name = name
         self.band = band
         self.radio = Radio(position=position, tx_power_dbm=tx_power_dbm,
@@ -95,7 +75,6 @@ class Cell:
         self.harq_enabled = harq_enabled
         self.harq_max_retx = harq_max_retx
         self._ues: Dict[str, UeRadioContext] = {}
-        self._batch = batch_default() if batch is None else bool(batch)
         self._arena = UeArena(self)
         #: PRBs this cell may use this TTI (set by coordination; default all)
         self.allowed_prbs: FrozenSet[int] = self.grid.all_prbs
@@ -123,20 +102,6 @@ class Cell:
         """Cell site location."""
         return self.radio.position
 
-    @property
-    def batch(self) -> bool:
-        """Whether the batch TTI engine is active for this cell."""
-        return self._batch
-
-    @batch.setter
-    def batch(self, enabled: bool) -> None:
-        enabled = bool(enabled)
-        if self._batch and not enabled:
-            # hand the array EWMA state back so the scalar path resumes
-            # from identical averages
-            self._arena.sync_stores_to_dicts()
-        self._batch = enabled
-
     # -- UE management -----------------------------------------------------------
 
     def add_ue(self, ctx: UeRadioContext) -> None:
@@ -151,11 +116,12 @@ class Cell:
         self._m_rsrp.observe(self.rsrp_to(ctx.radio))
 
     def remove_ue(self, ue_id: str) -> None:
-        """Detach a UE and drop its scheduler history."""
+        """Detach a UE and drop its scheduler history, both directions."""
         if self._ues.pop(ue_id, None) is not None:
             self._arena.detach(ue_id)
             self._m_attached.set(len(self._ues))
         self.scheduler.forget(ue_id)
+        self.uplink_scheduler.forget(ue_id)
 
     @property
     def attached_ues(self) -> List[str]:
@@ -178,79 +144,27 @@ class Cell:
 
     # -- per-TTI scheduling ------------------------------------------------------------
 
-    def _use_batch(self, scheduler: LteScheduler, batch_types) -> bool:
-        """Batch engine applies: enabled, a known policy (exact type —
-        subclasses overriding ``_assign`` must not inherit a batch twin),
-        and the scheduler's EWMA state not owned by another cell's
-        arena."""
-        if not self._batch or type(scheduler) not in batch_types:
-            return False
-        owner = scheduler._array_store_arena
-        return owner is None or owner is self._arena
-
-    def _deliver(self, grants: Dict[str, FrozenSet[int]],
-                 sinrs: Dict[str, float]) -> Dict[str, float]:
-        """Shared grant->bits tail: CQI lookup, HARQ factor, telemetry.
-
-        Goodput per UE = granted PRBs x bits/PRB at its CQI x the HARQ
-        delivery factor at its SINR. Used by both the downlink and
-        uplink scalar paths (the empty-grant skip is a no-op for the
-        downlink, whose allocator already filters empties).
-        """
-        delivered: Dict[str, float] = {}
-        for ue_id, prbs in grants.items():
-            if not prbs:
-                continue
-            sinr = sinrs[ue_id]
-            entry = select_lte_cqi(sinr)
-            if entry is None:
-                self._m_no_cqi.inc()
-                continue
-            factor = 1.0
-            if self.harq_enabled:
-                factor = harq_goodput_factor(sinr, entry.min_sinr_db,
-                                             max_retx=self.harq_max_retx)
-                self._m_harq.observe(factor)
-            self._m_prbs.observe(len(prbs))
-            delivered[ue_id] = (len(prbs)
-                                * bits_per_prb(entry.efficiency_bps_hz)
-                                * factor)
-        return delivered
-
     def schedule_tti(self) -> Dict[str, float]:
         """Run one TTI: allocate the allowed PRBs, return bits per UE."""
-        if self._use_batch(self.scheduler, _BATCH_DL_SCHEDULERS):
-            return self._schedule_tti_batch()
-        self._m_ttis.inc()
-        users = []
-        sinrs: Dict[str, float] = {}
-        for ctx in self._ues.values():
-            sinr = self.sinr_to(ctx.radio)
-            sinrs[ctx.ue_id] = sinr
-            self._m_sinr.observe(sinr)
-            users.append(SchedulableUser(user_id=ctx.ue_id, sinr_db=sinr,
-                                         backlog_bits=ctx.backlog_bits,
-                                         gbr_bps=ctx.gbr_bps,
-                                         priority=ctx.priority))
-        grants = self.scheduler.allocate(users, self.allowed_prbs)
-        return self._deliver(grants, sinrs)
-
-    def _schedule_tti_batch(self) -> Dict[str, float]:
         self._m_ttis.inc()
         arena = self._arena
         bank = arena.refresh_downlink()
         if arena.ids:
             self._m_sinr.observe_many(bank.sinr_arr)
-        grants = self.scheduler.allocate_batch(arena, bank, self.allowed_prbs)
-        return self._deliver_from_bank(arena, bank, grants)
+        grants = self.scheduler.allocate_columns(
+            arena.columns(bank, self.scheduler), self.allowed_prbs)
+        return self._deliver(bank, grants)
 
-    def _deliver_from_bank(self, arena: UeArena, bank,
-                           grants: Dict[str, FrozenSet[int]]) -> Dict[str, float]:
-        """Batch twin of :meth:`_deliver`: CQI/HARQ come from cached
-        arena rows; the float expression and telemetry order match the
-        scalar tail exactly (grants are pre-filtered non-empty)."""
+    def _deliver(self, bank,
+                 grants: Dict[str, FrozenSet[int]]) -> Dict[str, float]:
+        """Shared grant->bits tail: CQI lookup, HARQ factor, telemetry.
+
+        Goodput per UE = granted PRBs x bits/PRB at its CQI x the HARQ
+        delivery factor at its SINR, all read from the refreshed bank
+        (grants arrive non-empty from the allocator).
+        """
         delivered: Dict[str, float] = {}
-        slot_of = arena.slot_of
+        slot_of = self._arena.slot_of
         cqi = bank.cqi
         harq = bank.harq
         b = bank.b
@@ -279,30 +193,13 @@ class Cell:
         Uses the uplink link budget (UE transmits, cell receives) and the
         same HARQ goodput adjustment as the downlink.
         """
-        if self._use_batch(self.uplink_scheduler, (ContiguousUplinkScheduler,)):
-            return self._schedule_uplink_tti_batch()
-        self._m_ttis.inc()
-        users = []
-        sinrs: Dict[str, float] = {}
-        for ctx in self._ues.values():
-            sinr = self.uplink_sinr_from(ctx.radio)
-            sinrs[ctx.ue_id] = sinr
-            users.append(SchedulableUser(user_id=ctx.ue_id, sinr_db=sinr,
-                                         backlog_bits=ctx.backlog_bits,
-                                         gbr_bps=ctx.gbr_bps,
-                                         priority=ctx.priority))
-        grants = self.uplink_scheduler.allocate(users, self.allowed_prbs)
-        return self._deliver(grants, sinrs)
-
-    def _schedule_uplink_tti_batch(self) -> Dict[str, float]:
-        # the scalar uplink path does not observe per-UE SINR — neither
-        # does this one
+        # per-UE uplink SINR is not a telemetry series
         self._m_ttis.inc()
         arena = self._arena
         bank = arena.refresh_uplink()
-        grants = self.uplink_scheduler.allocate_batch(arena, bank,
-                                                      self.allowed_prbs)
-        return self._deliver_from_bank(arena, bank, grants)
+        grants = self.uplink_scheduler.allocate_columns(
+            arena.columns(bank, self.uplink_scheduler), self.allowed_prbs)
+        return self._deliver(bank, grants)
 
     def throughput_bps(self, tti_results: List[Dict[str, float]]) -> Dict[str, float]:
         """Aggregate a list of per-TTI results into per-UE bits/s.

@@ -8,7 +8,7 @@ with load and fails under hidden terminals. Both are built here and
 compared head-to-head in E5 and E8.
 """
 
-from repro.mac.arena import UeArena, batch_default, batch_mode, set_batch_default
+from repro.mac.arena import UeArena
 from repro.mac.csma import CsmaNode, CsmaSimulation, bianchi_throughput
 from repro.mac.schedulers import (
     LteScheduler,
@@ -32,7 +32,7 @@ from repro.mac.timing import (
 )
 
 __all__ = [
-    "UeArena", "batch_default", "batch_mode", "set_batch_default",
+    "UeArena",
     "CsmaNode", "CsmaSimulation", "bianchi_throughput",
     "LteScheduler", "RoundRobinScheduler", "ProportionalFairScheduler",
     "MaxCiScheduler", "QosAwareScheduler", "SchedulableUser",

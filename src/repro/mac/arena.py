@@ -1,51 +1,51 @@
-"""Per-cell UE arena: struct-of-arrays state for the batch TTI engine.
+"""Per-cell UE arena: struct-of-arrays state for the TTI engine.
 
-The scalar TTI path (``Cell.schedule_tti``) walks every attached UE every
-TTI: a link-budget evaluation, a CQI bisect, a HARQ factor, a
-``SchedulableUser`` object, and an EWMA dict update per UE. At hundreds
-of UEs per cell that Python-object churn dominates the radio phase. The
-arena re-expresses the same computation over contiguous per-cell arrays:
+A naive TTI walks every attached UE every TTI: a link-budget
+evaluation, a CQI bisect, a HARQ factor, a ``SchedulableUser`` object,
+and an EWMA dict update per UE. At hundreds of UEs per cell that
+Python-object churn dominates the radio phase. The arena expresses the
+same computation over contiguous per-cell arrays:
 
 * one slot per attached UE, in attach (dict) order — the slot order IS
-  the scalar iteration order, so every order-sensitive artifact (grant
-  dict insertion order, telemetry observation order, EWMA accumulation)
-  is reproduced exactly;
+  the iteration order of ``Cell._ues``, so every order-sensitive
+  artifact (grant dict insertion order, telemetry observation order,
+  EWMA accumulation) follows it;
 * PHY banks (downlink and uplink) holding SINR, CQI row index, spectral
   efficiency, per-PRB bits, and HARQ goodput factor per slot, refreshed
   *only* for rows whose inputs changed (a moved or re-parameterized UE)
   or when the cell-level environment signature changes (interferer set,
   serving radio, link budget, HARQ config);
-* per-scheduler EWMA average-rate arrays replacing the per-user dict.
+* one EWMA average-rate array per scheduler the cell currently runs.
 
-The contract is **bit identity** with the scalar reference: the vector
+The contract is **bit identity** with the per-UE scalar evaluators
+(held by the test oracle under ``tests/reference/``): the vector
 refresh routes its transcendental choke points through the libm element
 maps in ``repro.phy.vmath`` (numpy's SIMD kernels round differently at
-1 ulp on a few percent of inputs), replicates the scalar expressions'
+1 ulp on a few percent of inputs), keeps the scalar expressions'
 association order, and falls back to the scalar evaluators per row for
 geometries the vector path does not cover (directional antennas,
 shadowing, per-transmitter interferer exclusions on the uplink). Those
-fallback rows are still cached and still scheduled through the batch
-machinery.
+fallback rows are still cached and still scheduled through the arena.
 
 Row staleness is detected by value: each slot caches a tuple of its
 radio's PHY-relevant fields (position included), compared every TTI, so
 both radio replacement and in-place mutation invalidate the row.
 Backlog / GBR / priority are synced every TTI without dirtying the PHY
 banks (they never feed the radio math).
-
-The batch engine is ON by default; flip it with ``set_batch_default``,
-the ``batch_mode`` context manager, ``Cell(batch=...)``, or the
-``REPRO_BATCH_TTI=0`` environment variable (the CLI's ``--scalar-tti``).
 """
 
 from __future__ import annotations
 
-import os
-from contextlib import contextmanager
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
+from repro.mac.schedulers import (
+    LteScheduler,
+    RateStore,
+    UserColumns,
+    descending_id_order,
+)
 from repro.phy.harq import harq_goodput_factor_many
 from repro.phy.linkbudget import Radio, _thermal_noise_cached
 from repro.phy.mcs import (
@@ -58,38 +58,7 @@ from repro.phy.resource_grid import PRB_BANDWIDTH_HZ, TTI_S
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.enodeb.cell import Cell, UeRadioContext
 
-__all__ = ["UeArena", "batch_default", "set_batch_default", "batch_mode"]
-
-
-def _env_default() -> bool:
-    raw = os.environ.get("REPRO_BATCH_TTI", "1").strip().lower()
-    return raw not in ("0", "false", "no", "off")
-
-
-_BATCH_DEFAULT = _env_default()
-
-
-def batch_default() -> bool:
-    """Current process-wide default for ``Cell(batch=None)``."""
-    return _BATCH_DEFAULT
-
-
-def set_batch_default(enabled: bool) -> bool:
-    """Set the process-wide batch default; returns the previous value."""
-    global _BATCH_DEFAULT
-    previous = _BATCH_DEFAULT
-    _BATCH_DEFAULT = bool(enabled)
-    return previous
-
-
-@contextmanager
-def batch_mode(enabled: bool) -> Iterator[None]:
-    """Scoped override of the batch default (tests, A/B comparisons)."""
-    previous = set_batch_default(enabled)
-    try:
-        yield
-    finally:
-        set_batch_default(previous)
+__all__ = ["UeArena"]
 
 
 def _radio_sig(radio: Radio) -> tuple:
@@ -152,15 +121,6 @@ class _PhyBank:
         self.arrays_stale = False
 
 
-class _RateStore:
-    """One scheduler's EWMA average-rate state, arena-slot aligned."""
-
-    __slots__ = ("avg",)
-
-    def __init__(self, avg: np.ndarray) -> None:
-        self.avg = avg
-
-
 class UeArena:
     """Struct-of-arrays mirror of one cell's attached-UE set."""
 
@@ -188,7 +148,8 @@ class UeArena:
         self._backlog_stale = True
         self.dl = _PhyBank()
         self.ul = _PhyBank()
-        self._stores: List[Tuple[object, _RateStore]] = []
+        #: rate stores of the schedulers the cell currently runs
+        self._stores: List[Tuple[LteScheduler, RateStore]] = []
         #: slots sorted by descending UE id (PF tie-break order), cached
         self.desc_order: List[int] = []
         self._desc_stale = True
@@ -221,9 +182,8 @@ class UeArena:
         self._desc_stale = True
         self.dl.append_row()
         self.ul.append_row()
-        for sched, store in self._stores:
-            seed = sched._avg_rate_bps.get(uid, 0.0)
-            store.avg = np.append(store.avg, seed)
+        for _sched, store in self._stores:
+            store.avg = np.append(store.avg, 0.0)
 
     def detach(self, uid: str) -> None:
         slot = self.slot_of.pop(uid, None)
@@ -244,29 +204,37 @@ class UeArena:
         for _sched, store in self._stores:
             store.avg = np.delete(store.avg, slot)
 
-    # -- EWMA stores -------------------------------------------------------
+    # -- scheduler-facing columns ------------------------------------------
 
-    def store_for(self, scheduler: object) -> _RateStore:
-        """The scheduler's slot-aligned EWMA array (created on first use,
-        seeded from its scalar dict so mid-run engagement is seamless)."""
+    def _store_for(self, scheduler: LteScheduler) -> RateStore:
         for sched, store in self._stores:
             if sched is scheduler:
                 return store
-        avg = np.array([scheduler._avg_rate_bps.get(uid, 0.0)
-                        for uid in self.ids], dtype=float)
-        store = _RateStore(avg)
-        self._stores.append((scheduler, store))
-        # shared-scheduler guard: Cell refuses the batch path when a
-        # scheduler instance is already bound to a different cell's arena
-        scheduler._array_store_arena = self
+        # a miss means the cell's scheduler was swapped: whatever it no
+        # longer runs gives its store back
+        cell = self._cell
+        kept = []
+        for sched, old in self._stores:
+            if sched is cell.scheduler or sched is cell.uplink_scheduler:
+                kept.append((sched, old))
+            else:
+                sched._stores.remove(old)
+        store = RateStore(self.slot_of, np.zeros(len(self.ids)))
+        scheduler._stores.append(store)
+        kept.append((scheduler, store))
+        self._stores = kept
         return store
 
-    def sync_stores_to_dicts(self) -> None:
-        """Write array EWMA state back into each scheduler's dict (used
-        when a cell leaves batch mode so the scalar path resumes with
-        identical averages)."""
-        for sched, store in self._stores:
-            sched._avg_rate_bps.update(zip(self.ids, store.avg.tolist()))
+    def columns(self, bank: _PhyBank, scheduler: LteScheduler) -> UserColumns:
+        """This TTI's columns for ``scheduler`` over a refreshed bank."""
+        elig: List[int] = []
+        if self.ids:
+            mask = (bank.eff_arr > 0.0) & (self.backlog_arr > 0.0)
+            elig = np.nonzero(mask)[0].tolist()
+        return UserColumns(
+            ids=self.ids, slot_of=self.slot_of, eff=bank.eff, b=bank.b_arr,
+            avg=self._store_for(scheduler).avg, gbr=self.gbr,
+            priority=self.priority, elig=elig, desc_order=self.desc_order)
 
     # -- per-TTI refresh ---------------------------------------------------
 
@@ -278,9 +246,7 @@ class UeArena:
 
     def _refresh(self, bank: _PhyBank, downlink: bool) -> _PhyBank:
         if self._desc_stale:
-            ids = self.ids
-            self.desc_order = sorted(range(len(ids)), key=ids.__getitem__,
-                                     reverse=True)
+            self.desc_order = descending_id_order(self.ids)
             self._desc_stale = False
         self._scan_rows()
         env = self._dl_env() if downlink else self._ul_env()

@@ -23,8 +23,8 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, List, NamedTuple, Sequence
 
 import numpy as np
 
@@ -56,27 +56,73 @@ class SchedulableUser:
         return lte_efficiency_for_sinr(self.sinr_db)
 
 
+def descending_id_order(ids: List[str]) -> List[int]:
+    """Slots sorted by descending user id: PF's tie-break order."""
+    return sorted(range(len(ids)), key=ids.__getitem__, reverse=True)
+
+
+class UserColumns(NamedTuple):
+    """Flat per-slot columns one allocation runs over.
+
+    Slot ``s`` is one user; every column is indexed by slot. A cell's
+    :class:`repro.mac.arena.UeArena` already holds these columns and
+    hands them over as they are; :meth:`LteScheduler.allocate` packs
+    them from its ``SchedulableUser`` list.
+
+    Attributes:
+        ids: user ids in slot order (grant maps are keyed in this order).
+        slot_of: inverse of ``ids``.
+        eff: spectral efficiency per slot (list of Python floats).
+        b: bits one PRB carries in one TTI per slot (float array).
+        avg: EWMA average rate per slot in bits/s (float array, updated
+            in place by the allocation).
+        gbr: guaranteed bit rate per slot, 0 for best effort.
+        priority: lower value = more important.
+        elig: slots with efficiency > 0 and backlog > 0, ascending.
+        desc_order: :func:`descending_id_order` of ``ids``.
+    """
+
+    ids: List[str]
+    slot_of: Dict[str, int]
+    eff: List[float]
+    b: np.ndarray
+    avg: np.ndarray
+    gbr: List[float]
+    priority: List[int]
+    elig: List[int]
+    desc_order: List[int]
+
+
+class RateStore:
+    """One scheduler's EWMA average rates for one cell, slot-aligned
+    with that cell's arena (which resizes ``avg`` on attach/detach)."""
+
+    __slots__ = ("slot_of", "avg")
+
+    def __init__(self, slot_of: Dict[str, int], avg: np.ndarray) -> None:
+        self.slot_of = slot_of
+        self.avg = avg
+
+
 class LteScheduler(ABC):
     """Base class: allocate a PRB set among users, track average rates.
 
-    Two allocation entry points share the same policy code paths:
-    :meth:`allocate` (the scalar reference, over ``SchedulableUser``
-    objects) and :meth:`allocate_batch` (the batch TTI engine, over a
-    :class:`repro.mac.arena.UeArena`'s arrays). The batch variants
-    replicate the scalar float expressions term for term — association
-    order, tie-breaks, dict insertion order — so both produce
-    bit-identical grants and EWMA state.
+    A policy is one :meth:`_assign` over :class:`UserColumns`. It is
+    reached through two front doors: :meth:`allocate_columns`, which a
+    ``Cell`` calls every TTI with its arena's columns, and
+    :meth:`allocate`, which packs the same columns from a list of
+    ``SchedulableUser``. Average rates live in one :class:`RateStore`
+    per cell this scheduler serves (history lasts as long as the UE is
+    attached and this is the cell's scheduler) and, for ``allocate``
+    callers, in a dict keyed by user id.
     """
 
     #: EWMA horizon for PF average-rate tracking, in TTIs.
     PF_WINDOW_TTIS = 100.0
 
-    #: set by ``UeArena.store_for`` when this instance's EWMA state has
-    #: migrated into a cell arena's array store (shared-scheduler guard)
-    _array_store_arena = None
-
     def __init__(self) -> None:
-        self._avg_rate_bps: Dict[str, float] = {}
+        self._rates: Dict[str, float] = {}
+        self._stores: List[RateStore] = []
 
     def allocate(self, users: Sequence[SchedulableUser],
                  prbs: FrozenSet[int]) -> Dict[str, FrozenSet[int]]:
@@ -86,78 +132,59 @@ class LteScheduler(ABC):
         nothing. Returns {user_id: prb set}; unassigned PRBs are simply
         absent. Also updates the PF rate averages.
         """
-        eligible = [u for u in users if u.efficiency > 0 and u.backlog_bits > 0]
+        ids = [u.user_id for u in users]
+        eff = [u.efficiency for u in users]
+        rates = self._rates
+        cols = UserColumns(
+            ids=ids, slot_of={uid: s for s, uid in enumerate(ids)}, eff=eff,
+            b=np.array([bits_per_prb(e) for e in eff], dtype=float),
+            avg=np.array([rates.get(uid, 0.0) for uid in ids], dtype=float),
+            gbr=[u.gbr_bps for u in users],
+            priority=[u.priority for u in users],
+            elig=[s for s, u in enumerate(users)
+                  if eff[s] > 0 and u.backlog_bits > 0],
+            desc_order=descending_id_order(ids))
+        result = self.allocate_columns(cols, prbs)
+        rates.update(zip(ids, cols.avg.tolist()))
+        return result
+
+    def allocate_columns(self, cols: UserColumns,
+                         prbs: FrozenSet[int]) -> Dict[str, FrozenSet[int]]:
+        """:meth:`allocate` over ready-made columns; updates ``cols.avg``."""
         grants: Dict[str, List[int]] = {}
-        if eligible and prbs:
-            grants = self._assign(eligible, sorted(prbs))
+        if cols.elig and prbs:
+            grants = self._assign(cols, sorted(prbs))
         result = {uid: frozenset(g) for uid, g in grants.items() if g}
-        self._update_averages(users, result)
+        if cols.ids:
+            alpha = 1.0 / self.PF_WINDOW_TTIS
+            served = np.zeros(len(cols.ids))
+            slot_of = cols.slot_of
+            for uid, g in result.items():
+                served[slot_of[uid]] = len(g)
+            avg = cols.avg
+            avg *= 1 - alpha
+            avg += alpha * (served * cols.b * 1e3)  # bits/s
         return result
 
     @abstractmethod
-    def _assign(self, users: List[SchedulableUser],
+    def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        """Policy-specific assignment over a non-empty eligible set."""
-
-    # -- batch (arena) entry point ------------------------------------------
-
-    def allocate_batch(self, arena, bank, prbs):
-        """:meth:`allocate` over arena arrays, bit-identical results.
-
-        ``arena`` is a ``repro.mac.arena.UeArena`` and ``bank`` one of
-        its refreshed PHY banks. Only invoked by ``Cell`` for scheduler
-        classes that define ``_assign_batch``.
-        """
-        store = arena.store_for(self)
-        grants: Dict[str, List[int]] = {}
-        elig: List[int] = []
-        if arena.ids:
-            mask = (bank.eff_arr > 0.0) & (arena.backlog_arr > 0.0)
-            elig = np.nonzero(mask)[0].tolist()
-        if elig and prbs:
-            grants = self._assign_batch(arena, bank, store, elig,
-                                        sorted(prbs))
-        result = {uid: frozenset(g) for uid, g in grants.items() if g}
-        self._update_averages_batch(arena, bank, store, result)
-        return result
-
-    def _update_averages_batch(self, arena, bank, store,
-                               grants: Dict[str, FrozenSet[int]]) -> None:
-        if not arena.ids:
-            return
-        alpha = 1.0 / self.PF_WINDOW_TTIS
-        served = np.zeros(len(arena.ids))
-        slot_of = arena.slot_of
-        for uid, g in grants.items():
-            served[slot_of[uid]] = len(g)
-        inst = served * bank.b_arr * 1e3  # bits/s, same term order as scalar
-        store.avg = (1 - alpha) * store.avg + alpha * inst
+        """Policy-specific assignment of sorted ``prbs`` over a non-empty
+        ``cols.elig``; returns {user_id: prbs} keyed in slot order."""
 
     # -- rate accounting ----------------------------------------------------
 
-    def _update_averages(self, users: Sequence[SchedulableUser],
-                         grants: Dict[str, FrozenSet[int]]) -> None:
-        alpha = 1.0 / self.PF_WINDOW_TTIS
-        for user in users:
-            served = len(grants.get(user.user_id, ()))
-            inst = served * bits_per_prb(user.efficiency) * 1e3  # bits/s
-            prev = self._avg_rate_bps.get(user.user_id, 0.0)
-            self._avg_rate_bps[user.user_id] = (1 - alpha) * prev + alpha * inst
-
     def average_rate_bps(self, user_id: str) -> float:
         """EWMA throughput of ``user_id`` (0 for never-seen users)."""
-        arena = self._array_store_arena
-        if arena is not None:
-            slot = arena.slot_of.get(user_id)
+        for store in self._stores:
+            slot = store.slot_of.get(user_id)
             if slot is not None:
-                for sched, store in arena._stores:
-                    if sched is self:
-                        return float(store.avg[slot])
-        return self._avg_rate_bps.get(user_id, 0.0)
+                return float(store.avg[slot])
+        return self._rates.get(user_id, 0.0)
 
     def forget(self, user_id: str) -> None:
         """Drop EWMA state for a departed user."""
-        self._avg_rate_bps.pop(user_id, None)
+        self._rates.pop(user_id, None)
 
 
 class RoundRobinScheduler(LteScheduler):
@@ -167,40 +194,27 @@ class RoundRobinScheduler(LteScheduler):
         super().__init__()
         self._next = 0
 
-    def _assign(self, users: List[SchedulableUser],
+    def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        grants: Dict[str, List[int]] = {u.user_id: [] for u in users}
-        for i, prb in enumerate(prbs):
-            user = users[(self._next + i) % len(users)]
-            grants[user.user_id].append(prb)
-        self._next = (self._next + len(prbs)) % max(len(users), 1)
-        return grants
-
-    def _assign_batch(self, arena, bank, store, elig: List[int],
-                      prbs: List[int]) -> Dict[str, List[int]]:
-        ids = arena.ids
+        ids = cols.ids
+        elig = cols.elig
         grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
         n = len(elig)
         nxt = self._next
         for i, prb in enumerate(prbs):
             grants[ids[elig[(nxt + i) % n]]].append(prb)
-        self._next = (nxt + len(prbs)) % max(n, 1)
+        self._next = (nxt + len(prbs)) % n
         return grants
 
 
 class MaxCiScheduler(LteScheduler):
     """Give every PRB to the user with the best channel."""
 
-    def _assign(self, users: List[SchedulableUser],
+    def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        best = max(users, key=lambda u: (u.efficiency, u.user_id))
-        return {best.user_id: list(prbs)}
-
-    def _assign_batch(self, arena, bank, store, elig: List[int],
-                      prbs: List[int]) -> Dict[str, List[int]]:
-        ids = arena.ids
-        eff = bank.eff
-        best = max(elig, key=lambda s: (eff[s], ids[s]))
+        ids = cols.ids
+        eff = cols.eff
+        best = max(cols.elig, key=lambda s: (eff[s], ids[s]))
         return {ids[best]: list(prbs)}
 
 
@@ -220,48 +234,20 @@ class ProportionalFairScheduler(LteScheduler):
     tie-breaking exactly (this is the F1/E7 radio-phase hot path).
     """
 
-    def _assign(self, users: List[SchedulableUser],
+    def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        grants: Dict[str, List[int]] = {u.user_id: [] for u in users}
-        floor = 1e3  # avoids div-by-zero for new users, biases toward them
-        avg_map = self._avg_rate_bps
-        order = sorted(users, key=lambda u: u.user_id, reverse=True)
-        insts: List[float] = []
-        avgs: List[float] = []
-        lists: List[List[int]] = []
-        entries: List = []
-        for rank, user in enumerate(order):
-            inst = bits_per_prb(user.efficiency) * 1e3
-            avg = max(avg_map.get(user.user_id, 0.0), floor)
-            insts.append(inst)
-            avgs.append(avg)
-            lists.append(grants[user.user_id])
-            entries.append((-(inst / (avg + 0.0)), rank))
-        heapq.heapify(entries)
-        pop = heapq.heappop
-        push = heapq.heappush
-        for prb in prbs:
-            _neg, rank = pop(entries)
-            granted = lists[rank]
-            granted.append(prb)
-            inst = insts[rank]
-            push(entries, (-(inst / (avgs[rank] + len(granted) * inst)), rank))
-        return grants
-
-    def _assign_batch(self, arena, bank, store, elig: List[int],
-                      prbs: List[int]) -> Dict[str, List[int]]:
-        # the scalar path's structures, gathered straight from the arena:
-        # grants keyed in eligible (attach) order, heap ranks in
+        # grants keyed in eligible (slot) order, heap ranks in
         # descending-uid order, Python floats throughout (via tolist) so
-        # the heap arithmetic is the very same scalar arithmetic
-        ids = arena.ids
+        # the heap arithmetic is plain scalar arithmetic
+        ids = cols.ids
+        elig = cols.elig
         grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
-        floor = 1e3
+        floor = 1e3  # avoids div-by-zero for new users, biases toward them
         eset = set(elig)
-        desc = [s for s in arena.desc_order if s in eset]
+        desc = [s for s in cols.desc_order if s in eset]
         idx = np.array(desc)
-        insts = (bank.b_arr[idx] * 1e3).tolist()
-        avgs = np.maximum(store.avg[idx], floor).tolist()
+        insts = (cols.b[idx] * 1e3).tolist()
+        avgs = np.maximum(cols.avg[idx], floor).tolist()
         lists = [grants[ids[s]] for s in desc]
         entries: List = [(-(insts[r] / (avgs[r] + 0.0)), r)
                          for r in range(len(desc))]
@@ -286,44 +272,25 @@ class QosAwareScheduler(ProportionalFairScheduler):
     installs for "QoS aware joint flow scheduling between APs" (§4.3).
     """
 
-    def _assign(self, users: List[SchedulableUser],
+    def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        grants: Dict[str, List[int]] = {u.user_id: [] for u in users}
-        remaining = list(prbs)
-        gbr_users = sorted((u for u in users if u.gbr_bps > 0),
-                           key=lambda u: (u.priority, u.user_id))
-        for user in gbr_users:
-            needed_bits = user.gbr_bps * 1e-3  # per TTI
-            per_prb = bits_per_prb(user.efficiency)
-            while remaining and needed_bits > 0:
-                grants[user.user_id].append(remaining.pop(0))
-                needed_bits -= per_prb
-        if remaining:
-            pf = super()._assign(users, remaining)
-            for uid, extra in pf.items():
-                grants[uid].extend(extra)
-        return grants
-
-    def _assign_batch(self, arena, bank, store, elig: List[int],
-                      prbs: List[int]) -> Dict[str, List[int]]:
-        ids = arena.ids
+        ids = cols.ids
+        elig = cols.elig
         grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
         remaining = list(prbs)
-        gbr = arena.gbr
-        prio = arena.priority
-        b = bank.b
+        gbr = cols.gbr
+        prio = cols.priority
         gbr_slots = sorted((s for s in elig if gbr[s] > 0),
                            key=lambda s: (prio[s], ids[s]))
         for s in gbr_slots:
             needed_bits = gbr[s] * 1e-3  # per TTI
-            per_prb = b[s]
+            per_prb = float(cols.b[s])
             granted = grants[ids[s]]
             while remaining and needed_bits > 0:
                 granted.append(remaining.pop(0))
                 needed_bits -= per_prb
         if remaining:
-            pf = ProportionalFairScheduler._assign_batch(
-                self, arena, bank, store, elig, remaining)
+            pf = super()._assign(cols, remaining)
             for uid, extra in pf.items():
                 grants[uid].extend(extra)
         return grants

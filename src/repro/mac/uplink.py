@@ -21,8 +21,7 @@ from typing import Dict, FrozenSet, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.mac.schedulers import LteScheduler, SchedulableUser
-from repro.phy.resource_grid import bits_per_prb
+from repro.mac.schedulers import LteScheduler, SchedulableUser, UserColumns
 
 
 def contiguous_runs(prbs: FrozenSet[int]) -> List[Tuple[int, int]]:
@@ -46,50 +45,20 @@ class ContiguousUplinkScheduler(LteScheduler):
     that fits.
     """
 
-    def _assign(self, users: List[SchedulableUser],
+    def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        allowed = frozenset(prbs)
-        runs = contiguous_runs(allowed)
-        total = len(allowed)
-        floor = 1e3
-        # demand weight ~ PF metric: efficiency / average rate
-        weights = {
-            u.user_id: (bits_per_prb(u.efficiency) * 1e3
-                        / max(self._avg_rate_bps.get(u.user_id, 0.0), floor))
-            for u in users}
-        weight_sum = sum(weights.values()) or 1.0
-        target = {uid: max(1, round(total * w / weight_sum))
-                  for uid, w in weights.items()}
-        order = sorted(users, key=lambda u: (-target[u.user_id], u.user_id))
-        runs = sorted(runs, key=lambda r: -r[1])
-        grants: Dict[str, List[int]] = {u.user_id: [] for u in users}
-        for user in order:
-            want = target[user.user_id]
-            # place into the first run with room; shrink to fit if needed
-            for i, (start, length) in enumerate(runs):
-                if length <= 0:
-                    continue
-                take = min(want, length)
-                grants[user.user_id] = list(range(start, start + take))
-                runs[i] = (start + take, length - take)
-                break
-        return grants
-
-    def _assign_batch(self, arena, bank, store, elig: List[int],
-                      prbs: List[int]) -> Dict[str, List[int]]:
-        """Arena-array variant of :meth:`_assign`, bit-identical.
-
-        The weight sum stays a sequential Python ``sum`` (eligible
-        order) and targets use Python ``round`` — both are part of the
-        scalar reference's float/rounding behavior.
-        """
-        ids = arena.ids
+        # the weight sum is a sequential Python ``sum`` in eligible order
+        # and targets use Python ``round``: both fix the float/rounding
+        # behavior the test oracle expects
+        ids = cols.ids
+        elig = cols.elig
         runs = contiguous_runs(frozenset(prbs))
         total = len(prbs)
         floor = 1e3
         idx = np.array(elig)
-        weights = (bank.b_arr[idx] * 1e3
-                   / np.maximum(store.avg[idx], floor)).tolist()
+        # demand weight ~ PF metric: efficiency / average rate
+        weights = (cols.b[idx] * 1e3
+                   / np.maximum(cols.avg[idx], floor)).tolist()
         weight_sum = sum(weights) or 1.0
         targets = [max(1, round(total * w / weight_sum)) for w in weights]
         order = sorted(range(len(elig)),
@@ -98,6 +67,7 @@ class ContiguousUplinkScheduler(LteScheduler):
         grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
         for i in order:
             want = targets[i]
+            # place into the first run with room; shrink to fit if needed
             for j, (start, length) in enumerate(runs):
                 if length <= 0:
                     continue

@@ -12,7 +12,7 @@ from repro.phy.antenna import OmniAntenna, SectorAntenna, sector_boresights
 from repro.phy.bands import Band, LTE_BANDS, WIFI_BANDS, get_band
 from repro.phy.fading import ShadowingField
 from repro.phy.harq import HarqProcess, harq_goodput_factor
-from repro.phy.linkbudget import LinkBudget, Radio, received_power_dbm, sinr_db
+from repro.phy.linkbudget import LinkBudget, Radio, sinr_db
 from repro.phy.mcs import (
     LTE_CQI_TABLE,
     WIFI_MCS_TABLE,
@@ -44,7 +44,7 @@ __all__ = [
     "Band", "LTE_BANDS", "WIFI_BANDS", "get_band",
     "ShadowingField",
     "HarqProcess", "harq_goodput_factor",
-    "LinkBudget", "Radio", "received_power_dbm", "sinr_db",
+    "LinkBudget", "Radio", "sinr_db",
     "LTE_CQI_TABLE", "WIFI_MCS_TABLE", "McsEntry",
     "lte_efficiency_for_sinr", "select_lte_cqi", "select_wifi_mcs",
     "wifi_rate_for_snr",

@@ -85,7 +85,7 @@ def harq_goodput_factor_many(sinr_db: Sequence[float],
     add/mul/div are exactly specified), and the one transcendental —
     the logistic's ``exp`` — goes through the libm element map
     (``repro.phy.vmath.exp_exact``), because numpy's SIMD ``exp``
-    rounds differently on ~5% of inputs. This is the batch TTI
+    rounds differently on ~5% of inputs. This is the TTI
     engine's HARQ step; the scalar function stays the reference.
     """
     if max_retx < 0:

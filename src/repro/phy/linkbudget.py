@@ -77,23 +77,6 @@ class Radio:
                 + self.peak_gain_dbi - self.cable_loss_db)
 
 
-def received_power_dbm(tx: Radio, rx: Radio, model: PropagationModel,
-                       freq_mhz: float,
-                       shadowing: Optional[ShadowingField] = None) -> float:
-    """Received signal power at ``rx`` from ``tx``, in dBm.
-
-    Directional patterns apply on both ends: the transmitter's gain
-    toward the receiver and vice versa.
-    """
-    dist = tx.position.distance_to(rx.position)
-    loss = model.path_loss_db(dist, freq_mhz)
-    if shadowing is not None:
-        loss += shadowing.shadowing_db(tx.position, rx.position)
-    tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
-               + tx.gain_toward_dbi(rx.position) - tx.cable_loss_db)
-    return tx_eirp - loss + rx.gain_toward_dbi(tx.position) - rx.cable_loss_db
-
-
 def sinr_db(signal_dbm: float, interferer_dbms: Iterable[float],
             noise_dbm: float) -> float:
     """Combine a signal with interferers and noise into an SINR in dB."""
@@ -186,13 +169,13 @@ class LinkBudget:
         return sinr_db(self.rx_power_dbm(tx, rx), interference,
                        self.noise_dbm(rx))
 
-    # -- batch-engine fast paths -------------------------------------------------
+    # -- UE-arena fast paths -----------------------------------------------------
     #
     # The methods below evaluate one fixed endpoint against arrays of
     # peers in a single pass, *bit-identically* to calling the scalar
     # methods per link: distances via the libm hypot map, loss via the
-    # model's ``path_loss_db_exact_many``, and dB<->linear conversions
-    # via the libm element maps (see ``repro.phy.vmath``). They require
+    # model's ``path_loss_db_many``, and dB<->linear conversions via
+    # the libm element maps (see ``repro.phy.vmath``). They require
     # omnidirectional ends and no shadowing — exactly the geometries
     # where the scalar path has no per-link state — and the UE arena
     # falls back to the scalar calls per row otherwise.
@@ -213,7 +196,7 @@ class LinkBudget:
         downlink/interference direction of the UE arena)."""
         self._require_plain(tx)
         dist = hypot_exact(tx.position.x - rx_x, tx.position.y - rx_y)
-        loss = self.model.path_loss_db_exact_many(dist, self.freq_mhz)
+        loss = self.model.path_loss_db_many(dist, self.freq_mhz)
         tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
                    + tx.antenna_gain_dbi - tx.cable_loss_db)
         return tx_eirp - loss + rx_gain_dbi - rx_cable_db
@@ -253,7 +236,7 @@ class LinkBudget:
         uplink direction of the UE arena)."""
         self._require_plain(rx)
         dist = hypot_exact(tx_x - rx.position.x, tx_y - rx.position.y)
-        loss = self.model.path_loss_db_exact_many(dist, self.freq_mhz)
+        loss = self.model.path_loss_db_many(dist, self.freq_mhz)
         tx_eirp = tx_power_dbm + tx_papr_db + tx_gain_dbi - tx_cable_db
         return (tx_eirp - loss + rx.antenna_gain_dbi - rx.cable_loss_db)
 

@@ -76,7 +76,7 @@ WIFI_MCS_TABLE: List[McsEntry] = [
 _LTE_THRESHOLDS = [e.min_sinr_db for e in LTE_CQI_TABLE]
 _WIFI_THRESHOLDS = [e.min_sinr_db for e in WIFI_MCS_TABLE]
 
-# Array mirrors of the LTE table for the batch TTI engine: CQI selection
+# Array mirrors of the LTE table for the TTI engine: CQI selection
 # over a whole cell becomes one ``np.searchsorted`` (identical semantics
 # to the ``bisect_right`` the scalar path uses — both are pure index
 # arithmetic, so batch and scalar agree bit for bit). Row -1 of the
@@ -92,7 +92,7 @@ def select_lte_cqi_index_many(sinr_db: Sequence[float]) -> np.ndarray:
     SINR, or -1 where the link is below CQI 1.
 
     ``select_lte_cqi(s)`` equals ``LTE_CQI_TABLE[i]`` (or ``None`` for
-    -1) for every element — the batch engine's CQI step.
+    -1) for every element — the TTI engine's CQI step.
     """
     sinr = np.asarray(sinr_db, dtype=float)
     return np.searchsorted(_LTE_THRESHOLDS_ARR, sinr, side="right") - 1
@@ -105,7 +105,7 @@ def lte_efficiency_for_index(indices: np.ndarray) -> np.ndarray:
 
 def lte_min_sinr_for_index(indices: np.ndarray) -> np.ndarray:
     """HARQ threshold (``min_sinr_db``) per CQI row index (-1 maps to
-    0.0, never consumed: the batch engine masks dead links first)."""
+    0.0, never consumed: the TTI engine masks dead links first)."""
     return _LTE_MIN_SINR_ARR[indices]
 
 

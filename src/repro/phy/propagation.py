@@ -16,32 +16,20 @@ carrier frequency. We implement the standard textbook/3GPP set:
 All models return loss in dB for a distance in meters. Models clamp the
 distance to a minimum of 1 m to stay defined at zero separation.
 
-Two fast paths for sweep-style callers (E3's distance grids, the range
-bisections, repeated link budgets at fixed geometry):
-
-* :meth:`PropagationModel.path_loss_db_many` — numpy-vectorized loss
-  over a whole distance grid; every model overrides the generic loop
-  with closed-form array math, matching the scalar path to < 1e-9 dB
-  (asserted by the microbenchmarks).
-* :func:`cached_path_loss` — a memoized per-(model, freq) closure for
-  scalar callers that revisit the same distances.
-
-The batch TTI engine needs a third, stricter flavor:
-:meth:`PropagationModel.path_loss_db_exact_many` replicates the scalar
-formula term by term — same association order, libm ``log10`` at the
-single distance-dependent transcendental — so its output is
-*bit-identical* to ``path_loss_db`` per element, not merely within
-1e-9 dB. (``path_loss_db_many`` is free to re-arrange algebra for
-speed, e.g. the Hata anchor+slope form; the exact flavor is not.)
+Every model has one vector entry point,
+:meth:`PropagationModel.path_loss_db_many`, for sweep-style callers
+(E3's distance grids, the range bisections, the UE arena's row refresh).
+It evaluates the scalar formula term by term — same association order,
+libm ``log10`` at the single distance-dependent transcendental — so its
+output is *bit-identical* to ``path_loss_db`` per element, which is what
+byte-identical experiment tables need.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import lru_cache
-from typing import Callable, Dict, Sequence
-from weakref import WeakKeyDictionary
+from typing import Sequence
 
 import numpy as np
 
@@ -60,29 +48,12 @@ class PropagationModel(ABC):
     def path_loss_db(self, distance_m: float, freq_mhz: float) -> float:
         """Median path loss in dB at ``distance_m`` and ``freq_mhz``."""
 
+    @abstractmethod
     def path_loss_db_many(self, distances_m: Sequence[float],
                           freq_mhz: float) -> np.ndarray:
-        """Vectorized :meth:`path_loss_db` over a distance grid.
-
-        The base implementation loops the scalar model; every concrete
-        model overrides it with closed-form numpy. Scalar and vector
-        paths agree to better than 1e-9 dB.
-        """
-        return np.array([self.path_loss_db(float(d), freq_mhz)
-                         for d in np.asarray(distances_m, dtype=float)])
-
-    def path_loss_db_exact_many(self, distances_m: Sequence[float],
-                                freq_mhz: float) -> np.ndarray:
-        """Vectorized loss, *bit-identical* to :meth:`path_loss_db`.
-
-        The base implementation loops the scalar model (trivially
-        exact); concrete models override it with an array pipeline that
-        keeps the scalar association order and routes ``log10`` through
-        libm (see ``repro.phy.vmath``). Used by the batch TTI engine,
-        whose equivalence contract is byte-identical tables.
-        """
-        return np.array([self.path_loss_db(float(d), freq_mhz)
-                         for d in np.asarray(distances_m, dtype=float)])
+        """:meth:`path_loss_db` over a distance grid, bit-identical per
+        element: an array pipeline in the scalar association order with
+        ``log10`` routed through libm (see ``repro.phy.vmath``)."""
 
     @staticmethod
     def _clamp_distance(distance_m: float) -> float:
@@ -109,12 +80,6 @@ class FreeSpace(PropagationModel):
     def path_loss_db_many(self, distances_m: Sequence[float],
                           freq_mhz: float) -> np.ndarray:
         d_km = self._clamp_distances(distances_m) / 1000.0
-        return (20.0 * np.log10(d_km) + 20.0 * math.log10(freq_mhz)
-                + FSPL_CONST_DB)
-
-    def path_loss_db_exact_many(self, distances_m: Sequence[float],
-                                freq_mhz: float) -> np.ndarray:
-        d_km = self._clamp_distances(distances_m) / 1000.0
         return (20.0 * log10_exact(d_km) + 20.0 * math.log10(freq_mhz)
                 + FSPL_CONST_DB)
 
@@ -140,18 +105,9 @@ class LogDistance(PropagationModel):
                           freq_mhz: float) -> np.ndarray:
         d = self._clamp_distances(distances_m)
         base = self._fspl.path_loss_db(self.ref_m, freq_mhz)
-        far = base + 10.0 * self.exponent * np.log10(
-            np.maximum(d, self.ref_m) / self.ref_m)
-        near = self._fspl.path_loss_db_many(d, freq_mhz)
-        return np.where(d <= self.ref_m, near, far)
-
-    def path_loss_db_exact_many(self, distances_m: Sequence[float],
-                                freq_mhz: float) -> np.ndarray:
-        d = self._clamp_distances(distances_m)
-        base = self._fspl.path_loss_db(self.ref_m, freq_mhz)
         far = base + 10.0 * self.exponent * log10_exact(
             np.maximum(d, self.ref_m) / self.ref_m)
-        near = self._fspl.path_loss_db_exact_many(d, freq_mhz)
+        near = self._fspl.path_loss_db_many(d, freq_mhz)
         return np.where(d <= self.ref_m, near, far)
 
 
@@ -186,14 +142,6 @@ class TwoRayGround(PropagationModel):
                           freq_mhz: float) -> np.ndarray:
         d = self._clamp_distances(distances_m)
         near = self._fspl.path_loss_db_many(d, freq_mhz)
-        far = (40.0 * np.log10(d)
-               - 20.0 * math.log10(self.tx_height_m * self.rx_height_m))
-        return np.where(d < self.crossover_m(freq_mhz), near, far)
-
-    def path_loss_db_exact_many(self, distances_m: Sequence[float],
-                                freq_mhz: float) -> np.ndarray:
-        d = self._clamp_distances(distances_m)
-        near = self._fspl.path_loss_db_exact_many(d, freq_mhz)
         far = (40.0 * log10_exact(d)
                - 20.0 * math.log10(self.tx_height_m * self.rx_height_m))
         return np.where(d < self.crossover_m(freq_mhz), near, far)
@@ -245,17 +193,6 @@ class OkumuraHata(PropagationModel):
 
     def path_loss_db_many(self, distances_m: Sequence[float],
                           freq_mhz: float) -> np.ndarray:
-        # one scalar evaluation pins every frequency/height/environment
-        # term (and runs the validity checks); the grid only varies the
-        # distance slope, so the whole sweep is a single log10 + axpy
-        anchor_km = 1.0
-        base = self.path_loss_db(anchor_km * 1000.0, freq_mhz)
-        slope = 44.9 - 6.55 * math.log10(self.bs_height_m)
-        d_km = np.maximum(self._clamp_distances(distances_m) / 1000.0, 0.01)
-        return base + slope * np.log10(d_km / anchor_km)
-
-    def path_loss_db_exact_many(self, distances_m: Sequence[float],
-                                freq_mhz: float) -> np.ndarray:
         if not 150.0 <= freq_mhz <= 2000.0:
             raise ValueError(
                 f"Okumura-Hata valid 150-1500 MHz (soft to 2000); got {freq_mhz}")
@@ -315,14 +252,6 @@ class Cost231Hata(PropagationModel):
 
     def path_loss_db_many(self, distances_m: Sequence[float],
                           freq_mhz: float) -> np.ndarray:
-        anchor_km = 1.0
-        base = self.path_loss_db(anchor_km * 1000.0, freq_mhz)
-        slope = 44.9 - 6.55 * math.log10(self.bs_height_m)
-        d_km = np.maximum(self._clamp_distances(distances_m) / 1000.0, 0.01)
-        return base + slope * np.log10(d_km / anchor_km)
-
-    def path_loss_db_exact_many(self, distances_m: Sequence[float],
-                                freq_mhz: float) -> np.ndarray:
         if not 1500.0 <= freq_mhz <= 6000.0:
             raise ValueError(
                 f"COST-231 Hata valid 1500-2600 MHz (soft to 6000); got {freq_mhz}")
@@ -340,32 +269,6 @@ class Cost231Hata(PropagationModel):
             loss = loss - (4.78 * (math.log10(freq_mhz)) ** 2
                            - 18.33 * math.log10(freq_mhz) + 40.94)
         return loss
-
-
-#: Memoized scalar closures: {model -> {(freq, maxsize) -> lru closure}}.
-_LOSS_CLOSURES: "WeakKeyDictionary" = WeakKeyDictionary()
-
-
-def cached_path_loss(model: PropagationModel, freq_mhz: float,
-                     maxsize: int = 4096) -> Callable[[float], float]:
-    """A memoized ``distance -> loss`` closure for a fixed (model, freq).
-
-    Propagation models are pure functions of their constructor
-    parameters, so repeated evaluations at the same distance — range
-    bisections, stationary link budgets re-evaluated every TTI — are
-    pure recomputation. The closure is cached per model instance (weakly,
-    so models die normally) and per frequency; hits cost one dict lookup.
-    """
-    per_model: Dict = _LOSS_CLOSURES.setdefault(model, {})
-    key = (freq_mhz, maxsize)
-    closure = per_model.get(key)
-    if closure is None:
-        @lru_cache(maxsize=maxsize)
-        def closure(distance_m: float) -> float:
-            return model.path_loss_db(distance_m, freq_mhz)
-
-        per_model[key] = closure
-    return closure
 
 
 def model_for_frequency(freq_mhz: float, bs_height_m: float = 30.0,

@@ -1,6 +1,6 @@
 """Bit-exact element maps for the vectorized PHY.
 
-The batch TTI engine (``repro.mac.arena``) re-expresses the per-cell
+The TTI engine (``repro.mac.arena``) re-expresses the per-cell
 radio refresh as array pipelines, but its contract is *byte-identical*
 experiment tables against the scalar reference path. IEEE-754 add,
 subtract, multiply and divide are exactly specified, so numpy and

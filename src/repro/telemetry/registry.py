@@ -329,7 +329,7 @@ class Histogram(_Instrument):
         The running sum is accumulated sequentially (same additions in
         the same order as the scalar path); bucket placement vectorizes
         through ``np.searchsorted`` (identical index semantics to
-        ``bisect_left``). This is the batch TTI engine's per-cell SINR
+        ``bisect_left``). This is the TTI engine's per-cell SINR
         observation path.
         """
         vals = np.asarray(values, dtype=float).tolist()

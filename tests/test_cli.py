@@ -128,6 +128,8 @@ def test_flag_validation_errors():
         main(["E12", "--task-timeout", "0"])
     with pytest.raises(SystemExit):
         main(["E12", "--jobs", "0"])
+    with pytest.raises(SystemExit):  # retired with the scalar TTI path
+        main(["T1", "--scalar-tti"])
 
 
 def test_resume_refuses_telemetry_flags(tmp_path):

@@ -1,22 +1,23 @@
-"""Batch TTI engine (per-cell UE arena) vs scalar reference path.
+"""The TTI engine (per-cell UE arena) vs the scalar oracle.
 
-The contract (see DESIGN.md / PERFORMANCE.md): with ``batch=True`` a
-cell's per-TTI downlink and uplink scheduling must be *bit-identical*
-to the scalar reference — identical grant maps (values AND key order),
-identical delivered-bits maps, identical telemetry histograms. These
-tests randomize UE counts, positions, backlogs, GBR/priority, HARQ,
-interferers and fragmented PRB masks, and drive paired scalar/batch
-cells through mid-run mutations (mobility, backlog changes, detach,
-scheduler swap) asserting equality at every TTI.
+The contract (see DESIGN.md / PERFORMANCE.md): a cell's per-TTI
+downlink and uplink scheduling must be *bit-identical* to the scalar
+walk in ``tests/reference/scalar_tti.py`` — identical delivered-bits
+maps (values AND key order), identical telemetry histograms, identical
+EWMA state. These tests randomize UE counts, positions, backlogs,
+GBR/priority, HARQ, interferers and fragmented PRB masks, and drive a
+production cell and an oracle-driven twin through mid-run mutations
+(mobility, backlog changes, detach, re-attach, scheduler swap)
+asserting equality at every TTI.
 """
 
 import random
 
 import pytest
 
+from repro.coordination.cooperative import CooperativeCluster
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo.points import Point
-from repro.mac import batch_default, batch_mode, set_batch_default
 from repro.mac.schedulers import (
     MaxCiScheduler,
     ProportionalFairScheduler,
@@ -30,6 +31,8 @@ from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.propagation import FreeSpace, OkumuraHata
 from repro.telemetry import MetricsRegistry
 
+from tests.reference import scalar_tti
+
 SCHEDULERS = [RoundRobinScheduler, MaxCiScheduler,
               ProportionalFairScheduler, QosAwareScheduler]
 
@@ -37,8 +40,7 @@ HISTOGRAMS = ("phy.sinr_db", "phy.harq.goodput_factor",
               "mac.cell.granted_prbs")
 
 
-def _build_cell(batch, sched_cls, seed, n_ue, harq=True, n_inter=0,
-                frag=False):
+def _build_cell(sched_cls, seed, n_ue, harq=True, n_inter=0, frag=False):
     """A cell plus registry with n_ue randomly-placed UEs."""
     rng = random.Random(seed)
     band = get_band("lte31")
@@ -46,10 +48,10 @@ def _build_cell(batch, sched_cls, seed, n_ue, harq=True, n_inter=0,
                     bandwidth_hz=band.bandwidth_hz)
     reg = MetricsRegistry()
     cell = Cell("c0", band, Point(0.0, 0.0), lb, scheduler=sched_cls(),
-                harq_enabled=harq, metrics=reg, batch=batch)
+                harq_enabled=harq, metrics=reg)
     cell.interferers = [
         Cell(f"i{k}", band, Point(3000.0 * (k + 1), -1200.0), lb,
-             metrics=reg, batch=batch)
+             metrics=reg)
         for k in range(n_inter)]
     if frag:
         cell.allowed_prbs = frozenset(
@@ -65,13 +67,36 @@ def _build_cell(batch, sched_cls, seed, n_ue, harq=True, n_inter=0,
     return cell, reg
 
 
-def _assert_tti_equal(scalar_cell, batch_cell, where):
-    ds = scalar_cell.schedule_tti()
-    db = batch_cell.schedule_tti()
+def _build_pair(*args, **kwargs):
+    """(oracle-driven cell, production cell, their registries)."""
+    ref, reg_ref = _build_cell(*args, **kwargs)
+    cell, reg = _build_cell(*args, **kwargs)
+    return ref, cell, reg_ref, reg
+
+
+def _plain_pair(scheduler_factory, n_ue, ue_point):
+    """Interference-free FreeSpace twins sharing nothing but geometry."""
+    band = get_band("lte31")
+    lb = LinkBudget(FreeSpace(), freq_mhz=band.dl_mhz,
+                    bandwidth_hz=band.bandwidth_hz)
+    cells = []
+    for _ in range(2):
+        cell = Cell("c0", band, Point(0.0, 0.0), lb,
+                    scheduler=scheduler_factory())
+        for u in range(n_ue):
+            cell.add_ue(UeRadioContext(f"ue{u}", Radio(ue_point(u)),
+                                       backlog_bits=float("inf")))
+        cells.append(cell)
+    return cells
+
+
+def _assert_tti_equal(ref, cell, where):
+    ds = scalar_tti.schedule_tti(ref)
+    db = cell.schedule_tti()
     assert ds == db, f"DL delivered mismatch at {where}"
     assert list(ds) == list(db), f"DL key order mismatch at {where}"
-    us = scalar_cell.schedule_uplink_tti()
-    ub = batch_cell.schedule_uplink_tti()
+    us = scalar_tti.schedule_uplink_tti(ref)
+    ub = cell.schedule_uplink_tti()
     assert us == ub, f"UL delivered mismatch at {where}"
     assert list(us) == list(ub), f"UL key order mismatch at {where}"
 
@@ -89,176 +114,206 @@ def _assert_metrics_equal(reg_a, reg_b):
 
 @pytest.mark.parametrize("trial", range(12))
 def test_randomized_cell_equivalence(trial):
-    """Paired scalar/batch cells stay bit-identical through mutations."""
+    """Oracle and production cells stay bit-identical through mutations."""
     sched_cls = SCHEDULERS[trial % 4]
-    seed = 1000 + trial
     n_ue = [0, 1, 3, 17, 40][trial % 5]
-    harq = trial % 3 != 0
-    n_inter = trial % 3
-    frag = trial % 2 == 0
-    scalar, reg_s = _build_cell(False, sched_cls, seed, n_ue, harq,
-                                n_inter, frag)
-    batch, reg_b = _build_cell(True, sched_cls, seed, n_ue, harq,
-                               n_inter, frag)
+    ref, cell, reg_ref, reg = _build_pair(
+        sched_cls, 1000 + trial, n_ue, harq=trial % 3 != 0,
+        n_inter=trial % 3, frag=trial % 2 == 0)
     for t in range(40):
         if t == 15 and n_ue > 2:
-            for cell in (scalar, batch):
-                ctx = cell._ues["ue001"]
+            for c in (ref, cell):
+                ctx = c._ues["ue001"]
                 ctx.radio.position = Point(100.0 + trial, 50.0)
-                cell._ues["ue002"].backlog_bits = 8e5
+                c._ues["ue002"].backlog_bits = 8e5
         if t == 25 and n_ue > 4:
-            for cell in (scalar, batch):
-                cell.remove_ue("ue003")
-        _assert_tti_equal(scalar, batch, f"trial={trial} t={t}")
-    _assert_metrics_equal(reg_s, reg_b)
+            for c in (ref, cell):
+                c.remove_ue("ue003")
+        _assert_tti_equal(ref, cell, f"trial={trial} t={t}")
+    _assert_metrics_equal(reg_ref, reg)
 
 
 def test_empty_cell():
-    scalar, _ = _build_cell(False, RoundRobinScheduler, 1, 0)
-    batch, _ = _build_cell(True, RoundRobinScheduler, 1, 0)
+    ref, cell, _, _ = _build_pair(RoundRobinScheduler, 1, 0)
     for t in range(3):
-        _assert_tti_equal(scalar, batch, f"empty t={t}")
-    assert batch.schedule_tti() == {}
+        _assert_tti_equal(ref, cell, f"empty t={t}")
+    assert cell.schedule_tti() == {}
 
 
 def test_single_ue():
-    scalar, _ = _build_cell(False, ProportionalFairScheduler, 2, 1)
-    batch, _ = _build_cell(True, ProportionalFairScheduler, 2, 1)
+    ref, cell, _, _ = _build_pair(ProportionalFairScheduler, 2, 1)
     for t in range(10):
-        _assert_tti_equal(scalar, batch, f"single t={t}")
+        _assert_tti_equal(ref, cell, f"single t={t}")
 
 
 def test_all_below_cqi_floor():
     """UEs out of range: nobody schedulable, still bit-identical."""
-    band = get_band("lte31")
-    lb = LinkBudget(FreeSpace(), freq_mhz=band.dl_mhz,
-                    bandwidth_hz=band.bandwidth_hz)
-    cells = []
-    for b in (False, True):
-        cell = Cell("c0", band, Point(0.0, 0.0), lb,
-                    scheduler=MaxCiScheduler(), batch=b)
-        for u in range(4):
-            cell.add_ue(UeRadioContext(
-                f"ue{u}", Radio(Point(5e7 + u * 1e6, 5e7)),
-                backlog_bits=float("inf")))
-        cells.append(cell)
-    scalar, batch = cells
+    ref, cell = _plain_pair(MaxCiScheduler, 4,
+                            lambda u: Point(5e7 + u * 1e6, 5e7))
     for t in range(5):
-        ds, db = scalar.schedule_tti(), batch.schedule_tti()
-        assert ds == db == {}
-        us, ub = scalar.schedule_uplink_tti(), batch.schedule_uplink_tti()
-        assert us == ub == {}
+        assert scalar_tti.schedule_tti(ref) == cell.schedule_tti() == {}
+        assert (scalar_tti.schedule_uplink_tti(ref)
+                == cell.schedule_uplink_tti() == {})
 
 
 def test_zero_backlog_everywhere():
-    scalar, _ = _build_cell(False, QosAwareScheduler, 3, 0)
-    batch, _ = _build_cell(True, QosAwareScheduler, 3, 0)
-    for cell in (scalar, batch):
+    ref, cell, _, _ = _build_pair(QosAwareScheduler, 3, 0)
+    for c in (ref, cell):
         for u in range(5):
-            cell.add_ue(UeRadioContext(
+            c.add_ue(UeRadioContext(
                 f"ue{u}", Radio(Point(100.0 * u, 200.0)),
                 backlog_bits=0.0))
     for t in range(4):
-        _assert_tti_equal(scalar, batch, f"zero-backlog t={t}")
+        _assert_tti_equal(ref, cell, f"zero-backlog t={t}")
 
 
 def test_scheduler_swap_mid_run():
     """Swapping the scheduler object mid-run re-binds the arena store."""
-    scalar, _ = _build_cell(False, RoundRobinScheduler, 4, 9)
-    batch, _ = _build_cell(True, RoundRobinScheduler, 4, 9)
+    ref, cell, _, _ = _build_pair(RoundRobinScheduler, 4, 9)
     for t in range(6):
-        _assert_tti_equal(scalar, batch, f"pre-swap t={t}")
-    for cell in (scalar, batch):
-        cell.scheduler = QosAwareScheduler()
+        _assert_tti_equal(ref, cell, f"pre-swap t={t}")
+    for c in (ref, cell):
+        c.scheduler = QosAwareScheduler()
     for t in range(6):
-        _assert_tti_equal(scalar, batch, f"post-swap t={t}")
+        _assert_tti_equal(ref, cell, f"post-swap t={t}")
 
 
-def test_batch_toggle_preserves_averages():
-    """batch=False mid-run syncs EWMA arrays back to scheduler dicts."""
-    ref, _ = _build_cell(False, ProportionalFairScheduler, 5, 8)
-    cell, _ = _build_cell(True, ProportionalFairScheduler, 5, 8)
-    for t in range(10):
-        ref.schedule_tti()
-        cell.schedule_tti()
-    cell.batch = False
-    for uid in cell._ues:
-        assert (cell.scheduler.average_rate_bps(uid)
-                == ref.scheduler.average_rate_bps(uid)), uid
-    for t in range(10):
-        assert ref.schedule_tti() == cell.schedule_tti()
+@pytest.mark.parametrize("sched_cls", [ProportionalFairScheduler,
+                                       QosAwareScheduler],
+                         ids=lambda c: c.__name__)
+def test_detach_reattach_drops_history(sched_cls):
+    """Detach drops scheduler history in both directions: a UE that
+    re-attaches to the same cell starts from a zero EWMA, downlink and
+    uplink, on the arena and in the oracle alike."""
+    ref, cell, _, _ = _build_pair(sched_cls, 21, 4)
+    for c in (ref, cell):
+        for ctx in c._ues.values():
+            ctx.backlog_bits = float("inf")
+    for t in range(30):
+        _assert_tti_equal(ref, cell, f"pre-detach t={t}")
+    assert cell.uplink_scheduler.average_rate_bps("ue001") > 0
+    for c in (ref, cell):
+        ctx = c._ues["ue001"]
+        c.remove_ue("ue001")
+        for sched in (c.scheduler, c.uplink_scheduler):
+            assert sched.average_rate_bps("ue001") == 0.0
+        c.add_ue(ctx)
+    for t in range(8):
+        _assert_tti_equal(ref, cell, f"re-attached t={t}")
+        for uid in cell._ues:
+            for role in ("scheduler", "uplink_scheduler"):
+                assert (getattr(ref, role).average_rate_bps(uid)
+                        == getattr(cell, role).average_rate_bps(uid)), (t, uid)
+
+
+def test_swapped_out_scheduler_releases_its_store():
+    """The arena holds stores for the cell's current two schedulers only;
+    ``average_rate_bps`` answers through the arena and through
+    ``allocate`` alike."""
+    cell, _ = _build_cell(RoundRobinScheduler, 12, 6)
+    arena = cell._arena
+    cluster = CooperativeCluster()
+    for round_ in range(4):
+        old = cell.scheduler
+        cluster.join(cell)  # installs a fresh QosAwareScheduler
+        assert cell.scheduler is not old
+        for t in range(3):
+            cell.schedule_tti()
+            cell.schedule_uplink_tti()
+        assert len(arena._stores) == 2
+        assert {id(sched) for sched, _ in arena._stores} == {
+            id(cell.scheduler), id(cell.uplink_scheduler)}
+        assert old._stores == []
+        cell.remove_ue(f"ue{round_:03d}")  # resizes the live stores only
+    rates = [cell.scheduler.average_rate_bps(uid) for uid in arena.ids]
+    assert any(r > 0 for r in rates)
+    assert rates == cell.scheduler._stores[0].avg.tolist()
+    # the list front door keeps its own history on the same scheduler
+    sched = cell.scheduler
+    sched.allocate([SchedulableUser("walk-in", sinr_db=20.0)],
+                   frozenset(range(10)))
+    assert sched.average_rate_bps("walk-in") > 0
+    assert len(arena._stores) == 2
 
 
 def test_average_rate_readable_while_batched():
     """average_rate_bps must read through the arena array store."""
-    scalar, _ = _build_cell(False, ProportionalFairScheduler, 6, 6)
-    batch, _ = _build_cell(True, ProportionalFairScheduler, 6, 6)
+    ref, cell, _, _ = _build_pair(ProportionalFairScheduler, 6, 6)
     for t in range(8):
-        scalar.schedule_tti()
-        batch.schedule_tti()
-        for uid in scalar._ues:
-            assert (scalar.scheduler.average_rate_bps(uid)
-                    == batch.scheduler.average_rate_bps(uid)), (t, uid)
+        scalar_tti.schedule_tti(ref)
+        cell.schedule_tti()
+        for uid in ref._ues:
+            assert (ref.scheduler.average_rate_bps(uid)
+                    == cell.scheduler.average_rate_bps(uid)), (t, uid)
 
 
 def test_shared_scheduler_falls_back_to_scalar():
-    """One scheduler driving two batch cells must not corrupt state:
-    the second cell detects foreign store ownership and goes scalar."""
+    """(Name kept from when sharing forced a scalar fallback.) One
+    scheduler driving two cells runs on both arenas — one rate store per
+    arena — and matches the oracle sharing one scheduler the same way."""
     band = get_band("lte31")
     lb = LinkBudget(FreeSpace(), freq_mhz=band.dl_mhz,
                     bandwidth_hz=band.bandwidth_hz)
-    shared = ProportionalFairScheduler()
-    a = Cell("a", band, Point(0.0, 0.0), lb, scheduler=shared, batch=True)
-    b = Cell("b", band, Point(9000.0, 0.0), lb, scheduler=shared, batch=True)
-    for i, cell in enumerate((a, b)):
-        cell.add_ue(UeRadioContext(
-            f"{cell.name}-u", Radio(Point(200.0 + i, 100.0)),
-            backlog_bits=float("inf")))
-    # reference: same topology, scalar everywhere
-    shared_ref = ProportionalFairScheduler()
-    ar = Cell("a", band, Point(0.0, 0.0), lb, scheduler=shared_ref,
-              batch=False)
-    br = Cell("b", band, Point(9000.0, 0.0), lb, scheduler=shared_ref,
-              batch=False)
-    for i, cell in enumerate((ar, br)):
-        cell.add_ue(UeRadioContext(
-            f"{cell.name}-u", Radio(Point(200.0 + i, 100.0)),
-            backlog_bits=float("inf")))
+
+    def two_cells():
+        shared = ProportionalFairScheduler()
+        cells = [Cell(name, band, Point(x, 0.0), lb, scheduler=shared)
+                 for name, x in (("a", 0.0), ("b", 9000.0))]
+        for i, cell in enumerate(cells):
+            for u in range(3):
+                cell.add_ue(UeRadioContext(
+                    f"{cell.name}-u{u}",
+                    Radio(Point(200.0 + i + 700.0 * u, 100.0)),
+                    backlog_bits=float("inf")))
+        return shared, cells
+
+    shared, (a, b) = two_cells()
+    shared_ref, (ar, br) = two_cells()
     for t in range(6):
-        assert a.schedule_tti() == ar.schedule_tti()
-        assert b.schedule_tti() == br.schedule_tti()
+        assert a.schedule_tti() == scalar_tti.schedule_tti(ar)
+        assert b.schedule_tti() == scalar_tti.schedule_tti(br)
+    assert [s.slot_of for s in shared._stores] == [
+        a._arena.slot_of, b._arena.slot_of]
+    assert shared_ref._stores == []
+    for cell in (a, b):
+        for uid in cell._ues:
+            assert (shared.average_rate_bps(uid)
+                    == shared_ref.average_rate_bps(uid) > 0)
 
 
-def test_subclassed_scheduler_not_batched():
-    """A subclass overriding _assign must never take the batch twin."""
+def test_subclassed_scheduler_not_batched(monkeypatch):
+    """(Name kept from when subclasses were kept off the arena.) A
+    subclass overriding ``_assign`` runs on the arena like any policy
+    and matches its scalar counterpart registered with the oracle."""
+    calls = []
+
     class GreedyScheduler(MaxCiScheduler):
-        def _assign(self, users, prbs):
-            best = max(users, key=lambda u: u.efficiency)
-            return {best.user_id: list(prbs)}
+        def _assign(self, cols, prbs):
+            calls.append(cols)
+            best = max(cols.elig, key=cols.eff.__getitem__)
+            return {cols.ids[best]: list(prbs)}
 
-    band = get_band("lte31")
-    lb = LinkBudget(FreeSpace(), freq_mhz=band.dl_mhz,
-                    bandwidth_hz=band.bandwidth_hz)
-    cells = []
-    for b in (False, True):
-        cell = Cell("c0", band, Point(0.0, 0.0), lb,
-                    scheduler=GreedyScheduler(), batch=b)
-        for u in range(4):
-            cell.add_ue(UeRadioContext(
-                f"ue{u}", Radio(Point(150.0 + 40.0 * u, 80.0)),
-                backlog_bits=float("inf")))
-        cells.append(cell)
-    scalar, batch = cells
+    def greedy_scalar(sched, users, prbs):
+        best = max(users, key=lambda u: u.efficiency)
+        return {best.user_id: list(prbs)}
+
+    monkeypatch.setitem(scalar_tti.POLICIES, GreedyScheduler, greedy_scalar)
+    ref, cell = _plain_pair(GreedyScheduler, 4,
+                            lambda u: Point(150.0 + 40.0 * u, 80.0))
     for t in range(5):
-        assert scalar.schedule_tti() == batch.schedule_tti()
+        got = cell.schedule_tti()
+        assert got and got == scalar_tti.schedule_tti(ref)
+    assert len(calls) == 5
+    assert all(cols.ids is cell._arena.ids for cols in calls)
 
 
 @pytest.mark.parametrize("sched_cls", SCHEDULERS + [ContiguousUplinkScheduler],
                          ids=lambda c: c.__name__)
 def test_allocate_batch_matches_allocate(sched_cls):
-    """Direct allocate() vs allocate_batch() on the same arena state."""
-    rng = random.Random(77)
-    cell, _ = _build_cell(True, RoundRobinScheduler, 77, 23)
+    """The two front doors agree with each other and with the oracle:
+    ``allocate_columns`` on arena state vs ``allocate`` / the oracle's
+    scalar ``allocate`` on the same users and averages."""
+    cell, _ = _build_cell(RoundRobinScheduler, 77, 23)
     cell.scheduler = sched_cls()
     arena = cell._arena
     uplink = sched_cls is ContiguousUplinkScheduler
@@ -266,29 +321,35 @@ def test_allocate_batch_matches_allocate(sched_cls):
             else arena.refresh_downlink())
     prbs = sorted(cell.allowed_prbs)
     for round_ in range(5):
-        # mirror scheduler state: fresh twin fed the same averages
-        twin = sched_cls()
-        twin._avg_rate_bps = {
-            uid: cell.scheduler.average_rate_bps(uid) for uid in arena.ids}
-        users = []
-        for s, uid in enumerate(arena.ids):
-            if bank.eff[s] > 0.0 and arena.backlog[s] > 0.0:
-                users.append(SchedulableUser(
-                    user_id=uid, sinr_db=bank.sinr_l[s],
-                    backlog_bits=arena.backlog[s],
-                    gbr_bps=arena.gbr[s], priority=arena.priority[s]))
-        if isinstance(twin, RoundRobinScheduler):
-            twin._next = cell.scheduler._next
-        expected = twin.allocate(users, frozenset(prbs))
-        got = cell.scheduler.allocate_batch(arena, bank, frozenset(prbs))
-        assert got == expected, f"round {round_}"
-        assert list(got) == list(expected), f"round {round_} key order"
+        # mirror scheduler state: fresh twins fed the same averages
+        twins = [sched_cls(), sched_cls()]
+        for twin in twins:
+            twin._rates = {uid: cell.scheduler.average_rate_bps(uid)
+                           for uid in arena.ids}
+            if isinstance(twin, RoundRobinScheduler):
+                twin._next = cell.scheduler._next
+        users = [SchedulableUser(
+                     user_id=uid, sinr_db=bank.sinr_l[s],
+                     backlog_bits=arena.backlog[s],
+                     gbr_bps=arena.gbr[s], priority=arena.priority[s])
+                 for s, uid in enumerate(arena.ids)]
+        expected = scalar_tti.allocate(twins[0], users, frozenset(prbs))
+        by_list = twins[1].allocate(users, frozenset(prbs))
+        got = cell.scheduler.allocate_columns(
+            arena.columns(bank, cell.scheduler), frozenset(prbs))
+        assert got == by_list == expected, f"round {round_}"
+        assert list(got) == list(by_list) == list(expected), (
+            f"round {round_} key order")
+        for uid in arena.ids:
+            assert (cell.scheduler.average_rate_bps(uid)
+                    == twins[0].average_rate_bps(uid)
+                    == twins[1].average_rate_bps(uid)), (round_, uid)
         # fragment the allowed set for later rounds
         prbs = [p for p in prbs if (p + round_) % 4 != 2] or prbs
 
 
 def test_arena_tracks_attach_detach():
-    cell, _ = _build_cell(True, RoundRobinScheduler, 8, 5)
+    cell, _ = _build_cell(RoundRobinScheduler, 8, 5)
     arena = cell._arena
     assert arena.ids == [f"ue{u:03d}" for u in range(5)]
     cell.remove_ue("ue002")
@@ -298,29 +359,6 @@ def test_arena_tracks_attach_detach():
         "ue009", Radio(Point(10.0, 10.0)), backlog_bits=1e5))
     assert arena.ids[-1] == "ue009"
     assert arena.slot_of["ue009"] == 4
-
-
-def test_batch_mode_context_manager():
-    with batch_mode(False):
-        cell, _ = _build_cell(None, RoundRobinScheduler, 9, 2)
-        assert cell.batch is False
-    with batch_mode(True):
-        cell, _ = _build_cell(None, RoundRobinScheduler, 9, 2)
-        assert cell.batch is True
-
-
-def test_env_default(monkeypatch):
-    import repro.mac.arena as arena_mod
-    for raw, expected in (("0", False), ("false", False), ("off", False),
-                          ("no", False), ("1", True), ("yes", True)):
-        monkeypatch.setenv("REPRO_BATCH_TTI", raw)
-        assert arena_mod._env_default() is expected, raw
-    monkeypatch.delenv("REPRO_BATCH_TTI")
-    assert arena_mod._env_default() is True
-    prev = set_batch_default(False)
-    assert batch_default() is False
-    set_batch_default(prev)
-    assert batch_default() is prev
 
 
 def test_observe_many_matches_sequential_observe():

@@ -43,6 +43,7 @@ CASES = [
              "horizon_s": 12.0}),
     ("E18", {"loads": (0.5, 5.0), "n_aps": 1, "ue_per_ap": 3,
              "settle_s": 4.0, "warmup_s": 1.0, "measure_s": 8.0}),
+    ("E19", {}),
 ]
 
 
