@@ -119,17 +119,31 @@ def test_cell_tti_ue_scaling(benchmark, n_ues):
     assert delivered
 
 
-def test_csma_slot_rate(benchmark):
-    """50k CSMA slots over a 6-node contention domain."""
-    ids = [f"s{i}" for i in range(6)]
-    everyone = frozenset(ids)
+def _ring_hearing(n, reach):
+    """Node i hears the ``reach`` nodes on either side of it on a ring:
+    every node has neighbours it defers to and hidden nodes it cannot
+    sense (E8's regime once ``n`` is well above ``2 * reach``)."""
+    ids = [f"s{i}" for i in range(n)]
+    return {ids[i]: frozenset(ids[(i + d) % n]
+                              for d in range(-reach, reach + 1) if d)
+            for i in range(n)}
+
+
+@pytest.mark.parametrize("hears", [
+    pytest.param(_ring_hearing(6, 3), id="6-connected"),
+    pytest.param(_ring_hearing(24, 4), id="24-partly-hidden"),
+])
+def test_csma_slot_rate(benchmark, hears):
+    """50k CSMA slots: one 6-node contention domain, and 24 nodes that
+    each sense 8 of the other 23."""
 
     def run():
-        nodes = [CsmaNode(i, hears=everyone - {i}) for i in ids]
+        nodes = [CsmaNode(i, hears=peers) for i, peers in hears.items()]
         sim = CsmaSimulation(nodes, np.random.default_rng(1), frame_slots=50)
         return sim.run(50_000)
 
     result = benchmark(run)
+    assert result.slots == 50_000
     assert result.total_delivered > 0
 
 

@@ -2,11 +2,14 @@
 
 Two implementations of the same MAC, used to cross-validate each other:
 
-* :class:`CsmaSimulation` — an event-level slotted simulation over an
-  explicit *hearing graph*, so hidden terminals (nodes that contend for
-  the same receiver but cannot sense each other) are modelled exactly.
-  This is the engine behind E5 (legacy-WiFi baseline) and E8 (hidden
-  terminal losses vs registry coordination).
+* :class:`CsmaSimulation` — a slotted simulation over an explicit
+  *hearing graph*, so hidden terminals (nodes that contend for the same
+  receiver but cannot sense each other) are modelled exactly. Time
+  advances by next event: between two frame boundaries every slot only
+  decrements counters, so :meth:`CsmaSimulation.run` applies those quiet
+  slots in one step and executes only the slots in which a frame ends
+  or starts. This is the engine behind E5 (legacy-WiFi baseline) and E8
+  (hidden terminal losses vs registry coordination).
 * :func:`bianchi_throughput` — Bianchi's analytic saturation-throughput
   model (all-hear-all, no hiddens), the standard closed form the
   simulation must agree with in the fully-connected case.
@@ -59,6 +62,7 @@ class CsmaNode:
 class CsmaResult:
     """Aggregate outcome of a CSMA run."""
 
+    #: slots simulated since construction, over every ``run()`` call
     slots: int
     frame_slots: int
     delivered: Dict[str, int]
@@ -99,6 +103,11 @@ class CsmaSimulation:
 
     The slot clock abstracts SIFS/DIFS/ACK detail into the frame length;
     Bianchi's model makes the same abstraction, so they are comparable.
+
+    :meth:`_step` is the one definition of a slot. :meth:`run` calls it
+    only for slots in which a frame ends or starts; the quiet slots in
+    between change nothing but counters and are applied in bulk, so
+    ``run(n)`` leaves exactly the state of ``n`` ``_step()`` calls.
     """
 
     def __init__(self, nodes: List[CsmaNode], rng: np.random.Generator,
@@ -110,10 +119,16 @@ class CsmaSimulation:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
         self.nodes = {n.node_id: n for n in nodes}
+        for node in nodes:
+            if (node.destination is not None
+                    and node.destination not in self.nodes):
+                raise ValueError(f"{node.node_id}: destination "
+                                 f"{node.destination!r} names no node")
         self.rng = rng
         self.frame_slots = frame_slots
+        self.slots = 0
         self.busy_slots = 0
-        # slot-loop MAC has no simulator; record into the ambient registry
+        # the MAC runs outside any simulator; record into the ambient registry
         if metrics is None:
             metrics = ambient_registry()
         self._m_sent = metrics.counter("mac.csma.frames_sent")
@@ -125,31 +140,73 @@ class CsmaSimulation:
             node.cw = CW_MIN
             node.backoff = int(self.rng.integers(0, node.cw))
             node.tx_remaining = 0
+            node.sent = node.delivered = node.collided = 0
         # transmissions in flight: node_id -> set of node_ids that
         # transmitted concurrently at any point (for collision detection)
         self._overlaps: Dict[str, set] = {}
 
     def _senses_busy(self, node: CsmaNode, transmitting: List[str]) -> bool:
-        return any(t in node.hears for t in transmitting)
+        return not node.hears.isdisjoint(transmitting)
 
     def run(self, slots: int) -> CsmaResult:
-        """Advance the simulation ``slots`` slots and return aggregates."""
-        for _ in range(slots):
-            self._step()
+        """Advance the simulation ``slots`` slots and return aggregates.
+
+        The result is cumulative: counts and ``slots`` cover every
+        ``run()`` call since construction.
+        """
+        if slots < 0:
+            raise ValueError("slots must be non-negative")
+        nodes = list(self.nodes.values())
+        remaining = slots
+        while remaining > 0:
+            on_air = [n for n in nodes if n.tx_remaining > 0]
+            transmitting = [n.node_id for n in on_air]
+            # idle contenders that sense the medium free: these count down
+            counting = [n for n in nodes
+                        if n.tx_remaining == 0 and n.saturated
+                        and not self._senses_busy(n, transmitting)]
+            # the next slot that ends a frame or starts one (a backoff of
+            # 0 starts in the very next slot, like a backoff of 1); every
+            # slot before it leaves both sets as they are
+            event = remaining + 1
+            for node in on_air:
+                if node.tx_remaining < event:
+                    event = node.tx_remaining
+            for node in counting:
+                due = node.backoff or 1
+                if due < event:
+                    event = due
+            quiet = event - 1
+            if quiet:
+                if on_air:
+                    self.busy_slots += quiet
+                    self._note_overlaps(transmitting)
+                for node in on_air:
+                    node.tx_remaining -= quiet
+                for node in counting:
+                    node.backoff -= quiet
+                remaining -= quiet
+            if remaining:
+                self._step()
+                remaining -= 1
+        self.slots += slots
         delivered = {nid: n.delivered for nid, n in self.nodes.items()}
         collided = {nid: n.collided for nid, n in self.nodes.items()}
-        return CsmaResult(slots=slots, frame_slots=self.frame_slots,
+        return CsmaResult(slots=self.slots, frame_slots=self.frame_slots,
                           delivered=delivered, collided=collided,
                           busy_slots=self.busy_slots)
+
+    def _note_overlaps(self, transmitting: List[str]) -> None:
+        """Record, for each frame on the air, who else is on the air."""
+        for nid in transmitting:
+            others = [o for o in transmitting if o != nid]
+            self._overlaps.setdefault(nid, set()).update(others)
 
     def _step(self) -> None:
         transmitting = [nid for nid, n in self.nodes.items() if n.tx_remaining > 0]
         if transmitting:
             self.busy_slots += 1
-        # record overlaps for in-flight frames
-        for nid in transmitting:
-            others = [o for o in transmitting if o != nid]
-            self._overlaps.setdefault(nid, set()).update(others)
+        self._note_overlaps(transmitting)
 
         # progress transmissions; finish ones that end this slot
         finished: List[str] = []
@@ -183,7 +240,8 @@ class CsmaSimulation:
     def _complete(self, nid: str) -> None:
         node = self.nodes[nid]
         overlapped = self._overlaps.pop(nid, set())
-        receiver = self.nodes.get(node.destination) if node.destination else None
+        receiver = (self.nodes[node.destination]
+                    if node.destination is not None else None)
         if receiver is not None:
             # only overlaps audible at the receiver corrupt the frame
             harmful = {o for o in overlapped

@@ -12,7 +12,7 @@ arms a profiler and a tracer on each, and at the end hands back one
 merged profile.
 
 Components that have no simulator (a :class:`Cell` driven by explicit
-TTI calls, a :class:`CsmaSimulation` slot loop) record into the
+TTI calls, a :class:`CsmaSimulation` run) record into the
 *ambient* registry — the hub's shared registry during a run, a
 process-global default otherwise — unless handed an explicit one.
 """

@@ -95,6 +95,43 @@ def test_bad_frame_slots_rejected():
         CsmaSimulation([CsmaNode("x")], np.random.default_rng(0), frame_slots=0)
 
 
+def _pair():
+    everyone = frozenset({"a", "b"})
+    return [CsmaNode("a", hears=everyone - {"a"}),
+            CsmaNode("b", hears=everyone - {"b"})]
+
+
+def test_second_run_reports_cumulative_slots():
+    sim = CsmaSimulation(_pair(), np.random.default_rng(4), frame_slots=50)
+    sim.run(10_000)
+    result = sim.run(10_000)
+    assert result.slots == 20_000
+    assert result.busy_slots <= result.slots
+    assert result.channel_utilization <= 1.0
+
+
+def test_reused_nodes_start_from_zero():
+    nodes = _pair()
+    first = CsmaSimulation(nodes, np.random.default_rng(4)).run(10_000)
+    again = CsmaSimulation(nodes, np.random.default_rng(4)).run(10_000)
+    assert again.delivered == first.delivered
+    assert again.collided == first.collided
+    assert all(n.sent <= n.delivered + n.collided + 1 for n in nodes)
+    assert again.channel_utilization <= 1.0
+
+
+def test_unknown_destination_rejected():
+    nodes = [CsmaNode("a", destination="nobody"), CsmaNode("b")]
+    with pytest.raises(ValueError, match="nobody"):
+        CsmaSimulation(nodes, np.random.default_rng(0))
+
+
+def test_negative_slots_rejected():
+    sim = CsmaSimulation(_pair(), np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sim.run(-1)
+
+
 def test_deliveries_conserved():
     sim = _fully_connected(5, seed=9)
     res = sim.run(100_000)
