@@ -43,9 +43,12 @@ Robustness (see ROBUSTNESS.md)::
 
 ``--retries``/``--task-timeout`` run the fan-out under the supervisor
 (crashed or hung workers are killed and their tasks re-run from the same
-derived seed, so the merged tables stay byte-identical); ``--resume``
-journals finished experiments to ``<dir>/manifest.jsonl`` and a rerun
-replays them byte-for-byte, executing only the unfinished ones.
+derived seed, so the merged tables stay byte-identical); ``--retries``
+also re-runs a sweep-heavy or sharded experiment whose cell or shard
+worker was lost, while ``--task-timeout`` cannot preempt those — they
+run in the parent. ``--resume`` journals finished experiments to
+``<dir>/manifest.jsonl`` and a rerun replays them byte-for-byte,
+executing only the unfinished ones.
 """
 
 from __future__ import annotations
@@ -266,40 +269,33 @@ def _run_all_parallel(ids: List[str], jobs: int,
                       exp_args: Optional[dict] = None) -> None:
     """Two-phase supervised schedule over ``ids`` (see module docstring).
 
-    Cell-parallel experiments run in the parent first, their sweeps
-    spread over the pool; the rest are then fanned out whole under the
-    supervisor (deadlines, heartbeats, bounded retry — see
-    ROBUSTNESS.md). All output is buffered and reprinted in the original
-    id order, so apart from timing lines the stream matches a serial
-    run. With ``checkpoint``, finished experiments are journaled and a
-    rerun replays them byte-for-byte.
+    Cell-parallel experiments run in the parent first (``jobs=1``:
+    inline, so their sweeps and shards get the whole pool); the rest are
+    then fanned out whole. Both phases are the same supervised map —
+    bounded retry, failure records, checkpoint journal (see
+    ROBUSTNESS.md) — but only workers can be preempted, so
+    ``task_timeout_s`` applies to the second phase alone. All output is
+    buffered and reprinted in the original id order, so apart from
+    timing lines the stream matches a serial run. With ``checkpoint``,
+    finished experiments are journaled and a rerun replays them
+    byte-for-byte.
     """
     multi = len(ids) > 1
     outputs = {}
     report = SupervisorReport()
-    for exp_id in [i for i in ids if i in CELL_PARALLEL_IDS]:
-        key = f"exp:{exp_id}"
-        if checkpoint is not None and checkpoint.done(key):
-            outputs[exp_id] = checkpoint.get(key)
-            report.replayed_from_checkpoint += 1
-            continue
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            run_experiment(exp_id, metrics_out=metrics_out,
-                           trace_out=trace_out, profile=profile, multi=multi,
-                           profile_out=profile_out, exp_args=exp_args)
-        outputs[exp_id] = buf.getvalue()
-        if checkpoint is not None:
-            checkpoint.record(key, outputs[exp_id])
-    rest = [i for i in ids if i not in CELL_PARALLEL_IDS]
-    tasks = [(i, metrics_out, trace_out, profile, multi, profile_out,
-              exp_args) for i in rest]
-    texts = supervised_map(_run_captured, tasks, jobs=jobs,
-                           costs=[_COST_HINTS.get(i, 1.0) for i in rest],
-                           labels=[f"exp:{i}" for i in rest],
-                           task_timeout_s=task_timeout_s, retries=retries,
-                           checkpoint=checkpoint, report=report)
-    outputs.update(zip(rest, texts))
+    for group, group_jobs, deadline_s in (
+            ([i for i in ids if i in CELL_PARALLEL_IDS], 1, None),
+            ([i for i in ids if i not in CELL_PARALLEL_IDS], jobs,
+             task_timeout_s)):
+        tasks = [(i, metrics_out, trace_out, profile, multi, profile_out,
+                  exp_args) for i in group]
+        texts = supervised_map(
+            _run_captured, tasks, jobs=group_jobs,
+            costs=[_COST_HINTS.get(i, 1.0) for i in group],
+            labels=[f"exp:{i}" for i in group],
+            task_timeout_s=deadline_s, retries=retries,
+            checkpoint=checkpoint, report=report)
+        outputs.update(zip(group, texts))
     for exp_id in ids:
         sys.stdout.write(outputs[exp_id])
     # diagnostics go to stderr so stdout stays byte-identical to a

@@ -1,54 +1,39 @@
 """The parallel experiment runner: fan independent work over processes.
 
-Experiments are sweeps of independent cells — E6 runs (arm, dwell)
-cells, E7 runs (architecture, n_aps) cells — and the CLI runs whole
-experiments back to back. Both levels are embarrassingly parallel as
-long as every task derives its randomness from the task *key* rather
-than from execution order, which this package enforces:
+Sweep cells (E6's (arm, dwell), E7's (architecture, n_aps)), whole
+experiments and city shards are all embarrassingly parallel as long as
+every task derives its randomness from the task *key* rather than from
+execution order, which this package enforces:
 
-* :func:`derive_seed` — a stable seed from (root seed, task key), the
-  per-task analogue of :meth:`repro.simcore.rng.RngRegistry.stream`'s
-  name hashing: same key, same seed, in any process and any order.
-* :func:`parallel_map` — ordered map over ``multiprocessing`` workers,
-  falling back to a plain serial loop at ``jobs=1`` (the default), so
-  parallel tables are byte-identical to serial ones.
-* :class:`ParallelRunner` — the object the CLI drives: holds the job
-  count and maps experiment- and cell-level task lists.
-* :func:`supervised_map` / :class:`SupervisedRunner` — the same ordered
-  map under supervision: per-task deadlines, worker heartbeats, crashed
-  and hung-worker kill + bounded retry (byte-identical by stable
-  reseeding), structured :class:`TaskFailure` records, and
-  checkpoint/resume via :class:`SweepCheckpoint` (see ROBUSTNESS.md).
+* :func:`derive_seed` — a stable seed from (root seed, task key): same
+  key, same seed, in any process and any order.
+* :func:`parallel_map` — ordered map of sweep cells over workers, a
+  plain loop at ``jobs=1`` (the default); tables are byte-identical
+  either way. A failed task or lost worker raises
+  :class:`WorkerTaskError`.
+* :func:`supervised_map` — what the CLI drives for whole experiments:
+  the same map plus per-task deadlines, bounded retry,
+  :class:`TaskFailure` records and :class:`SweepCheckpoint` resume.
+* :class:`~repro.runner.shardpool.ShardWorkerPool` — one pinned,
+  stateful worker per city shard, driven window by window.
 
-Telemetry composes (see OBSERVABILITY.md): when a
-:data:`~repro.telemetry.hub.HUB` run is active, workers bracket each
-task with their own hub run and ship the collected per-simulator
-telemetry back for the parent hub to splice in, in task order — so
-``--profile`` merges per-worker hot-path tables exactly as a serial run
-would.
+All three are scheduling policies over **one** worker runtime
+(:mod:`repro.runner.worker`; ROBUSTNESS.md), which also ships worker
+telemetry home under a :data:`~repro.telemetry.hub.HUB` run.
 """
 
 from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.parallel import (
-    ParallelRunner,
-    WorkerTaskError,
-    get_jobs,
-    in_worker,
-    parallel_map,
-    set_jobs,
-)
+from repro.runner.parallel import WorkerTaskError, parallel_map
 from repro.runner.seeds import derive_seed
 from repro.runner.supervisor import (
-    SupervisedRunner,
     SupervisorReport,
     TaskFailedError,
     TaskFailure,
     supervised_map,
 )
+from repro.runner.worker import get_jobs, in_worker, set_jobs
 
 __all__ = [
-    "ParallelRunner",
-    "SupervisedRunner",
     "SupervisorReport",
     "SweepCheckpoint",
     "TaskFailedError",

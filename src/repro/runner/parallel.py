@@ -1,4 +1,4 @@
-"""Ordered parallel map over multiprocessing workers.
+"""Ordered parallel map for independent sweep cells.
 
 The contract that keeps parallel runs byte-identical to serial ones:
 
@@ -6,81 +6,34 @@ The contract that keeps parallel runs byte-identical to serial ones:
 * every task is self-seeding (see :mod:`repro.runner.seeds`) — nothing
   it computes may depend on which worker ran it or when;
 * nested calls run serially: a worker that reaches another
-  ``parallel_map`` just loops, so cell-level parallelism inside an
-  experiment composes with experiment-level fan-out at the CLI without
-  daemonic-process errors or oversubscription;
-* telemetry ships home: when the parent's
-  :data:`~repro.telemetry.hub.HUB` run is active, each task is
-  bracketed with a worker-side hub run and its per-simulator telemetry
-  (registries, spans, tracers, profilers) is spliced into the parent
-  run in task order.
+  ``parallel_map`` just loops, so cell-level parallelism composes with
+  experiment-level fan-out without oversubscription;
+* under an active :data:`~repro.telemetry.hub.HUB` run each task's
+  telemetry ships home and is spliced into the parent run in task order.
 
-Failure semantics: a task that raises does **not** poison the ordered
-merge — the worker catches the exception and ships a failure record
-home, and the parent raises :class:`WorkerTaskError` carrying the
-original traceback annotated with the task's index and item (which
-names its seed), in item order. Pool teardown is guaranteed: the pool
-is terminated on any exit path (including ``KeyboardInterrupt``), pool
-workers ignore ``SIGINT`` so only the parent decides when to die, and
-an ``atexit`` hook reaps any pool still alive at interpreter exit, so
-no orphan fork workers survive the parent.
-
-Scheduling note: workers pull one task at a time (``chunksize=1``) and
-tasks are submitted longest-first when the caller passes ``costs``, so
-one long cell (E6's 30 s-dwell arm) doesn't serialize the tail.
-
-For per-task deadlines, hung/crashed-worker recovery, and bounded
-retries, see :mod:`repro.runner.supervisor`, which layers supervision
-on the same ordered-map contract.
+Execution is :func:`repro.runner.supervisor.fan_out` with no deadline
+and no retries: the first task that raises — or whose worker dies or
+stops beating — ends the map with a :class:`WorkerTaskError`; under
+``--retries`` the CLI then re-runs the whole experiment.
 """
 
 from __future__ import annotations
 
-import atexit
-import multiprocessing
-import os
-import pickle
-import signal
-import time
-import traceback
 from typing import Any, Callable, List, Optional, Sequence
 
-from repro.telemetry.hub import HUB
+from repro.runner.supervisor import (SupervisorReport, TaskFailedError,
+                                     fan_out)
+from repro.runner.worker import get_jobs, in_worker
 
-__all__ = ["ParallelRunner", "WorkerTaskError", "get_jobs", "in_worker",
-           "parallel_map", "set_jobs"]
-
-#: Process-wide default fan-out, set once by the CLI's ``--jobs``.
-_JOBS = 1
-
-#: True inside a pool worker (set by the pool initializer): nested
-#: parallel_map calls run serially instead of forking grandchildren.
-_IN_WORKER = False
-
-#: Pools currently mapping, reaped at interpreter exit if still alive.
-_ACTIVE_POOLS: set = set()
-
-
-def _reap_pools() -> None:
-    """atexit hook: terminate any pool the parent left running."""
-    for pool in list(_ACTIVE_POOLS):
-        try:
-            pool.terminate()
-            pool.join()
-        except Exception:  # pragma: no cover - interpreter teardown
-            pass
-    _ACTIVE_POOLS.clear()
-
-
-atexit.register(_reap_pools)
+__all__ = ["WorkerTaskError", "parallel_map"]
 
 
 class WorkerTaskError(RuntimeError):
-    """A task raised inside a pool worker.
+    """A task raised inside a worker, or took its worker down.
 
-    Carries the failing task's index, the item it was applied to (whose
-    repr names the derived seed for experiment tasks), the original
-    exception type name, and the worker-side traceback text.
+    Carries the task's index, its item (whose repr names the derived
+    seed), the exception type name (``"WorkerCrashed"``/``"WorkerHung"``
+    when the process itself failed) and the worker-side traceback text.
     """
 
     def __init__(self, slot: int, item: Any, exc_type: str,
@@ -93,135 +46,8 @@ class WorkerTaskError(RuntimeError):
         if len(item_repr) > 200:
             item_repr = item_repr[:197] + "..."
         super().__init__(
-            f"task {slot} ({item_repr}) raised {exc_type} in a pool "
+            f"task {slot} ({item_repr}) raised {exc_type} in a "
             f"worker; original traceback:\n{traceback_text}")
-
-
-class _WorkerFailure:
-    """Picklable failure record shipped home instead of a result."""
-
-    __slots__ = ("slot", "exc_type", "traceback_text")
-
-    def __init__(self, slot: int, exc_type: str, traceback_text: str) -> None:
-        self.slot = slot
-        self.exc_type = exc_type
-        self.traceback_text = traceback_text
-
-
-def set_jobs(jobs: int) -> None:
-    """Set the process-wide default worker count (1 = serial)."""
-    global _JOBS
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _JOBS = int(jobs)
-
-
-def get_jobs() -> int:
-    """The process-wide default worker count."""
-    return _JOBS
-
-
-def in_worker() -> bool:
-    """True when executing inside a parallel_map pool worker."""
-    return _IN_WORKER
-
-
-def mark_worker() -> None:
-    """Mark this process as a pool worker (nested maps run serially).
-
-    Called by this module's pool initializer and by the supervisor's
-    worker main; also drops any hub run inherited from a mid-run parent
-    under the fork start method, so the child does not double-collect
-    the parent's simulators.
-    """
-    global _IN_WORKER
-    _IN_WORKER = True
-    if HUB.active:
-        HUB.abort_run()
-
-
-def _init_worker() -> None:
-    """Pool initializer: mark the process and shield it from SIGINT.
-
-    Ctrl-C must interrupt only the parent — the parent then tears the
-    pool down deterministically — so workers ignore SIGINT instead of
-    dying mid-task with a stack trace race.
-    """
-    mark_worker()
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-
-
-def _invoke(packed):
-    """Worker body, plain mode: apply fn to one item."""
-    slot, fn, item = packed
-    try:
-        return fn(item)
-    except Exception as exc:
-        return _WorkerFailure(slot, type(exc).__name__,
-                              traceback.format_exc())
-
-
-def _invoke_collecting(packed):
-    """Worker body, telemetry mode: bracket the task with a hub run.
-
-    Returns ``(slot, blob, timing)``: the slot so the parent can record
-    arrivals in completion order, the pickled ``(result, payload)`` pair,
-    and a wall-clock timing dict for runner-lifecycle tracing. Pickling
-    happens *here*, timed and sized, so the pipe carries one cheap bytes
-    object and the serialize cost is measured exactly once where it is
-    paid; ``time.monotonic`` is CLOCK_MONOTONIC on Linux, comparable
-    across forked processes, so the parent can compute queue-wait and
-    ship-home latencies from these stamps.
-    """
-    slot, fn, item, profile, trace = packed
-    if HUB.active:  # inherited via fork from a mid-run parent
-        HUB.abort_run()
-    HUB.start_run(profile=profile, trace=trace)
-    started_at = time.monotonic()
-    try:
-        result = fn(item)
-    except Exception as exc:
-        exec_s = time.monotonic() - started_at
-        HUB.abort_run()
-        pair = (_WorkerFailure(slot, type(exc).__name__,
-                               traceback.format_exc()), None)
-    except BaseException:
-        HUB.abort_run()
-        raise
-    else:
-        exec_s = time.monotonic() - started_at
-        pair = (result, HUB.export_worker_run())
-    t0 = time.monotonic()
-    blob = pickle.dumps(pair, protocol=pickle.HIGHEST_PROTOCOL)
-    timing = {"pid": os.getpid(), "started_at": started_at,
-              "exec_s": exec_s,
-              "serialize_s": time.monotonic() - t0,
-              "serialize_bytes": len(blob),
-              "finished_at": time.monotonic()}
-    return slot, blob, timing
-
-
-def _pool_context():
-    """Prefer fork (cheap, Linux default); fall back to the platform default."""
-    try:
-        return multiprocessing.get_context("fork")
-    except ValueError:  # pragma: no cover - non-fork platforms
-        return multiprocessing.get_context()
-
-
-def _raise_first_failure(by_item: List[Any], items: List[Any],
-                         collecting: bool) -> None:
-    """Raise WorkerTaskError for the earliest failed task, if any."""
-    for slot, value in enumerate(by_item):
-        candidate = value[0] if collecting and isinstance(value, tuple) \
-            else value
-        if isinstance(candidate, _WorkerFailure):
-            raise WorkerTaskError(candidate.slot, items[candidate.slot],
-                                  candidate.exc_type,
-                                  candidate.traceback_text)
 
 
 def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
@@ -240,124 +66,23 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
             still come back in item order.
 
     Raises:
-        WorkerTaskError: a task raised in a worker; the error carries
-            the original traceback annotated with the task index and
-            item, and the pool is torn down before it propagates.
-
-    Telemetry: with an active HUB run, tasks are bracketed in the worker
-    and their collected telemetry is absorbed into the parent run in
-    item order, so exports and merged profiles line up with serial runs.
+        WorkerTaskError: a task raised in a worker or the worker died;
+            every worker is torn down before it propagates.
     """
     items = list(items)
-    n = jobs if jobs is not None else _JOBS
+    n = jobs if jobs is not None else get_jobs()
     if n < 1:
         raise ValueError(f"jobs must be >= 1, got {n}")
-    if n == 1 or _IN_WORKER or len(items) < 2:
+    if costs is not None and len(costs) != len(items):
+        raise ValueError("costs must align with items")
+    if n == 1 or in_worker() or len(items) < 2:
         return [fn(item) for item in items]
-
-    order = list(range(len(items)))
-    if costs is not None:
-        if len(costs) != len(items):
-            raise ValueError("costs must align with items")
-        order.sort(key=lambda i: -costs[i])
-
-    collecting = HUB.active
-    if collecting:
-        packed = [(i, fn, items[i], HUB.profiling, HUB.tracing)
-                  for i in order]
-        worker = _invoke_collecting
-    else:
-        packed = [(i, fn, items[i]) for i in order]
-        worker = _invoke
-
-    ctx = _pool_context()
-    lifecycle = HUB.lifecycle if collecting else None
-    map_started = time.monotonic()
-    pool = ctx.Pool(min(n, len(items)), initializer=_init_worker)
-    fork_s = time.monotonic() - map_started
-    _ACTIVE_POOLS.add(pool)
-    by_item: List[Any] = [None] * len(items)
-    record = None
-    tasks = {}
+    results: List[Any] = [None] * len(items)
     try:
-        with pool:
-            if not collecting:
-                raw = pool.map(worker, packed, chunksize=1)
-                # undo the submission reordering
-                for slot, value in zip(order, raw):
-                    by_item[slot] = value
-            else:
-                # completion-order arrivals so ship-home latency is
-                # measured per task; slots undo the reordering
-                if lifecycle is not None:
-                    record = lifecycle.begin_map("pool",
-                                                 min(n, len(items)))
-                    record.started_at = map_started
-                    record.fork_s = fork_s
-                for slot, blob, timing in pool.imap_unordered(
-                        worker, packed, chunksize=1):
-                    received = time.monotonic()
-                    by_item[slot] = pickle.loads(blob)
-                    if record is not None:
-                        task = lifecycle.record_task(
-                            record, slot, str(items[slot])[:80],
-                            timing["pid"],
-                            queue_wait_s=max(
-                                0.0, timing["started_at"] - map_started),
-                            exec_s=timing["exec_s"],
-                            serialize_s=timing["serialize_s"],
-                            serialize_bytes=timing["serialize_bytes"],
-                            ship_s=max(
-                                0.0, received - timing["finished_at"]))
-                        # unpickling the blob is part of result merging
-                        task.merge_s = time.monotonic() - received
-                        tasks[slot] = task
-    finally:
-        # ``with`` terminated the pool on any exit path (incl. SIGINT in
-        # the parent); make sure the workers are fully reaped before we
-        # hand control back, and drop the atexit reference.
-        pool.join()
-        _ACTIVE_POOLS.discard(pool)
-
-    _raise_first_failure(by_item, items, collecting)
-
-    if not collecting:
-        return by_item
-    results = []
-    for slot, (result, payload) in enumerate(by_item):
-        t0 = time.monotonic()
-        HUB.absorb_worker_run(payload)
-        task = tasks.get(slot)
-        if task is not None:
-            task.merge_s += time.monotonic() - t0
-        results.append(result)
-    if record is not None:
-        lifecycle.finish_map(record)
+        fan_out("pool", fn, items, [str(item)[:80] for item in items],
+                range(len(items)), costs, n, None, 0, SupervisorReport(),
+                results.__setitem__)
+    except TaskFailedError as err:
+        raise WorkerTaskError(err.failure.slot, err.item, err.failure.exc_type,
+                              err.failure.detail) from None
     return results
-
-
-class ParallelRunner:
-    """A configured fan-out: the object the CLI and harnesses drive.
-
-    Thin and deliberate: holds a job count, exposes the same ordered
-    map as :func:`parallel_map`, and reports whether it actually fans
-    out (the CLI uses that to pick experiment- vs cell-level splits).
-    """
-
-    def __init__(self, jobs: Optional[int] = None) -> None:
-        self.jobs = jobs if jobs is not None else get_jobs()
-        if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-
-    @property
-    def parallel(self) -> bool:
-        """True when this runner will actually use worker processes."""
-        return self.jobs > 1 and not _IN_WORKER
-
-    def map(self, fn: Callable[[Any], Any], items: Sequence[Any],
-            costs: Optional[Sequence[float]] = None) -> List[Any]:
-        """Ordered map at this runner's job count (see parallel_map)."""
-        return parallel_map(fn, items, jobs=self.jobs, costs=costs)
-
-    def __repr__(self) -> str:
-        return f"<ParallelRunner jobs={self.jobs}>"

@@ -1,39 +1,40 @@
-"""Fork-worker pool for sharded simulation: one process per shard.
+"""Fork-worker pool for sharded simulation: one pinned worker per shard.
 
-The :class:`~repro.simcore.sharded.ShardedSimulator` façade drives its
-shards through a small driver interface (``couplings`` / ``start_time``
-/ ``step`` / ``harvest`` / ``close``). This module is the multi-process
-implementation: each shard gets a forked worker holding the built
-:class:`~repro.simcore.sharded.ShardHost`, and every window is one
-pipe round-trip per shard — the parent broadcasts ``(step, until,
-final, records)``, the workers advance concurrently, and the parent
-gathers each shard's egress and execution wall-clock at the barrier.
+The multi-process driver behind :class:`~repro.simcore.sharded.
+ShardedSimulator` (``couplings`` / ``start_time`` / ``step`` /
+``harvest`` / ``close``), and the *worker-pinned* scheduling policy
+over the shared runtime (:mod:`repro.runner.worker`): shard ``i``'s
+tasks always go to worker ``i``, because that worker is **stateful** —
+an ``open`` task builds the :class:`~repro.simcore.sharded.ShardHost`
+inside the worker and parks it in a module global of that process,
+``step`` tasks advance it one window (per-window traffic is just the
+cross-shard records, not the world), ``harvest`` ships the result home.
 
-Differences from :func:`repro.runner.parallel.parallel_map` (which fans
-*independent* cells): shard workers are **stateful** — the simulator
-lives in the worker across all windows, so per-window traffic is just
-the cross-shard records, not the world. The pool reuses the runner's
-conventions: fork start method, :func:`~repro.runner.parallel.mark_worker`
-(nested pools degrade to serial), SIGINT shielding, and the telemetry
-hub's worker export/absorb protocol so ``--profile`` output merges
-per-shard data exactly like a serial drive.
+Tasks are labelled ``shard:<i>`` (the chaos-plan key). A shard worker
+that raises, dies or stops beating surfaces as :class:`ShardWorkerError`
+naming the shard; :meth:`ShardWorkerPool.close` reaps the siblings.
+Under an active hub run each pool records one ``"shards"`` map, one task
+per shard, into ``HUB.lifecycle``, telemetry absorbed in shard order.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import signal
-import traceback
-from typing import Any, Callable, Dict, List, Sequence, Tuple
+import time
+from types import SimpleNamespace
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.parallel import mark_worker
+from repro.runner.worker import ShipHome, Worker, pack, watch
 from repro.telemetry.hub import HUB
 
 __all__ = ["ShardWorkerError", "ShardWorkerPool"]
 
+#: This worker process's shard (host + lifecycle stamps), set by the
+#: ``open`` task; always None in the parent.
+_SHARD: Optional[SimpleNamespace] = None
+
 
 class ShardWorkerError(RuntimeError):
-    """A shard worker raised (or died); carries the worker-side traceback."""
+    """A shard worker raised, died or hung; carries the worker-side story."""
 
     def __init__(self, shard: int, exc_type: str, traceback_text: str) -> None:
         super().__init__(
@@ -44,95 +45,74 @@ class ShardWorkerError(RuntimeError):
         self.traceback_text = traceback_text
 
 
-def _shard_worker_main(conn, builder: Callable[[Any], Any], spec: Any,
-                       collect: bool, profile: bool, trace: bool) -> None:
-    """Worker loop: build the shard, then serve window steps until harvest."""
-    mark_worker()  # also aborts any hub run inherited via fork
-    try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-    except (ValueError, OSError):  # pragma: no cover - exotic platforms
-        pass
-    if collect:
+def _open_shard(args) -> Tuple[float, List[Tuple[str, int, float]]]:
+    """``open`` task: build this worker's shard and keep it."""
+    global _SHARD
+    builder, spec, ship, profile, trace = args
+    started_at = time.monotonic()
+    if ship:
         HUB.start_run(profile=profile, trace=trace)
-    try:
-        host = builder(spec)
-        conn.send(("ready", host.sim.now, list(host.boundary.couplings)))
-        import time as _time
-        while True:
-            msg = conn.recv()
-            op = msg[0]
-            if op == "step":
-                _op, until, final, records = msg
-                t0 = _time.perf_counter()
-                host.inject(records)
-                host.advance(until, final)
-                spent = _time.perf_counter() - t0
-                conn.send(("ok", host.boundary.drain(), spent))
-            elif op == "harvest":
-                result = host.harvest()
-                stats = host.stats()
-                payload = HUB.export_worker_run() if collect else None
-                conn.send(("done", result, stats, payload))
-                return
-            else:  # pragma: no cover - protocol bug
-                raise RuntimeError(f"unknown shard op {op!r}")
-    except BaseException as exc:
-        if collect and HUB.active:
-            HUB.abort_run()
-        try:
-            conn.send(("error", type(exc).__name__, traceback.format_exc()))
-        except Exception:  # pragma: no cover - parent already gone
-            pass
-    finally:
-        conn.close()
+    host = builder(spec)
+    _SHARD = SimpleNamespace(host=host, ship=ship, started_at=started_at,
+                             exec_s=time.monotonic() - started_at)
+    return host.sim.now, list(host.boundary.couplings)
+
+
+def _step_shard(args) -> Tuple[List[Any], float]:
+    """``step`` task: inject, advance one window, hand back the egress."""
+    until, final, records = args
+    host = _SHARD.host
+    t0 = time.perf_counter()
+    host.inject(records)
+    host.advance(until, final)
+    spent = time.perf_counter() - t0
+    _SHARD.exec_s += spent
+    return host.boundary.drain(), spent
+
+
+def _harvest_shard(_):
+    """``harvest`` task: ``(result, stats)``, packed under a hub run."""
+    host = _SHARD.host
+    result = (host.harvest(), host.stats())
+    if _SHARD.ship:
+        return pack(result, _SHARD.started_at, _SHARD.exec_s)
+    return result
 
 
 class ShardWorkerPool:
-    """Driver that runs each shard in its own forked process."""
+    """Driver that runs each shard in its own forked worker."""
 
     def __init__(self, builder: Callable[[Any], Any], specs: Sequence[Any]) -> None:
-        ctx = multiprocessing.get_context("fork")
-        self._collect = HUB.active
-        self._procs: List[Any] = []
-        self._conns: List[Any] = []
-        self._start_time = 0.0
-        self._couplings: List[List[Tuple[str, int, float]]] = []
-        profile, trace = HUB.profiling, HUB.tracing
+        self._home = ShipHome("shards", len(specs))
+        self._workers: List[Worker] = []
         try:
-            for spec in specs:
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_shard_worker_main,
-                    args=(child_conn, builder, spec,
-                          self._collect, profile, trace),
-                    daemon=True)
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-            starts = []
-            for shard, conn in enumerate(self._conns):
-                reply = self._recv(shard, conn, expect="ready")
-                starts.append(reply[1])
-                self._couplings.append(reply[2])
-            self._start_time = max(starts)
+            for _ in specs:
+                self._workers.append(Worker())
+            self._home.forked()
+            opened = self._round(_open_shard, [
+                (builder, spec, self._home.on, HUB.profiling, HUB.tracing)
+                for spec in specs])
         except BaseException:
             self.close()
             raise
+        self._start_time = max(now for now, _ in opened)
+        self._couplings = [couplings for _, couplings in opened]
 
-    def _recv(self, shard: int, conn, expect: str):
+    def _round(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
+        """One task per shard on its own worker; replies in shard order."""
+        replies: List[Any] = [None] * len(items)
         try:
-            reply = conn.recv()
-        except (EOFError, OSError):
-            raise ShardWorkerError(shard, "WorkerDied",
-                                   "worker exited without a reply "
-                                   "(killed or crashed hard)") from None
-        if reply[0] == "error":
-            raise ShardWorkerError(shard, reply[1], reply[2])
-        if reply[0] != expect:  # pragma: no cover - protocol bug
-            raise ShardWorkerError(shard, "Protocol",
-                                   f"expected {expect!r}, got {reply[0]!r}")
-        return reply
+            for shard, (worker, item) in enumerate(zip(self._workers, items)):
+                worker.assign(f"shard:{shard}", fn, item, slot=shard)
+        except OSError:
+            raise ShardWorkerError(shard, "WorkerCrashed",
+                                   "worker died between windows") from None
+        for worker, kind, value in watch(self._workers):
+            if kind != "done":
+                raise ShardWorkerError(worker.slot, value.exc_type,
+                                       value.detail)
+            replies[worker.slot] = value
+        return replies
 
     def couplings(self) -> List[List[Tuple[str, int, float]]]:
         return self._couplings
@@ -143,46 +123,21 @@ class ShardWorkerPool:
     def step(self, until: float, final: bool,
              injections: Sequence[Sequence[Any]],
              ) -> Tuple[List[List[Any]], List[float]]:
-        for conn, records in zip(self._conns, injections):
-            conn.send(("step", until, final, records))
-        egress: List[List[Any]] = []
-        exec_s: List[float] = []
-        for shard, conn in enumerate(self._conns):
-            reply = self._recv(shard, conn, expect="ok")
-            egress.append(reply[1])
-            exec_s.append(reply[2])
-        return egress, exec_s
+        replies = self._round(_step_shard, [(until, final, records)
+                                            for records in injections])
+        return ([egress for egress, _ in replies],
+                [spent for _, spent in replies])
 
     def harvest(self) -> Tuple[List[Any], List[Dict[str, Any]]]:
-        for conn in self._conns:
-            conn.send(("harvest",))
-        results: List[Any] = []
-        stats: List[Dict[str, Any]] = []
-        payloads: List[Any] = []
-        for shard, conn in enumerate(self._conns):
-            reply = self._recv(shard, conn, expect="done")
-            results.append(reply[1])
-            stats.append(reply[2])
-            payloads.append(reply[3])
-        if self._collect:
-            # Absorb in shard order so merged telemetry matches a
-            # serial drive's adoption order.
-            for payload in payloads:
-                if payload is not None:
-                    HUB.absorb_worker_run(payload)
-        for proc in self._procs:
-            proc.join(timeout=5.0)
-        return results, stats
+        replies = [
+            self._home.receive(shard, f"shard:{shard}", shipped)
+            for shard, shipped in enumerate(
+                self._round(_harvest_shard, [None] * len(self._workers)))]
+        self._home.merge()
+        return ([result for result, _ in replies],
+                [stats for _, stats in replies])
 
     def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except Exception:  # pragma: no cover
-                pass
-        for proc in self._procs:
-            if proc.is_alive():
-                proc.terminate()
-            proc.join(timeout=5.0)
-        self._procs = []
-        self._conns = []
+        for worker in self._workers:
+            worker.stop()
+        self._workers = []

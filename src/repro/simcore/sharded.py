@@ -304,7 +304,7 @@ class ShardedSimulator:
 
     def run(self, until: float) -> List[Any]:
         """Advance every shard to ``until`` and return per-shard harvests."""
-        from repro.runner.parallel import in_worker
+        from repro.runner.worker import in_worker
 
         n = self.n_shards
         if self._mode == "fork" and n > 1 and not in_worker():

@@ -24,7 +24,9 @@ The ``runner.`` metric family (see OBSERVABILITY.md):
   ``ship_s`` / ``merge_s`` — histograms, one sample per task;
 - ``runner.task.serialize_bytes`` — counter, total pickled result bytes;
 - ``runner.tasks`` / ``runner.maps`` — counters;
-- ``runner.map.fork_s`` — histogram, pool creation cost per map.
+- ``runner.map.fork_s{mode}`` — histogram, worker creation cost per map
+  (``pool`` = ``parallel_map``, ``supervised``, ``shards`` = one task
+  per fork-mode shard worker).
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class MapLifecycle:
     __slots__ = ("mode", "jobs", "fork_s", "wall_s", "tasks", "started_at")
 
     def __init__(self, mode: str, jobs: int) -> None:
-        self.mode = mode          # "pool" | "supervised"
+        self.mode = mode          # "pool" | "supervised" | "shards"
         self.jobs = jobs
         self.fork_s = 0.0
         self.wall_s = 0.0

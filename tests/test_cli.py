@@ -2,6 +2,7 @@
 
 import csv
 import json
+import os
 import re
 
 import pytest
@@ -189,6 +190,25 @@ def test_supervised_run_output_matches_serial(capsys):
                  "--task-timeout", "300"]) == 0
     supervised = _strip_wall_times(capsys.readouterr().out)
     assert supervised == serial
+
+
+def test_retries_cover_a_killed_shard_worker(tmp_path, monkeypatch, capsys):
+    # regression: the CLI ran the cell-parallel experiments (E6, E7, E17,
+    # E18, E19) bare, so --retries never reached them; and a dead shard
+    # worker used to hang the run instead of failing the experiment
+    args = ["E19", "--exp-arg", "n_cells=4", "--exp-arg", "horizon_s=1.0",
+            "--exp-arg", "shards=2", "--exp-arg", "mode=fork"]
+    assert main(args) == 0
+    clean = _strip_wall_times(capsys.readouterr().out)
+    monkeypatch.setenv("REPRO_CHAOS_PLAN", "shard:1:crash")
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+    assert main(args + ["--retries", "1"]) == 0
+    retried = capsys.readouterr()
+    assert _strip_wall_times(retried.out) == clean
+    assert "1 exception(s); 1 task retry(ies)" in retried.err
+    assert (tmp_path / "chaos-shard:1.done").exists()
+    assert any(name.startswith("postmortem-supervisor-crash-")
+               for name in os.listdir(tmp_path))
 
 
 def test_resume_replays_byte_identical(tmp_path, capsys):

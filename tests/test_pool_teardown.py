@@ -8,6 +8,7 @@ worker PID is gone. Worker exceptions must likewise surface the
 ``RemoteTraceback`` soup.
 """
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -30,15 +31,22 @@ DRIVER = textwrap.dedent("""
             fh.write(str(os.getpid()))
         time.sleep(120)  # far longer than the test: must be torn down
 
+    def build_shard(spec):  # a shard whose build never returns
+        task((spec["shard"], spec["pid_dir"]))
+
     if __name__ == "__main__":
         kind, pid_dir = sys.argv[1], sys.argv[2]
         items = [(i, pid_dir) for i in range(2)]
         if kind == "parallel":
             from repro.runner import parallel_map
             parallel_map(task, items, jobs=2)
-        else:
+        elif kind == "supervised":
             from repro.runner import supervised_map
             supervised_map(task, items, jobs=2)
+        else:
+            from repro.simcore.sharded import ShardedSimulator
+            specs = [{"shard": i, "pid_dir": pid_dir} for i in range(2)]
+            ShardedSimulator(build_shard, specs, mode="fork").run(until=1.0)
 """)
 
 
@@ -61,7 +69,7 @@ def _alive(pid: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("kind", ["parallel", "supervised"])
+@pytest.mark.parametrize("kind", ["parallel", "supervised", "shards"])
 def test_sigint_leaves_no_orphan_workers(tmp_path, kind):
     driver = tmp_path / "driver.py"
     driver.write_text(DRIVER)
@@ -103,3 +111,25 @@ def test_parallel_map_surfaces_original_traceback():
     assert err.exc_type == "KeyError"
     assert "_explode" in message
     assert "missing-seed" in message
+
+
+def _die_on_one(item):
+    if item == 1:
+        os.kill(os.getpid(), signal.SIGKILL)
+    time.sleep(0.2)  # siblings are mid-task when the crash is seen
+    return item
+
+
+def test_parallel_map_surfaces_a_dead_worker(tmp_path):
+    # regression: multiprocessing.Pool re-spawned the worker, lost the
+    # task, and the map never returned
+    started = time.monotonic()
+    with pytest.raises(WorkerTaskError) as excinfo:
+        parallel_map(_die_on_one, [0, 1, 2], jobs=2)
+    assert time.monotonic() - started < 10.0
+    err = excinfo.value
+    assert (err.slot, err.item, err.exc_type) == (1, 1, "WorkerCrashed")
+    assert "died" in err.traceback_text
+    assert not multiprocessing.active_children()  # every sibling reaped
+    assert any(name.startswith("postmortem-supervisor-crash-")
+               for name in os.listdir(tmp_path))

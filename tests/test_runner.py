@@ -3,14 +3,12 @@
 import pytest
 
 from repro.runner import (
-    ParallelRunner,
     derive_seed,
     get_jobs,
     in_worker,
     parallel_map,
     set_jobs,
 )
-from repro.runner import parallel as parallel_mod
 
 
 def _square(x):
@@ -80,17 +78,7 @@ def test_worker_flag_visible_inside_workers():
 
 
 def _report_worker(_):
-    return parallel_mod._IN_WORKER
-
-
-def test_runner_object():
-    runner = ParallelRunner(jobs=4)
-    assert runner.parallel
-    assert runner.map(_square, [2, 3]) == [4, 9]
-    assert not ParallelRunner(jobs=1).parallel
-    with pytest.raises(ValueError):
-        ParallelRunner(jobs=0)
-    assert "jobs=4" in repr(runner)
+    return in_worker()
 
 
 def test_derive_seed_deterministic_and_distinct():

@@ -185,3 +185,42 @@ def test_supervised_map_records_lifecycle_under_hub():
     assert record.mode == "supervised"
     assert len(record.tasks) == 3
     assert record.jobs == 2
+
+
+def _build_idle_shard(spec):
+    from repro.simcore.sharded import ShardBoundary, ShardHost
+    from repro.simcore.simulator import Simulator
+
+    sim = Simulator(3)
+    sim.at(0.5, lambda: None)
+    return ShardHost(sim, ShardBoundary(sim, spec, 2),
+                     harvest=lambda host: host.sim.events_executed)
+
+
+@pytest.mark.parametrize("mode", ["fork", "serial"])
+def test_shard_pool_records_one_task_per_shard(mode):
+    from repro.simcore.sharded import ShardedSimulator
+
+    HUB.start_run()
+    try:
+        results = ShardedSimulator(_build_idle_shard, [0, 1],
+                                   mode=mode).run(until=1.0)
+    except BaseException:
+        HUB.abort_run()
+        raise
+    run = HUB.finish_run()
+    assert results == [1, 1]
+    assert len(run.shard_stats) == 2
+    if mode == "serial":
+        assert run.lifecycle.maps == []
+        return
+    summary = run.lifecycle.summary()
+    assert [record.mode for record in run.lifecycle.maps] == ["shards"]
+    assert summary["tasks"] == 2
+    assert summary["fork_s"] > 0
+    assert summary["serialize_bytes"] > 0
+    assert [task.label for task in run.lifecycle.maps[0].tasks] \
+        == ["shard:0", "shard:1"]
+    # both shards' simulators came home, in shard order
+    assert sum(tag.startswith("s") and tag[1:].isdigit()
+               for tag, _ in run.registries) == 2

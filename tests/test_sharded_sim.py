@@ -7,11 +7,16 @@ count, expecting exact float equality.
 """
 
 import math
+import multiprocessing
+import os
+import signal
+import time
 
 import pytest
 
 from repro.epc.agents import ControlAgent, ControlChannel
 from repro.net.shardlink import CrossShardChannel
+from repro.runner.shardpool import ShardWorkerError
 from repro.simcore.sharded import (
     ShardBoundary,
     ShardHost,
@@ -159,6 +164,41 @@ def test_fork_mode_matches_serial():
     forked = _merge(ShardedSimulator(_build_pingpong, specs,
                                      mode="fork").run(until=1.0))
     assert forked == serial
+
+
+def _build_doomed(spec):
+    """Ping-pong shards; shard 1 signals itself mid-window at t=0.505."""
+    host = _build_pingpong(spec)
+    if spec["shard"] == 1:
+        host.sim.at(50.5 * L, os.kill, os.getpid(), spec["signal"])
+    return host
+
+
+@pytest.mark.parametrize("signum,kind,exc_type", [
+    (signal.SIGKILL, "crash", "WorkerCrashed"),
+    (signal.SIGSTOP, "hang", "WorkerHung"),  # SIGTERM would stay pending
+])
+def test_lost_shard_worker_surfaces_and_is_reaped(
+        tmp_path, monkeypatch, signum, kind, exc_type):
+    # regression: the shard pool read its pipe with a bare blocking recv
+    # (no beat, no EOF watch), so a wedged shard hung the run forever and
+    # close() could leave a stopped worker behind. Fork inherits the
+    # shortened beat constants.
+    from repro.runner import worker
+
+    monkeypatch.setattr(worker, "BEAT_S", 0.05)
+    monkeypatch.setattr(worker, "BEAT_LIMIT_S", 0.4)
+    specs = [{"shard": s, "n_shards": 2, "limit": 450, "signal": signum}
+             for s in range(2)]
+    started = time.monotonic()
+    with pytest.raises(ShardWorkerError) as excinfo:
+        ShardedSimulator(_build_doomed, specs, mode="fork").run(until=1.0)
+    assert time.monotonic() - started < 3.0
+    assert excinfo.value.shard == 1
+    assert excinfo.value.exc_type == exc_type
+    assert not multiprocessing.active_children()  # every shard pid gone
+    assert any(name.startswith(f"postmortem-supervisor-{kind}-")
+               for name in os.listdir(tmp_path))
 
 
 def test_zero_lookahead_refused():

@@ -72,8 +72,6 @@ def test_validations():
         supervised_map(_square, [1, 2], jobs=2, labels=["a"])
     with pytest.raises(ValueError):
         supervised_map(_square, [1, 2], jobs=2, labels=["a", "a"])
-    with pytest.raises(ValueError):
-        supervised_map(_square, [1, 2], jobs=2, heartbeat_s=0.0)
 
 
 # -- crash detection + retry --------------------------------------------------------
