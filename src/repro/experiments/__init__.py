@@ -2,8 +2,8 @@
 
 One module per experiment id (see DESIGN.md §3). Each exposes a ``run``
 function returning one or more :class:`repro.metrics.ResultTable`
-objects; the benchmarks under ``benchmarks/`` execute them and print the
-rows recorded in EXPERIMENTS.md.
+objects; ``python -m repro`` prints the rows recorded in EXPERIMENTS.md
+and ``tests/test_paper_claims.py`` asserts the shape each claim rests on.
 """
 
 from repro.experiments import (

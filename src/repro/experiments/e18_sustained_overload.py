@@ -39,7 +39,7 @@ with AQM+ECN, goodput is monotone non-decreasing in load; with
 drop-tail it declines past saturation.
 
 Chaos scenarios and the invariant layer compose exactly as in E17
-(``scenario=``/``invariants=``) — the managed links carry a byte-exact
+(``scenario=``/``invariants=``) — every link carries a byte-exact
 conservation law, so a flapping backhaul under overload is one flag
 away and still audited.
 """
@@ -139,7 +139,7 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
         net = CentralizedLTENetwork.build(town, seed=seed)
     sim = net.sim
 
-    # managed queues must be configured before any traffic crosses them
+    # installed before traffic so the whole run is judged by one discipline
     bottlenecks = _access_links(net)
     if aqm_on:
         for link in bottlenecks:
@@ -379,7 +379,7 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
     the per-bearer policer at the centralized gateway; ``scenario``
     overlays a named chaos storm at ``chaos_at_s`` after traffic
     starts; ``invariants`` arms the conservation-law checker (packet
-    *and* byte exact on the managed links) and raises on any breach.
+    *and* byte exact on every link) and raises on any breach.
     """
     if loads is None:
         loads = (0.5, 2.0, 4.0)

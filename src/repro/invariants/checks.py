@@ -8,10 +8,11 @@ against live components and sweeps them periodically on the simulated
 clock (plus once at the end via :meth:`verify`):
 
 * **packet conservation** (:meth:`watch_link`): at any instant
-  ``offered == delivered + dropped + in_flight`` and every drop is
-  attributed to a cause (``overflow + down + loss + aqm == dropped``);
-  managed links (AQM/ECN/``queue_bytes``) additionally satisfy the same
-  law in *bytes* — marking instead of dropping must not leak a byte;
+  ``offered == delivered + dropped + in_flight`` in packets and in
+  *bytes* on every link, with ``in_flight`` read off the link's queue
+  and flight (a packet popped and never counted is a leak); every drop
+  is attributed to a cause (``overflow + down + loss + aqm ==
+  dropped``); marking instead of dropping must not leak a byte;
   reading the link admits its due deferred offers, so none may remain;
 * **router hand-off** (:meth:`watch_router`): ``forwarded`` equals the
   offers its links admitted plus those still pending;
@@ -125,29 +126,24 @@ class InvariantChecker:
                 problems.append(
                     f"offer due at {link._offers[0][0]} still pending "
                     f"after a touch")
-            if link._managed:
-                # managed links (AQM / queue_bytes) carry the same
-                # conservation law in bytes — an AQM that marks instead
-                # of dropping must not disturb it, and a byte-capacity
-                # limit must actually bound the queue
-                accounted_b = (link.delivered_bytes + link.dropped_bytes
-                               + link.in_flight_bytes)
-                if accounted_b != link.offered_bytes:
-                    problems.append(
-                        f"byte leak: offered={link.offered_bytes} != "
-                        f"delivered={link.delivered_bytes} + "
-                        f"dropped={link.dropped_bytes} + "
-                        f"in_flight={link.in_flight_bytes}")
-                if link.in_flight_bytes < 0:
-                    problems.append(
-                        f"negative in_flight_bytes: {link.in_flight_bytes}")
-                if (link.queue_bytes is not None
-                        and link._egress_bytes > link.queue_bytes):
-                    problems.append(
-                        f"queue over byte capacity: {link._egress_bytes} > "
-                        f"{link.queue_bytes}")
-                if link.marked_ecn < 0 or link.dropped_aqm < 0:
-                    problems.append("negative AQM counter")
+            in_flight_b = link.in_flight_bytes
+            accounted_b = (link.delivered_bytes + link.dropped_bytes
+                           + in_flight_b)
+            if accounted_b != link.offered_bytes:
+                problems.append(
+                    f"byte leak: offered={link.offered_bytes} != "
+                    f"delivered={link.delivered_bytes} + "
+                    f"dropped={link.dropped_bytes} + "
+                    f"in_flight={in_flight_b}")
+            if in_flight_b < 0:
+                problems.append(f"negative in_flight_bytes: {in_flight_b}")
+            if (link.queue_bytes is not None
+                    and link._egress_bytes > link.queue_bytes):
+                problems.append(
+                    f"queue over byte capacity: {link._egress_bytes} > "
+                    f"{link.queue_bytes}")
+            if link.marked_ecn < 0 or link.dropped_aqm < 0:
+                problems.append("negative AQM counter")
             return problems
 
         self.register("link-conservation", link.name, check)

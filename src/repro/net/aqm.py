@@ -28,8 +28,9 @@ Verdict protocol (consumed by ``Link``):
   service; same verdicts (a ``DROP`` here removes the packet before it
   ever serializes).
 
-Everything is default-off: a link with no discipline installed runs the
-exact drop-tail fast path the seed shipped.
+A link with no discipline installed runs the same admission path with
+both hooks skipped, which is plain drop-tail; one may be installed or
+removed at any time (:meth:`repro.net.links.Link.set_aqm`).
 """
 
 from __future__ import annotations

@@ -3,15 +3,25 @@
 A link is the unit of backhaul modelling: the AP's Internet uplink, the
 S1 path to a carrier EPC, the X2 path between peers. Serialization time
 (size/rate) plus propagation delay plus queueing; a finite queue drops
-from the tail, which is where "backhaul constrained" (E9) bites.
+from the tail, which is where "backhaul constrained" (E9) bites. An AQM
+discipline (:mod:`repro.net.aqm`) may be installed on top at any time;
+without one the same admission path is plain drop-tail.
 
 Links also carry the fault state the resilience experiments (E16) need:
 an ``up`` flag (a down link drops everything offered to it and loses
 whatever was queued or in flight) and a ``loss_rate`` (per-packet random
 drops drawn from the link's own named RNG stream, so a run stays
 reproducible from the seed). Drops are accounted *by cause* —
-``dropped_overflow`` vs ``dropped_down`` vs ``dropped_loss`` — so
-congestion can be told apart from failure.
+``dropped_overflow`` vs ``dropped_down`` vs ``dropped_loss`` vs
+``dropped_aqm`` — so congestion can be told apart from failure, and
+every link keeps the conservation law in packets and in bytes::
+
+    offered       == delivered       + dropped       + in_flight
+    offered_bytes == delivered_bytes + dropped_bytes + in_flight_bytes
+
+``in_flight``/``in_flight_bytes`` are read off the queue and the flight
+themselves, so the law compares counters with real contents: a packet
+popped and never counted shows up as a leak.
 
 Datapath fast lane (see PERFORMANCE.md): the link no longer schedules
 two heap events per packet (serialization done + delivery). Because the
@@ -55,16 +65,7 @@ class Link:
             serialization); the packet in service is not counted.
         queue_bytes: optional byte-based queue capacity enforced
             alongside ``queue_packets`` (whichever bites first).
-            Setting it switches the link into *managed* mode.
         name: for hop recording and diagnostics.
-
-    Managed mode (default off): installing an AQM discipline
-    (:meth:`set_aqm`) or a ``queue_bytes`` limit routes sends through
-    :meth:`_admit_managed`, which additionally keeps a byte-granular
-    conservation ledger (``offered_bytes == delivered_bytes +
-    dropped_bytes + in_flight_bytes``), per-packet enqueue timestamps
-    for sojourn-time AQM, the ``aqm`` drop cause, and ECN
-    mark-instead-of-drop.
     """
 
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
@@ -76,14 +77,20 @@ class Link:
             raise ValueError("delay must be non-negative")
         if queue_packets < 1:
             raise ValueError("queue must hold at least one packet")
+        if queue_bytes is not None and queue_bytes < 1:
+            raise ValueError("queue_bytes must hold at least one byte")
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay_s = delay_s
         self.queue_packets = queue_packets
+        self.queue_bytes = queue_bytes
         self.name = name
         self.receiver: Optional[Callable[[Packet], None]] = None
-        #: packets waiting for the serializer (the drop-tail queue)
-        self._egress: Deque[Packet] = deque()
+        #: packets waiting for the serializer (the drop-tail queue) as
+        #: (enqueued_at, packet) — sojourn-time AQM reads the stamp —
+        #: and their total size
+        self._egress: Deque[Tuple[float, Packet]] = deque()
+        self._egress_bytes = 0
         #: serialized packets in propagation: (deliver_at, packet),
         #: deliver_at monotone because delay is a per-link constant
         self._flight: Deque[Tuple[float, Packet]] = deque()
@@ -102,31 +109,21 @@ class Link:
         self.up = True
         self.loss_rate = 0.0
         # counters; ``dropped`` is the running total across all causes.
-        # ``offered`` and ``in_flight`` close the conservation law the
-        # invariant checker audits: at any instant
-        # ``offered == delivered + dropped + in_flight``.
+        # With ``in_flight`` they close the conservation law the
+        # invariant checker audits at any instant, in packets and bytes.
         self.offered = 0
-        self.in_flight = 0
         self.delivered = 0
         self.dropped = 0
         self.dropped_overflow = 0
         self.dropped_down = 0
         self.dropped_loss = 0
-        self.bytes_sent = 0
-        # managed-mode state (AQM / queue_bytes / byte ledger); all of
-        # it stays inert — and the ledger stays zero — until
-        # _enable_managed() flips the one flag send() checks
-        self._managed = False
-        self._aqm: Optional[AqmDiscipline] = None
-        self.queue_bytes = queue_bytes
         self.dropped_aqm = 0
         self.marked_ecn = 0
+        self.bytes_sent = 0
         self.offered_bytes = 0
         self.delivered_bytes = 0
         self.dropped_bytes = 0
-        self.in_flight_bytes = 0
-        self._egress_bytes = 0
-        self._egress_times: Optional[Deque[float]] = None
+        self._aqm: Optional[AqmDiscipline] = None
         #: the link's own loss stream, fetched by the first
         #: set_loss_rate(> 0): most links never lose a packet
         self._loss_rng = None
@@ -140,38 +137,33 @@ class Link:
             cause: metrics.counter("net.link.dropped", link=name, cause=cause)
             for cause in ("overflow", "down", "loss")
         }
-        if queue_bytes is not None:
-            if queue_bytes < 1:
-                raise ValueError("queue_bytes must hold at least one byte")
-            self._enable_managed()
 
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Attach the downstream receive function."""
         self.receiver = receiver
 
-    # -- managed mode (AQM / ECN / byte accounting) ------------------------
+    # -- AQM / ECN ---------------------------------------------------------
 
     def set_aqm(self, discipline: Optional[AqmDiscipline]) -> None:
-        """Install an AQM discipline (or ``None`` to keep the current
-        mode's drop-tail behaviour); installing one enables managed mode."""
+        """Install an AQM discipline, or ``None`` for plain drop-tail.
+
+        Legal at any time: whatever was due or in service by now was
+        judged by the previous discipline, and a packet already queued
+        carries its enqueue time, so the new one sees its true sojourn.
+        """
+        now = self.sim.now
+        self._admit_due(now)
+        self._advance(now)
         self._aqm = discipline
         if discipline is not None:
             discipline.bind(self)
-            self._enable_managed()
-
-    def _enable_managed(self) -> None:
-        if self._managed:
-            return
-        if self.offered:
-            raise RuntimeError(
-                f"link {self.name!r}: AQM/queue_bytes must be configured "
-                "before any traffic (the byte ledger starts at zero)")
-        self._managed = True
-        self._egress_times = deque()
-        metrics = self.sim.metrics
-        self._m_drops["aqm"] = metrics.counter(
-            "net.link.dropped", link=self.name, cause="aqm")
-        self._m_marks = metrics.counter("net.link.ecn_marked", link=self.name)
+            # created here, not in __init__: exports of a link that never
+            # had a discipline carry no aqm / ecn_marked rows
+            metrics = self.sim.metrics
+            self._m_drops["aqm"] = metrics.counter(
+                "net.link.dropped", link=self.name, cause="aqm")
+            self._m_marks = metrics.counter("net.link.ecn_marked",
+                                            link=self.name)
 
     def _mark(self, packet: Packet) -> bool:
         """CE-mark an ECT packet; False means the caller must drop."""
@@ -182,6 +174,16 @@ class Link:
         self.sim.ecn_marks += 1
         self._m_marks.inc()
         return True
+
+    @property
+    def in_flight(self) -> int:
+        """Packets accepted and neither delivered nor dropped yet."""
+        return len(self._egress) + len(self._flight)
+
+    @property
+    def in_flight_bytes(self) -> int:
+        return self._egress_bytes + sum(packet.size_bytes
+                                        for _at, packet in self._flight)
 
     @property
     def queue_depth(self) -> int:
@@ -209,15 +211,11 @@ class Link:
             self._advance(self.sim.now)
             if self._egress:
                 lost = len(self._egress)
-                if self._managed:
-                    self.dropped_bytes += self._egress_bytes
-                    self.in_flight_bytes -= self._egress_bytes
-                    self._egress_bytes = 0
-                    self._egress_times.clear()
                 self._egress.clear()
+                self.dropped_bytes += self._egress_bytes
+                self._egress_bytes = 0
                 self.dropped += lost
                 self.dropped_down += lost
-                self.in_flight -= lost
                 self._m_drops["down"].inc(lost)
                 self._m_queue.set(0)
 
@@ -232,8 +230,9 @@ class Link:
             self._loss_rng = self.sim.rng(f"link-loss:{self.name}")
         self.loss_rate = loss_rate
 
-    def _drop(self, cause: str, at: float) -> bool:
+    def _drop(self, cause: str, at: float, size: int) -> bool:
         self.dropped += 1
+        self.dropped_bytes += size
         if cause == "overflow":
             self.dropped_overflow += 1
         elif cause == "down":
@@ -249,15 +248,13 @@ class Link:
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False (and counts a drop by cause)
         when the link is down, the loss draw fails, the queue is full,
-        or — in managed mode — the AQM discipline says drop. Tie rule:
-        an offer (:meth:`send_at`) due at this instant is admitted first."""
+        or an installed AQM discipline says drop. Tie rule: an offer
+        (:meth:`send_at`) due at this instant is admitted first."""
         if self.receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
         now = self.sim.now
         if self._offers:
             self._admit_due(now)
-        if self._managed:
-            return self._admit_managed(now, packet)
         return self._admit(now, packet)
 
     def send_at(self, at: float, packet: Packet) -> None:
@@ -291,70 +288,38 @@ class Link:
         """Admit every due offer, in order, each as of its own time; runs
         before anything else reads or changes the link."""
         offers = self._offers
-        admit = self._admit_managed if self._managed else self._admit
         while offers and offers[0][0] <= now:
             at, packet = offers.popleft()
             self.offers_admitted += 1
-            admit(at, packet)
+            self._admit(at, packet)
 
     def _admit(self, now: float, packet: Packet) -> bool:
-        """Unmanaged admission of ``packet`` as of time ``now``."""
-        self.offered += 1
-        if not self.up:
-            return self._drop("down", now)
-        if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
-            return self._drop("loss", now)
-        if self._egress and self._service_done <= now:
-            self._advance(now)
-        if self._service_done > now:  # serializer busy: join the queue
-            egress = self._egress
-            if len(egress) >= self.queue_packets:
-                return self._drop("overflow", now)
-            egress.append(packet)
-            self.in_flight += 1
-            qlen = len(egress)
-            self._m_queue.set(qlen)
-            sim = self.sim
-            if qlen > sim.link_peak_queue:
-                sim.link_peak_queue = qlen
-            return True
-        self.in_flight += 1
-        self._start_service(now, packet)
-        return True
-
-    def _admit_managed(self, now: float, packet: Packet) -> bool:
-        """Managed admission: byte ledger, byte capacity, AQM, ECN."""
+        """Admit ``packet`` as of time ``now``: fault state, packet and
+        byte capacity, then the AQM discipline (if any) and ECN."""
         size = packet.size_bytes
         self.offered += 1
         self.offered_bytes += size
         if not self.up:
-            self.dropped_bytes += size
-            return self._drop("down", now)
+            return self._drop("down", now, size)
         if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
-            self.dropped_bytes += size
-            return self._drop("loss", now)
+            return self._drop("loss", now, size)
         if self._egress and self._service_done <= now:
-            self._advance_managed(now)
+            self._advance(now)
         aqm = self._aqm
         if self._service_done > now:  # serializer busy: join the queue
             egress = self._egress
             if len(egress) >= self.queue_packets or (
                     self.queue_bytes is not None
                     and self._egress_bytes + size > self.queue_bytes):
-                self.dropped_bytes += size
-                return self._drop("overflow", now)
+                return self._drop("overflow", now, size)
             if aqm is not None:
                 verdict = aqm.on_enqueue(len(egress), self._egress_bytes,
                                          packet, now)
                 if verdict != PASS and (verdict == DROP
                                         or not self._mark(packet)):
-                    self.dropped_bytes += size
-                    return self._drop("aqm", now)
-            egress.append(packet)
-            self._egress_times.append(now)
+                    return self._drop("aqm", now, size)
+            egress.append((now, packet))
             self._egress_bytes += size
-            self.in_flight += 1
-            self.in_flight_bytes += size
             qlen = len(egress)
             self._m_queue.set(qlen)
             sim = self.sim
@@ -369,10 +334,7 @@ class Link:
             if verdict == PASS:
                 verdict = aqm.on_dequeue(0.0, now)
             if verdict != PASS and (verdict == DROP or not self._mark(packet)):
-                self.dropped_bytes += size
-                return self._drop("aqm", now)
-        self.in_flight += 1
-        self.in_flight_bytes += size
+                return self._drop("aqm", now, size)
         self._start_service(now, packet)
         return True
 
@@ -397,18 +359,7 @@ class Link:
             self.sim.post_at(due, self._drain)
 
     def _advance(self, now: float) -> None:
-        """Promote queued packets whose service has started by ``now``."""
-        if self._managed:
-            self._advance_managed(now)
-            return
-        egress = self._egress
-        while egress and self._service_done <= now:
-            packet = egress.popleft()
-            self._start_service(self._service_done, packet)
-            self._m_queue.set(len(egress))
-
-    def _advance_managed(self, now: float) -> None:
-        """Managed promotion: sojourn-time AQM at dequeue, byte ledger.
+        """Promote queued packets whose service has started by ``now``.
 
         The sojourn a dequeue-side discipline (CoDel) sees is measured
         against the packet's deterministic *service-start* time — the
@@ -417,11 +368,9 @@ class Link:
         matter when the link is next touched.
         """
         egress = self._egress
-        times = self._egress_times
         aqm = self._aqm
         while egress and self._service_done <= now:
-            packet = egress.popleft()
-            enq_at = times.popleft()
+            enq_at, packet = egress.popleft()
             size = packet.size_bytes
             self._egress_bytes -= size
             if aqm is not None:
@@ -429,10 +378,7 @@ class Link:
                 verdict = aqm.on_dequeue(start - enq_at, start)
                 if verdict != PASS and (verdict == DROP
                                         or not self._mark(packet)):
-                    self.in_flight -= 1
-                    self.in_flight_bytes -= size
-                    self.dropped_bytes += size
-                    self._drop("aqm", now)
+                    self._drop("aqm", now, size)
                     self._m_queue.set(len(egress))
                     continue
             self._start_service(self._service_done, packet)
@@ -448,22 +394,13 @@ class Link:
             self._admit_due(now)
         flight = self._flight
         receiver = self.receiver
-        managed = self._managed
         while flight and flight[0][0] <= now:
             _at, packet = flight.popleft()
-            self.in_flight -= 1
             if not self.up:
-                if managed:
-                    size = packet.size_bytes
-                    self.in_flight_bytes -= size
-                    self.dropped_bytes += size
-                self._drop("down", now)  # cut mid-flight
+                self._drop("down", now, packet.size_bytes)  # cut mid-flight
                 continue
-            if managed:
-                size = packet.size_bytes
-                self.in_flight_bytes -= size
-                self.delivered_bytes += size
             self.delivered += 1
+            self.delivered_bytes += packet.size_bytes
             self._m_delivered.inc()
             receiver(packet)
         if self._egress:

@@ -179,18 +179,19 @@ class CrossShardLink(Link):
     callback, a serialized packet is handed to the shard boundary with
     its arrival deadline ``service_done + delay_s``, and a
     :class:`CrossShardLinkExit` registered in the destination shard
-    delivers it. ``delivered``/``crossed`` count at the hand-off (the
-    packet has left this shard's books); the exit's ``received`` counts
-    arrivals, and the pair closes the cross-boundary conservation law
-    the E19 invariant audit checks::
+    delivers it. ``delivered``/``delivered_bytes``/``crossed`` count at
+    the hand-off (the packet has left this shard's books and the flight
+    stays empty, so the link's own packet and byte ledgers close there);
+    the exit's ``received`` counts arrivals, and the pair closes the
+    cross-boundary conservation law the E19 invariant audit checks::
 
         crossed == exit.received + records still pending at the horizon
 
     Divergence from ``Link``, by design: taking the link down mid-window
     does not destroy packets that already crossed the boundary (they are
     beyond this shard's reach), whereas a monolithic link drops its
-    whole flight. AQM/managed mode is unsupported — the byte ledger
-    cannot straddle the boundary — and :meth:`set_aqm` raises.
+    whole flight. :meth:`set_aqm` raises: no caller wants a discipline
+    on a cross-shard link, so none has been tested on one.
     """
 
     def __init__(self, sim: Simulator, boundary: ShardBoundary,
@@ -211,8 +212,8 @@ class CrossShardLink(Link):
 
     def set_aqm(self, discipline) -> None:
         raise NotImplementedError(
-            "AQM/managed mode is not supported on cross-shard links: the "
-            "byte ledger cannot straddle a shard boundary")
+            "AQM is not supported on cross-shard links: no experiment "
+            "puts a discipline on one, so none has been tested there")
 
     def connect(self, receiver) -> None:
         raise NotImplementedError(
@@ -235,8 +236,8 @@ class CrossShardLink(Link):
         self._m_bytes.inc(size)
         # The packet leaves this shard's books at the end of
         # serialization: delivered-at-the-boundary, not at the receiver.
-        self.in_flight -= 1
         self.delivered += 1
+        self.delivered_bytes += size
         self.crossed += 1
         self._m_delivered.inc()
         self.boundary.buffer(self.exit_key, self.dst_shard,

@@ -34,10 +34,8 @@ from typing import Any, Dict, List, Optional, Sequence
 __all__ = ["FLIGHT_CAPACITY", "SPAN_TAIL", "track", "tracked_sims",
            "set_dump_dir", "dump_dir", "snapshot_sim", "write_postmortem"]
 
-#: Ring slots per simulator (the "last N events" of a dump). Override
-#: with REPRO_FLIGHT_CAPACITY (clamped to >= 8) before simulators are
-#: built; existing rings keep their size.
-FLIGHT_CAPACITY = max(8, int(os.environ.get("REPRO_FLIGHT_CAPACITY", 256)))
+#: Ring slots per simulator (the "last N events" of a dump).
+FLIGHT_CAPACITY = 256
 
 #: Finished spans included per simulator in a dump (most recent first
 #: in time order — the tail of the tracker's bounded deque).

@@ -1,10 +1,10 @@
-"""AQM disciplines (RED / CoDel), ECN marking, and managed-mode links.
+"""AQM disciplines (RED / CoDel), ECN marking, and the link byte ledger.
 
 Covers the PR-9 data-plane machinery: verdict state machines in
 isolation, the ``make_aqm`` factory, AQM/ECN/``queue_bytes`` integration
-on :class:`Link` (drop causes, byte conservation, gauge exactness), and
-the default-off guarantee that an unmanaged link never touches the
-managed ledger.
+on :class:`Link` (drop causes, byte conservation, gauge exactness), a
+discipline installed mid-traffic, and the byte ledger of a link that
+never had one.
 """
 
 import pytest
@@ -214,7 +214,6 @@ def test_link_queue_bytes_capacity(sim):
     # byte cap of 1000 B admits exactly two queued 500 B packets
     link = Link(sim, rate_bps=8000.0, delay_s=0.0, queue_packets=100,
                 queue_bytes=1000, name="byte-cap")
-    assert link._managed
     got, sent = _congest(sim, link, n=5)
     assert sent == [True, True, True, False, False]
     assert link.dropped_overflow == 2
@@ -263,7 +262,26 @@ def test_invariant_checker_audits_managed_links(sim):
     assert any("byte leak" in v.detail for v in violations)
 
 
-def test_queue_depth_gauge_is_exact_in_both_modes(sim):
+def test_packet_popped_and_never_counted_is_a_leak(sim):
+    # in_flight is read off the queue and the flight, not bumped in
+    # lock-step with the counters, so losing a packet behind their back
+    # breaks the law in packets and in bytes
+    link = Link(sim, rate_bps=8000.0, delay_s=1.0, name="popped")
+    checker = InvariantChecker(sim)
+    checker.watch_link(link)
+    link.connect(lambda p: None)
+    for _ in range(3):
+        link.send(_packet())
+    sim.run(until=0.6)                  # one in propagation, one in service
+    assert (link.in_flight, link.in_flight_bytes) == (3, 1500)
+    assert checker.check_now() == []
+    link._flight.popleft()
+    details = [v.detail for v in checker.check_now()]
+    assert any("packet leak" in d for d in details)
+    assert any("byte leak" in d for d in details)
+
+
+def test_queue_depth_gauge_is_exact_with_and_without_byte_cap(sim):
     for kwargs in ({}, {"queue_bytes": 100_000}):
         link = Link(sim, rate_bps=8000.0, delay_s=0.0, queue_packets=50,
                     name=f"gauge-{len(kwargs)}", **kwargs)
@@ -288,29 +306,57 @@ def test_peak_queue_telemetry_tracks_high_water(sim):
     assert sim.link_peak_queue == 6     # 7 sends, one straight to service
 
 
-def test_unmanaged_link_never_touches_the_managed_ledger(sim):
-    # default-off guarantee: no AQM, no queue_bytes -> the seed's exact
-    # drop-tail path, with the byte ledger provably untouched
+def test_plain_link_closes_the_byte_ledger(sim):
+    # no AQM, no queue_bytes: plain drop-tail, on the same ledger
     link = Link(sim, rate_bps=8000.0, delay_s=0.0, queue_packets=2,
                 name="plain")
     got, sent = _congest(sim, link, n=5)
-    assert not link._managed
     assert sent == [True, True, True, False, False]
-    assert link.dropped_overflow == 2 and link.dropped_aqm == 0
-    assert (link.offered_bytes == link.delivered_bytes == link.dropped_bytes
-            == link.in_flight_bytes == 0)
-    assert link._egress_times is None
+    assert len(got) == 3 == link.delivered
+    assert link.dropped_overflow == 2 == link.dropped
+    assert link.dropped_aqm == 0
+    assert (link.offered_bytes, link.delivered_bytes, link.dropped_bytes,
+            link.in_flight_bytes) == (2500, 1500, 1000, 0)
 
 
-def test_enable_managed_after_traffic_is_rejected(sim):
-    link = Link(sim, rate_bps=8000.0, delay_s=0.0, name="too-late")
-    link.connect(lambda p: None)
-    link.send(_packet())
-    with pytest.raises(RuntimeError):
-        link.set_aqm(make_aqm("codel"))
+def test_aqm_installed_mid_traffic(sim):
+    # a discipline may arrive on a link with a standing queue: packets
+    # queued before the install carry their own enqueue stamps
+    seen = []
+
+    class Recording(CoDelDiscipline):
+        def on_dequeue(self, sojourn_s, now):
+            seen.append((sojourn_s, now))
+            return super().on_dequeue(sojourn_s, now)
+
+    link = Link(sim, rate_bps=8000.0, delay_s=0.0, queue_packets=50,
+                name="late-codel")
+    got = []
+    link.connect(got.append)
+    for _ in range(6):
+        link.send(_packet())            # one in service, five queued at t=0
+    sim.run(until=0.2)
+    link.set_aqm(Recording(target_s=0.005, interval_s=0.1))
+    sim.run(until=60.0)
+    # first promotion is at t=0.5 (500 B at 1000 B/s) of a packet queued
+    # at t=0 — not 0.3 s, which is what a stamp taken at install would say
+    assert seen[0] == (0.5, 0.5)
+    assert link.dropped_aqm > 0
+    assert len(got) == 6 - link.dropped_aqm
+    assert link.in_flight == 0
+    assert link.offered_bytes == 3000 == (link.delivered_bytes
+                                          + link.dropped_bytes)
 
 
 def test_set_aqm_none_is_a_no_op(sim):
-    link = Link(sim, rate_bps=8000.0, delay_s=0.0, name="still-plain")
+    link = Link(sim, rate_bps=8000.0, delay_s=0.0, queue_packets=2,
+                name="still-plain")
     link.set_aqm(make_aqm("drop-tail"))
-    assert not link._managed
+    got, sent = _congest(sim, link, n=5)
+    assert sent == [True, True, True, False, False]
+    assert link.dropped_overflow == 2 and link.dropped_aqm == 0
+    # no discipline was ever installed: the export has no aqm / ecn rows
+    names = {i.full_name for i in sim.metrics.query("net.link")}
+    assert "net.link.dropped{cause=overflow,link=still-plain}" in names
+    assert "net.link.dropped{cause=aqm,link=still-plain}" not in names
+    assert "net.link.ecn_marked{link=still-plain}" not in names

@@ -130,3 +130,36 @@ def test_second_roamer_reuses_transferred_context(roaming_setup):
     other = next(ap for ap in net.aps.values() if ap is not source1)
     if other is target0 and source1 is source0:
         assert ue1.profile.imsi not in target0.stub._key_cache
+
+
+@pytest.mark.parametrize("arm", ["dlte-tcp", "dlte-quic-mbb"])
+def test_e6_links_close_their_ledgers(monkeypatch, arm):
+    """E6 under the link conservation laws, packets and bytes.
+
+    The corridor attaches and pops links on every handover, so each
+    ``Link`` is put under the checker as it is constructed.
+    """
+    from repro.experiments import e6_mobility
+    from repro.invariants.checks import InvariantChecker
+    from repro.net.links import Link
+
+    links, checkers = [], {}
+    init = Link.__init__
+
+    def watched_init(self, sim, *args, **kwargs):
+        init(self, sim, *args, **kwargs)
+        if sim not in checkers:
+            checkers[sim] = InvariantChecker(sim)
+            checkers[sim].arm()
+        checkers[sim].watch_link(self)
+        links.append(self)
+
+    monkeypatch.setattr(Link, "__init__", watched_init)
+    stats = e6_mobility._run_arm(arm, 1.0)
+    monkeypatch.undo()
+
+    (checker,) = checkers.values()
+    checker.verify()
+    assert checker.checks_run > len(links)      # swept mid-run, not only now
+    assert sum(link.offered_bytes for link in links) > 0
+    assert stats == e6_mobility._run_arm(arm, 1.0)  # the audit is passive
