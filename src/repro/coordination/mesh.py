@@ -10,22 +10,20 @@ inter-AP radio links (capacity set by the link budget between sites)
 form the mesh edges. When an AP's own backhaul dies, its traffic rides
 the mesh to the nearest AP that still has one. E11 measures surviving
 capacity and per-AP reachability under failure injection.
-
-Built on networkx for path computation.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, Iterator, List, Optional, Tuple
 
 
 class BackhaulMesh:
     """An AP mesh with per-node backhaul and per-edge radio capacity."""
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
+        # ap -> {neighbour: radio_bps}; both dict levels keep insertion
+        # order, which is the order paths are enumerated in.
+        self._adj: Dict[str, Dict[str, float]] = {}
         self._backhaul_bps: Dict[str, float] = {}
         self._failed: set = set()
 
@@ -35,22 +33,23 @@ class BackhaulMesh:
         """Add an AP; ``backhaul_bps=0`` means no uplink of its own."""
         if backhaul_bps < 0:
             raise ValueError("backhaul capacity must be non-negative")
-        self.graph.add_node(ap_id)
+        self._adj.setdefault(ap_id, {})
         self._backhaul_bps[ap_id] = backhaul_bps
 
     def connect(self, a: str, b: str, radio_bps: float) -> None:
         """Add a mesh radio link between two APs."""
         if radio_bps <= 0:
             raise ValueError("radio link capacity must be positive")
-        if a not in self.graph or b not in self.graph:
+        if a not in self._adj or b not in self._adj:
             raise KeyError("both APs must be added before connecting")
-        self.graph.add_edge(a, b, capacity_bps=radio_bps)
+        self._adj[a][b] = radio_bps
+        self._adj[b][a] = radio_bps
 
     # -- failure injection --------------------------------------------------------------
 
     def fail_backhaul(self, ap_id: str) -> None:
         """Kill one AP's uplink (mesh links survive)."""
-        if ap_id not in self.graph:
+        if ap_id not in self._adj:
             raise KeyError(f"unknown AP {ap_id}")
         self._failed.add(ap_id)
 
@@ -68,7 +67,7 @@ class BackhaulMesh:
 
     def gateways(self) -> List[str]:
         """APs currently holding a working uplink."""
-        return [ap for ap in self.graph.nodes if self.backhaul_bps(ap) > 0]
+        return [ap for ap in self._adj if self.backhaul_bps(ap) > 0]
 
     def route_to_internet(self, ap_id: str) -> Optional[Tuple[List[str], float]]:
         """Best path from ``ap_id`` to any working gateway.
@@ -78,16 +77,15 @@ class BackhaulMesh:
         path maximizing the bottleneck (widest path), ties broken by hop
         count.
         """
-        if ap_id not in self.graph:
+        if ap_id not in self._adj:
             raise KeyError(f"unknown AP {ap_id}")
         if self.backhaul_bps(ap_id) > 0:
             return ([ap_id], self.backhaul_bps(ap_id))
         best: Optional[Tuple[List[str], float]] = None
         for gateway in self.gateways():
-            for path in _bounded_simple_paths(self.graph, ap_id, gateway):
+            for path in _bounded_simple_paths(self._adj, ap_id, gateway):
                 bottleneck = min(
-                    min(self.graph.edges[u, v]["capacity_bps"]
-                        for u, v in zip(path, path[1:])),
+                    min(self._adj[u][v] for u, v in zip(path, path[1:])),
                     self.backhaul_bps(gateway))
                 if (best is None or bottleneck > best[1]
                         or (bottleneck == best[1] and len(path) < len(best[0]))):
@@ -96,18 +94,35 @@ class BackhaulMesh:
 
     def reachable_fraction(self) -> float:
         """Fraction of APs that can still reach the Internet."""
-        nodes = list(self.graph.nodes)
-        if not nodes:
+        if not self._adj:
             return 0.0
-        ok = sum(1 for ap in nodes if self.route_to_internet(ap) is not None)
-        return ok / len(nodes)
+        ok = sum(1 for ap in self._adj
+                 if self.route_to_internet(ap) is not None)
+        return ok / len(self._adj)
 
     def total_capacity_bps(self) -> float:
         """Aggregate working uplink capacity across the mesh."""
-        return sum(self.backhaul_bps(ap) for ap in self.graph.nodes)
+        return sum(self.backhaul_bps(ap) for ap in self._adj)
 
 
-def _bounded_simple_paths(graph: nx.Graph, src: str, dst: str,
-                          cutoff: int = 6):
-    """Simple paths up to ``cutoff`` hops (meshes are small; keep it cheap)."""
-    return nx.all_simple_paths(graph, src, dst, cutoff=cutoff)
+def _bounded_simple_paths(adj: Dict[str, Dict[str, float]], src: str,
+                          dst: str, cutoff: int = 6) -> Iterator[List[str]]:
+    """Simple paths up to ``cutoff`` hops (meshes are small; keep it cheap).
+
+    Depth-first, extending by neighbours in insertion order and never
+    through ``dst``; ``route_to_internet`` breaks ties by this order.
+    """
+    path: List[str] = []
+    stack = [iter((src,))]
+    while True:
+        node = next((n for n in stack[-1] if n not in path), None)
+        if node is None:
+            stack.pop()
+            if not stack:
+                return
+            path.pop()
+        elif node == dst:
+            yield path + [node]
+        elif len(path) < cutoff:  # len(path) == hops from src to node
+            path.append(node)
+            stack.append(iter(adj[node]))

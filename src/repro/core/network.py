@@ -280,7 +280,11 @@ class DLTENetwork(_BaseNetwork):
 
     # -- phases -----------------------------------------------------------------------
 
-    def _control_phase(self, report: NetworkReport) -> None:
+    def license_and_peer(self) -> None:
+        """§4.3 bring-up: every AP licenses its spectrum, then all peer.
+
+        Peering starts once the last grant is in; runs the clock 2 s.
+        """
         granted = {"n": 0}
 
         def on_granted(_ok: bool) -> None:
@@ -292,6 +296,9 @@ class DLTENetwork(_BaseNetwork):
         for ap in self.aps.values():
             ap.register_spectrum(on_granted)
         self.sim.run(until=self.sim.now + 2.0)
+
+    def _control_phase(self, report: NetworkReport) -> None:
+        self.license_and_peer()
 
         # stagger attaches slightly to avoid a synthetic thundering herd
         for k, ue in enumerate(self.ues.values()):

@@ -100,17 +100,7 @@ class _ResilienceArm:
 
 def _settle_dlte(net: DLTENetwork, heartbeat_s: float) -> None:
     """License + peer + attach + start monitors (E16's control phase)."""
-    granted = {"n": 0}
-
-    def on_granted(_ok: bool) -> None:
-        granted["n"] += 1
-        if granted["n"] == len(net.aps):
-            for ap in net.aps.values():
-                ap.discover_and_peer(net.aps)
-
-    for ap in net.aps.values():
-        ap.register_spectrum(on_granted)
-    net.sim.run(until=net.sim.now + 2.0)
+    net.license_and_peer()
     for k, ue in enumerate(net.ues.values()):
         net.sim.schedule(0.010 * k, ue.start_attach)
     net.sim.run(until=net.sim.now + 3.0 + 0.010 * len(net.ues))

@@ -99,17 +99,7 @@ _MODES = (("drop-tail", False), ("AQM+ECN", True))
 
 def _settle_dlte(net: DLTENetwork) -> None:
     """License + peer + monitors — the pre-traffic control phase."""
-    granted = {"n": 0}
-
-    def on_granted(_ok: bool) -> None:
-        granted["n"] += 1
-        if granted["n"] == len(net.aps):
-            for ap in net.aps.values():
-                ap.discover_and_peer(net.aps)
-
-    for ap in net.aps.values():
-        ap.register_spectrum(on_granted)
-    net.sim.run(until=net.sim.now + 2.0)
+    net.license_and_peer()
     for ap in net.aps.values():
         ap.start_peer_monitor(heartbeat_s=1.0)
 

@@ -230,26 +230,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next scheduled call. Returns False if queue empty."""
-        heap = self._heap
-        while heap:
-            time, _seq, handle, fn, args = heapq.heappop(heap)
-            if handle is not None and handle.cancelled:
-                self._cancelled -= 1
-                continue
-            self.now = time
-            self.events_executed += 1
-            slot = self._fr_ring[self._fr_idx]
-            slot[0] = time
-            slot[1] = fn
-            self._fr_idx += 1
-            if self._fr_idx == len(self._fr_ring):
-                self._fr_idx = 0
-            if self._profiler is None:
-                fn(*args)
-            else:
-                self._profiler.run_callback(fn, args)
-            return True
-        return False
+        before = self.events_executed
+        self.run(max_events=1)
+        return self.events_executed > before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or event budget spent.
@@ -258,10 +241,11 @@ class Simulator:
         ``until``, the clock is advanced to exactly ``until`` and events
         scheduled at later times remain queued.
 
-        The loop body is :meth:`step` inlined with the heap and heappop
-        bound locally — this dispatch path dominates every packet-level
-        experiment (E6/E7 spend >90% of wall time here), where the
-        per-event method call and attribute lookups were measurable.
+        This is the only dispatch body (:meth:`step` is one pass of it),
+        with the heap and heappop bound locally — it dominates every
+        packet-level experiment (E6/E7 spend >90% of wall time here),
+        where the per-event method call and attribute lookups were
+        measurable.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")

@@ -129,19 +129,6 @@ class RunProfiler:
         return [{"site": s.site, "calls": s.calls, "wall_s": s.wall_s}
                 for s in self.top_sites(len(self.sites))]
 
-    def top_rows(self, n: int = 12) -> List[Dict[str, object]]:
-        """Top-N site rows with wall fraction — the bench capture shape.
-
-        ``benchmarks/bench_runner.py`` stores these per cell in
-        ``BENCH_*.json`` so ``compare.py`` can attribute a normalized
-        delta to the callback sites that moved.
-        """
-        total = self.wall_s
-        return [{"site": s.site, "calls": s.calls,
-                 "wall_ms": round(s.wall_s * 1e3, 3),
-                 "frac": round(s.wall_s / total, 4) if total else 0.0}
-                for s in self.top_sites(n)]
-
     def __repr__(self) -> str:
         return (f"<RunProfiler events={self.events} "
                 f"sites={len(self.sites)} wall={self.wall_s:.3f}s>")

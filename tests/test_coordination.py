@@ -1,6 +1,8 @@
 """Unit tests for X2, fair sharing, cooperative mode, ICIC, and the mesh."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.coordination import (
     BackhaulMesh,
@@ -13,6 +15,7 @@ from repro.coordination import (
 )
 from repro.coordination.fair_sharing import compute_weighted_partition
 from repro.coordination.icic import co_channel_cells
+from repro.coordination.mesh import _bounded_simple_paths
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo import Point
 from repro.phy import LinkBudget, OkumuraHata, Radio, get_band
@@ -363,3 +366,73 @@ def test_mesh_validates():
         mesh.connect("x", "y", 0)
     with pytest.raises(KeyError):
         mesh.fail_backhaul("ghost")
+
+
+def test_mesh_equal_paths_tie_breaks_on_connect_order():
+    """Same bottleneck, same hop count: the first path enumerated wins,
+    and enumeration follows the order links were connected in — not the
+    order APs were added in."""
+    mesh = BackhaulMesh()
+    for ap_id, backhaul_bps in (("s", 0), ("x", 0), ("y", 0), ("g", 5e6)):
+        mesh.add_ap(ap_id, backhaul_bps=backhaul_bps)
+    for a, b in (("s", "y"), ("s", "x"), ("x", "g"), ("y", "g")):
+        mesh.connect(a, b, radio_bps=20e6)
+    assert mesh.route_to_internet("s") == (["s", "y", "g"], 5e6)
+
+
+@st.composite
+def _mesh_cases(draw):
+    """(aps, links, src, dst, cutoff) with repeated links and self-loops."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    aps = draw(st.permutations([f"ap{i}" for i in range(n)]))
+    ap = st.sampled_from(aps)
+    links = draw(st.lists(st.tuples(ap, ap), min_size=2 * n, max_size=3 * n))
+    return aps, links, draw(ap), draw(ap), draw(st.sampled_from([0, 1, 2, 3, 6]))
+
+
+def _paths_by_definition(adj, path, dst, cutoff):
+    """Extend by neighbours in insertion order, skip visited, stop at
+    ``cutoff`` hops or on reaching ``dst``."""
+    if path[-1] == dst:
+        yield path
+    elif len(path) <= cutoff:
+        for neighbour in adj[path[-1]]:
+            if neighbour not in path:
+                yield from _paths_by_definition(adj, path + [neighbour],
+                                                dst, cutoff)
+
+
+def _adjacency(aps, links):
+    mesh = BackhaulMesh()
+    for ap_id in aps:
+        mesh.add_ap(ap_id)
+    for a, b in links:
+        mesh.connect(a, b, radio_bps=1e6)
+    return mesh._adj
+
+
+@given(_mesh_cases())
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_mesh_path_enumeration_matches_definition(case):
+    aps, links, src, dst, cutoff = case
+    adj = _adjacency(aps, links)
+    assert (list(_bounded_simple_paths(adj, src, dst, cutoff))
+            == list(_paths_by_definition(adj, [src], dst, cutoff)))
+
+
+def test_mesh_path_enumeration_matches_networkx():
+    """The order E11's table was recorded under; runs where networkx exists."""
+    nx = pytest.importorskip("networkx")
+
+    @given(_mesh_cases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def check(case):
+        aps, links, src, dst, cutoff = case
+        graph = nx.Graph()
+        graph.add_nodes_from(aps)
+        graph.add_edges_from(links)
+        adj = _adjacency(aps, links)
+        assert (list(_bounded_simple_paths(adj, src, dst, cutoff))
+                == list(nx.all_simple_paths(graph, src, dst, cutoff=cutoff)))
+
+    check()
