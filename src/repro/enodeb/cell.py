@@ -150,7 +150,7 @@ class Cell:
         arena = self._arena
         bank = arena.refresh_downlink()
         if arena.ids:
-            self._m_sinr.observe_many(bank.sinr_arr)
+            self._m_sinr.observe_many(bank.sinr)
         grants = self.scheduler.allocate_columns(
             arena.columns(bank, self.scheduler), self.allowed_prbs)
         return self._deliver(bank, grants)
@@ -165,9 +165,11 @@ class Cell:
         """
         delivered: Dict[str, float] = {}
         slot_of = self._arena.slot_of
-        cqi = bank.cqi
-        harq = bank.harq
-        b = bank.b
+        # Python values: no numpy scalar may reach an instrument or the
+        # delivered map
+        cqi = bank.cqi.tolist()
+        harq = bank.harq.tolist()
+        b = bank.b.tolist()
         harq_on = self.harq_enabled
         for ue_id, prbs in grants.items():
             s = slot_of[ue_id]

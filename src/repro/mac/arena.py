@@ -17,6 +17,15 @@ same computation over contiguous per-cell arrays:
   serving radio, link budget, HARQ config);
 * one EWMA average-rate array per scheduler the cell currently runs.
 
+Every per-UE datum is stored once. What the radio math reads of a UE is
+its cached value tuple and nothing else; what it writes (a bank's five
+columns), each bank's dirty flags and the backlog are rows of one float
+block per arena whose capacity doubles when full, so attach and detach
+are O(1) array operations and a refresh scatters straight into the
+columns. Readers that need Python values (schedulers, telemetry, the
+delivered map) take ``tolist()`` of a column; nothing is mirrored, so
+there is nothing to keep in step.
+
 The contract is **bit identity** with the per-UE scalar evaluators
 (held by the test oracle under ``tests/reference/``): the vector
 refresh routes its transcendental choke points through the libm element
@@ -36,7 +45,7 @@ banks (they never feed the radio math).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,6 +69,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["UeArena"]
 
+#: rows of an arena's column block: backlog, then six per PHY bank
+_BLOCK_ROWS = 13
+
 
 def _radio_sig(radio: Radio) -> tuple:
     """Value tuple of every radio field the PHY math reads."""
@@ -76,49 +88,25 @@ def _model_sig(model: object) -> tuple:
     return (type(model).__name__, items)
 
 
-_EMPTY = np.empty(0)
-
-
 class _PhyBank:
-    """Cached per-slot radio quantities for one link direction."""
+    """Cached per-slot radio quantities for one link direction.
 
-    __slots__ = ("env_sig", "vector_ok", "dirty", "sinr_l", "cqi", "eff",
-                 "b", "harq", "sinr_arr", "eff_arr", "b_arr", "arrays_stale")
+    The six columns are views of the owning arena's block, re-taken
+    whenever the slot count changes: ``dirty`` is non-zero where a row's
+    inputs changed since its last refresh, ``cqi`` holds the CQI row
+    index as a float, ``-1`` below the CQI floor.
+    """
+
+    __slots__ = ("env_sig", "vector_ok", "dirty", "sinr", "cqi", "eff",
+                 "b", "harq")
 
     def __init__(self) -> None:
         self.env_sig: Optional[tuple] = None
         self.vector_ok = False
-        self.dirty: List[bool] = []
-        self.sinr_l: List[float] = []
-        self.cqi: List[int] = []
-        self.eff: List[float] = []
-        self.b: List[float] = []
-        self.harq: List[float] = []
-        self.sinr_arr = _EMPTY
-        self.eff_arr = _EMPTY
-        self.b_arr = _EMPTY
-        self.arrays_stale = True
 
-    def append_row(self) -> None:
-        self.dirty.append(True)
-        self.sinr_l.append(0.0)
-        self.cqi.append(-1)
-        self.eff.append(0.0)
-        self.b.append(0.0)
-        self.harq.append(0.0)
-        self.arrays_stale = True
-
-    def drop_row(self, slot: int) -> None:
-        for lst in (self.dirty, self.sinr_l, self.cqi, self.eff,
-                    self.b, self.harq):
-            del lst[slot]
-        self.arrays_stale = True
-
-    def rebuild_arrays(self) -> None:
-        self.sinr_arr = np.array(self.sinr_l, dtype=float)
-        self.eff_arr = np.array(self.eff, dtype=float)
-        self.b_arr = np.array(self.b, dtype=float)
-        self.arrays_stale = False
+    def bind(self, rows: np.ndarray) -> None:
+        (self.dirty, self.sinr, self.cqi, self.eff, self.b,
+         self.harq) = rows
 
 
 class UeArena:
@@ -130,58 +118,50 @@ class UeArena:
         self.ids: List[str] = []
         self.slot_of: Dict[str, int] = {}
         self._ctxs: List["UeRadioContext"] = []
-        # per-slot cached radio value tuples + unpacked columns
+        #: per-slot :func:`_radio_sig`: the PHY math's only view of a UE
         self._sigs: List[tuple] = []
-        self._plain: List[bool] = []  # omni antenna -> vector-refreshable
-        self._x: List[float] = []
-        self._y: List[float] = []
-        self._gain: List[float] = []
-        self._cable: List[float] = []
-        self._nf: List[float] = []
-        self._power: List[float] = []
-        self._papr: List[float] = []
-        # scheduler-visible per-slot demand state
-        self.backlog: List[float] = []
+        # scheduler-visible per-slot demand state (``backlog`` is row 0
+        # of the block, taken by _bind_columns)
         self.gbr: List[float] = []
         self.priority: List[int] = []
-        self.backlog_arr = _EMPTY
-        self._backlog_stale = True
         self.dl = _PhyBank()
         self.ul = _PhyBank()
+        self._block = np.zeros((_BLOCK_ROWS, 8))
+        self._bind_columns()
         #: rate stores of the schedulers the cell currently runs
         self._stores: List[Tuple[LteScheduler, RateStore]] = []
         #: slots sorted by descending UE id (PF tie-break order), cached
         self.desc_order: List[int] = []
         self._desc_stale = True
 
-    @property
-    def n(self) -> int:
-        return len(self.ids)
-
     # -- structural maintenance (driven by Cell.add_ue / remove_ue) --------
+
+    def _bind_columns(self) -> None:
+        """Re-take every column as a view of the block's live slots."""
+        live = self._block[:, :len(self.ids)]
+        self.backlog = live[0]
+        self.dl.bind(live[1:7])
+        self.ul.bind(live[7:13])
 
     def attach(self, ctx: "UeRadioContext") -> None:
         uid = ctx.ue_id
-        self.slot_of[uid] = len(self.ids)
+        slot = len(self.ids)
+        self.slot_of[uid] = slot
         self.ids.append(uid)
         self._ctxs.append(ctx)
-        sig = _radio_sig(ctx.radio)
-        self._sigs.append(sig)
-        self._plain.append(sig[7] is None)
-        self._x.append(sig[0])
-        self._y.append(sig[1])
-        self._power.append(sig[2])
-        self._gain.append(sig[3])
-        self._nf.append(sig[4])
-        self._cable.append(sig[5])
-        self._papr.append(sig[6])
-        self.backlog.append(ctx.backlog_bits)
+        self._sigs.append(_radio_sig(ctx.radio))
         self.gbr.append(ctx.gbr_bps)
         self.priority.append(ctx.priority)
-        self._backlog_stale = True
+        block = self._block
+        if slot == block.shape[1]:
+            self._block = np.zeros((_BLOCK_ROWS, 2 * slot))
+            self._block[:, :slot] = block
+        self._bind_columns()
+        self.backlog[slot] = ctx.backlog_bits
+        # a new row is dirty in both banks, so its other cells (whatever
+        # an earlier tenant of the column left) are written before read
+        self.dl.dirty[slot] = self.ul.dirty[slot] = True
         self._desc_stale = True
-        self.dl.append_row()
-        self.ul.append_row()
         for _sched, store in self._stores:
             store.avg = np.append(store.avg, 0.0)
 
@@ -189,18 +169,16 @@ class UeArena:
         slot = self.slot_of.pop(uid, None)
         if slot is None:
             return
-        for lst in (self.ids, self._ctxs, self._sigs, self._plain,
-                    self._x, self._y, self._power, self._gain, self._nf,
-                    self._cable, self._papr, self.backlog, self.gbr,
+        for lst in (self.ids, self._ctxs, self._sigs, self.gbr,
                     self.priority):
             del lst[slot]
         ids = self.ids
         for i in range(slot, len(ids)):
             self.slot_of[ids[i]] = i
-        self._backlog_stale = True
+        block = self._block
+        block[:, slot:len(ids)] = block[:, slot + 1:len(ids) + 1]
+        self._bind_columns()
         self._desc_stale = True
-        self.dl.drop_row(slot)
-        self.ul.drop_row(slot)
         for _sched, store in self._stores:
             store.avg = np.delete(store.avg, slot)
 
@@ -227,14 +205,12 @@ class UeArena:
 
     def columns(self, bank: _PhyBank, scheduler: LteScheduler) -> UserColumns:
         """This TTI's columns for ``scheduler`` over a refreshed bank."""
-        elig: List[int] = []
-        if self.ids:
-            mask = (bank.eff_arr > 0.0) & (self.backlog_arr > 0.0)
-            elig = np.nonzero(mask)[0].tolist()
+        mask = (bank.eff > 0.0) & (self.backlog > 0.0)
         return UserColumns(
-            ids=self.ids, slot_of=self.slot_of, eff=bank.eff, b=bank.b_arr,
-            avg=self._store_for(scheduler).avg, gbr=self.gbr,
-            priority=self.priority, elig=elig, desc_order=self.desc_order)
+            ids=self.ids, slot_of=self.slot_of, eff=bank.eff.tolist(),
+            b=bank.b, avg=self._store_for(scheduler).avg, gbr=self.gbr,
+            priority=self.priority, elig=mask.nonzero()[0].tolist(),
+            desc_order=self.desc_order)
 
     # -- per-TTI refresh ---------------------------------------------------
 
@@ -249,38 +225,28 @@ class UeArena:
             self.desc_order = descending_id_order(self.ids)
             self._desc_stale = False
         self._scan_rows()
-        env = self._dl_env() if downlink else self._ul_env()
+        env = self._env(downlink)
         if env != bank.env_sig:
             bank.env_sig = env
-            bank.vector_ok = (self._dl_vector_ok() if downlink
-                              else self._ul_vector_ok())
-            dirty = bank.dirty
-            for i in range(len(dirty)):
-                dirty[i] = True
-        stale = [i for i, d in enumerate(bank.dirty) if d]
-        if stale:
+            bank.vector_ok = self._vector_ok(downlink)
+            bank.dirty[:] = True
+        stale = bank.dirty.nonzero()[0]
+        if stale.size:
             self._refresh_rows(bank, stale, downlink)
-            dirty = bank.dirty
-            for s in stale:
-                dirty[s] = False
-        if bank.arrays_stale:
-            bank.rebuild_arrays()
-        if self._backlog_stale:
-            self.backlog_arr = np.array(self.backlog, dtype=float)
-            self._backlog_stale = False
+            bank.dirty[stale] = False
         return bank
 
     def _scan_rows(self) -> None:
         """Value-compare every row's inputs against the cached copies."""
         sigs = self._sigs
         backlog = self.backlog
+        seen = backlog.tolist()  # compare Python floats, not array cells
         gbr = self.gbr
         prio = self.priority
-        barr = self.backlog_arr
-        bstale = self._backlog_stale
-        dl_dirty = self.dl.dirty
-        ul_dirty = self.ul.dirty
+        changed: List[int] = []
         for slot, ctx in enumerate(self._ctxs):
+            # _radio_sig(ctx.radio), inlined: this loop runs per attached
+            # UE per TTI and is the engine's traced top line
             r = ctx.radio
             p = r.position
             sig = (p.x, p.y, r.tx_power_dbm, r.antenna_gain_dbi,
@@ -288,125 +254,87 @@ class UeArena:
                    r.ul_papr_advantage_db, r.antenna)
             if sig != sigs[slot]:
                 sigs[slot] = sig
-                self._plain[slot] = sig[7] is None
-                self._x[slot] = sig[0]
-                self._y[slot] = sig[1]
-                self._power[slot] = sig[2]
-                self._gain[slot] = sig[3]
-                self._nf[slot] = sig[4]
-                self._cable[slot] = sig[5]
-                self._papr[slot] = sig[6]
-                dl_dirty[slot] = True
-                ul_dirty[slot] = True
+                changed.append(slot)
             bl = ctx.backlog_bits
-            if bl != backlog[slot]:
+            if bl != seen[slot]:
                 backlog[slot] = bl
-                if not bstale:
-                    barr[slot] = bl
-            g = ctx.gbr_bps
-            if g != gbr[slot]:
-                gbr[slot] = g
-            pr = ctx.priority
-            if pr != prio[slot]:
-                prio[slot] = pr
+            gbr[slot] = ctx.gbr_bps
+            prio[slot] = ctx.priority
+        if changed:
+            self.dl.dirty[changed] = self.ul.dirty[changed] = True
 
     # -- environment signatures -------------------------------------------
 
-    def _dl_env(self) -> tuple:
+    def _interferers(self, downlink: bool) -> Sequence[Radio]:
+        """Radios interfering with this cell's links in one direction."""
+        cell = self._cell
+        if downlink:
+            return [c.radio for c in cell.interferers if c is not cell]
+        return cell.link_budget.interferers
+
+    def _env(self, downlink: bool) -> tuple:
         cell = self._cell
         lb = cell.link_budget
-        inter = tuple(_radio_sig(c.radio) for c in cell.interferers
-                      if c is not cell)
+        inter = tuple(_radio_sig(r) for r in self._interferers(downlink))
         shadow = None if lb.shadowing is None else _model_sig(lb.shadowing)
         return (id(lb), lb.freq_mhz, lb.bandwidth_hz, _model_sig(lb.model),
                 shadow, cell.harq_enabled, cell.harq_max_retx,
                 _radio_sig(cell.radio), inter)
 
-    def _ul_env(self) -> tuple:
+    def _vector_ok(self, downlink: bool) -> bool:
         cell = self._cell
-        lb = cell.link_budget
-        inter = tuple(_radio_sig(r) for r in lb.interferers)
-        shadow = None if lb.shadowing is None else _model_sig(lb.shadowing)
-        return (id(lb), lb.freq_mhz, lb.bandwidth_hz, _model_sig(lb.model),
-                shadow, cell.harq_enabled, cell.harq_max_retx,
-                _radio_sig(cell.radio), inter)
-
-    def _dl_vector_ok(self) -> bool:
-        cell = self._cell
-        lb = cell.link_budget
-        return (lb.shadowing is None and cell.radio.antenna is None
-                and all(c.radio.antenna is None for c in cell.interferers
-                        if c is not cell))
-
-    def _ul_vector_ok(self) -> bool:
-        cell = self._cell
-        lb = cell.link_budget
-        return (lb.shadowing is None and cell.radio.antenna is None
-                and not lb.interferers)
+        if (cell.link_budget.shadowing is not None
+                or cell.radio.antenna is not None):
+            return False
+        inter = self._interferers(downlink)
+        if downlink:
+            return all(r.antenna is None for r in inter)
+        # uplink interferers carry per-transmitter exclusions: scalar rows
+        return not inter
 
     # -- row recomputation -------------------------------------------------
 
-    def _refresh_rows(self, bank: _PhyBank, rows: List[int],
+    def _refresh_rows(self, bank: _PhyBank, rows: np.ndarray,
                       downlink: bool) -> None:
         cell = self._cell
         lb = cell.link_budget
-        if bank.vector_ok:
-            plain = self._plain
-            vec = [s for s in rows if plain[s]]
-            sca = [s for s in rows if not plain[s]]
-        else:
-            vec = []
-            sca = rows
-        sinr_l = bank.sinr_l
+        sigs = self._sigs
+        vec: List[int] = []
+        sca = rows.tolist()
+        if bank.vector_ok:  # omni antenna -> vector-refreshable
+            vec = [s for s in sca if sigs[s][7] is None]
+            sca = [s for s in sca if sigs[s][7] is not None]
+        sinr = bank.sinr
         if vec:
-            xs = np.array([self._x[s] for s in vec])
-            ys = np.array([self._y[s] for s in vec])
-            gains = np.array([self._gain[s] for s in vec])
-            cables = np.array([self._cable[s] for s in vec])
+            # transpose the dirty rows' tuples: one contiguous input
+            # vector per radio field (the antennas, all None, fall off)
+            fields = list(zip(*[sigs[s] for s in vec]))
+            xs, ys, power, gains, _nf, cables, papr = np.array(
+                fields[:7], dtype=float)
             if downlink:
                 bw = lb.bandwidth_hz
-                noise = np.array([_thermal_noise_cached(bw, self._nf[s])
-                                  for s in vec])
-                inter = [c.radio for c in cell.interferers if c is not cell]
-                svals = lb.sinr_db_fixed_tx_many(
-                    cell.radio, xs, ys, gains, cables, noise, inter)
+                noise = np.array([_thermal_noise_cached(bw, nf)
+                                  for nf in fields[4]])
+                sinr[vec] = lb.sinr_db_fixed_tx_many(
+                    cell.radio, xs, ys, gains, cables, noise,
+                    self._interferers(True))
             else:
-                power = np.array([self._power[s] for s in vec])
-                papr = np.array([self._papr[s] for s in vec])
-                svals = lb.sinr_db_many_tx_fixed_rx(
+                sinr[vec] = lb.sinr_db_many_tx_fixed_rx(
                     xs, ys, power, papr, gains, cables, cell.radio)
-            sv = svals.tolist()
-            for i, s in enumerate(vec):
-                sinr_l[s] = sv[i]
         if sca:
+            sinr_of = cell.sinr_to if downlink else cell.uplink_sinr_from
             ctxs = self._ctxs
-            if downlink:
-                for s in sca:
-                    sinr_l[s] = cell.sinr_to(ctxs[s].radio)
-            else:
-                for s in sca:
-                    sinr_l[s] = cell.uplink_sinr_from(ctxs[s].radio)
-        svals = np.array([sinr_l[s] for s in rows], dtype=float)
+            for s in sca:
+                sinr[s] = sinr_of(ctxs[s].radio)
+        svals = sinr[rows]
         cqi = select_lte_cqi_index_many(svals)
         eff = lte_efficiency_for_index(cqi)
         thresh = lte_min_sinr_for_index(cqi)
-        # same association order as bits_per_prb: (eff * 180e3) * 1e-3
-        b = eff * PRB_BANDWIDTH_HZ * TTI_S
         # rows below CQI 1 get a junk factor (threshold 0.0) that the
         # delivery tail never consumes — eligibility requires eff > 0
-        harq = harq_goodput_factor_many(svals, thresh,
-                                        max_retx=cell.harq_max_retx)
-        cl = cqi.tolist()
-        el = eff.tolist()
-        bl = b.tolist()
-        hl = harq.tolist()
-        cqi_l = bank.cqi
-        eff_l = bank.eff
-        b_l = bank.b
-        harq_l = bank.harq
-        for i, s in enumerate(rows):
-            cqi_l[s] = cl[i]
-            eff_l[s] = el[i]
-            b_l[s] = bl[i]
-            harq_l[s] = hl[i]
-        bank.arrays_stale = True
+        bank.harq[rows] = harq_goodput_factor_many(
+            svals, thresh, max_retx=cell.harq_max_retx)
+        bank.cqi[rows] = cqi
+        bank.eff[rows] = eff
+        # same association order as bits_per_prb: (eff * 180e3) * 1e-3
+        bank.b[rows] = eff * PRB_BANDWIDTH_HZ * TTI_S

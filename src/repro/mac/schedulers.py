@@ -65,9 +65,10 @@ class UserColumns(NamedTuple):
     """Flat per-slot columns one allocation runs over.
 
     Slot ``s`` is one user; every column is indexed by slot. A cell's
-    :class:`repro.mac.arena.UeArena` already holds these columns and
-    hands them over as they are; :meth:`LteScheduler.allocate` packs
-    them from its ``SchedulableUser`` list.
+    :class:`repro.mac.arena.UeArena` holds each of these once and hands
+    its own columns over (``eff`` read out as a list, ``elig`` computed
+    per TTI); :meth:`LteScheduler.allocate` packs them from its
+    ``SchedulableUser`` list.
 
     Attributes:
         ids: user ids in slot order (grant maps are keyed in this order).

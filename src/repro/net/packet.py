@@ -14,11 +14,6 @@ UDP_HEADER_BYTES = 8
 
 _packet_ids = itertools.count(1)
 
-
-def _next_packet_id() -> int:
-    return next(_packet_ids)
-
-
 #: ECN codepoints (two-bit field, RFC 3168): transports that opt in mark
 #: their data segments ECT; an AQM under congestion rewrites ECT -> CE
 #: instead of dropping; the receiver echoes CE back as ECE.
@@ -96,68 +91,3 @@ class Packet:
     def age(self, now: float) -> float:
         """Seconds since the packet was created."""
         return now - self.created_at
-
-
-class PacketPool:
-    """A free-list of :class:`Packet` objects for the datapath fast lane.
-
-    Transport segments are born and die within one round trip; at
-    steady state a flow churns through packets as fast as the event
-    loop can carry them. The pool recycles the object shells so the
-    fast path skips the dataclass ``__init__``/``__post_init__`` and
-    the allocator. Recycled packets get a **fresh** ``packet_id`` so
-    identity-based bookkeeping can never confuse two lives of the same
-    shell.
-
-    Lifecycle contract (see PERFORMANCE.md): only the owner that
-    acquired a packet may release it, exactly once, and only when no
-    other component can still hold a reference — the transport layer
-    releases data/ack segments after the receive handler returns, and
-    never releases handshake packets or anything it stashed.
-    """
-
-    __slots__ = ("_free", "capacity", "acquired", "recycled")
-
-    def __init__(self, capacity: int = 512) -> None:
-        self._free: List[Packet] = []
-        self.capacity = capacity
-        self.acquired = 0
-        self.recycled = 0
-
-    def acquire(self, src: Optional[IPv4Address], dst: Optional[IPv4Address],
-                size_bytes: int, flow_id: str = "", seq: int = 0,
-                payload: Any = None, created_at: float = 0.0) -> Packet:
-        """A fresh-looking packet, recycled when the free list allows."""
-        self.acquired += 1
-        free = self._free
-        if not free:
-            return Packet(src=src, dst=dst, size_bytes=size_bytes,
-                          flow_id=flow_id, seq=seq, payload=payload,
-                          created_at=created_at)
-        if size_bytes <= 0:
-            raise ValueError(f"packet size must be positive, got {size_bytes}")
-        self.recycled += 1
-        packet = free.pop()
-        packet.src = src
-        packet.dst = dst
-        packet.size_bytes = size_bytes
-        packet.flow_id = flow_id
-        packet.seq = seq
-        packet.payload = payload
-        packet.created_at = created_at
-        packet.packet_id = _next_packet_id()
-        return packet
-
-    def release(self, packet: Packet) -> None:
-        """Return a dead packet's shell to the free list."""
-        free = self._free
-        if len(free) >= self.capacity:
-            return
-        packet.payload = None
-        packet.hops = None
-        packet.encap_stack = None
-        packet.ecn = ECN_NOT_ECT
-        free.append(packet)
-
-    def __len__(self) -> int:
-        return len(self._free)

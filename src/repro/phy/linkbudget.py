@@ -29,6 +29,13 @@ def _thermal_noise_cached(bandwidth_hz: float, noise_figure_db: float) -> float:
     return thermal_noise_dbm(bandwidth_hz, noise_figure_db)
 
 
+#: Entries a budget's path-loss memo may hold; it is cleared on reaching
+#: this. A moving UE on a scalar-fallback row adds a distance per TTI
+#: that never recurs, while the largest memo any experiment builds at
+#: its published defaults is 616 (E17).
+_LOSS_CACHE_MAX = 4096
+
+
 @dataclass
 class Radio:
     """One end of a radio link.
@@ -109,10 +116,13 @@ class LinkBudget:
 
     def path_loss_db(self, distance_m: float) -> float:
         """Median (pre-shadowing) loss at ``distance_m``, memoized."""
-        loss = self._loss_cache.get(distance_m)
+        cache = self._loss_cache
+        loss = cache.get(distance_m)
         if loss is None:
             loss = self.model.path_loss_db(distance_m, self.freq_mhz)
-            self._loss_cache[distance_m] = loss
+            if len(cache) >= _LOSS_CACHE_MAX:
+                cache.clear()
+            cache[distance_m] = loss
         return loss
 
     def rx_power_dbm(self, tx: Radio, rx: Radio) -> float:

@@ -9,7 +9,8 @@ module tracks live simulators in a :class:`weakref.WeakSet` and, when
 something goes wrong — an invariant violation, a supervisor
 kill/timeout, an unhandled experiment exception — writes a structured
 JSON post-mortem: the last N events per simulator, a metrics snapshot,
-recent/open spans, and the heap/agent-queue high-water marks.
+recent/open spans, and the five passive simulator gauges (heap, agent
+queue and link queue high-water marks, shed and ECN-mark counts).
 
 The dump is the *only* cost beyond the ring stores, and it happens only
 on the failure path, so healthy runs pay nothing but the ring writes.
@@ -30,6 +31,8 @@ import sys
 import time
 import weakref
 from typing import Any, Dict, List, Optional, Sequence
+
+from repro.telemetry.hub import SIM_GAUGES
 
 __all__ = ["FLIGHT_CAPACITY", "SPAN_TAIL", "track", "tracked_sims",
            "set_dump_dir", "dump_dir", "snapshot_sim", "write_postmortem"]
@@ -90,9 +93,7 @@ def snapshot_sim(sim: Any) -> Dict[str, Any]:
         "now_s": sim.now,
         "events_executed": sim.events_executed,
         "queue_length": sim.queue_length,
-        "heap_high_water": getattr(sim, "heap_high_water", 0),
-        "agent_peak_queue": getattr(sim, "agent_peak_queue", 0),
-        "agents_shed": getattr(sim, "agents_shed", 0),
+        **{name: getattr(sim, name) for name in SIM_GAUGES},
         "recent_events": [{"time_s": t, "site": _site(fn)}
                           for t, fn in sim.flight_events()],
     }

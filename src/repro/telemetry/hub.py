@@ -19,17 +19,31 @@ process-global default otherwise — unless handed an explicit one.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+import operator
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.telemetry.lifecycle import RunnerLifecycle
 from repro.telemetry.profiler import RunProfiler
 from repro.telemetry.registry import MetricsRegistry
 
-__all__ = ["HUB", "TelemetryHub", "RunTelemetry", "WorkerSimTelemetry",
-           "ambient_registry"]
+__all__ = ["HUB", "SIM_GAUGES", "TelemetryHub", "RunTelemetry",
+           "WorkerSimTelemetry", "ambient_registry"]
 
 #: Fallback registry for sim-less components outside any hub run.
 _DEFAULT_REGISTRY = MetricsRegistry()
+
+#: The passive gauges every Simulator keeps as plain int attributes, and
+#: how a run folds each across its simulators (``max`` for a high-water
+#: mark, ``add`` for a count). :class:`RunTelemetry` carries the folded
+#: value, :class:`WorkerSimTelemetry` ships the per-simulator one home
+#: and the flight recorder dumps it, all under the same name.
+SIM_GAUGES: Dict[str, Callable[[int, int], int]] = {
+    "heap_high_water": max,        # largest run-queue footprint
+    "agent_peak_queue": max,       # deepest control-agent queue
+    "agents_shed": operator.add,   # control messages shed under overload
+    "link_peak_queue": max,        # deepest link egress queue
+    "ecn_marks": operator.add,     # ECN CE-marks applied by AQM
+}
 
 
 class RunTelemetry:
@@ -39,11 +53,7 @@ class RunTelemetry:
                  span_trackers: List[Tuple[str, Any]],
                  tracers: List[Tuple[str, Any]],
                  profiler: Optional[RunProfiler],
-                 heap_high_water: int = 0,
-                 agent_peak_queue: int = 0,
-                 agents_shed: int = 0,
-                 link_peak_queue: int = 0,
-                 ecn_marks: int = 0,
+                 gauges: Dict[str, int],
                  lifecycle: Optional[RunnerLifecycle] = None,
                  shard_stats: Optional[List[dict]] = None) -> None:
         self.registries = registries
@@ -54,21 +64,10 @@ class RunTelemetry:
         #: present; empty — no maps — for serial runs)
         self.lifecycle = lifecycle if lifecycle is not None \
             else RunnerLifecycle()
-        #: largest run-queue footprint any collected simulator reached
-        #: (max over sims of ``Simulator.heap_high_water``)
-        self.heap_high_water = heap_high_water
-        #: deepest control-agent queue across every collected simulator
-        #: (max over sims of ``Simulator.agent_peak_queue``)
-        self.agent_peak_queue = agent_peak_queue
-        #: control messages shed by overload protection, run-wide
-        #: (sum over sims of ``Simulator.agents_shed``)
-        self.agents_shed = agents_shed
-        #: deepest link egress queue across every collected simulator
-        #: (max over sims of ``Simulator.link_peak_queue``)
-        self.link_peak_queue = link_peak_queue
-        #: ECN CE-marks applied by AQM, run-wide
-        #: (sum over sims of ``Simulator.ecn_marks``)
-        self.ecn_marks = ecn_marks
+        # one attribute per :data:`SIM_GAUGES` name, folded run-wide
+        # (``run.heap_high_water``, ``run.ecn_marks``, ...)
+        for name in SIM_GAUGES:
+            setattr(self, name, gauges[name])
         #: per-shard stats dicts noted by ShardedSimulator runs (events,
         #: heap_hwm, windows, exec_s, barrier_wait_s per shard); empty
         #: for unsharded runs
@@ -96,22 +95,14 @@ class WorkerSimTelemetry:
     simulators and parent-process simulators merge identically.
     """
 
-    __slots__ = ("telemetry", "tracer", "profiler", "heap_high_water",
-                 "agent_peak_queue", "agents_shed", "link_peak_queue",
-                 "ecn_marks")
+    __slots__ = ("telemetry", "tracer", "profiler", *SIM_GAUGES)
 
-    def __init__(self, telemetry: Any, tracer: Any, profiler: Any,
-                 heap_high_water: int = 0, agent_peak_queue: int = 0,
-                 agents_shed: int = 0, link_peak_queue: int = 0,
-                 ecn_marks: int = 0) -> None:
-        self.telemetry = telemetry
-        self.tracer = tracer
-        self.profiler = profiler
-        self.heap_high_water = heap_high_water
-        self.agent_peak_queue = agent_peak_queue
-        self.agents_shed = agents_shed
-        self.link_peak_queue = link_peak_queue
-        self.ecn_marks = ecn_marks
+    def __init__(self, sim: Any) -> None:
+        self.telemetry = sim.telemetry
+        self.tracer = sim.tracer
+        self.profiler = sim.profiler
+        for name in SIM_GAUGES:
+            setattr(self, name, getattr(sim, name))
 
 
 class TelemetryHub:
@@ -197,11 +188,7 @@ class TelemetryHub:
         tracers: List[Tuple[str, Any]] = []
         profiler: Optional[RunProfiler] = \
             RunProfiler() if self._profile else None
-        heap_high_water = 0
-        agent_peak_queue = 0
-        agents_shed = 0
-        link_peak_queue = 0
-        ecn_marks = 0
+        gauges = dict.fromkeys(SIM_GAUGES, 0)
         for index, sim in enumerate(self._sims):
             tag = f"s{index}"
             registries.append((tag, sim.telemetry.metrics))
@@ -210,17 +197,8 @@ class TelemetryHub:
                 tracers.append((tag, sim.tracer))
             if profiler is not None and sim.profiler is not None:
                 profiler.merge(sim.profiler)
-            hwm = getattr(sim, "heap_high_water", 0)
-            if hwm > heap_high_water:
-                heap_high_water = hwm
-            peak = getattr(sim, "agent_peak_queue", 0)
-            if peak > agent_peak_queue:
-                agent_peak_queue = peak
-            agents_shed += getattr(sim, "agents_shed", 0)
-            lpeak = getattr(sim, "link_peak_queue", 0)
-            if lpeak > link_peak_queue:
-                link_peak_queue = lpeak
-            ecn_marks += getattr(sim, "ecn_marks", 0)
+            for name, fold in SIM_GAUGES.items():
+                gauges[name] = fold(gauges[name], getattr(sim, name))
         if len(self._shared):
             registries.append(("shared", self._shared))
         for index, registry in enumerate(self._worker_shared):
@@ -236,8 +214,7 @@ class TelemetryHub:
         self._lifecycle = None
         self._shard_stats = []
         return RunTelemetry(registries, span_trackers, tracers, profiler,
-                            heap_high_water, agent_peak_queue, agents_shed,
-                            link_peak_queue, ecn_marks, lifecycle=lifecycle,
+                            gauges, lifecycle=lifecycle,
                             shard_stats=shard_stats)
 
     def abort_run(self) -> None:
@@ -260,14 +237,7 @@ class TelemetryHub:
         if not self.active:
             raise RuntimeError("no telemetry run is active")
         payload = {
-            "sims": [WorkerSimTelemetry(sim.telemetry, sim.tracer,
-                                        sim.profiler,
-                                        getattr(sim, "heap_high_water", 0),
-                                        getattr(sim, "agent_peak_queue", 0),
-                                        getattr(sim, "agents_shed", 0),
-                                        getattr(sim, "link_peak_queue", 0),
-                                        getattr(sim, "ecn_marks", 0))
-                     for sim in self._sims],
+            "sims": [WorkerSimTelemetry(sim) for sim in self._sims],
             "shared": self._shared if len(self._shared) else None,
             "shards": self._shard_stats,
         }

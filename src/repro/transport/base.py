@@ -18,7 +18,7 @@ from typing import Callable, Dict, Optional
 
 from repro.net.addressing import IPv4Address
 from repro.net.nodes import Host
-from repro.net.packet import ECN_CE, ECN_ECT, Packet, PacketPool
+from repro.net.packet import ECN_CE, ECN_ECT, Packet
 from repro.simcore.simulator import ScheduledCall, Simulator
 
 #: Maximum segment size (application bytes per data segment).
@@ -34,14 +34,6 @@ MIN_RTO_S = 0.2
 MAX_RTO_S = 30.0
 
 _conn_ids = itertools.count(1)
-
-#: Process-wide free list for segment shells. Transport segments live
-#: exactly one network traversal: emitted here, consumed by the peer's
-#: ``on_segment``, which releases data/ack shells back after the
-#: handler returns. Handshake segments are never recycled (listeners
-#: and subclasses may keep them), and recycling affects object identity
-#: only — never simulation results (see PERFORMANCE.md).
-_SEGMENT_POOL = PacketPool(capacity=1024)
 
 
 class ConnectionState(enum.Enum):
@@ -251,9 +243,9 @@ class TransportConnection:
               ect: bool = False) -> None:
         if self.peer_addr is None:
             raise RuntimeError(f"{self.conn_id}: no peer address")
-        packet = _SEGMENT_POOL.acquire(
-            self.host.address, self.peer_addr, size, flow_id=self.conn_id,
-            payload=header, created_at=self.sim.now)
+        packet = Packet(self.host.address, self.peer_addr, size,
+                        flow_id=self.conn_id, payload=header,
+                        created_at=self.sim.now)
         if ect and self.ecn:
             packet.ecn = ECN_ECT
         try:
@@ -271,11 +263,6 @@ class TransportConnection:
         if handler is None:
             return
         handler(packet, header)
-        if kind == "data" or kind == "ack":
-            # the segment's life ends here: nothing downstream keeps a
-            # reference (the reorder buffer stores sizes, not packets),
-            # so the shell goes back to the free list
-            _SEGMENT_POOL.release(packet)
 
     # -- data / ack handling -----------------------------------------------------
 

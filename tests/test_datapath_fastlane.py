@@ -1,12 +1,11 @@
 """Tests for the packet-datapath fast lane (see PERFORMANCE.md).
 
 Covers the tentpole pieces — link egress pipelining, one event per
-router hop (deferred offers + the forwarding cache), timer-heap
-hygiene, and packet pooling — plus the scheduling fast path they ride
-on. The contract under test everywhere is *semantic equivalence*: the
-fast lane must produce the same delivery times, the same drop
-accounting, and the same FIFO order as the naive implementations it
-replaced.
+router hop (deferred offers + the forwarding cache) and timer-heap
+hygiene — plus the scheduling fast path they ride on. The contract
+under test everywhere is *semantic equivalence*: the fast lane must
+produce the same delivery times, the same drop accounting, and the same
+FIFO order as the naive implementations it replaced.
 """
 
 import hashlib
@@ -20,7 +19,7 @@ from repro.invariants import InvariantChecker
 from repro.net import Host, NatRouter, Router
 from repro.net.aqm import CoDelDiscipline
 from repro.net.links import Link
-from repro.net.packet import ECN_ECT, Packet, PacketPool
+from repro.net.packet import ECN_ECT, Packet
 from repro.net.shardlink import CrossShardLink, CrossShardLinkExit
 from repro.simcore import Simulator
 from repro.simcore.sharded import ShardBoundary
@@ -543,42 +542,11 @@ def test_rto_rearm_churn_does_not_grow_heap():
         sim.live_queue_length + 2
 
 
-# -- packet pooling -----------------------------------------------------------
+# -- transport over the fast lane ---------------------------------------------
 
-def test_pool_recycles_shell_with_fresh_identity():
-    pool = PacketPool(capacity=4)
-    p = pool.acquire(IP("10.0.0.1"), IP("10.0.0.2"), 500, flow_id="f",
-                     payload={"k": 1}, created_at=1.5)
-    old_id = p.packet_id
-    p.record_hop("r1")
-    pool.release(p)
-    q = pool.acquire(IP("10.0.0.3"), IP("10.0.0.4"), 700, seq=9)
-    assert q is p  # same shell ...
-    assert q.packet_id != old_id  # ... new life
-    assert q.payload is None and q.hops is None and q.encap_stack is None
-    assert (q.src, q.dst, q.size_bytes, q.seq) == \
-        (IP("10.0.0.3"), IP("10.0.0.4"), 700, 9)
-    assert pool.acquired == 2 and pool.recycled == 1
-
-
-def test_pool_capacity_caps_free_list():
-    pool = PacketPool(capacity=2)
-    packets = [pool.acquire(None, None, 100) for _ in range(5)]
-    for p in packets:
-        pool.release(p)
-    assert len(pool) == 2
-
-
-def test_pool_validates_size_on_recycle():
-    pool = PacketPool()
-    pool.release(pool.acquire(None, None, 100))
-    with pytest.raises(ValueError):
-        pool.acquire(None, None, 0)
-
-
-def test_transport_pooling_preserves_transfer():
-    """End-to-end: the pooled segment path completes a transfer with the
-    same byte accounting as ever."""
+def test_bulk_transfer_acks_every_byte():
+    """End-to-end: a transfer over freshly built ``Packet`` segments
+    completes with the same byte accounting as ever."""
     sim = Simulator(seed=11)
     a = Host(sim, "a", IP("10.0.0.1"))
     b = Host(sim, "b", IP("10.0.0.2"))

@@ -4,7 +4,14 @@ import pytest
 
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo import Point
-from repro.phy import LinkBudget, OkumuraHata, Radio, get_band
+from repro.phy import (
+    LinkBudget,
+    OkumuraHata,
+    Radio,
+    ShadowingField,
+    get_band,
+)
+from repro.phy.linkbudget import _LOSS_CACHE_MAX
 from repro.phy.resource_grid import bits_per_prb
 
 
@@ -141,3 +148,32 @@ def test_scheduler_state_cleared_on_remove():
     assert cell.scheduler.average_rate_bps("a") > 0
     cell.remove_ue("a")
     assert cell.scheduler.average_rate_bps("a") == 0.0
+
+
+def test_path_loss_memo_is_bounded_and_transparent():
+    """Moving UEs on scalar-fallback rows (here: shadowing) hand the
+    budget's path-loss memo a distance per UE per TTI that never recurs.
+    The memo must stay within its bound, and every TTI must deliver what
+    a budget that remembers nothing delivers."""
+    cells = [_cell(), _cell()]
+    for cell in cells:
+        cell.link_budget.shadowing = ShadowingField(sigma_db=6.0, seed=4)
+        for u in range(48):
+            cell.add_ue(_ue(f"ue{u:02d}", 300.0 + 40.0 * u))
+    memo, forgetful = (cell.link_budget._loss_cache for cell in cells)
+    distances = 0
+    for tti in range(90):
+        for cell in cells:
+            for ctx in cell._ues.values():
+                ctx.radio.position = ctx.radio.position.offset(0.7, 0.3)
+        forgetful.clear()
+        assert cells[0].schedule_tti() == cells[1].schedule_tti()
+        forgetful.clear()
+        assert (cells[0].schedule_uplink_tti()
+                == cells[1].schedule_uplink_tti())
+        distances += 48
+        assert len(memo) <= _LOSS_CACHE_MAX
+    assert distances > _LOSS_CACHE_MAX  # the memo was cleared on the way
+    probe = Radio(Point(777.0, 100.0), tx_power_dbm=23)
+    forgetful.clear()
+    assert cells[0].sinr_to(probe) == cells[1].sinr_to(probe)

@@ -85,6 +85,23 @@ def test_snapshot_is_json_ready_and_names_sites():
     assert sites == {f"{__name__}._nop"}
 
 
+def test_snapshot_carries_all_five_simulator_gauges():
+    """Link queue peak and ECN mark count included: the post-mortem of
+    an overload run must show the data plane's state, not only the
+    control plane's."""
+    sim = Simulator(0)
+    sim.schedule(0.0, _nop)
+    sim.run()
+    sim.agent_peak_queue, sim.agents_shed = 7, 3
+    sim.link_peak_queue, sim.ecn_marks = 11, 5
+    snap = flightrec.snapshot_sim(sim)
+    assert {name: snap.get(name) for name in (
+        "heap_high_water", "agent_peak_queue", "agents_shed",
+        "link_peak_queue", "ecn_marks")} == {
+        "heap_high_water": 1, "agent_peak_queue": 7, "agents_shed": 3,
+        "link_peak_queue": 11, "ecn_marks": 5}
+
+
 def test_write_postmortem_dump_parses_and_carries_extra(tmp_path):
     sim = Simulator(0)
     sim.schedule(0.0, _nop)

@@ -329,7 +329,7 @@ def test_allocate_batch_matches_allocate(sched_cls):
             if isinstance(twin, RoundRobinScheduler):
                 twin._next = cell.scheduler._next
         users = [SchedulableUser(
-                     user_id=uid, sinr_db=bank.sinr_l[s],
+                     user_id=uid, sinr_db=bank.sinr[s],
                      backlog_bits=arena.backlog[s],
                      gbr_bps=arena.gbr[s], priority=arena.priority[s])
                  for s, uid in enumerate(arena.ids)]

@@ -8,6 +8,7 @@ passive, so instrumented runs are bit-identical to uninstrumented ones.
 
 import json
 import math
+import pickle
 import random
 from bisect import bisect_left
 
@@ -482,6 +483,31 @@ class TestHub:
         assert tags == ["s0", "s1"]
         assert run.subsystems() == ["epc", "net"]
         assert not HUB.active
+
+    def test_gauges_fold_across_simulators_local_and_shipped(self):
+        """High-water marks fold by max and counts by sum, whether a
+        simulator was built here or shipped home by a worker."""
+        def two_sims():
+            sims = [Simulator(i) for i in range(2)]
+            for sim, base in zip(sims, (10, 20)):
+                sim.heap_high_water = base + 1
+                sim.agent_peak_queue = base + 2
+                sim.agents_shed = base + 3
+                sim.link_peak_queue = base + 4
+                sim.ecn_marks = base + 5
+
+        HUB.start_run()
+        two_sims()
+        payload = pickle.loads(pickle.dumps(HUB.export_worker_run()))
+        HUB.start_run()
+        two_sims()
+        HUB.absorb_worker_run(payload)
+        run = HUB.finish_run()
+        assert len(run.registries) == 4
+        assert (run.heap_high_water, run.agent_peak_queue,
+                run.link_peak_queue) == (21, 22, 24)
+        assert (run.agents_shed, run.ecn_marks) == (2 * (13 + 23),
+                                                    2 * (15 + 25))
 
     def test_start_twice_raises(self):
         HUB.start_run()
