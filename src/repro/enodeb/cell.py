@@ -16,7 +16,7 @@ from repro.mac.arena import UeArena
 from repro.mac.schedulers import LteScheduler, ProportionalFairScheduler
 from repro.mac.uplink import ContiguousUplinkScheduler
 from repro.phy.bands import Band
-from repro.phy.linkbudget import LinkBudget, Radio
+from repro.phy.linkbudget import LinkBudget, Radio, Watched
 from repro.phy.resource_grid import ResourceGrid
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.hub import ambient_registry
@@ -24,8 +24,13 @@ from repro.telemetry.registry import linear_buckets
 
 
 @dataclass
-class UeRadioContext:
-    """Cell-side radio state for one attached UE."""
+class UeRadioContext(Watched):
+    """Cell-side radio state for one attached UE.
+
+    While attached, each serving cell's arena watches the context and
+    its radio, so a write to either reaches that UE's arena row. One
+    context may be attached to several cells; each of them hears.
+    """
 
     ue_id: str
     radio: Radio

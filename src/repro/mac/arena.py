@@ -1,30 +1,20 @@
 """Per-cell UE arena: struct-of-arrays state for the TTI engine.
 
-A naive TTI walks every attached UE every TTI: a link-budget
-evaluation, a CQI bisect, a HARQ factor, a ``SchedulableUser`` object,
-and an EWMA dict update per UE. At hundreds of UEs per cell that
-Python-object churn dominates the radio phase. The arena expresses the
-same computation over contiguous per-cell arrays:
-
-* one slot per attached UE, in attach (dict) order — the slot order IS
-  the iteration order of ``Cell._ues``, so every order-sensitive
-  artifact (grant dict insertion order, telemetry observation order,
-  EWMA accumulation) follows it;
-* PHY banks (downlink and uplink) holding SINR, CQI row index, spectral
-  efficiency, per-PRB bits, and HARQ goodput factor per slot, refreshed
-  *only* for rows whose inputs changed (a moved or re-parameterized UE)
-  or when the cell-level environment signature changes (interferer set,
-  serving radio, link budget, HARQ config);
-* one EWMA average-rate array per scheduler the cell currently runs.
+The TTI engine is array work over one slot per attached UE, in attach
+(dict) order — the slot order IS the iteration order of ``Cell._ues``,
+so every order-sensitive artifact (grant map order, telemetry
+observation order, EWMA accumulation) follows it. Per slot the arena
+holds the demand columns, a downlink and an uplink PHY bank (SINR, CQI
+row index, spectral efficiency, per-PRB bits, HARQ goodput factor) and
+one EWMA average-rate array per scheduler the cell currently runs.
 
 Every per-UE datum is stored once. What the radio math reads of a UE is
 its cached value tuple and nothing else; what it writes (a bank's five
-columns), each bank's dirty flags and the backlog are rows of one float
-block per arena whose capacity doubles when full, so attach and detach
-are O(1) array operations and a refresh scatters straight into the
-columns. Readers that need Python values (schedulers, telemetry, the
-delivered map) take ``tolist()`` of a column; nothing is mirrored, so
-there is nothing to keep in step.
+columns), each bank's dirty flags, the backlog and the GBR are rows of
+one float block per arena whose capacity doubles when full, so attach
+and detach are O(1) array operations and a refresh scatters straight
+into the columns. Readers that need Python values take ``tolist()`` of a
+column; nothing is mirrored, so there is nothing to keep in step.
 
 The contract is **bit identity** with the per-UE scalar evaluators
 (held by the test oracle under ``tests/reference/``): the vector
@@ -36,16 +26,27 @@ geometries the vector path does not cover (directional antennas,
 shadowing, per-transmitter interferer exclusions on the uplink). Those
 fallback rows are still cached and still scheduled through the arena.
 
-Row staleness is detected by value: each slot caches a tuple of its
-radio's PHY-relevant fields (position included), compared every TTI, so
-both radio replacement and in-place mutation invalidate the row.
-Backlog / GBR / priority are synced every TTI without dirtying the PHY
-banks (they never feed the radio math).
+Who changes a row says so; nothing polls the attached set. At attach the
+arena hangs a watcher on the UE's ``Radio`` and one on its
+``UeRadioContext`` (``repro.phy.linkbudget.Watched``), taken off at
+detach and re-made by a copied arena. Any assignment to the radio, by
+whoever moves or re-parameterises it, adds the UE to ``_touched``
+through a C-level call, and the next refresh re-reads those radios only.
+The re-read still compares the cached tuple *by value*: an equal write,
+or writes that end where they began, dirty nothing. An assignment to
+the context syncs backlog / GBR / priority on the spot (they never feed
+the radio math, so no bank is dirtied) and moves the radio watcher if
+the radio was replaced. What stays a per-TTI poll is the cell-level
+environment signature (interferer set, serving radio, link budget, HARQ
+config): it is O(interferers), not O(UEs), and a change dirties every
+row. A TTI on a cell nobody wrote to runs no per-UE Python.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
+                    Set, Tuple)
 
 import numpy as np
 
@@ -69,8 +70,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["UeArena"]
 
-#: rows of an arena's column block: backlog, then six per PHY bank
-_BLOCK_ROWS = 13
+#: rows of an arena's column block: backlog, GBR, then six per PHY bank
+_BLOCK_ROWS = 14
 
 
 def _radio_sig(radio: Radio) -> tuple:
@@ -117,12 +118,16 @@ class UeArena:
         #: UE ids in slot (attach) order — mirrors ``Cell._ues`` exactly.
         self.ids: List[str] = []
         self.slot_of: Dict[str, int] = {}
-        self._ctxs: List["UeRadioContext"] = []
+        #: per-slot (context, its watcher, its radio's watcher)
+        self._hooks: List[Tuple["UeRadioContext", Callable, Callable]] = []
+        #: the radio each slot's watcher hangs on (its context's)
+        self._radios: List[Radio] = []
         #: per-slot :func:`_radio_sig`: the PHY math's only view of a UE
         self._sigs: List[tuple] = []
-        # scheduler-visible per-slot demand state (``backlog`` is row 0
-        # of the block, taken by _bind_columns)
-        self.gbr: List[float] = []
+        #: ids of UEs whose radio was written since the last refresh
+        self._touched: Set[str] = set()
+        # scheduler-visible per-slot demand state (``backlog`` and
+        # ``gbr`` are rows 0-1 of the block, taken by _bind_columns)
         self.priority: List[int] = []
         self.dl = _PhyBank()
         self.ul = _PhyBank()
@@ -131,7 +136,7 @@ class UeArena:
         #: rate stores of the schedulers the cell currently runs
         self._stores: List[Tuple[LteScheduler, RateStore]] = []
         #: slots sorted by descending UE id (PF tie-break order), cached
-        self.desc_order: List[int] = []
+        self.desc_order = descending_id_order(self.ids)
         self._desc_stale = True
 
     # -- structural maintenance (driven by Cell.add_ue / remove_ue) --------
@@ -139,25 +144,57 @@ class UeArena:
     def _bind_columns(self) -> None:
         """Re-take every column as a view of the block's live slots."""
         live = self._block[:, :len(self.ids)]
-        self.backlog = live[0]
-        self.dl.bind(live[1:7])
-        self.ul.bind(live[7:13])
+        self.backlog, self.gbr = live[:2]
+        self.dl.bind(live[2:8])
+        self.ul.bind(live[8:14])
+
+    def _watch(self, ctx: "UeRadioContext") -> None:
+        """A radio write marks the row with one C-level call (every UE
+        may move every TTI); a context write, rare, is synced on the spot."""
+        mark = partial(self._touched.add, ctx.ue_id)
+        sync = partial(self._context_written, ctx, ctx.ue_id, mark)
+        self._hooks.append((ctx, sync, mark))
+        ctx.watch(sync)
+        ctx.radio.watch(mark)
+
+    def _context_written(self, ctx: "UeRadioContext", uid: str,
+                         mark: Callable[[], None]) -> None:
+        slot = self.slot_of[uid]
+        self.backlog[slot] = ctx.backlog_bits
+        self.gbr[slot] = ctx.gbr_bps
+        self.priority[slot] = ctx.priority
+        old = self._radios[slot]
+        if ctx.radio is not old:  # the mark follows the context's radio
+            old.unwatch(mark)
+            ctx.radio.watch(mark)
+            self._radios[slot] = ctx.radio
+            mark()
+
+    def __setstate__(self, state: dict) -> None:
+        # a pickled or deep-copied arena's contexts arrive unwatched and
+        # its columns as copies, not views: bind and hook its own
+        self.__dict__.update(state)
+        self._bind_columns()
+        stale, self._hooks = self._hooks, []
+        for ctx, _sync, _mark in stale:
+            self._watch(ctx)
 
     def attach(self, ctx: "UeRadioContext") -> None:
         uid = ctx.ue_id
         slot = len(self.ids)
         self.slot_of[uid] = slot
         self.ids.append(uid)
-        self._ctxs.append(ctx)
+        self._radios.append(ctx.radio)
         self._sigs.append(_radio_sig(ctx.radio))
-        self.gbr.append(ctx.gbr_bps)
         self.priority.append(ctx.priority)
+        self._watch(ctx)
         block = self._block
         if slot == block.shape[1]:
             self._block = np.zeros((_BLOCK_ROWS, 2 * slot))
             self._block[:, :slot] = block
         self._bind_columns()
         self.backlog[slot] = ctx.backlog_bits
+        self.gbr[slot] = ctx.gbr_bps
         # a new row is dirty in both banks, so its other cells (whatever
         # an earlier tenant of the column left) are written before read
         self.dl.dirty[slot] = self.ul.dirty[slot] = True
@@ -169,7 +206,11 @@ class UeArena:
         slot = self.slot_of.pop(uid, None)
         if slot is None:
             return
-        for lst in (self.ids, self._ctxs, self._sigs, self.gbr,
+        ctx, sync, mark = self._hooks[slot]
+        ctx.unwatch(sync)
+        self._radios[slot].unwatch(mark)
+        self._touched.discard(uid)
+        for lst in (self.ids, self._hooks, self._radios, self._sigs,
                     self.priority):
             del lst[slot]
         ids = self.ids
@@ -206,11 +247,12 @@ class UeArena:
     def columns(self, bank: _PhyBank, scheduler: LteScheduler) -> UserColumns:
         """This TTI's columns for ``scheduler`` over a refreshed bank."""
         mask = (bank.eff > 0.0) & (self.backlog > 0.0)
+        desc = self.desc_order
         return UserColumns(
             ids=self.ids, slot_of=self.slot_of, eff=bank.eff.tolist(),
             b=bank.b, avg=self._store_for(scheduler).avg, gbr=self.gbr,
             priority=self.priority, elig=mask.nonzero()[0].tolist(),
-            desc_order=self.desc_order)
+            elig_desc=desc[mask[desc]])
 
     # -- per-TTI refresh ---------------------------------------------------
 
@@ -224,7 +266,8 @@ class UeArena:
         if self._desc_stale:
             self.desc_order = descending_id_order(self.ids)
             self._desc_stale = False
-        self._scan_rows()
+        if self._touched:
+            self._reread_touched()
         env = self._env(downlink)
         if env != bank.env_sig:
             bank.env_sig = env
@@ -236,18 +279,18 @@ class UeArena:
             bank.dirty[stale] = False
         return bank
 
-    def _scan_rows(self) -> None:
-        """Value-compare every row's inputs against the cached copies."""
+    def _reread_touched(self) -> None:
+        """Value-compare the written radios against the cached copies:
+        only a field that really changed dirties the row."""
+        slot_of = self.slot_of
+        radios = self._radios
         sigs = self._sigs
-        backlog = self.backlog
-        seen = backlog.tolist()  # compare Python floats, not array cells
-        gbr = self.gbr
-        prio = self.priority
         changed: List[int] = []
-        for slot, ctx in enumerate(self._ctxs):
-            # _radio_sig(ctx.radio), inlined: this loop runs per attached
-            # UE per TTI and is the engine's traced top line
-            r = ctx.radio
+        for uid in self._touched:
+            slot = slot_of[uid]
+            # _radio_sig, inlined: with every UE moving, this loop runs
+            # per attached UE per TTI
+            r = radios[slot]
             p = r.position
             sig = (p.x, p.y, r.tx_power_dbm, r.antenna_gain_dbi,
                    r.noise_figure_db, r.cable_loss_db,
@@ -255,11 +298,7 @@ class UeArena:
             if sig != sigs[slot]:
                 sigs[slot] = sig
                 changed.append(slot)
-            bl = ctx.backlog_bits
-            if bl != seen[slot]:
-                backlog[slot] = bl
-            gbr[slot] = ctx.gbr_bps
-            prio[slot] = ctx.priority
+        self._touched.clear()
         if changed:
             self.dl.dirty[changed] = self.ul.dirty[changed] = True
 
@@ -323,9 +362,9 @@ class UeArena:
                     xs, ys, power, papr, gains, cables, cell.radio)
         if sca:
             sinr_of = cell.sinr_to if downlink else cell.uplink_sinr_from
-            ctxs = self._ctxs
+            radios = self._radios
             for s in sca:
-                sinr[s] = sinr_of(ctxs[s].radio)
+                sinr[s] = sinr_of(radios[s])
         svals = sinr[rows]
         cqi = select_lte_cqi_index_many(svals)
         eff = lte_efficiency_for_index(cqi)

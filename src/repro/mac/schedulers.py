@@ -56,9 +56,11 @@ class SchedulableUser:
         return lte_efficiency_for_sinr(self.sinr_db)
 
 
-def descending_id_order(ids: List[str]) -> List[int]:
-    """Slots sorted by descending user id: PF's tie-break order."""
-    return sorted(range(len(ids)), key=ids.__getitem__, reverse=True)
+def descending_id_order(ids: List[str]) -> np.ndarray:
+    """Slots sorted by descending user id (PF's tie-break order), as an
+    index array."""
+    return np.array(sorted(range(len(ids)), key=ids.__getitem__,
+                           reverse=True), dtype=np.intp)
 
 
 class UserColumns(NamedTuple):
@@ -66,9 +68,9 @@ class UserColumns(NamedTuple):
 
     Slot ``s`` is one user; every column is indexed by slot. A cell's
     :class:`repro.mac.arena.UeArena` holds each of these once and hands
-    its own columns over (``eff`` read out as a list, ``elig`` computed
-    per TTI); :meth:`LteScheduler.allocate` packs them from its
-    ``SchedulableUser`` list.
+    its own columns over (``eff`` read out as a list, the two ``elig``
+    columns computed per TTI); :meth:`LteScheduler.allocate` packs them
+    from its ``SchedulableUser`` list.
 
     Attributes:
         ids: user ids in slot order (grant maps are keyed in this order).
@@ -77,10 +79,12 @@ class UserColumns(NamedTuple):
         b: bits one PRB carries in one TTI per slot (float array).
         avg: EWMA average rate per slot in bits/s (float array, updated
             in place by the allocation).
-        gbr: guaranteed bit rate per slot, 0 for best effort.
+        gbr: guaranteed bit rate per slot, 0 for best effort (float
+            array).
         priority: lower value = more important.
         elig: slots with efficiency > 0 and backlog > 0, ascending.
-        desc_order: :func:`descending_id_order` of ``ids``.
+        elig_desc: the same slots in :func:`descending_id_order` (int
+            array).
     """
 
     ids: List[str]
@@ -88,10 +92,10 @@ class UserColumns(NamedTuple):
     eff: List[float]
     b: np.ndarray
     avg: np.ndarray
-    gbr: List[float]
+    gbr: np.ndarray
     priority: List[int]
     elig: List[int]
-    desc_order: List[int]
+    elig_desc: np.ndarray
 
 
 class RateStore:
@@ -136,15 +140,16 @@ class LteScheduler(ABC):
         ids = [u.user_id for u in users]
         eff = [u.efficiency for u in users]
         rates = self._rates
+        mask = np.array([e > 0 and u.backlog_bits > 0
+                         for e, u in zip(eff, users)], dtype=bool)
+        desc = descending_id_order(ids)
         cols = UserColumns(
             ids=ids, slot_of={uid: s for s, uid in enumerate(ids)}, eff=eff,
             b=np.array([bits_per_prb(e) for e in eff], dtype=float),
             avg=np.array([rates.get(uid, 0.0) for uid in ids], dtype=float),
-            gbr=[u.gbr_bps for u in users],
+            gbr=np.array([u.gbr_bps for u in users], dtype=float),
             priority=[u.priority for u in users],
-            elig=[s for s, u in enumerate(users)
-                  if eff[s] > 0 and u.backlog_bits > 0],
-            desc_order=descending_id_order(ids))
+            elig=mask.nonzero()[0].tolist(), elig_desc=desc[mask[desc]])
         result = self.allocate_columns(cols, prbs)
         rates.update(zip(ids, cols.avg.tolist()))
         return result
@@ -155,11 +160,13 @@ class LteScheduler(ABC):
         grants: Dict[str, List[int]] = {}
         if cols.elig and prbs:
             grants = self._assign(cols, sorted(prbs))
-        result = {uid: frozenset(g) for uid, g in grants.items() if g}
+        slot_of = cols.slot_of
+        result = {uid: frozenset(grants[uid])
+                  for uid in sorted(grants, key=slot_of.__getitem__)
+                  if grants[uid]}
         if cols.ids:
             alpha = 1.0 / self.PF_WINDOW_TTIS
             served = np.zeros(len(cols.ids))
-            slot_of = cols.slot_of
             for uid, g in result.items():
                 served[slot_of[uid]] = len(g)
             avg = cols.avg
@@ -171,7 +178,8 @@ class LteScheduler(ABC):
     def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
         """Policy-specific assignment of sorted ``prbs`` over a non-empty
-        ``cols.elig``; returns {user_id: prbs} keyed in slot order."""
+        ``cols.elig``; returns {user_id: prbs} for the users it served,
+        in any order (users mapped to no PRBs are dropped)."""
 
     # -- rate accounting ----------------------------------------------------
 
@@ -199,11 +207,11 @@ class RoundRobinScheduler(LteScheduler):
                 prbs: List[int]) -> Dict[str, List[int]]:
         ids = cols.ids
         elig = cols.elig
-        grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
+        grants: Dict[str, List[int]] = {}
         n = len(elig)
         nxt = self._next
         for i, prb in enumerate(prbs):
-            grants[ids[elig[(nxt + i) % n]]].append(prb)
+            grants.setdefault(ids[elig[(nxt + i) % n]], []).append(prb)
         self._next = (nxt + len(prbs)) % n
         return grants
 
@@ -237,31 +245,31 @@ class ProportionalFairScheduler(LteScheduler):
 
     def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        # grants keyed in eligible (slot) order, heap ranks in
-        # descending-uid order, Python floats throughout (via tolist) so
-        # the heap arithmetic is plain scalar arithmetic
-        ids = cols.ids
-        elig = cols.elig
-        grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
+        # heap ranks in descending-uid order; the seed metrics are one
+        # array division (IEEE division: the scalar expression's bits) and
+        # everything the loop touches is a Python float (via tolist)
+        desc = cols.elig_desc
         floor = 1e3  # avoids div-by-zero for new users, biases toward them
-        eset = set(elig)
-        desc = [s for s in cols.desc_order if s in eset]
-        idx = np.array(desc)
-        insts = (cols.b[idx] * 1e3).tolist()
-        avgs = np.maximum(cols.avg[idx], floor).tolist()
-        lists = [grants[ids[s]] for s in desc]
-        entries: List = [(-(insts[r] / (avgs[r] + 0.0)), r)
-                         for r in range(len(desc))]
+        inst_arr = cols.b[desc] * 1e3
+        avg_arr = np.maximum(cols.avg[desc], floor)
+        insts = inst_arr.tolist()
+        avgs = avg_arr.tolist()
+        entries = list(zip((-(inst_arr / avg_arr)).tolist(),
+                           range(len(insts))))
         heapq.heapify(entries)
         pop = heapq.heappop
         push = heapq.heappush
+        by_rank: Dict[int, List[int]] = {}
         for prb in prbs:
             _neg, rank = pop(entries)
-            granted = lists[rank]
+            granted = by_rank.get(rank)
+            if granted is None:
+                granted = by_rank[rank] = []
             granted.append(prb)
             inst = insts[rank]
             push(entries, (-(inst / (avgs[rank] + len(granted) * inst)), rank))
-        return grants
+        ids = cols.ids
+        return {ids[desc[rank]]: granted for rank, granted in by_rank.items()}
 
 
 class QosAwareScheduler(ProportionalFairScheduler):
@@ -276,22 +284,22 @@ class QosAwareScheduler(ProportionalFairScheduler):
     def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
         ids = cols.ids
-        elig = cols.elig
-        grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
+        grants: Dict[str, List[int]] = {}
         remaining = list(prbs)
         gbr = cols.gbr
         prio = cols.priority
-        gbr_slots = sorted((s for s in elig if gbr[s] > 0),
+        elig = cols.elig_desc
+        gbr_slots = sorted(elig[gbr[elig] > 0].tolist(),
                            key=lambda s: (prio[s], ids[s]))
         for s in gbr_slots:
-            needed_bits = gbr[s] * 1e-3  # per TTI
+            needed_bits = float(gbr[s]) * 1e-3  # per TTI
             per_prb = float(cols.b[s])
-            granted = grants[ids[s]]
+            granted = grants[ids[s]] = []
             while remaining and needed_bits > 0:
                 granted.append(remaining.pop(0))
                 needed_bits -= per_prb
         if remaining:
             pf = super()._assign(cols, remaining)
             for uid, extra in pf.items():
-                grants[uid].extend(extra)
+                grants.setdefault(uid, []).extend(extra)
         return grants

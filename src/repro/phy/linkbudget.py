@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,9 +36,47 @@ def _thermal_noise_cached(bandwidth_hz: float, noise_figure_db: float) -> float:
 _LOSS_CACHE_MAX = 4096
 
 
+class Watched:
+    """Mixin: assigning any attribute runs the object's watchers.
+
+    A watcher is a zero-argument callable, run after the store whatever
+    the value: it records *that* something was written, and its owner
+    decides later whether anything changed. Watchers are not dataclass
+    fields, so equality, ``repr`` and ``dataclasses.replace`` never see
+    them, and pickle and ``copy`` leave them behind: a copy is equal
+    field for field and watched by nobody.
+
+    Every attribute of a watched class must be a plain instance
+    attribute (no slots, no property setters): the store goes straight
+    into ``__dict__``, a third cheaper than ``object.__setattr__`` on a
+    path a moving UE takes every TTI.
+    """
+
+    _watchers: ClassVar[Sequence[Callable[[], object]]] = ()
+
+    def __setattr__(self, name: str, value: object) -> None:
+        self.__dict__[name] = value
+        for mark in self._watchers:
+            mark()
+
+    def __getstate__(self) -> dict:
+        return {k: v for k, v in self.__dict__.items() if k != "_watchers"}
+
+    def watch(self, mark: Callable[[], object]) -> None:
+        self.__dict__.setdefault("_watchers", []).append(mark)
+
+    def unwatch(self, mark: Callable[[], object]) -> None:
+        self._watchers.remove(mark)
+
+
 @dataclass
-class Radio:
+class Radio(Watched):
     """One end of a radio link.
+
+    Assignment is the only way a radio changes (``Point`` and the
+    antenna patterns are frozen), and every assignment runs the radio's
+    watchers (see :class:`Watched`): that is how a cell's UE arena learns
+    that a row's inputs moved without polling them.
 
     Attributes:
         position: location on the plane.

@@ -22,7 +22,9 @@ Chlamtac, 1985), so nothing is paid per sample for a number no one reads.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
+from functools import reduce
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -326,20 +328,19 @@ class Histogram(_Instrument):
         """Record a batch of samples, bit-identically to calling
         :meth:`observe` per element in order.
 
-        The running sum is accumulated sequentially (same additions in
-        the same order as the scalar path); bucket placement vectorizes
-        through ``np.searchsorted`` (identical index semantics to
-        ``bisect_left``). This is the TTI engine's per-cell SINR
-        observation path.
+        The running sum is a sequential left fold (same additions in
+        the same order as the scalar path; not ``sum()``, which
+        compensates float sums from CPython 3.12 on); bucket placement
+        vectorizes through ``np.searchsorted`` (identical index
+        semantics to ``bisect_left``). This is the TTI engine's per-cell
+        SINR observation path.
         """
-        vals = np.asarray(values, dtype=float).tolist()
+        arr = np.asarray(values, dtype=float)
+        vals = arr.tolist()
         if not vals:
             return
         self.count += len(vals)
-        total = self.sum
-        for value in vals:
-            total += value
-        self.sum = total
+        self.sum = reduce(operator.add, vals, self.sum)
         lo = min(vals)
         hi = max(vals)
         if lo < self.min:
@@ -348,7 +349,7 @@ class Histogram(_Instrument):
             self.max = hi
         if self._bucket_arr is None:
             self._bucket_arr = np.array(self.buckets)
-        idx = np.searchsorted(self._bucket_arr, vals, side="left")
+        idx = np.searchsorted(self._bucket_arr, arr, side="left")
         counts = np.bincount(idx, minlength=len(self.bucket_counts))
         self.bucket_counts = [have + new for have, new
                               in zip(self.bucket_counts, counts.tolist())]
