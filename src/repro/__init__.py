@@ -26,26 +26,16 @@ See DESIGN.md for the system inventory and EXPERIMENTS.md for the
 paper-vs-measured record.
 """
 
-from repro.simcore import Simulator
-from repro.core.network import (
-    CentralizedLTENetwork,
-    DLTENetwork,
-    PrivateLTENetwork,
-    WiFiNetwork,
-)
-from repro.core.report import NetworkReport
-from repro.workloads.topology import FarmCorridor, RuralTown
+from repro._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Simulator",
-    "DLTENetwork",
-    "CentralizedLTENetwork",
-    "WiFiNetwork",
-    "PrivateLTENetwork",
-    "NetworkReport",
-    "RuralTown",
-    "FarmCorridor",
-    "__version__",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "simcore.simulator": ("Simulator",),
+    "core.network": (
+        "DLTENetwork", "CentralizedLTENetwork", "WiFiNetwork",
+        "PrivateLTENetwork"),
+    "core.report": ("NetworkReport",),
+    "workloads.topology": ("RuralTown", "FarmCorridor"),
+})
+__all__.append("__version__")

@@ -422,6 +422,10 @@ def main(argv: List[str] = None) -> int:
         return 2
     if exp_args and len(ids) != 1:
         parser.error("--exp-arg needs exactly one experiment id")
+    # import exactly what was asked for, now: nothing below — a table,
+    # a HUB bracket, a forked worker — imports a repro module again
+    for exp_id in ids:
+        ALL_EXPERIMENTS[exp_id]
 
     supervise = (args.resume is not None or args.retries > 0
                  or args.task_timeout is not None)

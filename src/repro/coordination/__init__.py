@@ -19,30 +19,15 @@ fuse resources with their neighbors in a cooperative mode."
   between neighbouring APs for redundancy and aggregation (E11).
 """
 
-from repro.coordination.x2 import (
-    DlteModeInfo,
-    HandoverRequest,
-    HandoverRequestAck,
-    LoadInformation,
-    PrbClaim,
-    X2Endpoint,
-)
-from repro.coordination.fair_sharing import FairSharingCoordinator
-from repro.coordination.cooperative import CooperativeCluster
-from repro.coordination.icic import reuse_partition
-from repro.coordination.mesh import BackhaulMesh
-from repro.coordination.peer_monitor import PeerMonitor
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "X2Endpoint",
-    "LoadInformation",
-    "HandoverRequest",
-    "HandoverRequestAck",
-    "DlteModeInfo",
-    "PrbClaim",
-    "FairSharingCoordinator",
-    "CooperativeCluster",
-    "reuse_partition",
-    "BackhaulMesh",
-    "PeerMonitor",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "x2": (
+        "DlteModeInfo", "HandoverRequest", "HandoverRequestAck",
+        "LoadInformation", "PrbClaim", "X2Endpoint"),
+    "fair_sharing": ("FairSharingCoordinator",),
+    "cooperative": ("CooperativeCluster",),
+    "icic": ("reuse_partition",),
+    "mesh": ("BackhaulMesh",),
+    "peer_monitor": ("PeerMonitor",),
+})

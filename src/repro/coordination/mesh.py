@@ -16,6 +16,29 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
+from repro.geo.points import Point
+from repro.phy.bands import get_band
+from repro.phy.linkbudget import LinkBudget, Radio
+from repro.phy.mcs import lte_efficiency_for_sinr
+from repro.phy.propagation import model_for_frequency
+
+
+def mesh_link_rate_bps(distance_m: float, band_name: str = "lte5") -> float:
+    """Point-to-point AP-to-AP radio rate at a separation.
+
+    Both ends are elevated, high-gain fixed radios, so mesh links are
+    far better than AP-to-handset links at the same distance.
+    """
+    band = get_band(band_name)
+    budget = LinkBudget(model_for_frequency(band.dl_mhz), band.dl_mhz,
+                        band.bandwidth_hz)
+    a = Radio(Point(0, 0), tx_power_dbm=43, antenna_gain_dbi=18,
+              height_m=30.0, noise_figure_db=5.0)
+    b = Radio(Point(distance_m, 0), tx_power_dbm=43, antenna_gain_dbi=18,
+              height_m=30.0, noise_figure_db=5.0)
+    snr = budget.snr_db(a, b)
+    return lte_efficiency_for_sinr(snr) * band.bandwidth_hz
+
 
 class BackhaulMesh:
     """An AP mesh with per-node backhaul and per-edge radio capacity."""

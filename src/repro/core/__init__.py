@@ -26,25 +26,14 @@ experiment:
   (APs must attach through it; outsiders cannot join).
 """
 
-from repro.core.capabilities import ArchitectureCapabilities, design_space_table
-from repro.core.esim import EsimDevice
-from repro.core.access_point import DLTEAccessPoint
-from repro.core.network import (
-    CentralizedLTENetwork,
-    DLTENetwork,
-    NetworkReport,
-    PrivateLTENetwork,
-    WiFiNetwork,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ArchitectureCapabilities",
-    "design_space_table",
-    "EsimDevice",
-    "DLTEAccessPoint",
-    "DLTENetwork",
-    "CentralizedLTENetwork",
-    "WiFiNetwork",
-    "PrivateLTENetwork",
-    "NetworkReport",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "capabilities": ("ArchitectureCapabilities", "design_space_table"),
+    "esim": ("EsimDevice",),
+    "access_point": ("DLTEAccessPoint",),
+    "network": (
+        "CentralizedLTENetwork", "DLTENetwork", "PrivateLTENetwork",
+        "WiFiNetwork"),
+    "report": ("NetworkReport",),
+})

@@ -20,7 +20,9 @@ from __future__ import annotations
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.coordination.fair_sharing import FairSharingCoordinator
-from repro.coordination.x2 import X2Endpoint
+from repro.coordination.peer_monitor import PeerMonitor
+from repro.coordination.x2 import (HandoverRequest, HandoverRequestAck,
+                                   X2Endpoint)
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.enodeb.relay import EnbControlRelay
 from repro.epc.agents import ControlChannel
@@ -334,8 +336,6 @@ class DLTEAccessPoint:
     def start_peer_monitor(self, heartbeat_s: float = 2.0) -> None:
         """Run the dLTE peer-status extension: detect dead peers and
         reclaim their spectrum (call after peering is established)."""
-        from repro.coordination.peer_monitor import PeerMonitor
-
         if self.peer_monitor is None:
             self.peer_monitor = PeerMonitor(self.sim, self.x2,
                                             self.coordinator,
@@ -407,8 +407,6 @@ class DLTEAccessPoint:
         radio/data attachment is the caller's job once admitted (see
         tests for the full sequence).
         """
-        from repro.coordination.x2 import HandoverRequest
-
         if target_ap_id not in self.x2.peer_ids:
             raise KeyError(f"{self.ap_id} has no X2 peering with "
                            f"{target_ap_id!r}")
@@ -420,8 +418,6 @@ class DLTEAccessPoint:
             key_context=key))
 
     def _on_x2_message(self, from_ap: str, message) -> None:
-        from repro.coordination.x2 import HandoverRequest, HandoverRequestAck
-
         if isinstance(message, HandoverRequest):
             # admission control: accept while the pool has room
             admitted = self.pool.in_use < self.pool.capacity

@@ -25,6 +25,8 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.coordination.cooperative import CooperativeCluster
+from repro.coordination.icic import reuse_partition
+from repro.coordination.mesh import mesh_link_rate_bps
 from repro.core.access_point import AIR_DELAY_S, DLTEAccessPoint
 from repro.core.capabilities import ArchitectureCapabilities
 from repro.core.datapath import EnbDataPlane, EpcDataPlane
@@ -204,11 +206,9 @@ class DLTENetwork(_BaseNetwork):
 
         Every AP pair gets a point-to-point link whose rate comes from
         the elevated-antenna link budget at their separation (see
-        ``repro.experiments.e11_mesh_backhaul.mesh_link_rate_bps``);
+        ``repro.coordination.mesh.mesh_link_rate_bps``);
         pairs whose link budget yields no rate stay unconnected.
         """
-        from repro.experiments.e11_mesh_backhaul import mesh_link_rate_bps
-
         ap_list = list(self.aps.values())
         for i, a in enumerate(ap_list):
             for b in ap_list[i + 1:]:
@@ -514,7 +514,6 @@ class CentralizedLTENetwork(_BaseNetwork):
     def _radio_phase(self, report: NetworkReport) -> None:
         # the carrier coordinates its own cells: disjoint slices (ICIC)
         if len(self.cells) > 1:
-            from repro.coordination.icic import reuse_partition
             partition = reuse_partition(
                 [c.name for c in self.cells.values()],
                 next(iter(self.cells.values())).grid.n_prbs,

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
+from repro.mac.timing import WIFI_DEFAULT_ACK_RANGE_M
 from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.mcs import select_lte_cqi, select_wifi_mcs
 from repro.phy.propagation import model_for_frequency
@@ -131,8 +132,6 @@ def wifi_site_plan() -> DeploymentPlan:
         BomItem("cabling, mounts, surge protection", 400.0, 1),
     ]
     # WiFi's radius is the smaller of link budget and ACK-timing limits
-    from repro.mac.timing import WIFI_DEFAULT_ACK_RANGE_M
-
     radius = min(_edge_radius_m(2437.0, 20e6, 23.0, 13.0, is_lte=False,
                                 max_range_m=50_000.0),
                  WIFI_DEFAULT_ACK_RANGE_M)

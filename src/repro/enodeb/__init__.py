@@ -7,8 +7,10 @@ and the X2 interface toward peer eNodeBs (handover and the paper's dLTE
 coordination extensions, §4.3).
 """
 
-from repro.enodeb.cell import Cell
-from repro.enodeb.relay import EnbControlRelay
-from repro.enodeb.site import SectorSite
+from repro._lazy import lazy_exports
 
-__all__ = ["Cell", "EnbControlRelay", "SectorSite"]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "cell": ("Cell",),
+    "relay": ("EnbControlRelay",),
+    "site": ("SectorSite",),
+})

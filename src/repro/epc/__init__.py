@@ -17,37 +17,22 @@ Both run the standard EPS attach procedure message-for-message, so E7's
 latency/load comparison is apples-to-apples.
 """
 
-from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
-from repro.epc.crypto import AuthVector, generate_auth_vector, ue_compute_response
-from repro.epc.centralized import CentralizedEpc
-from repro.epc.hss import Hss
-from repro.epc.keys import PublishedKeyRegistry
-from repro.epc.mme import Mme
-from repro.epc.nas import (
-    AttachAccept,
-    AttachComplete,
-    AttachRequest,
-    AuthenticationRequest,
-    AuthenticationResponse,
-    SecurityModeCommand,
-    SecurityModeComplete,
-)
-from repro.epc.pgw import Pgw
-from repro.epc.sgw import Sgw
-from repro.epc.stub import LocalCoreStub
-from repro.epc.subscriber import SubscriberDb, SubscriberProfile
-from repro.epc.ue import UserEquipment
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ControlAgent", "ControlChannel", "ControlMessage",
-    "AuthVector", "generate_auth_vector", "ue_compute_response",
-    "CentralizedEpc",
-    "Hss", "Mme", "Sgw", "Pgw",
-    "PublishedKeyRegistry",
-    "AttachRequest", "AttachAccept", "AttachComplete",
-    "AuthenticationRequest", "AuthenticationResponse",
-    "SecurityModeCommand", "SecurityModeComplete",
-    "LocalCoreStub",
-    "SubscriberDb", "SubscriberProfile",
-    "UserEquipment",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "agents": ("ControlAgent", "ControlChannel", "ControlMessage"),
+    "crypto": ("AuthVector", "generate_auth_vector", "ue_compute_response"),
+    "centralized": ("CentralizedEpc",),
+    "hss": ("Hss",),
+    "keys": ("PublishedKeyRegistry",),
+    "mme": ("Mme",),
+    "nas": (
+        "AttachAccept", "AttachComplete", "AttachRequest",
+        "AuthenticationRequest", "AuthenticationResponse",
+        "SecurityModeCommand", "SecurityModeComplete"),
+    "pgw": ("Pgw",),
+    "sgw": ("Sgw",),
+    "stub": ("LocalCoreStub",),
+    "subscriber": ("SubscriberDb", "SubscriberProfile"),
+    "ue": ("UserEquipment",),
+})

@@ -13,7 +13,7 @@ from typing import Dict
 
 from repro.epc.agents import ControlAgent, ControlChannel
 from repro.epc.hss import Hss
-from repro.epc.mme import Mme
+from repro.epc.mme import Mme, UeContextState
 from repro.epc.pgw import Pgw
 from repro.epc.sgw import Sgw
 from repro.epc.subscriber import SubscriberProfile
@@ -82,7 +82,5 @@ class CentralizedEpc:
     @property
     def attached_ues(self) -> int:
         """UEs currently in ATTACHED state at the MME."""
-        from repro.epc.mme import UeContextState
-
         return sum(1 for ctx in self.mme.contexts.values()
                    if ctx.state is UeContextState.ATTACHED)

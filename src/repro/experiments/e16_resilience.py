@@ -37,6 +37,7 @@ from repro.core.network import (
 )
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
+from repro.invariants import watch_network
 from repro.metrics.tables import ResultTable
 from repro.net.packet import Packet
 from repro.workloads.topology import RuralTown
@@ -150,7 +151,6 @@ def run(seed: int = 11, n_aps: int = 3, n_ues: int = 12,
     dlte = _ResilienceArm("dLTE (federated)", dlte_net)
     checkers = []
     if invariants:
-        from repro.invariants import watch_network
         checkers.append(watch_network(dlte_net))
     _settle_dlte(dlte_net, heartbeat_s)
 
@@ -159,7 +159,6 @@ def run(seed: int = 11, n_aps: int = 3, n_ues: int = 12,
         prepare_scenario(scenario, cent_net)
     cent = _ResilienceArm("Centralized LTE", cent_net)
     if invariants:
-        from repro.invariants import watch_network
         checkers.append(watch_network(cent_net))
     _settle_centralized(cent_net)
 

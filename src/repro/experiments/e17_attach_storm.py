@@ -40,7 +40,7 @@ from repro.core.network import CentralizedLTENetwork, DLTENetwork
 from repro.epc.overload import OverloadPolicy
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
-from repro.invariants.network import iter_control_agents
+from repro.invariants.network import iter_control_agents, watch_network
 from repro.metrics.tables import ResultTable
 from repro.runner import parallel_map
 from repro.workloads.topology import RuralTown
@@ -94,7 +94,6 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
         prepare_scenario(scenario, net)
     checker = None
     if invariants:
-        from repro.invariants import watch_network
         checker = watch_network(net)
     if overload:
         policy = OverloadPolicy(**DEFAULT_POLICY)

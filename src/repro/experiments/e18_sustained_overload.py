@@ -54,6 +54,7 @@ from repro.epc.qos import (BearerPolicer, CLASS_BULK, CLASS_GBR,
                            CLASS_INTERACTIVE, QosPolicy)
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
+from repro.invariants import watch_network
 from repro.metrics.tables import ResultTable
 from repro.net.aqm import make_aqm
 from repro.runner import parallel_map
@@ -153,7 +154,6 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
         prepare_scenario(scenario, net)
     checker = None
     if invariants:
-        from repro.invariants import watch_network
         checker = watch_network(net)
     if arch == "dlte":
         _settle_dlte(net)

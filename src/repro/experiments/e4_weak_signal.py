@@ -18,6 +18,8 @@ from typing import List, Optional
 from repro.metrics.tables import ResultTable
 from repro.phy.harq import harq_goodput_factor
 from repro.phy.mcs import (
+    LTE_CQI_TABLE,
+    WIFI_MCS_TABLE,
     select_lte_cqi,
     select_wifi_mcs,
 )
@@ -38,8 +40,6 @@ def lte_goodput_bps_hz(sinr_db: float, harq: bool = True,
     is where HARQ's throughput gain comes from; plain ARQ must stay at
     or below the channel or every attempt fails alike.
     """
-    from repro.phy.mcs import LTE_CQI_TABLE
-
     best = 0.0
     for entry in LTE_CQI_TABLE:
         factor = harq_goodput_factor(sinr_db, entry.min_sinr_db,
@@ -51,8 +51,6 @@ def lte_goodput_bps_hz(sinr_db: float, harq: bool = True,
 
 def wifi_goodput_bps_hz(snr_db: float, max_retries: int = 3) -> float:
     """WiFi link adaptation + plain ARQ (no combining), goodput-optimal."""
-    from repro.phy.mcs import WIFI_MCS_TABLE
-
     best = 0.0
     for entry in WIFI_MCS_TABLE:
         factor = harq_goodput_factor(snr_db, entry.min_sinr_db,

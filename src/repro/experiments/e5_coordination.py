@@ -170,9 +170,6 @@ def gbr_protection(n_aps: int = 2, seed: int = 3) -> ResultTable:
     scheduler) must hold the guarantee as load grows; a plain PF cell
     lets the video rate dilute; WiFi has no bearer concept at all.
     """
-    from repro.enodeb.cell import UeRadioContext
-    from repro.phy.linkbudget import Radio
-
     GBR_BPS = 3e6
     table = ResultTable(
         "E5 extension: a 3 Mbps GBR video bearer under growing load",

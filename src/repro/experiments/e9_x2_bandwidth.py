@@ -15,7 +15,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.coordination.x2 import LoadInformation, X2Endpoint
+from repro.coordination.x2 import (HandoverRequest, HandoverRequestAck,
+                                   LoadInformation, X2Endpoint)
 from repro.metrics.tables import ResultTable
 from repro.simcore.simulator import Simulator
 
@@ -85,7 +86,5 @@ def backhaul_fit(n_peers: int = 8, duration_s: float = 60.0,
 
 def handover_burst_bytes() -> float:
     """One X2 handover's worth of signaling (request + ack), bytes."""
-    from repro.coordination.x2 import HandoverRequest, HandoverRequestAck
-
     return (HandoverRequest(sender_ap="a").size_bytes
             + HandoverRequestAck(sender_ap="b").size_bytes)

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from typing import List
 
-from repro.core.network import CentralizedLTENetwork, DLTENetwork
+from repro.core.network import (CentralizedLTENetwork, DLTENetwork,
+                                PrivateLTENetwork)
 from repro.metrics.tables import ResultTable
 from repro.workloads.topology import RuralTown
 
@@ -52,8 +53,6 @@ def local_breakout_ablation(seed: int = 1) -> ResultTable:
     latency gap — showing the penalty is the tunnel's geometry, which is
     the architectural point of Fig. 1.
     """
-    from repro.core.network import PrivateLTENetwork
-
     table = ResultTable(
         "F1 ablation: where the core sits",
         ["architecture", "core_location", "rtt_ms", "hops"])

@@ -10,25 +10,11 @@ schedules and known recovery envelopes; see ROBUSTNESS.md for the
 catalog.
 """
 
-from repro.faults.injector import FaultInjector, FaultRecord
-from repro.faults.scenarios import (
-    SCENARIOS,
-    ChaosScenario,
-    ScenarioPlan,
-    compose_scenario,
-    get_scenario,
-    list_scenarios,
-    prepare_scenario,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SCENARIOS",
-    "ChaosScenario",
-    "FaultInjector",
-    "FaultRecord",
-    "ScenarioPlan",
-    "compose_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "prepare_scenario",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "injector": ("FaultInjector", "FaultRecord"),
+    "scenarios": (
+        "SCENARIOS", "ChaosScenario", "ScenarioPlan", "compose_scenario",
+        "get_scenario", "list_scenarios", "prepare_scenario"),
+})

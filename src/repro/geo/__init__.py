@@ -1,18 +1,10 @@
 """Planar geometry: positions, distances, and placement generators."""
 
-from repro.geo.points import Point, distance_m
-from repro.geo.placement import (
-    cluster_placement,
-    grid_placement,
-    road_placement,
-    uniform_disk_placement,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Point",
-    "distance_m",
-    "uniform_disk_placement",
-    "grid_placement",
-    "road_placement",
-    "cluster_placement",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "points": ("Point", "distance_m"),
+    "placement": (
+        "cluster_placement", "grid_placement", "road_placement",
+        "uniform_disk_placement"),
+})

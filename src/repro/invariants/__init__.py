@@ -16,24 +16,11 @@ byte-identical tables and disabled runs pay nothing. ROBUSTNESS.md
 lists every law and how E16 uses them.
 """
 
-from repro.invariants.checks import (
-    InvariantChecker,
-    InvariantError,
-    InvariantViolation,
-)
-from repro.invariants.network import (
-    iter_control_agents,
-    watch_federation,
-    watch_network,
-    watch_topology,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "InvariantChecker",
-    "InvariantError",
-    "InvariantViolation",
-    "iter_control_agents",
-    "watch_federation",
-    "watch_network",
-    "watch_topology",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "checks": ("InvariantChecker", "InvariantError", "InvariantViolation"),
+    "network": (
+        "iter_control_agents", "watch_federation", "watch_network",
+        "watch_topology"),
+})

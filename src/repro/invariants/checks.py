@@ -40,7 +40,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional
 
+from repro.epc.ue import UeState
 from repro.simcore.simulator import Simulator
+from repro.telemetry import flightrec
 
 __all__ = ["InvariantChecker", "InvariantError", "InvariantViolation"]
 
@@ -254,8 +256,6 @@ class InvariantChecker:
 
     def watch_ue(self, ue: Any) -> None:
         """Audit a UE's NAS transitions as they happen (not sampled)."""
-        from repro.epc.ue import UeState
-
         def on_transition(subject, old: UeState, new: UeState) -> None:
             if new is UeState.ATTACHED and old not in (UeState.ATTACHING,
                                                        UeState.ATTACHED):
@@ -324,7 +324,6 @@ class InvariantChecker:
         self.check_now()
         if self.violations:
             error = InvariantError(self.violations)
-            from repro.telemetry import flightrec
             path = flightrec.write_postmortem(
                 "invariant-violation", detail=str(error), sims=[self.sim],
                 extra={"violations": [

@@ -8,36 +8,18 @@ with load and fails under hidden terminals. Both are built here and
 compared head-to-head in E5 and E8.
 """
 
-from repro.mac.arena import UeArena
-from repro.mac.csma import CsmaNode, CsmaSimulation, bianchi_throughput
-from repro.mac.schedulers import (
-    LteScheduler,
-    MaxCiScheduler,
-    ProportionalFairScheduler,
-    QosAwareScheduler,
-    RoundRobinScheduler,
-    SchedulableUser,
-)
-from repro.mac.uplink import (
-    ContiguousUplinkScheduler,
-    contiguity_loss,
-    contiguous_runs,
-)
-from repro.mac.timing import (
-    LTE_MAX_CELL_RANGE_M,
-    WIFI_DEFAULT_ACK_RANGE_M,
-    lte_timing_advance_steps,
-    max_range_supported_m,
-    propagation_delay_s,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "UeArena",
-    "CsmaNode", "CsmaSimulation", "bianchi_throughput",
-    "LteScheduler", "RoundRobinScheduler", "ProportionalFairScheduler",
-    "MaxCiScheduler", "QosAwareScheduler", "SchedulableUser",
-    "ContiguousUplinkScheduler", "contiguity_loss", "contiguous_runs",
-    "LTE_MAX_CELL_RANGE_M", "WIFI_DEFAULT_ACK_RANGE_M",
-    "lte_timing_advance_steps", "max_range_supported_m",
-    "propagation_delay_s",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arena": ("UeArena",),
+    "csma": ("CsmaNode", "CsmaSimulation", "bianchi_throughput"),
+    "schedulers": (
+        "LteScheduler", "MaxCiScheduler", "ProportionalFairScheduler",
+        "QosAwareScheduler", "RoundRobinScheduler", "SchedulableUser"),
+    "uplink": (
+        "ContiguousUplinkScheduler", "contiguity_loss", "contiguous_runs"),
+    "timing": (
+        "LTE_MAX_CELL_RANGE_M", "WIFI_DEFAULT_ACK_RANGE_M",
+        "lte_timing_advance_steps", "max_range_supported_m",
+        "propagation_delay_s"),
+})

@@ -1,17 +1,8 @@
 """Measurement utilities: fairness, percentiles, time series, tables."""
 
-from repro.metrics.stats import (
-    TimeSeries,
-    jain_fairness,
-    percentile,
-    summarize,
-)
-from repro.metrics.tables import ResultTable
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "TimeSeries",
-    "jain_fairness",
-    "percentile",
-    "summarize",
-    "ResultTable",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "stats": ("TimeSeries", "jain_fairness", "percentile", "summarize"),
+    "tables": ("ResultTable",),
+})

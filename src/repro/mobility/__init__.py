@@ -8,12 +8,9 @@ architecture *consequences* of a handover (path switch vs re-attach +
 transport migration) live with the architectures in ``repro.core``.
 """
 
-from repro.mobility.models import LinearMover, RandomWaypointMover
-from repro.mobility.handover import A3HandoverTrigger, dwell_time_s
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "LinearMover",
-    "RandomWaypointMover",
-    "A3HandoverTrigger",
-    "dwell_time_s",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "models": ("LinearMover", "RandomWaypointMover"),
+    "handover": ("A3HandoverTrigger", "dwell_time_s"),
+})

@@ -3,8 +3,10 @@
 LTE UEs report "event A3" when a neighbour cell's reference signal beats
 the serving cell's by a hysteresis margin, sustained for a time-to-
 trigger. What happens *next* differs per architecture (path switch vs
-re-attach); the trigger itself is identical, so both E6 arms use this
-class and the comparison isolates the architectural difference.
+re-attach); the trigger itself is identical for both. No experiment
+uses this class yet: E6 hands over on a timer, one handover per dwell
+time, so its comparison isolates the architectural difference without
+a radio-driven trigger.
 """
 
 from __future__ import annotations

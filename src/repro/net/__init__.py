@@ -10,19 +10,14 @@ static-routing nodes, GTP-U encapsulation, and a latency-modelled
 Internet core.
 """
 
-from repro.net.addressing import AddressPool, IPv4Address
-from repro.net.internet import InternetCore
-from repro.net.links import Link
-from repro.net.nat import NatRouter
-from repro.net.nodes import Host, NetworkNode, Router
-from repro.net.packet import Packet
-from repro.net.tunnel import GTP_HEADER_BYTES, GtpTunnel, TunnelEndpoint
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "AddressPool", "IPv4Address",
-    "InternetCore",
-    "Link",
-    "NetworkNode", "Host", "Router", "NatRouter",
-    "Packet",
-    "GtpTunnel", "TunnelEndpoint", "GTP_HEADER_BYTES",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "addressing": ("AddressPool", "IPv4Address"),
+    "internet": ("InternetCore",),
+    "links": ("Link",),
+    "nat": ("NatRouter",),
+    "nodes": ("Host", "NetworkNode", "Router"),
+    "packet": ("Packet",),
+    "tunnel": ("GTP_HEADER_BYTES", "GtpTunnel", "TunnelEndpoint"),
+})

@@ -22,27 +22,12 @@ All three are scheduling policies over **one** worker runtime
 telemetry home under a :data:`~repro.telemetry.hub.HUB` run.
 """
 
-from repro.runner.checkpoint import SweepCheckpoint
-from repro.runner.parallel import WorkerTaskError, parallel_map
-from repro.runner.seeds import derive_seed
-from repro.runner.supervisor import (
-    SupervisorReport,
-    TaskFailedError,
-    TaskFailure,
-    supervised_map,
-)
-from repro.runner.worker import get_jobs, in_worker, set_jobs
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "SupervisorReport",
-    "SweepCheckpoint",
-    "TaskFailedError",
-    "TaskFailure",
-    "WorkerTaskError",
-    "derive_seed",
-    "get_jobs",
-    "in_worker",
-    "parallel_map",
-    "set_jobs",
-    "supervised_map",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "checkpoint": ("SweepCheckpoint",),
+    "parallel": ("WorkerTaskError", "parallel_map"),
+    "seeds": ("derive_seed",),
+    "supervisor": ("SupervisorReport", "TaskFailedError", "supervised_map"),
+    "worker": ("TaskFailure", "get_jobs", "in_worker", "set_jobs"),
+})

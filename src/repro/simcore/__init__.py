@@ -10,31 +10,15 @@ experiments schedule millions of events (one per TTI per cell), so
 reproduction.
 """
 
-from repro.simcore.events import Event, EventCancelled, Timeout
-from repro.simcore.process import Process, ProcessKilled
-from repro.simcore.rng import RngRegistry
-from repro.simcore.sharded import (
-    ShardBoundary,
-    ShardHost,
-    ShardedSimulator,
-    ZeroLookaheadError,
-)
-from repro.simcore.simulator import ScheduledCall, Simulator
-from repro.simcore.trace import TraceEvent, Tracer
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Event",
-    "EventCancelled",
-    "Timeout",
-    "Process",
-    "ProcessKilled",
-    "RngRegistry",
-    "ScheduledCall",
-    "ShardBoundary",
-    "ShardHost",
-    "ShardedSimulator",
-    "Simulator",
-    "ZeroLookaheadError",
-    "Tracer",
-    "TraceEvent",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "events": ("Event", "EventCancelled", "Timeout"),
+    "process": ("Process", "ProcessKilled"),
+    "rng": ("RngRegistry",),
+    "sharded": (
+        "ShardBoundary", "ShardHost", "ShardedSimulator",
+        "ZeroLookaheadError"),
+    "simulator": ("ScheduledCall", "Simulator"),
+    "trace": ("TraceEvent", "Tracer"),
+})

@@ -40,7 +40,10 @@ import math
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.runner.shardpool import ShardWorkerPool
+from repro.runner.worker import in_worker
 from repro.simcore.simulator import Simulator
+from repro.telemetry.hub import HUB
 
 __all__ = [
     "ShardBoundary",
@@ -304,11 +307,8 @@ class ShardedSimulator:
 
     def run(self, until: float) -> List[Any]:
         """Advance every shard to ``until`` and return per-shard harvests."""
-        from repro.runner.worker import in_worker
-
         n = self.n_shards
         if self._mode == "fork" and n > 1 and not in_worker():
-            from repro.runner.shardpool import ShardWorkerPool
             driver: Any = ShardWorkerPool(self._builder, self._specs)
         else:
             driver = _SerialShards(self._builder, self._specs)
@@ -383,7 +383,5 @@ class ShardedSimulator:
             if self._label:
                 entry["label"] = self._label
         self.stats = stats
-
-        from repro.telemetry.hub import HUB
         HUB.note_shards(stats)
         return results

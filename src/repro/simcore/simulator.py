@@ -7,8 +7,9 @@ import itertools
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.simcore.events import AllOf, AnyOf, Event, Timeout
+from repro.simcore.process import Process
 from repro.simcore.rng import RngRegistry
-from repro.telemetry import Telemetry
+from repro.telemetry.spans import Telemetry
 from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB
 
@@ -220,10 +221,8 @@ class Simulator:
         """Event that fires when all of ``events`` have succeeded."""
         return AllOf(self, events)
 
-    def process(self, generator: Generator, name: str = "") -> "Process":  # noqa: F821
+    def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator-based process (see :class:`simcore.Process`)."""
-        from repro.simcore.process import Process
-
         return Process(self, generator, name)
 
     # -- run loop -----------------------------------------------------------

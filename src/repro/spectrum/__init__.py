@@ -18,26 +18,13 @@ E10 measures all three on join latency, discovery latency, and
 availability under failure.
 """
 
-from repro.spectrum.grants import (
-    ApRecord,
-    SpectrumGrant,
-    contention_radius_m,
-    in_contention,
-)
-from repro.spectrum.registry import RegistryUnavailable, SpectrumRegistry
-from repro.spectrum.sas import SasRegistry
-from repro.spectrum.federated import FederatedRegistry
-from repro.spectrum.blockchain import Block, BlockchainRegistry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ApRecord",
-    "SpectrumGrant",
-    "contention_radius_m",
-    "in_contention",
-    "SpectrumRegistry",
-    "RegistryUnavailable",
-    "SasRegistry",
-    "FederatedRegistry",
-    "Block",
-    "BlockchainRegistry",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "grants": (
+        "ApRecord", "SpectrumGrant", "contention_radius_m", "in_contention"),
+    "registry": ("SpectrumRegistry",),
+    "sas": ("SasRegistry",),
+    "federated": ("FederatedRegistry",),
+    "blockchain": ("Block", "BlockchainRegistry"),
+})

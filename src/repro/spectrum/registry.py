@@ -17,10 +17,6 @@ from repro.spectrum.grants import ApRecord, SpectrumGrant
 from repro.simcore.simulator import Simulator
 
 
-class RegistryUnavailable(Exception):
-    """Delivered (via callback error slot) when the serving node is down."""
-
-
 GrantCallback = Callable[[Optional[SpectrumGrant]], None]
 DiscoverCallback = Callable[[List[ApRecord]], None]
 

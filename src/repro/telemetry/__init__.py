@@ -18,39 +18,12 @@ Every :class:`~repro.simcore.simulator.Simulator` owns a
 experiment builds.
 """
 
-from repro.telemetry.registry import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    P2Quantile,
-)
-from repro.telemetry.spans import Span, SpanTracker
-from repro.telemetry.profiler import RunProfiler
-from repro.telemetry.hub import HUB, RunTelemetry, TelemetryHub, ambient_registry
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "P2Quantile",
-    "Span",
-    "SpanTracker",
-    "RunProfiler",
-    "HUB",
-    "RunTelemetry",
-    "TelemetryHub",
-    "ambient_registry",
-    "Telemetry",
-]
-
-
-class Telemetry:
-    """Per-simulator telemetry bundle: one registry + one span tracker."""
-
-    __slots__ = ("metrics", "spans")
-
-    def __init__(self, clock) -> None:
-        self.metrics = MetricsRegistry()
-        self.spans = SpanTracker(clock, metrics=self.metrics)
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "registry": (
+        "Counter", "Gauge", "Histogram", "MetricsRegistry", "P2Quantile"),
+    "spans": ("Span", "SpanTracker", "Telemetry"),
+    "profiler": ("RunProfiler",),
+    "hub": ("HUB", "RunTelemetry", "TelemetryHub", "ambient_registry"),
+})

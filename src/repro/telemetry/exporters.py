@@ -27,6 +27,7 @@ import json
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
+from repro.telemetry.hub import tagged_rows
 
 __all__ = ["tagged_rows", "write_metrics_csv", "write_metrics_text",
            "write_events_jsonl", "write_folded", "summary_table",
@@ -39,21 +40,6 @@ METRICS_CSV_COLUMNS = ["sim", "kind", "name", "labels", "value", "count",
 
 def _render_labels(labels: Dict[str, str]) -> str:
     return ";".join(f"{k}={v}" for k, v in sorted(labels.items()))
-
-
-def tagged_rows(registries: Sequence[Tuple[str, Any]]) -> List[Dict[str, Any]]:
-    """Flatten (tag, MetricsRegistry) pairs into snapshot rows.
-
-    Each row gains a ``sim`` key carrying the tag, so instruments with
-    identical names from different simulators stay separate.
-    """
-    rows: List[Dict[str, Any]] = []
-    for tag, registry in registries:
-        for row in registry.snapshot():
-            row = dict(row)
-            row["sim"] = tag
-            rows.append(row)
-    return rows
 
 
 def write_metrics_csv(rows: Iterable[Dict[str, Any]], path: str) -> int:

@@ -20,14 +20,15 @@ process-global default otherwise — unless handed an explicit one.
 from __future__ import annotations
 
 import operator
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.simcore.trace import Tracer
 from repro.telemetry.lifecycle import RunnerLifecycle
 from repro.telemetry.profiler import RunProfiler
 from repro.telemetry.registry import MetricsRegistry
 
 __all__ = ["HUB", "SIM_GAUGES", "TelemetryHub", "RunTelemetry",
-           "WorkerSimTelemetry", "ambient_registry"]
+           "WorkerSimTelemetry", "ambient_registry", "tagged_rows"]
 
 #: Fallback registry for sim-less components outside any hub run.
 _DEFAULT_REGISTRY = MetricsRegistry()
@@ -44,6 +45,21 @@ SIM_GAUGES: Dict[str, Callable[[int, int], int]] = {
     "link_peak_queue": max,        # deepest link egress queue
     "ecn_marks": operator.add,     # ECN CE-marks applied by AQM
 }
+
+
+def tagged_rows(registries: Sequence[Tuple[str, Any]]) -> List[Dict[str, Any]]:
+    """Flatten (tag, MetricsRegistry) pairs into snapshot rows.
+
+    Each row gains a ``sim`` key carrying the tag, so instruments with
+    identical names from different simulators stay separate.
+    """
+    rows: List[Dict[str, Any]] = []
+    for tag, registry in registries:
+        for row in registry.snapshot():
+            row = dict(row)
+            row["sim"] = tag
+            rows.append(row)
+    return rows
 
 
 class RunTelemetry:
@@ -75,7 +91,6 @@ class RunTelemetry:
 
     def metrics_rows(self) -> List[dict]:
         """Tagged snapshot rows across every collected registry."""
-        from repro.telemetry.exporters import tagged_rows
         return tagged_rows(self.registries)
 
     def subsystems(self) -> List[str]:
@@ -168,7 +183,6 @@ class TelemetryHub:
         if self._profile and sim.profiler is None:
             sim.profiler = RunProfiler()
         if self._trace and sim.tracer is None:
-            from repro.simcore.trace import Tracer
             sim.tracer = Tracer(max_events=self._trace_capacity)
 
     def note_shards(self, stats: List[dict]) -> None:

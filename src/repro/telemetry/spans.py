@@ -35,7 +35,7 @@ from typing import Any, Callable, Deque, Dict, List, Optional
 
 from repro.telemetry.registry import MetricsRegistry
 
-__all__ = ["Span", "SpanTracker"]
+__all__ = ["Span", "SpanTracker", "Telemetry"]
 
 
 def _frozen_clock() -> float:
@@ -214,3 +214,13 @@ class SpanTracker:
     def durations_s(self, name: str) -> List[float]:
         """All finished durations of one procedure name."""
         return [s.duration_s for s in self.finished if s.name == name]
+
+
+class Telemetry:
+    """Per-simulator telemetry bundle: one registry + one span tracker."""
+
+    __slots__ = ("metrics", "spans")
+
+    def __init__(self, clock: Callable[[], float]) -> None:
+        self.metrics = MetricsRegistry()
+        self.spans = SpanTracker(clock, metrics=self.metrics)

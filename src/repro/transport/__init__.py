@@ -18,25 +18,13 @@ timers — differing exactly where the paper says they differ:
   an address change; only the congestion state resets (RFC 9000 behaviour).
 """
 
-from repro.transport.base import (
-    ConnectionState,
-    Listener,
-    TransportConnection,
-    TransportDemux,
-)
-from repro.transport.quic import QuicConnection, QuicListener
-from repro.transport.tcp import TcpConnection, TcpListener
-from repro.transport.apps import BulkTransferApp, RequestResponseApp
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "ConnectionState",
-    "TransportConnection",
-    "TransportDemux",
-    "Listener",
-    "TcpConnection",
-    "TcpListener",
-    "QuicConnection",
-    "QuicListener",
-    "BulkTransferApp",
-    "RequestResponseApp",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "base": (
+        "ConnectionState", "Listener", "TransportConnection",
+        "TransportDemux"),
+    "quic": ("QuicConnection", "QuicListener"),
+    "tcp": ("TcpConnection", "TcpListener"),
+    "apps": ("BulkTransferApp", "RequestResponseApp"),
+})

@@ -1,27 +1,12 @@
 """Workloads: traffic generators and deployment topologies."""
 
-from repro.workloads.fluid import FluidCellLoad
-from repro.workloads.topology import CityGrid, FarmCorridor, RuralTown
-from repro.workloads.traffic import (
-    CbrSource,
-    FlashCrowdAttachSource,
-    OnOffSource,
-    PoissonChurnAttachSource,
-    PoissonSource,
-    VideoStreamSource,
-    WebSessionSource,
-)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "RuralTown",
-    "FarmCorridor",
-    "CityGrid",
-    "FluidCellLoad",
-    "CbrSource",
-    "PoissonSource",
-    "OnOffSource",
-    "WebSessionSource",
-    "VideoStreamSource",
-    "FlashCrowdAttachSource",
-    "PoissonChurnAttachSource",
-]
+__getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "fluid": ("FluidCellLoad",),
+    "topology": ("CityGrid", "FarmCorridor", "RuralTown"),
+    "traffic": (
+        "CbrSource", "FlashCrowdAttachSource", "OnOffSource",
+        "PoissonChurnAttachSource", "PoissonSource", "VideoStreamSource",
+        "WebSessionSource"),
+})
