@@ -94,6 +94,10 @@ class Cell:
                                          buckets=_RSRP_DBM_BUCKETS)
         self._m_sinr = metrics.histogram("phy.sinr_db", cell=name,
                                          buckets=_SINR_DB_BUCKETS)
+        #: the downlink SINR column as ``_m_sinr.bin`` left it, and the
+        #: bank version it was taken at
+        self._sinr_binned = None
+        self._sinr_version = -1
         self._m_harq = metrics.histogram("phy.harq.goodput_factor", cell=name,
                                          buckets=_FRACTION_BUCKETS)
         self._m_no_cqi = metrics.counter("phy.mcs.below_cqi_floor", cell=name)
@@ -155,7 +159,11 @@ class Cell:
         arena = self._arena
         bank = arena.refresh_downlink()
         if arena.ids:
-            self._m_sinr.observe_many(bank.sinr)
+            # an unchanged column is binned once, not every TTI
+            if bank.version != self._sinr_version:
+                self._sinr_version = bank.version
+                self._sinr_binned = self._m_sinr.bin(bank.sinr)
+            self._m_sinr.observe_binned(self._sinr_binned)
         grants = self.scheduler.allocate_columns(
             arena.columns(bank, self.scheduler), self.allowed_prbs)
         return self._deliver(bank, grants)

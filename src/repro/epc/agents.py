@@ -32,6 +32,17 @@ from repro.epc.overload import CLASS_NEW_WORK, OverloadPolicy, message_class
 from repro.simcore.simulator import Simulator
 
 
+#: a channel's ledger attributes as exported ``epc.channel.*`` counters
+#: (``MetricsRegistry.mirror``); shared with
+#: :class:`repro.net.shardlink.CrossShardChannel`, whose halves keep
+#: the same three
+CHANNEL_LEDGER = (
+    ("messages", "epc.channel.messages", {}),
+    ("bytes", "epc.channel.bytes", {}),
+    ("dropped", "epc.channel.dropped", {}),
+)
+
+
 @dataclass(slots=True)
 class ControlMessage:
     """Envelope: a NAS/S1AP/GTP-C payload plus reply routing."""
@@ -48,6 +59,10 @@ class ControlAgent:
     Subclasses implement :meth:`handle`. Metrics: messages processed,
     busy time, and peak queue depth — E7 reports all three.
     """
+
+    #: ``processed`` is exported as it stands, read when telemetry is
+    #: read (``MetricsRegistry.mirror``)
+    _LEDGER = (("processed", "epc.agent.processed", {}),)
 
     def __init__(self, sim: Simulator, name: str,
                  service_time_s: float = 0.5e-3) -> None:
@@ -70,8 +85,7 @@ class ControlAgent:
         #: bounded-queue policy; None (the default) keeps the seed's
         #: unbounded infinite-patience behavior byte for byte.
         self.overload: Optional[OverloadPolicy] = None
-        self._m_processed = sim.metrics.counter("epc.agent.processed",
-                                                agent=name)
+        sim.metrics.mirror(self, self._LEDGER, agent=name)
         self._m_queue = sim.metrics.gauge("epc.agent.queue_depth", agent=name)
         self._m_wait = sim.metrics.histogram("epc.agent.queue_wait_s",
                                              agent=name)
@@ -205,7 +219,6 @@ class ControlAgent:
     def _finish(self, message: ControlMessage) -> None:
         self.busy_time_s += self.service_time_s
         self.processed += 1
-        self._m_processed.inc()
         self._in_handle = True
         try:
             self.handle(message)
@@ -257,12 +270,7 @@ class ControlChannel:
         self.messages = 0
         self.bytes = 0
         self.dropped = 0
-        self._m_messages = sim.metrics.counter("epc.channel.messages",
-                                               channel=self.name)
-        self._m_bytes = sim.metrics.counter("epc.channel.bytes",
-                                            channel=self.name)
-        self._m_dropped = sim.metrics.counter("epc.channel.dropped",
-                                              channel=self.name)
+        sim.metrics.mirror(self, CHANNEL_LEDGER, channel=self.name)
 
     def set_up(self, up: bool) -> None:
         """Raise or cut the channel (both directions)."""
@@ -285,15 +293,12 @@ class ControlChannel:
         receiver = self.other_end(sender)
         if not self.up:
             self.dropped += 1
-            self._m_dropped.inc()
             self.sim.trace("drop", f"channel {self.name}: down",
                            payload=type(payload).__name__)
             return
         self.messages += 1
         size = getattr(payload, "size_bytes", 0)
         self.bytes += size
-        self._m_messages.inc()
-        self._m_bytes.inc(size)
         sim = self.sim
         message = ControlMessage(payload=payload, sender=sender,
                                  sent_at=sim.now)

@@ -95,19 +95,24 @@ class _PhyBank:
     The six columns are views of the owning arena's block, re-taken
     whenever the slot count changes: ``dirty`` is non-zero where a row's
     inputs changed since its last refresh, ``cqi`` holds the CQI row
-    index as a float, ``-1`` below the CQI floor.
+    index as a float, ``-1`` below the CQI floor. ``version`` moves
+    whenever a column's contents may have: a refresh rewrote a row, or
+    the views were re-taken (attach / detach) — a reader that derived
+    something from a column keeps it while ``version`` stands still.
     """
 
-    __slots__ = ("env_sig", "vector_ok", "dirty", "sinr", "cqi", "eff",
-                 "b", "harq")
+    __slots__ = ("env_sig", "vector_ok", "version", "dirty", "sinr", "cqi",
+                 "eff", "b", "harq")
 
     def __init__(self) -> None:
         self.env_sig: Optional[tuple] = None
         self.vector_ok = False
+        self.version = 0
 
     def bind(self, rows: np.ndarray) -> None:
         (self.dirty, self.sinr, self.cqi, self.eff, self.b,
          self.harq) = rows
+        self.version += 1
 
 
 class UeArena:
@@ -277,6 +282,7 @@ class UeArena:
         if stale.size:
             self._refresh_rows(bank, stale, downlink)
             bank.dirty[stale] = False
+            bank.version += 1
         return bank
 
     def _reread_touched(self) -> None:

@@ -68,6 +68,23 @@ class Link:
         name: for hop recording and diagnostics.
     """
 
+    #: ledger attributes exported as ``net.link.*`` counters: read off
+    #: the link when telemetry is read (``MetricsRegistry.mirror``), so
+    #: no packet pays for a second copy
+    _LEDGER = (
+        ("delivered", "net.link.delivered", {}),
+        ("bytes_sent", "net.link.bytes_sent", {}),
+        ("dropped_overflow", "net.link.dropped", {"cause": "overflow"}),
+        ("dropped_down", "net.link.dropped", {"cause": "down"}),
+        ("dropped_loss", "net.link.dropped", {"cause": "loss"}),
+    )
+    #: joined by the first discipline installed: exports of a link that
+    #: never had one carry no aqm / ecn_marked rows
+    _AQM_LEDGER = (
+        ("dropped_aqm", "net.link.dropped", {"cause": "aqm"}),
+        ("marked_ecn", "net.link.ecn_marked", {}),
+    )
+
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
                  queue_packets: int = 100, name: str = "link",
                  queue_bytes: Optional[int] = None) -> None:
@@ -124,19 +141,14 @@ class Link:
         self.delivered_bytes = 0
         self.dropped_bytes = 0
         self._aqm: Optional[AqmDiscipline] = None
+        self._aqm_mirrored = False
         #: the link's own loss stream, fetched by the first
         #: set_loss_rate(> 0): most links never lose a packet
         self._loss_rng = None
-        # telemetry instruments, fetched once so the hot path is an
-        # attribute access plus an integer add
         metrics = sim.metrics
-        self._m_delivered = metrics.counter("net.link.delivered", link=name)
-        self._m_bytes = metrics.counter("net.link.bytes_sent", link=name)
+        metrics.mirror(self, self._LEDGER, link=name)
+        # the one number only the instrument holds, fetched once
         self._m_queue = metrics.gauge("net.link.queue_depth", link=name)
-        self._m_drops = {
-            cause: metrics.counter("net.link.dropped", link=name, cause=cause)
-            for cause in ("overflow", "down", "loss")
-        }
 
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Attach the downstream receive function."""
@@ -157,13 +169,10 @@ class Link:
         self._aqm = discipline
         if discipline is not None:
             discipline.bind(self)
-            # created here, not in __init__: exports of a link that never
-            # had a discipline carry no aqm / ecn_marked rows
-            metrics = self.sim.metrics
-            self._m_drops["aqm"] = metrics.counter(
-                "net.link.dropped", link=self.name, cause="aqm")
-            self._m_marks = metrics.counter("net.link.ecn_marked",
-                                            link=self.name)
+            if not self._aqm_mirrored:
+                self._aqm_mirrored = True
+                self.sim.metrics.mirror(self, self._AQM_LEDGER,
+                                        link=self.name)
 
     def _mark(self, packet: Packet) -> bool:
         """CE-mark an ECT packet; False means the caller must drop."""
@@ -172,7 +181,6 @@ class Link:
         packet.ecn = ECN_CE
         self.marked_ecn += 1
         self.sim.ecn_marks += 1
-        self._m_marks.inc()
         return True
 
     @property
@@ -216,7 +224,6 @@ class Link:
                 self._egress_bytes = 0
                 self.dropped += lost
                 self.dropped_down += lost
-                self._m_drops["down"].inc(lost)
                 self._m_queue.set(0)
 
     def set_loss_rate(self, loss_rate: float) -> None:
@@ -241,7 +248,6 @@ class Link:
             self.dropped_aqm += 1
         else:
             self.dropped_loss += 1
-        self._m_drops[cause].inc()
         self.sim.trace("drop", f"link {self.name}: {cause}", at=at)
         return False
 
@@ -350,7 +356,6 @@ class Link:
         done = start + (size * 8.0 / rate if rate != _INF else 0.0)
         self._service_done = done
         self.bytes_sent += size
-        self._m_bytes.inc(size)
         flight = self._flight
         flight.append((done + self.delay_s, packet))
         due = flight[0][0]
@@ -401,7 +406,6 @@ class Link:
                 continue
             self.delivered += 1
             self.delivered_bytes += packet.size_bytes
-            self._m_delivered.inc()
             receiver(packet)
         if self._egress:
             self._advance(now)

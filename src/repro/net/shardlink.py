@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from typing import Optional
 
-from repro.epc.agents import ControlAgent, ControlMessage
+from repro.epc.agents import CHANNEL_LEDGER, ControlAgent, ControlMessage
 from repro.net.links import Link
 from repro.net.packet import Packet
 from repro.simcore.sharded import ShardBoundary
@@ -101,12 +101,7 @@ class CrossShardChannel:
         self.dropped = 0
         self.received = 0
         self._stub = RemoteAgentStub(remote_agent_name)
-        self._m_messages = sim.metrics.counter("epc.channel.messages",
-                                               channel=self.name)
-        self._m_bytes = sim.metrics.counter("epc.channel.bytes",
-                                            channel=self.name)
-        self._m_dropped = sim.metrics.counter("epc.channel.dropped",
-                                              channel=self.name)
+        sim.metrics.mirror(self, CHANNEL_LEDGER, channel=self.name)
         boundary.register(self.key, self)
         boundary.couple(self.name, remote_shard, one_way_delay_s)
 
@@ -134,15 +129,12 @@ class CrossShardChannel:
                 f"{sender.name} is not the local end of channel {self.name}")
         if not self.up:
             self.dropped += 1
-            self._m_dropped.inc()
             self.sim.trace("drop", f"channel {self.name}: down",
                            payload=type(payload).__name__)
             return
         self.messages += 1
         size = getattr(payload, "size_bytes", 0)
         self.bytes += size
-        self._m_messages.inc()
-        self._m_bytes.inc(size)
         sim = self.sim
         sent_at = sim.now
         deliver_at = sent_at + self.one_way_delay_s
@@ -233,13 +225,11 @@ class CrossShardLink(Link):
         done = start + (size * 8.0 / rate if rate != _INF else 0.0)
         self._service_done = done
         self.bytes_sent += size
-        self._m_bytes.inc(size)
         # The packet leaves this shard's books at the end of
         # serialization: delivered-at-the-boundary, not at the receiver.
         self.delivered += 1
         self.delivered_bytes += size
         self.crossed += 1
-        self._m_delivered.inc()
         self.boundary.buffer(self.exit_key, self.dst_shard,
                              done + self.delay_s, start, packet)
         if rate != _INF:

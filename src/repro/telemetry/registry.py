@@ -324,38 +324,55 @@ class Histogram(_Instrument):
         self._quantiles = tuple(P2Quantile(q) for q in quantiles or ())
         self._bucket_arr: Optional[np.ndarray] = None
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Record a batch of samples, bit-identically to calling
-        :meth:`observe` per element in order.
+    def bin(self, values: Sequence[float]
+            ) -> Tuple[List[float], float, float, List[int]]:
+        """Everything about a batch that does not depend on what was
+        observed before it: ``(values, min, max, per-bucket counts)``.
 
-        The running sum is a sequential left fold (same additions in
-        the same order as the scalar path; not ``sum()``, which
-        compensates float sums from CPython 3.12 on); bucket placement
-        vectorizes through ``np.searchsorted`` (identical index
-        semantics to ``bisect_left``). This is the TTI engine's per-cell
-        SINR observation path.
+        A caller whose batch repeats (a static cell's SINR column) bins
+        it once and feeds :meth:`observe_binned` per repetition. Bucket
+        placement vectorizes through ``np.searchsorted`` (identical
+        index semantics to ``bisect_left``).
         """
         arr = np.asarray(values, dtype=float)
         vals = arr.tolist()
         if not vals:
-            return
-        self.count += len(vals)
-        self.sum = reduce(operator.add, vals, self.sum)
-        lo = min(vals)
-        hi = max(vals)
-        if lo < self.min:
-            self.min = lo
-        if hi > self.max:
-            self.max = hi
+            return vals, 0.0, 0.0, []
         if self._bucket_arr is None:
             self._bucket_arr = np.array(self.buckets)
         idx = np.searchsorted(self._bucket_arr, arr, side="left")
         counts = np.bincount(idx, minlength=len(self.bucket_counts))
+        return vals, min(vals), max(vals), counts.tolist()
+
+    def observe_binned(self, binned: Tuple[List[float], float, float,
+                                            List[int]]) -> None:
+        """Record a batch :meth:`bin` prepared, bit-identically to
+        calling :meth:`observe` per element in order.
+
+        The running sum is a sequential left fold (same additions in
+        the same order as the scalar path; not ``sum()``, which
+        compensates float sums from CPython 3.12 on).
+        """
+        vals, lo, hi, counts = binned
+        if not vals:
+            return
+        self.count += len(vals)
+        self.sum = reduce(operator.add, vals, self.sum)
+        if lo < self.min:
+            self.min = lo
+        if hi > self.max:
+            self.max = hi
         self.bucket_counts = [have + new for have, new
-                              in zip(self.bucket_counts, counts.tolist())]
+                              in zip(self.bucket_counts, counts)]
         for tracker in self._quantiles:
             for value in vals:
                 tracker.observe(value)
+
+    def observe_many(self, values: Sequence[float]) -> None:
+        """Record a batch of samples, bit-identically to calling
+        :meth:`observe` per element in order. This is the TTI engine's
+        per-cell SINR observation path when the column changed."""
+        self.observe_binned(self.bin(values))
 
     def observe(self, value: float) -> None:
         """Record one sample."""
@@ -434,11 +451,26 @@ class MetricsRegistry:
     Asking twice for the same (name, labels) returns the same object;
     asking for an existing name with a different *kind* raises, which
     catches name collisions between subsystems early.
+
+    A count its owner already keeps as a plain attribute is not stored a
+    second time: the owner declares it with :meth:`mirror` and every
+    *read* of the registry first brings the mirrored counters up to date
+    from the attributes. Until somebody reads, such a counter is one
+    list entry.
     """
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
                                 _Instrument] = {}
+        #: mirror() declarations no read has looked at yet
+        self._pending: List[Tuple[Any, Sequence[Tuple[str, str, Dict]],
+                                  Dict[str, Any]]] = []
+        #: (counter, owner, attribute) per declared attribute; several
+        #: owners may feed one counter (two links sharing a name)
+        self._mirrors: List[Tuple[Counter, Any, str]] = []
+        #: the counters :meth:`_sync` owns, by key — read, never ``inc``ed
+        self._mirrored: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
+                             Counter] = {}
 
     def _get(self, cls, name: str, labels: Dict[str, Any], **kwargs):
         if not name:
@@ -456,6 +488,9 @@ class MetricsRegistry:
 
     def counter(self, name: str, **labels: Any) -> Counter:
         """Get or create a counter."""
+        if self._mirrored and (name, _label_key(labels)) in self._mirrored:
+            raise TypeError(f"{name} mirrors an attribute of its owner: "
+                            f"it is read, not incremented")
         return self._get(Counter, name, labels)
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
@@ -471,12 +506,77 @@ class MetricsRegistry:
         return self._get(Histogram, name, labels, buckets=buckets,
                          quantiles=quantiles)
 
+    # -- mirrored counters ----------------------------------------------------
+
+    def mirror(self, owner: Any, counters: Sequence[Tuple[str, str, Dict]],
+               **labels: Any) -> None:
+        """Export ``owner``'s plain count attributes as counters.
+
+        ``counters`` is a class-level constant of ``(attribute, exported
+        name, extra labels)`` triples; ``labels`` identify the owner.
+        Costs one list append here and nothing per event: the counters
+        are created, and set to ``getattr(owner, attribute)``, when the
+        registry is next read. Owners declaring the same name and labels
+        sum into one counter, as a shared get-or-create counter did. The
+        registry keeps the owner alive, so its rows outlive its use.
+        """
+        self._pending.append((owner, counters, labels))
+
+    def _bind(self, owner: Any, counters: Sequence[Tuple[str, str, Dict]],
+              labels: Dict[str, Any]) -> None:
+        """Create (or join) the counters one :meth:`mirror` call declared,
+        all of them or — on a clash with an ``inc``ed instrument — none."""
+        mirrored = self._mirrored
+        instruments = self._instruments
+        keys = [(name, _label_key({**labels, **extra}))
+                for _attribute, name, extra in counters]
+        for key in keys:
+            if key in instruments and key not in mirrored:
+                raise TypeError(
+                    f"{key[0]} mirrors an attribute of {owner!r} but is "
+                    f"already registered as an incremented "
+                    f"{instruments[key].kind}")
+        for (attribute, name, _extra), key in zip(counters, keys):
+            counter = mirrored.get(key)
+            if counter is None:
+                counter = Counter(name, dict(key[1]))
+                mirrored[key] = instruments[key] = counter
+            self._mirrors.append((counter, owner, attribute))
+
+    def _sync(self) -> None:
+        """Bring every mirrored counter up to date (each reader's first
+        step; free for a registry nothing is mirrored into)."""
+        pending = self._pending
+        bound = 0
+        try:
+            for declaration in pending:
+                self._bind(*declaration)
+                bound += 1
+        finally:
+            # a clashing declaration stays: every read raises, none
+            # silently exports without it
+            del pending[:bound]
+        if self._mirrored:
+            for counter in self._mirrored.values():
+                counter.value = 0.0
+            for counter, owner, attribute in self._mirrors:
+                counter.value += getattr(owner, attribute)
+
+    def __getstate__(self) -> Dict[str, Any]:
+        # a shipped registry (--jobs, supervised and shard workers) is a
+        # reading: materialised counters, never the owners behind them
+        self._sync()
+        return {"_instruments": self._instruments,
+                "_pending": [], "_mirrors": [], "_mirrored": {}}
+
     # -- queries ------------------------------------------------------------
 
     def __len__(self) -> int:
+        self._sync()
         return len(self._instruments)
 
     def __iter__(self) -> Iterable[_Instrument]:
+        self._sync()
         return iter(sorted(self._instruments.values(),
                            key=lambda i: (i.name, sorted(i.labels.items()))))
 
@@ -492,6 +592,7 @@ class MetricsRegistry:
 
     def value(self, name: str, **labels: Any) -> float:
         """Counter/gauge value for an exact (name, labels); 0 if absent."""
+        self._sync()
         instrument = self._instruments.get((name, _label_key(labels)))
         return instrument.value if instrument is not None else 0.0
 
@@ -509,5 +610,9 @@ class MetricsRegistry:
         return [i.row() for i in self]
 
     def clear(self) -> None:
-        """Forget every instrument (tests only; cached refs go stale)."""
+        """Forget every instrument and every mirror (tests only; cached
+        refs go stale)."""
         self._instruments.clear()
+        self._pending.clear()
+        self._mirrors.clear()
+        self._mirrored.clear()

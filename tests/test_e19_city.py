@@ -11,6 +11,7 @@ from repro.deploy.partition import ShardPlan
 from repro.experiments import e19_city
 from repro.geo.partition import stripe_partition
 from repro.geo.points import Point
+from repro.telemetry.hub import HUB
 
 # one small city, reused by every invariance test in this module
 _CFG = dict(n_cells=6, ue_per_cell=2, background_per_cell=18,
@@ -30,6 +31,30 @@ def test_e19_output_is_byte_identical_across_shard_counts():
 
 def test_e19_fork_matches_serial():
     assert _render(shards=2, mode="fork") == _render(shards=2)
+
+
+def _metrics_rows(mode):
+    HUB.start_run()
+    try:
+        e19_city.run(**dict(_CFG, shards=2, mode=mode))
+    except BaseException:
+        HUB.abort_run()
+        raise
+    # per-simulator rows: the runner's own lifecycle and the ambient
+    # registry (one per process, so tagged per worker) are the two
+    # families whose shape legitimately follows the execution mode
+    return [row for row in HUB.finish_run().metrics_rows()
+            if row["sim"] != "runner" and not row["sim"].startswith("shared")]
+
+
+def test_e19_fork_ships_the_rows_a_serial_run_reads():
+    # a shard worker's registry crosses the pipe as a reading: the
+    # mirrored link / channel / agent counters arrive materialised and
+    # equal to what the in-process shards export, row for row
+    rows = _metrics_rows("fork")
+    assert rows == _metrics_rows("serial")
+    assert any(row["name"] == "net.link.delivered" and row["value"] > 0
+               for row in rows)
 
 
 def test_e19_invariants_hold_with_traffic_in_flight_at_horizon():

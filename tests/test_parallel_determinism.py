@@ -107,6 +107,29 @@ def test_tables_byte_identical_with_telemetry_on(exp_id, kwargs, fans_out):
     assert not any(r["sim"] == "runner" for r in rows_s)
 
 
+def test_mirrored_counters_cross_the_process_boundary_as_readings():
+    """Both cores' links, channels and agents declare their ledgers with
+    ``MetricsRegistry.mirror``; a worker's registry is pickled as
+    materialised counters, so every per-simulator row matches serial.
+    (E17's cells record into the ambient registry, which is one per
+    process: its rows are tagged per worker and compared nowhere.)"""
+    kwargs = {"intensities": (1, 4), "n_aps": 2, "ue_per_ap": 3,
+              "horizon_s": 12.0}
+    tables_p, rows_p = _run_with_telemetry("E17", kwargs, 2)
+    tables_s, rows_s = _run_with_telemetry("E17", kwargs, 1)
+    assert tables_p == tables_s
+
+    def per_sim(rows):
+        return [r for r in rows
+                if not r["sim"].startswith(("shared", "runner"))]
+
+    assert per_sim(rows_p) == per_sim(rows_s)
+    mirrored = [r for r in per_sim(rows_p)
+                if r["name"] in ("epc.agent.processed",
+                                 "epc.channel.messages")]
+    assert mirrored and any(r["value"] > 0 for r in mirrored)
+
+
 def test_trace_out_byte_identical_modulo_runner_lines(tmp_path):
     """``--trace-out`` composes with ``--jobs``: the merged JSONL equals
     the serial stream line for line, except for the runner-lifecycle

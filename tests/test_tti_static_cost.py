@@ -26,6 +26,7 @@ from repro.phy.bands import get_band
 from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.propagation import FreeSpace
 from repro.telemetry import MetricsRegistry
+from repro.telemetry.registry import Histogram, P2Quantile
 
 PRB_BUDGET = 6
 #: bearers with a guaranteed rate, the same at every cell size: the
@@ -127,3 +128,55 @@ def test_a_write_costs_its_own_row_only():
     """One moved UE: the refresh re-reads and recomputes that row alone,
     at the same cost among 128 attached as among 16."""
     assert abs(_one_moved_ue_tti(128) - _one_moved_ue_tti(16)) <= 10
+
+
+# -- the SINR column is binned when it changes, not every TTI ------------
+
+@pytest.fixture
+def bin_calls(monkeypatch):
+    calls = [0]
+    real = Histogram.bin
+
+    def counting_bin(self, values):
+        calls[0] += 1
+        return real(self, values)
+
+    monkeypatch.setattr(Histogram, "bin", counting_bin)
+    return calls
+
+
+def test_a_static_cell_bins_its_sinr_column_once(bin_calls):
+    cell = _static_cell(ProportionalFairScheduler, 32, MetricsRegistry())
+    cell.schedule_tti()
+    assert bin_calls[0] == 1
+    for _ in range(5):
+        cell.schedule_tti()
+        cell.schedule_uplink_tti()
+    assert bin_calls[0] == 1            # warm and static: never again
+    cell._ues["ue007"].radio.position = Point(900.0, 700.0)
+    cell.schedule_tti()
+    assert bin_calls[0] == 2            # one write, one re-bin
+    cell.schedule_tti()
+    assert bin_calls[0] == 2
+    cell.remove_ue("ue003")             # the views were re-taken
+    cell.schedule_tti()
+    assert bin_calls[0] == 3
+
+
+def test_binned_sinr_row_is_the_observe_many_row():
+    registry = MetricsRegistry()
+    cell = _static_cell(ProportionalFairScheduler, 32, registry)
+    twin = MetricsRegistry().histogram(
+        "phy.sinr_db", buckets=cell._m_sinr.buckets, quantiles=(0.5, 0.9),
+        cell="c0")
+    # a declared quantile reader on the production histogram too: the
+    # P² trackers are fed per value, per TTI, either way
+    cell._m_sinr._quantiles = tuple(P2Quantile(q) for q in (0.5, 0.9))
+    for _ in range(50):
+        cell.schedule_tti()
+        twin.observe_many(cell._arena.dl.sinr)
+    assert cell._m_sinr.row() == twin.row()
+    assert cell._m_sinr.bucket_counts == twin.bucket_counts
+    assert cell._m_sinr.count == 50 * 32
+    assert [t.estimate for t in cell._m_sinr._quantiles] \
+        == [t.estimate for t in twin._quantiles]
