@@ -39,7 +39,7 @@ Robustness (see ROBUSTNESS.md)::
     python -m repro --all --task-timeout 300          # kill hung workers
     python -m repro --all --jobs 4 --resume out/ckpt  # resumable sweep
     python -m repro E16 --exp-arg scenario=cascading-stub-crashes \
-                        --exp-arg invariants=True     # chaos + invariants
+                        --invariants                  # chaos + invariants
 
 ``--retries``/``--task-timeout`` run the fan-out under the supervisor
 (crashed or hung workers are killed and their tasks re-run from the same
@@ -48,7 +48,9 @@ also re-runs a sweep-heavy or sharded experiment whose cell or shard
 worker was lost, while ``--task-timeout`` cannot preempt those — they
 run in the parent. ``--resume`` journals finished experiments to
 ``<dir>/manifest.jsonl`` and a rerun replays them byte-for-byte,
-executing only the unfinished ones.
+executing only the unfinished ones. ``--invariants`` audits every
+simulator built, in whichever process (a violation in a ``--jobs`` cell
+or a fork shard fails that task) and prints the unarmed run's bytes.
 """
 
 from __future__ import annotations
@@ -70,6 +72,7 @@ from repro.runner import (
     SweepCheckpoint,
     set_jobs,
     supervised_map,
+    worker,
 )
 from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB
@@ -203,7 +206,8 @@ def run_experiment(exp_id: str, metrics_out: Optional[str] = None,
     :meth:`TelemetryHub.start_run` / ``finish_run`` so every simulator
     the experiment builds is collected, then artifacts are written.
     ``exp_args`` are passed through to the module's ``run()`` (the CLI's
-    ``--exp-arg KEY=VAL``). An unhandled exception writes a
+    ``--exp-arg KEY=VAL``); under ``--invariants`` what it built is
+    verified when ``run()`` returns. An unhandled exception writes a
     flight-recorder post-mortem before propagating.
     """
     module = ALL_EXPERIMENTS[exp_id]
@@ -215,19 +219,16 @@ def run_experiment(exp_id: str, metrics_out: Optional[str] = None,
     if collect:
         HUB.start_run(profile=profile or bool(profile_out),
                       trace=bool(trace_out))
-        try:
+    try:
+        with worker.audited():
             result = module.run(**kwargs)
-        except BaseException as exc:
+    except BaseException as exc:
+        if collect:
             HUB.abort_run()
-            _dump_on_exception(exp_id, exc)
-            raise
+        _dump_on_exception(exp_id, exc)
+        raise
+    if collect:
         run = HUB.finish_run()
-    else:
-        try:
-            result = module.run(**kwargs)
-        except BaseException as exc:
-            _dump_on_exception(exp_id, exc)
-            raise
     _print_result(result)
     if collect:
         _export_run(exp_id, run, metrics_out, trace_out, profile, multi,
@@ -359,8 +360,12 @@ def main(argv: List[str] = None) -> int:
                         help="pass KEY=VAL through to the experiment's "
                              "run() (single experiment only); VAL is "
                              "parsed as a Python literal when possible, "
-                             "e.g. --exp-arg scenario=flapping-backhaul "
-                             "--exp-arg invariants=True")
+                             "e.g. --exp-arg scenario=flapping-backhaul")
+    parser.add_argument("--invariants", action="store_true",
+                        help="audit every simulator the experiments build "
+                             "against its conservation laws, in workers "
+                             "too; same tables, a violation fails the run "
+                             "with a post-mortem (see ROBUSTNESS.md)")
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error(f"--jobs must be >= 1, got {args.jobs}")
@@ -375,6 +380,13 @@ def main(argv: List[str] = None) -> int:
                      "(--metrics-out/--trace-out/--profile/--profile-out): "
                      "replayed experiments would not re-export their "
                      "telemetry")
+    if args.resume and args.invariants:
+        parser.error("--invariants cannot be combined with --resume: a "
+                     "replayed experiment was not audited")
+    scope = contextlib.nullcontext
+    if args.invariants:
+        # only when asked for, and before any HUB bracket or fork
+        from repro.invariants import armed as scope
     # fail fast on unwritable artifact paths: a typo'd directory must
     # error out now, not as a traceback after minutes of simulation
     for flag, value in (("--metrics-out", args.metrics_out),
@@ -432,25 +444,26 @@ def main(argv: List[str] = None) -> int:
     if exp_args and args.resume:
         parser.error("--exp-arg cannot be combined with --resume: the "
                      "checkpoint journal is keyed by experiment id only")
-    if (args.jobs > 1 and len(ids) > 1) or supervise:
-        checkpoint = (SweepCheckpoint(args.resume, run_id="repro-cli")
-                      if args.resume else None)
-        try:
-            _run_all_parallel(ids, args.jobs, args.metrics_out,
-                              args.trace_out, args.profile,
-                              task_timeout_s=args.task_timeout,
-                              retries=args.retries, checkpoint=checkpoint,
-                              profile_out=args.profile_out,
-                              exp_args=exp_args or None)
-        finally:
-            if checkpoint is not None:
-                checkpoint.close()
-        return 0
-    for exp_id in ids:
-        run_experiment(exp_id, metrics_out=args.metrics_out,
-                       trace_out=args.trace_out, profile=args.profile,
-                       multi=len(ids) > 1, exp_args=exp_args or None,
-                       profile_out=args.profile_out)
+    with scope():
+        if (args.jobs > 1 and len(ids) > 1) or supervise:
+            checkpoint = (SweepCheckpoint(args.resume, run_id="repro-cli")
+                          if args.resume else None)
+            try:
+                _run_all_parallel(ids, args.jobs, args.metrics_out,
+                                  args.trace_out, args.profile,
+                                  task_timeout_s=args.task_timeout,
+                                  retries=args.retries, checkpoint=checkpoint,
+                                  profile_out=args.profile_out,
+                                  exp_args=exp_args or None)
+            finally:
+                if checkpoint is not None:
+                    checkpoint.close()
+            return 0
+        for exp_id in ids:
+            run_experiment(exp_id, metrics_out=args.metrics_out,
+                           trace_out=args.trace_out, profile=args.profile,
+                           multi=len(ids) > 1, exp_args=exp_args or None,
+                           profile_out=args.profile_out)
     return 0
 
 

@@ -39,6 +39,8 @@ class EnbDataPlane(NetworkNode):
         self.epc_address = epc_address
         self.uplink_via = uplink_via          # neighbour name toward the EPC
         self.tunnels = TunnelEndpoint(address)
+        if sim.checker is not None:
+            sim.checker.watch_tunnel(self.tunnels)
         self._ue_host_by_addr: Dict[IPv4Address, str] = {}
         self._uplink_teid: Optional[int] = None
         #: optional per-bearer QoS gate (repro.epc.qos.BearerPolicer);
@@ -90,6 +92,8 @@ class EpcDataPlane(NetworkNode):
         self.internet_via = internet_via
         self.processing_delay_s = processing_delay_s
         self.tunnels = TunnelEndpoint(address)
+        if sim.checker is not None:
+            sim.checker.watch_tunnel(self.tunnels)
         self._enb_by_ue_addr: Dict[IPv4Address, IPv4Address] = {}
         self._teid_by_enb: Dict[IPv4Address, int] = {}
         self.uplink_packets = 0

@@ -33,7 +33,7 @@ from repro.core.datapath import EnbDataPlane, EpcDataPlane
 from repro.core.report import NetworkReport
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.enodeb.relay import EnbControlRelay
-from repro.epc.agents import ControlChannel
+from repro.epc.agents import ControlAgent, ControlChannel
 from repro.epc.centralized import CentralizedEpc
 from repro.epc.keys import PublishedKeyRegistry
 from repro.epc.subscriber import make_profile
@@ -58,6 +58,21 @@ SERVER_PREFIX = "203.0.113.0/24"
 SERVER_ADDR = ipaddress.IPv4Address("203.0.113.10")
 #: TTIs simulated in the radio phase (200 ms of scheduling).
 RADIO_PHASE_TTIS = 200
+
+
+def iter_control_agents(net) -> List[ControlAgent]:
+    """The attach-path agents of an LTE build, in a fixed order: UEs,
+    then per-AP stubs and eNB relays (dLTE) or MME/HSS/S-GW/P-GW and the
+    eNB relays (centralized) — what E17's shed accounting sums over."""
+    agents: List[ControlAgent] = [net.ues[name] for name in sorted(net.ues)]
+    if isinstance(net, DLTENetwork):
+        for ap_id in sorted(net.aps):
+            agents += [net.aps[ap_id].stub, net.aps[ap_id].enb]
+    else:
+        epc = net.epc
+        agents += [epc.mme, epc.hss, epc.sgw, epc.pgw]
+        agents += [net.enb_relays[name] for name in sorted(net.enb_relays)]
+    return agents
 
 
 class _BaseNetwork:
@@ -193,6 +208,8 @@ class DLTENetwork(_BaseNetwork):
             ap = net._nearest_ap(position)
             net._serving_ap[ue.ue_id] = ap.ap_id
             ap.connect_ue(ue, host, radio)
+        if sim.checker is not None:  # the one law over a *set* of APs
+            sim.checker.watch_federation(net.aps, net.spectrum_registry)
         return net
 
     def _nearest_ap(self, position: Point) -> DLTEAccessPoint:

@@ -89,6 +89,8 @@ class ControlAgent:
         self._m_queue = sim.metrics.gauge("epc.agent.queue_depth", agent=name)
         self._m_wait = sim.metrics.histogram("epc.agent.queue_wait_s",
                                              agent=name)
+        if sim.checker is not None:
+            sim.checker.watch_agent(self)
 
     def configure_overload(self, policy: Optional[OverloadPolicy]) -> None:
         """Install (or clear) a bounded-queue/shedding policy."""

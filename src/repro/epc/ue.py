@@ -75,6 +75,8 @@ class UserEquipment(ControlAgent):
                          service_time_s)
         self.profile = profile
         self.state = UeState.IDLE
+        if sim.checker is not None:
+            sim.checker.watch_ue(self)
         self.air: Optional[ControlChannel] = None
         self.ue_address: Optional[IPv4Address] = None
         self.guti = ""

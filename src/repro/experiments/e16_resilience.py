@@ -37,7 +37,6 @@ from repro.core.network import (
 )
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
-from repro.invariants import watch_network
 from repro.metrics.tables import ResultTable
 from repro.net.packet import Packet
 from repro.workloads.topology import RuralTown
@@ -133,15 +132,13 @@ def run(seed: int = 11, n_aps: int = 3, n_ues: int = 12,
         radius_m: float = 2500.0, heartbeat_s: float = 1.0,
         probe_interval_s: float = 1.0, fail_at_s: float = 5.0,
         outage_s: float = 15.0, horizon_s: float = 40.0,
-        scenario: str = "", invariants: bool = False
-        ) -> Tuple[ResultTable, ResultTable]:
+        scenario: str = "") -> Tuple[ResultTable, ResultTable]:
     """Reachability over time + resilience summary for both arms.
 
     ``scenario`` swaps the default single-site outage for a named chaos
     scenario from :mod:`repro.faults.scenarios` (same storm on both
-    arms); ``invariants`` arms a live
-    :class:`~repro.invariants.InvariantChecker` on each arm and raises
-    if any conservation law broke during the campaign.
+    arms). Under ``python -m repro E16 --invariants`` every conservation
+    law is audited on both arms through the whole campaign.
     """
     town = RuralTown(radius_m=radius_m, n_ues=n_ues, n_aps=n_aps, seed=seed)
 
@@ -149,17 +146,12 @@ def run(seed: int = 11, n_aps: int = 3, n_ues: int = 12,
     if scenario:
         prepare_scenario(scenario, dlte_net)
     dlte = _ResilienceArm("dLTE (federated)", dlte_net)
-    checkers = []
-    if invariants:
-        checkers.append(watch_network(dlte_net))
     _settle_dlte(dlte_net, heartbeat_s)
 
     cent_net = CentralizedLTENetwork.build(town, seed=seed)
     if scenario:
         prepare_scenario(scenario, cent_net)
     cent = _ResilienceArm("Centralized LTE", cent_net)
-    if invariants:
-        checkers.append(watch_network(cent_net))
     _settle_centralized(cent_net)
 
     t0 = {"dlte": dlte.sim.now, "cent": cent.sim.now}
@@ -227,6 +219,4 @@ def run(seed: int = 11, n_aps: int = 3, n_ues: int = 12,
                         probes_sent=arm.probes_sent,
                         probes_lost=arm.probes_lost,
                         stuck_ues=stuck)
-    for checker in checkers:
-        checker.verify()
     return timeline, summary

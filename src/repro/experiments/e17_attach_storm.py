@@ -36,11 +36,11 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.core.network import CentralizedLTENetwork, DLTENetwork
+from repro.core.network import (CentralizedLTENetwork, DLTENetwork,
+                                iter_control_agents)
 from repro.epc.overload import OverloadPolicy
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
-from repro.invariants.network import iter_control_agents, watch_network
 from repro.metrics.tables import ResultTable
 from repro.runner import parallel_map
 from repro.workloads.topology import RuralTown
@@ -81,8 +81,8 @@ def _settle_dlte(net: DLTENetwork) -> None:
 
 def _run_cell(task: Tuple) -> Dict[str, float]:
     """One (architecture, intensity) cell; picklable for parallel_map."""
-    (arch, intensity, n_aps, ue_per_ap, seed, scenario, invariants,
-     overload, chaos_at_s, horizon_s) = task
+    (arch, intensity, n_aps, ue_per_ap, seed, scenario, overload,
+     chaos_at_s, horizon_s) = task
     n_ues = n_aps * ue_per_ap * intensity
     town = RuralTown(radius_m=2500.0, n_ues=n_ues, n_aps=n_aps, seed=seed)
     if arch == "dlte":
@@ -92,9 +92,6 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
     sim = net.sim
     if scenario:
         prepare_scenario(scenario, net)
-    checker = None
-    if invariants:
-        checker = watch_network(net)
     if overload:
         policy = OverloadPolicy(**DEFAULT_POLICY)
         for agent in _bottleneck_agents(net):
@@ -114,8 +111,6 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
         plan = compose_scenario(scenario, net, injector, t0 + chaos_at_s)
         until = max(until, plan.end_s + 10.0)
     sim.run(until=until)
-    if checker is not None:
-        checker.verify()
 
     # harvest: who got on, how long demand-to-service took, what was shed
     attached = [ue for ue in ues if ue.state is UeState.ATTACHED]
@@ -145,22 +140,21 @@ _ARCHITECTURES = (("Centralized LTE", "cent"), ("dLTE stubs", "dlte"))
 
 def run(intensities: Optional[Sequence[int]] = None, n_aps: int = 3,
         ue_per_ap: int = 8, seed: int = 7, scenario: str = "",
-        invariants: bool = False, overload: bool = True,
-        chaos_at_s: float = 1.0, horizon_s: float = 15.0) -> ResultTable:
+        overload: bool = True, chaos_at_s: float = 1.0,
+        horizon_s: float = 15.0) -> ResultTable:
     """Attach-success and shed accounting across storm intensities.
 
     ``intensities`` scales the crowd: each cell storms
     ``n_aps * ue_per_ap * intensity`` UEs inside ``STORM_WINDOW_S``.
     ``scenario`` overlays a named chaos storm (``repro.faults``) at
-    ``chaos_at_s`` after the crowd starts; ``invariants`` arms the full
-    conservation-law checker per cell and raises on any breach;
-    ``overload=False`` removes all queue bounds (the seed's
-    infinite-patience baseline).
+    ``chaos_at_s`` after the crowd starts (``--invariants`` audits
+    every cell, in whichever process it runs); ``overload=False``
+    removes all queue bounds (the seed's infinite-patience baseline).
     """
     if intensities is None:
         intensities = (1, 8, 64)
     cells = [(arch_key, intensity, n_aps, ue_per_ap, seed, scenario,
-              invariants, overload, chaos_at_s, horizon_s)
+              overload, chaos_at_s, horizon_s)
              for intensity in intensities
              for _label, arch_key in _ARCHITECTURES]
     results = parallel_map(_run_cell, cells,

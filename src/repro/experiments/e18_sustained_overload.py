@@ -39,7 +39,7 @@ with AQM+ECN, goodput is monotone non-decreasing in load; with
 drop-tail it declines past saturation.
 
 Chaos scenarios and the invariant layer compose exactly as in E17
-(``scenario=``/``invariants=``) — every link carries a byte-exact
+(``scenario=`` and ``--invariants``) — every link carries a byte-exact
 conservation law, so a flapping backhaul under overload is one flag
 away and still audited.
 """
@@ -54,7 +54,6 @@ from repro.epc.qos import (BearerPolicer, CLASS_BULK, CLASS_GBR,
                            CLASS_INTERACTIVE, QosPolicy)
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
-from repro.invariants import watch_network
 from repro.metrics.tables import ResultTable
 from repro.net.aqm import make_aqm
 from repro.runner import parallel_map
@@ -118,9 +117,8 @@ def _access_links(net) -> List:
 
 def _run_cell(task: Tuple) -> Dict[str, float]:
     """One (arch, mode, load) cell; picklable for parallel_map."""
-    (arch, aqm_on, load, n_aps, ue_per_ap, seed, scenario, invariants,
-     qos, aqm, chaos_at_s, settle_s, warmup_s, measure_s,
-     backhaul_bps) = task
+    (arch, aqm_on, load, n_aps, ue_per_ap, seed, scenario, qos, aqm,
+     chaos_at_s, settle_s, warmup_s, measure_s, backhaul_bps) = task
     town = RuralTown(radius_m=1500.0, n_ues=n_aps * ue_per_ap,
                      n_aps=n_aps, seed=seed,
                      backhaul_rate_bps=backhaul_bps)
@@ -152,9 +150,6 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
 
     if scenario:
         prepare_scenario(scenario, net)
-    checker = None
-    if invariants:
-        checker = watch_network(net)
     if arch == "dlte":
         _settle_dlte(net)
 
@@ -320,8 +315,6 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
         plan = compose_scenario(scenario, net, injector, t1 + chaos_at_s)
         until = max(until, plan.end_s + 10.0)
     sim.run(until=until)
-    if checker is not None:
-        checker.verify()
 
     # -- harvest -------------------------------------------------------------
     window_s = sim.now - (t1 + warmup_s)
@@ -356,7 +349,7 @@ _ARCHITECTURES = (("Centralized LTE", "cent"), ("dLTE stubs", "dlte"))
 
 def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
         ue_per_ap: int = 6, seed: int = 11, scenario: str = "",
-        invariants: bool = False, qos: bool = True, aqm: str = "codel",
+        qos: bool = True, aqm: str = "codel",
         chaos_at_s: float = 2.0, settle_s: float = 6.0,
         warmup_s: float = 2.0, measure_s: float = 15.0,
         backhaul_bps: float = 6e6) -> ResultTable:
@@ -368,14 +361,14 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
     once with ``aqm`` (+ ECN) on every access link. ``qos`` installs
     the per-bearer policer at the centralized gateway; ``scenario``
     overlays a named chaos storm at ``chaos_at_s`` after traffic
-    starts; ``invariants`` arms the conservation-law checker (packet
-    *and* byte exact on every link) and raises on any breach.
+    starts. ``--invariants`` audits every cell, packet *and* byte
+    exact on every link.
     """
     if loads is None:
         loads = (0.5, 2.0, 4.0)
     cells = [(arch_key, aqm_on, load, n_aps, ue_per_ap, seed, scenario,
-              invariants, qos, aqm, chaos_at_s, settle_s, warmup_s,
-              measure_s, backhaul_bps)
+              qos, aqm, chaos_at_s, settle_s, warmup_s, measure_s,
+              backhaul_bps)
              for load in loads
              for _label, arch_key in _ARCHITECTURES
              for _mode, aqm_on in _MODES]

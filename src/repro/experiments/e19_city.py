@@ -24,8 +24,9 @@ table is **identical at any shard count and in either drive mode** —
 shards are an execution detail, so the table carries no shard column;
 ``tests/test_e19_city.py`` holds that line byte-for-byte.
 
-``invariants=True`` arms the cross-boundary conservation audit: every
-packet serialized onto a boundary link must be accounted for as
+Under ``--invariants`` each shard's simulator is audited where it runs
+(a fork shard verifies in its worker, at harvest) and the parent audits
+the boundaries: every packet serialized onto a boundary link must be
 received by its exit or still in flight past the horizon, and S1
 message counts must balance per direction the same way.
 """
@@ -363,8 +364,7 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
         mode: str = "serial", seed: int = 7, horizon_s: float = 6.0,
         demand_bps_per_ue: float = 20e3, data_packets: int = 3,
         epoch_s: float = 0.1, jitter: float = 0.25,
-        cell_spacing_m: float = 500.0,
-        invariants: bool = False) -> ResultTable:
+        cell_spacing_m: float = 500.0) -> ResultTable:
     """City-scale attach storm + data + fluid background, both shapes.
 
     Defaults are a small city so the smoke path stays fast; the
@@ -401,7 +401,7 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
                                    label=f"E19:{arch}")
         shard_results = sharded.run(until=horizon_s)
         merged = _merge_arm(arch, shard_results, sharded, params)
-        if invariants:
+        if Simulator.arming is not None:  # --invariants
             _audit_arm(arch, merged, sharded, plan.assignment)
         latencies = merged["latencies"]
         table.add_row(

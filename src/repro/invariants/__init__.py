@@ -7,8 +7,8 @@ on the simulated clock — packet conservation per link with every drop
 attributed to a cause, NAT binding accounting, aggregate GTP tunnel
 conservation, event-clock monotonicity, spectrum-grant sanity and
 PRB-slice non-overlap per contention domain, and NAS attach-state
-legality on every transition. :func:`watch_network` wires all of them
-onto a built network in one call.
+legality on every transition. Inside :func:`armed` every new simulator
+carries a checker and each component registers itself where it is built.
 
 Checks are passive: they read counters, draw no randomness, and
 schedule only their own sweep, so instrumented runs produce
@@ -19,8 +19,7 @@ lists every law and how E16 uses them.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
+    "arming": ("armed",),
     "checks": ("InvariantChecker", "InvariantError", "InvariantViolation"),
-    "network": (
-        "iter_control_agents", "watch_federation", "watch_network",
-        "watch_topology"),
+    "network": ("watch_federation",),
 })

@@ -5,7 +5,10 @@ consistent* while being broken on purpose — a fault campaign that
 silently leaks packets or teleports the clock proves nothing about
 resilience. :class:`InvariantChecker` registers conservation checks
 against live components and sweeps them periodically on the simulated
-clock (plus once at the end via :meth:`verify`):
+clock (plus once at the end via :meth:`verify`). Inside
+:func:`repro.invariants.armed` every new simulator carries one
+(``sim.checker``) and each class that has a law registers itself in its
+constructor:
 
 * **packet conservation** (:meth:`watch_link`): at any instant
   ``offered == delivered + dropped + in_flight`` in packets and in
@@ -37,10 +40,11 @@ per-event path).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, List, Optional
+from dataclasses import asdict, dataclass
+from typing import Any, Callable, List
 
 from repro.epc.ue import UeState
+from repro.invariants.network import watch_federation
 from repro.simcore.simulator import Simulator
 from repro.telemetry import flightrec
 
@@ -89,6 +93,8 @@ class InvariantChecker:
         self.checks_run = 0
         self._checks: List[tuple] = []  # (name, subject, fn)
         self._sweeping = False
+        #: every endpoint of the aggregate GTP law (see watch_tunnel)
+        self._tunnel_endpoints: List[Any] = []
         # lazily created so a clean checker leaves metrics untouched
         self._m_violations = None
 
@@ -218,9 +224,7 @@ class InvariantChecker:
         watched endpoint pushed — so endpoints register into one shared
         check installed on first use.
         """
-        if not hasattr(self, "_tunnel_endpoints"):
-            self._tunnel_endpoints: List[Any] = []
-
+        if not self._tunnel_endpoints:
             def check() -> List[str]:
                 encapsulated = sum(e.encapsulated
                                    for e in self._tunnel_endpoints)
@@ -255,8 +259,13 @@ class InvariantChecker:
         self.register("clock-monotonicity", "simulator", check)
 
     def watch_ue(self, ue: Any) -> None:
-        """Audit a UE's NAS transitions as they happen (not sampled)."""
+        """Audit a UE's NAS transitions as they happen (not sampled);
+        an observer already in the UE's one slot is called first."""
+        earlier = ue._state_observer
+
         def on_transition(subject, old: UeState, new: UeState) -> None:
+            if earlier is not None:
+                earlier(subject, old, new)
             if new is UeState.ATTACHED and old not in (UeState.ATTACHING,
                                                        UeState.ATTACHED):
                 self._record("nas-legality", subject.name,
@@ -266,6 +275,9 @@ class InvariantChecker:
             self.checks_run += 1
 
         ue._state_observer = on_transition
+
+    #: the one law over a *set* of APs: ``watch_federation(aps, registry)``
+    watch_federation = watch_federation
 
     # -- execution ---------------------------------------------------------
 
@@ -292,26 +304,29 @@ class InvariantChecker:
     def arm(self, period_s: float = 0.5) -> None:
         """Sweep all checks every ``period_s`` simulated seconds.
 
-        Idempotent; the sweep schedules only itself, draws no
-        randomness, and mutates nothing, so armed runs produce
-        byte-identical tables.
+        Idempotent while a sweep is live; it schedules only itself,
+        draws no randomness and mutates nothing, so armed runs produce
+        byte-identical tables. A run with no ``until`` ends when the
+        queue drains, so there the sweep stops once it is the only live
+        entry left (the clock rests on that instant, at most one period
+        past the last real event); ``sim.run()`` re-arms the simulator's
+        own checker whenever there is work.
         """
         if period_s <= 0:
             raise ValueError("sweep period must be positive")
         if self._sweeping:
             return
         self._sweeping = True
+        sim = self.sim
 
         def sweep():
             while self._sweeping:
-                yield self.sim.timeout(period_s)
+                yield sim.timeout(period_s)
                 self.check_now()
+                if sim._until is None and sim.live_queue_length == 0:
+                    self._sweeping = False
 
-        self.sim.process(sweep(), name="invariant-sweep")
-
-    def disarm(self) -> None:
-        """Stop the periodic sweep (explicit check_now keeps working)."""
-        self._sweeping = False
+        sim.process(sweep(), name="invariant-sweep")
 
     def verify(self) -> None:
         """Final audit: run every check, raise if anything ever broke.
@@ -326,10 +341,8 @@ class InvariantChecker:
             error = InvariantError(self.violations)
             path = flightrec.write_postmortem(
                 "invariant-violation", detail=str(error), sims=[self.sim],
-                extra={"violations": [
-                    {"time_s": v.time_s, "check": v.check,
-                     "subject": v.subject, "detail": v.detail}
-                    for v in self.violations[:100]]})
+                extra={"violations": [asdict(violation) for violation
+                                      in self.violations[:100]]})
             if path:
                 error.postmortem_path = path
             raise error

@@ -1,107 +1,21 @@
-"""Wire an :class:`InvariantChecker` onto whole simulated networks.
+"""The one network-level law: spectrum sanity over a dLTE federation.
 
-The checker itself audits individual components; experiments build
-hundreds of them. These walkers discover everything worth watching:
-
-* :func:`watch_topology` — breadth-first walk of the packet graph from
-  a set of root nodes, following each link's receive callback to its
-  owning node: every :class:`~repro.net.links.Link` gets the
-  conservation check, every :class:`~repro.net.nat.NatRouter` the NAT
-  accounting check, and every node carrying a
-  :class:`~repro.net.tunnel.TunnelEndpoint` joins the aggregate GTP
-  conservation law.
-* :func:`watch_federation` — spectrum-layer laws over a dLTE
-  federation: registry grant sanity (per-AP uniqueness, ordered lease
-  windows, density admission honored) and PRB-slice non-overlap per
-  band between alive, contending APs whose coordinators have converged.
-* :func:`watch_network` — everything above plus the clock and every
-  UE's NAS legality, for any of the :mod:`repro.core.network` builds
-  (dLTE, centralized, WiFi).
+Every other law belongs to one component, which registers itself where
+it is built. This one quantifies over a *set* of APs, so the one place
+that knows the set registers it: ``DLTENetwork.build``, through
+``sim.checker.watch_federation(aps, registry)``.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterable, List
+from typing import Any, List
 
-from repro.invariants.checks import InvariantChecker
-from repro.net.nat import NatRouter
-from repro.net.nodes import Router
 from repro.spectrum.grants import in_contention
 
-__all__ = ["iter_control_agents", "watch_federation", "watch_network",
-           "watch_topology"]
+__all__ = ["watch_federation"]
 
 
-def iter_control_agents(net: Any) -> List[Any]:
-    """Every ControlAgent a built network owns, deterministically ordered.
-
-    Covers both architectures: UEs, per-AP stubs and eNB relays (dLTE),
-    and the centralized core's MME/HSS/S-GW/P-GW plus its eNB relays —
-    the population the control-plane conservation law audits and E17's
-    shed accounting sums over.
-    """
-    agents: List[Any] = []
-    for name in sorted(getattr(net, "ues", {})):
-        agents.append(net.ues[name])
-    aps = getattr(net, "aps", None)
-    if aps:
-        for ap_id in sorted(aps):
-            ap = aps[ap_id]
-            for attr in ("stub", "enb"):
-                agent = getattr(ap, attr, None)
-                if agent is not None:
-                    agents.append(agent)
-    epc = getattr(net, "epc", None)
-    if epc is not None:
-        for attr in ("mme", "hss", "sgw", "pgw"):
-            agent = getattr(epc, attr, None)
-            if agent is not None:
-                agents.append(agent)
-    relays = getattr(net, "enb_relays", None)
-    if relays:
-        for name in sorted(relays):
-            agents.append(relays[name])
-    return agents
-
-
-def _iter_nodes(roots: Iterable[Any]) -> List[Any]:
-    """BFS over the packet graph: follow links to their receiving nodes."""
-    seen: List[Any] = []
-    seen_ids = set()
-    frontier = [node for node in roots if node is not None]
-    while frontier:
-        node = frontier.pop()
-        if id(node) in seen_ids:
-            continue
-        seen_ids.add(id(node))
-        seen.append(node)
-        for link in getattr(node, "links", {}).values():
-            neighbor = getattr(link.receiver, "__self__", None)
-            if neighbor is not None and id(neighbor) not in seen_ids:
-                frontier.append(neighbor)
-    return seen
-
-
-def watch_topology(checker: InvariantChecker, roots: Iterable[Any]) -> int:
-    """Watch every link/NAT/tunnel reachable from ``roots``.
-
-    Returns the number of nodes discovered.
-    """
-    nodes = _iter_nodes(roots)
-    for node in nodes:
-        for link in getattr(node, "links", {}).values():
-            checker.watch_link(link)
-        if isinstance(node, Router):
-            checker.watch_router(node)
-        if isinstance(node, NatRouter):
-            checker.watch_nat(node)
-        tunnels = getattr(node, "tunnels", None)
-        if tunnels is not None and hasattr(tunnels, "encapsulated"):
-            checker.watch_tunnel(tunnels)
-    return len(nodes)
-
-
-def watch_federation(checker: InvariantChecker, aps: dict,
+def watch_federation(checker: Any, aps: dict,
                      registry: Any = None) -> None:
     """Spectrum laws over a dLTE federation (and its registry).
 
@@ -184,38 +98,3 @@ def watch_federation(checker: InvariantChecker, aps: dict,
         return problems
 
     checker.register("spectrum-non-overlap", "federation", slice_check)
-
-
-def watch_network(net: Any, checker: InvariantChecker = None,
-                  period_s: float = 0.5) -> InvariantChecker:
-    """Watch everything in a built network; arms the periodic sweep.
-
-    Works for :class:`~repro.core.network.DLTENetwork`,
-    :class:`CentralizedLTENetwork`, and :class:`WiFiNetwork` — anything
-    exposing the `_BaseNetwork` surface (``sim``, ``internet``,
-    ``ue_hosts``) plus optional ``aps``/``ues``/``spectrum_registry``.
-    """
-    if checker is None:
-        checker = InvariantChecker(net.sim)
-    checker.watch_clock()
-    roots = [net.internet, getattr(net, "server", None),
-             getattr(net, "server_edge", None),
-             getattr(net, "epc_data", None),
-             getattr(net, "epc_router", None)]
-    roots.extend(net.ue_hosts.values())
-    aps = getattr(net, "aps", None)
-    if aps:
-        roots.extend(ap.router for ap in aps.values())
-    enb_data = getattr(net, "enb_data", None)
-    if enb_data:
-        roots.extend(enb_data.values())
-    watch_topology(checker, roots)
-    for ue in getattr(net, "ues", {}).values():
-        checker.watch_ue(ue)
-    for agent in iter_control_agents(net):
-        checker.watch_agent(agent)
-    if aps:
-        watch_federation(checker, aps,
-                         registry=getattr(net, "spectrum_registry", None))
-    checker.arm(period_s)
-    return checker

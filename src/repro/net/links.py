@@ -149,6 +149,8 @@ class Link:
         metrics.mirror(self, self._LEDGER, link=name)
         # the one number only the instrument holds, fetched once
         self._m_queue = metrics.gauge("net.link.queue_depth", link=name)
+        if sim.checker is not None:
+            sim.checker.watch_link(self)
 
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Attach the downstream receive function."""

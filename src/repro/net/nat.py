@@ -39,6 +39,8 @@ class NatRouter(Router):
         self.translated_out = 0
         self.translated_in = 0
         self.unsolicited_drops = 0
+        if sim.checker is not None:
+            sim.checker.watch_nat(self)
 
     def binding_for(self, flow_id: str) -> Optional[IPv4Address]:
         """The private address a flow is bound to, if any."""

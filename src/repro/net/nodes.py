@@ -134,6 +134,8 @@ class Router(NetworkNode):
         # local delivery hooks, e.g. a co-located control-plane agent
         self.local_handler: Optional[Callable[[Packet], None]] = None
         self.local_addresses: List[IPv4Address] = []
+        if sim.checker is not None:
+            sim.checker.watch_router(self)
 
     def add_route(self, prefix: PrefixLike, neighbor_name: str) -> None:
         """Install a static route; most-specific prefix wins on lookup,

@@ -73,6 +73,8 @@ def _step_shard(args) -> Tuple[List[Any], float]:
 def _harvest_shard(_):
     """``harvest`` task: ``(result, stats)``, packed under a hub run."""
     host = _SHARD.host
+    if host.sim.checker is not None:  # it outlived the ``open`` task's audit
+        host.sim.checker.verify()
     result = (host.harvest(), host.stats())
     if _SHARD.ship:
         return pack(result, _SHARD.started_at, _SHARD.exec_s)

@@ -8,7 +8,9 @@ share lives here, so every guarantee holds for all three (ROBUSTNESS.md):
 * **one worker** (:func:`_worker_main`) whose loop executes ``fn(item)``
   messages and nothing else: it ignores SIGINT (only the parent decides
   when to die), beats on its pipe from a side thread while a task runs,
-  and on SIGTERM dumps its flight recorder before exiting. State kept
+  and on SIGTERM dumps its flight recorder before exiting. Under
+  ``--invariants`` a task's simulators are verified before its reply
+  goes home (:data:`audited`). State kept
   between tasks lives in module globals of the worker process;
 * **one parent watch loop** (:func:`watch`): beat freshness, an optional
   per-task deadline, and pipe EOF = crash. A lost worker is killed and a
@@ -21,6 +23,7 @@ share lives here, so every guarantee holds for all three (ROBUSTNESS.md):
 from __future__ import annotations
 
 import atexit
+import contextlib
 import multiprocessing
 import os
 import pickle
@@ -49,6 +52,12 @@ _TICK_S = 0.05
 
 #: Process-wide default fan-out, set once by the CLI's ``--jobs``.
 _JOBS = 1
+
+#: ``with worker.audited():`` brackets one unit of work (an experiment's
+#: ``run()``, a worker task): ``repro.invariants.armed`` while that is on
+#: — it assigns itself here; this module never imports the package —
+#: and a no-op otherwise. Inherited through fork.
+audited: Callable[[], Any] = contextlib.nullcontext
 
 #: Parent-side handles of live workers, reaped at interpreter exit.
 _LIVE: set = set()
@@ -175,7 +184,9 @@ def _worker_main(conn) -> None:
             running.set()
             _maybe_chaos(label)
             try:
-                reply = ForkingPickler.dumps(("done", fn(item)))
+                with audited():  # a violation is this task's failure
+                    result = fn(item)
+                reply = ForkingPickler.dumps(("done", result))
             except Exception as exc:
                 reply = ForkingPickler.dumps(
                     ("fail", type(exc).__name__, traceback.format_exc()))

@@ -50,12 +50,25 @@ class Simulator:
     fully reproducible from ``(seed, topology)``.
     """
 
+    #: this simulator's :class:`~repro.invariants.InvariantChecker`, or
+    #: None (also for a double that never ran ``__init__``). A component
+    #: with a conservation law hands itself to it in its constructor —
+    #: one ``is not None`` per construction, nothing per event.
+    checker = None
+    #: process-wide hook called with every new simulator; it installs
+    #: :attr:`checker`. Set by :func:`repro.invariants.armed` while it
+    #: is on — this module never imports that package.
+    arming: Optional[Callable[["Simulator"], None]] = None
+
     def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
         self.now: float = start_time
         self.rng = RngRegistry(seed)
         self._heap: List[Tuple[float, int, ScheduledCall, Callable, tuple]] = []
         self._seq = itertools.count()
         self._running = False
+        #: horizon of the run in progress; None tells an audit sweep
+        #: it must not keep the queue alive
+        self._until: Optional[float] = None
         self.events_executed = 0
         #: cancelled entries still sitting in the heap (heap hygiene)
         self._cancelled = 0
@@ -89,6 +102,8 @@ class Simulator:
         self._fr_idx = 0
         flightrec.track(self)
         HUB.adopt(self)
+        if Simulator.arming is not None:
+            Simulator.arming(self)
 
     # tracer/profiler stay plain assignable attributes to callers, but
     # route through properties so the dispatch loop and trace() can test
@@ -248,9 +263,12 @@ class Simulator:
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")
+        heap = self._heap
+        if self.checker is not None and len(heap) > self._cancelled:
+            self.checker.arm()  # the sweep rides every run that has work
+        self._until = until
         self._running = True
         executed = 0
-        heap = self._heap
         heappop = heapq.heappop
         bounded = max_events is not None
         # flight-recorder ring, bound locally like the heap: recording an

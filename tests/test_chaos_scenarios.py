@@ -26,7 +26,7 @@ from repro.faults.scenarios import (
     SAS_OUTAGE_S,
     SCENARIO_LEASE_S,
 )
-from repro.invariants import watch_network
+from repro.invariants import armed
 from repro.workloads import RuralTown
 
 TOWN = RuralTown(radius_m=1500, n_ues=6, n_aps=2, seed=5)
@@ -117,12 +117,11 @@ def test_cascade_runs_clean_under_invariants():
     # the hard case that exposed the rejoin split-brain bugs: crash the
     # sites in a rolling wave, let them restart, and demand the
     # federation reconverges with every conservation law intact
-    net, injector = _dlte()
-    checker = watch_network(net)
-    plan = compose_scenario("cascading-stub-crashes", net, injector,
-                            start_s=4.0)
-    net.run(duration_s=plan.end_s + 20.0)
-    checker.verify()
+    with armed():  # verifies on the way out
+        net, injector = _dlte()
+        plan = compose_scenario("cascading-stub-crashes", net, injector,
+                                start_s=4.0)
+        net.run(duration_s=plan.end_s + 20.0)
     assert all(ap.alive for ap in net.aps.values())
 
 
@@ -130,9 +129,9 @@ def test_cascade_runs_clean_under_invariants():
 
 
 def test_sas_outage_lapses_and_recovers_leases():
-    net, injector = _dlte(scenario="sas-outage-during-lease-renewal")
+    with armed():
+        net, injector = _dlte(scenario="sas-outage-during-lease-renewal")
     assert net.spectrum_registry.lease_s == SCENARIO_LEASE_S
-    checker = watch_network(net)
     plan = compose_scenario("sas-outage-during-lease-renewal", net,
                             injector, start_s=4.0)
     assert plan.faults == ("sas-outage",)
@@ -144,7 +143,7 @@ def test_sas_outage_lapses_and_recovers_leases():
     # ... and re-registration restores service after the registry returns
     net.sim.run(until=plan.end_s + 2 * SCENARIO_LEASE_S)
     assert all(ap.grant_active for ap in net.aps.values())
-    checker.verify()
+    net.sim.checker.verify()
 
 
 def test_sas_outage_is_empty_plan_on_centralized():

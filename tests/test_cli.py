@@ -170,12 +170,33 @@ def test_profile_out_writes_folded_stacks(tmp_path, capsys):
 
 def test_exp_arg_validation(tmp_path):
     with pytest.raises(SystemExit):  # needs exactly one experiment
-        main(["E12", "E13", "--exp-arg", "invariants=True"])
+        main(["E12", "E13", "--exp-arg", "seed=3"])
     with pytest.raises(SystemExit):  # malformed KEY=VAL
         main(["E12", "--exp-arg", "justakey"])
     with pytest.raises(SystemExit):  # incompatible with --resume
-        main(["E16", "--exp-arg", "invariants=True",
+        main(["E16", "--exp-arg", "scenario=flapping-backhaul",
               "--resume", str(tmp_path / "ckpt")])
+    # arming is the CLI's --invariants, no longer a keyword of any run()
+    for exp_id in ("E16", "E17", "E18", "E19"):
+        with pytest.raises(TypeError, match="invariants"):
+            main([exp_id, "--exp-arg", "invariants=True"])
+
+
+def test_invariants_flag_edges(tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit):  # a replayed experiment was not audited
+        main(["E12", "--invariants", "--resume", str(tmp_path / "ckpt")])
+    assert "was not audited" in capsys.readouterr().err
+    # composes with the supervisor: same bytes, and a retried armed task
+    # is audited again (the injected crash costs E16 its first attempt)
+    assert main(["E13", "E16"]) == 0
+    plain = _strip_wall_times(capsys.readouterr().out)
+    monkeypatch.setenv("REPRO_CHAOS_PLAN", "exp:E16:crash")
+    monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
+    assert main(["E13", "E16", "--invariants", "--jobs", "2",
+                 "--retries", "1"]) == 0
+    armed_run = capsys.readouterr()
+    assert _strip_wall_times(armed_run.out) == plain
+    assert "1 crash(es)" in armed_run.err and "1 task retry" in armed_run.err
 
 
 def test_exp_arg_unknown_keyword_fails_loudly():
@@ -230,7 +251,7 @@ def test_resume_replays_byte_identical(tmp_path, capsys):
 
 def test_chaos_scenario_exp_args_run_e16(capsys):
     assert main(["E16", "--exp-arg", "scenario=flapping-backhaul",
-                 "--exp-arg", "invariants=True"]) == 0
+                 "--invariants"]) == 0
     out = capsys.readouterr().out
     assert "flapping-backhaul" in out
     assert "min_reach" in out

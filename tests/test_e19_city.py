@@ -11,6 +11,7 @@ from repro.deploy.partition import ShardPlan
 from repro.experiments import e19_city
 from repro.geo.partition import stripe_partition
 from repro.geo.points import Point
+from repro.invariants import armed
 from repro.telemetry.hub import HUB
 
 # one small city, reused by every invariance test in this module
@@ -61,14 +62,16 @@ def test_e19_invariants_hold_with_traffic_in_flight_at_horizon():
     # a horizon that cuts mid-storm leaves cross-shard packets pending;
     # the conservation audit must account for withheld records, and the
     # truncated run must still be shard-count invariant
-    short = dict(_CFG, horizon_s=1.05, invariants=True)
-    a = e19_city.run(shards=2, **short).render()
-    b = e19_city.run(shards=3, **short).render()
+    short = dict(_CFG, horizon_s=1.05)
+    with armed():
+        a = e19_city.run(shards=2, **short).render()
+        b = e19_city.run(shards=3, **short).render()
     assert a == b
 
 
 def test_e19_architecture_contrast():
-    table = e19_city.run(shards=2, invariants=True, **_CFG)
+    with armed():
+        table = e19_city.run(shards=2, **_CFG)
     rows = {row["architecture"]: row for row in table.rows}
     cent = rows["centralized EPC"]
     dlte = rows["dLTE stubs"]

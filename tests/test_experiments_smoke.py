@@ -26,6 +26,7 @@ from repro.experiments import (
     e19_city,
     t1_design_space,
 )
+from repro.invariants import armed
 from repro.metrics.tables import ResultTable
 
 
@@ -133,8 +134,9 @@ def test_e18_smoke():
 
 
 def test_e19_smoke():
-    table = e19_city.run(n_cells=4, ue_per_cell=2, background_per_cell=12,
-                         shards=2, horizon_s=4.0, invariants=True)
+    with armed():
+        table = e19_city.run(n_cells=4, ue_per_cell=2,
+                             background_per_cell=12, shards=2, horizon_s=4.0)
     _check(table, 2)
     # scaling contract: local cores never attach slower than the
     # centralized EPC, and their control traffic stays off the WAN

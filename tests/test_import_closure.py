@@ -127,6 +127,15 @@ def test_e5_loads_no_dataplane_core_or_chaos_layer():
                   "repro.invariants") == []
 
 
+def test_an_unarmed_storm_loads_no_invariants_module():
+    # what is audited is decided in the constructors, behind one
+    # ``sim.checker is not None``: neither the chaos experiments nor the
+    # kernel import the package
+    for exp_id in ("E17", "E18", "E19"):
+        assert _under(_run_probe(exp_id)["after"], "repro.invariants") == []
+    assert _under(_run_probe("E3")["after"], "repro.invariants") == []
+
+
 def test_derive_seed_loads_runner_seeds_only():
     loaded = _probe("""
 from repro.runner import derive_seed
@@ -182,7 +191,8 @@ print(json.dumps({{"code": code, "resolved": marks["resolved"],
         "t1_design_space"]
 
 
-def test_jobs_workers_import_nothing_after_the_fork():
+def _jobs_probe(flags):
+    """``--jobs 2`` over the suite: what every worker held, start and end."""
     out = _probe(_CLI_PROBE + f"""
 supervised_map, run_captured = cli.supervised_map, cli._run_captured
 def reporting_task(task):
@@ -197,7 +207,7 @@ def marking_map(fn, tasks, **kwargs):
     return [text.split("\\0")[0] for text in texts]
 cli.supervised_map = marking_map
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(list({_CLI_SUITE!r}) + ["--jobs", "2"])
+    code = cli.main(list({_CLI_SUITE!r}) + ["--jobs", "2"] + {flags!r})
 print(json.dumps(dict(marks, code=code, after=mods())))
 """)
     assert out["code"] == 0
@@ -206,6 +216,38 @@ print(json.dumps(dict(marks, code=code, after=mods())))
     for at_start, at_end in out["workers"]:
         assert at_start == out["forking"]
         assert at_end == out["forking"]
+    return out["forking"]
+
+
+def test_jobs_workers_import_nothing_after_the_fork():
+    assert _under(_jobs_probe([]), "repro.invariants") == []
+
+
+def test_armed_jobs_workers_import_nothing_after_the_fork():
+    # --invariants imports the package at the top of main(): every
+    # forked child is born holding it
+    assert "repro.invariants.arming" in _jobs_probe(["--invariants"])
+
+
+def test_invariants_flag_imports_the_package_before_anything_runs():
+    out = _probe(_CLI_PROBE + """
+run_experiment = cli.run_experiment
+def marking_run_experiment(*args, **kwargs):
+    marks.setdefault("resolved", mods())
+    return run_experiment(*args, **kwargs)
+cli.run_experiment = marking_run_experiment
+with contextlib.redirect_stdout(io.StringIO()):
+    unarmed = cli.main(["E17", "--exp-arg", "intensities=(1,)"])
+    marks["unarmed"] = mods()
+    marks.pop("resolved")
+    armed = cli.main(["E17", "--exp-arg", "intensities=(1,)",
+                      "--invariants"])
+print(json.dumps(dict(marks, codes=[unarmed, armed], after=mods())))
+""")
+    assert out["codes"] == [0, 0]
+    assert _under(out["unarmed"], "repro.invariants") == []
+    assert "repro.invariants.arming" in out["resolved"]
+    assert out["after"] == out["resolved"]      # run() imported nothing
 
 
 def test_unknown_id_is_rejected_without_importing_an_experiment():

@@ -6,16 +6,21 @@ passive when armed on a healthy run: same tables, no violations.
 """
 
 import dataclasses
+from collections import Counter
 
 import pytest
 
-from repro.core.network import CentralizedLTENetwork, DLTENetwork
+from repro.core.network import (
+    CentralizedLTENetwork,
+    DLTENetwork,
+    WiFiNetwork,
+)
 from repro.epc.ue import UeState
 from repro.invariants import (
     InvariantChecker,
     InvariantError,
+    armed,
     watch_federation,
-    watch_network,
 )
 from repro.net.links import Link
 from repro.net.packet import Packet
@@ -138,32 +143,63 @@ def _report_fingerprint(report):
     return dataclasses.asdict(report)
 
 
-def test_watch_network_covers_dlte_and_stays_clean():
-    net = DLTENetwork.build(TOWN, seed=3)
-    checker = watch_network(net)
-    assert len(checker._checks) > 5  # links, NATs, tunnels, clock, spectrum
-    net.run(duration_s=5.0)
-    checker.verify()
-    assert checker.checks_run > 0
+#: E16's town: what the PR-23 topology walker found on it, law by law.
+#: Registration at construction must find the same subjects — plus the
+#: three X2 endpoints the walker never reached.
+E16_TOWN = RuralTown(radius_m=2500.0, n_ues=12, n_aps=3, seed=11)
+WALKER_FOUND = {
+    DLTENetwork: {"clock-monotonicity": 1, "link-conservation": 34,
+                  "router-offers": 5, "agent-conservation": 18,
+                  "spectrum-registry": 1, "spectrum-non-overlap": 1},
+    CentralizedLTENetwork: {"clock-monotonicity": 1, "link-conservation": 44,
+                            "router-offers": 6, "agent-conservation": 19,
+                            "gtp-conservation": 1},
+    WiFiNetwork: {"clock-monotonicity": 1, "link-conservation": 34,
+                  "router-offers": 5},
+}
+
+
+@pytest.mark.parametrize("build", list(WALKER_FOUND),
+                         ids=lambda build: build.__name__)
+def test_armed_build_registers_what_the_walker_found(build):
+    with armed():
+        net = build.build(E16_TOWN, seed=11)
+    pairs = [(law, subject) for law, subject, _fn in net.sim.checker._checks]
+    assert len(set(pairs)) == len(pairs)        # nothing registered twice
+    found = Counter(law for law, _subject in pairs)
+    expected = dict(WALKER_FOUND[build])
+    x2 = {f"x2:{ap_id}" for ap_id in getattr(net, "aps", ())}
+    expected["agent-conservation"] = (
+        expected.get("agent-conservation", 0) + len(x2))
+    assert dict(found) == {law: n for law, n in expected.items() if n}
+    subjects = {subject for law, subject in pairs
+                if law == "agent-conservation"}
+    assert x2 <= subjects                       # the hole the walker had
+    if build is CentralizedLTENetwork:          # one S1-U end per site + EPC
+        assert len(net.sim.checker._tunnel_endpoints) == 1 + len(net.enb_data)
+
+
+def test_armed_dlte_runs_clean():
+    with armed():
+        net = DLTENetwork.build(TOWN, seed=3)
+        net.run(duration_s=5.0)
+    checker = net.sim.checker
+    assert checker.checks_run > len(checker._checks)    # swept mid-run
     assert checker.violations == []
 
 
-def test_watch_network_covers_centralized():
-    net = CentralizedLTENetwork.build(TOWN, seed=3)
-    checker = watch_network(net)
-    net.run(duration_s=5.0)
-    checker.verify()
+def test_armed_centralized_runs_clean():
+    with armed():
+        CentralizedLTENetwork.build(TOWN, seed=3).run(duration_s=5.0)
 
 
 def test_armed_checker_changes_no_tables():
     # passivity: an armed checker must not perturb the simulation —
     # the instrumented run's report is identical field-for-field
     plain = DLTENetwork.build(TOWN, seed=3).run(duration_s=5.0)
-    watched_net = DLTENetwork.build(TOWN, seed=3)
-    checker = watch_network(watched_net)
-    watched = watched_net.run(duration_s=5.0)
+    with armed():
+        watched = DLTENetwork.build(TOWN, seed=3).run(duration_s=5.0)
     assert _report_fingerprint(watched) == _report_fingerprint(plain)
-    checker.verify()
 
 
 def test_federation_flags_overlapping_slices():

@@ -369,17 +369,17 @@ def test_flash_crowd_during_flapping_backhaul_composes():
     """Chaos x workload: a flash crowd lands while the busiest AP's
     backhaul flaps. Every invariant (including agent conservation) must
     stay green, and the shed ledger must balance across all agents."""
-    from repro.core.network import DLTENetwork
+    from repro.core.network import DLTENetwork, iter_control_agents
     from repro.faults import FaultInjector, compose_scenario, prepare_scenario
-    from repro.invariants import iter_control_agents, watch_network
+    from repro.invariants import armed
     from repro.workloads.topology import RuralTown
     from repro.workloads.traffic import FlashCrowdAttachSource
 
     town = RuralTown(radius_m=1500, n_ues=8, n_aps=2, seed=5)
-    net = DLTENetwork.build(town, seed=5)
+    with armed():
+        net = DLTENetwork.build(town, seed=5)
     sim = net.sim
     prepare_scenario("flapping-backhaul", net)
-    checker = watch_network(net)
     policy = OverloadPolicy(queue_limit=8, shed="priority",
                             admission_limit=6, congestion_backoff_s=1.0)
     for ap in net.aps.values():
@@ -395,7 +395,7 @@ def test_flash_crowd_during_flapping_backhaul_composes():
                             sim.now + 0.25)  # flaps start mid-crowd
     sim.run(until=max(sim.now + 20.0, plan.end_s + 10.0))
 
-    checker.verify()  # raises if any law broke during the storm
+    sim.checker.verify()  # raises if any law broke during the storm
     assert storm.attaches_started == 8
     for agent in iter_control_agents(net):
         _assert_conserved(agent)
@@ -405,10 +405,13 @@ def test_e17_composes_with_chaos_and_invariants():
     """The packaged experiment runs a storm under cascading stub
     crashes with the checker armed — and still renders a sane table."""
     from repro.experiments import e17_attach_storm
+    from repro.invariants import armed
 
-    table = e17_attach_storm.run(
-        intensities=(1,), n_aps=2, ue_per_ap=3, horizon_s=12.0,
-        scenario="cascading-stub-crashes", invariants=True)
+    with armed() as audited:
+        table = e17_attach_storm.run(
+            intensities=(1,), n_aps=2, ue_per_ap=3, horizon_s=12.0,
+            scenario="cascading-stub-crashes")
+    assert len(audited) == 2 and all(c.checks_run for c in audited)
     assert len(table) == 2
     assert all(0.0 <= s <= 1.0 for s in table.column("attach_success"))
 

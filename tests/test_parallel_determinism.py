@@ -1,9 +1,12 @@
-"""Parallel runs must be byte-identical to serial runs.
+"""Parallel and armed runs must be byte-identical to serial runs.
 
 The whole contract of ``--jobs N`` (see repro.runner) is that fanning
 experiments and sweep cells over worker processes changes wall-clock
 only: every rendered ResultTable — and, with telemetry on, the metrics
-rows — must match the serial run byte for byte.
+rows — must match the serial run byte for byte. ``--invariants`` makes
+the same promise on another axis: every simulator audited, same bytes.
+Both axes compare against one serial render per experiment, computed
+once per session.
 
 Experiments run here with small sweep parameters (the smoke-test sizes)
 so the suite stays fast; the cells still cross the real multiprocessing
@@ -11,11 +14,13 @@ pool.
 """
 
 import contextlib
+import functools
 import io
 
 import pytest
 
 from repro.experiments import ALL_EXPERIMENTS
+from repro.invariants import armed
 from repro.metrics.tables import ResultTable
 from repro.runner import get_jobs, set_jobs
 from repro.telemetry.hub import HUB
@@ -64,10 +69,37 @@ def _run_at(exp_id, kwargs, jobs) -> str:
         set_jobs(old)
 
 
+@functools.lru_cache(maxsize=None)
+def _serial(exp_id) -> str:
+    """The reference bytes: unarmed, ``--jobs 1``, once per session."""
+    return _run_at(exp_id, dict(CASES)[exp_id], 1)
+
+
 @pytest.mark.parametrize("exp_id,kwargs", CASES,
                          ids=[c[0] for c in CASES])
 def test_tables_byte_identical_at_jobs_4(exp_id, kwargs):
-    assert _run_at(exp_id, kwargs, 4) == _run_at(exp_id, kwargs, 1)
+    assert _run_at(exp_id, kwargs, 4) == _serial(exp_id)
+
+
+#: simulators per experiment on which some component with a law of its
+#: own registers (every simulator carries the clock law). The other nine
+#: — T1, E3, E4, E5, E8, E10, E11, E12, E14 — build nothing that has a
+#: law yet; ROBUSTNESS.md names the laws that would give them one.
+AUDITED = {
+    "F1": 4, "E6": 3, "E7": 4, "E9": 3, "E13": 2, "E15": 4, "E16": 2,
+    "E17": 4, "E18": 8, "E19": 4,
+}
+
+
+@pytest.mark.parametrize("exp_id,kwargs", CASES,
+                         ids=[c[0] for c in CASES])
+def test_tables_byte_identical_armed(exp_id, kwargs):
+    with armed() as audit:
+        assert _run_at(exp_id, kwargs, 1) == _serial(exp_id)
+        with_laws = [checker for checker in audit
+                     if len(checker._checks) > 1]
+        assert len(with_laws) == AUDITED.get(exp_id, 0)
+        assert all(checker.checks_run for checker in with_laws)
 
 
 def _run_with_telemetry(exp_id, kwargs, jobs):
