@@ -174,10 +174,13 @@ class Cell:
 
         Goodput per UE = granted PRBs x bits/PRB at its CQI x the HARQ
         delivery factor at its SINR, all read from the refreshed bank
-        (grants arrive non-empty from the allocator).
+        (grants arrive non-empty from the allocator). A factor still
+        stale (NaN) since its row's refresh is filled here, for every
+        granted row at once, the first time one is met.
         """
         delivered: Dict[str, float] = {}
-        slot_of = self._arena.slot_of
+        arena = self._arena
+        slot_of = arena.slot_of
         # Python values: no numpy scalar may reach an instrument or the
         # delivered map
         cqi = bank.cqi.tolist()
@@ -192,6 +195,11 @@ class Cell:
             factor = 1.0
             if harq_on:
                 factor = harq[s]
+                if factor != factor:  # NaN: stale since the refresh
+                    arena.fill_harq(bank, list(map(slot_of.__getitem__,
+                                                   grants)))
+                    harq = bank.harq.tolist()
+                    factor = harq[s]
                 self._m_harq.observe(factor)
             self._m_prbs.observe(len(prbs))
             delivered[ue_id] = len(prbs) * b[s] * factor

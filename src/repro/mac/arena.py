@@ -4,17 +4,26 @@ The TTI engine is array work over one slot per attached UE, in attach
 (dict) order — the slot order IS the iteration order of ``Cell._ues``,
 so every order-sensitive artifact (grant map order, telemetry
 observation order, EWMA accumulation) follows it. Per slot the arena
-holds the demand columns, a downlink and an uplink PHY bank (SINR, CQI
-row index, spectral efficiency, per-PRB bits, HARQ goodput factor) and
-one EWMA average-rate array per scheduler the cell currently runs.
+holds the demand columns, the radio inputs, a downlink and an uplink PHY
+bank (SINR, CQI row index, spectral efficiency, per-PRB bits, HARQ
+goodput factor) and one EWMA average-rate array per scheduler the cell
+currently runs.
 
-Every per-UE datum is stored once. What the radio math reads of a UE is
-its cached value tuple and nothing else; what it writes (a bank's five
-columns), each bank's dirty flags, the backlog and the GBR are rows of
-one float block per arena whose capacity doubles when full, so attach
-and detach are O(1) array operations and a refresh scatters straight
-into the columns. Readers that need Python values take ``tolist()`` of a
-column; nothing is mirrored, so there is nothing to keep in step.
+Every per-UE datum is stored once. What the radio math reads of a UE
+are its input columns (position, power, gain, noise figure, cable loss,
+PAPR credit, an omni flag), written at attach and when a re-read finds
+the radio changed — one transposition per move, not one per bank per
+refresh; the per-slot value tuple is only what the next write is
+compared against. What the math writes (a bank's five columns), each
+bank's dirty flags, the backlog and the GBR are rows of the same float
+block, whose capacity doubles when full, so attach and detach are O(1)
+array operations and a refresh gathers from and scatters straight into
+the columns. A refresh leaves a row's HARQ factor stale (NaN): it is filled
+at the row's first grant after the refresh (:meth:`UeArena.fill_harq`,
+called by ``Cell._deliver``), so a moving cell evaluates HARQ for the
+rows it grants, not for every row it refreshed. Readers that need Python
+values take ``tolist()`` of a column; nothing is mirrored, so there is
+nothing to keep in step.
 
 The contract is **bit identity** with the per-UE scalar evaluators
 (held by the test oracle under ``tests/reference/``): the vector
@@ -70,12 +79,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["UeArena"]
 
-#: rows of an arena's column block: backlog, GBR, then six per PHY bank
-_BLOCK_ROWS = 14
+#: rows of an arena's column block: backlog, GBR, six per PHY bank, then
+#: the seven float radio inputs of :func:`_radio_sig` and the omni flag
+_BLOCK_ROWS = 22
 
 
 def _radio_sig(radio: Radio) -> tuple:
-    """Value tuple of every radio field the PHY math reads."""
+    """Value tuple of every radio field the PHY math reads (the first
+    seven are the arena's input rows, in this order)."""
     p = radio.position
     return (p.x, p.y, radio.tx_power_dbm, radio.antenna_gain_dbi,
             radio.noise_figure_db, radio.cable_loss_db,
@@ -95,10 +106,13 @@ class _PhyBank:
     The six columns are views of the owning arena's block, re-taken
     whenever the slot count changes: ``dirty`` is non-zero where a row's
     inputs changed since its last refresh, ``cqi`` holds the CQI row
-    index as a float, ``-1`` below the CQI floor. ``version`` moves
-    whenever a column's contents may have: a refresh rewrote a row, or
-    the views were re-taken (attach / detach) — a reader that derived
-    something from a column keeps it while ``version`` stands still.
+    index as a float, ``-1`` below the CQI floor, and ``harq`` is NaN
+    from a row's refresh until its first grant fills it. ``version``
+    moves whenever a row's radio state may have: a refresh rewrote a
+    row, or the views were re-taken (attach / detach) — a reader that
+    derived something from a column keeps it while ``version`` stands
+    still. Filling a HARQ factor does not move it: the factor is a
+    function of the row's SINR and CQI, which stood still.
     """
 
     __slots__ = ("env_sig", "vector_ok", "version", "dirty", "sinr", "cqi",
@@ -127,12 +141,14 @@ class UeArena:
         self._hooks: List[Tuple["UeRadioContext", Callable, Callable]] = []
         #: the radio each slot's watcher hangs on (its context's)
         self._radios: List[Radio] = []
-        #: per-slot :func:`_radio_sig`: the PHY math's only view of a UE
+        #: per-slot :func:`_radio_sig` as last read: what a write is
+        #: compared against (the math reads the input rows of the block)
         self._sigs: List[tuple] = []
         #: ids of UEs whose radio was written since the last refresh
         self._touched: Set[str] = set()
         # scheduler-visible per-slot demand state (``backlog`` and
-        # ``gbr`` are rows 0-1 of the block, taken by _bind_columns)
+        # ``gbr`` are rows 0-1 of the block, taken by _bind_columns, as
+        # are ``_inputs`` and ``_omni``)
         self.priority: List[int] = []
         self.dl = _PhyBank()
         self.ul = _PhyBank()
@@ -152,6 +168,8 @@ class UeArena:
         self.backlog, self.gbr = live[:2]
         self.dl.bind(live[2:8])
         self.ul.bind(live[8:14])
+        self._inputs = live[14:21]
+        self._omni = live[21]
 
     def _watch(self, ctx: "UeRadioContext") -> None:
         """A radio write marks the row with one C-level call (every UE
@@ -190,7 +208,8 @@ class UeArena:
         self.slot_of[uid] = slot
         self.ids.append(uid)
         self._radios.append(ctx.radio)
-        self._sigs.append(_radio_sig(ctx.radio))
+        sig = _radio_sig(ctx.radio)
+        self._sigs.append(sig)
         self.priority.append(ctx.priority)
         self._watch(ctx)
         block = self._block
@@ -200,6 +219,8 @@ class UeArena:
         self._bind_columns()
         self.backlog[slot] = ctx.backlog_bits
         self.gbr[slot] = ctx.gbr_bps
+        self._inputs[:, slot] = sig[:7]
+        self._omni[slot] = sig[7] is None
         # a new row is dirty in both banks, so its other cells (whatever
         # an earlier tenant of the column left) are written before read
         self.dl.dirty[slot] = self.ul.dirty[slot] = True
@@ -287,11 +308,13 @@ class UeArena:
 
     def _reread_touched(self) -> None:
         """Value-compare the written radios against the cached copies:
-        only a field that really changed dirties the row."""
+        only a field that really changed rewrites the row's inputs and
+        dirties it."""
         slot_of = self.slot_of
         radios = self._radios
         sigs = self._sigs
         changed: List[int] = []
+        fresh: List[tuple] = []
         for uid in self._touched:
             slot = slot_of[uid]
             # _radio_sig, inlined: with every UE moving, this loop runs
@@ -304,9 +327,15 @@ class UeArena:
             if sig != sigs[slot]:
                 sigs[slot] = sig
                 changed.append(slot)
+                fresh.append(sig)
         self._touched.clear()
         if changed:
-            self.dl.dirty[changed] = self.ul.dirty[changed] = True
+            # one transposition of the changed rows into the input rows
+            idx = np.array(changed, dtype=np.intp)
+            fields = list(zip(*fresh))
+            self._inputs[:, idx] = fields[:7]
+            self._omni[idx] = [a is None for a in fields[7]]
+            self.dl.dirty[idx] = self.ul.dirty[idx] = True
 
     # -- environment signatures -------------------------------------------
 
@@ -343,43 +372,45 @@ class UeArena:
                       downlink: bool) -> None:
         cell = self._cell
         lb = cell.link_budget
-        sigs = self._sigs
-        vec: List[int] = []
-        sca = rows.tolist()
+        vec = rows[:0]
+        sca = rows
         if bank.vector_ok:  # omni antenna -> vector-refreshable
-            vec = [s for s in sca if sigs[s][7] is None]
-            sca = [s for s in sca if sigs[s][7] is not None]
+            omni = self._omni[rows] > 0.0
+            vec = rows[omni]
+            sca = rows[~omni]
         sinr = bank.sinr
-        if vec:
-            # transpose the dirty rows' tuples: one contiguous input
-            # vector per radio field (the antennas, all None, fall off)
-            fields = list(zip(*[sigs[s] for s in vec]))
-            xs, ys, power, gains, _nf, cables, papr = np.array(
-                fields[:7], dtype=float)
+        if vec.size:
+            xs, ys, power, gains, nf, cables, papr = self._inputs[:, vec]
             if downlink:
-                bw = lb.bandwidth_hz
-                noise = np.array([_thermal_noise_cached(bw, nf)
-                                  for nf in fields[4]])
+                # thermal_noise_dbm is (kTB over the band) + NF, added in
+                # that order: the same bits as the per-row scalar call
+                noise = _thermal_noise_cached(lb.bandwidth_hz, 0.0) + nf
                 sinr[vec] = lb.sinr_db_fixed_tx_many(
                     cell.radio, xs, ys, gains, cables, noise,
                     self._interferers(True))
             else:
                 sinr[vec] = lb.sinr_db_many_tx_fixed_rx(
                     xs, ys, power, papr, gains, cables, cell.radio)
-        if sca:
+        if sca.size:
             sinr_of = cell.sinr_to if downlink else cell.uplink_sinr_from
             radios = self._radios
-            for s in sca:
+            for s in sca.tolist():
                 sinr[s] = sinr_of(radios[s])
-        svals = sinr[rows]
-        cqi = select_lte_cqi_index_many(svals)
+        cqi = select_lte_cqi_index_many(sinr[rows])
         eff = lte_efficiency_for_index(cqi)
-        thresh = lte_min_sinr_for_index(cqi)
-        # rows below CQI 1 get a junk factor (threshold 0.0) that the
-        # delivery tail never consumes — eligibility requires eff > 0
-        bank.harq[rows] = harq_goodput_factor_many(
-            svals, thresh, max_retx=cell.harq_max_retx)
+        bank.harq[rows] = np.nan  # filled at the row's next grant
         bank.cqi[rows] = cqi
         bank.eff[rows] = eff
         # same association order as bits_per_prb: (eff * 180e3) * 1e-3
         bank.b[rows] = eff * PRB_BANDWIDTH_HZ * TTI_S
+
+    def fill_harq(self, bank: _PhyBank, slots: List[int]) -> None:
+        """Fill the stale HARQ factors among granted ``slots`` (rows below
+        the CQI floor deliver nothing and stay stale)."""
+        idx = np.array(slots, dtype=np.intp)
+        cqi = bank.cqi[idx]
+        stale = np.isnan(bank.harq[idx]) & (cqi >= 0.0)
+        idx = idx[stale]
+        bank.harq[idx] = harq_goodput_factor_many(
+            bank.sinr[idx], lte_min_sinr_for_index(cqi[stale].astype(np.intp)),
+            max_retx=self._cell.harq_max_retx)

@@ -17,14 +17,15 @@ compose so well with SC-FDMA uplinks.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence, Tuple
+from operator import itemgetter
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
 
 import numpy as np
 
 from repro.mac.schedulers import LteScheduler, SchedulableUser, UserColumns
 
 
-def contiguous_runs(prbs: FrozenSet[int]) -> List[Tuple[int, int]]:
+def contiguous_runs(prbs: Iterable[int]) -> List[Tuple[int, int]]:
     """Maximal runs of consecutive indices as (start, length), sorted."""
     runs: List[Tuple[int, int]] = []
     for prb in sorted(prbs):
@@ -47,34 +48,38 @@ class ContiguousUplinkScheduler(LteScheduler):
 
     def _assign(self, cols: UserColumns,
                 prbs: List[int]) -> Dict[str, List[int]]:
-        # the weight sum is a sequential Python ``sum`` in eligible order
-        # and targets use Python ``round``: both fix the float/rounding
-        # behavior the test oracle expects
-        ids = cols.ids
-        elig = cols.elig
-        runs = contiguous_runs(frozenset(prbs))
         total = len(prbs)
         floor = 1e3
-        idx = np.array(elig)
         # demand weight ~ PF metric: efficiency / average rate
-        weights = (cols.b[idx] * 1e3
-                   / np.maximum(cols.avg[idx], floor)).tolist()
-        weight_sum = sum(weights) or 1.0
-        targets = [max(1, round(total * w / weight_sum)) for w in weights]
-        order = sorted(range(len(elig)),
-                       key=lambda i: (-targets[i], ids[elig[i]]))
-        runs = sorted(runs, key=lambda r: -r[1])
-        grants: Dict[str, List[int]] = {ids[s]: [] for s in elig}
-        for i in order:
-            want = targets[i]
-            # place into the first run with room; shrink to fit if needed
-            for j, (start, length) in enumerate(runs):
-                if length <= 0:
-                    continue
-                take = min(want, length)
-                grants[ids[elig[i]]] = list(range(start, start + take))
-                runs[j] = (start + take, length - take)
-                break
+        weights = cols.b * 1e3 / np.maximum(cols.avg, floor)
+        # the test oracle folds the weights with builtin ``sum`` in
+        # eligible (slot) order, and ``sum`` of a list is already C-level
+        weight_sum = sum(weights[cols.elig].tolist()) or 1.0
+        # eligible slots in ascending id order; ``rint`` rounds half to
+        # even exactly as ``round`` does, and a stable sort on -target
+        # keeps ascending id among equal targets
+        asc = cols.elig_desc[::-1]
+        targets = np.maximum(1.0, np.rint(total * weights[asc] / weight_sum))
+        # each served user takes at least one PRB: at most ``total`` are
+        order = np.argsort(-targets, kind="stable")[:total]
+        # largest run first, equal lengths in PRB order
+        runs = sorted(contiguous_runs(prbs), key=itemgetter(1), reverse=True)
+        ids = cols.ids
+        grants: Dict[str, List[int]] = {}
+        j = 0
+        start, room = runs[0]
+        for s, want in zip(asc[order].tolist(),
+                           targets[order].astype(np.intp).tolist()):
+            # the first run with room; shrink the block to fit
+            take = min(want, room)
+            grants[ids[s]] = list(range(start, start + take))
+            start += take
+            room -= take
+            if not room:
+                j += 1
+                if j == len(runs):
+                    break
+                start, room = runs[j]
         return grants
 
 

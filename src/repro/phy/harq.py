@@ -80,30 +80,32 @@ def harq_goodput_factor_many(sinr_db: Sequence[float],
                              combining: bool = True) -> np.ndarray:
     """Vectorized :func:`harq_goodput_factor` over per-UE arrays.
 
-    Bit-identical to the scalar loop: the attempt recursion is the same
-    closed form unrolled over ``max_retx + 1`` array steps (IEEE
-    add/mul/div are exactly specified), and the one transcendental —
-    the logistic's ``exp`` — goes through the libm element map
+    Bit-identical to the scalar loop, element by element: every
+    attempt's logistic exponent is computed at once as one
+    ``(max_retx + 1, n)`` array and the one transcendental — the
+    logistic's ``exp`` — goes through a single libm element map
     (``repro.phy.vmath.exp_exact``), because numpy's SIMD ``exp``
-    rounds differently on ~5% of inputs. This is the TTI
-    engine's HARQ step; the scalar function stays the reference.
+    rounds differently on ~5% of inputs; the attempt recursion is then
+    the same closed form unrolled over the rows (IEEE add/mul/div are
+    exactly specified). The TTI engine calls it on the granted rows
+    whose factor is stale (``UeArena.fill_harq``); the scalar function
+    stays the reference.
     """
     if max_retx < 0:
         raise ValueError("max_retx must be non-negative")
     sinr = np.asarray(sinr_db, dtype=float)
     thresh = np.asarray(mcs_threshold_db, dtype=float)
-    log9 = math.log(9.0)
+    gain_db = COMBINING_GAIN_DB if combining else 0.0
+    eff_sinr = sinr + gain_db * np.arange(max_retx + 1, dtype=float)[:, None]
+    x = _BLER_SLOPE_PER_DB * (thresh - eff_sinr) - math.log(9.0)
+    bler = 1.0 / (1.0 + exp_exact((-x).ravel()).reshape(x.shape))
     p_reach = np.ones_like(sinr)
     expected_attempts = np.zeros_like(sinr)
     p_delivered = np.zeros_like(sinr)
-    for k in range(max_retx + 1):
-        eff_sinr = sinr + (COMBINING_GAIN_DB * k if combining else 0.0)
-        shortfall = thresh - eff_sinr
-        x = _BLER_SLOPE_PER_DB * shortfall - log9
-        bler = 1.0 / (1.0 + exp_exact(-x))
+    for row in bler:
         expected_attempts = expected_attempts + p_reach
-        p_delivered = p_delivered + p_reach * (1.0 - bler)
-        p_reach = p_reach * bler
+        p_delivered = p_delivered + p_reach * (1.0 - row)
+        p_reach = p_reach * row
     return p_delivered / expected_attempts
 
 

@@ -1,5 +1,6 @@
 """Unit tests for the rate tables and HARQ model."""
 
+import numpy as np
 import pytest
 
 from repro.phy import (
@@ -12,7 +13,7 @@ from repro.phy import (
     select_wifi_mcs,
     wifi_rate_for_snr,
 )
-from repro.phy.harq import block_error_rate
+from repro.phy.harq import block_error_rate, harq_goodput_factor_many
 
 
 # -- rate tables ----------------------------------------------------------------
@@ -108,6 +109,24 @@ def test_harq_more_retx_helps_weak_links():
 def test_harq_factor_rejects_negative_retx():
     with pytest.raises(ValueError):
         harq_goodput_factor(0, 0, max_retx=-1)
+    with pytest.raises(ValueError):
+        harq_goodput_factor_many([0.0], [0.0], max_retx=-1)
+
+
+@pytest.mark.parametrize("combining", [True, False])
+@pytest.mark.parametrize("max_retx", [0, 1, 3, 4])
+def test_vector_harq_factor_is_the_scalar_bits(max_retx, combining):
+    """Element by element, to the last bit: the TTI engine's HARQ step
+    must deliver what the per-grant scalar evaluation delivers."""
+    rng = np.random.default_rng(max_retx)
+    sinr = rng.uniform(-15.0, 30.0, 2000).tolist() + [-0.0, 0.0, 200.0]
+    thresh = rng.uniform(-7.0, 23.0, len(sinr)).tolist()
+    got = harq_goodput_factor_many(sinr, thresh, max_retx=max_retx,
+                                   combining=combining).tolist()
+    assert got == [harq_goodput_factor(s, t, max_retx=max_retx,
+                                       combining=combining)
+                   for s, t in zip(sinr, thresh)]
+    assert harq_goodput_factor_many([], [], max_retx=max_retx).size == 0
 
 
 # -- HarqProcess state machine ------------------------------------------------

@@ -1,5 +1,8 @@
-"""Unit tests for repro.phy.units and repro.phy.bands."""
+"""Unit tests for repro.phy.units, repro.phy.vmath and repro.phy.bands."""
 
+import math
+
+import numpy as np
 import pytest
 
 from repro.phy import (
@@ -11,6 +14,12 @@ from repro.phy import (
     linear_to_db,
     thermal_noise_dbm,
     watts_to_dbm,
+)
+from repro.phy.vmath import (
+    db_to_linear_exact,
+    exp_exact,
+    hypot_exact,
+    log10_exact,
 )
 
 
@@ -47,6 +56,28 @@ def test_thermal_noise_canonical_values():
 def test_thermal_noise_includes_noise_figure():
     base = thermal_noise_dbm(10e6)
     assert thermal_noise_dbm(10e6, noise_figure_db=7) == pytest.approx(base + 7)
+
+
+def test_noise_figure_is_added_last():
+    """The UE arena adds a noise-figure column to the NF-free floor; that
+    is the per-radio floor's bits only while NF is the last term."""
+    for bw in (1.4e6, 5e6, 10e6, 20e6, 180e3):
+        for nf in (0.0, 2.5, 5, 7.0, 9.3, 11.1):
+            assert thermal_noise_dbm(bw, nf) == thermal_noise_dbm(bw) + nf
+
+
+def test_element_maps_are_the_scalar_bits():
+    values = np.random.default_rng(5).uniform(-60.0, 60.0, 500)
+    other = np.random.default_rng(6).uniform(-3e3, 3e3, 500)
+    vals, oth = values.tolist(), other.tolist()
+    assert log10_exact(np.abs(values)).tolist() == [
+        math.log10(abs(v)) for v in vals]
+    assert exp_exact(values).tolist() == [math.exp(v) for v in vals]
+    assert db_to_linear_exact(values).tolist() == [
+        db_to_linear(v) for v in vals]
+    assert hypot_exact(values, other).tolist() == [
+        math.hypot(x, y) for x, y in zip(vals, oth)]
+    assert exp_exact([]).size == 0
 
 
 def test_thermal_noise_rejects_bad_bandwidth():
