@@ -36,6 +36,6 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "DLTENetwork", "CentralizedLTENetwork", "WiFiNetwork",
         "PrivateLTENetwork"),
     "core.report": ("NetworkReport",),
-    "workloads.topology": ("RuralTown", "FarmCorridor"),
+    "workloads.topology": ("RuralTown",),
 })
 __all__.append("__version__")

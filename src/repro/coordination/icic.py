@@ -10,7 +10,7 @@ reference points.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, Sequence
 
 from repro.coordination.fair_sharing import compute_weighted_partition
 
@@ -39,12 +39,3 @@ def reuse_partition(cell_names: Sequence[str], n_prbs: int,
     ordered = sorted(cell_names)
     return {name: colors[f"color{i % reuse_factor}"]
             for i, name in enumerate(ordered)}
-
-
-def co_channel_cells(partition: Dict[str, FrozenSet[int]]) -> Dict[str, List[str]]:
-    """For each cell, the other cells whose PRB sets overlap its own."""
-    out: Dict[str, List[str]] = {}
-    for name, prbs in partition.items():
-        out[name] = [other for other, other_prbs in partition.items()
-                     if other != name and prbs & other_prbs]
-    return out

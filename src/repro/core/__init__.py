@@ -30,7 +30,6 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "capabilities": ("ArchitectureCapabilities", "design_space_table"),
-    "esim": ("EsimDevice",),
     "access_point": ("DLTEAccessPoint",),
     "network": (
         "CentralizedLTENetwork", "DLTENetwork", "PrivateLTENetwork",

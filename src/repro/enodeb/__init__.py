@@ -12,5 +12,4 @@ from repro._lazy import lazy_exports
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "cell": ("Cell",),
     "relay": ("EnbControlRelay",),
-    "site": ("SectorSite",),
 })

@@ -24,7 +24,7 @@ every event boundary (see ``InvariantChecker.watch_agent``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Optional, Tuple
+from typing import Deque, Dict, Optional, Tuple
 from collections import deque
 
 from repro.epc.nas import AttachRequest
@@ -305,17 +305,3 @@ class ControlChannel:
         message = ControlMessage(payload=payload, sender=sender,
                                  sent_at=sim.now)
         sim.post_at(sim.now + self.one_way_delay_s, receiver.enqueue, message)
-
-
-class CallbackAgent(ControlAgent):
-    """An agent whose handler is a plain callable (for tests and UEs)."""
-
-    def __init__(self, sim: Simulator, name: str,
-                 handler: Optional[Callable[[ControlMessage], None]] = None,
-                 service_time_s: float = 0.0) -> None:
-        super().__init__(sim, name, service_time_s)
-        self._handler = handler
-
-    def handle(self, message: ControlMessage) -> None:
-        if self._handler is not None:
-            self._handler(message)

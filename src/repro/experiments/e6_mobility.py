@@ -24,7 +24,6 @@ import ipaddress
 from typing import Dict, List, Optional, Type
 
 from repro.metrics.tables import ResultTable
-from repro.mobility.handover import dwell_time_s
 from repro.net.addressing import AddressPool
 from repro.runner import parallel_map
 from repro.net.internet import InternetCore

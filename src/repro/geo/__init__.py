@@ -4,7 +4,5 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "points": ("Point", "distance_m"),
-    "placement": (
-        "cluster_placement", "grid_placement", "road_placement",
-        "uniform_disk_placement"),
+    "placement": ("grid_placement", "uniform_disk_placement"),
 })

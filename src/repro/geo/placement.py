@@ -34,23 +34,3 @@ def grid_placement(n_cols: int, n_rows: int, spacing_m: float,
         raise ValueError("grid dimensions must be positive")
     return [Point(origin.x + c * spacing_m, origin.y + r * spacing_m)
             for r in range(n_rows) for c in range(n_cols)]
-
-
-def road_placement(n: int, spacing_m: float, y_m: float = 0.0,
-                   start_x_m: float = 0.0) -> List[Point]:
-    """``n`` points along a straight east-west road (AP string for E6)."""
-    if n < 0:
-        raise ValueError("n must be non-negative")
-    return [Point(start_x_m + i * spacing_m, y_m) for i in range(n)]
-
-
-def cluster_placement(rng: np.random.Generator, centers: List[Point],
-                      per_cluster: int, spread_m: float) -> List[Point]:
-    """Gaussian clusters around each center (hamlets around a town)."""
-    if per_cluster < 0:
-        raise ValueError("per_cluster must be non-negative")
-    points: List[Point] = []
-    for center in centers:
-        offsets = rng.normal(0.0, spread_m, size=(per_cluster, 2))
-        points.extend(Point(center.x + dx, center.y + dy) for dx, dy in offsets)
-    return points

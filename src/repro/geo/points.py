@@ -22,10 +22,6 @@ class Point:
         """Euclidean distance to ``other`` in meters."""
         return math.hypot(self.x - other.x, self.y - other.y)
 
-    def bearing_to(self, other: "Point") -> float:
-        """Angle from this point to ``other``, radians in (-pi, pi]."""
-        return math.atan2(other.y - self.y, other.x - self.x)
-
     def offset(self, dx: float, dy: float) -> "Point":
         """A new point translated by (dx, dy) meters."""
         return Point(self.x + dx, self.y + dy)

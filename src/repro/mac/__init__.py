@@ -1,4 +1,4 @@
-"""Medium access control: LTE schedulers, timing advance, WiFi CSMA/CA.
+"""Medium access control: LTE schedulers, timing range limits, WiFi CSMA/CA.
 
 LTE's MAC is *scheduled*: the eNodeB assigns PRBs per TTI, so overlapping
 cells only interfere if their PRB allocations collide — coordination can
@@ -12,14 +12,12 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "arena": ("UeArena",),
-    "csma": ("CsmaNode", "CsmaSimulation", "bianchi_throughput"),
+    "csma": ("CsmaNode", "CsmaSimulation"),
     "schedulers": (
         "LteScheduler", "MaxCiScheduler", "ProportionalFairScheduler",
         "QosAwareScheduler", "RoundRobinScheduler", "SchedulableUser"),
-    "uplink": (
-        "ContiguousUplinkScheduler", "contiguity_loss", "contiguous_runs"),
+    "uplink": ("ContiguousUplinkScheduler", "contiguous_runs"),
     "timing": (
         "LTE_MAX_CELL_RANGE_M", "WIFI_DEFAULT_ACK_RANGE_M",
-        "lte_timing_advance_steps", "max_range_supported_m",
-        "propagation_delay_s"),
+        "max_range_supported_m"),
 })

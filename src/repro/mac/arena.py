@@ -11,10 +11,10 @@ currently runs.
 
 Every per-UE datum is stored once. What the radio math reads of a UE
 are its input columns (position, power, gain, noise figure, cable loss,
-PAPR credit, an omni flag), written at attach and when a re-read finds
-the radio changed — one transposition per move, not one per bank per
-refresh; the per-slot value tuple is only what the next write is
-compared against. What the math writes (a bank's five columns), each
+PAPR credit), written at attach and when a re-read finds the radio
+changed — one transposition per move, not one per bank per refresh;
+the per-slot value tuple is only what the next write is compared
+against. What the math writes (a bank's five columns), each
 bank's dirty flags, the backlog and the GBR are rows of the same float
 block, whose capacity doubles when full, so attach and detach are O(1)
 array operations and a refresh gathers from and scatters straight into
@@ -29,11 +29,11 @@ The contract is **bit identity** with the per-UE scalar evaluators
 (held by the test oracle under ``tests/reference/``): the vector
 refresh routes its transcendental choke points through the libm element
 maps in ``repro.phy.vmath`` (numpy's SIMD kernels round differently at
-1 ulp on a few percent of inputs), keeps the scalar expressions'
-association order, and falls back to the scalar evaluators per row for
-geometries the vector path does not cover (directional antennas,
-shadowing, per-transmitter interferer exclusions on the uplink). Those
-fallback rows are still cached and still scheduled through the arena.
+1 ulp on a few percent of inputs) and keeps the scalar expressions'
+association order. A bank the vector path does not cover (shadowing,
+or per-transmitter interferer exclusions on the uplink) is refreshed
+with the scalar evaluators instead, row by row; its rows are still
+cached and still scheduled through the arena.
 
 Who changes a row says so; nothing polls the attached set. At attach the
 arena hangs a watcher on the UE's ``Radio`` and one on its
@@ -80,17 +80,17 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 __all__ = ["UeArena"]
 
 #: rows of an arena's column block: backlog, GBR, six per PHY bank, then
-#: the seven float radio inputs of :func:`_radio_sig` and the omni flag
-_BLOCK_ROWS = 22
+#: the seven radio inputs of :func:`_radio_sig`
+_BLOCK_ROWS = 21
 
 
 def _radio_sig(radio: Radio) -> tuple:
-    """Value tuple of every radio field the PHY math reads (the first
-    seven are the arena's input rows, in this order)."""
+    """Value tuple of every radio field the PHY math reads (the arena's
+    input rows, in this order)."""
     p = radio.position
     return (p.x, p.y, radio.tx_power_dbm, radio.antenna_gain_dbi,
             radio.noise_figure_db, radio.cable_loss_db,
-            radio.ul_papr_advantage_db, radio.antenna)
+            radio.ul_papr_advantage_db)
 
 
 def _model_sig(model: object) -> tuple:
@@ -148,7 +148,7 @@ class UeArena:
         self._touched: Set[str] = set()
         # scheduler-visible per-slot demand state (``backlog`` and
         # ``gbr`` are rows 0-1 of the block, taken by _bind_columns, as
-        # are ``_inputs`` and ``_omni``)
+        # is ``_inputs``)
         self.priority: List[int] = []
         self.dl = _PhyBank()
         self.ul = _PhyBank()
@@ -169,7 +169,6 @@ class UeArena:
         self.dl.bind(live[2:8])
         self.ul.bind(live[8:14])
         self._inputs = live[14:21]
-        self._omni = live[21]
 
     def _watch(self, ctx: "UeRadioContext") -> None:
         """A radio write marks the row with one C-level call (every UE
@@ -219,8 +218,7 @@ class UeArena:
         self._bind_columns()
         self.backlog[slot] = ctx.backlog_bits
         self.gbr[slot] = ctx.gbr_bps
-        self._inputs[:, slot] = sig[:7]
-        self._omni[slot] = sig[7] is None
+        self._inputs[:, slot] = sig
         # a new row is dirty in both banks, so its other cells (whatever
         # an earlier tenant of the column left) are written before read
         self.dl.dirty[slot] = self.ul.dirty[slot] = True
@@ -323,7 +321,7 @@ class UeArena:
             p = r.position
             sig = (p.x, p.y, r.tx_power_dbm, r.antenna_gain_dbi,
                    r.noise_figure_db, r.cable_loss_db,
-                   r.ul_papr_advantage_db, r.antenna)
+                   r.ul_papr_advantage_db)
             if sig != sigs[slot]:
                 sigs[slot] = sig
                 changed.append(slot)
@@ -332,9 +330,7 @@ class UeArena:
         if changed:
             # one transposition of the changed rows into the input rows
             idx = np.array(changed, dtype=np.intp)
-            fields = list(zip(*fresh))
-            self._inputs[:, idx] = fields[:7]
-            self._omni[idx] = [a is None for a in fields[7]]
+            self._inputs[:, idx] = list(zip(*fresh))
             self.dl.dirty[idx] = self.ul.dirty[idx] = True
 
     # -- environment signatures -------------------------------------------
@@ -356,15 +352,10 @@ class UeArena:
                 _radio_sig(cell.radio), inter)
 
     def _vector_ok(self, downlink: bool) -> bool:
-        cell = self._cell
-        if (cell.link_budget.shadowing is not None
-                or cell.radio.antenna is not None):
+        if self._cell.link_budget.shadowing is not None:
             return False
-        inter = self._interferers(downlink)
-        if downlink:
-            return all(r.antenna is None for r in inter)
         # uplink interferers carry per-transmitter exclusions: scalar rows
-        return not inter
+        return downlink or not self._interferers(downlink)
 
     # -- row recomputation -------------------------------------------------
 
@@ -372,29 +363,23 @@ class UeArena:
                       downlink: bool) -> None:
         cell = self._cell
         lb = cell.link_budget
-        vec = rows[:0]
-        sca = rows
-        if bank.vector_ok:  # omni antenna -> vector-refreshable
-            omni = self._omni[rows] > 0.0
-            vec = rows[omni]
-            sca = rows[~omni]
         sinr = bank.sinr
-        if vec.size:
-            xs, ys, power, gains, nf, cables, papr = self._inputs[:, vec]
+        if bank.vector_ok:
+            xs, ys, power, gains, nf, cables, papr = self._inputs[:, rows]
             if downlink:
                 # thermal_noise_dbm is (kTB over the band) + NF, added in
                 # that order: the same bits as the per-row scalar call
                 noise = _thermal_noise_cached(lb.bandwidth_hz, 0.0) + nf
-                sinr[vec] = lb.sinr_db_fixed_tx_many(
+                sinr[rows] = lb.sinr_db_fixed_tx_many(
                     cell.radio, xs, ys, gains, cables, noise,
                     self._interferers(True))
             else:
-                sinr[vec] = lb.sinr_db_many_tx_fixed_rx(
+                sinr[rows] = lb.sinr_db_many_tx_fixed_rx(
                     xs, ys, power, papr, gains, cables, cell.radio)
-        if sca.size:
+        else:
             sinr_of = cell.sinr_to if downlink else cell.uplink_sinr_from
             radios = self._radios
-            for s in sca.tolist():
+            for s in rows.tolist():
                 sinr[s] = sinr_of(radios[s])
         cqi = select_lte_cqi_index_many(sinr[rows])
         eff = lte_efficiency_for_index(cqi)

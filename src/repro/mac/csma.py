@@ -1,18 +1,15 @@
 """WiFi DCF: slotted CSMA/CA with binary exponential backoff.
 
-Two implementations of the same MAC, used to cross-validate each other:
-
-* :class:`CsmaSimulation` — a slotted simulation over an explicit
-  *hearing graph*, so hidden terminals (nodes that contend for the same
-  receiver but cannot sense each other) are modelled exactly. Time
-  advances by next event: between two frame boundaries every slot only
-  decrements counters, so :meth:`CsmaSimulation.run` applies those quiet
-  slots in one step and executes only the slots in which a frame ends
-  or starts. This is the engine behind E5 (legacy-WiFi baseline) and E8
-  (hidden terminal losses vs registry coordination).
-* :func:`bianchi_throughput` — Bianchi's analytic saturation-throughput
-  model (all-hear-all, no hiddens), the standard closed form the
-  simulation must agree with in the fully-connected case.
+:class:`CsmaSimulation` is a slotted simulation over an explicit
+*hearing graph*, so hidden terminals (nodes that contend for the same
+receiver but cannot sense each other) are modelled exactly. Time
+advances by next event: between two frame boundaries every slot only
+decrements counters, so :meth:`CsmaSimulation.run` applies those quiet
+slots in one step and executes only the slots in which a frame ends or
+starts. This is the engine behind E5 (legacy-WiFi baseline) and E8
+(hidden terminal losses vs registry coordination). In the
+fully-connected case it agrees with Bianchi's analytic saturation
+throughput, the oracle in ``tests/reference/bianchi.py``.
 """
 
 from __future__ import annotations
@@ -260,41 +257,3 @@ class CsmaSimulation:
         if node.backoff == 0:
             node.backoff = 1  # DIFS gap: never back-to-back zero-slot grab
         self._m_backoff.observe(node.backoff)
-
-
-def bianchi_throughput(n_nodes: int, frame_slots: int = 50,
-                       cw_min: int = CW_MIN, retry_stages: int = 6,
-                       tol: float = 1e-10) -> float:
-    """Bianchi (2000) saturation throughput, normalized to channel rate.
-
-    Solves the (tau, p) fixed point for ``n_nodes`` saturated stations
-    with binary exponential backoff over ``retry_stages`` doublings, then
-    returns the fraction of time the channel carries successful payload.
-    Payload, success, and collision durations are all ``frame_slots``
-    slots (the same abstraction as :class:`CsmaSimulation`).
-    """
-    if n_nodes <= 0:
-        raise ValueError("need at least one node")
-    w = float(cw_min)
-    m = retry_stages
-    tau = 0.1
-    for _ in range(10_000):
-        p = 1.0 - (1.0 - tau) ** (n_nodes - 1)
-        if p >= 1.0:
-            p = 1.0 - 1e-12
-        denom = ((1 - 2 * p) * (w + 1) + p * w * (1 - (2 * p) ** m))
-        new_tau = 2 * (1 - 2 * p) / denom
-        if abs(new_tau - tau) < tol:
-            tau = new_tau
-            break
-        tau = 0.5 * tau + 0.5 * new_tau
-    p_tr = 1.0 - (1.0 - tau) ** n_nodes
-    if p_tr == 0.0:
-        return 0.0
-    p_s = n_nodes * tau * (1.0 - tau) ** (n_nodes - 1) / p_tr
-    slot_idle = 1.0
-    slot_busy = float(frame_slots)
-    numerator = p_s * p_tr * slot_busy
-    denominator = ((1 - p_tr) * slot_idle + p_tr * p_s * slot_busy
-                   + p_tr * (1 - p_s) * slot_busy)
-    return numerator / denominator

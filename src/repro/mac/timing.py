@@ -1,57 +1,26 @@
-"""Timing advance and range limits.
+"""Protocol-timing range limits.
 
 §3.2: "LTE's scheduler also handles longer links by explicitly
 compensating for propagation delay."
 
 LTE uplink symbols must arrive time-aligned at the eNodeB; the network
 measures round-trip delay during random access and commands each UE to
-advance its transmissions. PRACH format 0 supports TA values covering
-~100 km; extended formats go further. WiFi has no such mechanism: the
-transmitter expects an ACK within a fixed SIFS+slot window, so beyond
-a few km ACKs arrive late and every frame retries — the link dies from
-*timing*, not SNR. (Long-distance WiFi exists only via non-standard
-ACK-timeout tuning, i.e. "expensive custom hardware" in the paper's
-terms.)
+advance its transmissions, and PRACH format 0 covers a ~100 km cell
+radius. WiFi has no such mechanism: the transmitter expects an ACK
+within a fixed SIFS+slot window, so beyond a few km ACKs arrive late and
+every frame retries — the link dies from *timing*, not SNR.
+(Long-distance WiFi exists only via non-standard ACK-timeout tuning,
+i.e. "expensive custom hardware" in the paper's terms.)
 """
 
 from __future__ import annotations
 
-SPEED_OF_LIGHT_M_S = 299_792_458.0
-
-#: LTE TA step: 16 Ts = 16 / (15000 * 2048) s, ~0.52 us, ~78 m of range each.
-LTE_TA_STEP_S = 16.0 / (15000.0 * 2048.0)
-
-#: Max TA index for PRACH format 0 (11 bits): covers ~100 km cell radius.
-LTE_MAX_TA_STEPS = 1282
+#: PRACH format-0 timing advance (11 bits) covers ~100 km of cell radius.
 LTE_MAX_CELL_RANGE_M = 100_000.0
 
 #: Stock 802.11 ACK timing tolerates roughly this one-way distance before
 #: the slot/SIFS budget is exceeded (802.11-2012 aSlotTime coverage).
 WIFI_DEFAULT_ACK_RANGE_M = 2_700.0
-
-
-def propagation_delay_s(distance_m: float) -> float:
-    """One-way free-space propagation delay."""
-    if distance_m < 0:
-        raise ValueError("negative distance")
-    return distance_m / SPEED_OF_LIGHT_M_S
-
-
-def lte_timing_advance_steps(distance_m: float) -> int:
-    """The TA command (in 16-Ts steps) for a UE at ``distance_m``.
-
-    Raises ValueError beyond the PRACH format-0 limit — the UE simply
-    cannot random-access such a cell.
-    """
-    if distance_m < 0:
-        raise ValueError("negative distance")
-    round_trip = 2.0 * propagation_delay_s(distance_m)
-    steps = round(round_trip / LTE_TA_STEP_S)
-    if steps > LTE_MAX_TA_STEPS:
-        raise ValueError(
-            f"distance {distance_m:.0f} m exceeds LTE TA range "
-            f"({LTE_MAX_CELL_RANGE_M:.0f} m)")
-    return steps
 
 
 def max_range_supported_m(technology: str) -> float:

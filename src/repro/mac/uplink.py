@@ -7,10 +7,8 @@ uplink scheduler therefore packs users into contiguous runs instead of
 sprinkling PRBs freely like the downlink's OFDMA.
 
 :class:`ContiguousUplinkScheduler` implements demand-proportional
-contiguous allocation; :func:`contiguity_loss` quantifies what the
-constraint costs versus an unconstrained (OFDMA-style) allocation — a
-fragmentation-shaped penalty that only appears when the allowed PRB set
-is itself fragmented (e.g. under ICIC slicing), which is why fair
+contiguous allocation. The constraint strands PRBs only when the allowed
+set is itself fragmented (e.g. under ICIC slicing), which is why fair
 sharing's *contiguous* slices (see ``compute_weighted_partition``)
 compose so well with SC-FDMA uplinks.
 """
@@ -18,11 +16,11 @@ compose so well with SC-FDMA uplinks.
 from __future__ import annotations
 
 from operator import itemgetter
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Tuple
 
 import numpy as np
 
-from repro.mac.schedulers import LteScheduler, SchedulableUser, UserColumns
+from repro.mac.schedulers import LteScheduler, UserColumns
 
 
 def contiguous_runs(prbs: Iterable[int]) -> List[Tuple[int, int]]:
@@ -81,22 +79,3 @@ class ContiguousUplinkScheduler(LteScheduler):
                     break
                 start, room = runs[j]
         return grants
-
-
-def contiguity_loss(users: Sequence[SchedulableUser],
-                    allowed: FrozenSet[int]) -> float:
-    """Fraction of PRBs an OFDMA allocator would use that SC-FDMA cannot.
-
-    Both allocators want to serve every user; OFDMA uses every allowed
-    PRB, while the contiguous packer may strand fragments smaller than
-    any remaining user's block. 0.0 = no penalty.
-    """
-    if not allowed:
-        return 0.0
-    eligible = [u for u in users if u.efficiency > 0 and u.backlog_bits > 0]
-    if not eligible:
-        return 0.0
-    scheduler = ContiguousUplinkScheduler()
-    grants = scheduler.allocate(eligible, allowed)
-    used = sum(len(g) for g in grants.values())
-    return 1.0 - used / len(allowed)

@@ -1,8 +1,8 @@
-"""Measurement utilities: fairness, percentiles, time series, tables."""
+"""Measurement utilities: fairness, percentiles, tables."""
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "stats": ("TimeSeries", "jain_fairness", "percentile", "summarize"),
+    "stats": ("jain_fairness", "percentile", "summarize"),
     "tables": ("ResultTable",),
 })

@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Sequence
 
 import numpy as np
 
@@ -66,47 +65,3 @@ def summarize(values: Sequence[float]) -> Dict[str, float]:
         "min": float(arr.min()),
         "max": float(arr.max()),
     }
-
-
-@dataclass
-class TimeSeries:
-    """An append-only (time, value) series with rate/interval analysis."""
-
-    name: str = ""
-    points: List[Tuple[float, float]] = field(default_factory=list)
-
-    def record(self, time_s: float, value: float) -> None:
-        """Append a sample; time must be non-decreasing."""
-        if self.points and time_s < self.points[-1][0]:
-            raise ValueError(
-                f"time went backwards in series {self.name!r}: "
-                f"{time_s} < {self.points[-1][0]}")
-        self.points.append((time_s, value))
-
-    @property
-    def times(self) -> List[float]:
-        """Sample times."""
-        return [t for t, _v in self.points]
-
-    @property
-    def values(self) -> List[float]:
-        """Sample values."""
-        return [v for _t, v in self.points]
-
-    def rate_per_s(self) -> float:
-        """(last - first value) / elapsed, for cumulative counters."""
-        if len(self.points) < 2:
-            return 0.0
-        (t0, v0), (t1, v1) = self.points[0], self.points[-1]
-        if t1 == t0:
-            return 0.0
-        return (v1 - v0) / (t1 - t0)
-
-    def gaps_longer_than(self, threshold_s: float) -> List[Tuple[float, float]]:
-        """Sample intervals exceeding ``threshold_s`` (stall detection)."""
-        return [(t0, t1) for (t0, _), (t1, _)
-                in zip(self.points, self.points[1:])
-                if t1 - t0 > threshold_s]
-
-    def __len__(self) -> int:
-        return len(self.points)

@@ -12,5 +12,5 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "models": ("LinearMover", "RandomWaypointMover"),
-    "handover": ("A3HandoverTrigger", "dwell_time_s"),
+    "handover": ("A3HandoverTrigger",),
 })

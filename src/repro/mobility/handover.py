@@ -11,26 +11,12 @@ a radio-driven trigger.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
 from repro.enodeb.cell import Cell
 from repro.phy.linkbudget import Radio
 
 HandoverCallback = Callable[[str, str], None]  # (from_cell, to_cell)
-
-
-def dwell_time_s(ap_spacing_m: float, speed_m_s: float) -> float:
-    """Mean time a road client spends per AP — the §4.2 breakdown knob.
-
-    The paper: dLTE "may break down … particularly as the client's time
-    on a single AP approaches the same order of magnitude as a round
-    trip to an in use OTT service."
-    """
-    if speed_m_s <= 0:
-        raise ValueError("speed must be positive")
-    if ap_spacing_m <= 0:
-        raise ValueError("spacing must be positive")
-    return ap_spacing_m / speed_m_s
 
 
 class A3HandoverTrigger:

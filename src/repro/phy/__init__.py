@@ -11,10 +11,9 @@ what this package implements.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "antenna": ("OmniAntenna", "SectorAntenna", "sector_boresights"),
     "bands": ("Band", "LTE_BANDS", "WIFI_BANDS", "get_band"),
     "fading": ("ShadowingField",),
-    "harq": ("HarqProcess", "harq_goodput_factor"),
+    "harq": ("harq_goodput_factor",),
     "linkbudget": ("LinkBudget", "Radio", "sinr_db"),
     "mcs": (
         "LTE_CQI_TABLE", "WIFI_MCS_TABLE", "McsEntry",
@@ -22,9 +21,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "wifi_rate_for_snr"),
     "propagation": (
         "Cost231Hata", "FreeSpace", "LogDistance", "OkumuraHata",
-        "PropagationModel", "TwoRayGround"),
+        "PropagationModel"),
     "resource_grid": ("ResourceGrid", "prbs_for_bandwidth"),
-    "units": (
-        "db_to_linear", "dbm_to_watts", "linear_to_db", "thermal_noise_dbm",
-        "watts_to_dbm"),
+    "units": ("db_to_linear", "linear_to_db", "thermal_noise_dbm"),
 })

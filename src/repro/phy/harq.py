@@ -13,15 +13,14 @@ degrading.
 
 ``harq_goodput_factor`` gives the expected efficiency multiplier
 (successful deliveries per transmission attempt) from which E4 computes
-goodput; :class:`HarqProcess` is the event-level per-block state machine
-used inside the LTE MAC.
+goodput; ``harq_goodput_factor_many`` is the same factor over per-UE
+arrays, which the LTE MAC's TTI engine applies to every grant.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -107,58 +106,3 @@ def harq_goodput_factor_many(sinr_db: Sequence[float],
         p_delivered = p_delivered + p_reach * (1.0 - row)
         p_reach = p_reach * row
     return p_delivered / expected_attempts
-
-
-@dataclass
-class HarqProcess:
-    """Per-transport-block HARQ state (one of the 8 LTE stop-and-wait lanes).
-
-    Drive it with :meth:`attempt`: feed the SINR of each transmission and a
-    uniform random draw; it tracks soft-combining gain and reports delivery
-    or exhaustion.
-    """
-
-    process_id: int
-    max_retx: int = 3
-    combining: bool = True
-    attempts: int = 0
-    delivered: bool = False
-    exhausted: bool = False
-    _history: List[float] = field(default_factory=list)
-
-    def effective_sinr_db(self, raw_sinr_db: float) -> float:
-        """SINR after combining gain from prior failed attempts."""
-        if not self.combining:
-            return raw_sinr_db
-        return raw_sinr_db + COMBINING_GAIN_DB * self.attempts
-
-    def attempt(self, raw_sinr_db: float, mcs_threshold_db: float,
-                uniform_draw: float) -> bool:
-        """Make one (re)transmission attempt; returns True on decode success.
-
-        Raises if the process already finished (delivered or exhausted).
-        """
-        if self.delivered or self.exhausted:
-            raise RuntimeError(f"HARQ process {self.process_id} already finished")
-        eff = self.effective_sinr_db(raw_sinr_db)
-        bler = block_error_rate(eff, mcs_threshold_db)
-        self._history.append(eff)
-        success = uniform_draw >= bler
-        self.attempts += 1
-        if success:
-            self.delivered = True
-        elif self.attempts > self.max_retx:
-            self.exhausted = True
-        return success
-
-    def reset(self) -> None:
-        """Recycle the process for a new transport block."""
-        self.attempts = 0
-        self.delivered = False
-        self.exhausted = False
-        self._history.clear()
-
-    @property
-    def finished(self) -> bool:
-        """True once delivered or out of retransmissions."""
-        return self.delivered or self.exhausted

@@ -30,7 +30,7 @@ def _thermal_noise_cached(bandwidth_hz: float, noise_figure_db: float) -> float:
 
 
 #: Entries a budget's path-loss memo may hold; it is cleared on reaching
-#: this. A moving UE on a scalar-fallback row adds a distance per TTI
+#: this. A moving UE in a scalar-refreshed bank adds a distance per TTI
 #: that never recurs, while the largest memo any experiment builds at
 #: its published defaults is 616 (E17).
 _LOSS_CACHE_MAX = 4096
@@ -73,24 +73,20 @@ class Watched:
 class Radio(Watched):
     """One end of a radio link.
 
-    Assignment is the only way a radio changes (``Point`` and the
-    antenna patterns are frozen), and every assignment runs the radio's
-    watchers (see :class:`Watched`): that is how a cell's UE arena learns
-    that a row's inputs moved without polling them.
+    Assignment is the only way a radio changes (``Point`` is frozen),
+    and every assignment runs the radio's watchers (see
+    :class:`Watched`): that is how a cell's UE arena learns that a row's
+    inputs moved without polling them.
 
     Attributes:
         position: location on the plane.
         tx_power_dbm: conducted transmit power.
-        antenna_gain_dbi: scalar antenna gain (applies both ways); ignored
-            in the direction computation when ``antenna`` is set.
+        antenna_gain_dbi: omnidirectional antenna gain (applies both ways).
         noise_figure_db: receiver noise figure.
         height_m: antenna height above ground.
         cable_loss_db: feeder loss between PA and antenna.
         ul_papr_advantage_db: extra usable PA headroom for single-carrier
             uplinks (SC-FDMA); 0 for OFDM clients.
-        antenna: optional directional pattern (e.g.
-            :class:`repro.phy.antenna.SectorAntenna`); when present, gain
-            toward a peer is evaluated from the pattern.
     """
 
     position: Point
@@ -100,26 +96,12 @@ class Radio(Watched):
     height_m: float = 1.5
     cable_loss_db: float = 0.0
     ul_papr_advantage_db: float = 0.0
-    antenna: Optional[object] = None
-
-    def gain_toward_dbi(self, other: Point) -> float:
-        """Antenna gain toward a peer position."""
-        if self.antenna is not None:
-            return self.antenna.gain_toward(self.position, other)
-        return self.antenna_gain_dbi
-
-    @property
-    def peak_gain_dbi(self) -> float:
-        """Best-case antenna gain (boresight for directional patterns)."""
-        if self.antenna is not None:
-            return self.antenna.peak_gain_dbi
-        return self.antenna_gain_dbi
 
     @property
     def eirp_dbm(self) -> float:
-        """Effective isotropic radiated power (at boresight)."""
+        """Effective isotropic radiated power."""
         return (self.tx_power_dbm + self.ul_papr_advantage_db
-                + self.peak_gain_dbi - self.cable_loss_db)
+                + self.antenna_gain_dbi - self.cable_loss_db)
 
 
 def sinr_db(signal_dbm: float, interferer_dbms: Iterable[float],
@@ -170,9 +152,8 @@ class LinkBudget:
         if self.shadowing is not None:
             loss += self.shadowing.shadowing_db(tx.position, rx.position)
         tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
-                   + tx.gain_toward_dbi(rx.position) - tx.cable_loss_db)
-        return (tx_eirp - loss + rx.gain_toward_dbi(tx.position)
-                - rx.cable_loss_db)
+                   + tx.antenna_gain_dbi - tx.cable_loss_db)
+        return (tx_eirp - loss + rx.antenna_gain_dbi - rx.cable_loss_db)
 
     def noise_dbm(self, rx: Radio) -> float:
         """Noise floor at ``rx`` over the configured bandwidth."""
@@ -184,16 +165,14 @@ class LinkBudget:
 
     def snr_db_grid(self, tx: Radio, rx_template: Radio,
                     distances_m: Sequence[float]) -> np.ndarray:
-        """Vectorized SNR over a boresight distance grid.
+        """Vectorized SNR over a distance grid.
 
         The receiver described by ``rx_template`` is swept along +x from
-        the transmitter; when both ends are omnidirectional and there is
-        no shadowing, the whole grid collapses to one vectorized
-        path-loss evaluation (E3's sweep and bisections). Directional or
-        shadowed geometries fall back to the exact scalar path per point.
+        the transmitter; without shadowing the whole grid collapses to
+        one vectorized path-loss evaluation (E3's sweep and bisections).
+        Shadowed geometries fall back to the exact scalar path per point.
         """
-        if (tx.antenna is None and rx_template.antenna is None
-                and self.shadowing is None):
+        if self.shadowing is None:
             losses = self.model.path_loss_db_many(distances_m, self.freq_mhz)
             tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
                        + tx.antenna_gain_dbi - tx.cable_loss_db)
@@ -223,18 +202,14 @@ class LinkBudget:
     # peers in a single pass, *bit-identically* to calling the scalar
     # methods per link: distances via the libm hypot map, loss via the
     # model's ``path_loss_db_many``, and dB<->linear conversions via
-    # the libm element maps (see ``repro.phy.vmath``). They require
-    # omnidirectional ends and no shadowing — exactly the geometries
-    # where the scalar path has no per-link state — and the UE arena
-    # falls back to the scalar calls per row otherwise.
+    # the libm element maps (see ``repro.phy.vmath``). They require no
+    # shadowing — the one input that gives the scalar path per-link
+    # state — and the UE arena refreshes a shadowed bank with the
+    # scalar calls instead.
 
-    def _require_plain(self, *radios: Radio) -> None:
+    def _require_plain(self) -> None:
         if self.shadowing is not None:
             raise ValueError("vectorized link evaluation requires no shadowing")
-        for radio in radios:
-            if radio.antenna is not None:
-                raise ValueError(
-                    "vectorized link evaluation requires omni antennas")
 
     def rx_power_dbm_fixed_tx_many(self, tx: Radio,
                                    rx_x: np.ndarray, rx_y: np.ndarray,
@@ -242,7 +217,7 @@ class LinkBudget:
                                    rx_cable_db: np.ndarray) -> np.ndarray:
         """Received power from one transmitter at many receivers (the
         downlink/interference direction of the UE arena)."""
-        self._require_plain(tx)
+        self._require_plain()
         dist = hypot_exact(tx.position.x - rx_x, tx.position.y - rx_y)
         loss = self.model.path_loss_db_many(dist, self.freq_mhz)
         tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
@@ -282,7 +257,7 @@ class LinkBudget:
                                       rx: Radio) -> np.ndarray:
         """Received power at one receiver from many transmitters (the
         uplink direction of the UE arena)."""
-        self._require_plain(rx)
+        self._require_plain()
         dist = hypot_exact(tx_x - rx.position.x, tx_y - rx.position.y)
         loss = self.model.path_loss_db_many(dist, self.freq_mhz)
         tx_eirp = tx_power_dbm + tx_papr_db + tx_gain_dbi - tx_cable_db

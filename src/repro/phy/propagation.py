@@ -5,8 +5,6 @@ carrier frequency. We implement the standard textbook/3GPP set:
 
 * :class:`FreeSpace` — Friis, the optimistic lower bound.
 * :class:`LogDistance` — generic exponent model with reference distance.
-* :class:`TwoRayGround` — flat-earth two-ray, the classic long-distance
-  rural approximation.
 * :class:`OkumuraHata` — the empirical macro-cell model (150–1500 MHz),
   with open/suburban/urban corrections: this is the model that captures
   why 850 MHz covers a town and 2.4 GHz does not.
@@ -109,42 +107,6 @@ class LogDistance(PropagationModel):
             np.maximum(d, self.ref_m) / self.ref_m)
         near = self._fspl.path_loss_db_many(d, freq_mhz)
         return np.where(d <= self.ref_m, near, far)
-
-
-class TwoRayGround(PropagationModel):
-    """Two-ray flat-earth model with a free-space near region.
-
-    Beyond the crossover distance ``d_c = 4 pi h_t h_r / lambda`` the loss
-    is ``40 log10(d) - 20 log10(h_t h_r)``, independent of frequency —
-    which is why antenna *height*, not band, dominates very long links.
-    """
-
-    def __init__(self, tx_height_m: float = 30.0, rx_height_m: float = 1.5) -> None:
-        if tx_height_m <= 0 or rx_height_m <= 0:
-            raise ValueError("antenna heights must be positive")
-        self.tx_height_m = tx_height_m
-        self.rx_height_m = rx_height_m
-        self._fspl = FreeSpace()
-
-    def crossover_m(self, freq_mhz: float) -> float:
-        """Distance beyond which the two-ray regime applies."""
-        wavelength = 299.792458 / freq_mhz  # meters
-        return 4.0 * math.pi * self.tx_height_m * self.rx_height_m / wavelength
-
-    def path_loss_db(self, distance_m: float, freq_mhz: float) -> float:
-        d = self._clamp_distance(distance_m)
-        if d < self.crossover_m(freq_mhz):
-            return self._fspl.path_loss_db(d, freq_mhz)
-        return (40.0 * math.log10(d)
-                - 20.0 * math.log10(self.tx_height_m * self.rx_height_m))
-
-    def path_loss_db_many(self, distances_m: Sequence[float],
-                          freq_mhz: float) -> np.ndarray:
-        d = self._clamp_distances(distances_m)
-        near = self._fspl.path_loss_db_many(d, freq_mhz)
-        far = (40.0 * log10_exact(d)
-               - 20.0 * math.log10(self.tx_height_m * self.rx_height_m))
-        return np.where(d < self.crossover_m(freq_mhz), near, far)
 
 
 class OkumuraHata(PropagationModel):

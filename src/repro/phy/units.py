@@ -1,4 +1,4 @@
-"""Unit conversions for RF arithmetic (dB, dBm, watts, thermal noise)."""
+"""Unit conversions for RF arithmetic (dB and thermal noise)."""
 
 from __future__ import annotations
 
@@ -21,18 +21,6 @@ def linear_to_db(ratio: float) -> float:
     if ratio <= 0:
         raise ValueError(f"cannot take dB of non-positive ratio {ratio}")
     return 10.0 * math.log10(ratio)
-
-
-def dbm_to_watts(dbm: float) -> float:
-    """Convert dBm to watts."""
-    return 10.0 ** ((dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(watts: float) -> float:
-    """Convert watts to dBm. Requires watts > 0."""
-    if watts <= 0:
-        raise ValueError(f"cannot take dBm of non-positive power {watts}")
-    return 10.0 * math.log10(watts) + 30.0
 
 
 def thermal_noise_dbm(bandwidth_hz: float, noise_figure_db: float = 0.0) -> float:

@@ -26,5 +26,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
         "TransportDemux"),
     "quic": ("QuicConnection", "QuicListener"),
     "tcp": ("TcpConnection", "TcpListener"),
-    "apps": ("BulkTransferApp", "RequestResponseApp"),
+    "apps": ("BulkTransferApp",),
 })

@@ -1,15 +1,10 @@
 """Applications over the transport layer.
 
-Two OTT-style applications drive the experiments:
-
-* :class:`BulkTransferApp` — a long download/upload (the "video stream"
-  that crosses handovers in E6). It owns reconnection policy: when a TCP
-  connection breaks it opens a fresh one and resumes at the acked byte
-  offset (HTTP range semantics), paying handshake plus slow-start; a QUIC
-  connection never breaks, so the app never intervenes.
-* :class:`RequestResponseApp` — a ping-style exchange for measuring
-  user-plane latency (F1) and the cost of consulting a distant OTT
-  service (the §4.2 dwell-vs-RTT breakdown).
+:class:`BulkTransferApp` is a long download/upload (the "video stream"
+that crosses handovers in E6). It owns reconnection policy: when a TCP
+connection breaks it opens a fresh one and resumes at the acked byte
+offset (HTTP range semantics), paying handshake plus slow-start; a QUIC
+connection never breaks, so the app never intervenes.
 """
 
 from __future__ import annotations
@@ -122,67 +117,3 @@ class BulkTransferApp:
         """Duration of the worst delivery gap."""
         gaps = self.stall_intervals(min_gap_s=0.0)
         return max((t1 - t0 for t0, t1 in gaps), default=0.0)
-
-
-class RequestResponseApp:
-    """Issues a request and waits for a fixed-size response.
-
-    Measures completion latency over a fresh or resumed connection; used
-    for the F1 path comparison and the OTT-RTT term in E6's breakdown
-    model.
-    """
-
-    def __init__(self, sim: Simulator, demux: TransportDemux,
-                 server_addr: IPv4Address,
-                 connection_cls: Type[TransportConnection],
-                 request_bytes: int = 400, response_bytes: int = 2000,
-                 **conn_kwargs) -> None:
-        self.sim = sim
-        self.demux = demux
-        self.server_addr = server_addr
-        self.connection_cls = connection_cls
-        self.request_bytes = request_bytes
-        self.response_bytes = response_bytes
-        self.conn_kwargs = conn_kwargs
-        self.started_at: Optional[float] = None
-        self.completed_at: Optional[float] = None
-        self.conn: Optional[TransportConnection] = None
-
-    def start(self) -> None:
-        """Connect and send the request; completion is response receipt."""
-        self.started_at = self.sim.now
-        conn = self.connection_cls(sim=self.sim, demux=self.demux,
-                                   peer_addr=self.server_addr,
-                                   **self.conn_kwargs)
-        self.conn = conn
-        conn.on_established = lambda: conn.send_app_data(self.request_bytes)
-        conn.connect()
-
-    def attach_responder(self, server_conn: TransportConnection) -> None:
-        """Server side: answer each fully-received request with the response."""
-        received = {"n": 0}
-
-        def on_receive(n_bytes: int) -> None:
-            received["n"] += n_bytes
-            if received["n"] >= self.request_bytes:
-                received["n"] = 0
-                server_conn.send_app_data(self.response_bytes)
-
-        server_conn.on_receive = on_receive
-
-    def watch_completion(self, client_received: dict) -> None:
-        """Client side: mark completion when the full response arrived."""
-        def on_receive(n_bytes: int) -> None:
-            client_received["n"] = client_received.get("n", 0) + n_bytes
-            if (client_received["n"] >= self.response_bytes
-                    and self.completed_at is None):
-                self.completed_at = self.sim.now
-
-        self.conn.on_receive = on_receive
-
-    @property
-    def latency_s(self) -> Optional[float]:
-        """Request-to-response completion time, or None if unfinished."""
-        if self.started_at is None or self.completed_at is None:
-            return None
-        return self.completed_at - self.started_at

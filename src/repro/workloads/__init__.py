@@ -4,9 +4,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "fluid": ("FluidCellLoad",),
-    "topology": ("CityGrid", "FarmCorridor", "RuralTown"),
+    "topology": ("CityGrid", "RuralTown"),
     "traffic": (
-        "CbrSource", "FlashCrowdAttachSource", "OnOffSource",
-        "PoissonChurnAttachSource", "PoissonSource", "VideoStreamSource",
+        "CbrSource", "FlashCrowdAttachSource", "VideoStreamSource",
         "WebSessionSource"),
 })

@@ -6,19 +6,17 @@ Two scenario generators anchor the experiments:
   AP sites covering a town of a given radius, UEs clustered around the
   town center. "One site covers the entire town, and is deployed on the
   gym where power and backhaul were available."
-* :class:`FarmCorridor` — the E6 road: APs strung along a straight road
-  at a spacing, UEs traveling along it.
+* :class:`CityGrid` — E19's dense urban grid of cell sites.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 import numpy as np
 
-from repro.geo.placement import (grid_placement, road_placement,
-                                 uniform_disk_placement)
+from repro.geo.placement import grid_placement, uniform_disk_placement
 from repro.geo.points import Point
 
 
@@ -64,42 +62,6 @@ class RuralTown:
         """Residents, uniform over the town disk."""
         rng = np.random.default_rng(self.seed)
         return uniform_disk_placement(rng, self.n_ues, self.radius_m)
-
-
-@dataclass
-class FarmCorridor:
-    """APs along a straight road; UEs drive the road (E6's geometry).
-
-    Attributes:
-        n_aps: AP count along the road.
-        ap_spacing_m: distance between adjacent AP sites.
-        n_ues: travelers.
-        seed: RNG seed for traveler start offsets.
-    """
-
-    n_aps: int = 4
-    ap_spacing_m: float = 2000.0
-    n_ues: int = 5
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_aps < 1 or self.ap_spacing_m <= 0:
-            raise ValueError("need n_aps >= 1 and positive spacing")
-
-    @property
-    def length_m(self) -> float:
-        """Road length from the first AP to the last."""
-        return (self.n_aps - 1) * self.ap_spacing_m
-
-    def ap_positions(self) -> List[Point]:
-        """AP sites on the road."""
-        return road_placement(self.n_aps, self.ap_spacing_m)
-
-    def ue_starts(self) -> List[Point]:
-        """Traveler starting points, spread along the first half."""
-        rng = np.random.default_rng(self.seed)
-        xs = rng.uniform(0.0, max(self.length_m / 2, 1.0), size=self.n_ues)
-        return [Point(float(x), 20.0) for x in xs]  # 20 m off the AP line
 
 
 @dataclass

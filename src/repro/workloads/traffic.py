@@ -7,19 +7,15 @@ workloads the paper's rural deployment actually carries (§5: "data only,
 with voice and messaging provided via OTT services"): messaging bursts,
 web sessions, and adaptive video.
 
-The attach generators at the bottom stress the *control* plane instead
-of the data plane: :class:`FlashCrowdAttachSource` models a stadium
-letting out (every UE storms the attach procedure inside one short
-window — E17's workload), :class:`PoissonChurnAttachSource` models
-steady-state churn (Poisson attach arrivals, exponential session holds,
-then detach). Both draw only from the sim's named RNG streams, so a
-storm is reproducible from ``(seed, topology)`` and identical across
-architecture arms.
+:class:`FlashCrowdAttachSource` stresses the *control* plane instead of
+the data plane: it models a stadium letting out (every UE storms the
+attach procedure inside one short window — E17's workload). It draws
+only from the sim's named RNG streams, so a storm is reproducible from
+``(seed, topology)`` and identical across architecture arms.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Dict, Iterable, Optional
 
 import numpy as np
@@ -78,49 +74,6 @@ class CbrSource(_Source):
             self._emit(self.packet_bytes)
 
 
-class PoissonSource(_Source):
-    """Poisson packet arrivals at ``rate_pps``."""
-
-    def __init__(self, sim: Simulator, emit: Emit, rate_pps: float,
-                 packet_bytes: int = 1200, name: str = "poisson") -> None:
-        super().__init__(sim, emit, name)
-        if rate_pps <= 0:
-            raise ValueError("rate must be positive")
-        self.rate_pps = rate_pps
-        self.packet_bytes = packet_bytes
-
-    def _run(self):
-        rng = self.sim.rng(f"traffic:{self.name}")
-        while True:
-            yield self.sim.timeout(float(rng.exponential(1.0 / self.rate_pps)))
-            self._emit(self.packet_bytes)
-
-
-class OnOffSource(_Source):
-    """Exponential on/off bursts — the classic bursty-user model."""
-
-    def __init__(self, sim: Simulator, emit: Emit, on_rate_bps: float,
-                 mean_on_s: float = 2.0, mean_off_s: float = 8.0,
-                 packet_bytes: int = 1200, name: str = "onoff") -> None:
-        super().__init__(sim, emit, name)
-        if min(on_rate_bps, mean_on_s, mean_off_s) <= 0:
-            raise ValueError("rates and durations must be positive")
-        self.on_rate_bps = on_rate_bps
-        self.mean_on_s = mean_on_s
-        self.mean_off_s = mean_off_s
-        self.packet_bytes = packet_bytes
-
-    def _run(self):
-        rng = self.sim.rng(f"traffic:{self.name}")
-        interval = self.packet_bytes * 8.0 / self.on_rate_bps
-        while True:
-            on_until = self.sim.now + float(rng.exponential(self.mean_on_s))
-            while self.sim.now < on_until:
-                yield self.sim.timeout(interval)
-                self._emit(self.packet_bytes)
-            yield self.sim.timeout(float(rng.exponential(self.mean_off_s)))
-
-
 class WebSessionSource(_Source):
     """Page views: a burst of objects, then a think time."""
 
@@ -143,36 +96,12 @@ class WebSessionSource(_Source):
             yield self.sim.timeout(float(rng.exponential(self.mean_think_s)))
 
 
-class _AttachSource(_Source):
-    """Shared shape for control-plane (attach) workload generators.
+class FlashCrowdAttachSource(_Source):
+    """A flash crowd: every UE wants the network within ``window_s``.
 
     Drives each UE's *supervised* attach (``start_attach_with_retry``),
     so rejected or timed-out attempts back off and retry per the UE's
     own policy — the generator only decides *when demand appears*.
-    """
-
-    def __init__(self, sim: Simulator, ues: Iterable, name: str,
-                 retry_kwargs: Optional[dict] = None) -> None:
-        super().__init__(sim, self._no_bytes, name)
-        self.ues = list(ues)
-        self.retry_kwargs = dict(retry_kwargs or {})
-        self.attaches_started = 0
-        #: sim time each UE's demand appeared (time-to-attach baseline)
-        self.demand_at: Dict[str, float] = {}
-
-    @staticmethod
-    def _no_bytes(n_bytes: int) -> None:
-        """Attach generators move procedures, not payload bytes."""
-
-    def _kick(self, ue) -> None:
-        self.attaches_started += 1
-        self.demand_at[ue.ue_id] = self.sim.now
-        ue.start_attach_with_retry(**self.retry_kwargs)
-
-
-class FlashCrowdAttachSource(_AttachSource):
-    """A flash crowd: every UE wants the network within ``window_s``.
-
     Offsets are drawn uniformly from the source's own named RNG stream
     and assigned to UEs in (sorted-offset, given-UE) order, so the same
     seed produces the same storm against any architecture under test.
@@ -181,10 +110,24 @@ class FlashCrowdAttachSource(_AttachSource):
     def __init__(self, sim: Simulator, ues: Iterable, window_s: float = 1.0,
                  name: str = "flash-crowd",
                  retry_kwargs: Optional[dict] = None) -> None:
-        super().__init__(sim, ues, name, retry_kwargs)
+        super().__init__(sim, self._no_bytes, name)
         if window_s <= 0:
             raise ValueError("storm window must be positive")
+        self.ues = list(ues)
+        self.retry_kwargs = dict(retry_kwargs or {})
         self.window_s = window_s
+        self.attaches_started = 0
+        #: sim time each UE's demand appeared (time-to-attach baseline)
+        self.demand_at: Dict[str, float] = {}
+
+    @staticmethod
+    def _no_bytes(n_bytes: int) -> None:
+        """A storm moves procedures, not payload bytes."""
+
+    def _kick(self, ue) -> None:
+        self.attaches_started += 1
+        self.demand_at[ue.ue_id] = self.sim.now
+        ue.start_attach_with_retry(**self.retry_kwargs)
 
     def _run(self):
         rng = self.sim.rng(f"traffic:{self.name}")
@@ -196,46 +139,6 @@ class FlashCrowdAttachSource(_AttachSource):
             if delay > 0:
                 yield self.sim.timeout(delay)
             self._kick(ue)
-
-
-class PoissonChurnAttachSource(_AttachSource):
-    """Steady churn: Poisson attach arrivals, exponential holds, detach.
-
-    Idle UEs cycle through a FIFO; each arrival attaches the next idle
-    UE, holds the session for an exponential time, then detaches it and
-    returns it to the pool. With no idle UE an arrival is skipped (and
-    counted), modelling a population cap rather than queued demand.
-    """
-
-    def __init__(self, sim: Simulator, ues: Iterable, rate_per_s: float,
-                 mean_hold_s: float = 30.0, name: str = "churn",
-                 retry_kwargs: Optional[dict] = None) -> None:
-        super().__init__(sim, ues, name, retry_kwargs)
-        if rate_per_s <= 0 or mean_hold_s <= 0:
-            raise ValueError("rate and hold time must be positive")
-        self.rate_per_s = rate_per_s
-        self.mean_hold_s = mean_hold_s
-        self.detaches = 0
-        self.arrivals_skipped = 0
-        self._idle = deque(self.ues)
-
-    def _release(self, ue) -> None:
-        ue.detach()
-        self.detaches += 1
-        self._idle.append(ue)
-
-    def _run(self):
-        rng = self.sim.rng(f"traffic:{self.name}")
-        while True:
-            yield self.sim.timeout(
-                float(rng.exponential(1.0 / self.rate_per_s)))
-            if not self._idle:
-                self.arrivals_skipped += 1
-                continue
-            ue = self._idle.popleft()
-            self._kick(ue)
-            hold = float(rng.exponential(self.mean_hold_s))
-            self.sim.post_at(self.sim.now + hold, self._release, ue)
 
 
 class VideoStreamSource(_Source):

@@ -14,7 +14,6 @@ from repro.coordination import (
     reuse_partition,
 )
 from repro.coordination.fair_sharing import compute_weighted_partition
-from repro.coordination.icic import co_channel_cells
 from repro.coordination.mesh import _bounded_simple_paths
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo import Point
@@ -199,8 +198,6 @@ def test_fair_sharing_rejects_bad_weight():
 def test_reuse1_everyone_shares_everything():
     p = reuse_partition(["a", "b", "c"], 50, reuse_factor=1)
     assert all(s == frozenset(range(50)) for s in p.values())
-    overlaps = co_channel_cells(p)
-    assert overlaps["a"] == ["b", "c"] or set(overlaps["a"]) == {"b", "c"}
 
 
 def test_reuse3_disjoint_thirds():
@@ -208,13 +205,12 @@ def test_reuse3_disjoint_thirds():
     union = set().union(*p.values())
     assert len(union) == 30
     assert all(len(s) == 10 for s in p.values())
-    assert all(not v for v in co_channel_cells(p).values())
 
 
 def test_reuse3_colors_repeat_cyclically():
     p = reuse_partition(["a", "b", "c", "d"], 30, reuse_factor=3)
     assert p["a"] == p["d"]  # 4th cell reuses color 0
-    assert co_channel_cells(p)["a"] == ["d"]
+    assert [c for c in "bcd" if p["a"] & p[c]] == ["d"]
 
 
 def test_reuse_validates():

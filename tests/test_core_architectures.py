@@ -5,14 +5,10 @@ import pytest
 from repro.core import (
     CentralizedLTENetwork,
     DLTENetwork,
-    EsimDevice,
     PrivateLTENetwork,
     WiFiNetwork,
     design_space_table,
 )
-from repro.epc.keys import PublishedKeyRegistry
-from repro.epc.subscriber import make_profile
-from repro.simcore import Simulator
 from repro.workloads import RuralTown
 
 TOWN = RuralTown(radius_m=1500, n_ues=8, n_aps=2, seed=1)
@@ -154,39 +150,3 @@ def test_capability_axes():
     assert CentralizedLTENetwork.CAPABILITIES.pstn_interconnect
     assert not WiFiNetwork.CAPABILITIES.licensed_radio
     assert not PrivateLTENetwork.CAPABILITIES.open_core
-
-
-# -- e-SIM ------------------------------------------------------------------------------------
-
-def test_esim_multi_profile():
-    device = EsimDevice("phone-1")
-    carrier = make_profile("001010000000001", published=False)
-    device.install("carrier", carrier)
-    dlte = device.generate_dlte_profile("999010000000001")
-    assert device.slots == ["carrier", "dlte"]
-    assert device.profile_for_network(open_network=True) is dlte
-    assert device.profile_for_network(open_network=False) is carrier
-
-
-def test_esim_publishes_on_generation():
-    sim = Simulator(0)
-    registry = PublishedKeyRegistry(sim)
-    device = EsimDevice("phone-2")
-    profile = device.generate_dlte_profile("999010000000002", registry)
-    assert registry.peek(profile.imsi) == profile.key
-
-
-def test_esim_missing_identity_raises():
-    device = EsimDevice("phone-3")
-    with pytest.raises(LookupError):
-        device.profile_for_network(open_network=True)
-    with pytest.raises(KeyError):
-        device.profile("nope")
-    with pytest.raises(ValueError):
-        EsimDevice("")
-
-
-def test_esim_keys_differ_per_device():
-    a = EsimDevice("phone-a").generate_dlte_profile("999010000000003")
-    b = EsimDevice("phone-b").generate_dlte_profile("999010000000003")
-    assert a.key != b.key

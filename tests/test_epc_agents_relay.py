@@ -4,13 +4,13 @@ import pytest
 
 from repro.enodeb import EnbControlRelay
 from repro.epc.agents import (
-    CallbackAgent,
     ControlAgent,
     ControlChannel,
     ControlMessage,
 )
 from repro.epc.nas import AttachRequest, AuthenticationRequest
 from repro.simcore import Simulator
+from tests.callback_agent import CallbackAgent
 
 
 # -- ControlAgent: serial processing ------------------------------------------------

@@ -7,10 +7,8 @@ import pytest
 
 from repro.geo import (
     Point,
-    cluster_placement,
     distance_m,
     grid_placement,
-    road_placement,
     uniform_disk_placement,
 )
 
@@ -24,13 +22,6 @@ def test_distance_symmetric_and_zero():
     assert a.distance_to(b) == b.distance_to(a)
     assert a.distance_to(a) == 0.0
     assert distance_m(a, b) == a.distance_to(b)
-
-
-def test_bearing_cardinal_directions():
-    origin = Point(0, 0)
-    assert origin.bearing_to(Point(1, 0)) == 0.0
-    assert origin.bearing_to(Point(0, 1)) == pytest.approx(math.pi / 2)
-    assert origin.bearing_to(Point(-1, 0)) == pytest.approx(math.pi)
 
 
 def test_offset():
@@ -100,18 +91,3 @@ def test_grid_placement_shape():
 def test_grid_placement_validates():
     with pytest.raises(ValueError):
         grid_placement(0, 3, 10)
-
-
-def test_road_placement_spacing():
-    pts = road_placement(4, 500.0, y_m=2.0, start_x_m=100.0)
-    assert pts == [Point(100, 2), Point(600, 2), Point(1100, 2), Point(1600, 2)]
-
-
-def test_cluster_placement_counts_and_spread():
-    rng = np.random.default_rng(2)
-    centers = [Point(0, 0), Point(10_000, 0)]
-    pts = cluster_placement(rng, centers, per_cluster=100, spread_m=50.0)
-    assert len(pts) == 200
-    # each point should be near one of the centers
-    for p in pts:
-        assert min(c.distance_to(p) for c in centers) < 500.0

@@ -16,7 +16,7 @@ import sys
 import pytest
 
 from repro.__main__ import main
-from repro.epc.agents import CallbackAgent, ControlAgent
+from repro.epc.agents import ControlAgent
 from repro.epc.subscriber import make_profile
 from repro.epc.ue import UeState, UserEquipment
 from repro.experiments import e7_core_scaling, e16_resilience
@@ -27,6 +27,7 @@ from repro.net.packet import Packet
 from repro.runner import WorkerTaskError, set_jobs
 from repro.runner.shardpool import ShardWorkerError
 from repro.simcore.simulator import Simulator
+from tests.callback_agent import CallbackAgent
 
 
 # -- coverage: the holes the walker had --------------------------------------

@@ -13,14 +13,11 @@ SINR, or a column that slipped a slot when the block grew or closed a
 gap, shows up at the step that caused it.
 """
 
-import math
-
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo.points import Point
-from repro.phy.antenna import SectorAntenna
 from repro.phy.fading import ShadowingField
 from repro.phy.linkbudget import Radio
 from repro.telemetry import MetricsRegistry
@@ -34,8 +31,7 @@ from tests.test_mac_arena import (
 )
 
 STRUCTURAL = ("attach", "detach_first", "detach_middle", "detach_last")
-PER_UE = ("move", "replace_radio", "reparam", "antenna", "backlog", "gbr",
-          "priority")
+PER_UE = ("move", "replace_radio", "reparam", "backlog", "gbr", "priority")
 PER_CELL = ("swap_scheduler", "dl_interferer", "ul_interferers", "harq",
             "shadowing", "cell_power", "prb_mask")
 
@@ -76,9 +72,6 @@ def _apply(cell, op, pick, x, y, tag):
             ctx.radio.antenna_gain_dbi = float(pick % 5)
             ctx.radio.noise_figure_db = 5.0 + pick % 4
             ctx.radio.cable_loss_db = 0.5 * (pick % 3)
-        elif op == "antenna":  # directional rows leave the vector path
-            ctx.radio.antenna = (None if ctx.radio.antenna is not None else
-                                 SectorAntenna(x / 4000.0 * math.pi, 8.0))
         elif op == "backlog":
             ctx.backlog_bits = BACKLOGS[pick % 4]
         elif op == "gbr":

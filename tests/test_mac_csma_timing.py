@@ -8,11 +8,9 @@ from repro.mac import (
     CsmaSimulation,
     LTE_MAX_CELL_RANGE_M,
     WIFI_DEFAULT_ACK_RANGE_M,
-    bianchi_throughput,
-    lte_timing_advance_steps,
     max_range_supported_m,
-    propagation_delay_s,
 )
+from tests.reference.bianchi import bianchi_throughput
 
 
 def _fully_connected(n, frame_slots=50, seed=0):
@@ -155,32 +153,6 @@ def test_bianchi_validates():
 
 
 # -- timing / range limits -----------------------------------------------------
-
-def test_propagation_delay():
-    assert propagation_delay_s(299_792_458.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        propagation_delay_s(-1)
-
-
-def test_ta_zero_at_zero_distance():
-    assert lte_timing_advance_steps(0) == 0
-
-
-def test_ta_steps_grow_with_distance():
-    assert lte_timing_advance_steps(10_000) > lte_timing_advance_steps(1000) > 0
-
-
-def test_ta_covers_100km_but_not_beyond():
-    lte_timing_advance_steps(99_000)  # fine
-    with pytest.raises(ValueError):
-        lte_timing_advance_steps(110_000)
-
-
-def test_ta_step_is_about_78m():
-    # one TA step corresponds to ~78 m of one-way range
-    assert lte_timing_advance_steps(78) == 1
-    assert lte_timing_advance_steps(156) == 2
-
 
 def test_range_limits_lte_vs_wifi():
     """§3.2: LTE's scheduler compensates delay; stock WiFi dies ~km scale."""

@@ -5,7 +5,6 @@ import pytest
 from repro.mac import (
     ContiguousUplinkScheduler,
     SchedulableUser,
-    contiguity_loss,
     contiguous_runs,
 )
 
@@ -72,25 +71,6 @@ def test_unreachable_users_excluded():
     assert "u0" not in grants
 
 
-def test_contiguity_loss_zero_on_unfragmented_grid():
-    loss = contiguity_loss(_users(10, 10, 10), frozenset(range(48)))
-    assert loss == pytest.approx(0.0, abs=0.05)
-
-
-def test_contiguity_loss_grows_with_fragmentation():
-    # many tiny fragments, few users: blocks can't cover the crumbs
-    fragments = frozenset().union(
-        *(range(i * 10, i * 10 + 2) for i in range(5)))  # 5 x 2-PRB shards
-    loss_fragmented = contiguity_loss(_users(10, 10), fragments)
-    loss_clean = contiguity_loss(_users(10, 10), frozenset(range(10)))
-    assert loss_fragmented > loss_clean
-
-
-def test_contiguity_loss_edge_cases():
-    assert contiguity_loss([], frozenset(range(10))) == 0.0
-    assert contiguity_loss(_users(10), frozenset()) == 0.0
-
-
 def test_fair_sharing_slices_are_scfdma_friendly():
     """The fair-sharing partition is contiguous by construction, so the
     uplink packer wastes nothing inside a slice."""
@@ -98,5 +78,6 @@ def test_fair_sharing_slices_are_scfdma_friendly():
 
     partition = compute_weighted_partition(50, {"a": 1, "b": 2, "c": 1})
     for slice_ in partition.values():
-        loss = contiguity_loss(_users(10, 12), slice_)
-        assert loss == pytest.approx(0.0, abs=0.1)
+        grants = ContiguousUplinkScheduler().allocate(_users(10, 12), slice_)
+        used = sum(len(g) for g in grants.values())
+        assert used / len(slice_) == pytest.approx(1.0, abs=0.1)

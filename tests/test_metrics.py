@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics import ResultTable, TimeSeries, jain_fairness, percentile, summarize
+from repro.metrics import ResultTable, jain_fairness, percentile, summarize
 
 
 # -- fairness ------------------------------------------------------------------
@@ -59,39 +59,6 @@ def test_summarize_fields():
     assert s["min"] == 1 and s["max"] == 5
     with pytest.raises(ValueError):
         summarize([])
-
-
-# -- time series ------------------------------------------------------------------------
-
-def test_timeseries_record_and_rate():
-    ts = TimeSeries("bytes")
-    ts.record(0.0, 0)
-    ts.record(10.0, 1000)
-    assert ts.rate_per_s() == 100.0
-    assert len(ts) == 2
-    assert ts.times == [0.0, 10.0]
-    assert ts.values == [0, 1000]
-
-
-def test_timeseries_rejects_time_reversal():
-    ts = TimeSeries()
-    ts.record(5.0, 1)
-    with pytest.raises(ValueError):
-        ts.record(4.0, 2)
-
-
-def test_timeseries_gap_detection():
-    ts = TimeSeries()
-    for t in (0.0, 0.1, 0.2, 1.5, 1.6):
-        ts.record(t, t)
-    assert ts.gaps_longer_than(0.5) == [(0.2, 1.5)]
-
-
-def test_timeseries_degenerate_rate():
-    ts = TimeSeries()
-    assert ts.rate_per_s() == 0.0
-    ts.record(1.0, 5)
-    assert ts.rate_per_s() == 0.0
 
 
 # -- result tables ------------------------------------------------------------------------

@@ -24,13 +24,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.epc.agents import CallbackAgent, ControlChannel
+from repro.epc.agents import ControlChannel
 from repro.epc.nas import AttachRequest
 from repro.net.aqm import make_aqm
 from repro.net.links import Link
 from repro.net.packet import ECN_ECT, ECN_NOT_ECT, Packet
 from repro.simcore.simulator import Simulator
 from repro.telemetry.registry import MetricsRegistry
+from tests.callback_agent import CallbackAgent
 from tests.reference import eager_ledger
 from tests.reference.eager_ledger import EagerLedger
 

@@ -19,7 +19,7 @@ from repro.epc import (
     PublishedKeyRegistry,
     UserEquipment,
 )
-from repro.epc.agents import CallbackAgent, ControlChannel, ControlMessage
+from repro.epc.agents import ControlChannel, ControlMessage
 from repro.epc.nas import AttachRequest, DetachRequest, Paging
 from repro.epc.overload import (
     CLASS_CRITICAL,
@@ -33,6 +33,7 @@ from repro.epc.ue import UeState
 from repro.invariants import InvariantChecker
 from repro.net import AddressPool
 from repro.simcore import Simulator, Tracer
+from tests.callback_agent import CallbackAgent
 
 AIR_DELAY = 0.005
 

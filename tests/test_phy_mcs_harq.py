@@ -6,7 +6,6 @@ import pytest
 from repro.phy import (
     LTE_CQI_TABLE,
     WIFI_MCS_TABLE,
-    HarqProcess,
     harq_goodput_factor,
     lte_efficiency_for_sinr,
     select_lte_cqi,
@@ -127,43 +126,3 @@ def test_vector_harq_factor_is_the_scalar_bits(max_retx, combining):
                                        combining=combining)
                    for s, t in zip(sinr, thresh)]
     assert harq_goodput_factor_many([], [], max_retx=max_retx).size == 0
-
-
-# -- HarqProcess state machine ------------------------------------------------
-
-def test_process_succeeds_on_good_draw():
-    p = HarqProcess(process_id=0)
-    assert p.attempt(raw_sinr_db=20, mcs_threshold_db=0, uniform_draw=0.5)
-    assert p.delivered and p.finished
-
-
-def test_process_combining_gain_accumulates():
-    p = HarqProcess(process_id=1)
-    assert p.effective_sinr_db(0.0) == 0.0
-    p.attempt(0.0, 10.0, uniform_draw=0.0)  # guaranteed failure draw
-    assert p.effective_sinr_db(0.0) == 3.0
-    p.attempt(0.0, 10.0, uniform_draw=0.0)
-    assert p.effective_sinr_db(0.0) == 6.0
-
-
-def test_process_exhausts_after_max_retx():
-    p = HarqProcess(process_id=2, max_retx=2)
-    for _ in range(3):  # initial + 2 retx
-        p.attempt(-30, 10.0, uniform_draw=0.0)
-    assert p.exhausted and not p.delivered
-    with pytest.raises(RuntimeError):
-        p.attempt(-30, 10.0, 0.0)
-
-
-def test_process_reset_recycles():
-    p = HarqProcess(process_id=3, max_retx=0)
-    p.attempt(-30, 10, 0.0)
-    assert p.finished
-    p.reset()
-    assert not p.finished and p.attempts == 0
-
-
-def test_process_no_combining_mode():
-    p = HarqProcess(process_id=4, combining=False)
-    p.attempt(0.0, 10.0, uniform_draw=0.0)
-    assert p.effective_sinr_db(0.0) == 0.0

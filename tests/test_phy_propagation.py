@@ -9,7 +9,6 @@ from repro.phy import (
     LogDistance,
     OkumuraHata,
     ShadowingField,
-    TwoRayGround,
 )
 from repro.phy.propagation import model_for_frequency
 
@@ -33,7 +32,7 @@ def test_free_space_frequency_scaling():
 
 
 def test_models_clamp_tiny_distance():
-    for model in (FreeSpace(), LogDistance(), TwoRayGround()):
+    for model in (FreeSpace(), LogDistance()):
         assert model.path_loss_db(0.0, 900) == model.path_loss_db(1.0, 900)
 
 
@@ -58,23 +57,6 @@ def test_log_distance_matches_fspl_below_reference():
 def test_log_distance_rejects_subunity_exponent():
     with pytest.raises(ValueError):
         LogDistance(exponent=0.5)
-
-
-def test_two_ray_crossover_and_regime():
-    tr = TwoRayGround(tx_height_m=30, rx_height_m=1.5)
-    d_c = tr.crossover_m(900)
-    assert 1000 < d_c < 3000  # ~1.7 km for these heights
-    # far regime is frequency independent
-    assert tr.path_loss_db(10_000, 900) == tr.path_loss_db(10_000, 2400)
-    # 40 dB/decade in far regime
-    assert (tr.path_loss_db(30_000, 900) - tr.path_loss_db(3000, 900)
-            == pytest.approx(40.0, abs=0.01))
-
-
-def test_two_ray_taller_antennas_reduce_loss():
-    short = TwoRayGround(tx_height_m=10)
-    tall = TwoRayGround(tx_height_m=40)
-    assert tall.path_loss_db(10_000, 900) < short.path_loss_db(10_000, 900)
 
 
 def test_hata_open_less_loss_than_urban():

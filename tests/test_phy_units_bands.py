@@ -9,11 +9,9 @@ from repro.phy import (
     LTE_BANDS,
     WIFI_BANDS,
     db_to_linear,
-    dbm_to_watts,
     get_band,
     linear_to_db,
     thermal_noise_dbm,
-    watts_to_dbm,
 )
 from repro.phy.vmath import (
     db_to_linear_exact,
@@ -34,17 +32,9 @@ def test_known_db_values():
     assert db_to_linear(0) == 1.0
 
 
-def test_dbm_watts_roundtrip():
-    assert dbm_to_watts(30) == pytest.approx(1.0)       # 30 dBm = 1 W
-    assert dbm_to_watts(0) == pytest.approx(1e-3)        # 0 dBm = 1 mW
-    assert watts_to_dbm(dbm_to_watts(23)) == pytest.approx(23)
-
-
 def test_log_of_nonpositive_rejected():
     with pytest.raises(ValueError):
         linear_to_db(0)
-    with pytest.raises(ValueError):
-        watts_to_dbm(-1)
 
 
 def test_thermal_noise_canonical_values():

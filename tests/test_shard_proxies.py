@@ -11,7 +11,7 @@ unsupported AQM).
 
 import pytest
 
-from repro.epc.agents import CallbackAgent, ControlChannel
+from repro.epc.agents import ControlChannel
 from repro.net.links import Link
 from repro.net.packet import Packet
 from repro.net.shardlink import (
@@ -21,6 +21,7 @@ from repro.net.shardlink import (
     RemoteAgentStub,
 )
 from repro.simcore import ShardBoundary, ShardHost, ShardedSimulator, Simulator
+from tests.callback_agent import CallbackAgent
 
 
 def _packet(seq, size=1250):

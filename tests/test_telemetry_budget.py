@@ -15,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.epc.agents import CallbackAgent, ControlChannel
+from repro.epc.agents import ControlChannel
 from repro.experiments import e5_coordination as E5
 from repro.experiments import e6_mobility as E6
 from repro.experiments import e17_attach_storm as E17
@@ -23,6 +23,7 @@ from repro.experiments import e18_sustained_overload as E18
 from repro.net.links import Link
 from repro.simcore.simulator import Simulator
 from repro.telemetry.registry import Counter, P2Quantile
+from tests.callback_agent import CallbackAgent
 
 
 @pytest.fixture

@@ -1,7 +1,5 @@
 """Unit tests for traffic sources, topologies, and mobility."""
 
-import math
-
 import pytest
 
 from repro.enodeb.cell import Cell
@@ -10,15 +8,11 @@ from repro.mobility import (
     A3HandoverTrigger,
     LinearMover,
     RandomWaypointMover,
-    dwell_time_s,
 )
 from repro.phy import LinkBudget, OkumuraHata, Radio, get_band
 from repro.simcore import Simulator
 from repro.workloads import (
     CbrSource,
-    FarmCorridor,
-    OnOffSource,
-    PoissonSource,
     RuralTown,
     VideoStreamSource,
     WebSessionSource,
@@ -59,23 +53,6 @@ def test_cbr_double_start_rejected(sim):
         src.start()
 
 
-def test_poisson_mean_rate(sim):
-    emitted = []
-    src = PoissonSource(sim, emitted.append, rate_pps=50)
-    src.start()
-    sim.run(until=20)
-    assert 800 < len(emitted) < 1200  # ~1000 expected
-
-
-def test_onoff_bursts(sim):
-    src = OnOffSource(sim, lambda b: None, on_rate_bps=1e6,
-                      mean_on_s=1.0, mean_off_s=1.0)
-    src.start()
-    sim.run(until=30)
-    # roughly half duty cycle at 1 Mbps
-    assert 0.2e6 / 8 * 30 < src.bytes_emitted < 0.8e6 / 8 * 30
-
-
 def test_web_sessions_heavy_tailed(sim):
     sizes = []
     src = WebSessionSource(sim, sizes.append, mean_page_bytes=1_000_000,
@@ -100,10 +77,6 @@ def test_sources_validate():
     sim = Simulator(0)
     with pytest.raises(ValueError):
         CbrSource(sim, lambda b: None, rate_bps=0)
-    with pytest.raises(ValueError):
-        PoissonSource(sim, lambda b: None, rate_pps=-1)
-    with pytest.raises(ValueError):
-        OnOffSource(sim, lambda b: None, on_rate_bps=1e6, mean_on_s=0)
     with pytest.raises(ValueError):
         VideoStreamSource(sim, lambda b: None, bitrate_bps=-5)
 
@@ -138,15 +111,6 @@ def test_rural_town_validates():
         RuralTown(radius_m=0)
     with pytest.raises(ValueError):
         RuralTown(n_aps=0)
-
-
-def test_farm_corridor_geometry():
-    corridor = FarmCorridor(n_aps=5, ap_spacing_m=2000)
-    assert corridor.length_m == 8000
-    aps = corridor.ap_positions()
-    assert aps[0] == Point(0, 0) and aps[-1] == Point(8000, 0)
-    starts = corridor.ue_starts()
-    assert all(0 <= p.x <= 4000 for p in starts)
 
 
 # -- movers -------------------------------------------------------------------------
@@ -215,14 +179,6 @@ def _cells_pair():
     west = Cell("west", band, Point(0, 0), budget)
     east = Cell("east", band, Point(4000, 0), budget)
     return [west, east]
-
-
-def test_dwell_time():
-    assert dwell_time_s(1000, 10) == 100
-    with pytest.raises(ValueError):
-        dwell_time_s(0, 10)
-    with pytest.raises(ValueError):
-        dwell_time_s(1000, 0)
 
 
 def test_a3_triggers_when_neighbor_wins():
