@@ -122,6 +122,10 @@ class Link:
         #: later than the next possible delivery. Wake-ups are never
         #: cancelled (handle-free fast path); a stale one is absorbed.
         self._wakeup_at = _INF
+        #: the wake-up and the kernel's post, bound once: ``self._drain``
+        #: read per post would build a bound method per post
+        self._wake = self._drain
+        self._post_at = sim.post_at
         # fault state
         self.up = True
         self.loss_rate = 0.0
@@ -283,7 +287,7 @@ class Link:
                          if rate != _INF else 0.0)) + self.delay_s
             if due < self._wakeup_at:
                 self._wakeup_at = due
-                self.sim.post_at(due, self._drain)
+                self._post_at(due, self._wake)
 
     def recall_offers(self, now: float) -> List[Tuple[float, Packet]]:
         """Take back the offers not yet due (their owner re-decides them)."""
@@ -363,7 +367,7 @@ class Link:
         due = flight[0][0]
         if due < self._wakeup_at:
             self._wakeup_at = due
-            self.sim.post_at(due, self._drain)
+            self._post_at(due, self._wake)
 
     def _advance(self, now: float) -> None:
         """Promote queued packets whose service has started by ``now``.
@@ -397,8 +401,10 @@ class Link:
         nothing in between re-posts; a stale wake-up falls through."""
         now = self.sim.now
         offers = self._offers
-        if offers and offers[0][0] <= now:
-            self._admit_due(now)
+        while offers and offers[0][0] <= now:  # _admit_due, one frame less
+            at, packet = offers.popleft()
+            self.offers_admitted += 1
+            self._admit(at, packet)
         flight = self._flight
         receiver = self.receiver
         while flight and flight[0][0] <= now:
@@ -422,7 +428,7 @@ class Link:
             return
         if due < self._wakeup_at:
             self._wakeup_at = due
-            self.sim.post_at(due, self._drain)
+            self._post_at(due, self._wake)
 
     def __repr__(self) -> str:
         rate = ("inf" if self.rate_bps == float("inf")

@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.net.addressing import IPv4Address
-from repro.net.nodes import Router
+from repro.net.nodes import NetworkNode, Router
 from repro.net.packet import Packet
 from repro.simcore.simulator import Simulator
 
@@ -54,24 +54,21 @@ class NatRouter(Router):
     def _is_private(self, address: Optional[IPv4Address]) -> bool:
         return address is not None and address in self.private_network
 
-    def handle(self, packet: Packet) -> None:
+    def receive(self, packet: Packet) -> None:
+        """Translate, then forward as any router does."""
         if packet.dst == self.public_address:
-            self._inbound(packet)
-            return
-        if self._is_private(packet.src) and not self._is_private(packet.dst):
-            # outbound: bind and masquerade
+            private = self._bindings.get(packet.flow_id)
+            if private is None:
+                # unsolicited: counted and recorded, nobody to deliver to
+                NetworkNode.receive(self, packet)
+                self.unsolicited_drops += 1
+                return
+            packet.dst = private
+            self.translated_in += 1
+        elif self._is_private(packet.src) and not self._is_private(packet.dst):
+            # outbound: bind and masquerade before the route lookup
             if packet.flow_id:
                 self._bindings[packet.flow_id] = packet.src
             packet.src = self.public_address
             self.translated_out += 1
-        super().handle(packet)
-
-    def _inbound(self, packet: Packet) -> None:
-        private = self._bindings.get(packet.flow_id)
-        if private is None:
-            # unsolicited: no binding, nobody to deliver to
-            self.unsolicited_drops += 1
-            return
-        packet.dst = private
-        self.translated_in += 1
-        super().handle(packet)
+        super().receive(packet)

@@ -131,9 +131,6 @@ class Router(NetworkNode):
         self.default_route: Optional[str] = None
         self.forwarded = 0
         self.no_route = 0
-        # local delivery hooks, e.g. a co-located control-plane agent
-        self.local_handler: Optional[Callable[[Packet], None]] = None
-        self.local_addresses: List[IPv4Address] = []
         if sim.checker is not None:
             sim.checker.watch_router(self)
 
@@ -183,12 +180,26 @@ class Router(NetworkNode):
                 (name for net, name in self._routes if dst in net), None)
         return neighbor if neighbor is not None else self.default_route
 
-    def handle(self, packet: Packet) -> None:
-        dst = packet.dst
-        if dst in self.local_addresses and self.local_handler:
-            self.local_handler(packet)
+    def receive(self, packet: Packet) -> None:
+        """Count and record the hop, then offer ``packet`` to the next
+        hop's link for ``now + forwarding_delay_s``. The body of
+        :meth:`NetworkNode.receive` and :meth:`lookup`'s cache hit are
+        written out here: this is the hop every transit packet pays."""
+        self.received += 1
+        hops = packet.hops
+        if hops is None:
+            packet.hops = [self.name]
+        else:
+            hops.append(self.name)
+        try:
+            neighbor = self._fib[address_key(packet.dst)]
+        except KeyError:
+            neighbor = self.lookup(packet.dst)
+        except AttributeError:  # no destination address
+            self.no_route += 1
             return
-        link = None if dst is None else self.links.get(self.lookup(dst))
+        link = self.links.get(
+            self.default_route if neighbor is None else neighbor)
         if link is None:
             self.no_route += 1
             return

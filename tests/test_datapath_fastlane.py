@@ -316,7 +316,7 @@ def test_popped_link_still_carries_what_it_was_offered(sim):
     assert r.no_route == 1
 
 
-def test_nat_translation_and_local_delivery_still_taken(sim):
+def test_nat_translation_still_taken(sim):
     nat = NatRouter(sim, "nat", IP("198.51.100.1"), "192.168.0.0/24")
     client = Host(sim, "client", IP("192.168.0.10"))
     server = Host(sim, "server", IP("203.0.113.5"))
@@ -336,13 +336,6 @@ def test_nat_translation_and_local_delivery_still_taken(sim):
     assert seen == [("server", nat.public_address, server.address),
                     ("client", server.address, client.address)]
     assert (nat.translated_out, nat.translated_in, nat.forwarded) == (1, 1, 2)
-    local = []
-    nat.local_addresses.append(IP("198.51.100.7"))
-    nat.local_handler = local.append
-    server.send(Packet(src=server.address, dst=IP("198.51.100.7"),
-                       size_bytes=100))
-    sim.run()
-    assert len(local) == 1 and nat.forwarded == 2
 
 
 def test_cross_shard_link_send_at_sends_at_that_instant():

@@ -202,17 +202,6 @@ def test_route_withdrawal(sim):
     assert router.lookup(IP("10.1.1.1")) is None
 
 
-def test_local_delivery_hook(sim):
-    router = Router(sim, "r")
-    local = []
-    router.local_addresses.append(IP("10.0.0.1"))
-    router.local_handler = lambda p: local.append(p.payload)
-    router.receive(Packet(src=None, dst=IP("10.0.0.1"), size_bytes=40,
-                          payload="hello"))
-    sim.run()
-    assert local == ["hello"]
-
-
 def test_host_multihoming(sim):
     host = Host(sim, "h", IP("10.0.0.1"))
     host.add_address(IP("10.9.0.1"))

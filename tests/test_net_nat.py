@@ -69,6 +69,51 @@ def test_unsolicited_inbound_dropped():
     assert nat.active_bindings == 0
 
 
+def test_unsolicited_inbound_is_counted_and_recorded_not_forwarded():
+    sim, nat, client, server = _nat_setup()
+    packet = Packet(src=server.address, dst=nat.public_address,
+                    size_bytes=100, flow_id="cold-call")
+    server.send(packet)
+    sim.run()
+    assert packet.hops == ["edge", "internet", "nat"]
+    assert (nat.received, nat.unsolicited_drops) == (1, 1)
+    assert (nat.forwarded, nat.no_route, nat.translated_in) == (0, 0, 0)
+    assert all(link.offered == 0 for link in nat.links.values())
+
+
+def test_outbound_is_masqueraded_before_it_is_offered():
+    sim, nat, client, server = _nat_setup()
+    uplink = nat.links["internet"]
+    offered = []
+    real_send_at = uplink.send_at
+
+    def spying_send_at(at, packet):
+        offered.append(packet.src)
+        real_send_at(at, packet)
+
+    uplink.send_at = spying_send_at
+    server.on_packet = lambda p: None
+    client.send(Packet(src=client.address, dst=server.address,
+                       size_bytes=100, flow_id="f1"))
+    sim.run()
+    assert offered == [nat.public_address]
+    assert (nat.received, nat.forwarded, nat.translated_out) == (1, 1, 1)
+
+
+@pytest.mark.parametrize("seed, dial, counts", [
+    # recorded before the hop was fused into Router.receive
+    (1, "outbound_connect", (True, 4, 4, 0, 2, 2, 0, 1)),
+    (2, "inbound_connect", (False, 1, 0, 0, 0, 0, 1, 0)),
+])
+def test_e15_flow_translation_counts(seed, dial, counts):
+    harness = ReachabilityHarness(nat=True, seed=seed)
+    ok = getattr(harness, dial)()
+    gw = harness.gateway
+    assert (ok, gw.received, gw.forwarded, gw.no_route, gw.translated_out,
+            gw.translated_in, gw.unsolicited_drops,
+            gw.active_bindings) == counts
+
+
 def test_private_to_private_not_translated():
     sim, nat, client, server = _nat_setup()
     other = Host(sim, "other", IP("192.168.0.20"))
