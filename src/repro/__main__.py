@@ -58,6 +58,7 @@ from __future__ import annotations
 import argparse
 import ast
 import contextlib
+import gc
 import io
 import os
 import sys
@@ -236,6 +237,11 @@ def run_experiment(exp_id: str, metrics_out: Optional[str] = None,
                     profile_out=profile_out)
     print(f"[{exp_id} done in {time.time() - started:.1f} s]")
     print()
+    # the experiment's simulators are cyclic garbage now: free them
+    # before the next experiment (``--all``, or the next task of a
+    # supervised worker) is built
+    del result
+    gc.collect()
 
 
 #: Experiments whose run() fans its own sweep cells over the worker

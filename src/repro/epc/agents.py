@@ -30,6 +30,7 @@ from collections import deque
 from repro.epc.nas import AttachRequest
 from repro.epc.overload import CLASS_NEW_WORK, OverloadPolicy, message_class
 from repro.simcore.simulator import Simulator
+from repro.telemetry.registry import Counter
 
 
 #: a channel's ledger attributes as exported ``epc.channel.*`` counters
@@ -41,6 +42,10 @@ CHANNEL_LEDGER = (
     ("bytes", "epc.channel.bytes", {}),
     ("dropped", "epc.channel.dropped", {}),
 )
+
+
+#: every agent's shed counters until its first shed (never written)
+_NO_SHEDS: Dict[str, Counter] = {}
 
 
 @dataclass(slots=True)
@@ -89,6 +94,10 @@ class ControlAgent:
         self._m_queue = sim.metrics.gauge("epc.agent.queue_depth", agent=name)
         self._m_wait = sim.metrics.histogram("epc.agent.queue_wait_s",
                                              agent=name)
+        #: ``epc.agent.shed`` by cause, looked up at each cause's first
+        #: shed; copied on write, so an agent that never sheds shares
+        #: the empty one
+        self._m_shed: Dict[str, Counter] = _NO_SHEDS
         if sim.checker is not None:
             sim.checker.watch_agent(self)
 
@@ -182,8 +191,12 @@ class ControlAgent:
         by_cause[cause] = by_cause.get(cause, 0) + 1
         sim = self.sim
         sim.agents_shed += 1
-        sim.metrics.counter("epc.agent.shed", agent=self.name,
-                            cause=cause).inc()
+        counter = self._m_shed.get(cause)
+        if counter is None:
+            counter = sim.metrics.counter("epc.agent.shed", agent=self.name,
+                                          cause=cause)
+            self._m_shed = {**self._m_shed, cause: counter}
+        counter.inc()
         sim.trace("overload", f"{self.name}: shed "
                   f"{type(message.payload).__name__}", cause=cause)
 

@@ -52,6 +52,10 @@ from repro.net.packet import ECN_CE, ECN_ECT, Packet
 from repro.simcore.simulator import Simulator
 
 _INF = float("inf")
+#: a link's three buffers until its first send: reads as empty, and an
+#: ``append`` on it fails loudly. Most links (an attach storm's S1 and
+#: X2 paths) never carry a packet, so they never pay for three deques.
+_NONE: tuple = ()
 
 
 class Link:
@@ -105,18 +109,19 @@ class Link:
         self.receiver: Optional[Callable[[Packet], None]] = None
         #: packets waiting for the serializer (the drop-tail queue) as
         #: (enqueued_at, packet) — sojourn-time AQM reads the stamp —
-        #: and their total size
-        self._egress: Deque[Tuple[float, Packet]] = deque()
+        #: and their total size. This and the next two are ``_NONE``
+        #: until :meth:`_open`.
+        self._egress: Deque[Tuple[float, Packet]] = _NONE
         self._egress_bytes = 0
         #: serialized packets in propagation: (deliver_at, packet),
         #: deliver_at monotone because delay is a per-link constant
-        self._flight: Deque[Tuple[float, Packet]] = deque()
+        self._flight: Deque[Tuple[float, Packet]] = _NONE
         #: when the packet currently in service finishes serializing;
         #: the link is busy iff this is in the future
         self._service_done = 0.0
         #: deferred sends (at, packet) from :meth:`send_at`, ``at``
         #: monotone; admitted lazily by :meth:`_admit_due`
-        self._offers: Deque[Tuple[float, Packet]] = deque()
+        self._offers: Deque[Tuple[float, Packet]] = _NONE
         self.offers_admitted = 0
         #: earliest time a live wake-up is aimed at (inf: none), never
         #: later than the next possible delivery. Wake-ups are never
@@ -158,7 +163,17 @@ class Link:
 
     def connect(self, receiver: Callable[[Packet], None]) -> None:
         """Attach the downstream receive function."""
+        if receiver is None:
+            raise ValueError(f"link {self.name!r} cannot connect to None")
         self.receiver = receiver
+
+    def _open(self) -> None:
+        """First send: the link must lead somewhere, and gets its buffers."""
+        if self.receiver is None:
+            raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        self._egress = deque()
+        self._flight = deque()
+        self._offers = deque()
 
     # -- AQM / ECN ---------------------------------------------------------
 
@@ -262,8 +277,8 @@ class Link:
         when the link is down, the loss draw fails, the queue is full,
         or an installed AQM discipline says drop. Tie rule: an offer
         (:meth:`send_at`) due at this instant is admitted first."""
-        if self.receiver is None:
-            raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        if self._flight is _NONE:
+            self._open()
         now = self.sim.now
         if self._offers:
             self._admit_due(now)
@@ -276,8 +291,8 @@ class Link:
         has one owner, offering at ``now + forwarding_delay_s``). The
         verdict is reached as of ``at`` and has nowhere to be returned.
         """
-        if self.receiver is None:
-            raise RuntimeError(f"link {self.name!r} has no receiver connected")
+        if self._flight is _NONE:
+            self._open()
         self._offers.append((at, packet))
         if not self._flight:
             # nothing owed to the flight: aim at the earliest this packet
@@ -293,7 +308,8 @@ class Link:
         """Take back the offers not yet due (their owner re-decides them)."""
         self._admit_due(now)
         recalled = list(self._offers)
-        self._offers.clear()
+        if recalled:  # never clear() the shared _NONE
+            self._offers.clear()
         return recalled
 
     def _admit_due(self, now: float) -> None:

@@ -19,6 +19,7 @@ stops beating — ends the map with a :class:`WorkerTaskError`; under
 
 from __future__ import annotations
 
+import gc
 from typing import Any, Callable, List, Optional, Sequence
 
 from repro.runner.supervisor import (SupervisorReport, TaskFailedError,
@@ -75,9 +76,17 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
         raise ValueError(f"jobs must be >= 1, got {n}")
     if costs is not None and len(costs) != len(items):
         raise ValueError("costs must align with items")
+    results: List[Any] = []
     if n == 1 or in_worker() or len(items) < 2:
-        return [fn(item) for item in items]
-    results: List[Any] = [None] * len(items)
+        for item in items:
+            if results:
+                # a finished cell's simulator graph is cyclic: free it
+                # before the next cell is built, not whenever a
+                # generation-2 collection happens to run
+                gc.collect()
+            results.append(fn(item))
+        return results
+    results = [None] * len(items)
     try:
         fan_out("pool", fn, items, [str(item)[:80] for item in items],
                 range(len(items)), costs, n, None, 0, SupervisorReport(),

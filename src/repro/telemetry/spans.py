@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import itertools
 from collections import deque
-from typing import Any, Callable, Deque, Dict, List, Optional
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
-from repro.telemetry.registry import MetricsRegistry
+from repro.telemetry.registry import Histogram, MetricsRegistry
 
 __all__ = ["Span", "SpanTracker", "Telemetry"]
 
@@ -127,6 +127,10 @@ class SpanTracker:
             raise ValueError("need room for at least one finished span")
         self._clock = clock
         self._metrics = metrics
+        #: ``span.<name>.duration_s`` histograms by (name, status),
+        #: looked up once each: created at first use, as the registry
+        #: would
+        self._hists: Dict[Tuple[str, str], Histogram] = {}
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
         self._open: Dict[int, Span] = {}
@@ -144,10 +148,12 @@ class SpanTracker:
     def __getstate__(self) -> Dict[str, Any]:
         state = self.__dict__.copy()
         state["_clock"] = None
+        del state["_hists"]  # a lookup cache; the registry ships apart
         return state
 
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.__dict__.update(state)
+        self._hists = {}
         if self._clock is None:
             self._clock = _frozen_clock
 
@@ -182,8 +188,12 @@ class SpanTracker:
         self.finished.append(span)
         self.ended += 1
         if self._metrics is not None:
-            self._metrics.histogram(f"span.{span.name}.duration_s",
-                                    status=status).observe(span.duration_s)
+            key = (span.name, status)
+            hist = self._hists.get(key)
+            if hist is None:
+                hist = self._hists[key] = self._metrics.histogram(
+                    f"span.{span.name}.duration_s", status=status)
+            hist.observe(span.duration_s)
 
     def end_all_open(self, status: str = "aborted") -> int:
         """Close every open span (crash teardown); returns the count."""

@@ -127,6 +127,31 @@ def _loaded_link(sim, name="l0", packets=3):
     return link
 
 
+def test_same_named_links_share_one_queue_depth_gauge():
+    # E6 re-attaches its client, so one simulator holds several links
+    # named ``client->ap0``. Their counters sum (above); their one
+    # queue-depth gauge spans all of them: min and max over every link,
+    # value from whichever set it last. A per-owner gauge mirror must
+    # reproduce exactly this row (ROADMAP item 12(b)).
+    sim = Simulator(seed=0)
+    first, second = (Link(sim, rate_bps=8_000.0, delay_s=0.0,
+                          name="client->ap0") for _ in range(2))
+    for link, packets in ((first, 4), (second, 2)):
+        link.connect(lambda packet: None)
+        for _ in range(packets):
+            link.send(Packet(src=None, dst=None, size_bytes=1000))
+    assert (first.queue_depth, second.queue_depth) == (3, 1)
+    rows = [row for row in sim.metrics.snapshot()
+            if row["name"] == "net.link.queue_depth"]
+    assert rows == [{"kind": "gauge", "name": "net.link.queue_depth",
+                     "labels": {"link": "client->ap0"},
+                     "value": 1, "min": 1, "max": 3}]
+    sim.run()
+    row, = (row for row in sim.metrics.snapshot()
+            if row["name"] == "net.link.queue_depth")
+    assert (row["value"], row["min"], row["max"]) == (0, 0, 3)
+
+
 def test_a_discipline_installed_twice_exports_once():
     sim = Simulator(seed=0)
     link = Link(sim, rate_bps=8_000.0, delay_s=0.0, queue_packets=50,

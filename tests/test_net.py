@@ -141,6 +141,18 @@ def test_link_requires_receiver(sim):
     link = Link(sim, rate_bps=1e6, delay_s=0)
     with pytest.raises(RuntimeError):
         link.send(Packet(src=None, dst=None, size_bytes=10))
+    with pytest.raises(RuntimeError):
+        link.send_at(0.0, Packet(src=None, dst=None, size_bytes=10))
+    assert link.offered == 0
+
+
+def test_link_connect_rejects_none(sim):
+    # only the first send checks for a receiver, so a link is never
+    # handed a missing one
+    link = Link(sim, rate_bps=1e6, delay_s=0)
+    with pytest.raises(ValueError):
+        link.connect(None)
+    assert link.receiver is None
 
 
 def test_link_validates_params(sim):

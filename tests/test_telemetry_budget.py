@@ -22,7 +22,7 @@ from repro.experiments import e17_attach_storm as E17
 from repro.experiments import e18_sustained_overload as E18
 from repro.net.links import Link
 from repro.simcore.simulator import Simulator
-from repro.telemetry.registry import Counter, P2Quantile
+from repro.telemetry.registry import Counter, MetricsRegistry, P2Quantile
 from tests.callback_agent import CallbackAgent
 
 
@@ -122,3 +122,26 @@ def test_a_ledger_counter_is_no_object_until_somebody_reads():
     assert len(registry) == len(registry._instruments) == 1200
     # a second read finds the same rows
     assert registry.snapshot() == registry.snapshot()
+
+
+# -- a per-event instrument is looked up once ----------------------------
+#
+# A span end observes ``span.<name>.duration_s{status}`` and a shed
+# increments ``epc.agent.shed{agent,cause}``. Both sites keep the
+# instrument they fetched, so the registry is asked once per key.
+
+def test_span_ends_and_sheds_look_each_instrument_up_once(monkeypatch):
+    lookups = collections.Counter()
+    real = MetricsRegistry._get
+
+    def counting_get(self, cls, name, labels, **kwargs):
+        site = sys._getframe(2).f_code.co_name
+        if site in ("_finish", "_shed"):
+            lookups[(site, id(self), name, tuple(sorted(labels.items())))] += 1
+        return real(self, cls, name, labels, **kwargs)
+
+    monkeypatch.setattr(MetricsRegistry, "_get", counting_get)
+    E17.run(intensities=(1, 8))
+    sites = collections.Counter(site for site, *_ in lookups)
+    assert sites["_finish"] > 0 and sites["_shed"] > 0
+    assert set(lookups.values()) == {1}
