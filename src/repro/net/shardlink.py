@@ -99,6 +99,9 @@ class CrossShardChannel:
         self.messages = 0
         self.bytes = 0
         self.dropped = 0
+        #: messages handed to the local agent: at the peer's send when
+        #: the halves are co-located, at the barrier when they are not
+        #: (every injected record is due by the horizon)
         self.received = 0
         self._stub = RemoteAgentStub(remote_agent_name)
         sim.metrics.mirror(self, CHANNEL_LEDGER, channel=self.name)
@@ -135,31 +138,26 @@ class CrossShardChannel:
         self.messages += 1
         size = getattr(payload, "size_bytes", 0)
         self.bytes += size
-        sim = self.sim
-        sent_at = sim.now
+        sent_at = self.sim.now
         deliver_at = sent_at + self.one_way_delay_s
         peer = self.boundary.endpoints.get(self.peer_key)
         if peer is not None:
-            # Co-located: same single delivery event a ControlChannel
-            # posts, with the *real* sender so identity routing holds.
-            message = ControlMessage(payload=payload, sender=sender,
-                                     sent_at=sent_at)
-            sim.post_at(deliver_at, peer._deliver_local, message)
+            # Co-located: the arrival a ControlChannel hands over, with
+            # the *real* sender so identity routing holds.
+            peer.received += 1
+            peer.local_agent._arrive(ControlMessage(payload, sender, sent_at,
+                                                    deliver_at))
         else:
             self.boundary.buffer(self.peer_key, self.remote_shard,
                                  deliver_at, sent_at, payload)
 
-    def _deliver_local(self, message: ControlMessage) -> None:
-        """Ingress from a co-located peer half."""
+    def _accept(self, deliver_at: float, payload: object,
+                sent_at: float) -> None:
+        """Ingress from the boundary: the local agent gets the message,
+        wrapped with the remote sender's stub, as a channel arrival."""
         self.received += 1
-        self.local_agent.enqueue(message)
-
-    def _deliver_remote(self, payload: object, sent_at: float) -> None:
-        """Ingress from the boundary: wrap with the remote sender's stub."""
-        self.received += 1
-        self.local_agent.enqueue(ControlMessage(payload=payload,
-                                                sender=self._stub,
-                                                sent_at=sent_at))
+        self.local_agent._arrive(ControlMessage(payload, self._stub, sent_at,
+                                                deliver_at))
 
 
 class CrossShardLink(Link):
@@ -262,6 +260,11 @@ class CrossShardLinkExit:
         self.received = 0
         self.received_bytes = 0
         boundary.register(f"{name}@exit", self)
+
+    def _accept(self, deliver_at: float, packet: Packet,
+                sent_at: float) -> None:
+        """Ingress from the boundary: deliver at the deadline."""
+        self.sim.post_at(deliver_at, self._deliver_remote, packet, sent_at)
 
     def _deliver_remote(self, packet: Packet, sent_at: float) -> None:
         self.received += 1

@@ -84,8 +84,8 @@ class ShardBoundary:
 
     When the destination of a record is this same shard (``shards=1``,
     or a proxy pair that happens to be co-located), :meth:`buffer`
-    short-circuits to a plain ``sim.post_at`` so the event lands in the
-    local heap exactly as a non-proxy component would have scheduled it.
+    short-circuits to the endpoint's ``_accept`` at once, so the delivery
+    is keyed exactly as a non-proxy component would have keyed it.
     """
 
     __slots__ = ("sim", "shard_index", "n_shards", "endpoints", "couplings",
@@ -105,7 +105,10 @@ class ShardBoundary:
         self._seq = 0
 
     def register(self, key: str, endpoint: Any) -> None:
-        """Register an ingress endpoint (must expose ``_deliver_remote``)."""
+        """Register an ingress endpoint. It must expose ``_accept(deliver_at,
+        payload, sent_at)``, called when the record is handed over (at a
+        barrier, or at once when co-located), which schedules or parks
+        the delivery."""
         if key in self.endpoints:
             raise ValueError(f"duplicate boundary endpoint key {key!r}")
         self.endpoints[key] = endpoint
@@ -125,8 +128,7 @@ class ShardBoundary:
                sent_at: float, payload: Any) -> None:
         """Hand a payload to the boundary for delivery in ``dst_shard``."""
         if dst_shard == self.shard_index:
-            endpoint = self.endpoints[key]
-            self.sim.post_at(deliver_at, endpoint._deliver_remote, payload, sent_at)
+            self.endpoints[key]._accept(deliver_at, payload, sent_at)
             return
         self._seq += 1
         self.sent += 1
@@ -161,7 +163,8 @@ class ShardHost:
         self._harvest = harvest
 
     def inject(self, records: Sequence[Record]) -> None:
-        """Schedule cross-shard records into the local heap.
+        """Hand cross-shard records to their endpoints, in order: each
+        reserves its heap key here, as a local send would at send time.
 
         Every record must be due at or after the local clock; an earlier
         deadline means some coupling declared more lookahead than the
@@ -177,7 +180,7 @@ class ShardHost:
                     f"shard {self.boundary.shard_index}: record from shard "
                     f"{src_shard} for {key!r} due at {deliver_at:.9f} is in the "
                     f"past (now={now:.9f}); a coupling overstated its lookahead")
-            sim.post_at(deliver_at, endpoints[key]._deliver_remote, payload, sent_at)
+            endpoints[key]._accept(deliver_at, payload, sent_at)
         self.boundary.received += len(records)
 
     def advance(self, until: float, final: bool) -> None:

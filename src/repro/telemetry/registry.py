@@ -456,7 +456,8 @@ class MetricsRegistry:
     second time: the owner declares it with :meth:`mirror` and every
     *read* of the registry first brings the mirrored counters up to date
     from the attributes. Until somebody reads, such a counter is one
-    list entry.
+    list entry. A level the owner can state when asked (a queue's depth
+    and its high-water mark) is mirrored the same way, as a gauge.
     """
 
     def __init__(self) -> None:
@@ -470,7 +471,11 @@ class MetricsRegistry:
         self._mirrors: List[Tuple[Counter, Any, str]] = []
         #: the counters :meth:`_sync` owns, by key — read, never ``inc``ed
         self._mirrored: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
-                             Counter] = {}
+                             _Instrument] = {}
+        #: mirrored gauges by key: the gauge (None until the first read)
+        #: and every (owner, attribute) declared under the key
+        self._gauges: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
+                           List[Any]] = {}
 
     def _get(self, cls, name: str, labels: Dict[str, Any], **kwargs):
         if not name:
@@ -495,6 +500,9 @@ class MetricsRegistry:
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         """Get or create a gauge."""
+        if self._mirrored and (name, _label_key(labels)) in self._mirrored:
+            raise TypeError(f"{name} mirrors a level of its owner: "
+                            f"it is read, not set")
         return self._get(Gauge, name, labels)
 
     def histogram(self, name: str,
@@ -508,8 +516,8 @@ class MetricsRegistry:
 
     # -- mirrored counters ----------------------------------------------------
 
-    def mirror(self, owner: Any, counters: Sequence[Tuple[str, str, Dict]],
-               **labels: Any) -> None:
+    def mirror(self, owner: Any, counters: Sequence[Tuple],
+               **labels: Any) -> List[Any]:
         """Export ``owner``'s plain count attributes as counters.
 
         ``counters`` is a class-level constant of ``(attribute, exported
@@ -519,33 +527,60 @@ class MetricsRegistry:
         registry is next read. Owners declaring the same name and labels
         sum into one counter, as a shared get-or-create counter did. The
         registry keeps the owner alive, so its rows outlive its use.
+
+        A ``(attribute, exported name, extra labels, Gauge)`` entry
+        exports a gauge instead. ``getattr(owner, attribute)`` is its
+        reading: ``(value, min, max, stamp)``, or None while the owner
+        would not yet have set it. Owners declaring one gauge combine as
+        a shared, eagerly set gauge did: min and max over every reading,
+        the value of the reading with the highest stamp. Returns the
+        owners that declared any of these gauges before ``owner``, so
+        that a shared gauge's owners can start stamping.
         """
         self._pending.append((owner, counters, labels))
+        earlier: List[Any] = []
+        for declared in counters:
+            if len(declared) == 4:
+                key = (declared[1], _label_key({**labels, **declared[2]}))
+                entry = self._gauges.get(key)
+                if entry is None:
+                    self._gauges[key] = [None, (owner, declared[0])]
+                else:
+                    earlier.extend(o for o, _attribute in entry[1:])
+                    entry.append((owner, declared[0]))
+        return earlier
 
-    def _bind(self, owner: Any, counters: Sequence[Tuple[str, str, Dict]],
+    def _bind(self, owner: Any, counters: Sequence[Tuple],
               labels: Dict[str, Any]) -> None:
-        """Create (or join) the counters one :meth:`mirror` call declared,
-        all of them or — on a clash with an ``inc``ed instrument — none."""
+        """Create (or join) the instruments one :meth:`mirror` call
+        declared, all of them or — on a clash with an ``inc``ed or
+        ``set`` instrument — none."""
         mirrored = self._mirrored
         instruments = self._instruments
-        keys = [(name, _label_key({**labels, **extra}))
-                for _attribute, name, extra in counters]
+        keys = [(declared[1], _label_key({**labels, **declared[2]}))
+                for declared in counters]
         for key in keys:
             if key in instruments and key not in mirrored:
                 raise TypeError(
                     f"{key[0]} mirrors an attribute of {owner!r} but is "
                     f"already registered as an incremented "
                     f"{instruments[key].kind}")
-        for (attribute, name, _extra), key in zip(counters, keys):
+        for declared, key in zip(counters, keys):
+            if len(declared) == 4:
+                entry = self._gauges[key]
+                if entry[0] is None:
+                    entry[0] = mirrored[key] = instruments[key] = Gauge(
+                        declared[1], dict(key[1]))
+                continue
             counter = mirrored.get(key)
             if counter is None:
-                counter = Counter(name, dict(key[1]))
+                counter = Counter(declared[1], dict(key[1]))
                 mirrored[key] = instruments[key] = counter
-            self._mirrors.append((counter, owner, attribute))
+            self._mirrors.append((counter, owner, declared[0]))
 
     def _sync(self) -> None:
-        """Bring every mirrored counter up to date (each reader's first
-        step; free for a registry nothing is mirrored into)."""
+        """Bring every mirrored instrument up to date (each reader's
+        first step; free for a registry nothing is mirrored into)."""
         pending = self._pending
         bound = 0
         try:
@@ -557,17 +592,30 @@ class MetricsRegistry:
             # silently exports without it
             del pending[:bound]
         if self._mirrored:
-            for counter in self._mirrored.values():
-                counter.value = 0.0
+            for instrument in self._mirrored.values():
+                instrument.value = 0.0
             for counter, owner, attribute in self._mirrors:
                 counter.value += getattr(owner, attribute)
+            for gauge, *owners in self._gauges.values():
+                if gauge is None:
+                    continue
+                readings = [reading for reading in
+                            (getattr(owner, attribute)
+                             for owner, attribute in owners)
+                            if reading is not None]
+                if readings:
+                    gauge.value = max(readings, key=lambda r: r[3])[0]
+                    gauge.min = min(reading[1] for reading in readings)
+                    gauge.max = max(reading[2] for reading in readings)
+                gauge.updates = len(readings)
 
     def __getstate__(self) -> Dict[str, Any]:
         # a shipped registry (--jobs, supervised and shard workers) is a
         # reading: materialised counters, never the owners behind them
         self._sync()
         return {"_instruments": self._instruments,
-                "_pending": [], "_mirrors": [], "_mirrored": {}}
+                "_pending": [], "_mirrors": [], "_mirrored": {},
+                "_gauges": {}}
 
     # -- queries ------------------------------------------------------------
 
@@ -616,3 +664,4 @@ class MetricsRegistry:
         self._pending.clear()
         self._mirrors.clear()
         self._mirrored.clear()
+        self._gauges.clear()

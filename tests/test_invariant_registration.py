@@ -50,8 +50,15 @@ def test_armed_e16_watches_every_link_and_agent_it_builds(monkeypatch):
                 if law in watched:
                     watched[law] += 1
         # the sweep kept the parent's grid: an armed E16 executes exactly
-        # the events the walker-armed E16 did (dLTE arm, centralized arm)
-        assert [c.sim.events_executed for c in audit] == [4295, 7080]
+        # the events the walker-armed E16 did (dLTE arm, centralized arm),
+        # counting each parked arrival as the arrival event it replaces
+        for agent in built[ControlAgent]:
+            agent.queue_depth  # a read admits what is due
+        parked = [sum(agent.arrivals_parked for agent in built[ControlAgent]
+                      if agent.sim is c.sim) for c in audit]
+        assert [c.sim.events_executed + n
+                for c, n in zip(audit, parked)] == [4295, 7080]
+        assert parked == [54, 0]
     assert len(built[Link]) == watched["link-conservation"] == 90
     assert len(built[ControlAgent]) == watched["agent-conservation"] == 40
 

@@ -24,7 +24,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.epc.agents import ControlChannel
+from repro.epc.agents import ControlChannel, ControlMessage
 from repro.epc.nas import AttachRequest
 from repro.net.aqm import make_aqm
 from repro.net.links import Link
@@ -132,7 +132,7 @@ def test_same_named_links_share_one_queue_depth_gauge():
     # named ``client->ap0``. Their counters sum (above); their one
     # queue-depth gauge spans all of them: min and max over every link,
     # value from whichever set it last. A per-owner gauge mirror must
-    # reproduce exactly this row (ROADMAP item 12(b)).
+    # reproduce exactly this row (ROADMAP item 5).
     sim = Simulator(seed=0)
     first, second = (Link(sim, rate_bps=8_000.0, delay_s=0.0,
                           name="client->ap0") for _ in range(2))
@@ -150,6 +150,47 @@ def test_same_named_links_share_one_queue_depth_gauge():
     row, = (row for row in sim.metrics.snapshot()
             if row["name"] == "net.link.queue_depth")
     assert (row["value"], row["min"], row["max"]) == (0, 0, 3)
+
+
+def test_same_named_agents_share_one_queue_depth_gauge():
+    # Two live agents named ``core`` on one simulator share one
+    # ``epc.agent.queue_depth`` row: min and max over both, value from
+    # whichever agent's queue changed last (``ControlAgent._queue_gauge``
+    # reads it; the stamps order the readings). The reads land where the last change was the first agent's, then the
+    # second's, then the first's again, mid-run, between runs and after.
+    sim = Simulator(seed=0)
+    first, second = (CallbackAgent(sim, "core", service_time_s=1.0)
+                     for _ in range(2))
+    source = CallbackAgent(sim, "src")
+    near = ControlChannel(sim, source, first, 0.0, name="near")
+    far = ControlChannel(sim, source, second, 0.5, name="far")
+    rows = []
+
+    def read(label):
+        row, = (row for row in sim.metrics.snapshot()
+                if row["name"] == "epc.agent.queue_depth"
+                and row["labels"] == {"agent": "core"})
+        rows.append((label, row["value"], row["min"], row["max"]))
+
+    read("before")
+    for _ in range(4):
+        near.send(source, "x")       # first: 1 in service, 3 queued at 0
+    far.send(source, "y")            # second: in service 0.5 to 1.5
+    sim.at(0.25, read, "0.25")
+    sim.at(0.75, read, "0.75")
+    sim.at(1.125, read, "1.125")     # first popped at 1.0
+    sim.at(1.25, second.enqueue, ControlMessage(payload="z", sender=source))
+    sim.at(1.375, read, "1.375")     # second queued one at 1.25
+    sim.at(1.75, read, "1.75")       # ... and popped it at 1.5
+    sim.run(until=2.5)               # first popped at 2.0
+    read("2.5")
+    sim.run()
+    read("end")
+    assert rows == [("before", 0.0, 0.0, 0.0),
+                    ("0.25", 3, 0, 3), ("0.75", 0, 0, 3),
+                    ("1.125", 2, 0, 3), ("1.375", 1, 0, 3),
+                    ("1.75", 0, 0, 3), ("2.5", 1, 0, 3), ("end", 0, 0, 3)]
+    assert [type(value) for _label, value, *_ in rows][:2] == [float, int]
 
 
 def test_a_discipline_installed_twice_exports_once():
