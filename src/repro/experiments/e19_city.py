@@ -16,7 +16,11 @@ the radio arena, and run both architectures:
   break out locally, so shards exchange *nothing* and the simulation —
   like the architecture — is embarrassingly parallel.
 
-The run decomposes over a :class:`~repro.simcore.sharded.ShardedSimulator`:
+The two arms are two cores over one radio, so the city's radio is
+simulated once: a third sharded pass (:func:`_build_radio`) runs each
+cell's arena and fluid load on its own, and both rows read its sums.
+
+Each pass decomposes over a :class:`~repro.simcore.sharded.ShardedSimulator`:
 cells are striped into shards (:class:`~repro.deploy.partition.ShardPlan`),
 S1 and backhaul become cross-shard proxies (:mod:`repro.net.shardlink`),
 and the conservative window is the 30 ms backhaul latency. The result
@@ -101,7 +105,8 @@ def _start_train(sim: Simulator, link: CrossShardLink, ue: UserEquipment,
 
 
 def _build_shard(spec: Dict[str, Any]) -> ShardHost:
-    """Build one shard of the city (either architecture). Module-level
+    """Build one shard of one architecture arm: relays, cores, UEs and
+    backhaul, but no radio (that is :func:`_build_radio`'s). Module-level
     and driven by a plain dict so the fork pool can ship it."""
     arch: str = spec["arch"]
     shard: int = spec["shard"]
@@ -115,11 +120,6 @@ def _build_shard(spec: Dict[str, Any]) -> ShardHost:
 
     sim = Simulator(p["seed"])
     boundary = ShardBoundary(sim, shard, n_shards)
-    positions = CityGrid(n_cells=n_cells,
-                         spacing_m=p["cell_spacing_m"]).cell_positions()
-    band = get_band("lte5")
-    budget = LinkBudget(model_for_frequency(band.dl_mhz), band.dl_mhz,
-                        band.bandwidth_hz)
 
     epc: Optional[CentralizedEpc] = None
     core_exits: Dict[str, CrossShardLinkExit] = {}
@@ -171,12 +171,6 @@ def _build_shard(spec: Dict[str, Any]) -> ShardHost:
                                 name=f"bh:c{i}")
             exit_ = CrossShardLinkExit(sim, boundary, f"bh:c{i}", sink.take)
 
-        cell = Cell(f"cell{i}", band, positions[i], budget)
-        fluid = FluidCellLoad(sim, cell, p["background_per_cell"],
-                              p["demand_bps_per_ue"], epoch_s=p["epoch_s"],
-                              jitter=p["jitter"])
-        fluid.start(p["horizon_s"])
-
         ues: List[UserEquipment] = []
         for k in range(ue_per_cell):
             g = i * ue_per_cell + k
@@ -195,8 +189,7 @@ def _build_shard(spec: Dict[str, Any]) -> ShardHost:
                          ue.start_attach)
             ues.append(ue)
         cells[i] = {"enb": enb, "s1": s1, "bh": bh, "exit": exit_,
-                    "stub": stub, "cell": cell, "fluid": fluid,
-                    "ues": ues, "sink": sink}
+                    "stub": stub, "ues": ues, "sink": sink}
 
     def harvest(host: ShardHost) -> Dict[str, Any]:
         out_cells = []
@@ -204,24 +197,16 @@ def _build_shard(spec: Dict[str, Any]) -> ShardHost:
             c = cells[i]
             latencies = [ue.attach_latency_s for ue in c["ues"]
                          if ue.state is UeState.ATTACHED]
-            fluid = c["fluid"]
-            bh = c["bh"]
             entry = {
                 "cell": i,
                 "latencies": latencies,
                 "failures": sum(1 for ue in c["ues"]
                                 if ue.state is not UeState.ATTACHED),
-                "bg_offered_bits": fluid.offered_bits,
-                "bg_served_bits": fluid.served_bits,
-                "bg_epochs": fluid.epochs,
                 "s1_up_messages": c["s1"].messages,
                 "s1_up_bytes": c["s1"].bytes,
                 "s1_received": c["s1"].received
                 if isinstance(c["s1"], CrossShardChannel) else None,
-                "bh_offered": bh.offered,
-                "bh_crossed": bh.crossed,
-                "bh_dropped": bh.dropped,
-                "bh_in_flight": bh.in_flight,
+                "bh_crossed": c["bh"].crossed,
                 "stub_peak_queue": (c["stub"].peak_queue_depth
                                     if c["stub"] is not None else None),
             }
@@ -245,8 +230,45 @@ def _build_shard(spec: Dict[str, Any]) -> ShardHost:
     return ShardHost(sim, boundary, harvest=harvest)
 
 
+def _build_radio(spec: Dict[str, Any]) -> ShardHost:
+    """Build one shard of the radio pass: each local cell's arena and its
+    fluid background load, on a simulator of their own.
+
+    The radio depends on neither architecture, so the city simulates it
+    once and both table rows read it. A fluid load draws only from its
+    own ``fluid:{cell}`` stream and schedules only its own epochs, so on
+    a fresh ``Simulator(seed)`` it produces the numbers it would on an
+    arm's simulator. The pass declares no couplings, so it runs in one
+    window. Harvest: ``(cell, offered_bits, served_bits, epochs)`` per
+    local cell."""
+    shard: int = spec["shard"]
+    p: Dict[str, Any] = spec["params"]
+    sim = Simulator(p["seed"])
+    boundary = ShardBoundary(sim, shard, spec["n_shards"])
+    positions = CityGrid(n_cells=p["n_cells"],
+                         spacing_m=p["cell_spacing_m"]).cell_positions()
+    band = get_band("lte5")
+    budget = LinkBudget(model_for_frequency(band.dl_mhz), band.dl_mhz,
+                        band.bandwidth_hz)
+    loads: Dict[int, FluidCellLoad] = {}
+    for i, home in enumerate(spec["assignment"]):
+        if home != shard:
+            continue
+        cell = Cell(f"cell{i}", band, positions[i], budget)
+        fluid = FluidCellLoad(sim, cell, p["background_per_cell"],
+                              p["demand_bps_per_ue"], epoch_s=p["epoch_s"],
+                              jitter=p["jitter"])
+        fluid.start(p["horizon_s"])
+        loads[i] = fluid
+
+    def harvest(host: ShardHost) -> List[Tuple[int, float, float, int]]:
+        return [(i, fluid.offered_bits, fluid.served_bits, fluid.epochs)
+                for i, fluid in loads.items()]
+
+    return ShardHost(sim, boundary, harvest=harvest)
+
+
 def _merge_arm(arch: str, shard_results: List[Dict[str, Any]],
-               sharded: ShardedSimulator, params: Dict[str, Any],
                ) -> Dict[str, Any]:
     """Combine per-shard harvests; all reductions run in global cell
     order so float sums match the monolithic (shards=1) run exactly."""
@@ -257,11 +279,7 @@ def _merge_arm(arch: str, shard_results: List[Dict[str, Any]],
     for entry in by_cell:
         latencies.extend(entry["latencies"])
     failures = sum(entry["failures"] for entry in by_cell)
-    bg_offered = sum(entry["bg_offered_bits"] for entry in by_cell)
-    bg_served = sum(entry["bg_served_bits"] for entry in by_cell)
     s1_up_bytes = sum(entry["s1_up_bytes"] for entry in by_cell)
-    crossed = sum(entry["bh_crossed"] for entry in by_cell)
-    dropped = sum(entry["bh_dropped"] for entry in by_cell)
 
     if arch == "centralized EPC":
         core = next(r["core"] for r in shard_results if "core" in r)
@@ -277,12 +295,8 @@ def _merge_arm(arch: str, shard_results: List[Dict[str, Any]],
     return {
         "latencies": latencies,
         "failures": failures,
-        "bg_offered_bits": bg_offered,
-        "bg_served_bits": bg_served,
         "core_peak_queue": core_peak,
         "data_delivered": delivered,
-        "data_crossed": crossed,
-        "data_dropped": dropped,
         "wan_ctl_bytes": wan_ctl_bytes,
         "by_cell": by_cell,
         "shard_results": shard_results,
@@ -393,18 +407,21 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
          "mean_attach_ms", "p95_attach_ms", "core_peak_queue",
          "data_delivered", "bg_served_mbit", "bg_utilization",
          "wan_ctl_mb"])
+
+    def specs(**extra: Any) -> List[Dict[str, Any]]:
+        return [{"shard": shard, "n_shards": plan.n_shards,
+                 "assignment": plan.assignment, "params": params, **extra}
+                for shard in range(plan.n_shards)]
+
+    rows: List[Dict[str, Any]] = []
     for arch in ("centralized EPC", "dLTE stubs"):
-        specs = [{"arch": arch, "shard": shard, "n_shards": plan.n_shards,
-                  "assignment": plan.assignment, "params": params}
-                 for shard in range(plan.n_shards)]
-        sharded = ShardedSimulator(_build_shard, specs, mode=mode,
+        sharded = ShardedSimulator(_build_shard, specs(arch=arch), mode=mode,
                                    label=f"E19:{arch}")
-        shard_results = sharded.run(until=horizon_s)
-        merged = _merge_arm(arch, shard_results, sharded, params)
+        merged = _merge_arm(arch, sharded.run(until=horizon_s))
         if Simulator.arming is not None:  # --invariants
             _audit_arm(arch, merged, sharded, plan.assignment)
         latencies = merged["latencies"]
-        table.add_row(
+        rows.append(dict(
             architecture=arch, n_cells=n_cells,
             n_ues=n_cells * (ue_per_cell + background_per_cell),
             attached=len(latencies), failures=merged["failures"],
@@ -414,9 +431,18 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
                            if latencies else float("nan")),
             core_peak_queue=merged["core_peak_queue"],
             data_delivered=merged["data_delivered"],
-            bg_served_mbit=merged["bg_served_bits"] / 1e6,
-            bg_utilization=(merged["bg_served_bits"]
-                            / merged["bg_offered_bits"]
-                            if merged["bg_offered_bits"] else 0.0),
-            wan_ctl_mb=merged["wan_ctl_bytes"] / 1e6)
+            wan_ctl_mb=merged["wan_ctl_bytes"] / 1e6))
+
+    # the radio pass runs after the arms, so the arms' simulators keep
+    # their telemetry tags; its sums run in global cell order
+    radio = ShardedSimulator(_build_radio, specs(), mode=mode,
+                             label="E19:radio")
+    by_cell = sorted(entry for result in radio.run(until=horizon_s)
+                     for entry in result)
+    bg_offered = sum(entry[1] for entry in by_cell)
+    bg_served = sum(entry[2] for entry in by_cell)
+    for row in rows:
+        table.add_row(**row, bg_served_mbit=bg_served / 1e6,
+                      bg_utilization=(bg_served / bg_offered
+                                      if bg_offered else 0.0))
     return table

@@ -105,7 +105,7 @@ def test_run_imports_nothing_once_the_module_is_imported(exp_id):
 
 def test_shard_workers_import_nothing_after_the_fork():
     out = _run_probe("E19")
-    assert len(out["shards"]) == 4      # 2 shards x 2 architecture arms
+    assert len(out["shards"]) == 6      # 2 shards x (2 arms + the radio)
     for held in out["shards"]:
         assert held == out["before"]
 
