@@ -50,6 +50,18 @@ LOCAL_S1_DELAY_S = 0.1e-3
 class DLTEAccessPoint:
     """One federated dLTE site."""
 
+    #: every field is a slot: past 30 attributes an instance dict stops
+    #: sharing its keys with the class and costs ~1.6 kB per site
+    __slots__ = (
+        "sim", "ap_id", "position", "band", "internet", "spectrum_registry",
+        "backhaul_delay_s", "router", "pool", "stub", "enb", "cell", "x2",
+        "coordinator", "_pending_handover_acks", "handovers_in",
+        "handovers_out", "grant", "neighbors", "peer_monitor",
+        "lease_renewals", "lease_renewal_failures", "_renewing_lease",
+        "alive", "crashes", "_saved_x2_handlers", "_m_renewals",
+        "_m_renewal_failures", "_m_crashes", "_m_handovers_in",
+        "_m_handovers_out", "_ue_hosts", "_ue_objects", "_ue_addresses")
+
     def __init__(self, sim: Simulator, ap_id: str, position: Point,
                  band: Band, internet: InternetCore,
                  spectrum_registry: Optional[SpectrumRegistry],

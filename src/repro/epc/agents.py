@@ -35,7 +35,7 @@ from collections import deque
 from repro.epc.nas import AttachRequest
 from repro.epc.overload import CLASS_NEW_WORK, OverloadPolicy, message_class
 from repro.simcore.simulator import Simulator
-from repro.telemetry.registry import Counter, Gauge
+from repro.telemetry.registry import Counter, Gauge, StampedQueue
 
 
 #: a channel's ledger attributes as exported ``epc.channel.*`` counters
@@ -74,38 +74,6 @@ class ControlMessage:
     seq: int = -1
 
 
-class _StampedQueue(deque):
-    """The queue of an agent that shares its ``epc.agent.queue_depth``
-    gauge with a same-named agent: each change draws ``stamp`` from the
-    simulator's key counter, so the shared row's value can be the depth
-    of the queue that changed last, as it was when every change set the
-    gauge."""
-
-    __slots__ = ("stamp", "_draw")
-
-    def __init__(self, items, draw) -> None:
-        super().__init__(items)
-        self._draw = draw
-        self.stamp = draw()
-
-    def append(self, message) -> None:
-        super().append(message)
-        self.stamp = self._draw()
-
-    def popleft(self):
-        message = super().popleft()
-        self.stamp = self._draw()
-        return message
-
-    def remove(self, message) -> None:
-        super().remove(message)
-        self.stamp = self._draw()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self.stamp = self._draw()
-
-
 class ControlAgent:
     """A named serial message processor.
 
@@ -125,6 +93,16 @@ class ControlAgent:
     the next touch: that is the one place the lazy queue can differ
     from one event per arrival.
     """
+
+    #: every field is a slot, and so are those of the subclasses with
+    #: more than 30 attributes: past 30 an instance dict stops sharing
+    #: its keys with the class and costs ~1.6 kB per agent
+    __slots__ = (
+        "sim", "name", "service_time_s", "_queue", "_busy", "_in_handle",
+        "processed", "busy_time_s", "_peak", "_enqueued", "shed",
+        "shed_by_cause", "overload", "_parked", "arrivals_parked", "_end",
+        "_floor", "_pending", "_finish_seq", "_may_park", "_finish_cb",
+        "_m_wait", "_m_shed", "__weakref__")
 
     #: ``processed`` is exported as it stands, read when telemetry is
     #: read; ``epc.agent.queue_depth`` is a gauge read from
@@ -199,9 +177,9 @@ class ControlAgent:
         """A same-named agent joined this one's ``epc.agent.queue_depth``
         gauge: stamp every queue change from now on, and park nothing (a
         parked arrival joins its queue later than it arrives)."""
-        if type(self._queue) is not _StampedQueue:
+        if type(self._queue) is not StampedQueue:
             self._unpark()
-            self._queue = _StampedQueue(self._queue, self.sim.seq.__next__)
+            self._queue = StampedQueue(self._queue, self.sim.seq.__next__)
             self._may_park = False
 
     def _unpark(self) -> None:

@@ -78,6 +78,13 @@ class UeContext:
 class Mme(ControlAgent):
     """Serial MME agent: attach, detach, and handover path switch."""
 
+    __slots__ = (
+        "s1", "s6a", "s11", "contexts", "_guti_counter",
+        "attaches_completed", "attaches_rejected", "path_switches",
+        "pages_sent", "service_requests", "_m_completed", "_m_rejected",
+        "_m_switches", "_m_pages", "_m_service", "_m_attach_s",
+        "_attach_spans")
+
     def __init__(self, sim: Simulator, name: str = "mme",
                  service_time_s: float = 1e-3) -> None:
         super().__init__(sim, name, service_time_s)

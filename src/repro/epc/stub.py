@@ -41,6 +41,14 @@ from repro.simcore.simulator import Simulator
 class LocalCoreStub(ControlAgent):
     """MME+HSS+S-GW+P-GW collapsed into one per-AP agent."""
 
+    __slots__ = (
+        "pool", "registry", "s1", "alive", "_key_cache", "_sqn",
+        "_pending_vector", "sessions", "attaches_completed",
+        "attaches_rejected", "registry_fetches", "cache_hits", "crashes",
+        "dropped_while_down", "_m_completed", "_m_rejected",
+        "_m_cache_hits", "_m_fetches", "_m_crashes", "_m_sessions",
+        "_attach_spans", "on_session_created", "on_session_deleted")
+
     def __init__(self, sim: Simulator, name: str, pool: AddressPool,
                  registry: Optional[PublishedKeyRegistry] = None,
                  service_time_s: float = 0.5e-3) -> None:

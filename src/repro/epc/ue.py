@@ -48,13 +48,15 @@ class UeState(enum.Enum):
 class UserEquipment(ControlAgent):
     """The control-plane side of a handset."""
 
-    #: class defaults so the ``state`` property works during __init__;
-    #: the observer hook is how the invariant checker audits NAS
-    #: transition legality without touching the uninstrumented path
-    #: (one attribute test per state change, zero per-event cost).
-    _state = UeState.IDLE
-    _state_observer: Optional[Callable[["UserEquipment", "UeState",
-                                        "UeState"], None]] = None
+    __slots__ = (
+        "_state", "_state_observer", "profile", "air", "ue_address",
+        "guti", "_seen_rands", "attach_started_at", "attach_completed_at",
+        "attach_attempts", "attach_retries_exhausted", "_attach_outcome",
+        "server_backoff_s", "congestion_rejects", "on_attached",
+        "on_rejected", "on_service_resumed", "network_auth_failures",
+        "ecm_connected", "went_idle_at", "service_resumed_at",
+        "pages_received", "_m_attach_s", "_m_attempts", "_m_rejects",
+        "_m_pages", "_attach_span")
 
     @property
     def state(self) -> UeState:
@@ -71,10 +73,16 @@ class UserEquipment(ControlAgent):
     def __init__(self, sim: Simulator, profile: SubscriberProfile,
                  name: Optional[str] = None,
                  service_time_s: float = 0.1e-3) -> None:
+        #: set first, so the ``state`` property works during __init__;
+        #: the observer hook is how the invariant checker audits NAS
+        #: transition legality without touching the uninstrumented path
+        #: (one attribute test per state change, zero per-event cost)
+        self._state = UeState.IDLE
+        self._state_observer: Optional[Callable[
+            ["UserEquipment", UeState, UeState], None]] = None
         super().__init__(sim, name or f"ue-{profile.imsi[-6:]}",
                          service_time_s)
         self.profile = profile
-        self.state = UeState.IDLE
         if sim.checker is not None:
             sim.checker.watch_ue(self)
         self.air: Optional[ControlChannel] = None
@@ -178,7 +186,10 @@ class UserEquipment(ControlAgent):
     def _attach_retry_loop(self, max_attempts: int, timeout_s: float,
                            base_backoff_s: float, max_backoff_s: float,
                            jitter_frac: float):
-        rng = self.sim.rng(f"nas-backoff:{self.name}")
+        # the jitter stream is fetched at the first backoff: a UE that
+        # attaches first time never builds one (streams are keyed by
+        # name, so no draw moves)
+        rng = None
         backoff = base_backoff_s
         for attempt in range(max_attempts):
             self.server_backoff_s = 0.0
@@ -201,6 +212,8 @@ class UserEquipment(ControlAgent):
             wait = backoff
             if self.server_backoff_s > wait:
                 wait = self.server_backoff_s
+            if rng is None:
+                rng = self.sim.rng(f"nas-backoff:{self.name}")
             jitter = float(rng.uniform(0.0, jitter_frac * wait))
             self.sim.trace("nas", f"{self.name}: attach retry backoff",
                            attempt=attempt + 1, backoff_s=wait + jitter)

@@ -50,6 +50,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 from repro.net.aqm import DROP, MARK, PASS, AqmDiscipline
 from repro.net.packet import ECN_CE, ECN_ECT, Packet
 from repro.simcore.simulator import Simulator
+from repro.telemetry.registry import Gauge, StampedQueue
 
 _INF = float("inf")
 #: a link's three buffers until its first send: reads as empty, and an
@@ -72,15 +73,29 @@ class Link:
         name: for hop recording and diagnostics.
     """
 
-    #: ledger attributes exported as ``net.link.*`` counters: read off
-    #: the link when telemetry is read (``MetricsRegistry.mirror``), so
-    #: no packet pays for a second copy
+    #: every field is a slot: past 30 attributes an instance dict
+    #: stops sharing its keys with the class and costs ~1.6 kB per link
+    __slots__ = (
+        "sim", "rate_bps", "delay_s", "queue_packets", "queue_bytes",
+        "name", "receiver", "_egress", "_egress_bytes", "_flight",
+        "_service_done", "_offers", "offers_admitted", "_wakeup_at",
+        "_wake", "_post_at", "up", "loss_rate", "offered", "delivered",
+        "dropped", "dropped_overflow", "dropped_down", "dropped_loss",
+        "dropped_aqm", "marked_ecn", "bytes_sent", "offered_bytes",
+        "delivered_bytes", "dropped_bytes", "_aqm", "_aqm_mirrored",
+        "_loss_rng", "_queue_peak", "_queue_min", "__weakref__")
+
+    #: ledger attributes exported as ``net.link.*`` counters, and the
+    #: ``net.link.queue_depth`` gauge read from :attr:`_queue_gauge`:
+    #: read off the link when telemetry is read
+    #: (``MetricsRegistry.mirror``), so no packet pays for a second copy
     _LEDGER = (
         ("delivered", "net.link.delivered", {}),
         ("bytes_sent", "net.link.bytes_sent", {}),
         ("dropped_overflow", "net.link.dropped", {"cause": "overflow"}),
         ("dropped_down", "net.link.dropped", {"cause": "down"}),
         ("dropped_loss", "net.link.dropped", {"cause": "loss"}),
+        ("_queue_gauge", "net.link.queue_depth", {}, Gauge),
     )
     #: joined by the first discipline installed: exports of a link that
     #: never had one carry no aqm / ecn_marked rows
@@ -127,10 +142,6 @@ class Link:
         #: later than the next possible delivery. Wake-ups are never
         #: cancelled (handle-free fast path); a stale one is absorbed.
         self._wakeup_at = _INF
-        #: the wake-up and the kernel's post, bound once: ``self._drain``
-        #: read per post would build a bound method per post
-        self._wake = self._drain
-        self._post_at = sim.post_at
         # fault state
         self.up = True
         self.loss_rate = 0.0
@@ -149,15 +160,19 @@ class Link:
         self.offered_bytes = 0
         self.delivered_bytes = 0
         self.dropped_bytes = 0
+        #: the deepest the egress queue has been (0: never queued), and
+        #: 1 until it refills after draining (see :attr:`_queue_gauge`)
+        self._queue_peak = 0
+        self._queue_min = 1
         self._aqm: Optional[AqmDiscipline] = None
         self._aqm_mirrored = False
         #: the link's own loss stream, fetched by the first
         #: set_loss_rate(> 0): most links never lose a packet
         self._loss_rng = None
-        metrics = sim.metrics
-        metrics.mirror(self, self._LEDGER, link=name)
-        # the one number only the instrument holds, fetched once
-        self._m_queue = metrics.gauge("net.link.queue_depth", link=name)
+        earlier = sim.metrics.mirror(self, self._LEDGER, link=name)
+        if earlier:
+            for link in (*earlier, self):
+                link._share_gauge()
         if sim.checker is not None:
             sim.checker.watch_link(self)
 
@@ -168,12 +183,18 @@ class Link:
         self.receiver = receiver
 
     def _open(self) -> None:
-        """First send: the link must lead somewhere, and gets its buffers."""
+        """First send: the link must lead somewhere, and gets its buffers
+        and its wake-up."""
         if self.receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        self._egress = deque()
+        if self._egress is _NONE:  # else a shared gauge's stamped queue
+            self._egress = deque()
         self._flight = deque()
         self._offers = deque()
+        #: the wake-up and the kernel's post, bound once: ``self._drain``
+        #: read per post would build a bound method per post
+        self._wake = self._drain
+        self._post_at = self.sim.post_at
 
     # -- AQM / ECN ---------------------------------------------------------
 
@@ -203,6 +224,35 @@ class Link:
         self.marked_ecn += 1
         self.sim.ecn_marks += 1
         return True
+
+    def _share_gauge(self) -> None:
+        """A same-named link joined this one's ``net.link.queue_depth``
+        gauge: stamp every change to the egress queue from now on."""
+        if type(self._egress) is not StampedQueue:
+            self._egress = StampedQueue(self._egress, self.sim.seq.__next__)
+
+    @property
+    def _queue_gauge(self) -> Optional[Tuple[int, int, int, int]]:
+        """``net.link.queue_depth`` as the registry reads it.
+
+        The gauge used to be set after every change to the egress
+        queue: each append (depth after it), each pop that starts
+        service or drops, and the flush of a cut. So it was never set
+        before the first append, which set 1; its value is the depth
+        now, unpromoted (promotion is a change the gauge saw only when
+        it happened); its max is the deepest the queue has been, since
+        only an append raises it; its min is 0 once a change emptied the
+        queue, which is either true now or was true before an append
+        refilled it (``_queue_min``). Stamped queues order same-named
+        links' readings.
+        """
+        peak = self._queue_peak
+        if not peak:
+            return None
+        egress = self._egress
+        depth = len(egress)
+        return (depth, self._queue_min if depth else 0, peak,
+                getattr(egress, "stamp", 0))
 
     @property
     def in_flight(self) -> int:
@@ -245,7 +295,6 @@ class Link:
                 self._egress_bytes = 0
                 self.dropped += lost
                 self.dropped_down += lost
-                self._m_queue.set(0)
 
     def set_loss_rate(self, loss_rate: float) -> None:
         """Set the per-packet drop probability (0 disables loss)."""
@@ -349,10 +398,14 @@ class Link:
             egress.append((now, packet))
             self._egress_bytes += size
             qlen = len(egress)
-            self._m_queue.set(qlen)
-            sim = self.sim
-            if qlen > sim.link_peak_queue:
-                sim.link_peak_queue = qlen
+            if qlen > self._queue_peak:
+                # the simulator's peak is never below a link's
+                self._queue_peak = qlen
+                sim = self.sim
+                if qlen > sim.link_peak_queue:
+                    sim.link_peak_queue = qlen
+            elif qlen == 1:
+                self._queue_min = 0  # a refill: the queue drained before
             return True
         if aqm is not None:
             # empty queue: the enqueue hook still observes the arrival
@@ -406,10 +459,8 @@ class Link:
                 if verdict != PASS and (verdict == DROP
                                         or not self._mark(packet)):
                     self._drop("aqm", now, size)
-                    self._m_queue.set(len(egress))
                     continue
             self._start_service(self._service_done, packet)
-            self._m_queue.set(len(egress))
 
     def _drain(self) -> None:
         """Wake-up event: admit what was offered, hand over what is due.

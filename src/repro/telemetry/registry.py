@@ -24,13 +24,15 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
+from collections import deque
 from functools import reduce
+from itertools import chain
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "P2Quantile", "DEFAULT_BUCKETS", "linear_buckets"]
+           "P2Quantile", "StampedQueue", "DEFAULT_BUCKETS", "linear_buckets"]
 
 #: Default histogram bucket upper bounds: half-decade geometric ladder
 #: wide enough for both latencies in seconds and counts/sizes.
@@ -53,6 +55,16 @@ def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
     if len(labels) <= 1:
         return tuple((k, str(v)) for k, v in labels.items())
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
+
+
+def _flat_key(name: str, labels: Dict[str, Any],
+              extra: Dict[str, Any]) -> Tuple[str, ...]:
+    """``(name, k1, v1, ...)`` for ``labels`` joined by ``extra``: one
+    tuple where an instrument key is three. The index of mirrored gauges
+    holds one per declaring owner (an attach storm's thousands of idle
+    links) whether or not anybody reads."""
+    return (name, *chain.from_iterable(
+        _label_key({**labels, **extra} if extra else labels)))
 
 
 class _Instrument:
@@ -445,6 +457,42 @@ class Histogram(_Instrument):
                 "p99": 0.0 if empty else self.quantile(0.99)}
 
 
+class StampedQueue(deque):
+    """The queue of an owner that shares a mirrored depth gauge with a
+    same-named owner (two links, two agents): each change draws
+    ``stamp`` from ``draw`` (the simulator's key counter), so the shared
+    row's value can be the depth of the queue that changed last, as it
+    was when every change set the gauge (:meth:`MetricsRegistry.mirror`)."""
+
+    __slots__ = ("stamp", "_draw")
+
+    def __init__(self, items, draw) -> None:
+        super().__init__(items)
+        self._draw = draw
+        self.stamp = draw()
+
+    def append(self, item) -> None:
+        super().append(item)
+        self.stamp = self._draw()
+
+    def popleft(self):
+        item = super().popleft()
+        self.stamp = self._draw()
+        return item
+
+    def remove(self, item) -> None:
+        super().remove(item)
+        self.stamp = self._draw()
+
+    def __delitem__(self, index) -> None:
+        super().__delitem__(index)
+        self.stamp = self._draw()
+
+    def clear(self) -> None:
+        super().clear()
+        self.stamp = self._draw()
+
+
 class MetricsRegistry:
     """Get-or-create instrument store, keyed by (name, labels).
 
@@ -463,19 +511,19 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
                                 _Instrument] = {}
-        #: mirror() declarations no read has looked at yet
-        self._pending: List[Tuple[Any, Sequence[Tuple[str, str, Dict]],
-                                  Dict[str, Any]]] = []
+        #: mirror() declarations no read has looked at yet: owner,
+        #: declared fields, then the labels as k1, v1, k2, v2, ...
+        self._pending: List[Tuple[Any, ...]] = []
         #: (counter, owner, attribute) per declared attribute; several
         #: owners may feed one counter (two links sharing a name)
         self._mirrors: List[Tuple[Counter, Any, str]] = []
         #: the counters :meth:`_sync` owns, by key — read, never ``inc``ed
         self._mirrored: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
                              _Instrument] = {}
-        #: mirrored gauges by key: the gauge (None until the first read)
-        #: and every (owner, attribute) declared under the key
-        self._gauges: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
-                           List[Any]] = {}
+        #: mirrored gauges by :func:`_flat_key`: ``(gauge, owner,
+        #: attribute, owner, attribute, ...)``, the gauge None until the
+        #: first read, for every owner declared under the key
+        self._gauges: Dict[Tuple[str, ...], Tuple[Any, ...]] = {}
 
     def _get(self, cls, name: str, labels: Dict[str, Any], **kwargs):
         if not name:
@@ -537,24 +585,25 @@ class MetricsRegistry:
         owners that declared any of these gauges before ``owner``, so
         that a shared gauge's owners can start stamping.
         """
-        self._pending.append((owner, counters, labels))
+        # the labels wait as (k1, v1, ...): a dict would hold ~130 B more
+        # per owner until the first read, and most owners are never read
+        self._pending.append((owner, counters,
+                              *chain.from_iterable(labels.items())))
         earlier: List[Any] = []
         for declared in counters:
             if len(declared) == 4:
-                key = (declared[1], _label_key({**labels, **declared[2]}))
-                entry = self._gauges.get(key)
-                if entry is None:
-                    self._gauges[key] = [None, (owner, declared[0])]
-                else:
-                    earlier.extend(o for o, _attribute in entry[1:])
-                    entry.append((owner, declared[0]))
+                key = _flat_key(declared[1], labels, declared[2])
+                entry = self._gauges.get(key, (None,))
+                earlier.extend(entry[1::2])
+                self._gauges[key] = entry + (owner, declared[0])
         return earlier
 
     def _bind(self, owner: Any, counters: Sequence[Tuple],
-              labels: Dict[str, Any]) -> None:
+              *flat_labels: Any) -> None:
         """Create (or join) the instruments one :meth:`mirror` call
         declared, all of them or — on a clash with an ``inc``ed or
         ``set`` instrument — none."""
+        labels = dict(zip(flat_labels[::2], flat_labels[1::2]))
         mirrored = self._mirrored
         instruments = self._instruments
         keys = [(declared[1], _label_key({**labels, **declared[2]}))
@@ -567,10 +616,12 @@ class MetricsRegistry:
                     f"{instruments[key].kind}")
         for declared, key in zip(counters, keys):
             if len(declared) == 4:
-                entry = self._gauges[key]
+                flat = _flat_key(declared[1], labels, declared[2])
+                entry = self._gauges[flat]
                 if entry[0] is None:
-                    entry[0] = mirrored[key] = instruments[key] = Gauge(
+                    gauge = mirrored[key] = instruments[key] = Gauge(
                         declared[1], dict(key[1]))
+                    self._gauges[flat] = (gauge, *entry[1:])
                 continue
             counter = mirrored.get(key)
             if counter is None:
@@ -596,12 +647,13 @@ class MetricsRegistry:
                 instrument.value = 0.0
             for counter, owner, attribute in self._mirrors:
                 counter.value += getattr(owner, attribute)
-            for gauge, *owners in self._gauges.values():
+            for entry in self._gauges.values():
+                gauge = entry[0]
                 if gauge is None:
                     continue
                 readings = [reading for reading in
-                            (getattr(owner, attribute)
-                             for owner, attribute in owners)
+                            (getattr(owner, attribute) for owner, attribute
+                             in zip(entry[1::2], entry[2::2]))
                             if reading is not None]
                 if readings:
                     gauge.value = max(readings, key=lambda r: r[3])[0]

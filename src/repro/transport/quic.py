@@ -31,12 +31,13 @@ from repro.transport.base import (
 class QuicConnection(TransportConnection):
     """One side of a QUIC connection."""
 
-    #: strict RFC 9000 §9.4 behaviour (full congestion reset per
-    #: migration); off by default for dLTE's adjacent-AP handovers.
-    reset_cwnd_on_migration = False
+    __slots__ = ("reset_cwnd_on_migration", "migrations", "used_0rtt")
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
+        #: strict RFC 9000 §9.4 behaviour (full congestion reset per
+        #: migration); off by default for dLTE's adjacent-AP handovers.
+        self.reset_cwnd_on_migration = False
         self.migrations = 0
         self.used_0rtt = False
 

@@ -29,6 +29,9 @@ from repro.transport.base import (
 class TcpConnection(TransportConnection):
     """One side of a TCP(+TLS 1.3) connection."""
 
+    __slots__ = ("tls", "local_addr_at_setup", "_address_changed",
+                 "_rtos_since_change")
+
     #: RTO expiries on a migrated path before declaring the connection dead.
     BROKEN_AFTER_RTOS = 1
 

@@ -286,14 +286,14 @@ def test_queue_depth_gauge_is_exact_with_and_without_byte_cap(sim):
         link = Link(sim, rate_bps=8000.0, delay_s=0.0, queue_packets=50,
                     name=f"gauge-{len(kwargs)}", **kwargs)
         link.connect(lambda p: None)
-        gauge = sim.metrics.gauge("net.link.queue_depth", link=link.name)
         for _ in range(5):
             link.send(_packet())
         # one packet in service, four queued
         assert link.queue_depth == 4
-        assert gauge.value == 4
+        assert sim.metrics.value("net.link.queue_depth", link=link.name) == 4
         sim.run(until=sim.now + 1.01)   # two more serialized out
-        assert gauge.value == link.queue_depth == 2
+        assert sim.metrics.value("net.link.queue_depth",
+                                 link=link.name) == link.queue_depth == 2
 
 
 def test_peak_queue_telemetry_tracks_high_water(sim):

@@ -1,6 +1,6 @@
-"""Memory gates: what a sweep cell and an idle link leave resident.
+"""Memory gates: what a sweep cell, an idle link and a UE leave resident.
 
-Both are measured with ``tracemalloc`` (Python allocations only, so the
+They are measured with ``tracemalloc`` (Python allocations only, so the
 figures repeat from run to run and do not depend on the allocator's
 arenas or on ``ru_maxrss``).
 
@@ -11,13 +11,22 @@ arenas or on ``ru_maxrss``).
   cells peaks at the sum of the cells still waiting for a generation-2
   pass instead of at one cell.
 - An idle link (an attach storm builds thousands that never carry a
-  packet) has no queue, flight or offer buffer until its first send.
+  packet) has no queue, flight or offer buffer until its first send,
+  and no queue-depth gauge until somebody reads one.
+- CPython shares an instance dict's keys with its class only up to 30
+  attributes; past that every instance carries a private ~1.6 kB dict.
+  Classes with more fields (links, agents, UEs, connections, APs) keep
+  them in ``__slots__``, and a walk of what built cells reach holds
+  every other ``repro`` object under the limit.
 """
 
 import gc
 import tracemalloc
+import types
 
+from repro.experiments import e6_mobility as e6
 from repro.experiments import e17_attach_storm as e17
+from repro.experiments import e18_sustained_overload as e18
 from repro.net.links import Link
 from repro.net.packet import Packet
 from repro.runner import parallel_map
@@ -65,7 +74,7 @@ def test_an_idle_link_costs_no_buffers():
             links.append(link)
 
     per_link = _traced_peak(build) / n
-    assert per_link <= 2800, f"an idle link costs {per_link:.0f} B"
+    assert per_link <= 1000, f"an idle link costs {per_link:.0f} B"
 
 
 def test_an_idle_link_reads_empty_and_opens_on_first_send():
@@ -82,3 +91,83 @@ def test_an_idle_link_reads_empty_and_opens_on_first_send():
     assert link.queue_depth == 1
     sim.run()
     assert len(got) == 2 and link.in_flight == 0
+
+
+def _held_at_harvest(intensity):
+    """Bytes an E17 dLTE cell holds when its storm is over: read as the
+    cell starts its harvest, with every UE, agent and link still live."""
+    held = []
+    harvest = e17.iter_control_agents
+
+    def read_then_harvest(net):
+        held.append(tracemalloc.get_traced_memory()[0])
+        return harvest(net)
+
+    e17.iter_control_agents = read_then_harvest
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        e17._run_cell(("dlte", intensity, *CELL[2:]))
+    finally:
+        tracemalloc.stop()
+        e17.iter_control_agents = harvest
+    return held[0] - base
+
+
+def test_one_more_storm_ue_costs_under_10_kb():
+    # a first cell pays the process's lazy imports and caches; charged
+    # to the smaller cell they would hide ~7 kB of every UE
+    _held_at_harvest(1)
+    n_ues = CELL[2] * CELL[3]  # UEs per unit of intensity
+    per_ue = (_held_at_harvest(8) - _held_at_harvest(4)) / (4 * n_ues)
+    assert per_ue <= 10_000, f"one more E17 UE holds {per_ue:.0f} B"
+
+
+#: types a walk does not enter: code, modules and classes reach the
+#: whole interpreter, not the cell
+_OPAQUE = (type, types.ModuleType, types.FunctionType, types.CodeType,
+           types.BuiltinFunctionType)
+
+
+def _reachable(roots):
+    """Every object reachable from ``roots`` through instances and
+    containers (a function contributes its closure, a frame its
+    locals)."""
+    seen = set()
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        yield obj
+        if isinstance(obj, types.FunctionType):
+            stack.extend(cell.cell_contents for cell in obj.__closure__ or ()
+                         if cell.cell_contents is not None)
+        elif isinstance(obj, types.FrameType):
+            stack.extend(obj.f_locals.values())
+        elif not isinstance(obj, _OPAQUE):
+            stack.extend(gc.get_referents(obj))
+
+
+def test_no_built_object_keeps_more_than_30_keys_in_its_dict(monkeypatch):
+    built = []
+    monkeypatch.setattr(Simulator, "arming", built.append)
+    e6.run(dwells_s=[1.0])
+    e17.run(intensities=(1, 4), n_aps=2, ue_per_ap=3, horizon_s=12.0)
+    e18.run(loads=(0.5, 5.0), n_aps=1, ue_per_ap=3, settle_s=4.0,
+            warmup_s=1.0, measure_s=8.0)
+    widest = {}
+    for obj in _reachable(built):
+        cls = type(obj)
+        if not cls.__module__.startswith("repro."):
+            continue
+        keys = len(getattr(obj, "__dict__", ()))
+        widest[cls.__qualname__] = max(keys, widest.get(cls.__qualname__, 0))
+    # the walk reached the classes that needed slots
+    assert {"Link", "UserEquipment", "LocalCoreStub", "Mme",
+            "TcpConnection", "QuicConnection",
+            "DLTEAccessPoint"} <= set(widest)
+    over = {name: keys for name, keys in widest.items() if keys > 30}
+    assert not over, f"instance dicts past CPython's 30 shared keys: {over}"

@@ -6,6 +6,7 @@ import pytest
 
 from repro.experiments.e15_reachability import ReachabilityHarness
 from repro.net import Host, InternetCore, NatRouter, Packet, Router
+from repro.net.links import Link
 from repro.simcore import Simulator
 
 IP = ipaddress.IPv4Address
@@ -81,17 +82,19 @@ def test_unsolicited_inbound_is_counted_and_recorded_not_forwarded():
     assert all(link.offered == 0 for link in nat.links.values())
 
 
-def test_outbound_is_masqueraded_before_it_is_offered():
+def test_outbound_is_masqueraded_before_it_is_offered(monkeypatch):
     sim, nat, client, server = _nat_setup()
     uplink = nat.links["internet"]
     offered = []
-    real_send_at = uplink.send_at
 
-    def spying_send_at(at, packet):
-        offered.append(packet.src)
-        real_send_at(at, packet)
+    class SpyingLink(Link):
+        __slots__ = ()  # the layout of a Link, so the class can swap
 
-    uplink.send_at = spying_send_at
+        def send_at(self, at, packet):
+            offered.append(packet.src)
+            super().send_at(at, packet)
+
+    monkeypatch.setattr(uplink, "__class__", SpyingLink)
     server.on_packet = lambda p: None
     client.send(Packet(src=client.address, dst=server.address,
                        size_bytes=100, flow_id="f1"))

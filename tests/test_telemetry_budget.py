@@ -109,9 +109,11 @@ def test_a_ledger_counter_is_no_object_until_somebody_reads():
     sim = Simulator(seed=0)
     _ledger_owners(sim)
     registry = sim.metrics
-    # link: queue_depth gauge; agent: queue_depth gauge + queue_wait_s
-    # histogram; channel: nothing (the parent built 1,200 here)
-    assert len(registry._instruments) <= 300
+    # agent: its queue_wait_s histogram; link and channel: nothing (a
+    # link's queue_depth gauge is read at export too)
+    assert {instrument.name for instrument
+            in registry._instruments.values()} == {"epc.agent.queue_wait_s"}
+    assert len(registry._instruments) == 100
     names = collections.Counter(row["name"] for row in registry.snapshot())
     assert names == {
         "net.link.delivered": 100, "net.link.bytes_sent": 100,
