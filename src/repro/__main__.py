@@ -251,7 +251,7 @@ CELL_PARALLEL_IDS = ("E6", "E7", "E17", "E18", "E19")
 #: Rough serial seconds per fanned-out experiment (measured on the
 #: reference box); only the ordering matters — longest-first submission.
 #: Ids not listed ran in under 30 ms and sort last.
-_COST_HINTS = {"E9": 1.0, "E8": 0.5, "E5": 0.3, "F1": 0.08, "E16": 0.05}
+_COST_HINTS = {"E8": 0.5, "E5": 0.3, "F1": 0.08, "E16": 0.05}
 
 
 def _run_captured(task) -> str:

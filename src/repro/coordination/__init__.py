@@ -7,7 +7,7 @@ fuse resources with their neighbors in a cooperative mode."
 
 * :mod:`x2` — the X2-AP message vocabulary plus the paper's dLTE
   extensions (operating mode, peer status), running over Internet-latency
-  channels with byte accounting (E9's coordination-bandwidth numbers).
+  channels with byte accounting (E9 sizes X2 from its message sizes).
 * :mod:`fair_sharing` — the default mode: a distributed protocol that
   converges on a fair time-frequency split of the shared grid.
 * :mod:`cooperative` — the opt-in mode: best-AP client assignment,

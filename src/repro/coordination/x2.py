@@ -5,8 +5,8 @@ information (§4.3, ref [19]); dLTE "will run a version of X2 extended
 with information about the dLTE operating mode and dLTE peer status."
 Here the messages are dataclasses with representative sizes, and an
 :class:`X2Endpoint` manages one AP's set of peer channels, counting
-every byte — the raw material for E9's "sizing X2 bandwidth" analysis
-(ref [28]).
+every byte. E9's "sizing X2 bandwidth" analysis (ref [28]) is computed
+from the message sizes declared here.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ measurable — one MME shared by 200 APs saturates under an attach storm
 naturally scales").
 
 A :class:`ControlChannel` connects two agents with a fixed one-way
-latency and counts bytes, giving E7/E9 their control-load numbers
-without dragging the full IP substrate into the control plane.
+latency and counts bytes, giving E7, E17 and E19 their control-load
+numbers without dragging the full IP substrate into the control plane.
 
 Queues are unbounded by default (the seed's infinite-patience model);
 installing an :class:`~repro.epc.overload.OverloadPolicy` via

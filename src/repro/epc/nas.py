@@ -3,7 +3,7 @@
 Plain dataclasses, one per procedure step. Each carries the fields the
 receiving state machine actually checks, so tests can assert on exact
 protocol content. Byte sizes are representative over-the-wire weights
-used for control-load accounting (E7, E9).
+used for control-load accounting (E7, E17, E19).
 """
 
 from __future__ import annotations

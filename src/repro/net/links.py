@@ -3,7 +3,7 @@
 A link is the unit of backhaul modelling: the AP's Internet uplink, the
 S1 path to a carrier EPC, the X2 path between peers. Serialization time
 (size/rate) plus propagation delay plus queueing; a finite queue drops
-from the tail, which is where "backhaul constrained" (E9) bites. An AQM
+from the tail, which is where a constrained backhaul bites (E18). An AQM
 discipline (:mod:`repro.net.aqm`) may be installed on top at any time;
 without one the same admission path is plain drop-tail.
 

@@ -13,9 +13,10 @@ Four agent states:
 
 - idle: messages 2 ms apart at 0.5 ms of service, so every arrival
   finds the agent idle and is posted: two events, as before;
-- burst: all messages sent at one instant, as an E9 endpoint's peers
-  broadcast: the first arrival is posted and starts the busy period, the
-  other k - 1 park, so k messages cost k + 1 events (2k before);
+- burst: all messages sent at one instant, as X2 peers that report on
+  one clock send them: the first arrival is posted and starts the busy
+  period, the other k - 1 park, so k messages cost k + 1 events (2k
+  before);
 - queued: messages 0.3 ms apart, so each arrives mid-service and parks;
 - overload: the burst again under an ``OverloadPolicy``, which parks
   nothing (its sheds can end a busy period): two events per message.
