@@ -32,7 +32,7 @@ class CooperativeCluster:
     """A set of cells jointly optimized.
 
     Cells must share one band/grid size (the cluster splits one spectrum
-    pool). Membership is by consent: :meth:`join` / :meth:`leave`.
+    pool). Membership is by consent: :meth:`join`.
     """
 
     def __init__(self, name: str = "coop") -> None:
@@ -51,19 +51,8 @@ class CooperativeCluster:
         self.cells[cell.name] = cell
         cell.scheduler = QosAwareScheduler()
 
-    def leave(self, cell_name: str) -> None:
-        """Remove a cell; its allowed set returns to the full grid."""
-        cell = self.cells.pop(cell_name, None)
-        if cell is not None:
-            cell.allowed_prbs = cell.grid.all_prbs
-
     def _any_cell(self) -> Cell:
         return next(iter(self.cells.values()))
-
-    @property
-    def members(self) -> List[str]:
-        """Current member cell names."""
-        return sorted(self.cells)
 
     # -- the optimization pass ------------------------------------------------------
 
@@ -102,21 +91,3 @@ class CooperativeCluster:
         for name, cell in self.cells.items():
             cell.allowed_prbs = partition[name]
         return partition
-
-    # -- coordinated handoff -----------------------------------------------------------
-
-    def handoff(self, ue_id: str, target_cell_name: str) -> None:
-        """Explicitly move one UE to a named member cell."""
-        target = self.cells.get(target_cell_name)
-        if target is None:
-            raise KeyError(f"{target_cell_name} is not a cluster member")
-        for cell in self.cells.values():
-            if ue_id in cell._ues:
-                if cell.name == target_cell_name:
-                    return
-                ctx = cell._ues[ue_id]
-                cell.remove_ue(ue_id)
-                target.add_ue(ctx)
-                self.reassignments += 1
-                return
-        raise KeyError(f"UE {ue_id} is not attached to any member cell")

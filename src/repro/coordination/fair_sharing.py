@@ -68,13 +68,6 @@ class FairSharingCoordinator:
         return PrbClaim(sender_ap=self.x2.ap_id, n_prbs=self.grid.n_prbs,
                         demand_weight=self.demand_weight, epoch=self.epoch)
 
-    def set_demand_weight(self, weight: float) -> None:
-        """Update this AP's demand and re-announce (demand-weighted mode)."""
-        if weight <= 0:
-            raise ValueError("demand weight must be positive")
-        self.demand_weight = weight
-        self.announce()
-
     def _on_x2(self, from_ap: str, message: X2Message) -> None:
         if not isinstance(message, PrbClaim):
             return

@@ -76,10 +76,6 @@ class BackhaulMesh:
             raise KeyError(f"unknown AP {ap_id}")
         self._failed.add(ap_id)
 
-    def restore_backhaul(self, ap_id: str) -> None:
-        """Bring an uplink back."""
-        self._failed.discard(ap_id)
-
     def backhaul_bps(self, ap_id: str) -> float:
         """Effective own-uplink capacity (0 when failed)."""
         if ap_id in self._failed:

@@ -122,10 +122,6 @@ class PeerMonitor:
         if peer_ap_id in self._dead:
             self._readmit(peer_ap_id)
 
-    def last_heard_s(self, peer_ap_id: str) -> Optional[float]:
-        """When we last heard from a peer (None = never)."""
-        return self._last_heard.get(peer_ap_id)
-
     def _check_liveness(self) -> None:
         deadline = self.sim.now - self.missed_limit * self.heartbeat_s
         for peer in list(self.x2.peer_ids):
@@ -159,7 +155,3 @@ class PeerMonitor:
                        f"{self.x2.ap_id}: re-admitted {peer_ap_id}")
         if self.on_peer_rejoined is not None:
             self.on_peer_rejoined(peer_ap_id)
-
-    def is_dead(self, peer_ap_id: str) -> bool:
-        """True while a peer stands declared dead (and not re-admitted)."""
-        return peer_ap_id in self._dead

@@ -60,10 +60,6 @@ class EnbDataPlane(NetworkNode):
         """Bind a UE's bearer address to its host (downlink delivery)."""
         self._ue_host_by_addr[ue_address] = ue_host.name
 
-    def deregister_ue(self, ue_address: IPv4Address) -> None:
-        """Remove the binding on detach/handover-away."""
-        self._ue_host_by_addr.pop(ue_address, None)
-
     def handle(self, packet: Packet) -> None:
         if packet.dst == self.address and packet.tunnel_depth > 0:
             # downlink: terminate GTP, deliver to the client
@@ -113,10 +109,6 @@ class EpcDataPlane(NetworkNode):
             teid = next(_teids)
             self.tunnels.add_tunnel(GtpTunnel(teid, self.address, enb_address))
             self._teid_by_enb[enb_address] = teid
-
-    def deregister_ue(self, ue_address: IPv4Address) -> None:
-        """Release a UE's downlink binding."""
-        self._enb_by_ue_addr.pop(ue_address, None)
 
     def handle(self, packet: Packet) -> None:
         self.sim.schedule(self.processing_delay_s, self._process, packet)

@@ -43,13 +43,6 @@ class ShardPlan:
         return cls(n_shards=n_shards,
                    assignment=tuple(stripe_partition(positions, n_shards)))
 
-    def shard_of(self, site: int) -> int:
-        return self.assignment[site]
-
-    def sites_of(self, shard: int) -> List[int]:
-        """Site indices assigned to ``shard``, in global site order."""
-        return [i for i, s in enumerate(self.assignment) if s == shard]
-
     @property
     def counts(self) -> List[int]:
         """Sites per shard (the static balance of the plan)."""
@@ -57,10 +50,3 @@ class ShardPlan:
         for shard in self.assignment:
             counts[shard] += 1
         return counts
-
-    @property
-    def imbalance(self) -> float:
-        """max/mean site count — 1.0 is perfectly balanced."""
-        counts = self.counts
-        mean = sum(counts) / len(counts)
-        return (max(counts) / mean) if mean else 1.0

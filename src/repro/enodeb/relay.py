@@ -1,8 +1,7 @@
-"""The eNodeB control-plane relay: NAS passes through, S1AP originates here.
+"""The eNodeB control-plane relay: NAS passes through.
 
 NAS is end-to-end between UE and MME/stub; the eNodeB just relays it
-(adding air-interface and S1 latency). S1AP messages the eNodeB itself
-originates (PathSwitchRequest on handover) are also sent here.
+(adding air-interface and S1 latency).
 """
 
 from __future__ import annotations
@@ -10,8 +9,7 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
-from repro.epc.nas import NasMessage, PathSwitchRequest
-from repro.net.addressing import IPv4Address
+from repro.epc.nas import NasMessage
 from repro.simcore.simulator import Simulator
 
 #: NAS downlink messages are addressed by ue_id; everything arriving on
@@ -26,7 +24,6 @@ class EnbControlRelay(ControlAgent):
         super().__init__(sim, name, service_time_s)
         self.s1: Optional[ControlChannel] = None
         self._air: Dict[str, ControlChannel] = {}   # ue_id -> air channel
-        self.address: Optional[IPv4Address] = None  # S1-U endpoint (data)
         self.nas_relayed = 0
 
     def connect_core(self, channel: ControlChannel) -> None:
@@ -40,15 +37,6 @@ class EnbControlRelay(ControlAgent):
     def detach_ue(self, ue_id: str) -> None:
         """Release a UE's RRC connection."""
         self._air.pop(ue_id, None)
-
-    @property
-    def connected_ues(self) -> int:
-        """UEs with an active RRC connection."""
-        return len(self._air)
-
-    def serves(self, ue_id: str) -> bool:
-        """True when this eNodeB holds the UE's RRC connection."""
-        return ue_id in self._air
 
     def handle(self, message: ControlMessage) -> None:
         payload = message.payload
@@ -65,10 +53,3 @@ class EnbControlRelay(ControlAgent):
             if self.s1 is not None:
                 self.nas_relayed += 1
                 self.s1.send(self, payload)
-
-    def request_path_switch(self, ue_id: str) -> None:
-        """Handover arrival: ask the MME to re-point the S1-U bearer."""
-        if self.s1 is None:
-            raise RuntimeError(f"{self.name}: no S1 channel")
-        self.s1.send(self, PathSwitchRequest(ue_id=ue_id, target_enb=self.name,
-                                             enb_address=self.address))

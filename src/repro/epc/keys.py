@@ -25,7 +25,7 @@ class PublishedKeyRegistry:
 
     Lookups are asynchronous: callers pass a callback which fires after
     ``lookup_rtt_s`` of simulated time, mimicking an HTTPS query to a
-    registry service. Synchronous :meth:`peek` exists for tests.
+    registry service.
     """
 
     def __init__(self, sim: Simulator, lookup_rtt_s: float = 0.050) -> None:
@@ -50,20 +50,12 @@ class PublishedKeyRegistry:
         self._keys[profile.imsi] = profile.key
         self.publishes += 1
 
-    def revoke(self, imsi: str) -> None:
-        """Withdraw a published key (KeyError if absent)."""
-        del self._keys[imsi]
-
     def lookup(self, imsi: str,
                callback: Callable[[Optional[bytes]], None]) -> None:
         """Query the registry; ``callback(key_or_None)`` after the RTT."""
         self.lookups += 1
         key = self._keys.get(imsi)
         self.sim.schedule(self.lookup_rtt_s, callback, key)
-
-    def peek(self, imsi: str) -> Optional[bytes]:
-        """Latency-free lookup for tests and reporting."""
-        return self._keys.get(imsi)
 
     def __len__(self) -> int:
         return len(self._keys)

@@ -136,10 +136,6 @@ class BearerPolicer:
         """Remove a binding (bearer teardown)."""
         self._class_by_flow.pop(flow_id, None)
 
-    def classify(self, packet: Packet) -> int:
-        """The packet's QoS class (unregistered flows are bulk)."""
-        return self._class_by_flow.get(packet.flow_id, CLASS_BULK)
-
     def admit(self, packet: Packet) -> bool:
         """Spend tokens for the packet; False means shed it."""
         now = self.sim.now

@@ -51,10 +51,6 @@ class SubscriberDb:
         """Fetch a record, or None for unknown subscribers."""
         return self._by_imsi.get(imsi)
 
-    def deprovision(self, imsi: str) -> None:
-        """Remove a subscriber (KeyError if absent)."""
-        del self._by_imsi[imsi]
-
     def __len__(self) -> int:
         return len(self._by_imsi)
 

@@ -14,12 +14,9 @@ whole fault campaign is reproducible from ``(seed, schedule)`` alone.
 
 Fault kinds:
 
-* :meth:`FaultInjector.link_down` — cut a :class:`~repro.net.links.Link`
-  (optionally healing after a duration);
-* :meth:`FaultInjector.link_flap` — periodic down/up cycles;
+* :meth:`FaultInjector.link_flap` — periodic down/up cycles of a
+  :class:`~repro.net.links.Link`;
 * :meth:`FaultInjector.link_loss` — probabilistic per-packet loss;
-* :meth:`FaultInjector.channel_down` — sever a control-plane
-  :class:`~repro.epc.agents.ControlChannel` (S1, X2);
 * :meth:`FaultInjector.crash` — crash anything with a
   ``crash()``/``restart()`` lifecycle (a :class:`DLTEAccessPoint`, a
   :class:`LocalCoreStub`), optionally restarting it later;
@@ -116,18 +113,6 @@ class FaultInjector:
         else:
             self._link_cuts[id(link)] = count
 
-    def link_down(self, link: Link, at_s: float,
-                  duration_s: Optional[float] = None,
-                  name: Optional[str] = None) -> str:
-        """Cut ``link`` at ``at_s``; heal after ``duration_s`` if given."""
-        fault = self._unique(name, f"link-down:{link.name}")
-        self._at(at_s, fault, "down", self._cut, link)
-        if duration_s is not None:
-            if duration_s <= 0:
-                raise ValueError("duration must be positive")
-            self._at(at_s + duration_s, fault, "up", self._heal, link)
-        return fault
-
     def link_flap(self, link: Link, at_s: float, down_s: float, up_s: float,
                   cycles: int, name: Optional[str] = None) -> str:
         """Flap ``link``: ``cycles`` x (down ``down_s``, up ``up_s``)."""
@@ -149,29 +134,17 @@ class FaultInjector:
         """Impose per-packet loss on ``link``; clears after the duration."""
         if not 0.0 <= loss_rate <= 1.0:
             raise ValueError("loss rate must be in [0, 1]")
+        if duration_s is not None and duration_s <= 0:
+            raise ValueError("duration must be positive")
         fault = self._unique(name, f"link-loss:{link.name}")
         self._at(at_s, fault, f"loss={loss_rate:g}",
                  link.set_loss_rate, loss_rate)
         if duration_s is not None:
-            if duration_s <= 0:
-                raise ValueError("duration must be positive")
             self._at(at_s + duration_s, fault, "loss cleared",
                      link.set_loss_rate, 0.0)
         return fault
 
     # -- control-plane faults ----------------------------------------------
-
-    def channel_down(self, channel, at_s: float,
-                     duration_s: Optional[float] = None,
-                     name: Optional[str] = None) -> str:
-        """Sever a :class:`ControlChannel` (S1/X2) at ``at_s``."""
-        fault = self._unique(name, f"channel-down:{channel.name}")
-        self._at(at_s, fault, "down", channel.set_up, False)
-        if duration_s is not None:
-            if duration_s <= 0:
-                raise ValueError("duration must be positive")
-            self._at(at_s + duration_s, fault, "up", channel.set_up, True)
-        return fault
 
     def crash(self, node, at_s: float,
               restart_after_s: Optional[float] = None,
@@ -182,13 +155,13 @@ class FaultInjector:
         stub, a whole-network adapter. Restart is scheduled relative to
         the crash time when ``restart_after_s`` is given.
         """
+        if restart_after_s is not None and restart_after_s <= 0:
+            raise ValueError("restart delay must be positive")
         label = getattr(node, "ap_id", None) or getattr(node, "name", None) \
             or type(node).__name__
         fault = self._unique(name, f"crash:{label}")
         self._at(at_s, fault, "crash", node.crash)
         if restart_after_s is not None:
-            if restart_after_s <= 0:
-                raise ValueError("restart delay must be positive")
             self._at(at_s + restart_after_s, fault, "restart", node.restart)
         return fault
 

@@ -32,12 +32,6 @@ class ResultTable:
                 f"extra={sorted(extra)}")
         self.rows.append(dict(values))
 
-    def column(self, name: str) -> List[Any]:
-        """All values of one column, in row order."""
-        if name not in self.columns:
-            raise KeyError(f"no column {name!r} in {self.title!r}")
-        return [row[name] for row in self.rows]
-
     @staticmethod
     def _fmt(value: Any) -> str:
         if isinstance(value, float):

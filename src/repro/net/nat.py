@@ -42,10 +42,6 @@ class NatRouter(Router):
         if sim.checker is not None:
             sim.checker.watch_nat(self)
 
-    def binding_for(self, flow_id: str) -> Optional[IPv4Address]:
-        """The private address a flow is bound to, if any."""
-        return self._bindings.get(flow_id)
-
     @property
     def active_bindings(self) -> int:
         """Currently installed flow bindings."""

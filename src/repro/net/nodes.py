@@ -44,7 +44,7 @@ class NetworkNode:
     def receive(self, packet: Packet) -> None:
         """Entry point for packets arriving on any inbound link."""
         self.received += 1
-        hops = packet.hops  # Packet.record_hop, inlined: once per hop
+        hops = packet.hops  # the hop record, kept inline: once per hop
         if hops is None:
             packet.hops = [self.name]
         else:

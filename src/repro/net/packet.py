@@ -80,14 +80,3 @@ class Packet:
         """How many encapsulation layers are currently on the packet."""
         stack = self.encap_stack
         return len(stack) if stack is not None else 0
-
-    def record_hop(self, node_name: str) -> None:
-        """Append a traversed node (called by the forwarding engine)."""
-        hops = self.hops
-        if hops is None:
-            hops = self.hops = []
-        hops.append(node_name)
-
-    def age(self, now: float) -> float:
-        """Seconds since the packet was created."""
-        return now - self.created_at

@@ -58,18 +58,9 @@ class TunnelEndpoint:
             raise ValueError(f"TEID {tunnel.teid} already registered")
         self._by_teid[tunnel.teid] = tunnel
 
-    def remove_tunnel(self, teid: int) -> None:
-        """Tear down a bearer (KeyError if unknown)."""
-        del self._by_teid[teid]
-
     def tunnel(self, teid: int) -> Optional[GtpTunnel]:
         """Look up a registered tunnel."""
         return self._by_teid.get(teid)
-
-    @property
-    def active_tunnels(self) -> int:
-        """Number of bearers currently registered."""
-        return len(self._by_teid)
 
     def encapsulate(self, packet: Packet, teid: int) -> Packet:
         """Wrap ``packet`` for transport to the tunnel peer (in place)."""

@@ -45,11 +45,6 @@ class Band:
     max_client_eirp_dbm: float
     bandwidth_hz: float
 
-    @property
-    def is_sub_ghz(self) -> bool:
-        """True for the long-propagation (< 1 GHz) bands."""
-        return self.dl_mhz < 1000.0
-
 
 #: LTE bands the paper names, plus common comparison points.
 LTE_BANDS: Dict[str, Band] = {

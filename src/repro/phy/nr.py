@@ -54,16 +54,6 @@ class Numerology:
         """Slot length: 1 ms / 2^mu."""
         return 1e-3 / (2 ** self.mu)
 
-    @property
-    def slots_per_subframe(self) -> int:
-        """Slots per 1 ms subframe."""
-        return 2 ** self.mu
-
-    @property
-    def prb_bandwidth_hz(self) -> float:
-        """12 subcarriers per PRB."""
-        return 12.0 * self.scs_khz * 1e3
-
 
 #: NR bands relevant to the rural story (name -> Band), with the
 #: numerologies they commonly run.

@@ -2,15 +2,15 @@
 
 LTE schedules in physical resource blocks (PRBs): 12 subcarriers x 15 kHz
 = 180 kHz wide, one per 0.5 ms slot, allocated per 1 ms TTI (a PRB pair).
-The grid is what makes LTE's coordination claims concrete: fair-sharing
-and cooperative modes (§4.3) are implemented as PRB-set partitions, and
-throughput is PRBs x per-PRB bits at the scheduled MCS.
+Throughput is PRBs x per-PRB bits at the scheduled MCS. The grid only
+sizes a cell; coordination (§4.3) lives in ``Cell.allowed_prbs``, the
+PRB set a cell's schedulers may grant from.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List
+from typing import FrozenSet
 
 #: Standard LTE channel bandwidth -> PRB count (3GPP TS 36.101).
 _BANDWIDTH_TO_PRBS = {
@@ -61,77 +61,22 @@ def bits_per_prb(efficiency_bps_hz: float) -> float:
 
 @dataclass
 class ResourceGrid:
-    """The PRB pool of one cell, with named reservations.
+    """The PRB pool of one cell: its bandwidth and PRB count.
 
-    Coordination modes carve the grid into slices: ``reserve`` assigns a
-    PRB set to an owner (a neighbour cell under ICIC, or "local"), and the
-    scheduler only allocates from the local slice. Reservations must not
-    overlap; that invariant is what "coordination" means at this layer.
+    The grid holds no reservations. Coordination modes carve a cell's
+    spectrum by writing ``Cell.allowed_prbs``: the
+    :class:`~repro.coordination.fair_sharing.FairSharingCoordinator`
+    installs its converged slice through the access point, and the
+    :class:`~repro.coordination.cooperative.CooperativeCluster` installs
+    its demand-weighted partition on every member cell.
     """
 
     bandwidth_hz: float
 
     def __post_init__(self) -> None:
         self.n_prbs = prbs_for_bandwidth(self.bandwidth_hz)
-        self._reservations: Dict[str, FrozenSet[int]] = {}
 
     @property
     def all_prbs(self) -> FrozenSet[int]:
         """The full PRB index set of the cell."""
         return frozenset(range(self.n_prbs))
-
-    @property
-    def reserved_prbs(self) -> FrozenSet[int]:
-        """Union of all current reservations."""
-        out: set = set()
-        for prbs in self._reservations.values():
-            out |= prbs
-        return frozenset(out)
-
-    @property
-    def unreserved_prbs(self) -> FrozenSet[int]:
-        """PRBs not held by any reservation."""
-        return self.all_prbs - self.reserved_prbs
-
-    def reserve(self, owner: str, prbs: Iterable[int]) -> FrozenSet[int]:
-        """Reserve a PRB set for ``owner``; rejects overlap and bad indices."""
-        wanted = frozenset(prbs)
-        bad = [p for p in wanted if not 0 <= p < self.n_prbs]
-        if bad:
-            raise ValueError(f"PRB indices out of range 0..{self.n_prbs-1}: {sorted(bad)}")
-        if owner in self._reservations:
-            raise ValueError(f"owner {owner!r} already holds a reservation")
-        taken = wanted & self.reserved_prbs
-        if taken:
-            raise ValueError(f"PRBs already reserved: {sorted(taken)}")
-        self._reservations[owner] = wanted
-        return wanted
-
-    def release(self, owner: str) -> None:
-        """Drop ``owner``'s reservation (KeyError if absent)."""
-        del self._reservations[owner]
-
-    def reservation(self, owner: str) -> FrozenSet[int]:
-        """The PRB set held by ``owner`` (empty if none)."""
-        return self._reservations.get(owner, frozenset())
-
-    def partition_equal(self, owners: List[str]) -> Dict[str, FrozenSet[int]]:
-        """Replace all reservations with an equal contiguous split.
-
-        Used by fair-sharing mode: ``n`` owners each get ~n_prbs/n
-        contiguous PRBs (remainder spread from the front). Returns the
-        mapping actually installed.
-        """
-        if not owners:
-            raise ValueError("cannot partition among zero owners")
-        self._reservations.clear()
-        base, extra = divmod(self.n_prbs, len(owners))
-        start = 0
-        result: Dict[str, FrozenSet[int]] = {}
-        for i, owner in enumerate(owners):
-            size = base + (1 if i < extra else 0)
-            prbs = frozenset(range(start, start + size))
-            self._reservations[owner] = prbs
-            result[owner] = prbs
-            start += size
-        return result

@@ -65,12 +65,12 @@ class Event:
         self._finish(ok=False, value=None, exc=exc)
         return self
 
-    def cancel(self, reason: str = "") -> "Event":
+    def cancel(self) -> "Event":
         """Cancel the event; waiters see :class:`EventCancelled`."""
         if self._done:
             return self
         self._finish(ok=False, value=None,
-                     exc=EventCancelled(reason or self.name or "cancelled"))
+                     exc=EventCancelled(self.name or "cancelled"))
         return self
 
     def _finish(self, ok: bool, value: Any, exc: Optional[BaseException]) -> None:
@@ -141,34 +141,3 @@ class AnyOf(Event):
             self.succeed(child)
         else:
             self.fail(child.exception or EventCancelled("child cancelled"))
-
-
-class AllOf(Event):
-    """Triggers when every one of several events has succeeded.
-
-    The value is the list of child values, in construction order. The first
-    child failure fails the composite immediately.
-    """
-
-    __slots__ = ("events", "_remaining")
-
-    def __init__(self, sim: "Simulator", events: List[Event]) -> None:  # noqa: F821
-        super().__init__(sim, name="all_of")
-        self.events = list(events)
-        self._remaining = len(self.events)
-        if self._remaining == 0:
-            sim.call_soon(lambda _e: None, self)
-            self.succeed([])
-            return
-        for ev in self.events:
-            ev.add_callback(self._on_child)
-
-    def _on_child(self, child: Event) -> None:
-        if self._done:
-            return
-        if not child.ok:
-            self.fail(child.exception or EventCancelled("child cancelled"))
-            return
-        self._remaining -= 1
-        if self._remaining == 0:
-            self.succeed([ev.value for ev in self.events])

@@ -6,7 +6,7 @@ import heapq
 import itertools
 from typing import Any, Callable, Generator, List, Optional, Tuple
 
-from repro.simcore.events import AllOf, AnyOf, Event, Timeout
+from repro.simcore.events import AnyOf, Event, Timeout
 from repro.simcore.process import Process
 from repro.simcore.rng import RngRegistry
 from repro.telemetry.spans import Telemetry
@@ -60,8 +60,8 @@ class Simulator:
     #: is on — this module never imports that package.
     arming: Optional[Callable[["Simulator"], None]] = None
 
-    def __init__(self, seed: int = 0, start_time: float = 0.0) -> None:
-        self.now: float = start_time
+    def __init__(self, seed: int = 0) -> None:
+        self.now: float = 0.0
         self.rng = RngRegistry(seed)
         self._heap: List[Tuple[float, int, ScheduledCall, Callable, tuple]] = []
         #: the heap's tie-break counter: entries at equal times run in
@@ -267,10 +267,6 @@ class Simulator:
     def any_of(self, events: List[Event]) -> AnyOf:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
-
-    def all_of(self, events: List[Event]) -> AllOf:
-        """Event that fires when all of ``events`` have succeeded."""
-        return AllOf(self, events)
 
     def process(self, generator: Generator, name: str = "") -> Process:
         """Start a generator-based process (see :class:`simcore.Process`)."""

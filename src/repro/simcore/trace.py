@@ -4,12 +4,11 @@ A :class:`Tracer` is a bounded, filterable record of annotated events.
 Components call ``sim.trace("category", "message", key=value, ...)``;
 with no tracer installed the call is a near-free no-op, so production
 runs pay nothing. Tests and debugging sessions install a tracer, run,
-and query by category/time/field.
+and query by category.
 """
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, Iterable, List, Optional
@@ -69,18 +68,16 @@ class Tracer:
 
     # -- queries --------------------------------------------------------------------
 
-    def events(self, category: Optional[str] = None,
-               since_s: float = float("-inf"),
-               until_s: float = float("inf")) -> List[TraceEvent]:
-        """Events matching the filters, in time (then arrival) order."""
+    def events(self, category: Optional[str] = None) -> List[TraceEvent]:
+        """Events in ``category`` (all if None), in time (then arrival)
+        order."""
         if self._backdated:
             self._events = deque(
                 sorted(self._events, key=lambda e: e.time_s),
                 maxlen=self._events.maxlen)
             self._backdated = False
         return [e for e in self._events
-                if (category is None or e.category == category)
-                and since_s <= e.time_s <= until_s]
+                if category is None or e.category == category]
 
     def count(self, category: Optional[str] = None) -> int:
         """Number of retained events in a category (all if None)."""
@@ -97,49 +94,6 @@ class Tracer:
     def clear(self) -> None:
         """Drop all retained events (counters keep running)."""
         self._events.clear()
-
-    # -- persistence ----------------------------------------------------------------
-    #
-    # Traces used to die with the process; the JSONL round-trip lets a
-    # run's trace be saved, reloaded, and diffed against another run's.
-
-    def to_jsonl(self, path: str) -> int:
-        """Write retained events as JSONL; returns the line count.
-
-        Non-JSON field values (addresses, enums) are stringified, so a
-        reloaded trace compares by rendering, not object identity.
-        """
-        count = 0
-        with open(path, "w") as fh:
-            for event in self.events():
-                fh.write(json.dumps(
-                    {"type": "trace", "time_s": event.time_s,
-                     "category": event.category, "message": event.message,
-                     "fields": event.fields}, default=str) + "\n")
-                count += 1
-        return count
-
-    @classmethod
-    def from_jsonl(cls, path: str, max_events: int = 1_000_000,
-                   categories: Optional[Iterable[str]] = None) -> "Tracer":
-        """Rebuild a tracer from a :meth:`to_jsonl` file.
-
-        Lines with a ``type`` other than ``"trace"`` (e.g. span records
-        in a combined export) are skipped. The usual category filter
-        applies on reload, so one saved trace can be re-read narrowed.
-        """
-        tracer = cls(max_events=max_events, categories=categories)
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                if record.get("type", "trace") != "trace":
-                    continue
-                tracer.record(record["time_s"], record["category"],
-                              record["message"], **record.get("fields", {}))
-        return tracer
 
     def __len__(self) -> int:
         return len(self._events)

@@ -144,19 +144,6 @@ class BlockchainRegistry(SpectrumRegistry):
                      if other != ap_id and in_contention(g.record, me.record)]
         self.sim.call_soon(callback, neighbors)
 
-    def deregister(self, ap_id: str) -> None:
-        # a revocation transaction would also ride the chain; the replica
-        # view simply drops the grant once mined — modelled as immediate
-        # local removal plus the usual propagation delay for peers.
-        self._confirmed.pop(ap_id, None)
-
-    def verify_chain(self) -> bool:
-        """Check hash linkage of the whole chain (the integrity invariant)."""
-        for prev, block in zip(self.chain, self.chain[1:]):
-            if block.prev_hash != prev.block_hash:
-                return False
-        return not self.chain or self.chain[0].prev_hash == "genesis"
-
     @property
     def active_grants(self) -> int:
         """Confirmed grants visible on replicas."""

@@ -82,17 +82,9 @@ class FederatedRegistry(SpectrumRegistry):
         """Take one regional authority offline."""
         self._failed_regions.add(key)
 
-    def restore_region(self, key: RegionKey) -> None:
-        """Bring a regional authority back."""
-        self._failed_regions.discard(key)
-
     def is_available(self) -> bool:
         """True when at least one authority is serving (partial by design)."""
         return True  # the federation as a whole has no single off switch
-
-    def region_available(self, key: RegionKey) -> bool:
-        """Is a specific region's authority up?"""
-        return key not in self._failed_regions
 
     # -- operations --------------------------------------------------------------------
 
@@ -152,11 +144,6 @@ class FederatedRegistry(SpectrumRegistry):
         self.queries_served += 1
         self._m_queries.inc()
         callback(neighbors)
-
-    def deregister(self, ap_id: str) -> None:
-        region = self._region_of.pop(ap_id, None)
-        if region is not None:
-            self._grants.get(region, {}).pop(ap_id, None)
 
     @property
     def active_grants(self) -> int:

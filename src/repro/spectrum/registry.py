@@ -22,7 +22,7 @@ DiscoverCallback = Callable[[List[ApRecord]], None]
 
 
 class SpectrumRegistry(ABC):
-    """Base class: join (request a grant), discover peers, leave."""
+    """Base class: join (request a grant) and discover peers."""
 
     def __init__(self, sim: Simulator) -> None:
         self.sim = sim
@@ -56,10 +56,6 @@ class SpectrumRegistry(ABC):
         The callback receives an empty list when the AP is unknown or
         the registry is unreachable.
         """
-
-    @abstractmethod
-    def deregister(self, ap_id: str) -> None:
-        """Withdraw an AP's grant (idempotent)."""
 
     @abstractmethod
     def is_available(self) -> bool:

@@ -106,15 +106,11 @@ class SasRegistry(SpectrumRegistry):
             raise ValueError("sweep interval must be positive")
 
         def sweep():
-            while self._sweeping:
+            while True:
                 yield self.sim.timeout(period)
                 self.purge_expired()
 
         self.sim.process(sweep(), name="sas-expiry-sweep")
-
-    def stop_expiry_sweep(self) -> None:
-        """Stop the periodic sweep (the lazy checks keep working)."""
-        self._sweeping = False
 
     def _active_grant(self, ap_id: str) -> Optional[SpectrumGrant]:
         grant = self._grants.get(ap_id)
@@ -217,9 +213,6 @@ class SasRegistry(SpectrumRegistry):
                      if other_id != ap_id and g.active_at(now)
                      and in_contention(g.record, me.record)]
         callback(neighbors)
-
-    def deregister(self, ap_id: str) -> None:
-        self._grants.pop(ap_id, None)
 
     @property
     def active_grants(self) -> int:

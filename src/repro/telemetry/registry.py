@@ -10,9 +10,8 @@ bit-identical — the registry can stay enabled in benchmarks.
 Naming convention (see OBSERVABILITY.md): dotted lowercase paths,
 hierarchical by subsystem — ``net.link.dropped``, ``mac.csma.collisions``,
 ``epc.attach.completed`` — with instance identity carried in *labels*
-(``link="air:ue3"``, ``cell="ap0-cell"``), so ``site3.mac.harq.retx``
-style questions become ``registry.query("mac.harq.*")`` filtered by
-label.
+(``link="air:ue3"``, ``cell="ap0-cell"``), so a ``site3.mac.harq.retx``
+style question is one name read with a label filter.
 
 Histograms keep fixed buckets (cumulative, Prometheus-style ``le``
 bounds) always on and derive quantiles from them when read; only the
@@ -380,12 +379,6 @@ class Histogram(_Instrument):
             for value in vals:
                 tracker.observe(value)
 
-    def observe_many(self, values: Sequence[float]) -> None:
-        """Record a batch of samples, bit-identically to calling
-        :meth:`observe` per element in order. This is the TTI engine's
-        per-cell SINR observation path when the column changed."""
-        self.observe_binned(self.bin(values))
-
     def observe(self, value: float) -> None:
         """Record one sample."""
         self.count += 1
@@ -679,16 +672,6 @@ class MetricsRegistry:
         self._sync()
         return iter(sorted(self._instruments.values(),
                            key=lambda i: (i.name, sorted(i.labels.items()))))
-
-    def query(self, pattern: str) -> List[_Instrument]:
-        """Instruments whose name matches a dotted prefix pattern.
-
-        ``"mac.csma.*"`` (or ``"mac.csma"``) matches everything under
-        that path; an exact name matches just that instrument family.
-        """
-        prefix = pattern[:-2] if pattern.endswith(".*") else pattern
-        return [i for i in self
-                if i.name == prefix or i.name.startswith(prefix + ".")]
 
     def value(self, name: str, **labels: Any) -> float:
         """Counter/gauge value for an exact (name, labels); 0 if absent."""

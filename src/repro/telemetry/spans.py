@@ -80,11 +80,6 @@ class Span:
             self._tracker._finish(self, status)
         return self
 
-    def annotate(self, **attrs: Any) -> "Span":
-        """Attach extra attributes to an open span."""
-        self.attrs.update(attrs)
-        return self
-
     # -- context-manager shape (synchronous nesting) -----------------------
 
     def __enter__(self) -> "Span":
@@ -110,6 +105,10 @@ class Span:
         return f"<Span #{self.span_id} {self.name} {state}>"
 
 
+#: ring-buffer bound on the finished spans a tracker retains
+_MAX_FINISHED = 100_000
+
+
 class SpanTracker:
     """Creates spans on a clock, keeps the finished ones, feeds metrics.
 
@@ -117,14 +116,10 @@ class SpanTracker:
         clock: zero-arg callable returning the current simulated time.
         metrics: registry receiving ``span.<name>.duration_s`` histograms
             (None disables the metric mirror).
-        max_finished: ring-buffer bound on retained finished spans.
     """
 
     def __init__(self, clock: Callable[[], float],
-                 metrics: Optional[MetricsRegistry] = None,
-                 max_finished: int = 100_000) -> None:
-        if max_finished < 1:
-            raise ValueError("need room for at least one finished span")
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         self._clock = clock
         self._metrics = metrics
         #: ``span.<name>.duration_s`` histograms by (name, status),
@@ -134,7 +129,7 @@ class SpanTracker:
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
         self._open: Dict[int, Span] = {}
-        self.finished: Deque[Span] = deque(maxlen=max_finished)
+        self.finished: Deque[Span] = deque(maxlen=_MAX_FINISHED)
         self.started = 0
         self.ended = 0
 
@@ -195,19 +190,7 @@ class SpanTracker:
                     f"span.{span.name}.duration_s", status=status)
             hist.observe(span.duration_s)
 
-    def end_all_open(self, status: str = "aborted") -> int:
-        """Close every open span (crash teardown); returns the count."""
-        open_now = list(self._open.values())
-        for span in open_now:
-            span.end(status=status)
-        return len(open_now)
-
     # -- queries -----------------------------------------------------------
-
-    @property
-    def open_count(self) -> int:
-        """Spans begun but not yet ended."""
-        return len(self._open)
 
     def open_spans(self) -> List[Span]:
         """Spans begun but not yet ended, in begin order (post-mortems)."""
@@ -216,14 +199,6 @@ class SpanTracker:
     def spans(self, name: Optional[str] = None) -> List[Span]:
         """Finished spans (optionally one procedure), in end order."""
         return [s for s in self.finished if name is None or s.name == name]
-
-    def children_of(self, span: Span) -> List[Span]:
-        """Finished direct children of ``span`` (causal tree walk)."""
-        return [s for s in self.finished if s.parent_id == span.span_id]
-
-    def durations_s(self, name: str) -> List[float]:
-        """All finished durations of one procedure name."""
-        return [s.duration_s for s in self.finished if s.name == name]
 
 
 class Telemetry:

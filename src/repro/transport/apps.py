@@ -111,9 +111,3 @@ class BulkTransferApp:
             if t1 - t0 > min_gap_s:
                 gaps.append((t0, t1))
         return gaps
-
-    @property
-    def longest_stall_s(self) -> float:
-        """Duration of the worst delivery gap."""
-        gaps = self.stall_intervals(min_gap_s=0.0)
-        return max((t1 - t0 for t0, t1 in gaps), default=0.0)

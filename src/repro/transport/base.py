@@ -229,11 +229,6 @@ class TransportConnection:
             self._pump()
 
     @property
-    def unsent_bytes(self) -> int:
-        """Application bytes queued but not yet segmented."""
-        return self._send_queue_bytes
-
-    @property
     def inflight(self) -> int:
         """Segments sent and not yet cumulatively acked."""
         return self.snd_nxt - self.snd_una

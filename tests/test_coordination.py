@@ -174,25 +174,6 @@ def test_fair_sharing_reconverges_on_new_member():
     assert all(16 <= len(c.my_prbs) <= 17 for c in all_coords)
 
 
-def test_fair_sharing_weight_update_triggers_reconvergence():
-    sim = Simulator(1)
-    eps, coords = _fair_cluster(sim, 2)
-    for c in coords:
-        c.announce()
-    sim.run(until=1)
-    coords[0].set_demand_weight(4.0)
-    sim.run(until=2)
-    assert len(coords[0].my_prbs) == 40
-    assert len(coords[1].my_prbs) == 10
-
-
-def test_fair_sharing_rejects_bad_weight():
-    sim = Simulator(1)
-    eps, coords = _fair_cluster(sim, 2)
-    with pytest.raises(ValueError):
-        coords[0].set_demand_weight(0.0)
-
-
 # -- ICIC ------------------------------------------------------------------------------------
 
 def test_reuse1_everyone_shares_everything():
@@ -264,33 +245,6 @@ def test_cooperative_demand_weighted_fusion():
     assert not (busy.allowed_prbs & idle.allowed_prbs)  # still disjoint
 
 
-def test_cooperative_handoff_moves_context():
-    cluster = CooperativeCluster()
-    a, b = _make_cell("a", 0), _make_cell("b", 5000)
-    cluster.join(a)
-    cluster.join(b)
-    a.add_ue(_ue_ctx("mob", 2500))
-    cluster.handoff("mob", "b")
-    assert "mob" in b.attached_ues and "mob" not in a.attached_ues
-    cluster.handoff("mob", "b")  # idempotent
-    with pytest.raises(KeyError):
-        cluster.handoff("mob", "ghost-cell")
-    with pytest.raises(KeyError):
-        cluster.handoff("ghost-ue", "a")
-
-
-def test_cooperative_leave_restores_full_grid():
-    cluster = CooperativeCluster()
-    a, b = _make_cell("a", 0), _make_cell("b", 5000)
-    cluster.join(a)
-    cluster.join(b)
-    cluster.optimize()
-    assert len(a.allowed_prbs) < a.grid.n_prbs
-    cluster.leave("a")
-    assert a.allowed_prbs == a.grid.all_prbs
-    assert cluster.members == ["b"]
-
-
 def test_cooperative_installs_qos_scheduler():
     from repro.mac.schedulers import QosAwareScheduler
     cluster = CooperativeCluster()
@@ -339,8 +293,6 @@ def test_mesh_failover_to_surviving_gateway():
     mesh.fail_backhaul("c")
     assert mesh.route_to_internet("b") is None
     assert mesh.reachable_fraction() == 0.0
-    mesh.restore_backhaul("a")
-    assert mesh.reachable_fraction() == 1.0
 
 
 def test_mesh_total_capacity_tracks_failures():

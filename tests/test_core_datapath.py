@@ -88,13 +88,15 @@ def test_downlink_wrapped_and_delivered():
 
 def test_downlink_for_unknown_ue_dropped():
     path = CarrierPath()
-    path.epc_data.deregister_ue(IP("10.200.0.5"))
     got = []
     path.ue_host.on_packet = lambda p: got.append(p)
-    path.server.send(Packet(src=IP("203.0.113.10"), dst=IP("10.200.0.5"),
+    # 10.200.0.6 routes to the EPC, which holds no binding for it
+    path.server.send(Packet(src=IP("203.0.113.10"), dst=IP("10.200.0.6"),
                             size_bytes=100))
     path.sim.run()
     assert got == []
+    assert path.epc_data.received == 1
+    assert path.epc_data.downlink_packets == 0
 
 
 def test_uplink_before_bearer_dropped():
@@ -128,7 +130,6 @@ def test_handover_repoints_downlink():
     site2.default_route = "internet"
     enb2.open_bearer()
     # move the UE host
-    path.enb_data.deregister_ue(IP("10.200.0.5"))
     path.ue_host.links.clear()
     path.ue_host.connect_bidirectional(enb2)
     path.ue_host.default_gateway = "enb2-data"

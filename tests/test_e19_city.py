@@ -80,7 +80,8 @@ def test_radio_pass_matches_the_fluid_tier_embedded_in_an_arm():
     for shard in range(plan.n_shards):
         arm = e19_city._build_shard(_spec(plan, shard, arch="dLTE stubs"))
         embedded = {}
-        for i in plan.sites_of(shard):
+        sites = [i for i, home in enumerate(plan.assignment) if home == shard]
+        for i in sites:
             fluid = FluidCellLoad(
                 arm.sim, Cell(f"cell{i}", band, positions[i], budget),
                 p["background_per_cell"], p["demand_bps_per_ue"],
@@ -94,7 +95,7 @@ def test_radio_pass_matches_the_fluid_tier_embedded_in_an_arm():
         radio = e19_city._build_radio(_spec(plan, shard))
         radio.advance(p["horizon_s"], final=True)
         harvest = radio.harvest()
-        assert [entry[0] for entry in harvest] == plan.sites_of(shard)
+        assert [entry[0] for entry in harvest] == sites
         for i, offered, served, epochs in harvest:
             fluid = embedded[i]
             assert epochs > 0
@@ -156,9 +157,7 @@ def test_shard_plan_accessors():
     plan = ShardPlan.stripes(positions, 2)
     assert plan.n_shards == 2
     assert plan.counts == [3, 2]
-    assert plan.sites_of(0) == [0, 1, 2]
-    assert plan.shard_of(4) == 1
-    assert plan.imbalance >= 1.0
+    assert plan.assignment == (0, 0, 0, 1, 1)
 
 
 def test_shard_plan_rejects_bad_assignment():

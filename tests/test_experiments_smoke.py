@@ -102,7 +102,7 @@ def test_e17_smoke():
     _check(table, 4)
     # robustness contract: the federated arm never attaches a smaller
     # fraction of the crowd than the centralized arm at any intensity
-    success = table.column("attach_success")
+    success = [row["attach_success"] for row in table.rows]
     for cent, dlte in zip(success[0::2], success[1::2]):
         assert dlte >= cent
 
@@ -112,8 +112,8 @@ def test_e18_smoke():
     _check(table, 8)
     # robustness contract: at the overload point, AQM+ECN goodput is
     # never below the drop-tail control for the same architecture
-    goodput = table.column("goodput_mbps")
-    marks = table.column("ecn_marks")
+    goodput = [row["goodput_mbps"] for row in table.rows]
+    marks = [row["ecn_marks"] for row in table.rows]
     for droptail, aqm in zip(goodput[-4::2], goodput[-3::2]):
         assert aqm >= droptail
     # the AQM arm actually marked something at overload
@@ -127,7 +127,7 @@ def test_e19_smoke():
     _check(table, 2)
     # scaling contract: local cores never attach slower than the
     # centralized EPC, and their control traffic stays off the WAN
-    mean_ms = table.column("mean_attach_ms")
+    mean_ms = [row["mean_attach_ms"] for row in table.rows]
     assert mean_ms[1] <= mean_ms[0]
-    assert table.column("wan_ctl_mb")[1] == 0
-    assert table.column("failures") == [0, 0]
+    assert [row["wan_ctl_mb"] for row in table.rows][1] == 0
+    assert [row["failures"] for row in table.rows] == [0, 0]

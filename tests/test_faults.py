@@ -110,8 +110,9 @@ def test_injector_link_down_and_heal():
     link = Link(sim, rate_bps=1e6, delay_s=0, name="uplink")
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
-    fault = injector.link_down(link, at_s=1.0, duration_s=2.0)
-    assert fault == "link-down:uplink"
+    fault = injector.link_flap(link, at_s=1.0, down_s=2.0, up_s=1.0,
+                               cycles=1)
+    assert fault == "link-flap:uplink"
     sim.run(until=0.5)
     assert link.up
     sim.run(until=1.5)
@@ -121,7 +122,7 @@ def test_injector_link_down_and_heal():
     assert [r.action for r in injector.log] == ["down", "up"]
     assert injector.faults_injected == 2
     assert all(isinstance(r, FaultRecord) for r in injector.log)
-    assert "link-down:uplink" in injector.dump()
+    assert "link-flap:uplink" in injector.dump()
 
 
 def test_injector_flap_cycles():
@@ -145,8 +146,8 @@ def test_injector_names_are_unique():
     link = Link(sim, rate_bps=1e6, delay_s=0, name="x")
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
-    first = injector.link_down(link, at_s=1.0)
-    second = injector.link_down(link, at_s=2.0)
+    first = injector.link_flap(link, at_s=1.0, down_s=1, up_s=1, cycles=1)
+    second = injector.link_flap(link, at_s=2.0, down_s=1, up_s=1, cycles=1)
     assert first != second and second.endswith("#2")
 
 
@@ -156,8 +157,6 @@ def test_injector_validates():
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
     with pytest.raises(ValueError):
-        injector.link_down(link, at_s=1.0, duration_s=0)
-    with pytest.raises(ValueError):
         injector.link_flap(link, at_s=1.0, down_s=0, up_s=1, cycles=1)
     with pytest.raises(ValueError):
         injector.link_flap(link, at_s=1.0, down_s=1, up_s=1, cycles=0)
@@ -165,6 +164,29 @@ def test_injector_validates():
         injector.outage(lambda: None, lambda: None, at_s=1.0, duration_s=-1)
     with pytest.raises(ValueError):  # fail at schedule time, not mid-run
         injector.link_loss(link, at_s=1.0, loss_rate=1.5)
+    with pytest.raises(ValueError):
+        injector.link_loss(link, at_s=1.0, loss_rate=0.5, duration_s=0)
+
+
+def test_a_rejected_call_schedules_nothing():
+    # a call that raises must leave no fault behind: nothing fires and
+    # the default name is still free
+    sim = Simulator(0)
+    stub, _ = _stub(sim)
+    link = Link(sim, rate_bps=1e6, delay_s=0, name="lossy")
+    link.connect(lambda p: None)
+    injector = FaultInjector(sim)
+    with pytest.raises(ValueError):
+        injector.crash(stub, at_s=1.0, restart_after_s=0.0)
+    with pytest.raises(ValueError):
+        injector.link_loss(link, at_s=1.0, loss_rate=0.5, duration_s=-1.0)
+    sim.run(until=5.0)
+    assert stub.crashes == 0 and stub.alive
+    assert link.loss_rate == 0.0
+    assert injector.faults_injected == 0 and injector.log == []
+    assert injector.crash(stub, at_s=6.0) == "crash:stub"
+    assert injector.link_loss(link, at_s=6.0, loss_rate=0.5) == \
+        "link-loss:lossy"
 
 
 def test_injector_registry_outage():
@@ -432,14 +454,16 @@ def test_expired_grants_invisible_to_discovery():
 
 
 def test_overlapping_cuts_on_same_link_heal_after_last_window():
-    # two link-down windows overlap on the SAME link: the inner window's
-    # heal must not resurrect a link the outer window still holds down
+    # two cut windows overlap on the SAME link: the inner window's heal
+    # must not resurrect a link the outer window still holds down
     sim = Simulator(0)
     link = Link(sim, rate_bps=1e6, delay_s=0, name="shared")
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
-    injector.link_down(link, at_s=1.0, duration_s=4.0)  # cut 1.0 .. 5.0
-    injector.link_down(link, at_s=2.0, duration_s=1.0)  # cut 2.0 .. 3.0
+    injector.link_flap(link, at_s=1.0, down_s=4.0, up_s=1.0,
+                       cycles=1)  # cut 1.0 .. 5.0
+    injector.link_flap(link, at_s=2.0, down_s=1.0, up_s=1.0,
+                       cycles=1)  # cut 2.0 .. 3.0
     sim.run(until=2.5)
     assert not link.up
     sim.run(until=3.5)
@@ -453,7 +477,8 @@ def test_flap_overlapping_a_cut_cannot_resurrect_the_link():
     link = Link(sim, rate_bps=1e6, delay_s=0, name="contested")
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
-    injector.link_down(link, at_s=0.5, duration_s=6.0)  # cut 0.5 .. 6.5
+    injector.link_flap(link, at_s=0.5, down_s=6.0, up_s=1.0,
+                       cycles=1)  # cut 0.5 .. 6.5
     injector.link_flap(link, at_s=1.0, down_s=0.5, up_s=0.5, cycles=2)
     # every flap "up" phase lands inside the long cut: stay down
     for probe in (1.25, 1.75, 2.25, 2.75, 4.0):

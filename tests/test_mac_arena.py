@@ -371,7 +371,7 @@ def test_observe_many_matches_sequential_observe():
         for v in vals:
             ha.observe(v)
         for lo in range(0, 500, 37):  # uneven chunks: boundary-independent
-            hb.observe_many(np.array(vals[lo:lo + 37]))
+            hb.observe_binned(hb.bin(np.array(vals[lo:lo + 37])))
         assert ha.count == hb.count
         assert ha.sum == hb.sum
         assert ha.min == hb.min and ha.max == hb.max

@@ -414,7 +414,7 @@ def test_e17_composes_with_chaos_and_invariants():
             scenario="cascading-stub-crashes")
     assert len(audited) == 2 and all(c.checks_run for c in audited)
     assert len(table) == 2
-    assert all(0.0 <= s <= 1.0 for s in table.column("attach_success"))
+    assert all(0.0 <= s <= 1.0 for s in [row["attach_success"] for row in table.rows])
 
 
 def test_watch_agent_catches_cooked_books():

@@ -124,7 +124,7 @@ def test_e4_link_death_floors():
 
 def test_e4_harq_retx_ablation():
     table = e4_weak_signal.harq_retx_ablation()
-    values = table.column("goodput_bps_hz")
+    values = [row["goodput_bps_hz"] for row in table.rows]
     # more retransmission budget helps at weak SINR, saturating
     assert values[0] < values[2] <= values[-1] * 1.05
 
@@ -163,7 +163,7 @@ def test_e5_gbr_protection():
         assert row["guarantee_held"] == "yes"
         assert row["coop_video_mbps"] >= 3.0 * 0.95
     # the plain-PF cell dilutes the video as bulk users pile in
-    pf = table.column("pf_video_mbps")
+    pf = [row["pf_video_mbps"] for row in table.rows]
     assert pf == sorted(pf, reverse=True)
     assert pf[-1] < 1.5  # guarantee long gone without QoS scheduling
 
@@ -273,27 +273,27 @@ def test_e8_hidden_terminal_field():
     assert all(row["registry_collision_rate"] == 0.0 for row in table.rows)
     assert all(row["registry_utilization"] > 0.9 for row in table.rows)
     # CSMA degrades with density; at high density it collapses
-    collisions = table.column("csma_collision_rate")
+    collisions = [row["csma_collision_rate"] for row in table.rows]
     assert collisions == sorted(collisions)
     assert collisions[-1] > 0.5
-    utilizations = table.column("csma_utilization")
+    utilizations = [row["csma_utilization"] for row in table.rows]
     assert utilizations[-1] < 0.3
     # hidden pairs grow with density
-    hidden = table.column("hidden_pairs")
+    hidden = [row["hidden_pairs"] for row in table.rows]
     assert hidden[-1] > hidden[0]
 
 
 def test_e8_sensing_ablation():
     """§6: cognitive-radio sensing sweep — sensitivity is not a database."""
     table = e8_hidden_terminal.sensing_ablation()
-    hiddens = table.column("hidden_pairs")
-    collisions = table.column("collision_rate")
+    hiddens = [row["hidden_pairs"] for row in table.rows]
+    collisions = [row["collision_rate"] for row in table.rows]
     # longer sensing range removes hidden pairs and collisions...
     assert hiddens == sorted(hiddens, reverse=True)
     assert collisions == sorted(collisions, reverse=True)
     # ...but even the most sensitive config stays below the registry's
     # scheduled utilization (exposed terminals serialize the area)
-    assert max(table.column("utilization")) < 0.9
+    assert max([row["utilization"] for row in table.rows]) < 0.9
 
 
 def test_e8_classic_triple():
@@ -309,8 +309,8 @@ def test_e8_classic_triple():
 def test_e9_x2_bandwidth():
     table = e9_x2_bandwidth.run()
     # bandwidth grows linearly with the number of *peers* (n - 1)...
-    aggressive = table.column("aggressive (100 ms)")
-    peer_counts = table.column("n_peers")
+    aggressive = [row["aggressive (100 ms)"] for row in table.rows]
+    peer_counts = [row["n_peers"] for row in table.rows]
     per_peer = [bps / (n - 1) for bps, n in zip(aggressive, peer_counts)]
     assert max(per_peer) - min(per_peer) < 0.05 * max(per_peer)
     # ...and linearly with the reporting rate (the minimization knob)
@@ -480,7 +480,7 @@ def test_e14_rate_vs_distance():
 
 def test_e14_latency_ladder():
     table = e14_nr_upgrade.latency_ladder()
-    latencies = table.column("air_latency_ms")
+    latencies = [row["air_latency_ms"] for row in table.rows]
     # LTE == mu0, then halving per numerology step
     assert latencies[0] == latencies[1] == 4.0
     for a, b in zip(latencies[1:], latencies[2:]):

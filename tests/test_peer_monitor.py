@@ -116,7 +116,8 @@ def test_recovered_peer_readmitted_and_split_reconverges():
     saved = list(endpoints[2].handlers)
     endpoints[2].handlers.clear()
     sim.run(until=15.0)
-    assert monitors[0].is_dead("ap2") and monitors[1].is_dead("ap2")
+    for monitor in monitors[:2]:
+        assert monitor.peers_lost == 1 and "ap2" not in monitor.x2.peer_ids
     assert len(coords[0].my_prbs) == 25  # survivors split 2 ways
 
     # power restored: re-peer, re-announce, resume heartbeating
@@ -132,7 +133,7 @@ def test_recovered_peer_readmitted_and_split_reconverges():
 
     assert monitors[0].peers_rejoined == 1
     assert monitors[1].peers_rejoined == 1
-    assert not monitors[0].is_dead("ap2")
+    assert "ap2" in monitors[0].x2.peer_ids
     assert rejoined and rejoined[0][1] == "ap2"
     # the restarted monitor must not falsely declare the (stale-stamped)
     # survivors dead on its first liveness check
@@ -154,12 +155,3 @@ def test_monitor_restart_retires_stale_process():
     before = monitors[0].heartbeats_sent
     sim.run(until=12.5)
     assert monitors[0].heartbeats_sent - before <= 11
-
-
-def test_last_heard_tracking():
-    sim = Simulator(4)
-    endpoints, coords, monitors = _federation(sim, 2, heartbeat_s=1.0)
-    sim.run(until=5.0)
-    heard = monitors[0].last_heard_s("ap1")
-    assert heard is not None and heard > 3.0
-    assert monitors[0].last_heard_s("stranger") is None

@@ -8,7 +8,6 @@ from repro.phy import (
     LinkBudget,
     OkumuraHata,
     Radio,
-    ResourceGrid,
     ShadowingField,
     prbs_for_bandwidth,
     sinr_db,
@@ -119,56 +118,3 @@ def test_bits_per_prb():
 
 def test_tti_is_one_ms():
     assert TTI_S == 1e-3
-
-
-def test_grid_reserve_and_release():
-    grid = ResourceGrid(5e6)
-    got = grid.reserve("me", range(0, 10))
-    assert got == frozenset(range(10))
-    assert grid.reserved_prbs == frozenset(range(10))
-    assert grid.unreserved_prbs == frozenset(range(10, 25))
-    grid.release("me")
-    assert grid.reserved_prbs == frozenset()
-
-
-def test_grid_rejects_overlap():
-    grid = ResourceGrid(5e6)
-    grid.reserve("a", range(0, 10))
-    with pytest.raises(ValueError, match="already reserved"):
-        grid.reserve("b", range(5, 15))
-
-
-def test_grid_rejects_double_owner():
-    grid = ResourceGrid(5e6)
-    grid.reserve("a", range(0, 5))
-    with pytest.raises(ValueError, match="already holds"):
-        grid.reserve("a", range(10, 15))
-
-
-def test_grid_rejects_out_of_range():
-    grid = ResourceGrid(5e6)
-    with pytest.raises(ValueError, match="out of range"):
-        grid.reserve("a", [25])
-
-
-def test_partition_equal_covers_grid_disjointly():
-    grid = ResourceGrid(10e6)  # 50 PRBs
-    parts = grid.partition_equal(["a", "b", "c"])
-    sizes = sorted(len(p) for p in parts.values())
-    assert sizes == [16, 17, 17]
-    union = frozenset().union(*parts.values())
-    assert union == grid.all_prbs
-    assert sum(len(p) for p in parts.values()) == 50  # disjoint
-
-
-def test_partition_replaces_prior_reservations():
-    grid = ResourceGrid(5e6)
-    grid.reserve("old", range(25))
-    parts = grid.partition_equal(["x", "y"])
-    assert grid.reservation("old") == frozenset()
-    assert len(parts["x"]) + len(parts["y"]) == 25
-
-
-def test_partition_zero_owners_rejected():
-    with pytest.raises(ValueError):
-        ResourceGrid(5e6).partition_equal([])

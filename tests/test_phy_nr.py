@@ -25,13 +25,6 @@ def test_numerology_scs_ladder():
 def test_numerology_slot_duration():
     assert Numerology(0).slot_duration_s == 1e-3
     assert Numerology(2).slot_duration_s == 0.25e-3
-    assert Numerology(2).slots_per_subframe == 4
-
-
-def test_numerology_prb_bandwidth():
-    # mu=0: 12 x 15 kHz = 180 kHz, the LTE PRB
-    assert Numerology(0).prb_bandwidth_hz == pytest.approx(180e3)
-    assert Numerology(1).prb_bandwidth_hz == pytest.approx(360e3)
 
 
 def test_numerology_validation():
@@ -44,8 +37,8 @@ def test_numerology_validation():
 # -- bands / tables --------------------------------------------------------------
 
 def test_nr_bands_cover_both_layers():
-    assert NR_BANDS["nr-n28"].is_sub_ghz
-    assert not NR_BANDS["nr-n78"].is_sub_ghz
+    assert NR_BANDS["nr-n28"].dl_mhz < 1000.0
+    assert NR_BANDS["nr-n78"].dl_mhz > 1000.0
     assert NR_BANDS["nr-n78"].bandwidth_hz == 100e6
     assert NR_NUMEROLOGY["nr-n78"].mu == 1
 

@@ -8,15 +8,29 @@ body, by an identifier — a ``Name``, an ``Attribute`` or an import alias
 reference, so a lazy-export table entry or an ``__all__`` entry keeps
 nothing alive.
 
-Liveness runs to a fixed point: a reference made from inside the body of
-a dead top-level name does not count, so a helper that only a dead name
-called is dead too. Names are matched by identifier, not resolved to
-their module — a reference to ``run`` keeps every ``run`` alive — which
-errs on the side of keeping.
+Class members are gated the same way. Every non-dunder ``def`` in the
+body of a top-level class (a method, a property, a class, static or
+abstract method) is named ``repro.<module>.<Class>.<member>`` and must be
+referenced by its identifier; a literal name, or the literal prefix of
+an f-string, passed to ``getattr`` or ``hasattr`` counts as a reference,
+so ``getattr(self, f"_on_{kind}")`` keeps every ``_on_*`` member. The
+rest of a class body (bases, decorators, attributes, dunder methods)
+belongs to the class, and a member of a dead class is dead. Private
+members take part in the fixed point but, like private top-level names,
+are not reported.
 
-``ALLOWED`` is the only way to keep a name that nothing runs. Each entry
-carries its reason, and an entry that no longer names a defined,
-otherwise-unreferenced name fails the gate: the list can only shrink.
+Liveness runs to a fixed point: a reference made from inside the body of
+a dead name does not count, so a helper that only a dead name called is
+dead too. Names are matched by identifier, not resolved to their module
+or class — a reference to ``run`` keeps every ``run`` alive, so an
+abstract method and its overrides live or die together — which errs on
+the side of keeping.
+
+``ALLOWED`` is the only way to keep a name that nothing runs; the members
+of an allowed class are kept with it. Each entry carries its reason, and
+an entry that no longer names a defined name, or names one that
+something runs without the allowlist's help, fails the gate: the list
+can only shrink.
 """
 
 from __future__ import annotations
@@ -31,12 +45,16 @@ _CLAIMS = ("called only by tests/test_paper_claims.py; ROADMAP item 2a "
            "makes the CLI print it")
 _HANDOVER = ("called only by the mobility tests; ROADMAP item 6 wires it "
              "into E6 or deletes it")
+_LINK_LOSS = ("random link loss: README's fault example schedules it and "
+              "the hop, ledger and gauge twins drive it; ROADMAP item 11, "
+              "whose constraints include the per-link loss-RNG draw order, "
+              "decides whether the model keeps it")
 _STATIONARY = ("the stationary case of the fluid-tier oracle in "
                "tests/test_fluid_traffic.py, also run by the arena twins and "
                "tests/reference/scalar_tti.py")
 
-#: ``repro.<module>.<name>`` -> why it stays although nothing in the
-#: consumer trees runs it.
+#: ``repro.<module>.<name>`` or ``repro.<module>.<Class>.<member>`` -> why
+#: it stays although nothing in the consumer trees runs it.
 ALLOWED: Dict[str, str] = {
     "repro.experiments.e3_range.range_summary": _CLAIMS,
     "repro.experiments.e4_weak_signal.harq_retx_ablation": _CLAIMS,
@@ -63,10 +81,17 @@ ALLOWED: Dict[str, str] = {
     "repro.mobility.models.RandomWaypointMover": _HANDOVER,
     "repro.mac.schedulers.RoundRobinScheduler": _STATIONARY,
     "repro.mac.schedulers.MaxCiScheduler": _STATIONARY,
+    "repro.core.access_point.DLTEAccessPoint.request_handover": _HANDOVER,
+    "repro.mac.schedulers.LteScheduler.average_rate_bps":
+        "the arena/oracle twins in tests/test_mac_arena.py compare the "
+        "EWMA state through it",
+    "repro.net.links.Link.set_loss_rate": _LINK_LOSS,
+    "repro.faults.injector.FaultInjector.link_loss": _LINK_LOSS,
 }
 
-#: (identifier, owner) — ``owner`` is the qualified top-level name whose
-#: body holds the reference, or None for module-level and consumer code.
+#: (identifier, owner) — ``owner`` is the qualified top-level name or
+#: member whose body holds the reference, or None for module-level and
+#: consumer code.
 _Ref = Tuple[str, Optional[str]]
 
 
@@ -79,50 +104,95 @@ def _alias_names(alias: ast.alias) -> Set[str]:
     return set(alias.name.split(".")) | ({alias.asname} - {None})
 
 
-def _identifiers(node: ast.AST) -> Set[str]:
+def _dynamic_name(call: ast.Call) -> Optional[str]:
+    """The member a ``getattr``/``hasattr`` call names, if it is literal.
+
+    A literal name is returned as is; an f-string that starts with
+    literal text is returned as that prefix followed by ``*``.
+    """
+    if not (isinstance(call.func, ast.Name)
+            and call.func.id in ("getattr", "hasattr")
+            and len(call.args) >= 2):
+        return None
+    name = call.args[1]
+    if isinstance(name, ast.JoinedStr) and name.values:
+        name = name.values[0]
+        suffix = "*"
+    else:
+        suffix = ""
+    if isinstance(name, ast.Constant) and isinstance(name.value, str):
+        return name.value + suffix
+    return None
+
+
+def _identifiers(*nodes: ast.AST) -> Set[str]:
     found: Set[str] = set()
-    for child in ast.walk(node):
+    for child in (child for node in nodes for child in ast.walk(node)):
         if isinstance(child, ast.Name):
             found.add(child.id)
         elif isinstance(child, ast.Attribute):
             found.add(child.attr)
         elif isinstance(child, ast.alias):
             found |= _alias_names(child)
+        elif isinstance(child, ast.Call):
+            found |= {_dynamic_name(child)} - {None}
     return found
 
 
-_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+_FUNCS = (ast.FunctionDef, ast.AsyncFunctionDef)
+_DEFS = _FUNCS + (ast.ClassDef,)
+
+
+def _is_member(node: ast.stmt) -> bool:
+    return isinstance(node, _FUNCS) and not (
+        node.name.startswith("__") and node.name.endswith("__"))
 
 
 def _scan(path: Path, qualifier: Optional[str]
-          ) -> Tuple[Dict[str, str], List[_Ref]]:
-    """``({qualified: identifier}, refs)`` for one file.
+          ) -> Tuple[Dict[str, str], Dict[str, str], List[_Ref]]:
+    """``({qualified: identifier}, {member: class}, refs)`` for one file.
 
     ``qualifier`` is the module's dotted name when the file is in the
-    gated package, None for a consumer whose names are not gated. In a
-    gated module other than a package ``__init__``, a top-level import
-    is not a reference by itself: whoever uses the binding references
-    the imported names, so a cascade runs across modules.
+    gated package, None for a consumer whose names are not gated. A
+    non-dunder ``def`` in the body of a top-level class is a member
+    named ``<class>.<member>`` that owns the references in its own body;
+    the rest of the class (bases, decorators, attributes, dunder
+    methods) belongs to the class. In a gated module other than a
+    package ``__init__``, a top-level import is not a reference by
+    itself: whoever uses the binding references the imported names, so
+    a cascade runs across modules.
     """
     tree = ast.parse(path.read_text(), filename=str(path))
     follow_imports = qualifier is not None and path.stem != "__init__"
     defined: Dict[str, str] = {}
+    classes: Dict[str, str] = {}
     refs: List[_Ref] = []
     bindings: Dict[str, Set[str]] = {}
     for stmt in tree.body:
-        owner = None
         if follow_imports and isinstance(stmt, (ast.Import, ast.ImportFrom)):
             for alias in stmt.names:
                 binding = alias.asname or alias.name.split(".")[0]
                 bindings.setdefault(binding, set()).update(
                     _alias_names(alias))
             continue
-        if qualifier is not None and isinstance(stmt, _DEFS):
-            owner = f"{qualifier}.{stmt.name}"
-            defined[owner] = stmt.name
-        refs.extend((ident, owner) for ident in _identifiers(stmt))
-    return defined, [(name, owner) for ident, owner in refs
-                     for name in bindings.get(ident, set()) | {ident}]
+        if qualifier is None or not isinstance(stmt, _DEFS):
+            refs.extend((ident, None) for ident in _identifiers(stmt))
+            continue
+        owner = f"{qualifier}.{stmt.name}"
+        defined[owner] = stmt.name
+        if not isinstance(stmt, ast.ClassDef):
+            refs.extend((ident, owner) for ident in _identifiers(stmt))
+            continue
+        for node in filter(_is_member, stmt.body):
+            member = f"{owner}.{node.name}"
+            defined[member] = node.name
+            classes[member] = owner
+            refs.extend((ident, member) for ident in _identifiers(node))
+        rest = [node for node in stmt.body if not _is_member(node)]
+        refs.extend((ident, owner) for ident in _identifiers(
+            *stmt.decorator_list, *stmt.bases, *stmt.keywords, *rest))
+    return defined, classes, [(name, owner) for ident, owner in refs
+                              for name in bindings.get(ident, set()) | {ident}]
 
 
 def surface_violations(package: Path, consumers: Iterable[Path],
@@ -130,47 +200,68 @@ def surface_violations(package: Path, consumers: Iterable[Path],
                        ) -> Tuple[List[str], List[str]]:
     """``(unreferenced, stale)`` for the package rooted at ``package``.
 
-    ``unreferenced`` lists public top-level names that nothing alive
-    references and ``allowed`` does not hold; ``stale`` lists ``allowed``
-    entries that are not defined or are referenced after all.
+    ``unreferenced`` lists public top-level names and class members that
+    nothing alive references and ``allowed`` does not hold; ``stale``
+    lists ``allowed`` entries that are not defined or that something
+    runs without the allowlist's help.
     """
     base = package.parent
     defined: Dict[str, str] = {}
+    classes: Dict[str, str] = {}
     refs: List[_Ref] = []
     for path in _python_files([package]):
         parts = path.relative_to(base).with_suffix("").parts
         if parts[-1] == "__init__":
             parts = parts[:-1]
-        names, found = _scan(path, ".".join(parts))
+        names, members, found = _scan(path, ".".join(parts))
         defined.update(names)
+        classes.update(members)
         refs.extend(found)
     for path in _python_files(consumers):
-        refs.extend(_scan(path, None)[1])
+        refs.extend(_scan(path, None)[2])
 
-    def is_public(qualified: str) -> bool:
-        return not defined[qualified].startswith("_")
-
-    # every top-level name, private ones included, starts alive and dies
-    # when no live owner other than itself references it; allowed names
-    # are roots
-    alive = set(defined)
+    # a ``getattr`` prefix ``_on_*`` references every identifier that
+    # starts with ``_on_``
     owners: Dict[str, List[Optional[str]]] = {}
     for ident, owner in refs:
         owners.setdefault(ident, []).append(owner)
+    prefixes = [(ident[:-1], found) for ident, found in owners.items()
+                if ident.endswith("*")]
 
-    def referenced(qualified: str) -> bool:
-        return any(owner != qualified and (owner is None or owner in alive)
-                   for owner in owners.get(defined[qualified], ()))
+    def referrers_of(qualified: str, ident: str) -> List[Optional[str]]:
+        found = list(owners.get(ident, ()))
+        for prefix, prefixed in prefixes:
+            if ident.startswith(prefix):
+                found.extend(prefixed)
+        return [owner for owner in found if owner != qualified]
 
-    changed = True
-    while changed:
-        dead = {q for q in alive if q not in allowed and not referenced(q)}
-        alive -= dead
-        changed = bool(dead)
-    unreferenced = sorted(q for q in defined
-                          if q not in alive and is_public(q))
+    referrers = {q: referrers_of(q, ident) for q, ident in defined.items()}
+
+    def referenced(qualified: str, alive: Set[str]) -> bool:
+        return any(owner is None or owner in alive
+                   for owner in referrers[qualified])
+
+    def settle(roots: Set[str]) -> Set[str]:
+        # every name, private ones included, starts alive and dies when
+        # no live owner other than itself references it, or, for a
+        # member, when its class dies
+        alive = set(defined)
+        while True:
+            dead = {q for q in alive if q not in roots and (
+                classes.get(q, q) not in alive or not referenced(q, alive))}
+            if not dead:
+                return alive
+            alive -= dead
+
+    # allowed names, and the members of an allowed class, are roots; an
+    # entry is stale when something runs it without the allowlist's help
+    alive = settle({q for q in defined
+                    if q in allowed or classes.get(q) in allowed})
+    unreferenced = sorted(q for q in defined if q not in alive
+                          and not defined[q].startswith("_"))
+    free = settle(set())
     stale = sorted(q for q in allowed
-                   if q not in defined or referenced(q))
+                   if q not in defined or referenced(q, free))
     return unreferenced, stale
 
 
@@ -261,3 +352,146 @@ def test_a_stale_allowlist_entry_fails(tmp_path):
         "pkg.lib.used": "kept",            # referenced after all
         "pkg.lib.deleted": "kept"})        # no longer defined
     assert stale == ["pkg.lib.deleted", "pkg.lib.used"]
+
+
+# -- class members on a synthetic tree ---------------------------------------
+
+_CLASSES = """
+from abc import ABC, abstractmethod
+
+
+class Store:
+    def __init__(self):
+        self.items = []
+
+    def add(self, item):
+        self.items.append(item)
+
+    def drop(self, item):
+        self._forget(item)
+
+    def _forget(self, item):
+        self.compact()
+
+    def compact(self):
+        self.items = list(self.items)
+
+    @property
+    def size(self):
+        return len(self.items)
+
+    @property
+    def empty(self):
+        return not self.items
+
+
+class Shape(ABC):
+    @abstractmethod
+    def area(self):
+        ...
+
+    @abstractmethod
+    def perimeter(self):
+        ...
+
+
+class Square(Shape):
+    def area(self):
+        return 1.0
+
+    def perimeter(self):
+        return 4.0
+"""
+
+_USES_CLASSES = """from pkg.shapes import Square, Store
+
+store = Store()
+store.add(Square().area())
+print(store.size)
+"""
+
+
+def _shapes(tmp_path, allowed=None, app=_USES_CLASSES):
+    return _violations(tmp_path, {"src/pkg/shapes.py": _CLASSES,
+                                  "src/pkg/app.py": app}, allowed)
+
+
+def test_gate_flags_a_dead_method(tmp_path):
+    unreferenced, _ = _shapes(tmp_path)
+    assert "pkg.shapes.Store.drop" in unreferenced
+    assert "pkg.shapes.Store.add" not in unreferenced
+
+
+def test_gate_flags_a_method_only_a_dead_method_calls(tmp_path):
+    # ``compact`` is called by ``_forget``, which only dead ``drop``
+    # calls: all three die, and the public two are reported
+    unreferenced, _ = _shapes(tmp_path)
+    assert "pkg.shapes.Store.compact" in unreferenced
+    assert not any(name.endswith("._forget") for name in unreferenced)
+
+
+def test_gate_flags_a_dead_property(tmp_path):
+    unreferenced, _ = _shapes(tmp_path)
+    assert "pkg.shapes.Store.empty" in unreferenced
+    assert "pkg.shapes.Store.size" not in unreferenced
+
+
+def test_abstract_method_and_overrides_die_together(tmp_path):
+    # nothing calls ``perimeter``: the abstract declaration and the
+    # override go together, while ``area`` keeps both of its
+    unreferenced, _ = _shapes(tmp_path)
+    assert unreferenced == ["pkg.shapes.Shape.perimeter",
+                            "pkg.shapes.Square.perimeter",
+                            "pkg.shapes.Store.compact",
+                            "pkg.shapes.Store.drop",
+                            "pkg.shapes.Store.empty",
+                            "pkg.util.helper"]
+
+
+def test_a_dynamic_getattr_name_is_a_reference(tmp_path):
+    conn = """
+class Conn:
+    def feed(self, kind):
+        getattr(self, f"_on_{kind}")()
+        if hasattr(self, "flush"):
+            self.flush()
+
+    def _on_ack(self):
+        self.acked()
+
+    def acked(self):
+        return 1
+
+    def flush(self):
+        return 0
+
+    def orphan(self):
+        return self.acked()
+"""
+    unreferenced, _ = _violations(tmp_path, {
+        "src/pkg/conn.py": conn,
+        "examples/demo.py": "from pkg.conn import Conn\n\n"
+                            "Conn().feed('ack')\n"})
+    # ``_on_ack`` lives through the f-string prefix, so ``acked`` does
+    # too; ``flush`` through the literal name
+    assert unreferenced == ["pkg.conn.Conn.orphan", "pkg.util.helper"]
+
+
+def test_members_of_an_allowed_class_are_roots(tmp_path):
+    unreferenced, stale = _shapes(
+        tmp_path, {"pkg.shapes.Store": "kept whole"}, app="")
+    # Store and every member stay, and what they call stays with them;
+    # the unreferenced shapes die
+    assert unreferenced == ["pkg.shapes.Shape", "pkg.shapes.Shape.area",
+                            "pkg.shapes.Shape.perimeter", "pkg.shapes.Square",
+                            "pkg.shapes.Square.area",
+                            "pkg.shapes.Square.perimeter", "pkg.util.helper"]
+    assert stale == []
+
+
+def test_a_stale_member_entry_fails(tmp_path):
+    _, stale = _shapes(tmp_path, {
+        "pkg.shapes.Store.drop": "kept",        # still unreferenced: fine
+        "pkg.shapes.Store.add": "kept",         # referenced after all
+        "pkg.shapes.Store.clear": "kept"})      # no longer defined
+    assert stale == ["pkg.shapes.Store.add", "pkg.shapes.Store.clear"]

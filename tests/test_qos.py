@@ -68,11 +68,18 @@ def test_register_bearer_rejects_unknown_class(sim):
 
 def test_unregistered_flows_are_policed_as_bulk(sim):
     policer = _policer(sim)
-    assert policer.classify(_packet("mystery")) == CLASS_BULK
+
+    def offered_as(flow_id):
+        before = list(policer.offered_by_class)
+        policer.admit(_packet(flow_id))
+        return [cls for cls in range(3)
+                if policer.offered_by_class[cls] > before[cls]]
+
+    assert offered_as("mystery") == [CLASS_BULK]
     policer.register_bearer("voice", CLASS_GBR)
-    assert policer.classify(_packet("voice")) == CLASS_GBR
+    assert offered_as("voice") == [CLASS_GBR]
     policer.deregister_bearer("voice")
-    assert policer.classify(_packet("voice")) == CLASS_BULK
+    assert offered_as("voice") == [CLASS_BULK]
 
 
 def test_tokens_refill_at_the_configured_rate(sim):

@@ -284,6 +284,7 @@ def _build_handover(spec):
     raises an S1 path switch the MME must ack back through the new leg."""
     from repro.enodeb.relay import EnbControlRelay
     from repro.epc.centralized import CentralizedEpc
+    from repro.epc.nas import PathSwitchRequest
     from repro.epc.subscriber import make_profile
     from repro.epc.ue import UserEquipment
     from repro.net.addressing import AddressPool
@@ -321,7 +322,12 @@ def _build_handover(spec):
         air_b_enb = CrossShardChannel(sim, boundary, enb_b, "ue0", 0,
                                       AIR, "air:b")
         enb_b.attach_ue("ue0", air_b_enb)
-        sim.at(T_HO, enb_b.request_path_switch, "ue0")
+
+        def path_switch():
+            s1b.send(enb_b, PathSwitchRequest(ue_id="ue0",
+                                              target_enb=enb_b.name))
+
+        sim.at(T_HO, path_switch)
         out["s1b"], out["air_b_enb"] = s1b, air_b_enb
 
     def harvest(host):

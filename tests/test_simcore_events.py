@@ -1,4 +1,4 @@
-"""Unit tests for Event / Timeout / AnyOf / AllOf (repro.simcore.events)."""
+"""Unit tests for Event / Timeout / AnyOf (repro.simcore.events)."""
 
 import pytest
 
@@ -51,8 +51,8 @@ def test_double_trigger_rejected(sim):
 
 def test_cancel_is_idempotent(sim):
     ev = sim.event()
-    ev.cancel("gone")
-    ev.cancel("again")  # no raise
+    ev.cancel()
+    ev.cancel()  # no raise
     assert ev.triggered and not ev.ok
     assert isinstance(ev.exception, EventCancelled)
 
@@ -112,30 +112,6 @@ def test_any_of_propagates_failure(sim):
 def test_any_of_empty_rejected(sim):
     with pytest.raises(ValueError):
         sim.any_of([])
-
-
-def test_all_of_waits_for_all(sim):
-    t1, t2, t3 = sim.timeout(1, "a"), sim.timeout(3, "b"), sim.timeout(2, "c")
-    combo = sim.all_of([t1, t2, t3])
-    done = []
-    combo.add_callback(lambda e: done.append((sim.now, e.value)))
-    sim.run()
-    assert done == [(3, ["a", "b", "c"])]  # values in construction order
-
-
-def test_all_of_empty_succeeds_immediately(sim):
-    combo = sim.all_of([])
-    assert combo.triggered and combo.ok
-    assert combo.value == []
-
-
-def test_all_of_fails_fast(sim):
-    ev = sim.event()
-    combo = sim.all_of([ev, sim.timeout(100)])
-    ev.fail(KeyError("x"))
-    sim.run(until=1)
-    assert combo.triggered and not combo.ok
-    assert isinstance(combo.exception, KeyError)
 
 
 def test_multiple_waiters_all_notified(sim):

@@ -10,11 +10,6 @@ def test_clock_starts_at_zero():
     assert sim.now == 0.0
 
 
-def test_clock_custom_start():
-    sim = Simulator(start_time=5.0)
-    assert sim.now == 5.0
-
-
 def test_schedule_advances_clock():
     sim = Simulator()
     seen = []

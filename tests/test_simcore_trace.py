@@ -1,9 +1,12 @@
 """Unit tests for the event tracer (repro.simcore.trace)."""
 
+import json
+
 import pytest
 
 from repro.core import DLTENetwork
 from repro.simcore import Simulator, TraceEvent, Tracer
+from repro.telemetry.exporters import write_events_jsonl
 from repro.workloads import RuralTown
 
 
@@ -24,13 +27,6 @@ def test_record_and_query():
     assert cats[0].time_s == 1.0
     assert cats[0].fields == {"n": 1}
     assert sim.tracer.categories() == ["cat", "dog"]
-
-
-def test_time_window_query():
-    tracer = Tracer()
-    for t in (1.0, 2.0, 3.0, 4.0):
-        tracer.record(t, "x", "tick")
-    assert len(tracer.events(since_s=2.0, until_s=3.0)) == 2
 
 
 def test_category_filter():
@@ -90,18 +86,6 @@ def test_eviction_exactly_at_capacity():
     assert tracer.recorded == 6
 
 
-def test_time_window_boundaries_inclusive():
-    """since/until are closed bounds; events at the edges are included."""
-    tracer = Tracer()
-    for t in (1.0, 2.0, 3.0):
-        tracer.record(t, "x", "tick")
-    assert [e.time_s for e in tracer.events(since_s=2.0)] == [2.0, 3.0]
-    assert [e.time_s for e in tracer.events(until_s=2.0)] == [1.0, 2.0]
-    assert [e.time_s
-            for e in tracer.events(since_s=2.0, until_s=2.0)] == [2.0]
-    assert tracer.events(since_s=3.0, until_s=1.0) == []
-
-
 def test_filtered_counter_tracks_every_rejection():
     tracer = Tracer(categories=["keep"])
     for i in range(7):
@@ -122,42 +106,25 @@ def test_clear_keeps_filter_counters():
     assert tracer.filtered == 2
 
 
+def _exported(tracer, path):
+    """The trace lines ``--trace-out``'s writer puts in ``path``."""
+    assert write_events_jsonl(str(path), tracers=[("s", tracer)]) == \
+        len(tracer)
+    return [json.loads(line) for line in path.read_text().splitlines()]
+
+
 def test_jsonl_round_trip(tmp_path):
     tracer = Tracer()
     tracer.record(1.0, "attach", "session created", ue="ue3", n=2)
     tracer.record(2.5, "drop", "link x: overflow")
-    path = str(tmp_path / "trace.jsonl")
-    assert tracer.to_jsonl(path) == 2
-    reloaded = Tracer.from_jsonl(path)
-    assert len(reloaded) == 2
-    original, loaded = tracer.events(), reloaded.events()
-    for before, after in zip(original, loaded):
-        assert after.time_s == before.time_s
-        assert after.category == before.category
-        assert after.message == before.message
-    assert loaded[0].fields == {"ue": "ue3", "n": 2}
-
-
-def test_jsonl_reload_applies_category_filter(tmp_path):
-    tracer = Tracer()
-    tracer.record(1.0, "keep", "a")
-    tracer.record(2.0, "drop", "b")
-    path = str(tmp_path / "trace.jsonl")
-    tracer.to_jsonl(path)
-    narrowed = Tracer.from_jsonl(path, categories=["keep"])
-    assert narrowed.count() == 1
-    assert narrowed.filtered == 1
-
-
-def test_jsonl_skips_non_trace_lines(tmp_path):
-    path = tmp_path / "mixed.jsonl"
-    path.write_text(
-        '{"type": "span", "name": "epc.attach"}\n'
-        '\n'
-        '{"type": "trace", "time_s": 1.0, "category": "c", "message": "m"}\n')
-    reloaded = Tracer.from_jsonl(str(path))
-    assert len(reloaded) == 1
-    assert reloaded.events()[0].category == "c"
+    loaded = _exported(tracer, tmp_path / "trace.jsonl")
+    assert len(loaded) == 2
+    for before, after in zip(tracer.events(), loaded):
+        assert after["type"] == "trace" and after["sim"] == "s"
+        assert after["time_s"] == before.time_s
+        assert after["category"] == before.category
+        assert after["message"] == before.message
+    assert loaded[0]["fields"] == {"ue": "ue3", "n": 2}
 
 
 def test_jsonl_stringifies_non_json_fields(tmp_path):
@@ -167,10 +134,8 @@ def test_jsonl_stringifies_non_json_fields(tmp_path):
 
     tracer = Tracer()
     tracer.record(0.0, "x", "m", obj=Opaque())
-    path = str(tmp_path / "trace.jsonl")
-    tracer.to_jsonl(path)
-    reloaded = Tracer.from_jsonl(path)
-    assert reloaded.events()[0].fields == {"obj": "opaque-thing"}
+    loaded = _exported(tracer, tmp_path / "trace.jsonl")
+    assert loaded[0]["fields"] == {"obj": "opaque-thing"}
 
 
 def test_network_run_emits_protocol_traces():
@@ -197,7 +162,5 @@ def test_backdated_records_are_read_in_time_order(tmp_path):
     sim.run()
     assert [(e.time_s, e.message) for e in sim.tracer.events()] == [
         (0.5, "late"), (1.0, "first"), (1.0, "tie")]
-    path = str(tmp_path / "trace.jsonl")
-    sim.tracer.to_jsonl(path)
-    assert [e.message for e in Tracer.from_jsonl(path).events()] == [
-        "late", "first", "tie"]
+    loaded = _exported(sim.tracer, tmp_path / "trace.jsonl")
+    assert [e["message"] for e in loaded] == ["late", "first", "tie"]

@@ -128,16 +128,6 @@ def test_sas_density_admission():
     assert sas.refused == 2
 
 
-def test_sas_deregister():
-    sim = Simulator(0)
-    sas = SasRegistry(sim)
-    sas.request_grant(_record("a"), lambda g: None)
-    sim.run()
-    sas.deregister("a")
-    assert sas.active_grants == 0
-    sas.deregister("a")  # idempotent
-
-
 def test_sas_lease_and_heartbeat():
     sim = Simulator(0)
     sas = SasRegistry(sim, lease_s=60.0)
@@ -257,16 +247,6 @@ def test_federated_cross_region_discovery():
     assert got == [["east"]]
 
 
-def test_federated_deregister():
-    sim = Simulator(0)
-    fed = FederatedRegistry(sim)
-    fed.request_grant(_record("a"), lambda g: None)
-    sim.run()
-    assert fed.active_grants == 1
-    fed.deregister("a")
-    assert fed.active_grants == 0
-
-
 # -- blockchain ------------------------------------------------------------------------------
 
 def test_blockchain_join_waits_for_confirmations():
@@ -280,7 +260,10 @@ def test_blockchain_join_waits_for_confirmations():
     # needs 1 (inclusion) + 2 (confirmations) blocks: >= ~3 exponential draws
     assert done[0][0] > 2 * 1.0  # far slower than any RTT-based registry
     assert chain.height >= 3
-    assert chain.verify_chain()
+    blocks = chain.chain
+    assert blocks[0].prev_hash == "genesis"
+    assert all(block.prev_hash == prev.block_hash
+               for prev, block in zip(blocks, blocks[1:]))
 
 
 def test_blockchain_reads_are_local_and_instant():
@@ -302,20 +285,6 @@ def test_blockchain_never_unavailable():
     chain = BlockchainRegistry(sim)
     assert chain.is_available()
     assert not hasattr(chain, "fail")  # no single node to kill
-
-
-def test_blockchain_hash_linkage_detects_tampering():
-    sim = Simulator(7)
-    chain = BlockchainRegistry(sim, block_interval_s=1.0, confirmations=1)
-    for i in range(4):
-        chain.request_grant(_record(f"ap{i}", x=i * 1000.0), lambda g: None)
-    sim.run(until=60)
-    assert chain.verify_chain()
-    # tamper: splice in a forged middle block
-    from repro.spectrum.blockchain import Block
-    forged = Block(height=1, prev_hash="forged", mined_at=0.0, grants=())
-    chain.chain[1] = forged
-    assert not chain.verify_chain()
 
 
 def test_blockchain_validates_params():

@@ -1,0 +1,218 @@
+"""Structural rules: design decisions the tree keeps, checked by pattern.
+
+Each ``RULES`` row names a decision, the extended regular expression
+(``grep -E`` syntax, matched line by line) whose appearance would undo
+it, the paths it scans, the hits it exempts, and why it holds. A root
+that ends in ``/`` scans every file under that directory; any other root
+is a glob relative to the repository. ``__pycache__`` directories are not
+part of the tree. An exemption is a regular expression searched in the
+hit as ``grep -n`` prints it, ``path:line:text``.
+
+``MUTANTS`` holds, per rule, one line written into a file of a temporary
+tree that the rule must catch, and the rules are checked against
+``grep -E`` itself: on this tree and on every mutant, Python's ``re`` and
+``grep`` must report the same lines before exemptions.
+"""
+
+from __future__ import annotations
+
+import re
+import shutil
+import subprocess
+from functools import lru_cache
+from pathlib import Path
+from typing import Dict, List, NamedTuple, Tuple
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Rule(NamedTuple):
+    name: str
+    pattern: str
+    roots: Tuple[str, ...]
+    exempt: Tuple[str, ...]
+    why: str
+
+
+RULES: Tuple[Rule, ...] = (
+    Rule("one-ledger-counter",
+         "_m_delivered|_m_bytes|_m_drops|_m_marks|_m_messages|_m_dropped"
+         "|_m_processed",
+         ("src/repro/net/", "src/repro/epc/agents.py"), (),
+         "net.link.*, epc.channel.* and epc.agent.processed are read off "
+         "the attributes (MetricsRegistry.mirror); a cached Counter beside "
+         "one of them is a second copy of a ledger counter"),
+    Rule("lazy-package-exports",
+         r"^(from|import) repro\.",
+         ("src/repro/**/__init__.py",), (r"from repro\._lazy import ",),
+         "every package __init__ lists its names in a repro._lazy table; "
+         "an eager sibling import loads what the caller may never run "
+         "(TYPE_CHECKING blocks are indented and do not match)"),
+    Rule("no-topology-walker",
+         r"watch_network|watch_topology|_iter_nodes|invariants(: bool)? *="
+         r"|[(,] *invariants[,)]",
+         ("src/repro/",), (),
+         "what is audited is decided in the constructors (one "
+         "`sim.checker is not None`) and --invariants is the only door; "
+         "no walker and no per-experiment keyword"),
+    # the pattern and its mutant are split so that this file, which the
+    # rule scans, does not match itself
+    Rule("one-harness-one-dependency",
+         "import" " networkx|bench" "_runner",
+         ("src/", "benchmarks/*.py", "tests/", "README.md",
+          "EXPERIMENTS.md"), (),
+         "BENCHMARK.json + benchmarks/e2e/ is the only measuring "
+         "instrument and numpy the only dependency"),
+    Rule("gc-in-two-places",
+         r"gc\.(collect|freeze)",
+         ("src/",), (r"^src/repro/(runner/parallel|__main__)\.py:",),
+         "a finished sweep cell is freed between tasks of parallel_map's "
+         "serial loop and after each experiment of the CLI; a collection "
+         "anywhere else (a shard window, a hot loop) sits on a critical "
+         "path"),
+    Rule("no-per-message-queue-gauge",
+         r"_m_queue|queue_depth.*\.set\(",
+         ("src/repro/epc/", "src/repro/net/"), (),
+         "epc.agent.queue_depth and net.link.queue_depth are read from "
+         "their owner at export; a gauge set on every enqueue and dequeue "
+         "was two calls per control message and per packet"),
+    Rule("e9-computes-x2-rates",
+         "Simulator|X2Endpoint",
+         ("src/repro/experiments/e9_x2_bandwidth.py",), (),
+         "every E9 cell is ticks * (n - 1) * LoadInformation.size_bytes / "
+         "duration_s; the simulated mesh it replaced is the oracle in "
+         "tests/reference/e9_reporting.py"),
+    Rule("one-tti-path",
+         "_assign_batch|allocate_batch|batch_mode|set_batch_default"
+         "|REPRO_BATCH_TTI|scalar.tti|path_loss_db_exact_many",
+         ("src/",), (),
+         "the scalar twins live under tests/reference/ only; no twin, and "
+         "no switch that selects one, in the package"),
+    Rule("no-mirrored-column",
+         r"arrays_stale|_backlog_stale|sinr_arr|eff_arr|b_arr|sinr_l\b"
+         "|PacketPool|_SEGMENT_POOL",
+         ("src/",), (),
+         "every per-UE column is stored once (no list + array twins, no "
+         "staleness flags to keep them in step) and a segment is a plain "
+         "Packet(...)"),
+    Rule("no-attached-set-scan",
+         "_scan_rows",
+         ("src/",), (),
+         "a write to a Radio / UeRadioContext marks its own arena row; no "
+         "per-TTI poll over every attached UE"),
+    Rule("one-link-admission-path",
+         "_managed|_enable_managed",
+         ("src/",), (),
+         "every link keeps the byte ledger on the one _admit/_advance; no "
+         "mode flag that selects a twin"),
+)
+
+#: rule name -> (path, line): a file holding the line must fail the rule
+MUTANTS: Dict[str, Tuple[str, str]] = {
+    "one-ledger-counter": (
+        "src/repro/net/links.py",
+        'self._m_delivered = metrics.counter("net.link.delivered")'),
+    "lazy-package-exports": (
+        "src/repro/net/__init__.py", "from repro.net.links import Link"),
+    "no-topology-walker": (
+        "src/repro/experiments/e16_chaos.py",
+        "def run(seed: int = 3, invariants: bool = False):"),
+    "one-harness-one-dependency": (
+        "src/repro/coordination/mesh.py", "import" " networkx as nx"),
+    "gc-in-two-places": (
+        "src/repro/simcore/sharded.py", "gc.collect()"),
+    "no-per-message-queue-gauge": (
+        "src/repro/epc/agents.py", "self._m_queue.set(len(self._queue))"),
+    "e9-computes-x2-rates": (
+        "src/repro/experiments/e9_x2_bandwidth.py",
+        "from repro.simcore.simulator import Simulator"),
+    "one-tti-path": (
+        "src/repro/enodeb/cell.py", "def _assign_batch(self, users):"),
+    "no-mirrored-column": (
+        "src/repro/mac/arena.py", "self.sinr_arr = np.array(self.sinr_l)"),
+    "no-attached-set-scan": (
+        "src/repro/enodeb/cell.py", "self._scan_rows()"),
+    "one-link-admission-path": (
+        "src/repro/net/links.py", "if self._managed:"),
+}
+
+#: (path, line number, text) of one line that matched a rule's pattern
+_Hit = Tuple[str, int, str]
+
+
+def _files(tree: Path, rule: Rule) -> List[str]:
+    """The files ``rule`` scans in ``tree``, as sorted relative paths."""
+    found = set()
+    for root in rule.roots:
+        pattern = root + "**/*" if root.endswith("/") else root
+        found.update(path for path in tree.glob(pattern)
+                     if path.is_file() and "__pycache__" not in path.parts)
+    return sorted(str(path.relative_to(tree)) for path in found)
+
+
+@lru_cache(maxsize=None)
+def _lines(path: Path) -> Tuple[str, ...]:
+    return tuple(path.read_bytes().decode("utf-8", "replace").split("\n"))
+
+
+def _matches(tree: Path, rule: Rule) -> List[_Hit]:
+    """Every line of the scanned files that the pattern matches."""
+    regex = re.compile(rule.pattern)
+    return [(rel, number, text) for rel in _files(tree, rule)
+            for number, text in enumerate(_lines(tree / rel), 1)
+            if regex.search(text)]
+
+
+def _violations(tree: Path, rule: Rule) -> List[str]:
+    hits = (f"{rel}:{number}:{text}"
+            for rel, number, text in _matches(tree, rule))
+    return [hit for hit in hits
+            if not any(re.search(exempt, hit) for exempt in rule.exempt)]
+
+
+def _grep(tree: Path, rule: Rule) -> List[Tuple[str, int]]:
+    """``(path, line)`` of every line ``grep -E`` matches in the same files."""
+    files = _files(tree, rule)
+    if not files:
+        return []
+    out = subprocess.run(["grep", "-HnE", "-e", rule.pattern, "--", *files],
+                         cwd=tree, capture_output=True)
+    assert out.returncode in (0, 1), out.stderr
+    hits = []
+    for line in out.stdout.decode("utf-8", "replace").splitlines():
+        rel, number, _ = line.split(":", 2)
+        hits.append((rel, int(number)))
+    return hits
+
+
+def _mutant_tree(tmp_path: Path, rule: Rule) -> Path:
+    rel, line = MUTANTS[rule.name]
+    path = tmp_path / rel
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(line + "\n")
+    return tmp_path
+
+
+_IDS = [rule.name for rule in RULES]
+
+
+def test_the_tree_keeps_every_rule():
+    broken = {rule.name: _violations(ROOT, rule) for rule in RULES}
+    assert {name: hits for name, hits in broken.items() if hits} == {}
+    assert all(rule.why.strip() for rule in RULES)
+    assert sorted(MUTANTS) == sorted(_IDS)
+
+
+@pytest.mark.parametrize("rule", RULES, ids=_IDS)
+def test_each_rule_catches_its_mutant(tmp_path, rule):
+    assert _violations(_mutant_tree(tmp_path, rule), rule) != []
+
+
+@pytest.mark.skipif(shutil.which("grep") is None, reason="needs grep")
+@pytest.mark.parametrize("rule", RULES, ids=_IDS)
+def test_re_matches_the_lines_grep_matches(tmp_path, rule):
+    for tree in (ROOT, _mutant_tree(tmp_path, rule)):
+        assert [hit[:2] for hit in _matches(tree, rule)] == \
+            _grep(tree, rule)

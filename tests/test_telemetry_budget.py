@@ -139,7 +139,9 @@ def test_span_ends_and_sheds_look_each_instrument_up_once(monkeypatch):
     def counting_get(self, cls, name, labels, **kwargs):
         site = sys._getframe(2).f_code.co_name
         if site in ("_finish", "_shed"):
-            lookups[(site, id(self), name, tuple(sorted(labels.items())))] += 1
+            # keyed on the registry itself, not its id(): the key keeps
+            # it alive, so a later cell's registry cannot reuse the id
+            lookups[(site, self, name, tuple(sorted(labels.items())))] += 1
         return real(self, cls, name, labels, **kwargs)
 
     monkeypatch.setattr(MetricsRegistry, "_get", counting_get)

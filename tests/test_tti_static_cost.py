@@ -294,7 +294,7 @@ def test_binned_sinr_row_is_the_observe_many_row():
     cell._m_sinr._quantiles = tuple(P2Quantile(q) for q in (0.5, 0.9))
     for _ in range(50):
         cell.schedule_tti()
-        twin.observe_many(cell._arena.dl.sinr)
+        twin.observe_binned(twin.bin(cell._arena.dl.sinr))
     assert cell._m_sinr.row() == twin.row()
     assert cell._m_sinr.bucket_counts == twin.bucket_counts
     assert cell._m_sinr.count == 50 * 32
