@@ -21,8 +21,7 @@ from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.coordination.fair_sharing import FairSharingCoordinator
 from repro.coordination.peer_monitor import PeerMonitor
-from repro.coordination.x2 import (HandoverRequest, HandoverRequestAck,
-                                   X2Endpoint)
+from repro.coordination.x2 import X2Endpoint
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.enodeb.relay import EnbControlRelay
 from repro.epc.agents import ControlChannel
@@ -55,12 +54,11 @@ class DLTEAccessPoint:
     __slots__ = (
         "sim", "ap_id", "position", "band", "internet", "spectrum_registry",
         "backhaul_delay_s", "router", "pool", "stub", "enb", "cell", "x2",
-        "coordinator", "_pending_handover_acks", "handovers_in",
-        "handovers_out", "grant", "neighbors", "peer_monitor",
+        "coordinator", "grant", "neighbors", "peer_monitor",
         "lease_renewals", "lease_renewal_failures", "_renewing_lease",
         "alive", "crashes", "_saved_x2_handlers", "_m_renewals",
-        "_m_renewal_failures", "_m_crashes", "_m_handovers_in",
-        "_m_handovers_out", "_ue_hosts", "_ue_objects", "_ue_addresses")
+        "_m_renewal_failures", "_m_crashes", "_ue_hosts", "_ue_objects",
+        "_ue_addresses")
 
     def __init__(self, sim: Simulator, ap_id: str, position: Point,
                  band: Band, internet: InternetCore,
@@ -114,10 +112,6 @@ class DLTEAccessPoint:
         self.x2 = X2Endpoint(sim, ap_id)
         self.coordinator = FairSharingCoordinator(
             self.x2, self.cell.grid, on_converged=self._install_slice)
-        self.x2.add_handler(self._on_x2_message)
-        self._pending_handover_acks: Dict[str, Callable[[bool], None]] = {}
-        self.handovers_in = 0
-        self.handovers_out = 0
 
         # spectrum state
         self.grant: Optional[SpectrumGrant] = None
@@ -138,10 +132,6 @@ class DLTEAccessPoint:
         self._m_renewal_failures = metrics.counter(
             "spectrum.lease.renewal_failures", ap=ap_id)
         self._m_crashes = metrics.counter("core.ap.crashes", ap=ap_id)
-        self._m_handovers_in = metrics.counter("core.ap.handovers_in",
-                                               ap=ap_id)
-        self._m_handovers_out = metrics.counter("core.ap.handovers_out",
-                                                ap=ap_id)
 
         # attached clients
         self._ue_hosts: Dict[str, Host] = {}
@@ -403,51 +393,6 @@ class DLTEAccessPoint:
             if address in host.addresses:
                 host.remove_address(address)
             self.router.remove_routes_to(host.name)
-
-    # -- X2 handover (coordinated handoff, §4.3 cooperative mode) ---------------
-
-    def request_handover(self, ue: UserEquipment,
-                         target_ap_id: str,
-                         on_decided: Optional[Callable[[bool], None]] = None
-                         ) -> None:
-        """Start an X2 handover: offer the UE (with its security context)
-        to a peer AP.
-
-        The target pre-loads the UE's cached key so its stub admits the
-        client without a registry fetch; the decision comes back via
-        ``on_decided(admitted)`` after one X2 round trip. Moving the UE's
-        radio/data attachment is the caller's job once admitted (see
-        tests for the full sequence).
-        """
-        if target_ap_id not in self.x2.peer_ids:
-            raise KeyError(f"{self.ap_id} has no X2 peering with "
-                           f"{target_ap_id!r}")
-        key = self.stub._key_cache.get(ue.profile.imsi)
-        if on_decided is not None:
-            self._pending_handover_acks[ue.ue_id] = on_decided
-        self.x2.send(target_ap_id, HandoverRequest(
-            sender_ap=self.ap_id, ue_id=ue.ue_id, imsi=ue.profile.imsi,
-            key_context=key))
-
-    def _on_x2_message(self, from_ap: str, message) -> None:
-        if isinstance(message, HandoverRequest):
-            # admission control: accept while the pool has room
-            admitted = self.pool.in_use < self.pool.capacity
-            if admitted and message.key_context is not None:
-                self.stub.preload_key(message.imsi, message.key_context)
-            if admitted:
-                self.handovers_in += 1
-                self._m_handovers_in.inc()
-            self.x2.send(from_ap, HandoverRequestAck(
-                sender_ap=self.ap_id, ue_id=message.ue_id,
-                admitted=admitted))
-        elif isinstance(message, HandoverRequestAck):
-            callback = self._pending_handover_acks.pop(message.ue_id, None)
-            if callback is not None:
-                if message.admitted:
-                    self.handovers_out += 1
-                    self._m_handovers_out.inc()
-                callback(message.admitted)
 
     @property
     def attached_count(self) -> int:

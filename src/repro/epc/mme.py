@@ -1,10 +1,10 @@
 """MME: the mobility management entity — the EPC's control brain.
 
 Runs the EPS attach state machine per UE (identity -> AKA challenge ->
-security mode -> session setup -> accept), drives the S-GW over S11, and
-handles handover path switches. One MME serves *all* eNodeBs in the
-centralized architecture; its serial processing and its distance from
-the eNodeBs are exactly the costs E7 measures.
+security mode -> session setup -> accept) and drives the S-GW over S11.
+One MME serves *all* eNodeBs in the centralized architecture; its serial
+processing and its distance from the eNodeBs are exactly the costs E7
+measures.
 """
 
 from __future__ import annotations
@@ -31,11 +31,7 @@ from repro.epc.nas import (
     CreateSessionResponse,
     DeleteSessionRequest,
     DetachRequest,
-    ModifyBearerRequest,
-    ModifyBearerResponse,
     Paging,
-    PathSwitchAck,
-    PathSwitchRequest,
     SecurityModeCommand,
     SecurityModeComplete,
     ServiceAccept,
@@ -76,14 +72,13 @@ class UeContext:
 
 
 class Mme(ControlAgent):
-    """Serial MME agent: attach, detach, and handover path switch."""
+    """Serial MME agent: attach, detach, idle mode and paging."""
 
     __slots__ = (
         "s1", "s6a", "s11", "contexts", "_guti_counter",
-        "attaches_completed", "attaches_rejected", "path_switches",
-        "pages_sent", "service_requests", "_m_completed", "_m_rejected",
-        "_m_switches", "_m_pages", "_m_service", "_m_attach_s",
-        "_attach_spans")
+        "attaches_completed", "attaches_rejected", "pages_sent",
+        "service_requests", "_m_completed", "_m_rejected", "_m_pages",
+        "_m_service", "_m_attach_s", "_attach_spans")
 
     def __init__(self, sim: Simulator, name: str = "mme",
                  service_time_s: float = 1e-3) -> None:
@@ -96,13 +91,11 @@ class Mme(ControlAgent):
         # metrics
         self.attaches_completed = 0
         self.attaches_rejected = 0
-        self.path_switches = 0
         self.pages_sent = 0
         self.service_requests = 0
         metrics = sim.metrics
         self._m_completed = metrics.counter("epc.attach.completed", core=name)
         self._m_rejected = metrics.counter("epc.attach.rejected", core=name)
-        self._m_switches = metrics.counter("epc.mme.path_switches", core=name)
         self._m_pages = metrics.counter("epc.mme.pages_sent", core=name)
         self._m_service = metrics.counter("epc.mme.service_requests",
                                           core=name)
@@ -148,10 +141,6 @@ class Mme(ControlAgent):
             self._on_attach_complete(payload)
         elif isinstance(payload, DetachRequest):
             self._on_detach(payload)
-        elif isinstance(payload, PathSwitchRequest):
-            self._on_path_switch(payload)
-        elif isinstance(payload, ModifyBearerResponse):
-            self._on_bearer_moved(payload)
         elif isinstance(payload, UeContextRelease):
             self._on_context_release(payload)
         elif isinstance(payload, ServiceRequest):
@@ -263,25 +252,6 @@ class Mme(ControlAgent):
         ctx = self.contexts.pop(msg.ue_id, None)
         if ctx is not None and self.s11 is not None:
             self.s11.send(self, DeleteSessionRequest(ue_id=msg.ue_id))
-
-    # -- handover path switch ------------------------------------------------------------
-
-    def _on_path_switch(self, request: PathSwitchRequest) -> None:
-        ctx = self.contexts.get(request.ue_id)
-        if ctx is None or ctx.state is not UeContextState.ATTACHED:
-            return
-        ctx.serving_enb = request.target_enb
-        self.s11.send(self, ModifyBearerRequest(
-            ue_id=request.ue_id, imsi=ctx.imsi,
-            new_enb_address=request.enb_address))
-
-    def _on_bearer_moved(self, response: ModifyBearerResponse) -> None:
-        ctx = self.contexts.get(response.ue_id)
-        if ctx is None:
-            return
-        self.path_switches += 1
-        self._m_switches.inc()
-        self._to_ue(ctx, PathSwitchAck(ue_id=ctx.ue_id))
 
     # -- idle mode / paging ----------------------------------------------------------
 

@@ -140,7 +140,6 @@ class CreateSessionRequest(NasMessage):
     """MME -> S-GW (forwarded to P-GW): set up the default bearer."""
 
     imsi: str = ""
-    enb_address: Optional[IPv4Address] = None
     size_bytes: int = 200
 
 
@@ -159,23 +158,6 @@ class CreateSessionResponse(NasMessage):
 class DeleteSessionRequest(NasMessage):
     """MME -> S-GW: tear down a bearer on detach."""
 
-    size_bytes: int = 120
-
-
-@dataclass
-class ModifyBearerRequest(NasMessage):
-    """MME -> S-GW: re-point the downlink tunnel after handover."""
-
-    imsi: str = ""
-    new_enb_address: Optional[IPv4Address] = None
-    size_bytes: int = 160
-
-
-@dataclass
-class ModifyBearerResponse(NasMessage):
-    """S-GW -> MME: downlink path switched."""
-
-    cause: str = "ok"
     size_bytes: int = 120
 
 
@@ -212,22 +194,3 @@ class ServiceAccept(NasMessage):
     """MME -> UE: context re-activated; bearers live again."""
 
     size_bytes: int = 110
-
-
-# -- S1AP handover (X2-assisted path switch) ------------------------------------
-
-@dataclass
-class PathSwitchRequest(NasMessage):
-    """Target eNB -> MME: UE has arrived; re-point the S1-U tunnel."""
-
-    target_enb: str = ""
-    enb_address: Optional[IPv4Address] = None
-    size_bytes: int = 150
-
-
-@dataclass
-class PathSwitchAck(NasMessage):
-    """MME -> target eNB: bearer moved; handover complete."""
-
-    cause: str = "ok"
-    size_bytes: int = 120

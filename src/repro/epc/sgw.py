@@ -1,36 +1,30 @@
 """S-GW: serving gateway — the mobility anchor between eNodeBs and P-GW.
 
-In the control plane it relays session management between MME (S11) and
-P-GW (S5), and re-points downlink tunnels on handover (ModifyBearer).
+In the control plane it relays session management between the MME (S11)
+and the P-GW (S5).
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
 from repro.epc.nas import (
     CreateSessionRequest,
     CreateSessionResponse,
     DeleteSessionRequest,
-    ModifyBearerRequest,
-    ModifyBearerResponse,
 )
-from repro.net.addressing import IPv4Address
 from repro.simcore.simulator import Simulator
 
 
 class Sgw(ControlAgent):
-    """Serial S-GW agent relaying S11 <-> S5 and handling bearer moves."""
+    """Serial S-GW agent relaying S11 <-> S5."""
 
     def __init__(self, sim: Simulator, name: str = "sgw",
                  service_time_s: float = 0.5e-3) -> None:
         super().__init__(sim, name, service_time_s)
         self.s11: Optional[ControlChannel] = None
         self.s5: Optional[ControlChannel] = None
-        # downlink endpoint per UE: which eNodeB address the tunnel targets
-        self.downlink_enb: Dict[str, Optional[IPv4Address]] = {}
-        self.bearer_moves = 0
 
     def connect_mme(self, channel: ControlChannel) -> None:
         """Register the S11 channel toward the MME."""
@@ -42,22 +36,7 @@ class Sgw(ControlAgent):
 
     def handle(self, message: ControlMessage) -> None:
         payload = message.payload
-        if isinstance(payload, CreateSessionRequest):
-            self.downlink_enb[payload.ue_id] = payload.enb_address
+        if isinstance(payload, (CreateSessionRequest, DeleteSessionRequest)):
             self.s5.send(self, payload)           # relay toward P-GW
         elif isinstance(payload, CreateSessionResponse):
             self.s11.send(self, payload)          # relay back to MME
-        elif isinstance(payload, DeleteSessionRequest):
-            self.downlink_enb.pop(payload.ue_id, None)
-            self.s5.send(self, payload)
-        elif isinstance(payload, ModifyBearerRequest):
-            self._modify_bearer(payload)
-
-    def _modify_bearer(self, request: ModifyBearerRequest) -> None:
-        if request.ue_id not in self.downlink_enb:
-            self.s11.send(self, ModifyBearerResponse(
-                ue_id=request.ue_id, cause="unknown-session"))
-            return
-        self.downlink_enb[request.ue_id] = request.new_enb_address
-        self.bearer_moves += 1
-        self.s11.send(self, ModifyBearerResponse(ue_id=request.ue_id))

@@ -24,7 +24,6 @@ from repro.epc.nas import (
     AuthenticationResponse,
     DetachRequest,
     Paging,
-    PathSwitchAck,
     SecurityModeCommand,
     SecurityModeComplete,
     ServiceAccept,
@@ -287,8 +286,6 @@ class UserEquipment(ControlAgent):
             self._on_paging()
         elif isinstance(payload, ServiceAccept):
             self._on_service_accept()
-        elif isinstance(payload, PathSwitchAck):
-            pass  # handover confirmed; nothing to do at NAS level
 
     def _on_auth_request(self, request: AuthenticationRequest) -> None:
         # Mutual auth: refuse networks that cannot prove knowledge of K,

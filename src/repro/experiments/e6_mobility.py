@@ -208,8 +208,8 @@ def _drive(harness: CorridorHarness, arm: str, app: BulkTransferApp,
             # IP unchanged: the transport never notices
         elif arm == "dlte-quic-x2":
             # X2-assisted: the source AP pre-transfers the security
-            # context (see DLTEAccessPoint.request_handover), so the
-            # target stub admits the client in one local exchange
+            # context (an X2 HandoverRequest carrying the cached key),
+            # so the target stub admits the client in one local exchange
             harness._detach()
             yield sim.timeout(RADIO_BLACKOUT_S + X2_ASSISTED_REATTACH_S)
             new_addr = harness.attach_dlte(target)

@@ -26,19 +26,6 @@ class Point:
         """A new point translated by (dx, dy) meters."""
         return Point(self.x + dx, self.y + dy)
 
-    def toward(self, other: "Point", step_m: float) -> "Point":
-        """A point ``step_m`` meters from here along the line to ``other``.
-
-        Overshooting is clamped: if ``step_m`` exceeds the distance, the
-        result is ``other`` itself.
-        """
-        total = self.distance_to(other)
-        if total <= step_m or total == 0.0:
-            return other
-        frac = step_m / total
-        return Point(self.x + (other.x - self.x) * frac,
-                     self.y + (other.y - self.y) * frac)
-
     def __iter__(self):
         yield self.x
         yield self.y

@@ -9,6 +9,7 @@ from repro.core import (
     WiFiNetwork,
     design_space_table,
 )
+from repro.epc.ue import UeState
 from repro.workloads import RuralTown
 
 TOWN = RuralTown(radius_m=1500, n_ues=8, n_aps=2, seed=1)
@@ -29,6 +30,21 @@ def wifi_report():
     return WiFiNetwork.build(TOWN, seed=1).run()
 
 
+@pytest.fixture
+def roaming_setup():
+    town = RuralTown(radius_m=2500, n_ues=2, n_aps=2, seed=5)
+    net = DLTENetwork.build(town, seed=5)
+    net.run(duration_s=3.0)  # brings up registry, peering, attaches
+    return net
+
+
+def _serving_ap(net, ue):
+    for ap in net.aps.values():
+        if ue.ue_id in ap.stub.sessions:
+            return ap
+    return None
+
+
 # -- every architecture serves its users ----------------------------------------------
 
 def test_dlte_everyone_attaches(dlte_report):
@@ -42,6 +58,13 @@ def test_carrier_everyone_attaches(carrier_report):
 
 def test_wifi_everyone_associates(wifi_report):
     assert wifi_report.attach_failures == 0
+
+
+def test_everyone_starts_attached(roaming_setup):
+    net = roaming_setup
+    for ue in net.ues.values():
+        assert ue.state is UeState.ATTACHED
+        assert _serving_ap(net, ue) is not None
 
 
 def test_all_ues_get_throughput(dlte_report, carrier_report, wifi_report):

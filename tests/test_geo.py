@@ -28,20 +28,6 @@ def test_offset():
     assert Point(1, 1).offset(2, -3) == Point(3, -2)
 
 
-def test_toward_moves_correct_distance():
-    p = Point(0, 0).toward(Point(10, 0), 4)
-    assert p == Point(4, 0)
-
-
-def test_toward_clamps_at_target():
-    assert Point(0, 0).toward(Point(3, 0), 100) == Point(3, 0)
-
-
-def test_toward_zero_distance_stays():
-    p = Point(5, 5)
-    assert p.toward(p, 10) == p
-
-
 def test_point_unpacks():
     x, y = Point(2.5, -1.0)
     assert (x, y) == (2.5, -1.0)

@@ -59,7 +59,6 @@ def test_rejoin_after_churn(federation):
 
     # power restored: rebuild the X2 handler chain and re-peer
     victim.x2.add_handler(victim.coordinator._on_x2)
-    victim.x2.add_handler(victim._on_x2_message)
     victim.discover_and_peer(net.aps)
     net.sim.run(until=net.sim.now + 3.0)
 

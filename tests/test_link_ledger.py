@@ -8,8 +8,10 @@ time passing in arbitrary steps. After every step the invariant
 checker's ``watch_link`` audit must find nothing; once the link has run
 dry, everything handed to it was delivered or dropped, to the byte.
 
-The last test proves the property has teeth: it must fail on a mutant
-that drops a packet cut mid-flight without counting its bytes.
+E6, run armed, must close the same ledger on every link its corridor
+attaches and pops. The last test proves the property has teeth: it must
+fail on a mutant that drops a packet cut mid-flight without counting its
+bytes.
 """
 
 import pytest
@@ -102,6 +104,26 @@ def _ledger_property(link_cls, **overrides):
 
 
 test_ledger_closes_under_interleaved_operations = _ledger_property(Link)
+
+
+@pytest.mark.parametrize("arm", ["dlte-tcp", "dlte-quic-mbb"])
+def test_e6_links_close_their_ledgers(arm):
+    """E6 under the link conservation laws, packets and bytes.
+
+    The corridor attaches and pops links on every handover; each one
+    registers with the armed simulator's checker as it is built.
+    """
+    from repro.experiments import e6_mobility
+    from repro.invariants import armed
+
+    with armed() as audit:
+        stats = e6_mobility._run_arm(arm, 1.0)
+        (checker,) = audit
+        links = sum(law == "link-conservation"
+                    for law, _subject, _fn in checker._checks)
+        assert links > 20                       # the handover churn is in it
+        assert checker.checks_run > len(checker._checks)    # swept mid-run
+    assert stats == e6_mobility._run_arm(arm, 1.0)  # the audit is passive
 
 
 class _ForgetfulLink(Link):

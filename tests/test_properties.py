@@ -341,12 +341,3 @@ def test_distance_symmetry_and_triangle(x1, y1, x2, y2):
     assert a.distance_to(b) == b.distance_to(a)
     assert (a.distance_to(b)
             <= a.distance_to(origin) + origin.distance_to(b) + 1e-6)
-
-
-@given(coords, coords, coords, coords,
-       st.floats(min_value=0, max_value=1e6))
-def test_toward_never_overshoots(x1, y1, x2, y2, step):
-    a, b = Point(x1, y1), Point(x2, y2)
-    c = a.toward(b, step)
-    assert c.distance_to(b) <= a.distance_to(b) + 1e-6
-    assert a.distance_to(c) <= max(step, 0) + a.distance_to(b) * 1e-9 + 1e-6

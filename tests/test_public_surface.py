@@ -6,7 +6,10 @@ body, by an identifier — a ``Name``, an ``Attribute`` or an import alias
 — in ``src/repro`` (package ``__init__`` code included), ``examples/`` or
 ``benchmarks/e2e/``. Tests are not consumers. A string is not a
 reference, so a lazy-export table entry or an ``__all__`` entry keeps
-nothing alive.
+nothing alive. Neither is a name that only names a type: one inside an
+annotation, or the class (or tuple of classes) that ``isinstance`` tests
+against. A class that only ever appears there is never constructed, so
+a ``handle`` branch that tests for it keeps nothing alive either.
 
 Class members are gated the same way. Every non-dunder ``def`` in the
 body of a top-level class (a method, a property, a class, static or
@@ -37,14 +40,13 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
+                    Tuple)
 
 ROOT = Path(__file__).resolve().parent.parent
 
 _CLAIMS = ("called only by tests/test_paper_claims.py; ROADMAP item 2a "
            "makes the CLI print it")
-_HANDOVER = ("called only by the mobility tests; ROADMAP item 6 wires it "
-             "into E6 or deletes it")
 _LINK_LOSS = ("random link loss: README's fault example schedules it and "
               "the hop, ledger and gauge twins drive it; ROADMAP item 11, "
               "whose constraints include the per-link loss-RNG draw order, "
@@ -76,12 +78,13 @@ ALLOWED: Dict[str, str] = {
     "repro.experiments.e14_nr_upgrade.range_summary": _CLAIMS,
     "repro.experiments.f1_path_comparison.local_breakout_ablation": _CLAIMS,
     "repro.experiments.t1_design_space.dlte_quadrant_is_unique": _CLAIMS,
-    "repro.mobility.handover.A3HandoverTrigger": _HANDOVER,
-    "repro.mobility.models.LinearMover": _HANDOVER,
-    "repro.mobility.models.RandomWaypointMover": _HANDOVER,
     "repro.mac.schedulers.RoundRobinScheduler": _STATIONARY,
     "repro.mac.schedulers.MaxCiScheduler": _STATIONARY,
-    "repro.core.access_point.DLTEAccessPoint.request_handover": _HANDOVER,
+    "repro.mac.schedulers.SchedulableUser":
+        "the scheduler's list front door: src/ names it only in "
+        "annotations, and LteScheduler.allocate, which takes it, lives by "
+        "sharing its identifier with AddressPool.allocate; only the MAC "
+        "tests and tests/reference/scalar_tti.py call it",
     "repro.mac.schedulers.LteScheduler.average_rate_bps":
         "the arena/oracle twins in tests/test_mac_arena.py compare the "
         "EWMA state through it",
@@ -125,9 +128,39 @@ def _dynamic_name(call: ast.Call) -> Optional[str]:
     return None
 
 
+def _names_a_type(node: ast.AST) -> bool:
+    return isinstance(node, (ast.Name, ast.Attribute)) or (
+        isinstance(node, ast.Tuple) and all(map(_names_a_type, node.elts)))
+
+
+def _type_operands(node: ast.AST) -> Iterator[ast.AST]:
+    """The parts of ``node`` that only name a type: an annotation, or a
+    class (or tuple of classes) passed as ``isinstance``'s second
+    argument."""
+    if isinstance(node, (ast.arg, ast.AnnAssign)):
+        yield node.annotation
+    elif isinstance(node, _FUNCS):
+        yield node.returns
+    elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "isinstance" and len(node.args) == 2
+            and _names_a_type(node.args[1])):
+        yield node.args[1]
+
+
+def _walk(*nodes: ast.AST) -> Iterator[ast.AST]:
+    """``ast.walk`` without the subtrees that only name a type."""
+    todo = list(nodes)
+    while todo:
+        node = todo.pop()
+        yield node
+        skip = {id(operand) for operand in _type_operands(node)}
+        todo.extend(child for child in ast.iter_child_nodes(node)
+                    if id(child) not in skip)
+
+
 def _identifiers(*nodes: ast.AST) -> Set[str]:
     found: Set[str] = set()
-    for child in (child for node in nodes for child in ast.walk(node)):
+    for child in _walk(*nodes):
         if isinstance(child, ast.Name):
             found.add(child.id)
         elif isinstance(child, ast.Attribute):
@@ -352,6 +385,40 @@ def test_a_stale_allowlist_entry_fails(tmp_path):
         "pkg.lib.used": "kept",            # referenced after all
         "pkg.lib.deleted": "kept"})        # no longer defined
     assert stale == ["pkg.lib.deleted", "pkg.lib.used"]
+
+
+def test_a_type_test_or_annotation_is_not_a_reference(tmp_path):
+    # ``Legacy`` is only tested for and ``Shape`` only annotated: nothing
+    # builds either, so both die, and ``describe`` with its class
+    msgs = """
+from typing import Optional
+
+
+class Legacy:
+    def describe(self):
+        return "legacy"
+
+
+class Current:
+    pass
+
+
+class Shape:
+    pass
+
+
+def handle(message: Shape) -> Optional[Shape]:
+    last: Shape = message
+    if isinstance(message, (Legacy, Current)):
+        return None
+    return last
+"""
+    unreferenced, _ = _violations(tmp_path, {
+        "src/pkg/msgs.py": msgs,
+        "examples/demo.py": "from pkg.msgs import Current, handle\n\n"
+                            "handle(Current())\n"})
+    assert unreferenced == ["pkg.msgs.Legacy", "pkg.msgs.Legacy.describe",
+                            "pkg.msgs.Shape", "pkg.util.helper"]
 
 
 # -- class members on a synthetic tree ---------------------------------------

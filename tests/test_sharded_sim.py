@@ -275,16 +275,18 @@ def test_per_shard_stats_populated():
 
 AIR = 0.005
 WAN = 0.03
-T_HO = 0.512  # 102.4 air-lookahead windows: strictly mid-window
+T_DETACH = 0.412  # 82.4 air-lookahead windows
+T_HO = 0.512      # 102.4: both strictly mid-window
 
 
 def _build_handover(spec):
-    """UE attaches via enb-a (shard 0), then at T_HO is re-homed to
-    enb-b (last shard): new air leg crosses the boundary, and enb-b
-    raises an S1 path switch the MME must ack back through the new leg."""
+    """UE attaches via enb-a (shard 0), detaches at T_DETACH, and at T_HO
+    is re-homed to enb-b (last shard) and re-attaches there — the dLTE
+    re-attach E6 models. The new air leg crosses the boundary: every
+    attach request goes up it, and the MME, which serves the eNB the
+    AttachRequest arrived from, answers back down it."""
     from repro.enodeb.relay import EnbControlRelay
     from repro.epc.centralized import CentralizedEpc
-    from repro.epc.nas import PathSwitchRequest
     from repro.epc.subscriber import make_profile
     from repro.epc.ue import UserEquipment
     from repro.net.addressing import AddressPool
@@ -311,8 +313,14 @@ def _build_handover(spec):
         enb_a.attach_ue("ue0", air_a)
         air_b_ue = CrossShardChannel(sim, boundary, ue, "enb-b", last,
                                      AIR, "air:b")
+
+        def reattach_via_b():
+            ue.connect_air(air_b_ue)
+            ue.start_attach()
+
         sim.schedule(0.0, ue.start_attach)
-        sim.at(T_HO, ue.connect_air, air_b_ue)
+        sim.at(T_DETACH, ue.detach)
+        sim.at(T_HO, reattach_via_b)
         out["ue"], out["air_b_ue"] = ue, air_b_ue
     if shard == last:
         enb_b = EnbControlRelay(sim, "enb-b")
@@ -322,12 +330,6 @@ def _build_handover(spec):
         air_b_enb = CrossShardChannel(sim, boundary, enb_b, "ue0", 0,
                                       AIR, "air:b")
         enb_b.attach_ue("ue0", air_b_enb)
-
-        def path_switch():
-            s1b.send(enb_b, PathSwitchRequest(ue_id="ue0",
-                                              target_enb=enb_b.name))
-
-        sim.at(T_HO, path_switch)
         out["s1b"], out["air_b_enb"] = s1b, air_b_enb
 
     def harvest(host):
@@ -335,9 +337,9 @@ def _build_handover(spec):
         if "ue" in out:
             result["state"] = out["ue"].state.name
             result["latency"] = out["ue"].attach_latency_s
-            result["ue_got_ack"] = out["air_b_ue"].received
+            result["ue_heard_via_b"] = out["air_b_ue"].received
         if "s1b" in out:
-            result["pathswitch_up"] = out["s1b"].messages
+            result["attach_up_via_b"] = out["s1b"].messages
             result["downlink_via_b"] = out["air_b_enb"].messages
         return result
 
@@ -352,8 +354,11 @@ def test_mid_window_handover_across_shards():
         merged = _merge(ShardedSimulator(_build_handover, specs)
                         .run(until=1.0))
         assert merged["state"] == "ATTACHED"
-        assert merged["pathswitch_up"] == 1  # enb-b raised the switch
-        assert merged["ue_got_ack"] == 1     # ack came back over the new leg
+        # AttachRequest, AuthenticationResponse, SecurityModeComplete and
+        # AttachComplete went up the new leg; AuthenticationRequest,
+        # SecurityModeCommand and AttachAccept came back down it
+        assert merged["attach_up_via_b"] == 4
+        assert merged["ue_heard_via_b"] == merged["downlink_via_b"] == 3
         if reference is None:
             reference = merged
         else:
