@@ -12,8 +12,6 @@ surviving AP's uplink — longer path, same Internet.
 Run:  python examples/backhaul_failure.py
 """
 
-import ipaddress
-
 from repro import DLTENetwork, RuralTown
 from repro.core.network import SERVER_ADDR
 from repro.net import Packet

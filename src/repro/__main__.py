@@ -229,19 +229,21 @@ def run_experiment(exp_id: str, metrics_out: Optional[str] = None,
             HUB.abort_run()
         _dump_on_exception(exp_id, exc)
         raise
-    if collect:
-        run = HUB.finish_run()
+    run = HUB.finish_run() if collect else None
     _print_result(result)
-    if collect:
+    if run is not None:
         _export_run(exp_id, run, metrics_out, trace_out, profile, multi,
                     profile_out=profile_out)
     print(f"[{exp_id} done in {time.time() - started:.1f} s]")
     print()
-    # the experiment's simulators are cyclic garbage now: free them
-    # before the next experiment (``--all``, or the next task of a
-    # supervised worker) is built
-    del result
+    # the experiment's simulators are cyclic garbage once the result and
+    # the run (whose registries hold their owners) go: free them before
+    # the next experiment (``--all``, or the next task of a supervised
+    # worker) is built, then freeze what survives, so that later
+    # collections walk only what the next experiment builds
+    del result, run
     gc.collect()
+    gc.freeze()
 
 
 #: Experiments whose run() fans its own sweep cells over the worker
@@ -450,6 +452,8 @@ def main(argv: List[str] = None) -> int:
     if exp_args and args.resume:
         parser.error("--exp-arg cannot be combined with --resume: the "
                      "checkpoint journal is keyed by experiment id only")
+    # the parser is cyclic: it goes before a release point freezes it
+    del parser
     # --jobs is the process-wide default for the run only: a caller that
     # drives main() in-process gets its own value back on every exit
     previous_jobs = get_jobs()

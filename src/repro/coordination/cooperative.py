@@ -21,7 +21,7 @@ Each optimization pass:
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, List, Optional
+from typing import Dict, FrozenSet, List
 
 from repro.coordination.fair_sharing import compute_weighted_partition
 from repro.enodeb.cell import Cell, UeRadioContext

@@ -11,7 +11,7 @@ from the message sizes declared here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage

@@ -22,8 +22,6 @@ from __future__ import annotations
 import ipaddress
 from typing import Dict, List, Optional
 
-import numpy as np
-
 from repro.coordination.cooperative import CooperativeCluster
 from repro.coordination.icic import reuse_partition
 from repro.coordination.mesh import mesh_link_rate_bps
@@ -40,7 +38,7 @@ from repro.epc.subscriber import make_profile
 from repro.epc.ue import UeState, UserEquipment
 from repro.geo.points import Point
 from repro.mac.csma import CsmaNode, CsmaSimulation
-from repro.net.addressing import AddressPool, IPv4Address
+from repro.net.addressing import AddressPool
 from repro.net.internet import InternetCore
 from repro.net.nodes import Host, Router
 from repro.net.packet import Packet

@@ -14,8 +14,8 @@ experiment depends on their ratios, not their cents.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import dataclass
+from typing import List
 
 from repro.mac.timing import WIFI_DEFAULT_ACK_RANGE_M
 from repro.phy.linkbudget import LinkBudget, Radio

@@ -9,7 +9,7 @@ publication.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
 from repro.epc.crypto import generate_auth_vector

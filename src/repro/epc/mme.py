@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import hmac
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage

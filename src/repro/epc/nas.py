@@ -8,7 +8,7 @@ used for control-load accounting (E7, E17, E19).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.addressing import IPv4Address

@@ -13,7 +13,7 @@ instant to read and impossible to take down.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.geo.placement import uniform_disk_placement
 from repro.metrics.stats import summarize

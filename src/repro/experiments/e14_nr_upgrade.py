@@ -25,7 +25,6 @@ from repro.phy.mcs import lte_efficiency_for_sinr
 from repro.phy.nr import (
     LTE_TTI_S,
     NR_BANDS,
-    NR_NUMEROLOGY,
     Numerology,
     air_interface_latency_s,
     beamforming_gain_db,

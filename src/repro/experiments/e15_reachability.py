@@ -22,10 +22,9 @@ NAT's drop counter.
 from __future__ import annotations
 
 import ipaddress
-from typing import Dict
 
 from repro.metrics.tables import ResultTable
-from repro.net import Host, InternetCore, NatRouter, Packet, Router
+from repro.net import Host, InternetCore, NatRouter, Router
 from repro.simcore.simulator import Simulator
 from repro.transport.base import ConnectionState, TransportDemux
 from repro.transport.quic import QuicConnection, QuicListener

@@ -17,12 +17,7 @@ from typing import List, Optional
 
 from repro.metrics.tables import ResultTable
 from repro.phy.harq import harq_goodput_factor
-from repro.phy.mcs import (
-    LTE_CQI_TABLE,
-    WIFI_MCS_TABLE,
-    select_lte_cqi,
-    select_wifi_mcs,
-)
+from repro.phy.mcs import LTE_CQI_TABLE, WIFI_MCS_TABLE
 
 SINR_SWEEP_DB = [-10, -8, -6, -4, -2, 0, 2, 4, 6, 10, 15, 20]
 

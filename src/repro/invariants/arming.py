@@ -8,10 +8,13 @@ registry is weak, and experiments drop their simulators early.
 
 A scope is one unit of work: a clean exit verifies the simulators born
 in it, an exception drops them. Scopes nest: the CLI opens one per
-experiment ``run()`` and the worker runtime one per task
-(``repro.runner.worker.audited`` is this function while armed), so a
-violation in a ``--jobs`` cell comes home as that task's failure and a
-retried task is audited again. Forked workers inherit the state.
+experiment ``run()``, and the worker runtime and ``parallel_map``'s
+serial loop one per task (``repro.runner.worker.audited`` is this
+function while armed), so a violation in a ``--jobs`` cell comes home as
+that task's failure and a retried task is audited again. A nested scope
+hands the enclosing one a :meth:`~InvariantChecker.record` of each
+checker it verified, not the checker, so that a task's simulators die
+with the task. Forked workers inherit the state.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ def _adopt(sim: Simulator) -> None:
 @contextlib.contextmanager
 def armed() -> Iterator[List[InvariantChecker]]:
     """Audit every simulator built inside the ``with`` block; yields the
-    (growing) list of their checkers. A clean exit runs each one's
+    (growing) list of their checkers, and the records of those a nested
+    scope verified. A clean exit runs each one's
     :meth:`~InvariantChecker.verify`: the final pass, raising
     ``InvariantError`` (post-mortem written) on the first that broke."""
     born: List[InvariantChecker] = []
@@ -53,3 +57,5 @@ def armed() -> Iterator[List[InvariantChecker]]:
             Simulator.arming, worker.audited = None, contextlib.nullcontext
     for checker in born:
         checker.verify()
+    if _SCOPES:
+        _SCOPES[-1].extend(checker.record() for checker in born)

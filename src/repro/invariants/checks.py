@@ -40,6 +40,7 @@ per-event path).
 
 from __future__ import annotations
 
+import copy
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, List
 
@@ -336,6 +337,8 @@ class InvariantChecker:
         the violation list — and the error carries ``postmortem_path``
         so outer handlers (the CLI) don't dump a second time.
         """
+        if self.sim is None:  # a record: verified where it was born
+            return
         self.check_now()
         if self.violations:
             error = InvariantError(self.violations)
@@ -346,6 +349,19 @@ class InvariantChecker:
             if path:
                 error.postmortem_path = path
             raise error
+
+    def record(self) -> "InvariantChecker":
+        """A copy that keeps what this audit checked and found, but not
+        the simulator or the components its checks close over: what an
+        enclosing scope keeps of a verified checker (see
+        :func:`repro.invariants.armed`)."""
+        record = copy.copy(self)
+        record.sim = None
+        record._checks = [(name, subject, None)
+                          for name, subject, _fn in self._checks]
+        record._tunnel_endpoints = []
+        record._m_violations = None
+        return record
 
     def __repr__(self) -> str:
         return (f"<InvariantChecker checks={len(self._checks)} "

@@ -7,7 +7,7 @@ a fixed-width text rendering that the bench harness prints.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Sequence
 
 
 class ResultTable:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.net.addressing import IPv4Address
 from repro.net.nodes import NetworkNode, Router
 from repro.simcore.simulator import Simulator
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.net.aqm import DROP, MARK, PASS, AqmDiscipline
+from repro.net.aqm import DROP, PASS, AqmDiscipline
 from repro.net.packet import ECN_CE, ECN_ECT, Packet
 from repro.simcore.simulator import Simulator
 from repro.telemetry.registry import Gauge, StampedQueue

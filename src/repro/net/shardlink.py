@@ -26,8 +26,6 @@ non-negative delay; they never constrain the window.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.epc.agents import CHANNEL_LEDGER, ControlAgent, ControlMessage
 from repro.net.links import Link
 from repro.net.packet import Packet

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.phy.bands import Band
 from repro.phy.mcs import LTE_CQI_TABLE, McsEntry

@@ -9,7 +9,10 @@ The contract that keeps parallel runs byte-identical to serial ones:
   ``parallel_map`` just loops, so cell-level parallelism composes with
   experiment-level fan-out without oversubscription;
 * under an active :data:`~repro.telemetry.hub.HUB` run each task's
-  telemetry ships home and is spliced into the parent run in task order.
+  telemetry ships home and is spliced into the parent run in task order;
+* the serial loop is a release point: it frees each finished task and
+  freezes what survives (``gc.freeze``), so a task's simulators must
+  die with it. It audits and archives each task as a worker does.
 
 Execution is :func:`repro.runner.supervisor.fan_out` with no deadline
 and no retries: the first task that raises — or whose worker dies or
@@ -22,9 +25,11 @@ from __future__ import annotations
 import gc
 from typing import Any, Callable, List, Optional, Sequence
 
+from repro.runner import worker
 from repro.runner.supervisor import (SupervisorReport, TaskFailedError,
                                      fan_out)
 from repro.runner.worker import get_jobs, in_worker
+from repro.telemetry.hub import HUB
 
 __all__ = ["WorkerTaskError", "parallel_map"]
 
@@ -81,10 +86,18 @@ def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
         for item in items:
             if results:
                 # a finished cell's simulator graph is cyclic: free it
-                # before the next cell is built, not whenever a
-                # generation-2 collection happens to run
+                # before the next cell is built, then freeze what
+                # survives, so that later collections walk only what
+                # the next cell builds
                 gc.collect()
-            results.append(fn(item))
+                gc.freeze()
+            # bracketed as a worker brackets a task: its simulators are
+            # audited and its telemetry archived when it returns, so
+            # nothing it built survives into the frozen set
+            start = HUB.adopted
+            with worker.audited():
+                results.append(fn(item))
+            HUB.archive_since(start)
         return results
     results = [None] * len(items)
     try:

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.simcore.simulator import Simulator
 from repro.spectrum.grants import ApRecord, SpectrumGrant, in_contention

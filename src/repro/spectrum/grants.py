@@ -11,7 +11,7 @@ CBRS midband ones.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.geo.points import Point

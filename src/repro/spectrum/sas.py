@@ -13,7 +13,7 @@ nobody can join or discover.
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.simcore.simulator import Simulator
 from repro.spectrum.grants import ApRecord, SpectrumGrant, in_contention

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from repro.metrics.tables import ResultTable
 from repro.telemetry.hub import tagged_rows

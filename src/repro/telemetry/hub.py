@@ -239,6 +239,29 @@ class TelemetryHub:
         self._lifecycle = None
         self._shard_stats = []
 
+    @property
+    def adopted(self) -> int:
+        """How many simulators the active run has collected so far."""
+        return len(self._sims)
+
+    def archive_since(self, start: int) -> None:
+        """Swap the simulators adopted from index ``start`` on for what a
+        worker ships home for them (:meth:`export_worker_run`): their
+        readings, spans and traces stay, their graphs go.
+
+        ``parallel_map``'s serial loop calls this when a task returns
+        (``start`` is :attr:`adopted` read before it), so that under a
+        run too nothing the task built is alive at the next release
+        point; a no-op outside a run.
+        """
+        if not self.active:
+            return
+        for index in range(start, len(self._sims)):
+            sim = self._sims[index]
+            sim.telemetry.metrics.detach()
+            sim.telemetry.spans.detach()
+            self._sims[index] = WorkerSimTelemetry(sim)
+
     # -- worker shipping (see repro.runner.parallel) -----------------------
 
     def export_worker_run(self) -> dict:

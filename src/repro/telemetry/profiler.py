@@ -16,7 +16,7 @@ dispatch, it does not alter it.
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional
 
 from repro.metrics.tables import ResultTable
 

@@ -26,6 +26,7 @@ from bisect import bisect_left
 from collections import deque
 from functools import reduce
 from itertools import chain
+from types import SimpleNamespace
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -661,6 +662,35 @@ class MetricsRegistry:
         return {"_instruments": self._instruments,
                 "_pending": [], "_mirrors": [], "_mirrored": {},
                 "_gauges": {}}
+
+    def detach(self) -> None:
+        """Let go of every owner, keeping what a read would export: each
+        owner becomes a snapshot of the attributes it declared, read in
+        :meth:`_sync`'s order (every count, then every level), so the
+        instruments are still created only if somebody reads."""
+        read: Dict[int, Dict[str, Any]] = {}
+        for owner, counters, *_labels in self._pending:
+            values = read.setdefault(id(owner), {})
+            for declared in counters:
+                if len(declared) == 3:
+                    values[declared[0]] = getattr(owner, declared[0])
+        for _counter, owner, attribute in self._mirrors:
+            read.setdefault(id(owner), {})[attribute] = \
+                getattr(owner, attribute)
+        for entry in self._gauges.values():
+            for owner, attribute in zip(entry[1::2], entry[2::2]):
+                read.setdefault(id(owner), {})[attribute] = \
+                    getattr(owner, attribute)
+        snapshots = {key: SimpleNamespace(**values)
+                     for key, values in read.items()}
+        self._pending = [(snapshots[id(owner)], *rest)
+                         for owner, *rest in self._pending]
+        self._mirrors = [(counter, snapshots[id(owner)], attribute)
+                         for counter, owner, attribute in self._mirrors]
+        self._gauges = {key: (entry[0], *chain.from_iterable(
+            (snapshots[id(owner)], attribute)
+            for owner, attribute in zip(entry[1::2], entry[2::2])))
+            for key, entry in self._gauges.items()}
 
     # -- queries ------------------------------------------------------------
 

@@ -39,7 +39,7 @@ __all__ = ["Span", "SpanTracker", "Telemetry"]
 
 
 def _frozen_clock() -> float:
-    """Clock of an unpickled tracker: it only ever reports history."""
+    """Clock of a shipped or detached tracker: it only reports history."""
     return 0.0
 
 
@@ -151,6 +151,14 @@ class SpanTracker:
         self._hists = {}
         if self._clock is None:
             self._clock = _frozen_clock
+
+    def detach(self) -> None:
+        """Become an archive, as a shipped tracker is: the clock over the
+        simulator goes, and the spans, which never end again, let go of
+        the tracker, so that tracker and spans hold no cycle."""
+        self._clock = _frozen_clock
+        for span in itertools.chain(self.finished, self._open.values()):
+            span._tracker = None
 
     # -- creation ----------------------------------------------------------
 

@@ -2,8 +2,6 @@
 
 import ipaddress
 
-import pytest
-
 from repro.core.datapath import EnbDataPlane, EpcDataPlane
 from repro.net import Host, InternetCore, Packet, Router
 from repro.net.tunnel import GTP_HEADER_BYTES

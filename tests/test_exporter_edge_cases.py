@@ -13,8 +13,6 @@ Three corners the happy-path telemetry tests never hit:
   for both wall-clock callback sites and simulated-time span trees.
 """
 
-import pytest
-
 from repro.telemetry.exporters import (tagged_rows, write_folded,
                                        write_metrics_text)
 from repro.telemetry.registry import Histogram, MetricsRegistry

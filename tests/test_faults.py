@@ -6,8 +6,6 @@ stub crash/restart, supervised NAS attach retries, spectrum-lease
 renewal and lapse, and SAS lease expiry authority.
 """
 
-import ipaddress
-
 import pytest
 
 from repro.core.access_point import DLTEAccessPoint

@@ -10,7 +10,6 @@ blockchain.
 import pytest
 
 from repro.core import DLTENetwork
-from repro.simcore import Simulator
 from repro.spectrum import BlockchainRegistry, FederatedRegistry, SasRegistry
 from repro.workloads import RuralTown
 

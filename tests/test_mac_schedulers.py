@@ -1,7 +1,5 @@
 """Unit tests for LTE PRB schedulers."""
 
-import pytest
-
 from repro.mac import (
     MaxCiScheduler,
     ProportionalFairScheduler,

@@ -10,6 +10,11 @@ arenas or on ``ru_maxrss``).
   serial loop collects between tasks; without that, a sweep of equal
   cells peaks at the sum of the cells still waiting for a generation-2
   pass instead of at one cell.
+- Each such release point (and the CLI's, after each experiment) then
+  freezes what survives, so the next collection walks only what the
+  next task builds. A graph alive at a freeze that dies later is never
+  freed, so no task may leave one behind: not through the CLI's locals,
+  the telemetry hub or an invariants scope.
 - An idle link (an attach storm builds thousands that never carry a
   packet) has no queue, flight or offer buffer until its first send,
   and no queue-depth gauge until somebody reads one.
@@ -20,10 +25,14 @@ arenas or on ``ru_maxrss``).
   every other ``repro`` object under the limit.
 """
 
+import contextlib
 import gc
+import io
 import tracemalloc
 import types
 
+from repro.__main__ import run_experiment
+from repro.epc.agents import ControlAgent
 from repro.experiments import e6_mobility as e6
 from repro.experiments import e17_attach_storm as e17
 from repro.experiments import e18_sustained_overload as e18
@@ -55,6 +64,47 @@ def test_a_serial_sweep_peaks_at_one_cell_not_at_their_sum():
     assert three <= 1.1 * one, (
         f"three equal cells peaked at {three / 1e6:.1f} MB, one at "
         f"{one / 1e6:.1f} MB: a finished cell outlived its task")
+
+
+def test_a_task_after_the_first_starts_with_nothing_to_walk():
+    tracked = []
+
+    def task(cell):
+        tracked.append(len(gc.get_objects()))  # the frozen set not counted
+        return e17._run_cell(cell)
+
+    parallel_map(task, [CELL] * 3, jobs=1)
+    assert max(tracked[1:]) <= 100, (
+        f"tasks started with {tracked} objects a collection walks")
+
+
+#: a two-intensity E17 on two APs: four cells through the serial loop
+_SMALL_E17 = dict(intensities=(1, 2), n_aps=2, ue_per_ap=2, horizon_s=6.0)
+
+
+def test_nothing_a_task_built_survives_its_release_point(tmp_path):
+    from repro.invariants import armed
+
+    gc.unfreeze()
+    gc.collect()
+    telemetry = dict(metrics_out=str(tmp_path / "m.csv"),
+                     trace_out=str(tmp_path / "t.jsonl"))
+    with contextlib.redirect_stdout(io.StringIO()):
+        with armed():
+            run_experiment("E17", exp_args=_SMALL_E17)
+        run_experiment("E16", profile=True, **telemetry)
+        run_experiment("E17", exp_args=_SMALL_E17, **telemetry)
+    flags = gc.get_debug()
+    gc.unfreeze()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        gc.collect()
+        left = sorted({type(obj).__name__ for obj in gc.garbage
+                       if isinstance(obj, (Simulator, Link, ControlAgent))})
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert left == [], f"frozen alive, freed only by an unfreeze: {left}"
 
 
 def _receiver(packet):

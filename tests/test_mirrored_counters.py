@@ -10,7 +10,8 @@ channel and its two agents through random operations beside an eager
 ``snapshot()`` are the oracle's. The scripted tests hold the edges of
 the design: a discipline re-installed, a mirrored key that somebody also
 ``inc``s, ``clear()``, a registry shipped to a process that never
-imported the owners' classes, and an owner nothing else refers to.
+imported the owners' classes, a registry detached from its owners, and
+an owner nothing else refers to.
 """
 
 import gc
@@ -275,6 +276,40 @@ def test_an_owner_nobody_else_holds_keeps_its_rows():
     assert gone() is not None
     assert sim.metrics.value("net.link.delivered", link="l0") == 3.0
     assert sim.metrics.value("net.link.bytes_sent", link="l0") == 300.0
+
+
+def _half_run(read_first):
+    """A loaded link, two same-named links sharing a queue-depth gauge
+    and an agent, half a second in."""
+    sim = Simulator(seed=0)
+    owners = [_loaded_link(sim), CallbackAgent(sim, "a0")]
+    for _ in range(2):
+        link = Link(sim, rate_bps=8_000.0, delay_s=0.0, name="q")
+        link.connect(lambda packet: None)
+        link.send(Packet(src=None, dst=None, size_bytes=1000))
+        owners.append(link)
+    sim.run(until=0.5)
+    if read_first:
+        sim.metrics.snapshot()
+    return sim, owners
+
+
+@pytest.mark.parametrize("read_first", [False, True])
+def test_a_detached_registry_keeps_its_reading_and_no_owner(read_first):
+    """What ``parallel_map``'s serial loop does to a finished cell's
+    registry under a hub run: the rows stay, the owners can go."""
+    sim, owners = _half_run(read_first)
+    expected = _half_run(read_first)[0].metrics.snapshot()
+    registry = sim.metrics
+    registry.detach()
+    for link in owners[::2]:
+        link.delivered += 1                 # the owners move on, the
+    assert registry.snapshot() == expected  # reading does not
+    gone = [weakref.ref(owner) for owner in owners]
+    del sim, owners, link
+    gc.collect()
+    assert [ref() for ref in gone] == [None] * 4
+    assert registry.snapshot() == expected
 
 
 _LOAD_IN_A_FRESH_INTERPRETER = """

@@ -1,7 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
 import ipaddress
-import math
 
 import pytest
 from hypothesis import assume, given, settings

@@ -34,6 +34,11 @@ of an allowed class are kept with it. Each entry carries its reason, and
 an entry that no longer names a defined name, or names one that
 something runs without the allowlist's help, fails the gate: the list
 can only shrink.
+
+Imports are gated per file, in ``src/``, ``tests/`` and ``examples/``
+alike: a name a module imports must be read by that module — by a
+``Name`` anywhere in it, by a quoted annotation, or by an ``__all__``
+entry. There is no allowlist.
 """
 
 from __future__ import annotations
@@ -305,6 +310,79 @@ def test_every_public_name_is_run_by_something():
     assert unreferenced == []
     assert stale == []
     assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def _quoted_names(node: ast.AST) -> Set[str]:
+    """Names a quoted annotation inside ``node`` reads (``cell: "Cell"``)."""
+    found: Set[str] = set()
+    for operand in _type_operands(node):
+        for child in ast.walk(operand or ast.Pass()):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str):
+                try:
+                    quoted = ast.parse(child.value, mode="eval")
+                except SyntaxError:  # a ``Literal["..."]`` value
+                    continue
+                found |= {name.id for name in ast.walk(quoted)
+                          if isinstance(name, ast.Name)}
+    return found
+
+
+def unused_imports(roots: Iterable[Path]) -> List[str]:
+    """``<path>:<line> <name>`` for every name a module imports and never
+    reads (see the module docstring); ``from __future__`` is not a
+    binding."""
+    found = []
+    for path in _python_files(roots):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        imported: Dict[str, int] = {}
+        read: Set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                if getattr(node, "module", None) == "__future__":
+                    continue
+                for alias in node.names:
+                    binding = alias.asname or alias.name.split(".")[0]
+                    imported.setdefault(binding, node.lineno)
+            elif isinstance(node, ast.Name):
+                if not isinstance(node.ctx, ast.Store):
+                    read.add(node.id)
+            elif isinstance(node, ast.Assign) and any(
+                    isinstance(target, ast.Name) and target.id == "__all__"
+                    for target in node.targets):
+                read |= {entry.value for entry in ast.walk(node.value)
+                         if isinstance(entry, ast.Constant)}
+            read |= _quoted_names(node)
+        found.extend(f"{path}:{line} {name}"
+                     for name, line in imported.items() if name not in read)
+    return found
+
+
+def test_every_import_is_read():
+    assert unused_imports(
+        [ROOT / "src", ROOT / "tests", ROOT / "examples"]) == []
+
+
+def test_import_gate_on_a_synthetic_tree(tmp_path):
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(
+        "from __future__ import annotations\n"
+        "import math, os.path\n"
+        "import numpy as np\n"
+        "from typing import TYPE_CHECKING, Literal, Optional\n"
+        "from pkg.other import exported, unread\n"
+        "if TYPE_CHECKING:\n"
+        "    from pkg.cell import Cell\n"
+        "__all__ = ['exported']\n"
+        "def area(r, cell: 'Cell') -> float:\n"
+        "    import json\n"
+        "    return math.pi * r * r\n"
+        "np = None\n"
+        "def pick(mode: Literal['fast path']) -> None:\n"
+        "    pass\n")
+    assert unused_imports([tmp_path]) == [
+        f"{tmp_path / 'pkg' / 'mod.py'}:{line} {name}"
+        for line, name in ((2, "os"), (3, "np"), (4, "Optional"),
+                           (5, "unread"), (10, "json"))]
 
 
 # -- the gate on a synthetic tree --------------------------------------------

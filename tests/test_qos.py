@@ -14,7 +14,7 @@ from repro.core.datapath import EnbDataPlane, EpcDataPlane
 from repro.epc.qos import (CLASS_BULK, CLASS_GBR, CLASS_INTERACTIVE,
                            CLASS_NAMES, BearerPolicer, QosPolicy)
 from repro.net.addressing import IPv4Address
-from repro.net.nodes import Host, NetworkNode
+from repro.net.nodes import NetworkNode
 from repro.net.packet import Packet
 from repro.simcore.simulator import Simulator
 

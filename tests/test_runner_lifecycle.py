@@ -7,8 +7,6 @@ records, the metrics family, the ``--profile`` summary line, and the
 ``--trace-out`` JSONL records that land for parallel runs only.
 """
 
-import contextlib
-import io
 import json
 import time
 

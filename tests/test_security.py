@@ -3,12 +3,11 @@ still guarantees, and what it deliberately gives up."""
 
 import pytest
 
-from repro.epc import LocalCoreStub, PublishedKeyRegistry, UserEquipment
+from repro.epc import PublishedKeyRegistry, UserEquipment
 from repro.epc.agents import ControlChannel
 from repro.epc.nas import AuthenticationRequest
-from repro.epc.subscriber import SubscriberProfile, make_profile
+from repro.epc.subscriber import make_profile
 from repro.epc.ue import UeState
-from repro.net import AddressPool
 from repro.simcore import Simulator
 
 from tests.callback_agent import CallbackAgent

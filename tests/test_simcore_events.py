@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import Event, EventCancelled, Simulator
+from repro.simcore import EventCancelled, Simulator
 
 
 @pytest.fixture

@@ -68,10 +68,11 @@ RULES: Tuple[Rule, ...] = (
     Rule("gc-in-two-places",
          r"gc\.(collect|freeze)",
          ("src/",), (r"^src/repro/(runner/parallel|__main__)\.py:",),
-         "a finished sweep cell is freed between tasks of parallel_map's "
-         "serial loop and after each experiment of the CLI; a collection "
-         "anywhere else (a shard window, a hot loop) sits on a critical "
-         "path"),
+         "each release point (between tasks of parallel_map's serial "
+         "loop, after each experiment of the CLI) collects the finished "
+         "task and then freezes the survivors, so later collections walk "
+         "only what the next task builds; a collection anywhere else (a "
+         "shard window, a hot loop) sits on a critical path"),
     Rule("no-per-message-queue-gauge",
          r"_m_queue|queue_depth.*\.set\(",
          ("src/repro/epc/", "src/repro/net/"), (),

@@ -21,7 +21,6 @@ from repro.metrics.stats import percentile
 from repro.simcore import Simulator
 from repro.telemetry import (
     HUB,
-    Counter,
     Histogram,
     MetricsRegistry,
     P2Quantile,
