@@ -12,7 +12,7 @@ from the message sizes declared here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional
+from typing import Callable, Dict, FrozenSet, List
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
 from repro.simcore.simulator import Simulator
@@ -39,15 +39,13 @@ class LoadInformation(X2Message):
 class HandoverRequest(X2Message):
     """Source AP -> target AP: take this UE (X2 handover).
 
-    ``key_context`` carries the UE's cached authentication material so
-    the target stub can admit the client without a registry fetch —
-    the dLTE analogue of LTE's X2 security-context transfer, and the
-    paper's "fast re-authentication technologies" (§6).
+    Its 250 B budget covers the UE's identity and its cached
+    authentication material (key context), so the target stub could
+    admit the client without a registry fetch — the dLTE analogue of
+    LTE's X2 security-context transfer, and the paper's "fast
+    re-authentication technologies" (§6). E9 reads only the size.
     """
 
-    ue_id: str = ""
-    imsi: str = ""
-    key_context: Optional[bytes] = None
     size_bytes: int = 250
 
 
@@ -55,8 +53,6 @@ class HandoverRequest(X2Message):
 class HandoverRequestAck(X2Message):
     """Target AP -> source AP: admitted; UE may be told to move."""
 
-    ue_id: str = ""
-    admitted: bool = True
     size_bytes: int = 150
 
 

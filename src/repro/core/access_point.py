@@ -33,7 +33,6 @@ from repro.net.addressing import AddressPool, IPv4Address
 from repro.net.internet import InternetCore
 from repro.net.nodes import Host, Router
 from repro.phy.bands import Band
-from repro.phy.fading import ShadowingField
 from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.propagation import model_for_frequency
 from repro.simcore.simulator import Simulator
@@ -69,8 +68,7 @@ class DLTEAccessPoint:
                  backhaul_rate_bps: float = 50e6,
                  tx_power_dbm: float = 43.0,
                  antenna_gain_dbi: float = 15.0,
-                 height_m: float = 30.0,
-                 shadowing: Optional[ShadowingField] = None) -> None:
+                 height_m: float = 30.0) -> None:
         self.sim = sim
         self.ap_id = ap_id
         self.position = position
@@ -101,8 +99,7 @@ class DLTEAccessPoint:
 
         budget = LinkBudget(
             model_for_frequency(band.dl_mhz, bs_height_m=height_m),
-            freq_mhz=band.dl_mhz, bandwidth_hz=band.bandwidth_hz,
-            shadowing=shadowing)
+            freq_mhz=band.dl_mhz, bandwidth_hz=band.bandwidth_hz)
         self.cell = Cell(f"{ap_id}-cell", band, position, budget,
                          tx_power_dbm=tx_power_dbm,
                          antenna_gain_dbi=antenna_gain_dbi,

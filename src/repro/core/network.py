@@ -44,7 +44,6 @@ from repro.net.nodes import Host, Router
 from repro.net.packet import Packet
 from repro.net.tunnel import GTP_HEADER_BYTES
 from repro.phy.bands import get_band
-from repro.phy.fading import ShadowingField
 from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.mcs import wifi_rate_for_snr
 from repro.phy.propagation import model_for_frequency
@@ -163,8 +162,7 @@ class DLTENetwork(_BaseNetwork):
     @classmethod
     def build(cls, town: RuralTown, band_name: str = "lte5", seed: int = 0,
               coordination_mode: str = "fair-sharing",
-              spectrum_registry=None,
-              shadowing_sigma_db: float = 0.0) -> "DLTENetwork":
+              spectrum_registry=None) -> "DLTENetwork":
         """Assemble a dLTE federation over a town.
 
         ``coordination_mode``: ``"fair-sharing"`` (default),
@@ -179,8 +177,6 @@ class DLTENetwork(_BaseNetwork):
         band = get_band(band_name)
         net.key_registry = PublishedKeyRegistry(sim, lookup_rtt_s=0.05)
         net.spectrum_registry = spectrum_registry or SasRegistry(sim)
-        shadowing = (ShadowingField(shadowing_sigma_db, seed=seed)
-                     if shadowing_sigma_db > 0 else None)
 
         for i, position in enumerate(town.ap_positions()):
             ap = DLTEAccessPoint(
@@ -188,8 +184,7 @@ class DLTENetwork(_BaseNetwork):
                 net.spectrum_registry, net.key_registry,
                 pool_prefix=f"10.{i + 1}.0.0/16",
                 backhaul_delay_s=town.backhaul_delay_s,
-                backhaul_rate_bps=town.backhaul_rate_bps,
-                shadowing=shadowing)
+                backhaul_rate_bps=town.backhaul_rate_bps)
             net.aps[ap.ap_id] = ap
 
         ue_positions = town.ue_positions()
@@ -387,14 +382,11 @@ class CentralizedLTENetwork(_BaseNetwork):
 
     @classmethod
     def build(cls, town: RuralTown, band_name: str = "lte5", seed: int = 0,
-              epc_access_delay_s: float = 0.030,
-              shadowing_sigma_db: float = 0.0) -> "CentralizedLTENetwork":
+              epc_access_delay_s: float = 0.030) -> "CentralizedLTENetwork":
         """Assemble the carrier baseline: eNodeBs + one remote EPC."""
         sim = Simulator(seed)
         net = cls(sim, town)
         band = get_band(band_name)
-        shadowing = (ShadowingField(shadowing_sigma_db, seed=seed)
-                     if shadowing_sigma_db > 0 else None)
 
         # EPC site: control plane + user plane behind one edge router
         epc_router = Router(sim, "epc-gw")
@@ -413,7 +405,7 @@ class CentralizedLTENetwork(_BaseNetwork):
         epc_router.default_route = "internet"
 
         for i, position in enumerate(town.ap_positions()):
-            net._build_site(i, position, band, shadowing, epc_access_delay_s)
+            net._build_site(i, position, band, epc_access_delay_s)
 
         for j, position in enumerate(town.ue_positions()):
             profile = make_profile(f"0010100000{j:05d}")
@@ -428,7 +420,7 @@ class CentralizedLTENetwork(_BaseNetwork):
             net._connect_ue(ue, host, radio)
         return net
 
-    def _build_site(self, index: int, position: Point, band, shadowing,
+    def _build_site(self, index: int, position: Point, band,
                     epc_access_delay_s: float) -> None:
         sim = self.sim
         name = f"site{index}"
@@ -457,8 +449,7 @@ class CentralizedLTENetwork(_BaseNetwork):
 
         budget = LinkBudget(model_for_frequency(band.dl_mhz),
                             freq_mhz=band.dl_mhz,
-                            bandwidth_hz=band.bandwidth_hz,
-                            shadowing=shadowing)
+                            bandwidth_hz=band.bandwidth_hz)
         self.cells[name] = Cell(f"{name}-cell", band, position, budget)
 
     def _nearest_site(self, position: Point) -> str:
@@ -570,12 +561,11 @@ class PrivateLTENetwork(CentralizedLTENetwork):
 
     @classmethod
     def build(cls, town: RuralTown, band_name: str = "lte48cbrs",
-              seed: int = 0, epc_access_delay_s: float = 0.001,
-              shadowing_sigma_db: float = 0.0) -> "PrivateLTENetwork":
+              seed: int = 0,
+              epc_access_delay_s: float = 0.001) -> "PrivateLTENetwork":
         """On-premises EPC: same build, short EPC access path."""
         return super().build(town, band_name=band_name, seed=seed,
-                             epc_access_delay_s=epc_access_delay_s,
-                             shadowing_sigma_db=shadowing_sigma_db)
+                             epc_access_delay_s=epc_access_delay_s)
 
 
 class WiFiNetwork(_BaseNetwork):
@@ -604,17 +594,13 @@ class WiFiNetwork(_BaseNetwork):
         self.budget: Optional[LinkBudget] = None
 
     @classmethod
-    def build(cls, town: RuralTown, seed: int = 0,
-              shadowing_sigma_db: float = 0.0) -> "WiFiNetwork":
+    def build(cls, town: RuralTown, seed: int = 0) -> "WiFiNetwork":
         """Assemble independent WiFi APs over the same town."""
         sim = Simulator(seed)
         net = cls(sim, town)
-        shadowing = (ShadowingField(shadowing_sigma_db, seed=seed)
-                     if shadowing_sigma_db > 0 else None)
         net.budget = LinkBudget(
             model_for_frequency(net.band.dl_mhz),
-            freq_mhz=net.band.dl_mhz, bandwidth_hz=net.band.bandwidth_hz,
-            shadowing=shadowing)
+            freq_mhz=net.band.dl_mhz, bandwidth_hz=net.band.bandwidth_hz)
         for i, position in enumerate(town.ap_positions()):
             ap_id = f"wifi{i}"
             router = Router(sim, f"{ap_id}-gw")

@@ -120,8 +120,8 @@ class Cell:
         self._ues[ctx.ue_id] = ctx
         self._arena.attach(ctx)
         self._m_attached.set(len(self._ues))
-        # RSRP is deterministic in (cell, UE) positions (shadowing is
-        # hash-based), so observing it here cannot perturb a run.
+        # RSRP is deterministic in (cell, UE) positions, so observing it
+        # here cannot perturb a run.
         self._m_rsrp.observe(self.rsrp_to(ctx.radio))
 
     def remove_ue(self, ue_id: str) -> None:
@@ -138,12 +138,6 @@ class Cell:
         return list(self._ues)
 
     # -- radio evaluation -----------------------------------------------------------
-
-    def sinr_to(self, ue_radio: Radio) -> float:
-        """Downlink SINR at a UE, counting overlapping-PRB cells."""
-        return self.link_budget.sinr_db(
-            self.radio, ue_radio,
-            interferers=[c.radio for c in self.interferers if c is not self])
 
     def rsrp_to(self, ue_radio: Radio) -> float:
         """Reference signal received power (dBm) — the handover metric."""
@@ -203,16 +197,13 @@ class Cell:
             delivered[ue_id] = len(prbs) * b[s] * factor
         return delivered
 
-    def uplink_sinr_from(self, ue_radio: Radio) -> float:
-        """Uplink SINR at the cell from a UE (SC-FDMA PAPR credit applies
-        via the UE radio's ``ul_papr_advantage_db``)."""
-        return self.link_budget.sinr_db(ue_radio, self.radio)
-
     def schedule_uplink_tti(self) -> Dict[str, float]:
         """One PUSCH TTI: contiguous per-UE blocks, bits per UE.
 
-        Uses the uplink link budget (UE transmits, cell receives) and the
-        same HARQ goodput adjustment as the downlink.
+        Uses the uplink link budget (UE transmits, cell receives; the
+        SC-FDMA PAPR credit applies via the UE radio's
+        ``ul_papr_advantage_db``) and the same HARQ goodput adjustment as
+        the downlink.
         """
         # per-UE uplink SINR is not a telemetry series
         self._m_ttis.inc()

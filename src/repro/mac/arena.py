@@ -30,10 +30,9 @@ The contract is **bit identity** with the per-UE scalar evaluators
 refresh routes its transcendental choke points through the libm element
 maps in ``repro.phy.vmath`` (numpy's SIMD kernels round differently at
 1 ulp on a few percent of inputs) and keeps the scalar expressions'
-association order. A bank the vector path does not cover (shadowing,
-or per-transmitter interferer exclusions on the uplink) is refreshed
-with the scalar evaluators instead, row by row; its rows are still
-cached and still scheduled through the arena.
+association order. There is one refresh path per direction: the
+downlink against the cell's interfering cells, the uplink against no
+interferer (none is modelled at the cell's receiver).
 
 Who changes a row says so; nothing polls the attached set. At attach the
 arena hangs a watcher on the UE's ``Radio`` and one on its
@@ -94,7 +93,7 @@ def _radio_sig(radio: Radio) -> tuple:
 
 
 def _model_sig(model: object) -> tuple:
-    """Value signature of a propagation/shadowing model."""
+    """Value signature of a propagation model."""
     attrs = getattr(model, "__dict__", None)
     items = tuple(sorted(attrs.items())) if attrs else ()
     return (type(model).__name__, items)
@@ -115,12 +114,11 @@ class _PhyBank:
     function of the row's SINR and CQI, which stood still.
     """
 
-    __slots__ = ("env_sig", "vector_ok", "version", "dirty", "sinr", "cqi",
-                 "eff", "b", "harq")
+    __slots__ = ("env_sig", "version", "dirty", "sinr", "cqi", "eff", "b",
+                 "harq")
 
     def __init__(self) -> None:
         self.env_sig: Optional[tuple] = None
-        self.vector_ok = False
         self.version = 0
 
     def bind(self, rows: np.ndarray) -> None:
@@ -295,7 +293,6 @@ class UeArena:
         env = self._env(downlink)
         if env != bank.env_sig:
             bank.env_sig = env
-            bank.vector_ok = self._vector_ok(downlink)
             bank.dirty[:] = True
         stale = bank.dirty.nonzero()[0]
         if stale.size:
@@ -340,22 +337,15 @@ class UeArena:
         cell = self._cell
         if downlink:
             return [c.radio for c in cell.interferers if c is not cell]
-        return cell.link_budget.interferers
+        return ()
 
     def _env(self, downlink: bool) -> tuple:
         cell = self._cell
         lb = cell.link_budget
         inter = tuple(_radio_sig(r) for r in self._interferers(downlink))
-        shadow = None if lb.shadowing is None else _model_sig(lb.shadowing)
         return (id(lb), lb.freq_mhz, lb.bandwidth_hz, _model_sig(lb.model),
-                shadow, cell.harq_enabled, cell.harq_max_retx,
+                cell.harq_enabled, cell.harq_max_retx,
                 _radio_sig(cell.radio), inter)
-
-    def _vector_ok(self, downlink: bool) -> bool:
-        if self._cell.link_budget.shadowing is not None:
-            return False
-        # uplink interferers carry per-transmitter exclusions: scalar rows
-        return downlink or not self._interferers(downlink)
 
     # -- row recomputation -------------------------------------------------
 
@@ -364,23 +354,17 @@ class UeArena:
         cell = self._cell
         lb = cell.link_budget
         sinr = bank.sinr
-        if bank.vector_ok:
-            xs, ys, power, gains, nf, cables, papr = self._inputs[:, rows]
-            if downlink:
-                # thermal_noise_dbm is (kTB over the band) + NF, added in
-                # that order: the same bits as the per-row scalar call
-                noise = _thermal_noise_cached(lb.bandwidth_hz, 0.0) + nf
-                sinr[rows] = lb.sinr_db_fixed_tx_many(
-                    cell.radio, xs, ys, gains, cables, noise,
-                    self._interferers(True))
-            else:
-                sinr[rows] = lb.sinr_db_many_tx_fixed_rx(
-                    xs, ys, power, papr, gains, cables, cell.radio)
+        xs, ys, power, gains, nf, cables, papr = self._inputs[:, rows]
+        if downlink:
+            # thermal_noise_dbm is (kTB over the band) + NF, added in
+            # that order: the same bits as the per-row scalar call
+            noise = _thermal_noise_cached(lb.bandwidth_hz, 0.0) + nf
+            sinr[rows] = lb.sinr_db_fixed_tx_many(
+                cell.radio, xs, ys, gains, cables, noise,
+                self._interferers(True))
         else:
-            sinr_of = cell.sinr_to if downlink else cell.uplink_sinr_from
-            radios = self._radios
-            for s in rows.tolist():
-                sinr[s] = sinr_of(radios[s])
+            sinr[rows] = lb.sinr_db_many_tx_fixed_rx(
+                xs, ys, power, papr, gains, cables, cell.radio)
         cqi = select_lte_cqi_index_many(sinr[rows])
         eff = lte_efficiency_for_index(cqi)
         bank.harq[rows] = np.nan  # filled at the row's next grant

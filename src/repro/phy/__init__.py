@@ -12,9 +12,8 @@ from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "bands": ("Band", "LTE_BANDS", "WIFI_BANDS", "get_band"),
-    "fading": ("ShadowingField",),
     "harq": ("harq_goodput_factor",),
-    "linkbudget": ("LinkBudget", "Radio", "sinr_db"),
+    "linkbudget": ("LinkBudget", "Radio"),
     "mcs": (
         "LTE_CQI_TABLE", "WIFI_MCS_TABLE", "McsEntry",
         "lte_efficiency_for_sinr", "select_lte_cqi", "select_wifi_mcs",

@@ -1,8 +1,9 @@
 """Link budget: from transmit power and geometry to SINR.
 
 This glues the pieces together: a :class:`Radio` (power, gains, noise
-figure, height), a propagation model, optional shadowing, and a set of
-interferers combine into a received power and an SINR. The §3.2 uplink
+figure, height) and a median propagation model combine into a received
+power, an SNR, and (over arrays of peers, for the UE arena) an SINR
+against a set of interfering transmitters. The §3.2 uplink
 asymmetry appears here: LTE's SC-FDMA single-carrier uplink runs the PA
 ~3 dB closer to saturation than OFDM can (PAPR backoff), which we model
 as an ``ul_papr_advantage_db`` credit on LTE client radios.
@@ -10,14 +11,13 @@ as an ``ul_papr_advantage_db`` credit on LTE client radios.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, ClassVar, Dict, Iterable, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, Dict, Sequence
 
 import numpy as np
 
 from repro.geo.points import Point
-from repro.phy.fading import ShadowingField
 from repro.phy.propagation import PropagationModel
 from repro.phy.units import db_to_linear, linear_to_db, thermal_noise_dbm
 from repro.phy.vmath import db_to_linear_exact, hypot_exact, log10_exact
@@ -30,9 +30,9 @@ def _thermal_noise_cached(bandwidth_hz: float, noise_figure_db: float) -> float:
 
 
 #: Entries a budget's path-loss memo may hold; it is cleared on reaching
-#: this. A moving UE in a scalar-refreshed bank adds a distance per TTI
-#: that never recurs, while the largest memo any experiment builds at
-#: its published defaults is 616 (E17).
+#: this. Each ``Cell.rsrp_to`` of a moved radio adds a distance that
+#: never recurs, while the largest memo any experiment builds at its
+#: published defaults is 616 (E17).
 _LOSS_CACHE_MAX = 4096
 
 
@@ -104,21 +104,12 @@ class Radio(Watched):
                 + self.antenna_gain_dbi - self.cable_loss_db)
 
 
-def sinr_db(signal_dbm: float, interferer_dbms: Iterable[float],
-            noise_dbm: float) -> float:
-    """Combine a signal with interferers and noise into an SINR in dB."""
-    denom_mw = db_to_linear(noise_dbm)
-    for i_dbm in interferer_dbms:
-        denom_mw += db_to_linear(i_dbm)
-    return signal_dbm - linear_to_db(denom_mw)
-
-
 @dataclass
 class LinkBudget:
     """A configured point-to-point budget evaluator.
 
-    Bundles the propagation model, frequency, bandwidth, and shadowing so
-    callers evaluate links with one call::
+    Bundles the propagation model, frequency and bandwidth so callers
+    evaluate links with one call::
 
         lb = LinkBudget(model, freq_mhz=881.5, bandwidth_hz=10e6)
         snr = lb.snr_db(ap_radio, ue_radio)
@@ -127,15 +118,13 @@ class LinkBudget:
     model: PropagationModel
     freq_mhz: float
     bandwidth_hz: float
-    shadowing: Optional[ShadowingField] = None
-    interferers: Tuple[Radio, ...] = field(default_factory=tuple)
     #: median-loss memo keyed by distance — propagation models are pure,
     #: and stationary links re-evaluate the same distances every TTI
     _loss_cache: Dict[float, float] = field(default_factory=dict, repr=False,
                                             compare=False)
 
     def path_loss_db(self, distance_m: float) -> float:
-        """Median (pre-shadowing) loss at ``distance_m``, memoized."""
+        """Median loss at ``distance_m``, memoized."""
         cache = self._loss_cache
         loss = cache.get(distance_m)
         if loss is None:
@@ -149,8 +138,6 @@ class LinkBudget:
         """Received power from ``tx`` at ``rx``."""
         dist = tx.position.distance_to(rx.position)
         loss = self.path_loss_db(dist)
-        if self.shadowing is not None:
-            loss += self.shadowing.shadowing_db(tx.position, rx.position)
         tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
                    + tx.antenna_gain_dbi - tx.cable_loss_db)
         return (tx_eirp - loss + rx.antenna_gain_dbi - rx.cable_loss_db)
@@ -168,48 +155,25 @@ class LinkBudget:
         """Vectorized SNR over a distance grid.
 
         The receiver described by ``rx_template`` is swept along +x from
-        the transmitter; without shadowing the whole grid collapses to
-        one vectorized path-loss evaluation (E3's sweep and bisections).
-        Shadowed geometries fall back to the exact scalar path per point.
+        the transmitter; the whole grid is one vectorized path-loss
+        evaluation (E3's sweep and bisections).
         """
-        if self.shadowing is None:
-            losses = self.model.path_loss_db_many(distances_m, self.freq_mhz)
-            tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
-                       + tx.antenna_gain_dbi - tx.cable_loss_db)
-            fixed = (tx_eirp + rx_template.antenna_gain_dbi
-                     - rx_template.cable_loss_db
-                     - self.noise_dbm(rx_template))
-            return fixed - losses
-        out = []
-        for d in distances_m:
-            rx = replace(rx_template,
-                         position=Point(tx.position.x + float(d),
-                                        tx.position.y))
-            out.append(self.snr_db(tx, rx))
-        return np.array(out)
-
-    def sinr_db(self, tx: Radio, rx: Radio,
-                interferers: Optional[Iterable[Radio]] = None) -> float:
-        """SINR including the configured (or overridden) interferer set."""
-        sources = self.interferers if interferers is None else tuple(interferers)
-        interference = [self.rx_power_dbm(i, rx) for i in sources if i is not tx]
-        return sinr_db(self.rx_power_dbm(tx, rx), interference,
-                       self.noise_dbm(rx))
+        losses = self.model.path_loss_db_many(distances_m, self.freq_mhz)
+        tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
+                   + tx.antenna_gain_dbi - tx.cable_loss_db)
+        fixed = (tx_eirp + rx_template.antenna_gain_dbi
+                 - rx_template.cable_loss_db
+                 - self.noise_dbm(rx_template))
+        return fixed - losses
 
     # -- UE-arena fast paths -----------------------------------------------------
     #
     # The methods below evaluate one fixed endpoint against arrays of
-    # peers in a single pass, *bit-identically* to calling the scalar
-    # methods per link: distances via the libm hypot map, loss via the
-    # model's ``path_loss_db_many``, and dB<->linear conversions via
-    # the libm element maps (see ``repro.phy.vmath``). They require no
-    # shadowing — the one input that gives the scalar path per-link
-    # state — and the UE arena refreshes a shadowed bank with the
-    # scalar calls instead.
-
-    def _require_plain(self) -> None:
-        if self.shadowing is not None:
-            raise ValueError("vectorized link evaluation requires no shadowing")
+    # peers in a single pass, *bit-identically* to the per-link scalar
+    # evaluators of the test oracle under ``tests/reference/``: distances
+    # via the libm hypot map, loss via the model's ``path_loss_db_many``,
+    # and dB<->linear conversions via the libm element maps (see
+    # ``repro.phy.vmath``).
 
     def rx_power_dbm_fixed_tx_many(self, tx: Radio,
                                    rx_x: np.ndarray, rx_y: np.ndarray,
@@ -217,7 +181,6 @@ class LinkBudget:
                                    rx_cable_db: np.ndarray) -> np.ndarray:
         """Received power from one transmitter at many receivers (the
         downlink/interference direction of the UE arena)."""
-        self._require_plain()
         dist = hypot_exact(tx.position.x - rx_x, tx.position.y - rx_y)
         loss = self.model.path_loss_db_many(dist, self.freq_mhz)
         tx_eirp = (tx.tx_power_dbm + tx.ul_papr_advantage_db
@@ -235,7 +198,7 @@ class LinkBudget:
 
         The interference accumulation follows the scalar path's order —
         noise first, then each interferer in sequence — so the float
-        result matches :meth:`sinr_db` per receiver bit for bit.
+        result matches the oracle's per-link SINR bit for bit.
         """
         signal = self.rx_power_dbm_fixed_tx_many(tx, rx_x, rx_y,
                                                  rx_gain_dbi, rx_cable_db)
@@ -257,7 +220,6 @@ class LinkBudget:
                                       rx: Radio) -> np.ndarray:
         """Received power at one receiver from many transmitters (the
         uplink direction of the UE arena)."""
-        self._require_plain()
         dist = hypot_exact(tx_x - rx.position.x, tx_y - rx.position.y)
         loss = self.model.path_loss_db_many(dist, self.freq_mhz)
         tx_eirp = tx_power_dbm + tx_papr_db + tx_gain_dbi - tx_cable_db
@@ -269,15 +231,8 @@ class LinkBudget:
                                  tx_gain_dbi: np.ndarray,
                                  tx_cable_db: np.ndarray,
                                  rx: Radio) -> np.ndarray:
-        """Uplink SINR at one receiver from many transmitters.
-
-        Only valid when the budget carries no configured interferers
-        (the arena falls back to scalar rows otherwise, where the
-        per-transmitter ``i is not tx`` exclusion applies).
-        """
-        if self.interferers:
-            raise ValueError("vectorized uplink requires an interferer-free "
-                             "budget (per-tx exclusions differ by row)")
+        """Uplink SINR at one receiver from many transmitters; no uplink
+        interferer is modelled, so only the noise floor is subtracted."""
         signal = self.rx_power_dbm_many_tx_fixed_rx(
             tx_x, tx_y, tx_power_dbm, tx_papr_db, tx_gain_dbi, tx_cable_db, rx)
         # replicate the scalar dB -> mW -> dB round trip on the noise floor

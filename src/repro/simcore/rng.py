@@ -1,10 +1,10 @@
 """Deterministic, namespaced random streams.
 
-A simulation touches randomness from many components (shadowing, traffic
-arrivals, mobility waypoints, backoff draws…). Drawing them all from one
-generator makes results depend on event interleaving; instead each
-component asks for a *named* stream, and each stream is seeded from the
-root seed plus a stable hash of the name. Two runs with the same seed and
+A simulation touches randomness from many components (traffic
+arrivals, link loss and AQM drops, NAS and CSMA backoff draws…). Drawing
+them all from one generator makes results depend on event interleaving;
+instead each component asks for a *named* stream, and each stream is
+seeded from the root seed plus a stable hash of the name. Two runs with the same seed and
 topology then produce identical results regardless of the order in which
 components happen to draw.
 """

@@ -1,13 +1,17 @@
-"""Test oracle: the scalar per-UE TTI walk and the five scalar policies.
+"""Test oracle: the scalar per-UE TTI walk, its per-link SINR evaluators
+and the five scalar policies.
 
 Frozen copy of the reference path that ``src/`` shipped beside the arena
-engine until it became the only production path. One link budget, one
-CQI lookup, one HARQ factor and one ``SchedulableUser`` per UE per TTI,
-EWMA rates in a dict keyed by user id. Production must match it bit for
-bit: ``test_mac_arena.py`` compares per TTI, and the ``oracle`` cells of
+engine until it became the only production path. One per-link SINR
+(:func:`sinr_to` / :func:`uplink_sinr_from`, built on
+:func:`link_sinr_db` and the :func:`sinr_db` combiner), one CQI lookup,
+one HARQ factor and one ``SchedulableUser`` per UE per TTI, EWMA rates
+in a dict keyed by user id. Production must match it bit for bit:
+``test_mac_arena.py`` compares per TTI, and the ``oracle`` cells of
 ``test_determinism.py`` swap :func:`schedule_tti` /
 :func:`schedule_uplink_tti` in for the two ``Cell`` methods and compare
-whole experiment tables.
+whole experiment tables. ``test_enodeb_cell.py`` and
+``test_phy_linkbudget_grid.py`` test the SINR evaluators directly.
 
 The oracle keeps no state of its own: rates live in the production
 scheduler's ``allocate`` front-door dict (``_rates``, which
@@ -17,7 +21,7 @@ Policies dispatch on the exact scheduler type via :data:`POLICIES`.
 """
 
 import heapq
-from typing import Dict, FrozenSet, List, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Sequence
 
 from repro.mac.schedulers import (
     LteScheduler,
@@ -29,10 +33,44 @@ from repro.mac.schedulers import (
 )
 from repro.mac.uplink import ContiguousUplinkScheduler, contiguous_runs
 from repro.phy.harq import harq_goodput_factor
+from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.mcs import select_lte_cqi
 from repro.phy.resource_grid import bits_per_prb
+from repro.phy.units import db_to_linear, linear_to_db
 
 Grants = Dict[str, List[int]]
+
+
+# -- the scalar SINR evaluators, one link at a time ----------------------------
+
+def sinr_db(signal_dbm: float, interferer_dbms: Iterable[float],
+            noise_dbm: float) -> float:
+    """Combine a signal with interferers and noise into an SINR in dB."""
+    denom_mw = db_to_linear(noise_dbm)
+    for i_dbm in interferer_dbms:
+        denom_mw += db_to_linear(i_dbm)
+    return signal_dbm - linear_to_db(denom_mw)
+
+
+def link_sinr_db(lb: LinkBudget, tx: Radio, rx: Radio,
+                 interferers: Iterable[Radio] = ()) -> float:
+    """SINR of the ``tx`` -> ``rx`` link over ``lb``; a transmitter is
+    never its own interferer."""
+    interference = [lb.rx_power_dbm(i, rx) for i in interferers if i is not tx]
+    return sinr_db(lb.rx_power_dbm(tx, rx), interference, lb.noise_dbm(rx))
+
+
+def sinr_to(cell, ue_radio: Radio) -> float:
+    """Downlink SINR at a UE, counting overlapping-PRB cells."""
+    return link_sinr_db(
+        cell.link_budget, cell.radio, ue_radio,
+        interferers=[c.radio for c in cell.interferers if c is not cell])
+
+
+def uplink_sinr_from(cell, ue_radio: Radio) -> float:
+    """Uplink SINR at the cell from a UE (SC-FDMA PAPR credit applies
+    via the UE radio's ``ul_papr_advantage_db``)."""
+    return link_sinr_db(cell.link_budget, ue_radio, cell.radio)
 
 
 # -- the five scalar policies ------------------------------------------------
@@ -181,7 +219,7 @@ def _walk(cell, scheduler, sinr_of, observe_sinr: bool) -> Dict[str, float]:
     users = []
     sinrs: Dict[str, float] = {}
     for ctx in cell._ues.values():
-        sinr = sinr_of(ctx.radio)
+        sinr = sinr_of(cell, ctx.radio)
         sinrs[ctx.ue_id] = sinr
         if observe_sinr:
             cell._m_sinr.observe(sinr)
@@ -194,10 +232,10 @@ def _walk(cell, scheduler, sinr_of, observe_sinr: bool) -> Dict[str, float]:
 
 def schedule_tti(cell) -> Dict[str, float]:
     """Scalar ``Cell.schedule_tti``."""
-    return _walk(cell, cell.scheduler, cell.sinr_to, observe_sinr=True)
+    return _walk(cell, cell.scheduler, sinr_to, observe_sinr=True)
 
 
 def schedule_uplink_tti(cell) -> Dict[str, float]:
     """Scalar ``Cell.schedule_uplink_tti`` (no per-UE SINR telemetry)."""
-    return _walk(cell, cell.uplink_scheduler, cell.uplink_sinr_from,
+    return _walk(cell, cell.uplink_scheduler, uplink_sinr_from,
                  observe_sinr=False)

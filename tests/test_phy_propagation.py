@@ -1,14 +1,12 @@
-"""Unit tests for propagation models and shadowing."""
+"""Unit tests for propagation models."""
 
 import pytest
 
-from repro.geo import Point
 from repro.phy import (
     Cost231Hata,
     FreeSpace,
     LogDistance,
     OkumuraHata,
-    ShadowingField,
 )
 from repro.phy.propagation import model_for_frequency
 
@@ -107,53 +105,3 @@ def test_model_for_frequency_dispatch():
     assert isinstance(model_for_frequency(850), OkumuraHata)
     assert isinstance(model_for_frequency(2400), Cost231Hata)
     assert isinstance(model_for_frequency(60_000), LogDistance)
-
-
-# -- shadowing ----------------------------------------------------------------
-
-def test_shadowing_deterministic_per_link():
-    field = ShadowingField(sigma_db=8, seed=3)
-    a, b = Point(10, 20), Point(500, 700)
-    assert field.shadowing_db(a, b) == field.shadowing_db(a, b)
-
-
-def test_shadowing_reciprocal():
-    field = ShadowingField(sigma_db=8, seed=3)
-    a, b = Point(10, 20), Point(500, 700)
-    assert field.shadowing_db(a, b) == field.shadowing_db(b, a)
-
-
-def test_shadowing_zero_sigma_disabled():
-    field = ShadowingField(sigma_db=0)
-    assert field.shadowing_db(Point(0, 0), Point(100, 100)) == 0.0
-
-
-def test_shadowing_constant_within_coherence_cell():
-    field = ShadowingField(sigma_db=8, coherence_m=50, seed=1)
-    a = Point(0, 0)
-    assert (field.shadowing_db(a, Point(500, 500))
-            == field.shadowing_db(a, Point(510, 520)))  # same 50 m cell
-
-
-def test_shadowing_varies_across_cells():
-    field = ShadowingField(sigma_db=8, coherence_m=50, seed=1)
-    a = Point(0, 0)
-    draws = {field.shadowing_db(a, Point(1000 + 100 * i, 0)) for i in range(10)}
-    assert len(draws) > 5
-
-
-def test_shadowing_statistics_roughly_lognormal():
-    field = ShadowingField(sigma_db=8, coherence_m=10, seed=7)
-    a = Point(-10_000, -10_000)
-    samples = [field.shadowing_db(a, Point(i * 25.0, 0)) for i in range(500)]
-    mean = sum(samples) / len(samples)
-    var = sum((s - mean) ** 2 for s in samples) / len(samples)
-    assert abs(mean) < 1.5
-    assert 6.0 < var ** 0.5 < 10.0
-
-
-def test_shadowing_validates():
-    with pytest.raises(ValueError):
-        ShadowingField(sigma_db=-1)
-    with pytest.raises(ValueError):
-        ShadowingField(coherence_m=0)

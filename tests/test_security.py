@@ -71,17 +71,6 @@ def test_private_keys_never_enter_registry():
         registry.publish(private)
 
 
-def test_handover_context_carries_only_that_ue():
-    """X2 context transfer must not bulk-leak the source's key cache."""
-    from repro.coordination.x2 import HandoverRequest
-
-    msg = HandoverRequest(sender_ap="a", ue_id="u1",
-                          imsi="001010000000047", key_context=b"k" * 16)
-    # the message schema has exactly one key slot; there is no cache field
-    assert not hasattr(msg, "key_cache")
-    assert msg.key_context == b"k" * 16
-
-
 def test_published_key_lets_any_stub_authenticate():
     """The §4.2 design goal: publication = universal attachability."""
     sim = Simulator(1)
