@@ -44,13 +44,13 @@ Robustness (see ROBUSTNESS.md)::
 ``--retries``/``--task-timeout`` run the fan-out under the supervisor
 (crashed or hung workers are killed and their tasks re-run from the same
 derived seed, so the merged tables stay byte-identical); ``--retries``
-also re-runs a sweep-heavy or sharded experiment whose cell or shard
+also re-runs a sweep-heavy or sharded experiment whose cell or pass
 worker was lost, while ``--task-timeout`` cannot preempt those — they
 run in the parent. ``--resume`` journals finished experiments to
 ``<dir>/manifest.jsonl`` and a rerun replays them byte-for-byte,
 executing only the unfinished ones. ``--invariants`` audits every
 simulator built, in whichever process (a violation in a ``--jobs`` cell
-or a fork shard fails that task) and prints the unarmed run's bytes.
+or an E19 pass fails that task) and prints the unarmed run's bytes.
 """
 
 from __future__ import annotations
@@ -280,7 +280,7 @@ def _run_all_parallel(ids: List[str], jobs: int,
     """Two-phase supervised schedule over ``ids`` (see module docstring).
 
     Cell-parallel experiments run in the parent first (``jobs=1``:
-    inline, so their sweeps and shards get the whole pool); the rest are
+    inline, so their sweeps and passes get the whole pool); the rest are
     then fanned out whole. Both phases are the same supervised map —
     bounded retry, failure records, checkpoint journal (see
     ROBUSTNESS.md) — but only workers can be preempted, so

@@ -23,21 +23,24 @@ cell's arena and fluid load on its own, and both rows read its sums.
 Each pass decomposes over a :class:`~repro.simcore.sharded.ShardedSimulator`:
 cells are striped into shards (:class:`~repro.deploy.partition.ShardPlan`),
 S1 and backhaul become cross-shard proxies (:mod:`repro.net.shardlink`),
-and the conservative window is the 30 ms backhaul latency. The result
-table is **identical at any shard count and in either drive mode** —
-shards are an execution detail, so the table carries no shard column;
+and the conservative window is the 30 ms backhaul latency. The three
+passes share nothing, so they are three tasks of one
+:func:`~repro.runner.parallel_map`: ``mode="fork"`` runs them side by
+side on ``shards`` workers, each pass stepping its own shards in its
+process, and ``mode="serial"`` runs them one after another. The result
+table is **identical at any shard count and in either mode** — shards
+are an execution detail, so the table carries no shard column;
 ``tests/test_e19_city.py`` holds that line byte-for-byte.
 
-Under ``--invariants`` each shard's simulator is audited where it runs
-(a fork shard verifies in its worker, at harvest) and the parent audits
-the boundaries: every packet serialized onto a boundary link must be
-received by its exit or still in flight past the horizon, and S1
-message counts must balance per direction the same way.
+Under ``--invariants`` each pass is audited inside its own task: every
+shard's simulator, and the boundaries — every packet serialized onto a
+boundary link must be received by its exit or still in flight past the
+horizon, and S1 message counts must balance per direction the same way.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.deploy.partition import ShardPlan
 from repro.enodeb.cell import Cell
@@ -59,6 +62,7 @@ from repro.net.shardlink import (
 from repro.phy.bands import get_band
 from repro.phy.linkbudget import LinkBudget
 from repro.phy.propagation import model_for_frequency
+from repro.runner.parallel import parallel_map
 from repro.simcore.sharded import ShardBoundary, ShardHost, ShardedSimulator
 from repro.simcore.simulator import Simulator
 from repro.workloads.fluid import FluidCellLoad
@@ -106,8 +110,7 @@ def _start_train(sim: Simulator, link: CrossShardLink, ue: UserEquipment,
 
 def _build_shard(spec: Dict[str, Any]) -> ShardHost:
     """Build one shard of one architecture arm: relays, cores, UEs and
-    backhaul, but no radio (that is :func:`_build_radio`'s). Module-level
-    and driven by a plain dict so the fork pool can ship it."""
+    backhaul, but no radio (that is :func:`_build_radio`'s)."""
     arch: str = spec["arch"]
     shard: int = spec["shard"]
     n_shards: int = spec["n_shards"]
@@ -268,13 +271,18 @@ def _build_radio(spec: Dict[str, Any]) -> ShardHost:
     return ShardHost(sim, boundary, harvest=harvest)
 
 
+def _by_cell(shard_results: List[Dict[str, Any]]) -> List[Dict[str, Any]]:
+    """Every shard's per-cell harvest, in global cell order."""
+    return sorted((entry for result in shard_results
+                   for entry in result["cells"]),
+                  key=lambda entry: entry["cell"])
+
+
 def _merge_arm(arch: str, shard_results: List[Dict[str, Any]],
                ) -> Dict[str, Any]:
     """Combine per-shard harvests; all reductions run in global cell
     order so float sums match the monolithic (shards=1) run exactly."""
-    by_cell = sorted((entry for result in shard_results
-                      for entry in result["cells"]),
-                     key=lambda entry: entry["cell"])
+    by_cell = _by_cell(shard_results)
     latencies: List[float] = []
     for entry in by_cell:
         latencies.extend(entry["latencies"])
@@ -298,12 +306,10 @@ def _merge_arm(arch: str, shard_results: List[Dict[str, Any]],
         "core_peak_queue": core_peak,
         "data_delivered": delivered,
         "wan_ctl_bytes": wan_ctl_bytes,
-        "by_cell": by_cell,
-        "shard_results": shard_results,
     }
 
 
-def _audit_arm(arch: str, merged: Dict[str, Any],
+def _audit_arm(arch: str, shard_results: List[Dict[str, Any]],
                sharded: ShardedSimulator,
                assignment: Tuple[int, ...]) -> None:
     """Cross-boundary conservation: every packet/message that left its
@@ -334,10 +340,10 @@ def _audit_arm(arch: str, merged: Dict[str, Any],
 
     # data plane: cells homed outside the core's shard reach it over a
     # genuinely cross-shard backhaul link
-    cross = [entry for entry in merged["by_cell"]
+    cross = [entry for entry in _by_cell(shard_results)
              if assignment[entry["cell"]] != 0]
     crossed = sum(entry["bh_crossed"] for entry in cross)
-    exits = next(r for r in merged["shard_results"]
+    exits = next(r for r in shard_results
                  if "exit_received" in r)["exit_received"]
     received = sum(count for name, count in exits.items()
                    if assignment[int(name[len("bh:c"):])] != 0)
@@ -348,7 +354,7 @@ def _audit_arm(arch: str, merged: Dict[str, Any],
             f"withheld-past-horizon={exit_withheld}")
 
     # control plane: the S1 halves of the same cross-homed cells
-    s1_down = next(r for r in merged["shard_results"]
+    s1_down = next(r for r in shard_results
                    if "s1_down" in r)["s1_down"]
     up_sent = sum(entry["s1_up_messages"] for entry in cross)
     up_received = sum(h["received"] for i, h in s1_down.items()
@@ -373,6 +379,37 @@ def _audit_arm(arch: str, merged: Dict[str, Any],
             f"withheld={down_withheld}")
 
 
+class _Pass(NamedTuple):
+    """One sharded pass, as a :func:`parallel_map` task. It prints as its
+    label (``E19:radio``), which names its worker task, its chaos key
+    and its shards' stats."""
+
+    arch: str  # an architecture, or "radio"
+    specs: List[Dict[str, Any]]
+    horizon_s: float
+
+    def __repr__(self) -> str:
+        return f"E19:{self.arch}"
+
+
+def _run_pass(task: _Pass) -> Any:
+    """Step one pass's shards in this process and reduce them: an arm's
+    merged harvest, audited under ``--invariants``, or the radio's
+    ``(cell, offered, served, epochs)`` rows in global cell order."""
+    if task.arch == "radio":
+        sharded = ShardedSimulator(_build_radio, task.specs, label=repr(task))
+        return sorted(entry for result in sharded.run(until=task.horizon_s)
+                      for entry in result)
+    sharded = ShardedSimulator(
+        _build_shard, [dict(spec, arch=task.arch) for spec in task.specs],
+        label=repr(task))
+    shard_results = sharded.run(until=task.horizon_s)
+    if Simulator.arming is not None:  # --invariants
+        _audit_arm(task.arch, shard_results, sharded,
+                   task.specs[0]["assignment"])
+    return _merge_arm(task.arch, shard_results)
+
+
 def run(n_cells: int = 12, ue_per_cell: int = 4,
         background_per_cell: int = 96, shards: int = 2,
         mode: str = "serial", seed: int = 7, horizon_s: float = 6.0,
@@ -386,8 +423,11 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
     background_per_cell=492`` — 10^5 UEs. ``shards``/``mode`` change
     only the execution schedule, never the table: per-cell results are
     merged in global cell order, so output is byte-identical at any
-    shard count, serial or fork.
+    shard count, serial or fork. ``mode="fork"`` maps the three passes
+    over ``shards`` workers.
     """
+    if mode not in ("serial", "fork"):
+        raise ValueError(f"unknown E19 mode {mode!r}: 'serial' or 'fork'")
     positions = CityGrid(n_cells=n_cells,
                          spacing_m=cell_spacing_m).cell_positions()
     plan = ShardPlan.stripes(positions, shards)
@@ -408,20 +448,23 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
          "data_delivered", "bg_served_mbit", "bg_utilization",
          "wan_ctl_mb"])
 
-    def specs(**extra: Any) -> List[Dict[str, Any]]:
-        return [{"shard": shard, "n_shards": plan.n_shards,
-                 "assignment": plan.assignment, "params": params, **extra}
-                for shard in range(plan.n_shards)]
+    specs = [{"shard": shard, "n_shards": plan.n_shards,
+              "assignment": plan.assignment, "params": params}
+             for shard in range(plan.n_shards)]
+    # results (and shipped telemetry) come home in item order, so the
+    # arms' simulators keep their tags; the radio pass costs about what
+    # both arms do, so it is submitted first and they share a worker
+    centralized, dlte, radio = parallel_map(
+        _run_pass, [_Pass(arch, specs, horizon_s)
+                    for arch in ("centralized EPC", "dLTE stubs", "radio")],
+        jobs=plan.n_shards if mode == "fork" else 1, costs=(1.0, 1.0, 2.0))
 
-    rows: List[Dict[str, Any]] = []
-    for arch in ("centralized EPC", "dLTE stubs"):
-        sharded = ShardedSimulator(_build_shard, specs(arch=arch), mode=mode,
-                                   label=f"E19:{arch}")
-        merged = _merge_arm(arch, sharded.run(until=horizon_s))
-        if Simulator.arming is not None:  # --invariants
-            _audit_arm(arch, merged, sharded, plan.assignment)
+    bg_offered = sum(entry[1] for entry in radio)
+    bg_served = sum(entry[2] for entry in radio)
+    for arch, merged in (("centralized EPC", centralized),
+                         ("dLTE stubs", dlte)):
         latencies = merged["latencies"]
-        rows.append(dict(
+        table.add_row(
             architecture=arch, n_cells=n_cells,
             n_ues=n_cells * (ue_per_cell + background_per_cell),
             attached=len(latencies), failures=merged["failures"],
@@ -431,18 +474,7 @@ def run(n_cells: int = 12, ue_per_cell: int = 4,
                            if latencies else float("nan")),
             core_peak_queue=merged["core_peak_queue"],
             data_delivered=merged["data_delivered"],
-            wan_ctl_mb=merged["wan_ctl_bytes"] / 1e6))
-
-    # the radio pass runs after the arms, so the arms' simulators keep
-    # their telemetry tags; its sums run in global cell order
-    radio = ShardedSimulator(_build_radio, specs(), mode=mode,
-                             label="E19:radio")
-    by_cell = sorted(entry for result in radio.run(until=horizon_s)
-                     for entry in result)
-    bg_offered = sum(entry[1] for entry in by_cell)
-    bg_served = sum(entry[2] for entry in by_cell)
-    for row in rows:
-        table.add_row(**row, bg_served_mbit=bg_served / 1e6,
-                      bg_utilization=(bg_served / bg_offered
-                                      if bg_offered else 0.0))
+            wan_ctl_mb=merged["wan_ctl_bytes"] / 1e6,
+            bg_served_mbit=bg_served / 1e6,
+            bg_utilization=(bg_served / bg_offered if bg_offered else 0.0))
     return table

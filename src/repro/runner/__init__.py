@@ -1,9 +1,9 @@
 """The parallel experiment runner: fan independent work over processes.
 
-Sweep cells (E6's (arm, dwell), E7's (architecture, n_aps)), whole
-experiments and city shards are all embarrassingly parallel as long as
-every task derives its randomness from the task *key* rather than from
-execution order, which this package enforces:
+Sweep cells (E6's (arm, dwell), E7's (architecture, n_aps)), E19's
+sharded passes and whole experiments are all embarrassingly parallel as
+long as every task derives its randomness from the task *key* rather
+than from execution order, which this package enforces:
 
 * :func:`derive_seed` — a stable seed from (root seed, task key): same
   key, same seed, in any process and any order.
@@ -14,10 +14,8 @@ execution order, which this package enforces:
 * :func:`supervised_map` — what the CLI drives for whole experiments:
   the same map plus per-task deadlines, bounded retry,
   :class:`TaskFailure` records and :class:`SweepCheckpoint` resume.
-* :class:`~repro.runner.shardpool.ShardWorkerPool` — one pinned,
-  stateful worker per city shard, driven window by window.
 
-All three are scheduling policies over **one** worker runtime
+Both are scheduling policies over **one** worker runtime
 (:mod:`repro.runner.worker`; ROBUSTNESS.md), which also ships worker
 telemetry home under a :data:`~repro.telemetry.hub.HUB` run.
 """

@@ -1,17 +1,20 @@
 """The one fork-worker runtime: every process the runner starts is this one.
 
-``parallel_map`` (cell sweeps), ``supervised_map`` (experiment fan-out)
-and ``ShardWorkerPool`` (city shards) differ only in scheduling policy —
-which task goes to which worker, and what a failure does. What they
-share lives here, so every guarantee holds for all three (ROBUSTNESS.md):
+``parallel_map`` (cell sweeps, E19's sharded passes) and
+``supervised_map`` (experiment fan-out) differ only in what a failure
+does. What they share lives here, so every guarantee holds for both
+(ROBUSTNESS.md):
 
 * **one worker** (:func:`_worker_main`) whose loop executes ``fn(item)``
   messages and nothing else: it ignores SIGINT (only the parent decides
   when to die), beats on its pipe from a side thread while a task runs,
   and on SIGTERM dumps its flight recorder before exiting. Under
   ``--invariants`` a task's simulators are verified before its reply
-  goes home (:data:`audited`). State kept
-  between tasks lives in module globals of the worker process;
+  goes home (:data:`audited`). It freezes what the fork inherited, and
+  once a reply is sent it is a release point, as ``parallel_map``'s
+  serial loop is: it collects what the task left and freezes the
+  survivors, so the next task starts with nothing of its predecessor
+  alive and no collection walks the parent's heap;
 * **one parent watch loop** (:func:`watch`): beat freshness, an optional
   per-task deadline, and pipe EOF = crash. A lost worker is killed and a
   parent-side post-mortem written before the caller hears about it;
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import gc
 import multiprocessing
 import os
 import pickle
@@ -95,7 +99,7 @@ def get_jobs() -> int:
 
 def in_worker() -> bool:
     """True inside a runner worker — a daemonic process, which cannot
-    fork children of its own, so nested maps and shard pools run serially."""
+    fork children of its own, so nested maps run serially."""
     return multiprocessing.current_process().daemon
 
 
@@ -114,7 +118,7 @@ class TaskFailure:
 
 def _maybe_chaos(label: str) -> None:
     """Kill-test hook: with ``REPRO_CHAOS_PLAN`` set (e.g.
-    ``"exp:E16:crash,shard:1:hang"``) and ``REPRO_CHAOS_DIR`` naming a
+    ``"exp:E16:crash,E19:radio:hang"``) and ``REPRO_CHAOS_DIR`` naming a
     directory, a task whose label is in the plan writes a once-marker
     there and dies or spins — once per label, so the retry succeeds."""
     plan = os.environ.get("REPRO_CHAOS_PLAN", "")
@@ -179,6 +183,7 @@ def _worker_main(conn) -> None:
 
     threading.Thread(target=beat_loop, daemon=True,
                      name="worker-heartbeat").start()
+    gc.freeze()  # what the fork inherited: no collection here walks it
     try:
         while True:
             message = conn.recv()
@@ -197,6 +202,11 @@ def _worker_main(conn) -> None:
             running.clear()
             with send_lock:
                 conn.send_bytes(reply)
+            # a task's simulator graph is cyclic: free it before the
+            # next task is built, then freeze what survives
+            message = fn = item = result = reply = None
+            gc.collect()
+            gc.freeze()
     except (EOFError, KeyboardInterrupt, OSError):
         pass  # parent went away; die quietly
 

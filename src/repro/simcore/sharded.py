@@ -40,8 +40,6 @@ import math
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.runner.shardpool import ShardWorkerPool
-from repro.runner.worker import in_worker
 from repro.simcore.simulator import Simulator
 from repro.telemetry.hub import HUB
 
@@ -147,8 +145,7 @@ class ShardHost:
     The builder callable handed to :class:`ShardedSimulator` returns one
     of these per shard spec. ``harvest`` (optional) is called once after
     the horizon is reached and its return value becomes this shard's
-    entry in the façade's result list — it runs *inside* the shard's
-    process in fork mode, so it should return plain picklable data.
+    entry in the façade's result list.
     """
 
     __slots__ = ("sim", "boundary", "windows", "_harvest")
@@ -214,73 +211,29 @@ class ShardHost:
         }
 
 
-class _SerialShards:
-    """In-process drive: shards advance round-robin inside one process."""
-
-    def __init__(self, builder: Callable[[Any], ShardHost], specs: Sequence[Any]) -> None:
-        self.hosts = [builder(spec) for spec in specs]
-        for index, host in enumerate(self.hosts):
-            if host.boundary.shard_index != index:
-                raise ValueError(
-                    f"builder returned shard {host.boundary.shard_index} for spec {index}")
-
-    def couplings(self) -> List[List[Tuple[str, int, float]]]:
-        return [list(host.boundary.couplings) for host in self.hosts]
-
-    def start_time(self) -> float:
-        return max(host.sim.now for host in self.hosts)
-
-    def step(self, until: float, final: bool,
-             injections: Sequence[Sequence[Record]],
-             ) -> Tuple[List[List[Record]], List[float]]:
-        egress: List[List[Record]] = []
-        exec_s: List[float] = []
-        for host, records in zip(self.hosts, injections):
-            t0 = time.perf_counter()
-            host.inject(records)
-            host.advance(until, final)
-            exec_s.append(time.perf_counter() - t0)
-            egress.append(host.boundary.drain())
-        return egress, exec_s
-
-    def harvest(self) -> Tuple[List[Any], List[Dict[str, Any]]]:
-        return ([host.harvest() for host in self.hosts],
-                [host.stats() for host in self.hosts])
-
-    def close(self) -> None:  # symmetric with the fork driver
-        pass
-
-
 class ShardedSimulator:
     """Façade that runs one scenario as N lockstep child simulators.
 
+    Every shard steps in this process, round-robin within each window;
+    to run several sharded passes side by side, make each one a task of
+    :func:`~repro.runner.parallel_map` (E19 does).
+
     Parameters:
-        builder: picklable callable ``spec -> ShardHost``. In fork mode
-            it runs inside each worker process, so it must be a
-            module-level function and the specs must be picklable.
+        builder: callable ``spec -> ShardHost``.
         specs: one spec per shard, in shard-index order. The builder
             must return a host whose boundary carries the matching
             shard index.
-        mode: ``"serial"`` (all shards in-process, round-robin) or
-            ``"fork"`` (one forked worker per shard, window barriers
-            over pipes). Results are identical; fork buys wall-clock
-            on multi-core boxes. Inside an existing worker process the
-            façade silently degrades to serial.
         window_s: override the window length; must not exceed the
             computed lookahead. Mostly for tests.
         label: stamped into each per-shard stats dict (telemetry).
     """
 
     def __init__(self, builder: Callable[[Any], ShardHost], specs: Sequence[Any],
-                 mode: str = "serial", window_s: Optional[float] = None,
-                 label: str = "") -> None:
+                 window_s: Optional[float] = None, label: str = "") -> None:
         if not specs:
             raise ValueError("need at least one shard spec")
-        if mode not in ("serial", "fork"):
-            raise ValueError(f"unknown shard drive mode {mode!r}")
         self._builder = builder
         self._specs = list(specs)
-        self._mode = mode
         self._window_s = window_s
         self._label = label
         self.windows = 0
@@ -311,18 +264,14 @@ class ShardedSimulator:
     def run(self, until: float) -> List[Any]:
         """Advance every shard to ``until`` and return per-shard harvests."""
         n = self.n_shards
-        if self._mode == "fork" and n > 1 and not in_worker():
-            driver: Any = ShardWorkerPool(self._builder, self._specs)
-        else:
-            driver = _SerialShards(self._builder, self._specs)
-        try:
-            return self._drive(driver, until)
-        finally:
-            driver.close()
-
-    def _drive(self, driver: Any, until: float) -> List[Any]:
-        n = self.n_shards
-        lookahead = self._lookahead(driver.couplings())
+        hosts = [self._builder(spec) for spec in self._specs]
+        for index, host in enumerate(hosts):
+            if host.boundary.shard_index != index:
+                raise ValueError(
+                    f"builder returned shard {host.boundary.shard_index} "
+                    f"for spec {index}")
+        lookahead = self._lookahead([host.boundary.couplings
+                                     for host in hosts])
         self.lookahead_s = lookahead
         window = self._window_s
         if window is not None:
@@ -334,7 +283,7 @@ class ShardedSimulator:
         else:
             window = lookahead  # None => no cross couplings => one window
 
-        t = driver.start_time()
+        t = max(host.sim.now for host in hosts)
         horizon = float(until)
         if horizon < t:
             raise ValueError(f"horizon {horizon} is before shard clocks ({t})")
@@ -362,14 +311,20 @@ class ShardedSimulator:
             pending = [[] for _ in range(n)]
             for records in injections:
                 records.sort(key=_INJECT_KEY)
-            egress, step_exec = driver.step(nxt, final, injections)
+            step_exec = []
+            for host, records in zip(hosts, injections):
+                t0 = time.perf_counter()
+                host.inject(records)
+                host.advance(nxt, final)
+                step_exec.append(time.perf_counter() - t0)
             self.windows += 1
-            slowest = max(step_exec) if step_exec else 0.0
+            # the skew a barrier would cost if each shard had its own CPU
+            slowest = max(step_exec)
             for index, spent in enumerate(step_exec):
                 exec_s[index] += spent
                 barrier_wait_s[index] += slowest - spent
-            for shard_records in egress:
-                for record in shard_records:
+            for host in hosts:
+                for record in host.boundary.drain():
                     if record[0] <= horizon:
                         pending[record[4]].append(record)
                     else:
@@ -378,7 +333,8 @@ class ShardedSimulator:
                         self.undelivered.append(record)
             t = nxt
 
-        results, stats = driver.harvest()
+        results = [host.harvest() for host in hosts]
+        stats = [host.stats() for host in hosts]
         for index, entry in enumerate(stats):
             entry["exec_s"] = exec_s[index]
             entry["barrier_wait_s"] = barrier_wait_s[index]

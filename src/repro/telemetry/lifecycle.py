@@ -25,8 +25,7 @@ The ``runner.`` metric family (see OBSERVABILITY.md):
 - ``runner.task.serialize_bytes`` — counter, total pickled result bytes;
 - ``runner.tasks`` / ``runner.maps`` — counters;
 - ``runner.map.fork_s{mode}`` — histogram, worker creation cost per map
-  (``pool`` = ``parallel_map``, ``supervised``, ``shards`` = one task
-  per fork-mode shard worker).
+  (``pool`` = ``parallel_map``, ``supervised`` = ``supervised_map``).
 """
 
 from __future__ import annotations
@@ -79,7 +78,7 @@ class MapLifecycle:
     __slots__ = ("mode", "jobs", "fork_s", "wall_s", "tasks", "started_at")
 
     def __init__(self, mode: str, jobs: int) -> None:
-        self.mode = mode          # "pool" | "supervised" | "shards"
+        self.mode = mode          # "pool" | "supervised"
         self.jobs = jobs
         self.fork_s = 0.0
         self.wall_s = 0.0

@@ -298,15 +298,16 @@ def test_cli_trace_out_at_jobs_4(tmp_path):
 
 
 def test_cli_retries_a_killed_shard_worker(tmp_path, monkeypatch):
-    # a dead shard worker fails the experiment (no hang), --retries
-    # re-runs it to the serial bytes, and the parent leaves a post-mortem
-    monkeypatch.setenv("REPRO_CHAOS_PLAN", "shard:1:crash")
+    # a dead worker stepping a pass's shards fails the experiment (no
+    # hang), --retries re-runs it to the serial bytes, and the parent
+    # leaves a post-mortem
+    monkeypatch.setenv("REPRO_CHAOS_PLAN", "E19:dLTE stubs:crash")
     monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
     out, err = _cli(["E19", "--retries", "1"]
                     + _exp_args("E19", shards=2, mode="fork"))
     assert _tables(out) == {"E19": serial("E19").text}
     assert "1 exception(s); 1 task retry(ies)" in err
-    assert (tmp_path / "chaos-shard:1.done").exists()
+    assert (tmp_path / "chaos-E19:dLTE stubs.done").exists()
     dumps = sorted(tmp_path.glob("postmortem-*.json"))
     assert any("supervisor-crash" in path.name for path in dumps)
     for path in dumps:

@@ -1,6 +1,6 @@
 """E19 city experiment: the architecture contrast and partition logic.
 
-Shard-count and drive-mode invariance of the table — the sharded
+Shard-count and mode invariance of the table — the sharded
 engine's headline determinism claim — is a cell of the determinism
 matrix (``tests/test_determinism.py``).
 """
@@ -52,6 +52,15 @@ def test_e19_architecture_contrast():
     assert dlte["mean_attach_ms"] <= cent["mean_attach_ms"]
     # the fluid tier is independent of the control-plane architecture
     assert dlte["bg_served_mbit"] == cent["bg_served_mbit"]
+
+
+def test_an_unknown_mode_is_refused_before_anything_is_built(monkeypatch):
+    def build_a_city(*args, **kwargs):
+        raise AssertionError("E19 laid out a city for an unknown mode")
+
+    monkeypatch.setattr(e19_city, "CityGrid", build_a_city)
+    with pytest.raises(ValueError, match="'bogus'"):
+        e19_city.run(mode="bogus", **_CFG)
 
 
 # -- the radio pass ---------------------------------------------------------

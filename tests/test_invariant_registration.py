@@ -25,7 +25,6 @@ from repro.net.links import Link
 from repro.net.nodes import Router
 from repro.net.packet import Packet
 from repro.runner import WorkerTaskError
-from repro.runner.shardpool import ShardWorkerError
 from repro.simcore.simulator import Simulator
 from tests.callback_agent import CallbackAgent
 
@@ -247,17 +246,21 @@ def test_a_leak_in_a_fork_shard_names_the_shard(tmp_path, monkeypatch):
     send = Link.send
 
     def leaky_send(self, packet):
-        if self.name == "bh:c3" and self.delivered == 0:
-            self.delivered += 1         # behind the ledger, in shard 1
+        # behind the ledger, in shard 1 of the centralized arm: the one
+        # bh:c3 that crosses to the core's shard
+        if (self.name == "bh:c3" and getattr(self, "dst_shard", 1) == 0
+                and self.delivered == 0):
+            self.delivered += 1
         return send(self, packet)
 
     monkeypatch.setattr(Link, "send", leaky_send)
     argv = ["E19", "--exp-arg", "n_cells=4", "--exp-arg", "horizon_s=2.0",
             "--exp-arg", "shards=2", "--exp-arg", "mode=fork"]
     assert main(argv) == 0
-    with pytest.raises(ShardWorkerError) as failure:
+    with pytest.raises(WorkerTaskError) as failure:
         main(argv + ["--invariants"])
-    assert failure.value.shard == 1
+    assert repr(failure.value.item) == "E19:centralized EPC"
+    assert "E19:centralized EPC" in str(failure.value)
     assert failure.value.exc_type == "InvariantError"
     assert "link-conservation on bh:c3" in str(failure.value)
     assert _postmortems(tmp_path)

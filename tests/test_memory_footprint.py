@@ -10,6 +10,8 @@ arenas or on ``ru_maxrss``).
   serial loop collects between tasks; without that, a sweep of equal
   cells peaks at the sum of the cells still waiting for a generation-2
   pass instead of at one cell.
+- A worker collects and freezes the same way after each reply, so the
+  task it runs next does not build beside its predecessor's graph.
 - Each such release point (and the CLI's, after each experiment) then
   freezes what survives, so the next collection walks only what the
   next task builds. A graph alive at a freeze that dies later is never
@@ -105,6 +107,25 @@ def test_nothing_a_task_built_survives_its_release_point(tmp_path):
         gc.set_debug(flags)
         gc.garbage.clear()
     assert left == [], f"frozen alive, freed only by an unfreeze: {left}"
+
+
+def _build_or_probe(item):
+    """A worker task: run a storm cell and ship nothing of it home, or
+    (``"probe"``) name the live graph objects a collection would walk."""
+    if item != "probe":
+        e17._run_cell(item)
+        return None
+    return sorted({type(obj).__name__ for obj in gc.get_objects()
+                   if isinstance(obj, (Simulator, Link, ControlAgent))})
+
+
+def test_a_worker_task_starts_with_nothing_of_its_predecessor_alive():
+    # each worker's first task builds a cell, so every probe runs on a
+    # worker that built one; the probe collects nothing itself
+    probes = parallel_map(_build_or_probe, [CELL, CELL, "probe", "probe"],
+                          jobs=2)[2:]
+    assert probes == [[], []], (
+        f"a worker kept its last task's graph into the next: {probes}")
 
 
 def _receiver(packet):

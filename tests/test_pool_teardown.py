@@ -31,22 +31,15 @@ DRIVER = textwrap.dedent("""
             fh.write(str(os.getpid()))
         time.sleep(120)  # far longer than the test: must be torn down
 
-    def build_shard(spec):  # a shard whose build never returns
-        task((spec["shard"], spec["pid_dir"]))
-
     if __name__ == "__main__":
         kind, pid_dir = sys.argv[1], sys.argv[2]
         items = [(i, pid_dir) for i in range(2)]
         if kind == "parallel":
             from repro.runner import parallel_map
             parallel_map(task, items, jobs=2)
-        elif kind == "supervised":
+        else:
             from repro.runner import supervised_map
             supervised_map(task, items, jobs=2)
-        else:
-            from repro.simcore.sharded import ShardedSimulator
-            specs = [{"shard": i, "pid_dir": pid_dir} for i in range(2)]
-            ShardedSimulator(build_shard, specs, mode="fork").run(until=1.0)
 """)
 
 
@@ -69,7 +62,7 @@ def _alive(pid: int) -> bool:
     return True
 
 
-@pytest.mark.parametrize("kind", ["parallel", "supervised", "shards"])
+@pytest.mark.parametrize("kind", ["parallel", "supervised"])
 def test_sigint_leaves_no_orphan_workers(tmp_path, kind):
     driver = tmp_path / "driver.py"
     driver.write_text(DRIVER)

@@ -194,30 +194,47 @@ def _build_idle_shard(spec):
                      harvest=lambda host: host.sim.events_executed)
 
 
-@pytest.mark.parametrize("mode", ["fork", "serial"])
-def test_shard_pool_records_one_task_per_shard(mode):
+def test_a_sharded_run_notes_one_stats_entry_per_shard():
     from repro.simcore.sharded import ShardedSimulator
 
     HUB.start_run()
     try:
-        results = ShardedSimulator(_build_idle_shard, [0, 1],
-                                   mode=mode).run(until=1.0)
+        results = ShardedSimulator(_build_idle_shard, [0, 1]).run(until=1.0)
     except BaseException:
         HUB.abort_run()
         raise
     run = HUB.finish_run()
     assert results == [1, 1]
     assert len(run.shard_stats) == 2
-    if mode == "serial":
-        assert run.lifecycle.maps == []
-        return
-    summary = run.lifecycle.summary()
-    assert [record.mode for record in run.lifecycle.maps] == ["shards"]
-    assert summary["tasks"] == 2
-    assert summary["fork_s"] > 0
-    assert summary["serialize_bytes"] > 0
-    assert [task.label for task in run.lifecycle.maps[0].tasks] \
-        == ["shard:0", "shard:1"]
-    # both shards' simulators came home, in shard order
+    assert run.lifecycle.maps == []  # shards step in this process
+
+
+E19_PASSES = ["E19:centralized EPC", "E19:dLTE stubs", "E19:radio"]
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+def test_e19_fork_is_one_map_of_three_passes(shards):
+    """E19's passes fan out as three tasks of one map, each stepping its
+    own shards: no map per pass, no task per shard, no round trip per
+    window."""
+    from repro.experiments import e19_city
+
+    HUB.start_run()
+    try:
+        e19_city.run(n_cells=8, ue_per_cell=1, background_per_cell=4,
+                     shards=shards, mode="fork", horizon_s=1.0)
+    except BaseException:
+        HUB.abort_run()
+        raise
+    run = HUB.finish_run()
+    assert [(record.mode, len(record.tasks))
+            for record in run.lifecycle.maps] == [("pool", 3)]
+    assert sorted(task.label for task in run.lifecycle.maps[0].tasks) \
+        == E19_PASSES
+    # every pass still notes one stats entry per shard, in item order
+    assert [entry["label"] for entry in run.shard_stats] \
+        == [label for label in E19_PASSES for _ in range(shards)]
+    assert sum(entry["windows"] for entry in run.shard_stats) > 0
+    # every shard's simulator came home: one per shard per pass
     assert sum(tag.startswith("s") and tag[1:].isdigit()
-               for tag, _ in run.registries) == 2
+               for tag, _ in run.registries) == 3 * shards

@@ -16,7 +16,7 @@ import pytest
 
 from repro.epc.agents import ControlAgent, ControlChannel
 from repro.net.shardlink import CrossShardChannel
-from repro.runner.shardpool import ShardWorkerError
+from repro.runner import WorkerTaskError, parallel_map
 from repro.simcore.sharded import (
     ShardBoundary,
     ShardHost,
@@ -158,20 +158,18 @@ def test_horizon_draining_and_withheld_records():
     assert sharded.undelivered[0][0] == pytest.approx(4.5 * L)
 
 
-def test_fork_mode_matches_serial():
-    specs = [{"shard": s, "n_shards": 2, "limit": 450} for s in range(2)]
-    serial = _merge(ShardedSimulator(_build_pingpong, specs).run(until=1.0))
-    forked = _merge(ShardedSimulator(_build_pingpong, specs,
-                                     mode="fork").run(until=1.0))
-    assert forked == serial
-
-
 def _build_doomed(spec):
-    """Ping-pong shards; shard 1 signals itself mid-window at t=0.505."""
+    """Ping-pong shards; a doomed pass's shard 1 signals its own process
+    mid-window at t=0.505."""
     host = _build_pingpong(spec)
-    if spec["shard"] == 1:
+    if spec["shard"] == 1 and spec["signal"] is not None:
         host.sim.at(50.5 * L, os.kill, os.getpid(), spec["signal"])
     return host
+
+
+def _run_doomed_pass(specs):
+    """One sharded pass as a worker task, as E19 runs each of its three."""
+    return _merge(ShardedSimulator(_build_doomed, specs).run(until=1.0))
 
 
 @pytest.mark.parametrize("signum,kind,exc_type", [
@@ -180,21 +178,22 @@ def _build_doomed(spec):
 ])
 def test_lost_shard_worker_surfaces_and_is_reaped(
         tmp_path, monkeypatch, signum, kind, exc_type):
-    # regression: the shard pool read its pipe with a bare blocking recv
-    # (no beat, no EOF watch), so a wedged shard hung the run forever and
-    # close() could leave a stopped worker behind. Fork inherits the
-    # shortened beat constants.
+    # regression: a shard pool that read its pipe with a bare blocking
+    # recv (no beat, no EOF watch) hung forever on a wedged shard and
+    # could leave a stopped worker behind. A pass's worker is a
+    # parallel_map worker, watched for pipe EOF and for its beat; fork
+    # inherits the shortened beat constants.
     from repro.runner import worker
 
     monkeypatch.setattr(worker, "BEAT_S", 0.05)
     monkeypatch.setattr(worker, "BEAT_LIMIT_S", 0.4)
-    specs = [{"shard": s, "n_shards": 2, "limit": 450, "signal": signum}
-             for s in range(2)]
+    passes = [[{"shard": s, "n_shards": 2, "limit": 450, "signal": doom}
+               for s in range(2)] for doom in (None, signum)]
     started = time.monotonic()
-    with pytest.raises(ShardWorkerError) as excinfo:
-        ShardedSimulator(_build_doomed, specs, mode="fork").run(until=1.0)
+    with pytest.raises(WorkerTaskError) as excinfo:
+        parallel_map(_run_doomed_pass, passes, jobs=2)
     assert time.monotonic() - started < 3.0
-    assert excinfo.value.shard == 1
+    assert excinfo.value.slot == 1
     assert excinfo.value.exc_type == exc_type
     assert not multiprocessing.active_children()  # every shard pid gone
     assert any(name.startswith(f"postmortem-supervisor-{kind}-")

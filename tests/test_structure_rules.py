@@ -67,12 +67,14 @@ RULES: Tuple[Rule, ...] = (
          "instrument and numpy the only dependency"),
     Rule("gc-in-two-places",
          r"gc\.(collect|freeze)",
-         ("src/",), (r"^src/repro/(runner/parallel|__main__)\.py:",),
+         ("src/",),
+         (r"^src/repro/(runner/parallel|runner/worker|__main__)\.py:",),
          "each release point (between tasks of parallel_map's serial "
-         "loop, after each experiment of the CLI) collects the finished "
-         "task and then freezes the survivors, so later collections walk "
-         "only what the next task builds; a collection anywhere else (a "
-         "shard window, a hot loop) sits on a critical path"),
+         "loop, after a worker sends a task's reply, after each "
+         "experiment of the CLI) collects the finished task and then "
+         "freezes the survivors, so later collections walk only what the "
+         "next task builds; a collection anywhere else (a shard window, a "
+         "hot loop) sits on a critical path"),
     Rule("no-per-message-queue-gauge",
          r"_m_queue|queue_depth.*\.set\(",
          ("src/repro/epc/", "src/repro/net/"), (),
