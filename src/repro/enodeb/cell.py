@@ -125,12 +125,11 @@ class Cell:
         self._m_rsrp.observe(self.rsrp_to(ctx.radio))
 
     def remove_ue(self, ue_id: str) -> None:
-        """Detach a UE and drop its scheduler history, both directions."""
+        """Detach a UE; its arena row, with its scheduler history in both
+        directions, goes with it."""
         if self._ues.pop(ue_id, None) is not None:
             self._arena.detach(ue_id)
             self._m_attached.set(len(self._ues))
-        self.scheduler.forget(ue_id)
-        self.uplink_scheduler.forget(ue_id)
 
     @property
     def attached_ues(self) -> List[str]:

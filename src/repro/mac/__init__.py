@@ -15,7 +15,7 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "csma": ("CsmaNode", "CsmaSimulation"),
     "schedulers": (
         "LteScheduler", "MaxCiScheduler", "ProportionalFairScheduler",
-        "QosAwareScheduler", "RoundRobinScheduler", "SchedulableUser"),
+        "QosAwareScheduler", "RoundRobinScheduler"),
     "uplink": ("ContiguousUplinkScheduler", "contiguous_runs"),
     "timing": (
         "LTE_MAX_CELL_RANGE_M", "WIFI_DEFAULT_ACK_RANGE_M",

@@ -60,7 +60,6 @@ import numpy as np
 
 from repro.mac.schedulers import (
     LteScheduler,
-    RateStore,
     UserColumns,
     descending_id_order,
 )
@@ -152,8 +151,9 @@ class UeArena:
         self.ul = _PhyBank()
         self._block = np.zeros((_BLOCK_ROWS, 8))
         self._bind_columns()
-        #: rate stores of the schedulers the cell currently runs
-        self._stores: List[Tuple[LteScheduler, RateStore]] = []
+        #: EWMA average rate per slot, one column per scheduler the cell
+        #: currently runs (the only store of scheduler history)
+        self._avg: Dict[LteScheduler, np.ndarray] = {}
         #: slots sorted by descending UE id (PF tie-break order), cached
         self.desc_order = descending_id_order(self.ids)
         self._desc_stale = True
@@ -221,8 +221,8 @@ class UeArena:
         # an earlier tenant of the column left) are written before read
         self.dl.dirty[slot] = self.ul.dirty[slot] = True
         self._desc_stale = True
-        for _sched, store in self._stores:
-            store.avg = np.append(store.avg, 0.0)
+        for sched, avg in self._avg.items():
+            self._avg[sched] = np.append(avg, 0.0)
 
     def detach(self, uid: str) -> None:
         slot = self.slot_of.pop(uid, None)
@@ -242,29 +242,22 @@ class UeArena:
         block[:, slot:len(ids)] = block[:, slot + 1:len(ids) + 1]
         self._bind_columns()
         self._desc_stale = True
-        for _sched, store in self._stores:
-            store.avg = np.delete(store.avg, slot)
+        for sched, avg in self._avg.items():
+            self._avg[sched] = np.delete(avg, slot)
 
     # -- scheduler-facing columns ------------------------------------------
 
-    def _store_for(self, scheduler: LteScheduler) -> RateStore:
-        for sched, store in self._stores:
-            if sched is scheduler:
-                return store
-        # a miss means the cell's scheduler was swapped: whatever it no
-        # longer runs gives its store back
-        cell = self._cell
-        kept = []
-        for sched, old in self._stores:
-            if sched is cell.scheduler or sched is cell.uplink_scheduler:
-                kept.append((sched, old))
-            else:
-                sched._stores.remove(old)
-        store = RateStore(self.slot_of, np.zeros(len(self.ids)))
-        scheduler._stores.append(store)
-        kept.append((scheduler, store))
-        self._stores = kept
-        return store
+    def _avg_for(self, scheduler: LteScheduler) -> np.ndarray:
+        avg = self._avg.get(scheduler)
+        if avg is None:
+            # a miss means the cell's scheduler was swapped: whatever it
+            # no longer runs loses its column
+            cell = self._cell
+            self._avg = {sched: old for sched, old in self._avg.items()
+                         if sched is cell.scheduler
+                         or sched is cell.uplink_scheduler}
+            avg = self._avg[scheduler] = np.zeros(len(self.ids))
+        return avg
 
     def columns(self, bank: _PhyBank, scheduler: LteScheduler) -> UserColumns:
         """This TTI's columns for ``scheduler`` over a refreshed bank."""
@@ -272,7 +265,7 @@ class UeArena:
         desc = self.desc_order
         return UserColumns(
             ids=self.ids, slot_of=self.slot_of, eff=bank.eff.tolist(),
-            b=bank.b, avg=self._store_for(scheduler).avg, gbr=self.gbr,
+            b=bank.b, avg=self._avg_for(scheduler), gbr=self.gbr,
             priority=self.priority, elig=mask.nonzero()[0].tolist(),
             elig_desc=desc[mask[desc]])
 
@@ -370,7 +363,8 @@ class UeArena:
         bank.harq[rows] = np.nan  # filled at the row's next grant
         bank.cqi[rows] = cqi
         bank.eff[rows] = eff
-        # same association order as bits_per_prb: (eff * 180e3) * 1e-3
+        # bits per PRB pair per TTI, associated as the scalar oracle's
+        # ``bits_per_prb``: (eff * 180e3) * 1e-3
         bank.b[rows] = eff * PRB_BANDWIDTH_HZ * TTI_S
 
     def fill_harq(self, bank: _PhyBank, slots: List[int]) -> None:

@@ -23,37 +23,9 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, List, NamedTuple, Sequence
+from typing import Dict, FrozenSet, List, NamedTuple
 
 import numpy as np
-
-from repro.phy.mcs import lte_efficiency_for_sinr
-from repro.phy.resource_grid import bits_per_prb
-
-
-@dataclass
-class SchedulableUser:
-    """Per-TTI view of one attached user.
-
-    Attributes:
-        user_id: stable identity across TTIs (EWMA state keys off it).
-        sinr_db: current wideband SINR toward this user.
-        backlog_bits: queued demand; users with zero backlog are skipped.
-        gbr_bps: guaranteed bit rate, 0 for best-effort.
-        priority: lower value = more important, used by QoS scheduler.
-    """
-
-    user_id: str
-    sinr_db: float
-    backlog_bits: float = float("inf")
-    gbr_bps: float = 0.0
-    priority: int = 9
-
-    @property
-    def efficiency(self) -> float:
-        """Spectral efficiency at the current SINR (0 when unreachable)."""
-        return lte_efficiency_for_sinr(self.sinr_db)
 
 
 def descending_id_order(ids: List[str]) -> np.ndarray:
@@ -69,8 +41,8 @@ class UserColumns(NamedTuple):
     Slot ``s`` is one user; every column is indexed by slot. A cell's
     :class:`repro.mac.arena.UeArena` holds each of these once and hands
     its own columns over (``eff`` read out as a list, the two ``elig``
-    columns computed per TTI); :meth:`LteScheduler.allocate` packs them
-    from its ``SchedulableUser`` list.
+    columns computed per TTI); ``avg`` is the arena's rate column for
+    the scheduler being run.
 
     Attributes:
         ids: user ids in slot order (grant maps are keyed in this order).
@@ -98,65 +70,29 @@ class UserColumns(NamedTuple):
     elig_desc: np.ndarray
 
 
-class RateStore:
-    """One scheduler's EWMA average rates for one cell, slot-aligned
-    with that cell's arena (which resizes ``avg`` on attach/detach)."""
-
-    __slots__ = ("slot_of", "avg")
-
-    def __init__(self, slot_of: Dict[str, int], avg: np.ndarray) -> None:
-        self.slot_of = slot_of
-        self.avg = avg
-
-
 class LteScheduler(ABC):
-    """Base class: allocate a PRB set among users, track average rates.
+    """Base class: an allocation policy over :class:`UserColumns`.
 
-    A policy is one :meth:`_assign` over :class:`UserColumns`. It is
-    reached through two front doors: :meth:`allocate_columns`, which a
-    ``Cell`` calls every TTI with its arena's columns, and
-    :meth:`allocate`, which packs the same columns from a list of
-    ``SchedulableUser``. Average rates live in one :class:`RateStore`
-    per cell this scheduler serves (history lasts as long as the UE is
-    attached and this is the cell's scheduler) and, for ``allocate``
-    callers, in a dict keyed by user id.
+    A policy is one :meth:`_assign`, reached through one front door,
+    :meth:`allocate_columns`, which a ``Cell`` calls every TTI with its
+    arena's columns. A scheduler stores no rates: the EWMA averages are
+    the ``avg`` column it is handed, which the cell's arena owns (one
+    column per scheduler it runs; history lasts as long as the UE is
+    attached and this is the cell's scheduler). The only scheduler state
+    is :class:`RoundRobinScheduler`'s cursor.
     """
 
     #: EWMA horizon for PF average-rate tracking, in TTIs.
     PF_WINDOW_TTIS = 100.0
 
-    def __init__(self) -> None:
-        self._rates: Dict[str, float] = {}
-        self._stores: List[RateStore] = []
-
-    def allocate(self, users: Sequence[SchedulableUser],
-                 prbs: FrozenSet[int]) -> Dict[str, FrozenSet[int]]:
-        """Assign each PRB in ``prbs`` to at most one user.
-
-        Users with zero efficiency (below CQI 1) or zero backlog receive
-        nothing. Returns {user_id: prb set}; unassigned PRBs are simply
-        absent. Also updates the PF rate averages.
-        """
-        ids = [u.user_id for u in users]
-        eff = [u.efficiency for u in users]
-        rates = self._rates
-        mask = np.array([e > 0 and u.backlog_bits > 0
-                         for e, u in zip(eff, users)], dtype=bool)
-        desc = descending_id_order(ids)
-        cols = UserColumns(
-            ids=ids, slot_of={uid: s for s, uid in enumerate(ids)}, eff=eff,
-            b=np.array([bits_per_prb(e) for e in eff], dtype=float),
-            avg=np.array([rates.get(uid, 0.0) for uid in ids], dtype=float),
-            gbr=np.array([u.gbr_bps for u in users], dtype=float),
-            priority=[u.priority for u in users],
-            elig=mask.nonzero()[0].tolist(), elig_desc=desc[mask[desc]])
-        result = self.allocate_columns(cols, prbs)
-        rates.update(zip(ids, cols.avg.tolist()))
-        return result
-
     def allocate_columns(self, cols: UserColumns,
                          prbs: FrozenSet[int]) -> Dict[str, FrozenSet[int]]:
-        """:meth:`allocate` over ready-made columns; updates ``cols.avg``."""
+        """Assign each PRB in ``prbs`` to at most one user.
+
+        Users outside ``cols.elig`` (below CQI 1, or no backlog) receive
+        nothing. Returns {user_id: prb set} in slot order; unassigned
+        PRBs are simply absent. Updates ``cols.avg`` in place.
+        """
         grants: Dict[str, List[int]] = {}
         if cols.elig and prbs:
             grants = self._assign(cols, sorted(prbs))
@@ -181,26 +117,11 @@ class LteScheduler(ABC):
         ``cols.elig``; returns {user_id: prbs} for the users it served,
         in any order (users mapped to no PRBs are dropped)."""
 
-    # -- rate accounting ----------------------------------------------------
-
-    def average_rate_bps(self, user_id: str) -> float:
-        """EWMA throughput of ``user_id`` (0 for never-seen users)."""
-        for store in self._stores:
-            slot = store.slot_of.get(user_id)
-            if slot is not None:
-                return float(store.avg[slot])
-        return self._rates.get(user_id, 0.0)
-
-    def forget(self, user_id: str) -> None:
-        """Drop EWMA state for a departed user."""
-        self._rates.pop(user_id, None)
-
 
 class RoundRobinScheduler(LteScheduler):
     """Cycle PRBs across users regardless of channel quality."""
 
     def __init__(self) -> None:
-        super().__init__()
         self._next = 0
 
     def _assign(self, cols: UserColumns,

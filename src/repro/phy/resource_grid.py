@@ -48,17 +48,6 @@ def prbs_for_bandwidth(bandwidth_hz: float) -> int:
         ) from None
 
 
-def bits_per_prb(efficiency_bps_hz: float) -> float:
-    """Data bits carried by one PRB pair in one TTI at a spectral efficiency.
-
-    Efficiency is defined over occupied bandwidth, so bits = eff x 180 kHz
-    x 1 ms, capped by the modulation-symbol capacity of the data REs.
-    """
-    if efficiency_bps_hz < 0:
-        raise ValueError("efficiency must be non-negative")
-    return efficiency_bps_hz * PRB_BANDWIDTH_HZ * TTI_S
-
-
 @dataclass
 class ResourceGrid:
     """The PRB pool of one cell: its bandwidth and PRB count.

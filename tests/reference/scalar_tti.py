@@ -1,44 +1,157 @@
-"""Test oracle: the scalar per-UE TTI walk, its per-link SINR evaluators
-and the five scalar policies.
+"""Test oracle: the scalar per-UE TTI walk, its per-link SINR evaluators,
+the five scalar policies, and a user-list packer for the schedulers.
 
 Frozen copy of the reference path that ``src/`` shipped beside the arena
 engine until it became the only production path. One per-link SINR
 (:func:`sinr_to` / :func:`uplink_sinr_from`, built on
 :func:`link_sinr_db` and the :func:`sinr_db` combiner), one CQI lookup,
-one HARQ factor and one ``SchedulableUser`` per UE per TTI, EWMA rates
-in a dict keyed by user id. Production must match it bit for bit:
+one HARQ factor and one :class:`SchedulableUser` per UE per TTI, EWMA
+rates in a dict keyed by user id. Production must match it bit for bit:
 ``test_mac_arena.py`` compares per TTI, and the ``oracle`` cells of
 ``test_determinism.py`` swap :func:`schedule_tti` /
-:func:`schedule_uplink_tti` in for the two ``Cell`` methods and compare
-whole experiment tables. ``test_enodeb_cell.py`` and
+:func:`schedule_uplink_tti` / :func:`remove_ue` in for the three ``Cell``
+methods and compare whole experiment tables. ``test_enodeb_cell.py`` and
 ``test_phy_linkbudget_grid.py`` test the SINR evaluators directly.
 
-The oracle keeps no state of its own: rates live in the production
-scheduler's ``allocate`` front-door dict (``_rates``, which
-``Cell.remove_ue`` forgets for both directions — "detach drops
-scheduler history") and the round-robin cursor in its ``_next``.
+The oracle keeps its own EWMA state: one dict per scheduler object
+(:func:`rates_of`), never on the scheduler, which stores no rates. A
+detach must forget the UE's rates in both directions as the arena does
+when it drops the row, so :func:`remove_ue` is ``Cell.remove_ue`` plus
+that forgetting; a walk cannot prune it later, because a UE detached and
+re-attached between two TTIs (E5's cooperative re-homing) looks attached
+to both. The round-robin cursor stays the scheduler's ``_next``.
 Policies dispatch on the exact scheduler type via :data:`POLICIES`.
+
+:func:`pack` turns a ``SchedulableUser`` list and a caller-held rates
+dict into the :class:`~repro.mac.schedulers.UserColumns` that the
+schedulers' one front door, ``allocate_columns``, runs over, so unit
+tests can drive a policy without a cell; :func:`allocate_packed` runs
+the front door over them and writes the updated averages back.
+:func:`arena_rates` reads the production EWMA out of a cell's arena.
 """
 
 import heapq
-from typing import Dict, FrozenSet, Iterable, List, Sequence
+from dataclasses import dataclass
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence
+from weakref import WeakKeyDictionary
 
+import numpy as np
+
+from repro.enodeb.cell import Cell
 from repro.mac.schedulers import (
     LteScheduler,
     MaxCiScheduler,
     ProportionalFairScheduler,
     QosAwareScheduler,
     RoundRobinScheduler,
-    SchedulableUser,
+    UserColumns,
+    descending_id_order,
 )
 from repro.mac.uplink import ContiguousUplinkScheduler, contiguous_runs
 from repro.phy.harq import harq_goodput_factor
 from repro.phy.linkbudget import LinkBudget, Radio
-from repro.phy.mcs import select_lte_cqi
-from repro.phy.resource_grid import bits_per_prb
+from repro.phy.mcs import lte_efficiency_for_sinr, select_lte_cqi
+from repro.phy.resource_grid import PRB_BANDWIDTH_HZ, TTI_S
 from repro.phy.units import db_to_linear, linear_to_db
 
 Grants = Dict[str, List[int]]
+
+
+def bits_per_prb(efficiency_bps_hz: float) -> float:
+    """Data bits carried by one PRB pair in one TTI at a spectral
+    efficiency: eff x 180 kHz x 1 ms (efficiency is defined over
+    occupied bandwidth)."""
+    if efficiency_bps_hz < 0:
+        raise ValueError("efficiency must be non-negative")
+    return efficiency_bps_hz * PRB_BANDWIDTH_HZ * TTI_S
+
+
+@dataclass
+class SchedulableUser:
+    """Per-TTI view of one attached user.
+
+    Attributes:
+        user_id: stable identity across TTIs (EWMA state keys off it).
+        sinr_db: current wideband SINR toward this user.
+        backlog_bits: queued demand; users with zero backlog are skipped.
+        gbr_bps: guaranteed bit rate, 0 for best-effort.
+        priority: lower value = more important, used by QoS scheduler.
+    """
+
+    user_id: str
+    sinr_db: float
+    backlog_bits: float = float("inf")
+    gbr_bps: float = 0.0
+    priority: int = 9
+
+    @property
+    def efficiency(self) -> float:
+        """Spectral efficiency at the current SINR (0 when unreachable)."""
+        return lte_efficiency_for_sinr(self.sinr_db)
+
+
+# -- the oracle's EWMA store, and production's -------------------------------
+
+#: scheduler -> {user id: EWMA average rate in bits/s}
+_RATES: "WeakKeyDictionary[LteScheduler, Dict[str, float]]" = (
+    WeakKeyDictionary())
+
+#: the production detach :func:`remove_ue` wraps (taken before any patch)
+_detach = Cell.remove_ue
+
+
+def rates_of(sched: LteScheduler) -> Dict[str, float]:
+    """The oracle's EWMA averages for ``sched``, by user id."""
+    return _RATES.setdefault(sched, {})
+
+
+def remove_ue(cell, ue_id: str) -> None:
+    """Scalar ``Cell.remove_ue``: detach, and forget the UE's rates in
+    both directions."""
+    _detach(cell, ue_id)
+    for sched in (cell.scheduler, cell.uplink_scheduler):
+        rates_of(sched).pop(ue_id, None)
+
+
+def arena_rates(cell, sched: LteScheduler) -> Dict[str, float]:
+    """Production's EWMA averages for ``sched`` in ``cell``'s arena, by
+    user id (empty until ``sched`` has run a TTI there)."""
+    arena = cell._arena
+    avg = arena._avg.get(sched)
+    return {} if avg is None else dict(zip(arena.ids, avg.tolist()))
+
+
+# -- the list front door -----------------------------------------------------
+
+def pack(users: Sequence[SchedulableUser],
+         rates: Dict[str, float]) -> UserColumns:
+    """The columns ``allocate_columns`` runs over, packed from ``users``
+    in list order; ``avg`` reads ``rates`` (0 for a user it lacks)."""
+    ids = [u.user_id for u in users]
+    eff = [u.efficiency for u in users]
+    mask = np.array([e > 0 and u.backlog_bits > 0
+                     for e, u in zip(eff, users)], dtype=bool)
+    desc = descending_id_order(ids)
+    return UserColumns(
+        ids=ids, slot_of={uid: s for s, uid in enumerate(ids)}, eff=eff,
+        b=np.array([bits_per_prb(e) for e in eff], dtype=float),
+        avg=np.array([rates.get(uid, 0.0) for uid in ids], dtype=float),
+        gbr=np.array([u.gbr_bps for u in users], dtype=float),
+        priority=[u.priority for u in users],
+        elig=mask.nonzero()[0].tolist(), elig_desc=desc[mask[desc]])
+
+
+def allocate_packed(sched: LteScheduler, users: Sequence[SchedulableUser],
+                    prbs: FrozenSet[int],
+                    rates: Optional[Dict[str, float]] = None
+                    ) -> Dict[str, FrozenSet[int]]:
+    """``sched.allocate_columns`` over :func:`pack`; the updated averages
+    go back into ``rates`` (a fresh dict when None)."""
+    rates = {} if rates is None else rates
+    cols = pack(users, rates)
+    result = sched.allocate_columns(cols, prbs)
+    rates.update(zip(cols.ids, cols.avg.tolist()))
+    return result
 
 
 # -- the scalar SINR evaluators, one link at a time ----------------------------
@@ -75,7 +188,8 @@ def uplink_sinr_from(cell, ue_radio: Radio) -> float:
 
 # -- the five scalar policies ------------------------------------------------
 
-def _round_robin(sched, users: List[SchedulableUser], prbs: List[int]) -> Grants:
+def _round_robin(sched, users: List[SchedulableUser], prbs: List[int],
+                 rates: Dict[str, float]) -> Grants:
     grants: Grants = {u.user_id: [] for u in users}
     for i, prb in enumerate(prbs):
         user = users[(sched._next + i) % len(users)]
@@ -84,13 +198,14 @@ def _round_robin(sched, users: List[SchedulableUser], prbs: List[int]) -> Grants
     return grants
 
 
-def _max_ci(sched, users: List[SchedulableUser], prbs: List[int]) -> Grants:
+def _max_ci(sched, users: List[SchedulableUser], prbs: List[int],
+            rates: Dict[str, float]) -> Grants:
     best = max(users, key=lambda u: (u.efficiency, u.user_id))
     return {best.user_id: list(prbs)}
 
 
-def _proportional_fair(sched, users: List[SchedulableUser],
-                       prbs: List[int]) -> Grants:
+def _proportional_fair(sched, users: List[SchedulableUser], prbs: List[int],
+                       rates: Dict[str, float]) -> Grants:
     grants: Grants = {u.user_id: [] for u in users}
     floor = 1e3  # avoids div-by-zero for new users, biases toward them
     order = sorted(users, key=lambda u: u.user_id, reverse=True)
@@ -100,7 +215,7 @@ def _proportional_fair(sched, users: List[SchedulableUser],
     entries: List = []
     for rank, user in enumerate(order):
         inst = bits_per_prb(user.efficiency) * 1e3
-        avg = max(sched._rates.get(user.user_id, 0.0), floor)
+        avg = max(rates.get(user.user_id, 0.0), floor)
         insts.append(inst)
         avgs.append(avg)
         lists.append(grants[user.user_id])
@@ -116,7 +231,8 @@ def _proportional_fair(sched, users: List[SchedulableUser],
     return grants
 
 
-def _qos_aware(sched, users: List[SchedulableUser], prbs: List[int]) -> Grants:
+def _qos_aware(sched, users: List[SchedulableUser], prbs: List[int],
+               rates: Dict[str, float]) -> Grants:
     grants: Grants = {u.user_id: [] for u in users}
     remaining = list(prbs)
     gbr_users = sorted((u for u in users if u.gbr_bps > 0),
@@ -128,20 +244,21 @@ def _qos_aware(sched, users: List[SchedulableUser], prbs: List[int]) -> Grants:
             grants[user.user_id].append(remaining.pop(0))
             needed_bits -= per_prb
     if remaining:
-        for uid, extra in _proportional_fair(sched, users, remaining).items():
+        for uid, extra in _proportional_fair(sched, users, remaining,
+                                             rates).items():
             grants[uid].extend(extra)
     return grants
 
 
-def _contiguous_uplink(sched, users: List[SchedulableUser],
-                       prbs: List[int]) -> Grants:
+def _contiguous_uplink(sched, users: List[SchedulableUser], prbs: List[int],
+                       rates: Dict[str, float]) -> Grants:
     allowed = frozenset(prbs)
     runs = contiguous_runs(allowed)
     total = len(allowed)
     floor = 1e3
     weights = {
         u.user_id: (bits_per_prb(u.efficiency) * 1e3
-                    / max(sched._rates.get(u.user_id, 0.0), floor))
+                    / max(rates.get(u.user_id, 0.0), floor))
         for u in users}
     weight_sum = sum(weights.values()) or 1.0
     target = {uid: max(1, round(total * w / weight_sum))
@@ -171,22 +288,24 @@ POLICIES = {
 }
 
 
-# -- scalar LteScheduler.allocate ---------------------------------------------
+# -- the scalar allocation ----------------------------------------------------
 
 def allocate(sched: LteScheduler, users: Sequence[SchedulableUser],
-             prbs: FrozenSet[int]) -> Dict[str, FrozenSet[int]]:
-    """Scalar ``allocate``: filter, assign, per-user EWMA update."""
+             prbs: FrozenSet[int],
+             rates: Dict[str, float]) -> Dict[str, FrozenSet[int]]:
+    """Scalar ``allocate_columns``: filter, assign, per-user EWMA update
+    of ``rates``."""
     eligible = [u for u in users if u.efficiency > 0 and u.backlog_bits > 0]
     grants: Grants = {}
     if eligible and prbs:
-        grants = POLICIES[type(sched)](sched, eligible, sorted(prbs))
+        grants = POLICIES[type(sched)](sched, eligible, sorted(prbs), rates)
     result = {uid: frozenset(g) for uid, g in grants.items() if g}
     alpha = 1.0 / sched.PF_WINDOW_TTIS
     for user in users:
         served = len(result.get(user.user_id, ()))
         inst = served * bits_per_prb(user.efficiency) * 1e3  # bits/s
-        prev = sched._rates.get(user.user_id, 0.0)
-        sched._rates[user.user_id] = (1 - alpha) * prev + alpha * inst
+        prev = rates.get(user.user_id, 0.0)
+        rates[user.user_id] = (1 - alpha) * prev + alpha * inst
     return result
 
 
@@ -227,7 +346,8 @@ def _walk(cell, scheduler, sinr_of, observe_sinr: bool) -> Dict[str, float]:
                                      backlog_bits=ctx.backlog_bits,
                                      gbr_bps=ctx.gbr_bps,
                                      priority=ctx.priority))
-    return _deliver(cell, allocate(scheduler, users, cell.allowed_prbs), sinrs)
+    grants = allocate(scheduler, users, cell.allowed_prbs, rates_of(scheduler))
+    return _deliver(cell, grants, sinrs)
 
 
 def schedule_tti(cell) -> Dict[str, float]:

@@ -97,15 +97,23 @@ def test_pickle_of_watched_radio_carries_no_arena():
 def test_copy_of_a_cell_watches_its_own_contexts(clone):
     """The copy's contexts arrive unwatched; its arena re-hooks them and
     re-binds its columns, so it neither goes stale nor marks the
-    original."""
+    original. Its rate columns come along, keyed by its own schedulers:
+    its next PF and uplink TTIs are the original's, grant order
+    included."""
     cell = _cell("a")
     for u in range(3):
         cell.add_ue(_ctx(f"u{u}", Radio(Point(300.0 + 50.0 * u, 40.0))))
-    _run(cell)
+    for _ in range(4):
+        _run(cell)
     twin = clone(cell)
     if clone is copy.copy:  # shallow: same arena, same contexts
         assert twin._arena is cell._arena
         return
+    assert set(twin._arena._avg) == {twin.scheduler, twin.uplink_scheduler}
+    for _ in range(3):
+        got, want = _run(twin), _run(cell)
+        assert [list(d.items()) for d in got] == [
+            list(d.items()) for d in want]
     twin._ues["u1"].radio.position = Point(5e7, 5e7)  # out of range
     assert twin._arena._touched == {"u1"} and not cell._arena._touched
     assert set(_run(twin)[0]) == {"u0", "u2"}

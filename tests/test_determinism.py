@@ -153,11 +153,13 @@ def _armed(exp_id, monkeypatch):
 
 
 def _on_oracle(exp_id, monkeypatch):
-    """Every cell on the scalar walk of ``tests/reference/scalar_tti.py``;
+    """Every cell on the scalar walk of ``tests/reference/scalar_tti.py``,
+    whose detach forgets the oracle's rates as the arena's drops its row;
     workers are forked, so the patch governs them too."""
     monkeypatch.setattr(Cell, "schedule_tti", scalar_tti.schedule_tti)
     monkeypatch.setattr(Cell, "schedule_uplink_tti",
                         scalar_tti.schedule_uplink_tti)
+    monkeypatch.setattr(Cell, "remove_ue", scalar_tti.remove_ue)
     return _run(exp_id)
 
 

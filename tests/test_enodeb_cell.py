@@ -11,9 +11,8 @@ from repro.phy import (
     get_band,
 )
 from repro.phy.linkbudget import _LOSS_CACHE_MAX
-from repro.phy.resource_grid import bits_per_prb
 
-from tests.reference.scalar_tti import sinr_to
+from tests.reference.scalar_tti import arena_rates, bits_per_prb, sinr_to
 
 
 def _cell(x=0.0, harq=True, **kw):
@@ -146,9 +145,12 @@ def test_scheduler_state_cleared_on_remove():
     cell.add_ue(_ue("a", 400))
     for _ in range(10):
         cell.schedule_tti()
-    assert cell.scheduler.average_rate_bps("a") > 0
+    assert arena_rates(cell, cell.scheduler)["a"] > 0
     cell.remove_ue("a")
-    assert cell.scheduler.average_rate_bps("a") == 0.0
+    for sched in (cell.scheduler, cell.uplink_scheduler):
+        assert "a" not in arena_rates(cell, sched)
+    cell.add_ue(_ue("a", 400))  # back with no history
+    assert arena_rates(cell, cell.scheduler)["a"] == 0.0
 
 
 def test_path_loss_memo_is_bounded_and_transparent():

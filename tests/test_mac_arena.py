@@ -23,7 +23,6 @@ from repro.mac.schedulers import (
     ProportionalFairScheduler,
     QosAwareScheduler,
     RoundRobinScheduler,
-    SchedulableUser,
 )
 from repro.mac.uplink import ContiguousUplinkScheduler
 from repro.phy.bands import get_band
@@ -32,6 +31,12 @@ from repro.phy.propagation import FreeSpace, OkumuraHata
 from repro.telemetry import MetricsRegistry
 
 from tests.reference import scalar_tti
+from tests.reference.scalar_tti import (
+    SchedulableUser,
+    allocate_packed,
+    arena_rates,
+    rates_of,
+)
 
 SCHEDULERS = [RoundRobinScheduler, MaxCiScheduler,
               ProportionalFairScheduler, QosAwareScheduler]
@@ -90,6 +95,14 @@ def _plain_pair(scheduler_factory, n_ue, ue_point):
     return cells
 
 
+def _assert_rates_equal(ref, cell, where):
+    """Every EWMA equal, both directions: the oracle's dicts against the
+    production arena's columns."""
+    for role in ("scheduler", "uplink_scheduler"):
+        assert (rates_of(getattr(ref, role))
+                == arena_rates(cell, getattr(cell, role))), (where, role)
+
+
 def _assert_tti_equal(ref, cell, where):
     ds = scalar_tti.schedule_tti(ref)
     db = cell.schedule_tti()
@@ -127,9 +140,10 @@ def test_randomized_cell_equivalence(trial):
                 ctx.radio.position = Point(100.0 + trial, 50.0)
                 c._ues["ue002"].backlog_bits = 8e5
         if t == 25 and n_ue > 4:
-            for c in (ref, cell):
-                c.remove_ue("ue003")
+            scalar_tti.remove_ue(ref, "ue003")
+            cell.remove_ue("ue003")
         _assert_tti_equal(ref, cell, f"trial={trial} t={t}")
+        _assert_rates_equal(ref, cell, f"trial={trial} t={t}")
     _assert_metrics_equal(reg_ref, reg)
 
 
@@ -168,7 +182,8 @@ def test_zero_backlog_everywhere():
 
 
 def test_scheduler_swap_mid_run():
-    """Swapping the scheduler object mid-run re-binds the arena store."""
+    """Swapping the scheduler object mid-run gives the new one a fresh
+    arena column."""
     ref, cell, _, _ = _build_pair(RoundRobinScheduler, 4, 9)
     for t in range(6):
         _assert_tti_equal(ref, cell, f"pre-swap t={t}")
@@ -176,6 +191,7 @@ def test_scheduler_swap_mid_run():
         c.scheduler = QosAwareScheduler()
     for t in range(6):
         _assert_tti_equal(ref, cell, f"post-swap t={t}")
+        _assert_rates_equal(ref, cell, f"post-swap t={t}")
 
 
 @pytest.mark.parametrize("sched_cls", [ProportionalFairScheduler,
@@ -191,25 +207,22 @@ def test_detach_reattach_drops_history(sched_cls):
             ctx.backlog_bits = float("inf")
     for t in range(30):
         _assert_tti_equal(ref, cell, f"pre-detach t={t}")
-    assert cell.uplink_scheduler.average_rate_bps("ue001") > 0
-    for c in (ref, cell):
+    assert arena_rates(cell, cell.uplink_scheduler)["ue001"] > 0
+    for c, detach in ((ref, scalar_tti.remove_ue), (cell, Cell.remove_ue)):
         ctx = c._ues["ue001"]
-        c.remove_ue("ue001")
-        for sched in (c.scheduler, c.uplink_scheduler):
-            assert sched.average_rate_bps("ue001") == 0.0
+        detach(c, "ue001")
         c.add_ue(ctx)
+    for role in ("scheduler", "uplink_scheduler"):
+        assert "ue001" not in rates_of(getattr(ref, role))
+        assert arena_rates(cell, getattr(cell, role))["ue001"] == 0.0
     for t in range(8):
         _assert_tti_equal(ref, cell, f"re-attached t={t}")
-        for uid in cell._ues:
-            for role in ("scheduler", "uplink_scheduler"):
-                assert (getattr(ref, role).average_rate_bps(uid)
-                        == getattr(cell, role).average_rate_bps(uid)), (t, uid)
+        _assert_rates_equal(ref, cell, f"re-attached t={t}")
 
 
 def test_swapped_out_scheduler_releases_its_store():
-    """The arena holds stores for the cell's current two schedulers only;
-    ``average_rate_bps`` answers through the arena and through
-    ``allocate`` alike."""
+    """The arena holds rate columns for the cell's current two schedulers
+    only, and a detach resizes the live ones."""
     cell, _ = _build_cell(RoundRobinScheduler, 12, 6)
     arena = cell._arena
     cluster = CooperativeCluster()
@@ -220,37 +233,31 @@ def test_swapped_out_scheduler_releases_its_store():
         for t in range(3):
             cell.schedule_tti()
             cell.schedule_uplink_tti()
-        assert len(arena._stores) == 2
-        assert {id(sched) for sched, _ in arena._stores} == {
-            id(cell.scheduler), id(cell.uplink_scheduler)}
-        assert old._stores == []
-        cell.remove_ue(f"ue{round_:03d}")  # resizes the live stores only
-    rates = [cell.scheduler.average_rate_bps(uid) for uid in arena.ids]
-    assert any(r > 0 for r in rates)
-    assert rates == cell.scheduler._stores[0].avg.tolist()
-    # the list front door keeps its own history on the same scheduler
-    sched = cell.scheduler
-    sched.allocate([SchedulableUser("walk-in", sinr_db=20.0)],
-                   frozenset(range(10)))
-    assert sched.average_rate_bps("walk-in") > 0
-    assert len(arena._stores) == 2
+        assert set(arena._avg) == {cell.scheduler, cell.uplink_scheduler}
+        cell.remove_ue(f"ue{round_:03d}")  # resizes the live columns only
+        assert all(len(avg) == len(arena.ids)
+                   for avg in arena._avg.values())
+    rates = arena_rates(cell, cell.scheduler)
+    assert list(rates) == arena.ids
+    assert any(r > 0 for r in rates.values())
 
 
 def test_average_rate_readable_while_batched():
-    """average_rate_bps must read through the arena array store."""
+    """The arena's rate column, read by user id, equals the oracle's
+    EWMA after every TTI."""
     ref, cell, _, _ = _build_pair(ProportionalFairScheduler, 6, 6)
     for t in range(8):
         scalar_tti.schedule_tti(ref)
         cell.schedule_tti()
-        for uid in ref._ues:
-            assert (ref.scheduler.average_rate_bps(uid)
-                    == cell.scheduler.average_rate_bps(uid)), (t, uid)
+        assert (rates_of(ref.scheduler)
+                == arena_rates(cell, cell.scheduler)), t
+    assert any(r > 0 for r in rates_of(ref.scheduler).values())
 
 
-def test_shared_scheduler_falls_back_to_scalar():
-    """(Name kept from when sharing forced a scalar fallback.) One
-    scheduler driving two cells runs on both arenas — one rate store per
-    arena — and matches the oracle sharing one scheduler the same way."""
+def test_a_scheduler_shared_by_two_cells_keeps_a_column_per_arena():
+    """One scheduler driving two cells runs on both arenas, with one rate
+    column in each, and matches the oracle sharing one scheduler the
+    same way."""
     band = get_band("lte31")
     lb = LinkBudget(FreeSpace(), freq_mhz=band.dl_mhz,
                     bandwidth_hz=band.bandwidth_hz)
@@ -272,19 +279,16 @@ def test_shared_scheduler_falls_back_to_scalar():
     for t in range(6):
         assert a.schedule_tti() == scalar_tti.schedule_tti(ar)
         assert b.schedule_tti() == scalar_tti.schedule_tti(br)
-    assert [s.slot_of for s in shared._stores] == [
-        a._arena.slot_of, b._arena.slot_of]
-    assert shared_ref._stores == []
-    for cell in (a, b):
-        for uid in cell._ues:
-            assert (shared.average_rate_bps(uid)
-                    == shared_ref.average_rate_bps(uid) > 0)
+    assert a._arena._avg[shared] is not b._arena._avg[shared]
+    by_cell = {**arena_rates(a, shared), **arena_rates(b, shared)}
+    assert by_cell == rates_of(shared_ref)
+    assert len(by_cell) == 6 and all(r > 0 for r in by_cell.values())
 
 
-def test_subclassed_scheduler_not_batched(monkeypatch):
-    """(Name kept from when subclasses were kept off the arena.) A
-    subclass overriding ``_assign`` runs on the arena like any policy
-    and matches its scalar counterpart registered with the oracle."""
+def test_a_subclassed_policy_runs_on_the_arena(monkeypatch):
+    """A subclass overriding ``_assign`` runs on the arena like any
+    policy and matches its scalar counterpart registered with the
+    oracle."""
     calls = []
 
     class GreedyScheduler(MaxCiScheduler):
@@ -293,7 +297,7 @@ def test_subclassed_scheduler_not_batched(monkeypatch):
             best = max(cols.elig, key=cols.eff.__getitem__)
             return {cols.ids[best]: list(prbs)}
 
-    def greedy_scalar(sched, users, prbs):
+    def greedy_scalar(sched, users, prbs, rates):
         best = max(users, key=lambda u: u.efficiency)
         return {best.user_id: list(prbs)}
 
@@ -309,10 +313,10 @@ def test_subclassed_scheduler_not_batched(monkeypatch):
 
 @pytest.mark.parametrize("sched_cls", SCHEDULERS + [ContiguousUplinkScheduler],
                          ids=lambda c: c.__name__)
-def test_allocate_batch_matches_allocate(sched_cls):
-    """The two front doors agree with each other and with the oracle:
-    ``allocate_columns`` on arena state vs ``allocate`` / the oracle's
-    scalar ``allocate`` on the same users and averages."""
+def test_allocate_columns_matches_the_oracle(sched_cls):
+    """The front door on arena state agrees with the oracle on the same
+    users and averages: with the scalar ``allocate`` and with
+    ``allocate_columns`` over the oracle's packed columns."""
     cell, _ = _build_cell(RoundRobinScheduler, 77, 23)
     cell.scheduler = sched_cls()
     arena = cell._arena
@@ -324,26 +328,26 @@ def test_allocate_batch_matches_allocate(sched_cls):
         # mirror scheduler state: fresh twins fed the same averages
         twins = [sched_cls(), sched_cls()]
         for twin in twins:
-            twin._rates = {uid: cell.scheduler.average_rate_bps(uid)
-                           for uid in arena.ids}
             if isinstance(twin, RoundRobinScheduler):
                 twin._next = cell.scheduler._next
+        averages = arena_rates(cell, cell.scheduler)
+        scalar_rates, packed_rates = dict(averages), dict(averages)
         users = [SchedulableUser(
                      user_id=uid, sinr_db=bank.sinr[s],
                      backlog_bits=arena.backlog[s],
                      gbr_bps=arena.gbr[s], priority=arena.priority[s])
                  for s, uid in enumerate(arena.ids)]
-        expected = scalar_tti.allocate(twins[0], users, frozenset(prbs))
-        by_list = twins[1].allocate(users, frozenset(prbs))
+        expected = scalar_tti.allocate(twins[0], users, frozenset(prbs),
+                                       scalar_rates)
+        packed = allocate_packed(twins[1], users, frozenset(prbs),
+                                 packed_rates)
         got = cell.scheduler.allocate_columns(
             arena.columns(bank, cell.scheduler), frozenset(prbs))
-        assert got == by_list == expected, f"round {round_}"
-        assert list(got) == list(by_list) == list(expected), (
+        assert got == packed == expected, f"round {round_}"
+        assert list(got) == list(packed) == list(expected), (
             f"round {round_} key order")
-        for uid in arena.ids:
-            assert (cell.scheduler.average_rate_bps(uid)
-                    == twins[0].average_rate_bps(uid)
-                    == twins[1].average_rate_bps(uid)), (round_, uid)
+        assert (arena_rates(cell, cell.scheduler) == scalar_rates
+                == packed_rates), round_
         # fragment the allowed set for later rounds
         prbs = [p for p in prbs if (p + round_) % 4 != 2] or prbs
 

@@ -25,6 +25,7 @@ from tests.reference import scalar_tti
 from tests.test_mac_arena import (
     SCHEDULERS,
     _assert_metrics_equal,
+    _assert_rates_equal,
     _assert_tti_equal,
     _build_pair,
 )
@@ -42,7 +43,12 @@ steps = st.tuples(st.sampled_from(STRUCTURAL + PER_UE + PER_CELL),
                   st.floats(min_value=30.0, max_value=4000.0))
 
 
-def _apply(cell, op, pick, x, y, tag):
+#: how each twin detaches (oracle, production): the oracle's detach also
+#: forgets the UE's rates, as the arena drops the row
+DETACH = (scalar_tti.remove_ue, Cell.remove_ue)
+
+
+def _apply(cell, detach, op, pick, x, y, tag):
     """Apply one step to ``cell``; every choice derives from the drawn
     values and the cell's own state, so twins stay in lockstep."""
     if op == "attach":
@@ -56,7 +62,7 @@ def _apply(cell, op, pick, x, y, tag):
         if uids:
             slot = {"detach_first": 0, "detach_middle": len(uids) // 2,
                     "detach_last": -1}[op]
-            cell.remove_ue(uids[slot])
+            detach(cell, uids[slot])
     elif op in PER_UE:
         ctxs = list(cell._ues.values())
         if not ctxs:
@@ -107,16 +113,12 @@ def test_arena_cell_equals_scalar_walk_under_churn(sched, n_ue, seed, script):
         SCHEDULERS[sched], seed, n_ue, n_inter=seed % 2)
     _assert_tti_equal(ref, cell, "before the script")
     for tag, (op, pick, x, y) in enumerate(script):
-        for twin in (ref, cell):
-            _apply(twin, op, pick, x, y, tag)
+        for twin, detach in zip((ref, cell), DETACH):
+            _apply(twin, detach, op, pick, x, y, tag)
         where = f"step {tag}: {op}"
         _assert_tti_equal(ref, cell, where)
         assert list(ref._ues) == cell._arena.ids, where
-        for role in ("scheduler", "uplink_scheduler"):
-            for uid in ref._ues:
-                assert (getattr(ref, role).average_rate_bps(uid)
-                        == getattr(cell, role).average_rate_bps(uid)), (
-                    where, role, uid)
+        _assert_rates_equal(ref, cell, where)
     _assert_metrics_equal(reg_ref, reg)
 
 
@@ -152,7 +154,7 @@ def _neighbour(cell):
     return nbr
 
 
-def _apply_write(cell, nbr, op, pick, x, y):
+def _apply_write(cell, nbr, detach, op, pick, x, y):
     if op == "move_shared":  # picked on the neighbour, seen by both
         ctxs = list(nbr._ues.values())
     else:
@@ -169,7 +171,7 @@ def _apply_write(cell, nbr, op, pick, x, y):
     elif op in ("move_shared", "mid_tti_move"):
         radio.position = Point(x, y)
     elif op == "detached_write":
-        cell.remove_ue(ctx.ue_id)
+        detach(cell, ctx.ue_id)
         radio.position = Point(x, y)
         ctx.backlog_bits = BACKLOGS[pick % 4]
         ctx.gbr_bps = (0.0, 2e6)[pick % 2]
@@ -190,31 +192,29 @@ def _apply_write(cell, nbr, op, pick, x, y):
 def test_every_write_reaches_its_rows_and_no_others(sched, n_ue, seed, script):
     ref, cell, reg_ref, reg = _build_pair(
         SCHEDULERS[sched], seed, n_ue, n_inter=seed % 2)
-    twins = ((ref, _neighbour(ref)), (cell, _neighbour(cell)))
-    (_, nbr_ref), (_, nbr) = twins
+    twins = ((ref, _neighbour(ref), DETACH[0]),
+             (cell, _neighbour(cell), DETACH[1]))
+    (_, nbr_ref, _), (_, nbr, _) = twins
     _assert_tti_equal(ref, cell, "before the script")
     _assert_tti_equal(nbr_ref, nbr, "neighbour, before the script")
     for tag, (op, pick, x, y) in enumerate(script):
         where = f"step {tag}: {op}"
         if op in WRITES and op != "mid_tti_move":
-            for twin, twin_nbr in twins:
-                _apply_write(twin, twin_nbr, op, pick, x, y)
+            for twin, twin_nbr, detach in twins:
+                _apply_write(twin, twin_nbr, detach, op, pick, x, y)
         elif op not in WRITES:
-            for twin, _nbr in twins:
-                _apply(twin, op, pick, x, y, tag)
+            for twin, _nbr, detach in twins:
+                _apply(twin, detach, op, pick, x, y, tag)
         dl = cell.schedule_tti()
         assert dl == scalar_tti.schedule_tti(ref), where
         if op == "mid_tti_move":  # between the DL and the UL TTI of a step
-            for twin, twin_nbr in twins:
-                _apply_write(twin, twin_nbr, op, pick, x, y)
+            for twin, twin_nbr, detach in twins:
+                _apply_write(twin, twin_nbr, detach, op, pick, x, y)
         ul = cell.schedule_uplink_tti()
         assert ul == scalar_tti.schedule_uplink_tti(ref), where
         _assert_tti_equal(nbr_ref, nbr, f"neighbour, {where}")
         assert list(ref._ues) == cell._arena.ids, where
         assert not cell._arena._touched and not nbr._arena._touched, where
-        for role in ("scheduler", "uplink_scheduler"):
-            for uid in ref._ues:
-                assert (getattr(ref, role).average_rate_bps(uid)
-                        == getattr(cell, role).average_rate_bps(uid)), (
-                    where, role, uid)
+        _assert_rates_equal(ref, cell, where)
+        _assert_rates_equal(nbr_ref, nbr, f"neighbour, {where}")
     _assert_metrics_equal(reg_ref, reg)

@@ -1,12 +1,15 @@
-"""Unit tests for LTE PRB schedulers."""
+"""Unit tests for LTE PRB schedulers, driven through their one front
+door, ``allocate_columns``, over columns the oracle's packer builds from
+a user list (``tests/reference/scalar_tti.py``)."""
 
 from repro.mac import (
     MaxCiScheduler,
     ProportionalFairScheduler,
     QosAwareScheduler,
     RoundRobinScheduler,
-    SchedulableUser,
 )
+
+from tests.reference.scalar_tti import SchedulableUser, allocate_packed
 
 
 def _users(*sinrs, **kw):
@@ -23,7 +26,7 @@ def _granted(result):
 
 def test_round_robin_even_split():
     sched = RoundRobinScheduler()
-    result = sched.allocate(_users(10, 10, 10, 10, 10), PRBS)
+    result = allocate_packed(sched, _users(10, 10, 10, 10, 10), PRBS)
     counts = _granted(result)
     assert sum(counts.values()) == 50
     assert all(c == 10 for c in counts.values())
@@ -31,8 +34,8 @@ def test_round_robin_even_split():
 
 def test_round_robin_rotates_start():
     sched = RoundRobinScheduler()
-    first = sched.allocate(_users(10, 10, 10), frozenset(range(4)))
-    second = sched.allocate(_users(10, 10, 10), frozenset(range(4)))
+    first = allocate_packed(sched, _users(10, 10, 10), frozenset(range(4)))
+    second = allocate_packed(sched, _users(10, 10, 10), frozenset(range(4)))
     # 4 PRBs over 3 users: the extra PRB should rotate between calls
     def extra_user(result):
         return max(result, key=lambda uid: len(result[uid]))
@@ -42,7 +45,7 @@ def test_round_robin_rotates_start():
 def test_each_prb_assigned_once():
     for sched in (RoundRobinScheduler(), ProportionalFairScheduler(),
                   MaxCiScheduler(), QosAwareScheduler()):
-        result = sched.allocate(_users(5, 10, 15), PRBS)
+        result = allocate_packed(sched, _users(5, 10, 15), PRBS)
         all_prbs = [p for prbs in result.values() for p in prbs]
         assert len(all_prbs) == len(set(all_prbs))
         assert set(all_prbs) <= PRBS
@@ -51,7 +54,7 @@ def test_each_prb_assigned_once():
 def test_unreachable_users_get_nothing():
     sched = RoundRobinScheduler()
     users = _users(-30, 10)  # u0 below CQI1
-    result = sched.allocate(users, PRBS)
+    result = allocate_packed(sched, users, PRBS)
     assert "u0" not in result
     assert len(result["u1"]) == 50
 
@@ -60,23 +63,24 @@ def test_zero_backlog_users_skipped():
     sched = RoundRobinScheduler()
     users = [SchedulableUser("idle", 20, backlog_bits=0),
              SchedulableUser("busy", 20)]
-    result = sched.allocate(users, PRBS)
+    result = allocate_packed(sched, users, PRBS)
     assert "idle" not in result and len(result["busy"]) == 50
 
 
 def test_empty_inputs():
     sched = ProportionalFairScheduler()
-    assert sched.allocate([], PRBS) == {}
-    assert sched.allocate(_users(10), frozenset()) == {}
+    assert allocate_packed(sched, [], PRBS) == {}
+    assert allocate_packed(sched, _users(10), frozenset()) == {}
 
 
 def test_max_ci_takes_all():
-    result = MaxCiScheduler().allocate(_users(3, 20, 10), PRBS)
+    result = allocate_packed(MaxCiScheduler(), _users(3, 20, 10), PRBS)
     assert _granted(result) == {"u1": 50}
 
 
 def test_pf_spreads_within_single_tti():
-    result = ProportionalFairScheduler().allocate(_users(15, 15, 15, 15), PRBS)
+    result = allocate_packed(ProportionalFairScheduler(),
+                             _users(15, 15, 15, 15), PRBS)
     counts = _granted(result)
     assert len(counts) == 4
     assert max(counts.values()) - min(counts.values()) <= 2
@@ -86,24 +90,29 @@ def test_pf_long_run_fair_in_time_not_rate():
     """PF gives weaker users PRBs but not equal throughput."""
     sched = ProportionalFairScheduler()
     users = _users(0, 20)  # weak, strong
+    rates = {}
     tallies = {"u0": 0, "u1": 0}
     for _ in range(300):
-        for uid, prbs in sched.allocate(users, PRBS).items():
+        for uid, prbs in allocate_packed(sched, users, PRBS, rates).items():
             tallies[uid] += len(prbs)
     # both get meaningful airtime
     assert tallies["u0"] > 0.2 * tallies["u1"]
     # but the strong user ends with higher average rate
-    assert sched.average_rate_bps("u1") > sched.average_rate_bps("u0")
+    assert rates["u1"] > rates["u0"]
 
 
 def test_pf_average_rate_tracks_and_forgets():
+    """The EWMA rises while a user is served and, once it idles, decays
+    by ``1 - 1/PF_WINDOW_TTIS`` per TTI."""
     sched = ProportionalFairScheduler()
-    users = _users(15)
+    rates = {}
     for _ in range(50):
-        sched.allocate(users, PRBS)
-    assert sched.average_rate_bps("u0") > 0
-    sched.forget("u0")
-    assert sched.average_rate_bps("u0") == 0.0
+        allocate_packed(sched, _users(15), PRBS, rates)
+    served = rates["u0"]
+    assert served > 0
+    assert allocate_packed(sched, _users(15, backlog_bits=0), PRBS,
+                           rates) == {}
+    assert rates["u0"] == served * (1 - 1 / sched.PF_WINDOW_TTIS)
 
 
 def test_qos_gbr_served_first():
@@ -112,7 +121,7 @@ def test_qos_gbr_served_first():
         SchedulableUser("video", sinr_db=5, gbr_bps=2e6, priority=1),
         SchedulableUser("bulk", sinr_db=25),
     ]
-    result = sched.allocate(users, PRBS)
+    result = allocate_packed(sched, users, PRBS)
     # video at 5 dB -> CQI6 eff 1.1758 -> ~212 bits/PRB; 2 Mbps needs
     # 2000 bits/TTI -> ~10 PRBs guaranteed despite bulk's better channel.
     assert len(result["video"]) >= 9
@@ -126,7 +135,7 @@ def test_qos_priority_order_between_gbr_users():
         SchedulableUser("high", sinr_db=0, gbr_bps=50e6, priority=1),
     ]
     # demands exceed the cell: the high-priority bearer should win more.
-    result = sched.allocate(users, PRBS)
+    result = allocate_packed(sched, users, PRBS)
     assert len(result.get("high", ())) > len(result.get("low", ()))
 
 
@@ -134,4 +143,5 @@ def test_qos_without_gbr_reduces_to_pf():
     qos = QosAwareScheduler()
     pf = ProportionalFairScheduler()
     users = _users(10, 12, 14)
-    assert _granted(qos.allocate(users, PRBS)) == _granted(pf.allocate(users, PRBS))
+    assert (_granted(allocate_packed(qos, users, PRBS))
+            == _granted(allocate_packed(pf, users, PRBS)))

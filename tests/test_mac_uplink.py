@@ -2,11 +2,9 @@
 
 import pytest
 
-from repro.mac import (
-    ContiguousUplinkScheduler,
-    SchedulableUser,
-    contiguous_runs,
-)
+from repro.mac import ContiguousUplinkScheduler, contiguous_runs
+
+from tests.reference.scalar_tti import SchedulableUser, allocate_packed
 
 
 def _users(*sinrs):
@@ -39,7 +37,8 @@ def _assert_contiguous(grants):
 
 def test_every_grant_is_one_block():
     sched = ContiguousUplinkScheduler()
-    grants = sched.allocate(_users(10, 15, 5, 20), frozenset(range(50)))
+    grants = allocate_packed(sched, _users(10, 15, 5, 20),
+                             frozenset(range(50)))
     _assert_contiguous(grants)
     # grants are disjoint
     all_prbs = [p for g in grants.values() for p in g]
@@ -48,7 +47,7 @@ def test_every_grant_is_one_block():
 
 def test_everyone_gets_a_block_on_a_clean_grid():
     sched = ContiguousUplinkScheduler()
-    grants = sched.allocate(_users(10, 10, 10), frozenset(range(30)))
+    grants = allocate_packed(sched, _users(10, 10, 10), frozenset(range(30)))
     assert all(len(g) >= 1 for g in grants.values())
     assert sum(len(g) for g in grants.values()) >= 27  # near-full use
 
@@ -56,7 +55,7 @@ def test_everyone_gets_a_block_on_a_clean_grid():
 def test_grants_respect_fragmented_allowed_set():
     sched = ContiguousUplinkScheduler()
     allowed = frozenset(range(0, 10)) | frozenset(range(30, 35))
-    grants = sched.allocate(_users(10, 10), allowed)
+    grants = allocate_packed(sched, _users(10, 10), allowed)
     _assert_contiguous(grants)
     for g in grants.values():
         assert frozenset(g) <= allowed
@@ -67,7 +66,7 @@ def test_grants_respect_fragmented_allowed_set():
 
 def test_unreachable_users_excluded():
     sched = ContiguousUplinkScheduler()
-    grants = sched.allocate(_users(-30, 10), frozenset(range(20)))
+    grants = allocate_packed(sched, _users(-30, 10), frozenset(range(20)))
     assert "u0" not in grants
 
 
@@ -78,6 +77,7 @@ def test_fair_sharing_slices_are_scfdma_friendly():
 
     partition = compute_weighted_partition(50, {"a": 1, "b": 2, "c": 1})
     for slice_ in partition.values():
-        grants = ContiguousUplinkScheduler().allocate(_users(10, 12), slice_)
+        grants = allocate_packed(ContiguousUplinkScheduler(), _users(10, 12),
+                                 slice_)
         used = sum(len(g) for g in grants.values())
         assert used / len(slice_) == pytest.approx(1.0, abs=0.1)

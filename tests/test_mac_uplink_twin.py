@@ -2,10 +2,11 @@
 
 ``ContiguousUplinkScheduler._assign`` computes its weights, targets and
 placement order as arrays; ``tests/reference/scalar_tti.py``'s
-``_contiguous_uplink`` is the per-user walk it replaces. Twin schedulers
-start from the same average rates and allocate the same users over the
-same PRB set for a few TTIs; grant maps must be equal to the key order
-and every EWMA rate equal, bit for bit.
+``_contiguous_uplink`` is the per-user walk it replaces. The production
+scheduler (over the oracle's packed columns) and the scalar allocation
+start from the same average rates, each in its own dict, and allocate
+the same users over the same PRB set for a few TTIs; grant maps must be
+equal to the key order and every EWMA rate equal, bit for bit.
 
 The draws aim at the three places the two could part: the rounding of
 a target that lands exactly on ``.5`` (``round`` and ``np.rint`` both go
@@ -21,12 +22,11 @@ PRBs, so the runs are exhausted before the last user.
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from repro.mac.schedulers import SchedulableUser
 from repro.mac.uplink import ContiguousUplinkScheduler
 from repro.phy.mcs import LTE_CQI_TABLE
-from repro.phy.resource_grid import bits_per_prb
 
 from tests.reference import scalar_tti
+from tests.reference.scalar_tti import SchedulableUser, bits_per_prb
 
 #: one SINR per CQI row (each exactly at its threshold), and one below
 #: CQI 1 (ineligible)
@@ -87,14 +87,13 @@ def _two_big_two_tiny(total):
 def test_uplink_packer_equals_the_scalar_policy(case):
     users, rates = _build(case)
     prbs = frozenset(case[2])
-    prod, ref = ContiguousUplinkScheduler(), ContiguousUplinkScheduler()
-    prod._rates.update(rates)
-    ref._rates.update(rates)
+    sched = ContiguousUplinkScheduler()
+    prod_rates, ref_rates = dict(rates), dict(rates)
     for tti in range(case[3]):
-        got = prod.allocate(users, prbs)
-        want = scalar_tti.allocate(ref, users, prbs)
+        got = scalar_tti.allocate_packed(sched, users, prbs, prod_rates)
+        want = scalar_tti.allocate(sched, users, prbs, ref_rates)
         assert list(got.items()) == list(want.items()), tti
-        assert prod._rates == ref._rates, tti
+        assert prod_rates == ref_rates, tti
 
 
 def test_the_sum_order_case_flips_a_target():

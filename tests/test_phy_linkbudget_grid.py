@@ -10,9 +10,9 @@ from repro.phy import (
     Radio,
     prbs_for_bandwidth,
 )
-from repro.phy.resource_grid import TTI_S, bits_per_prb
+from repro.phy.resource_grid import TTI_S
 
-from tests.reference.scalar_tti import link_sinr_db, sinr_db
+from tests.reference.scalar_tti import bits_per_prb, link_sinr_db, sinr_db
 
 
 def _ap(x=0.0, **kw):

@@ -13,7 +13,6 @@ from repro.mac.schedulers import (
     ProportionalFairScheduler,
     QosAwareScheduler,
     RoundRobinScheduler,
-    SchedulableUser,
 )
 from repro.metrics import jain_fairness
 from repro.net import AddressPool, GtpTunnel, Packet, TunnelEndpoint
@@ -30,6 +29,8 @@ from repro.phy import (
 )
 from repro.phy.harq import block_error_rate
 from repro.simcore import Simulator
+
+from tests.reference.scalar_tti import SchedulableUser, allocate_packed
 
 IP = ipaddress.IPv4Address
 
@@ -170,7 +171,7 @@ def test_schedulers_never_double_grant(sinrs, n_prbs):
     prbs = frozenset(range(n_prbs))
     for sched in (RoundRobinScheduler(), ProportionalFairScheduler(),
                   QosAwareScheduler()):
-        grants = sched.allocate(users, prbs)
+        grants = allocate_packed(sched, users, prbs)
         seen = []
         for granted in grants.values():
             seen.extend(granted)
@@ -187,7 +188,7 @@ def test_full_grid_fully_used_when_someone_reachable(sinrs):
     users = [SchedulableUser(f"u{i}", s) for i, s in enumerate(sinrs)]
     prbs = frozenset(range(25))
     sched = ProportionalFairScheduler()
-    grants = sched.allocate(users, prbs)
+    grants = allocate_packed(sched, users, prbs)
     if any(u.efficiency > 0 for u in users):
         assert sum(len(g) for g in grants.values()) == 25
 
@@ -202,7 +203,8 @@ def test_uplink_grants_always_contiguous_and_inside(sinrs, allowed_set):
 
     users = [SchedulableUser(f"u{i}", s) for i, s in enumerate(sinrs)]
     allowed = frozenset(allowed_set)
-    grants = ContiguousUplinkScheduler().allocate(users, allowed)
+    grants = allocate_packed(ContiguousUplinkScheduler(), users,
+                             allowed)
     seen = []
     for uid, prbs in grants.items():
         lst = sorted(prbs)

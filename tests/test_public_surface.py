@@ -30,10 +30,11 @@ abstract method and its overrides live or die together — which errs on
 the side of keeping.
 
 ``ALLOWED`` is the only way to keep a name that nothing runs; the members
-of an allowed class are kept with it. Each entry carries its reason, and
-an entry that no longer names a defined name, or names one that
-something runs without the allowlist's help, fails the gate: the list
-can only shrink.
+of an allowed class are kept with it. Each entry carries its reason,
+which names the open ROADMAP item that decides the name's fate
+(``ROADMAP item <n>``), and an entry that no longer names a defined
+name, or names one that something runs without the allowlist's help,
+fails the gate: the list can only shrink.
 
 Imports are gated per file, in ``src/``, ``tests/`` and ``examples/``
 alike: a name a module imports must be read by that module — by a
@@ -44,6 +45,7 @@ entry. There is no allowlist.
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 from typing import (Dict, Iterable, Iterator, List, Mapping, Optional, Set,
                     Tuple)
@@ -56,9 +58,10 @@ _LINK_LOSS = ("random link loss: README's fault example schedules it and "
               "the hop, ledger and gauge twins drive it; ROADMAP item 11, "
               "whose constraints include the per-link loss-RNG draw order, "
               "decides whether the model keeps it")
-_STATIONARY = ("the stationary case of the fluid-tier oracle in "
-               "tests/test_fluid_traffic.py, also run by the arena twins and "
-               "tests/reference/scalar_tti.py")
+_STATIONARY = ("a scheduler no experiment installs: the arena twins, "
+               "tests/reference/scalar_tti.py and the stationary case of "
+               "the fluid-tier oracle in tests/test_fluid_traffic.py run "
+               "it; ROADMAP item 14's scheduler axis makes E5 run it")
 
 #: ``repro.<module>.<name>`` or ``repro.<module>.<Class>.<member>`` -> why
 #: it stays although nothing in the consumer trees runs it.
@@ -85,14 +88,6 @@ ALLOWED: Dict[str, str] = {
     "repro.experiments.t1_design_space.dlte_quadrant_is_unique": _CLAIMS,
     "repro.mac.schedulers.RoundRobinScheduler": _STATIONARY,
     "repro.mac.schedulers.MaxCiScheduler": _STATIONARY,
-    "repro.mac.schedulers.SchedulableUser":
-        "the scheduler's list front door: src/ names it only in "
-        "annotations, and LteScheduler.allocate, which takes it, lives by "
-        "sharing its identifier with AddressPool.allocate; only the MAC "
-        "tests and tests/reference/scalar_tti.py call it",
-    "repro.mac.schedulers.LteScheduler.average_rate_bps":
-        "the arena/oracle twins in tests/test_mac_arena.py compare the "
-        "EWMA state through it",
     "repro.net.links.Link.set_loss_rate": _LINK_LOSS,
     "repro.faults.injector.FaultInjector.link_loss": _LINK_LOSS,
 }
@@ -309,7 +304,19 @@ def test_every_public_name_is_run_by_something():
         [ROOT / "examples", ROOT / "benchmarks" / "e2e"], ALLOWED)
     assert unreferenced == []
     assert stale == []
-    assert all(reason.strip() for reason in ALLOWED.values())
+
+
+def uncited(allowed: Mapping[str, str]) -> List[str]:
+    """``allowed`` entries whose reason names no ROADMAP item."""
+    return sorted(name for name, reason in allowed.items()
+                  if not re.search(r"\bROADMAP item \d+", reason))
+
+
+def test_every_allowance_cites_a_roadmap_item():
+    assert uncited(ALLOWED) == []
+    assert uncited({"pkg.kept": "only the tests call it",
+                    "pkg.owned": "ROADMAP item 2a makes the CLI run it"}) == [
+        "pkg.kept"]
 
 
 def _quoted_names(node: ast.AST) -> Set[str]:
