@@ -364,7 +364,7 @@ class UeArena:
         bank.cqi[rows] = cqi
         bank.eff[rows] = eff
         # bits per PRB pair per TTI, associated as the scalar oracle's
-        # ``bits_per_prb``: (eff * 180e3) * 1e-3
+        # per-PRB bits: (eff * 180e3) * 1e-3
         bank.b[rows] = eff * PRB_BANDWIDTH_HZ * TTI_S
 
     def fill_harq(self, bank: _PhyBank, slots: List[int]) -> None:
