@@ -72,8 +72,8 @@ from repro.runner import (
     SupervisorReport,
     SweepCheckpoint,
     get_jobs,
+    parallel_map,
     set_jobs,
-    supervised_map,
     worker,
 )
 from repro.telemetry import flightrec
@@ -179,12 +179,14 @@ def _export_run(exp_id: str, run, metrics_out: Optional[str],
 def _dump_on_exception(exp_id: str, exc: BaseException) -> None:
     """Flight-recorder post-mortem for an unhandled experiment error.
 
-    Skipped for Ctrl-C and for errors that already carry a dump (the
-    invariant checker writes its own, richer one before raising).
+    Skipped for Ctrl-C and for errors that already carry a dump, or
+    whose cause does (the invariant checker writes its own, richer one
+    before raising, and the map's inline loop wraps it).
     """
     if isinstance(exc, KeyboardInterrupt):
         return
-    if getattr(exc, "postmortem_path", None):
+    if (getattr(exc, "postmortem_path", None)
+            or getattr(exc.__cause__, "postmortem_path", None)):
         return
     path = flightrec.write_postmortem(
         "experiment-exception",
@@ -238,16 +240,16 @@ def run_experiment(exp_id: str, metrics_out: Optional[str] = None,
     print()
     # the experiment's simulators are cyclic garbage once the result and
     # the run (whose registries hold their owners) go: free them before
-    # the next experiment (``--all``, or the next task of a supervised
-    # worker) is built, then freeze what survives, so that later
-    # collections walk only what the next experiment builds
+    # the next experiment (``--all``, or the next task of a worker) is
+    # built, then freeze what survives, so that later collections walk
+    # only what the next experiment builds
     del result, run
     gc.collect()
     gc.freeze()
 
 
-#: Experiments whose run() fans its own sweep cells over the worker
-#: pool; they run in the parent so the whole pool serves their cells.
+#: Experiments whose run() fans its own sweep cells over workers; they
+#: run in the parent so that every worker serves their cells.
 CELL_PARALLEL_IDS = ("E6", "E7", "E17", "E18", "E19")
 
 #: Rough serial seconds per fanned-out experiment (measured on the
@@ -277,11 +279,11 @@ def _run_all_parallel(ids: List[str], jobs: int,
                       checkpoint: Optional[SweepCheckpoint] = None,
                       profile_out: Optional[str] = None,
                       exp_args: Optional[dict] = None) -> None:
-    """Two-phase supervised schedule over ``ids`` (see module docstring).
+    """Two-phase schedule over ``ids`` (see module docstring).
 
     Cell-parallel experiments run in the parent first (``jobs=1``:
-    inline, so their sweeps and passes get the whole pool); the rest are
-    then fanned out whole. Both phases are the same supervised map —
+    inline, so their sweeps and passes get every worker); the rest are
+    then fanned out whole. Both phases are the same ordered map —
     bounded retry, failure records, checkpoint journal (see
     ROBUSTNESS.md) — but only workers can be preempted, so
     ``task_timeout_s`` applies to the second phase alone. All output is
@@ -299,7 +301,7 @@ def _run_all_parallel(ids: List[str], jobs: int,
              task_timeout_s)):
         tasks = [(i, metrics_out, trace_out, profile, multi, profile_out,
                   exp_args) for i in group]
-        texts = supervised_map(
+        texts = parallel_map(
             _run_captured, tasks, jobs=group_jobs,
             costs=[_COST_HINTS.get(i, 0.0) for i in group],
             labels=[f"exp:{i}" for i in group],

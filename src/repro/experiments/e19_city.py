@@ -25,9 +25,9 @@ cells are striped into shards (:class:`~repro.deploy.partition.ShardPlan`),
 S1 and backhaul become cross-shard proxies (:mod:`repro.net.shardlink`),
 and the conservative window is the 30 ms backhaul latency. The three
 passes share nothing, so they are three tasks of one
-:func:`~repro.runner.parallel_map`: ``mode="fork"`` runs them side by
-side on ``shards`` workers, each pass stepping its own shards in its
-process, and ``mode="serial"`` runs them one after another. The result
+:func:`~repro.runner.supervisor.parallel_map`: ``mode="fork"`` runs them
+side by side on ``shards`` workers, each pass stepping its own shards in
+its process, and ``mode="serial"`` runs them one after another. The result
 table is **identical at any shard count and in either mode** — shards
 are an execution detail, so the table carries no shard column;
 ``tests/test_e19_city.py`` holds that line byte-for-byte.
@@ -62,7 +62,7 @@ from repro.net.shardlink import (
 from repro.phy.bands import get_band
 from repro.phy.linkbudget import LinkBudget
 from repro.phy.propagation import model_for_frequency
-from repro.runner.parallel import parallel_map
+from repro.runner import parallel_map
 from repro.simcore.sharded import ShardBoundary, ShardHost, ShardedSimulator
 from repro.simcore.simulator import Simulator
 from repro.workloads.fluid import FluidCellLoad

@@ -276,7 +276,7 @@ def _run_arm(arm: str, dwell: float, seed: int = 1,
 
 
 def _run_cell(task) -> Dict[str, float]:
-    """Picklable cell body for :func:`repro.runner.parallel_map`."""
+    """Picklable cell body for :func:`repro.runner.supervisor.parallel_map`."""
     arm, dwell, seed, n_handovers = task
     return _run_arm(arm, dwell, seed=seed, n_handovers=n_handovers)
 

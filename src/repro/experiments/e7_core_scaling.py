@@ -119,7 +119,7 @@ _ARCHITECTURES = (("centralized EPC", _attach_storm_centralized),
 
 
 def _run_cell(task) -> Dict[str, float]:
-    """Picklable cell body for :func:`repro.runner.parallel_map`."""
+    """Picklable cell body for :func:`repro.runner.supervisor.parallel_map`."""
     arch, n_aps, ue_per_ap, seed = task
     fn = dict(_ARCHITECTURES)[arch]
     return fn(n_aps, ue_per_ap, seed)

@@ -8,10 +8,11 @@ registry is weak, and experiments drop their simulators early.
 
 A scope is one unit of work: a clean exit verifies the simulators born
 in it, an exception drops them. Scopes nest: the CLI opens one per
-experiment ``run()``, and the worker runtime and ``parallel_map``'s
-serial loop one per task (``repro.runner.worker.audited`` is this
-function while armed), so a violation in a ``--jobs`` cell comes home as
-that task's failure and a retried task is audited again. A nested scope
+experiment ``run()``, and ``repro.runner.worker.run_task`` one per task,
+in a worker or in ``parallel_map``'s inline loop
+(``repro.runner.worker.audited`` is this function while armed), so a
+violation in any cell comes home as that task's failure and a retried
+task is audited again. A nested scope
 hands the enclosing one a :meth:`~InvariantChecker.record` of each
 checker it verified, not the checker, so that a task's simulators die
 with the task. Forked workers inherit the state.

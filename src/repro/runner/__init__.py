@@ -7,25 +7,22 @@ than from execution order, which this package enforces:
 
 * :func:`derive_seed` — a stable seed from (root seed, task key): same
   key, same seed, in any process and any order.
-* :func:`parallel_map` — ordered map of sweep cells over workers, a
-  plain loop at ``jobs=1`` (the default); tables are byte-identical
-  either way. A failed task or lost worker raises
-  :class:`WorkerTaskError`.
-* :func:`supervised_map` — what the CLI drives for whole experiments:
-  the same map plus per-task deadlines, bounded retry,
-  :class:`TaskFailure` records and :class:`SweepCheckpoint` resume.
+* :func:`parallel_map` — the one ordered map, over workers or in an
+  inline loop at ``jobs=1`` (the default); tables are byte-identical
+  either way. Per-task deadlines, bounded retry, :class:`TaskFailure`
+  records and :class:`SweepCheckpoint` resume ride on it, and a task
+  that fails its last attempt raises :class:`TaskFailedError`.
 
-Both are scheduling policies over **one** worker runtime
-(:mod:`repro.runner.worker`; ROBUSTNESS.md), which also ships worker
-telemetry home under a :data:`~repro.telemetry.hub.HUB` run.
+It schedules over **one** worker runtime (:mod:`repro.runner.worker`;
+ROBUSTNESS.md), which also ships worker telemetry home under a
+:data:`~repro.telemetry.hub.HUB` run.
 """
 
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "checkpoint": ("SweepCheckpoint",),
-    "parallel": ("WorkerTaskError", "parallel_map"),
     "seeds": ("derive_seed",),
-    "supervisor": ("SupervisorReport", "TaskFailedError", "supervised_map"),
+    "supervisor": ("SupervisorReport", "TaskFailedError", "parallel_map"),
     "worker": ("TaskFailure", "get_jobs", "in_worker", "set_jobs"),
 })

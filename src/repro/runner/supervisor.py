@@ -1,45 +1,51 @@
-"""Supervised ordered map: deadlines, bounded retry, checkpoints.
+"""The one ordered map, :func:`parallel_map`: cell sweeps (E6, E7, E17,
+E18), E19's sharded passes and the CLI's experiment fan-out.
 
-The any-free-worker scheduling policy over the shared worker runtime
-(:mod:`repro.runner.worker`), and the execution layer the paper's own
-argument demands the harness have (§3: independently-failing parts must
-not take the federation down). To the runtime's guarantees — heartbeat,
-crash detection, kill with post-mortem, no orphans — it adds:
+The contract that keeps parallel runs byte-identical to serial ones:
+results come back in *item order*; every task is self-seeding
+(:mod:`repro.runner.seeds`), so nothing it computes depends on which
+worker ran it, on which attempt, or when; a call nested in a worker runs
+inline, so cell-level parallelism composes with experiment-level fan-out;
+and under an active :data:`~repro.telemetry.hub.HUB` run each task's
+telemetry lands in the parent run in task order, inline or shipped home.
 
-* **per-task deadlines** — an attempt over ``task_timeout_s`` of wall
-  clock is declared hung and its worker killed;
-* **bounded retry with stable reseeding** — a failed task is re-run up
-  to ``retries`` times. Tasks are self-seeding (:func:`repro.runner.
-  seeds.derive_seed` keys the task, not the attempt), so a retried task
-  reproduces byte-identical output;
-* **structured failure records** — every crash/hang/exception is a
-  :class:`TaskFailure` on the :class:`SupervisorReport` and bumps
-  lazily created ``runner.supervisor.{failures,retries}`` counters (a
-  clean run's telemetry is byte-identical to an unsupervised one);
-* **checkpoint/resume** — with a :class:`~repro.runner.checkpoint.
-  SweepCheckpoint`, finished tasks are journaled and journaled ones
-  replayed without executing (``--resume``).
+To the worker runtime's guarantees (:mod:`repro.runner.worker`) it adds
+the independently-failing execution the paper's own argument demands of
+the harness (§3): **per-task deadlines** (a hung attempt's worker is
+killed), **bounded retry** (``retries``), **one failure type**
+(:class:`TaskFailedError`, inline or in a worker; every crash, hang and
+exception is a :class:`TaskFailure` on the :class:`SupervisorReport` and
+bumps lazily created ``runner.supervisor.{failures,retries}`` counters,
+so a clean run's telemetry is untouched) and **checkpoint/resume** (a
+:class:`~repro.runner.checkpoint.SweepCheckpoint` journals finished tasks
+and replays journaled ones, ``--resume``).
 """
 
 from __future__ import annotations
 
+import gc
 import time
-import traceback
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.runner.worker import (ShipHome, TaskFailure, Worker, get_jobs,
-                                 in_worker, watch)
+                                 in_worker, run_task, task_traceback, watch)
 from repro.telemetry.hub import HUB, ambient_registry
 
 __all__ = ["SupervisorReport", "TaskFailedError", "TaskFailure",
-           "supervised_map"]
+           "parallel_map"]
 
 
 class TaskFailedError(RuntimeError):
-    """A supervised task exhausted its retry budget; carries the final
-    :class:`TaskFailure` and the task's whole failure history, so the
-    worker-side traceback survives into the parent's error."""
+    """A task failed its last attempt, inline or in a worker.
+
+    Carries the final :class:`TaskFailure` and the task's whole failure
+    history, so the task-side traceback survives into the parent's
+    error; ``slot``, ``exc_type`` (``"WorkerCrashed"``/``"WorkerHung"``
+    when the process itself failed) and ``traceback_text`` read the
+    final failure. A task that raised inline has its own exception as
+    ``__cause__``.
+    """
 
     def __init__(self, failure: TaskFailure, item: Any,
                  history: Sequence[TaskFailure]) -> None:
@@ -49,12 +55,14 @@ class TaskFailedError(RuntimeError):
         item_repr = repr(item)
         if len(item_repr) > 200:
             item_repr = item_repr[:197] + "..."
-        lines = [f"supervised task {failure.label!r} (slot {failure.slot}, "
-                 f"item {item_repr}) failed {len(self.history)} time(s); "
-                 f"last failure: {failure.kind}"]
+        lines = [f"task {failure.label!r} (slot {failure.slot}, item "
+                 f"{item_repr}) failed {len(self.history)} time(s); last "
+                 f"failure: {failure.kind} ({failure.exc_type})"]
         if failure.detail:
             lines.append(failure.detail)
         super().__init__("\n".join(lines))
+        self.slot, self.exc_type = failure.slot, failure.exc_type
+        self.traceback_text = failure.detail
 
 
 @dataclass
@@ -84,42 +92,43 @@ class SupervisorReport:
                                    kind=failure.kind).inc()
 
 
-def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
-                   jobs: Optional[int] = None,
-                   costs: Optional[Sequence[float]] = None,
-                   labels: Optional[Sequence[str]] = None,
-                   task_timeout_s: Optional[float] = None,
-                   retries: int = 0,
-                   checkpoint=None,
-                   report: Optional[SupervisorReport] = None) -> List[Any]:
-    """Ordered map with supervision; results in item order.
-
-    Same contract as :func:`~repro.runner.parallel.parallel_map` —
-    picklable ``fn``/``items``, self-seeding tasks, optional longest-
-    first ``costs``, telemetry and runner-lifecycle timings shipped home
-    under an active hub run (OBSERVABILITY.md) — plus supervision:
+def parallel_map(fn: Callable[[Any], Any], items: Sequence[Any],
+                 jobs: Optional[int] = None,
+                 costs: Optional[Sequence[float]] = None,
+                 labels: Optional[Sequence[str]] = None,
+                 task_timeout_s: Optional[float] = None,
+                 retries: int = 0,
+                 checkpoint=None,
+                 report: Optional[SupervisorReport] = None) -> List[Any]:
+    """Map ``fn`` over ``items``, on worker processes; results in item order.
 
     Args:
-        labels: stable, unique per-task names (default the item index);
-            used in failure records, chaos plans and as checkpoint keys.
+        fn: a picklable (module-level) single-argument callable.
+        items: task descriptors, each picklable.
+        jobs: worker count; defaults to :func:`get_jobs`.
+        costs: optional per-item cost hints; tasks are *submitted*
+            longest-first to minimize makespan, results still come back
+            in item order.
+        labels: per-task names (default ``str(item)[:80]``), used in
+            failure records, chaos plans and as checkpoint keys.
         task_timeout_s: wall-clock deadline per attempt; exceeding it
             kills the worker and counts a hang.
         retries: extra attempts per task after a crash/hang/exception.
         checkpoint: a :class:`~repro.runner.checkpoint.SweepCheckpoint`;
             journaled tasks are replayed without executing, finished
-            ones journaled (results must be JSON-serializable). Refused
-            under an active telemetry run: replays carry no telemetry.
+            ones journaled (results must be JSON-serializable, labels
+            unique). Refused under an active telemetry run: replays
+            carry no telemetry.
         report: a :class:`SupervisorReport` to fill in.
 
     Raises:
         TaskFailedError: a task failed ``retries + 1`` times; every
             worker is killed and joined before it propagates.
 
-    Serial mode (``jobs=1`` or nested in a worker) executes inline with
-    the same retry/annotation/checkpoint semantics but cannot preempt
-    hangs — deadlines need workers. A single pending item at ``jobs>1``
-    therefore still gets a worker, so ``--task-timeout`` protects
-    one-experiment runs too.
+    ``jobs=1``, a call nested in a worker, and a lone task with neither
+    a deadline nor retries run the inline loop (:func:`_run_inline`);
+    it cannot preempt a hang, so a lone task that asked for either
+    still gets a worker.
     """
     items = list(items)
     n = jobs if jobs is not None else get_jobs()
@@ -128,21 +137,23 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     if labels is None:
-        labels = [str(i) for i in range(len(items))]
+        labels = [str(item)[:80] for item in items]
     else:
         labels = [str(label) for label in labels]
         if len(labels) != len(items):
             raise ValueError("labels must align with items")
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be unique")
     if costs is not None and len(costs) != len(items):
         raise ValueError("costs must align with items")
     if report is None:
         report = SupervisorReport()
-    if checkpoint is not None and HUB.active:
-        raise ValueError("checkpoint/resume cannot run under an active "
-                         "telemetry run: replayed tasks contribute no "
-                         "telemetry, so exports would not match")
+    if checkpoint is not None:
+        if len(set(labels)) != len(labels):
+            raise ValueError("labels must be unique: they key the "
+                             "checkpoint journal")
+        if HUB.active:
+            raise ValueError("checkpoint/resume cannot run under an active "
+                             "telemetry run: replayed tasks contribute no "
+                             "telemetry, so exports would not match")
 
     results: List[Any] = [None] * len(items)
     pending: List[int] = []
@@ -159,61 +170,71 @@ def supervised_map(fn: Callable[[Any], Any], items: Sequence[Any],
         if checkpoint is not None:
             checkpoint.record(labels[slot], value)
 
-    if n == 1 or in_worker():
+    lone = len(pending) < 2 and task_timeout_s is None and not retries
+    if n == 1 or in_worker() or lone:
         _run_inline(fn, items, labels, pending, retries, report, finish)
-    elif pending:
-        fan_out("supervised", fn, items, labels, pending, costs, n,
-                task_timeout_s, retries, report, finish)
+    else:
+        fan_out(fn, items, labels, pending, costs, n, task_timeout_s,
+                retries, report, finish)
     return results
 
 
 def _retry_or_raise(failure: TaskFailure, item: Any,
                     history: List[TaskFailure], retries: int,
-                    report: SupervisorReport) -> None:
+                    report: SupervisorReport,
+                    cause: Optional[BaseException] = None) -> None:
     """Book one failed attempt; raise once the retry budget is spent."""
     report.record(failure)
     history.append(failure)
     if failure.attempt > retries:
-        raise TaskFailedError(failure, item, history)
+        raise TaskFailedError(failure, item, history) from cause
     report.retries += 1
     ambient_registry().counter("runner.supervisor.retries").inc()
 
 
 def _run_inline(fn, items, labels, pending, retries, report,
                 finish) -> None:
-    """Serial fallback: retry + annotate in this process, no preemption.
-    An active hub run already collects this process's simulators, so
-    tasks run bare and the runner lifecycle records nothing."""
-    for slot in pending:
+    """The inline loop: each attempt is a :func:`run_task` (audited)
+    inside :meth:`~repro.telemetry.hub.TelemetryHub.task`, as in a
+    worker, and the last failed one raises :class:`TaskFailedError`
+    with the task's own exception as its ``__cause__``."""
+    for index, slot in enumerate(pending):
+        if index:
+            # a release point, as in a worker: the finished task's
+            # cyclic simulator graph is freed before the next is built,
+            # and the survivors frozen so later collections skip them
+            gc.collect()
+            gc.freeze()
         history: List[TaskFailure] = []
         while True:
             started = time.monotonic()
             try:
-                value = fn(items[slot])
+                with HUB.task():
+                    value = run_task(fn, items[slot])
             except Exception as exc:
                 failure = TaskFailure(
                     labels[slot], slot, len(history) + 1, "exception",
-                    traceback.format_exc(), time.monotonic() - started,
+                    task_traceback(exc), time.monotonic() - started,
                     type(exc).__name__)
                 _retry_or_raise(failure, items[slot], history, retries,
-                                report)
+                                report, cause=exc)
             else:
                 finish(slot, value)
                 break
 
 
-def fan_out(mode: str, fn, items, labels, pending, costs, jobs,
-            task_timeout_s, retries, report, finish) -> None:
-    """Any-free-worker scheduling: assign, watch, retry or raise.
-    ``mode`` only names the map in ``HUB.lifecycle``. Every worker is
-    stopped or killed and joined on every exit path, Ctrl-C included."""
+def fan_out(fn, items, labels, pending, costs, jobs, task_timeout_s,
+            retries, report, finish) -> None:
+    """Any-free-worker scheduling: assign, watch, retry or raise. Every
+    worker is stopped or killed and joined on every exit path, Ctrl-C
+    included."""
     queue = list(pending)
     if costs is not None:
         queue.sort(key=lambda slot: -costs[slot])
     queue.reverse()  # pop() takes the longest first
     history: Dict[int, List[TaskFailure]] = {slot: [] for slot in pending}
     n_workers = min(jobs, len(pending))
-    home = ShipHome(mode, n_workers)
+    home = ShipHome(n_workers)
     workers: List[Worker] = []
 
     def replace(worker: Worker) -> Worker:

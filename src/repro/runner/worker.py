@@ -1,20 +1,21 @@
 """The one fork-worker runtime: every process the runner starts is this one.
 
-``parallel_map`` (cell sweeps, E19's sharded passes) and
-``supervised_map`` (experiment fan-out) differ only in what a failure
-does. What they share lives here, so every guarantee holds for both
-(ROBUSTNESS.md):
+:func:`~repro.runner.supervisor.parallel_map` schedules over it, and
+everything a task needs wherever it runs lives here, so every guarantee
+holds for every caller (ROBUSTNESS.md):
 
+* **one task bracket** (:func:`run_task`): the task's simulators are
+  audited under ``--invariants`` (:data:`audited`) before it counts as
+  done, and a failure's text is :func:`task_traceback`, the same in a
+  worker as in the map's inline loop;
 * **one worker** (:func:`_worker_main`) whose loop executes ``fn(item)``
   messages and nothing else: it ignores SIGINT (only the parent decides
   when to die), beats on its pipe from a side thread while a task runs,
-  and on SIGTERM dumps its flight recorder before exiting. Under
-  ``--invariants`` a task's simulators are verified before its reply
-  goes home (:data:`audited`). It freezes what the fork inherited, and
-  once a reply is sent it is a release point, as ``parallel_map``'s
-  serial loop is: it collects what the task left and freezes the
-  survivors, so the next task starts with nothing of its predecessor
-  alive and no collection walks the parent's heap;
+  and on SIGTERM dumps its flight recorder before exiting. It freezes
+  what the fork inherited, and once a reply is sent it is a release
+  point, as the map's inline loop is: it collects what the task left
+  and freezes the survivors, so the next task starts with nothing of its
+  predecessor alive and no collection walks the parent's heap;
 * **one parent watch loop** (:func:`watch`): beat freshness, an optional
   per-task deadline, and pipe EOF = crash. A lost worker is killed and a
   parent-side post-mortem written before the caller hears about it;
@@ -44,7 +45,8 @@ from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB
 
 __all__ = ["ShipHome", "TaskFailure", "Worker", "get_jobs", "in_worker",
-           "pack", "run_shipped", "set_jobs", "watch"]
+           "pack", "run_shipped", "run_task", "set_jobs", "task_traceback",
+           "watch"]
 
 #: Worker beat interval while a task runs, and the silence after which
 #: a busy worker is declared hung (SIGSTOP, kernel wedge); seconds.
@@ -114,6 +116,20 @@ class TaskFailure:
     detail: str
     elapsed_s: float
     exc_type: str = ""
+
+
+def run_task(fn: Callable[[Any], Any], item: Any) -> Any:
+    """One task, wherever it runs: ``fn(item)``, audited, so that a
+    violation is this task's failure."""
+    with audited():
+        return fn(item)
+
+
+def task_traceback(exc: BaseException) -> str:
+    """A failed task's traceback text, from :func:`run_task` down: the
+    frame that caught it is the runner's, in a worker or inline."""
+    return "".join(traceback.format_exception(
+        type(exc), exc, exc.__traceback__.tb_next))
 
 
 def _maybe_chaos(label: str) -> None:
@@ -193,12 +209,11 @@ def _worker_main(conn) -> None:
             running.set()
             _maybe_chaos(label)
             try:
-                with audited():  # a violation is this task's failure
-                    result = fn(item)
+                result = run_task(fn, item)
                 reply = ForkingPickler.dumps(("done", result))
             except Exception as exc:
                 reply = ForkingPickler.dumps(
-                    ("fail", type(exc).__name__, traceback.format_exc()))
+                    ("fail", type(exc).__name__, task_traceback(exc)))
             running.clear()
             with send_lock:
                 conn.send_bytes(reply)
@@ -365,10 +380,10 @@ class ShipHome:
     before forking (the map's clock starts here), then call
     :meth:`forked`, :meth:`receive` per result, and :meth:`merge`."""
 
-    def __init__(self, mode: str, jobs: int) -> None:
+    def __init__(self, jobs: int) -> None:
         self.on = HUB.active
         self._flags = (HUB.profiling, HUB.tracing)
-        self._record = HUB.lifecycle.begin_map(mode, jobs) if self.on else None
+        self._record = HUB.lifecycle.begin_map(jobs) if self.on else None
         self._arrivals: Dict[int, Tuple[Any, Any]] = {}
 
     def wrap(self, fn, item) -> Tuple[Callable[[Any], Any], Any]:

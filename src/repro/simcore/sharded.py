@@ -216,7 +216,7 @@ class ShardedSimulator:
 
     Every shard steps in this process, round-robin within each window;
     to run several sharded passes side by side, make each one a task of
-    :func:`~repro.runner.parallel_map` (E19 does).
+    :func:`~repro.runner.supervisor.parallel_map` (E19 does).
 
     Parameters:
         builder: callable ``spec -> ShardHost``.

@@ -19,8 +19,10 @@ process-global default otherwise — unless handed an explicit one.
 
 from __future__ import annotations
 
+import contextlib
 import operator
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 from repro.simcore.trace import Tracer
 from repro.telemetry.lifecycle import RunnerLifecycle
@@ -145,8 +147,9 @@ class TelemetryHub:
     def lifecycle(self) -> Optional[RunnerLifecycle]:
         """The active run's runner-lifecycle log (None outside a run).
 
-        The parallel runners record fork/queue/exec/pickle/ship/merge
-        timings here; serial paths never touch it.
+        ``parallel_map`` records fork/queue/exec/pickle/ship/merge
+        timings here for the maps it fans over workers; its inline loop
+        never touches it.
         """
         return self._lifecycle if self.active else None
 
@@ -239,30 +242,38 @@ class TelemetryHub:
         self._lifecycle = None
         self._shard_stats = []
 
-    @property
-    def adopted(self) -> int:
-        """How many simulators the active run has collected so far."""
-        return len(self._sims)
+    @contextlib.contextmanager
+    def task(self) -> Iterator[None]:
+        """Bracket one task run in this process as a worker brackets it;
+        a no-op outside a run.
 
-    def archive_since(self, start: int) -> None:
-        """Swap the simulators adopted from index ``start`` on for what a
-        worker ships home for them (:meth:`export_worker_run`): their
-        readings, spans and traces stay, their graphs go.
-
-        ``parallel_map``'s serial loop calls this when a task returns
-        (``start`` is :attr:`adopted` read before it), so that under a
-        run too nothing the task built is alive at the next release
-        point; a no-op outside a run.
+        The task records sim-less components into a fresh shared
+        registry. When it returns, the simulators it built are swapped
+        for what a worker ships home for them (their readings, spans
+        and traces stay, their graphs go), so that nothing it built is
+        alive at the next release point, and its shared registry, if
+        non-empty, joins the per-task list where
+        :meth:`absorb_worker_run` puts a worker's. The outer shared
+        registry is restored either way.
         """
         if not self.active:
+            yield
             return
-        for index in range(start, len(self._sims)):
-            sim = self._sims[index]
-            sim.telemetry.metrics.detach()
-            sim.telemetry.spans.detach()
-            self._sims[index] = WorkerSimTelemetry(sim)
+        start, outer = len(self._sims), self._shared
+        self._shared = MetricsRegistry()
+        try:
+            yield
+            for index in range(start, len(self._sims)):
+                sim = self._sims[index]
+                sim.telemetry.metrics.detach()
+                sim.telemetry.spans.detach()
+                self._sims[index] = WorkerSimTelemetry(sim)
+            if len(self._shared):
+                self._worker_shared.append(self._shared)
+        finally:
+            self._shared = outer
 
-    # -- worker shipping (see repro.runner.parallel) -----------------------
+    # -- worker shipping (see repro.runner.worker) -------------------------
 
     def export_worker_run(self) -> dict:
         """Harvest this (worker-side) run into a picklable payload.
@@ -275,11 +286,13 @@ class TelemetryHub:
             raise RuntimeError("no telemetry run is active")
         payload = {
             "sims": [WorkerSimTelemetry(sim) for sim in self._sims],
-            "shared": self._shared if len(self._shared) else None,
+            "shared": self._worker_shared + (
+                [self._shared] if len(self._shared) else []),
             "shards": self._shard_stats,
         }
         self.active = False
         self._sims = []
+        self._worker_shared = []
         self._lifecycle = None
         self._shard_stats = []
         return payload
@@ -294,8 +307,7 @@ class TelemetryHub:
         if not self.active:
             return
         self._sims.extend(payload["sims"])
-        if payload["shared"] is not None:
-            self._worker_shared.append(payload["shared"])
+        self._worker_shared.extend(payload["shared"])
         self._shard_stats.extend(payload.get("shards", ()))
 
 

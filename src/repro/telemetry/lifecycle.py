@@ -24,8 +24,7 @@ The ``runner.`` metric family (see OBSERVABILITY.md):
   ``ship_s`` / ``merge_s`` — histograms, one sample per task;
 - ``runner.task.serialize_bytes`` — counter, total pickled result bytes;
 - ``runner.tasks`` / ``runner.maps`` — counters;
-- ``runner.map.fork_s{mode}`` — histogram, worker creation cost per map
-  (``pool`` = ``parallel_map``, ``supervised`` = ``supervised_map``).
+- ``runner.map.fork_s`` — histogram, worker creation cost per map.
 """
 
 from __future__ import annotations
@@ -75,10 +74,9 @@ class TaskLifecycle:
 class MapLifecycle:
     """One parallel map: fork cost, wall time, and its tasks."""
 
-    __slots__ = ("mode", "jobs", "fork_s", "wall_s", "tasks", "started_at")
+    __slots__ = ("jobs", "fork_s", "wall_s", "tasks", "started_at")
 
-    def __init__(self, mode: str, jobs: int) -> None:
-        self.mode = mode          # "pool" | "supervised"
+    def __init__(self, jobs: int) -> None:
         self.jobs = jobs
         self.fork_s = 0.0
         self.wall_s = 0.0
@@ -117,7 +115,7 @@ class MapLifecycle:
 
     def to_dict(self, map_index: int) -> Dict[str, Any]:
         return {"type": "runner", "record": "map", "map": map_index,
-                "mode": self.mode, "jobs": self.jobs, "fork_s": self.fork_s,
+                "jobs": self.jobs, "fork_s": self.fork_s,
                 "wall_s": self.wall_s, "tasks": len(self.tasks),
                 "imbalance_s": self.imbalance_s, "idle_s": self.idle_s}
 
@@ -129,9 +127,9 @@ class RunnerLifecycle:
         self.maps: List[MapLifecycle] = []
         self.registry = MetricsRegistry()
 
-    def begin_map(self, mode: str, jobs: int) -> MapLifecycle:
+    def begin_map(self, jobs: int) -> MapLifecycle:
         """Open a map record; call :meth:`finish_map` when it completes."""
-        record = MapLifecycle(mode, jobs)
+        record = MapLifecycle(jobs)
         self.maps.append(record)
         return record
 
@@ -150,8 +148,7 @@ class RunnerLifecycle:
         record.finish()
         reg = self.registry
         reg.counter("runner.maps").inc()
-        reg.histogram("runner.map.fork_s", mode=record.mode) \
-            .observe(record.fork_s)
+        reg.histogram("runner.map.fork_s").observe(record.fork_s)
         for task in record.tasks:
             reg.counter("runner.tasks").inc()
             reg.histogram("runner.task.queue_wait_s").observe(task.queue_wait_s)

@@ -656,7 +656,7 @@ class MetricsRegistry:
                 gauge.updates = len(readings)
 
     def __getstate__(self) -> Dict[str, Any]:
-        # a shipped registry (--jobs and supervised workers) is a
+        # a shipped registry (a worker's, under --jobs) is a
         # reading: materialised counters, never the owners behind them
         self._sync()
         return {"_instruments": self._instruments,

@@ -136,7 +136,7 @@ class SpanTracker:
     # -- pickling ----------------------------------------------------------
     #
     # Parallel workers ship finished trackers back to the parent hub
-    # (see repro.runner.parallel). The clock is a closure over a live
+    # (see repro.runner.worker). The clock is a closure over a live
     # simulator, so it is dropped in transit and replaced with a frozen
     # zero clock — shipped trackers are archives, not live recorders.
 

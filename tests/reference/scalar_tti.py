@@ -13,13 +13,17 @@ rates in a dict keyed by user id. Production must match it bit for bit:
 methods and compare whole experiment tables. ``test_enodeb_cell.py`` and
 ``test_phy_linkbudget_grid.py`` test the SINR evaluators directly.
 
-The oracle keeps its own EWMA state: one dict per scheduler object
-(:func:`rates_of`), never on the scheduler, which stores no rates. A
-detach must forget the UE's rates in both directions as the arena does
-when it drops the row, so :func:`remove_ue` is ``Cell.remove_ue`` plus
-that forgetting; a walk cannot prune it later, because a UE detached and
-re-attached between two TTIs (E5's cooperative re-homing) looks attached
-to both. The round-robin cursor stays the scheduler's ``_next``.
+The oracle keeps its own EWMA state, never on the scheduler, which
+stores no rates: one dict per (cell, scheduler) (:func:`rates_of`),
+dropped by the rule the arena's columns follow. A walk whose scheduler
+has no dict in its cell yet means the cell's scheduler was swapped, and
+whatever the cell no longer runs loses its rates, so a scheduler swapped
+out and back starts again from zero. A detach must forget the UE's
+rates in both directions as the arena does when it drops the row, so
+:func:`remove_ue` is ``Cell.remove_ue`` plus that forgetting; a walk
+cannot prune it later, because a UE detached and re-attached between two
+TTIs (E5's cooperative re-homing) looks attached to both. The
+round-robin cursor stays the scheduler's ``_next``.
 Policies dispatch on the exact scheduler type via :data:`POLICIES`.
 
 :func:`pack` turns a ``SchedulableUser`` list and a caller-held rates
@@ -92,17 +96,31 @@ class SchedulableUser:
 
 # -- the oracle's EWMA store, and production's -------------------------------
 
-#: scheduler -> {user id: EWMA average rate in bits/s}
-_RATES: "WeakKeyDictionary[LteScheduler, Dict[str, float]]" = (
+#: cell -> {scheduler: {user id: EWMA average rate in bits/s}}
+_RATES: "WeakKeyDictionary[Cell, Dict[LteScheduler, Dict[str, float]]]" = (
     WeakKeyDictionary())
 
 #: the production detach :func:`remove_ue` wraps (taken before any patch)
 _detach = Cell.remove_ue
 
 
-def rates_of(sched: LteScheduler) -> Dict[str, float]:
-    """The oracle's EWMA averages for ``sched``, by user id."""
-    return _RATES.setdefault(sched, {})
+def rates_of(cell, sched: LteScheduler) -> Dict[str, float]:
+    """The oracle's EWMA averages for ``sched`` in ``cell``, by user id
+    (empty until ``sched`` has run a TTI there)."""
+    return _RATES.get(cell, {}).get(sched, {})
+
+
+def _rates_for(cell, sched: LteScheduler) -> Dict[str, float]:
+    """The dict a walk of ``sched`` in ``cell`` updates; on a miss, the
+    schedulers ``cell`` no longer runs lose theirs."""
+    per_cell = _RATES.setdefault(cell, {})
+    rates = per_cell.get(sched)
+    if rates is None:
+        for old in list(per_cell):
+            if old is not cell.scheduler and old is not cell.uplink_scheduler:
+                del per_cell[old]
+        rates = per_cell[sched] = {}
+    return rates
 
 
 def remove_ue(cell, ue_id: str) -> None:
@@ -110,7 +128,7 @@ def remove_ue(cell, ue_id: str) -> None:
     both directions."""
     _detach(cell, ue_id)
     for sched in (cell.scheduler, cell.uplink_scheduler):
-        rates_of(sched).pop(ue_id, None)
+        rates_of(cell, sched).pop(ue_id, None)
 
 
 def arena_rates(cell, sched: LteScheduler) -> Dict[str, float]:
@@ -346,7 +364,8 @@ def _walk(cell, scheduler, sinr_of, observe_sinr: bool) -> Dict[str, float]:
                                      backlog_bits=ctx.backlog_bits,
                                      gbr_bps=ctx.gbr_bps,
                                      priority=ctx.priority))
-    grants = allocate(scheduler, users, cell.allowed_prbs, rates_of(scheduler))
+    grants = allocate(scheduler, users, cell.allowed_prbs,
+                      _rates_for(cell, scheduler))
     return _deliver(cell, grants, sinrs)
 
 

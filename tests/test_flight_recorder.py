@@ -197,7 +197,7 @@ def _hangable(x: int) -> int:
 
 
 def test_supervisor_hang_kill_writes_postmortems(tmp_path, monkeypatch):
-    from repro.runner.supervisor import SupervisorReport, supervised_map
+    from repro.runner import SupervisorReport, parallel_map
 
     pm_dir = tmp_path / "pm"
     pm_dir.mkdir()
@@ -205,9 +205,9 @@ def test_supervisor_hang_kill_writes_postmortems(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_PLAN", "job:0:hang")
     monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
     report = SupervisorReport()
-    results = supervised_map(_hangable, [3, 4], jobs=2,
-                             labels=["job:0", "job:1"],
-                             task_timeout_s=2.0, retries=1, report=report)
+    results = parallel_map(_hangable, [3, 4], jobs=2,
+                           labels=["job:0", "job:1"],
+                           task_timeout_s=2.0, retries=1, report=report)
     assert results == [9, 16]
     assert report.hangs == 1
     reasons = set()

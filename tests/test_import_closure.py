@@ -194,18 +194,18 @@ print(json.dumps({{"code": code, "resolved": marks["resolved"],
 def _jobs_probe(flags):
     """``--jobs 2`` over the suite: what every worker held, start and end."""
     out = _probe(_CLI_PROBE + f"""
-supervised_map, run_captured = cli.supervised_map, cli._run_captured
+parallel_map, run_captured = cli.parallel_map, cli._run_captured
 def reporting_task(task):
     at_start = mods()
     text = run_captured(task)
     return text + "\\0" + json.dumps([at_start, mods()])
 def marking_map(fn, tasks, **kwargs):
     marks["forking"] = mods()
-    texts = supervised_map(reporting_task, tasks, **kwargs)
+    texts = parallel_map(reporting_task, tasks, **kwargs)
     marks.setdefault("workers", []).extend(
         json.loads(text.split("\\0")[1]) for text in texts)
     return [text.split("\\0")[0] for text in texts]
-cli.supervised_map = marking_map
+cli.parallel_map = marking_map
 with contextlib.redirect_stdout(io.StringIO()):
     code = cli.main(list({_CLI_SUITE!r}) + ["--jobs", "2"] + {flags!r})
 print(json.dumps(dict(marks, code=code, after=mods())))

@@ -24,7 +24,7 @@ from repro.invariants import InvariantChecker, InvariantError, armed
 from repro.net.links import Link
 from repro.net.nodes import Router
 from repro.net.packet import Packet
-from repro.runner import WorkerTaskError
+from repro.runner import TaskFailedError
 from repro.simcore.simulator import Simulator
 from tests.callback_agent import CallbackAgent
 
@@ -234,7 +234,7 @@ def test_a_leak_in_a_jobs_cell_fails_the_run(tmp_path, leaky_e7):
     argv = ["E7", "--jobs", "2", "--exp-arg", "ap_counts=[1, 2]",
             "--exp-arg", "ue_per_ap=2"]
     assert main(argv) == 0          # unarmed: nobody is looking
-    with pytest.raises(WorkerTaskError) as failure:
+    with pytest.raises(TaskFailedError) as failure:
         main(argv + ["--invariants"])
     assert "link-conservation on leaky" in str(failure.value)
     assert failure.value.exc_type == "InvariantError"
@@ -257,7 +257,7 @@ def test_a_leak_in_a_fork_shard_names_the_shard(tmp_path, monkeypatch):
     argv = ["E19", "--exp-arg", "n_cells=4", "--exp-arg", "horizon_s=2.0",
             "--exp-arg", "shards=2", "--exp-arg", "mode=fork"]
     assert main(argv) == 0
-    with pytest.raises(WorkerTaskError) as failure:
+    with pytest.raises(TaskFailedError) as failure:
         main(argv + ["--invariants"])
     assert repr(failure.value.item) == "E19:centralized EPC"
     assert "E19:centralized EPC" in str(failure.value)
@@ -267,9 +267,11 @@ def test_a_leak_in_a_fork_shard_names_the_shard(tmp_path, monkeypatch):
 
 
 def test_a_serial_violation_carries_its_postmortem(tmp_path, leaky_e7):
-    with pytest.raises(InvariantError, match="leaky") as failure:
+    with pytest.raises(TaskFailedError, match="leaky") as failure:
         main(["E7", "--invariants", "--exp-arg", "ap_counts=[1]",
               "--exp-arg", "ue_per_ap=2"])
-    assert os.path.basename(failure.value.postmortem_path) in _postmortems(
+    violation = failure.value.__cause__     # the cell raised it inline
+    assert isinstance(violation, InvariantError)
+    assert os.path.basename(violation.postmortem_path) in _postmortems(
         tmp_path)
     assert len(_postmortems(tmp_path)) == 1     # the CLI did not dump twice

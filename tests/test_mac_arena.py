@@ -99,7 +99,7 @@ def _assert_rates_equal(ref, cell, where):
     """Every EWMA equal, both directions: the oracle's dicts against the
     production arena's columns."""
     for role in ("scheduler", "uplink_scheduler"):
-        assert (rates_of(getattr(ref, role))
+        assert (rates_of(ref, getattr(ref, role))
                 == arena_rates(cell, getattr(cell, role))), (where, role)
 
 
@@ -213,7 +213,7 @@ def test_detach_reattach_drops_history(sched_cls):
         detach(c, "ue001")
         c.add_ue(ctx)
     for role in ("scheduler", "uplink_scheduler"):
-        assert "ue001" not in rates_of(getattr(ref, role))
+        assert "ue001" not in rates_of(ref, getattr(ref, role))
         assert arena_rates(cell, getattr(cell, role))["ue001"] == 0.0
     for t in range(8):
         _assert_tti_equal(ref, cell, f"re-attached t={t}")
@@ -249,9 +249,9 @@ def test_average_rate_readable_while_batched():
     for t in range(8):
         scalar_tti.schedule_tti(ref)
         cell.schedule_tti()
-        assert (rates_of(ref.scheduler)
+        assert (rates_of(ref, ref.scheduler)
                 == arena_rates(cell, cell.scheduler)), t
-    assert any(r > 0 for r in rates_of(ref.scheduler).values())
+    assert any(r > 0 for r in rates_of(ref, ref.scheduler).values())
 
 
 def test_a_scheduler_shared_by_two_cells_keeps_a_column_per_arena():
@@ -281,7 +281,7 @@ def test_a_scheduler_shared_by_two_cells_keeps_a_column_per_arena():
         assert b.schedule_tti() == scalar_tti.schedule_tti(br)
     assert a._arena._avg[shared] is not b._arena._avg[shared]
     by_cell = {**arena_rates(a, shared), **arena_rates(b, shared)}
-    assert by_cell == rates_of(shared_ref)
+    assert by_cell == {**rates_of(ar, shared_ref), **rates_of(br, shared_ref)}
     assert len(by_cell) == 6 and all(r > 0 for r in by_cell.values())
 
 

@@ -5,13 +5,16 @@ Twin cells are built from the same inputs; one is scheduled by
 other by ``tests/reference/scalar_tti.py``. A random interleaving of
 everything that can invalidate arena state — attach, detach of the
 first / a middle / the last slot, moves, radio replacement and
-re-parameterisation, demand edits, scheduler swaps, downlink interferer
+re-parameterisation, demand edits, scheduler swaps (to a fresh one or
+back to the one the last swap took out), downlink interferer
 churn, HARQ toggles, cell power and PRB masks — is applied to both, with
 a downlink and an uplink TTI after every step. Delivered maps must be
 equal to the key order and every EWMA equal, so a row that kept a stale
 SINR, or a column that slipped a slot when the block grew or closed a
 gap, shows up at the step that caused it.
 """
+
+from weakref import WeakKeyDictionary
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -46,6 +49,9 @@ steps = st.tuples(st.sampled_from(STRUCTURAL + PER_UE + PER_CELL),
 #: how each twin detaches (oracle, production): the oracle's detach also
 #: forgets the UE's rates, as the arena drops the row
 DETACH = (scalar_tti.remove_ue, Cell.remove_ue)
+
+#: cell -> the downlink scheduler the last swap took out of it
+_SWAPPED_OUT: "WeakKeyDictionary[Cell, object]" = WeakKeyDictionary()
 
 
 def _apply(cell, detach, op, pick, x, y, tag):
@@ -84,7 +90,12 @@ def _apply(cell, detach, op, pick, x, y, tag):
         else:
             ctx.priority = 1 + pick % 9
     elif op == "swap_scheduler":
-        cell.scheduler = SCHEDULERS[pick % 4]()
+        previous = _SWAPPED_OUT.get(cell)
+        _SWAPPED_OUT[cell] = cell.scheduler
+        if previous is not None and pick % 3 == 0:
+            cell.scheduler = previous  # its rates went with it
+        else:
+            cell.scheduler = SCHEDULERS[pick % 4]()
     elif op == "dl_interferer":  # mutated in place, as coordination does
         if cell.interferers and pick % 2:
             cell.interferers.pop(pick % len(cell.interferers))

@@ -18,7 +18,7 @@ import time
 
 import pytest
 
-from repro.runner import WorkerTaskError, parallel_map
+from repro.runner import TaskFailedError, parallel_map
 
 REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
 
@@ -34,12 +34,11 @@ DRIVER = textwrap.dedent("""
     if __name__ == "__main__":
         kind, pid_dir = sys.argv[1], sys.argv[2]
         items = [(i, pid_dir) for i in range(2)]
+        from repro.runner import parallel_map
         if kind == "parallel":
-            from repro.runner import parallel_map
             parallel_map(task, items, jobs=2)
-        else:
-            from repro.runner import supervised_map
-            supervised_map(task, items, jobs=2)
+        else:  # with a retry budget: the supervised path
+            parallel_map(task, items, jobs=2, retries=1)
 """)
 
 
@@ -93,7 +92,7 @@ def _explode(item):
 
 
 def test_parallel_map_surfaces_original_traceback():
-    with pytest.raises(WorkerTaskError) as excinfo:
+    with pytest.raises(TaskFailedError) as excinfo:
         parallel_map(_explode, ["seed-17", "seed-18"], jobs=2)
     err = excinfo.value
     message = str(err)
@@ -117,7 +116,7 @@ def test_parallel_map_surfaces_a_dead_worker(tmp_path):
     # regression: multiprocessing.Pool re-spawned the worker, lost the
     # task, and the map never returned
     started = time.monotonic()
-    with pytest.raises(WorkerTaskError) as excinfo:
+    with pytest.raises(TaskFailedError) as excinfo:
         parallel_map(_die_on_one, [0, 1, 2], jobs=2)
     assert time.monotonic() - started < 10.0
     err = excinfo.value

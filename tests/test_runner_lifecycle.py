@@ -2,7 +2,7 @@
 
 Unit tests drive :class:`RunnerLifecycle` directly with synthetic
 numbers (the decomposition arithmetic must be exact); integration tests
-run a real experiment through the pool and the supervisor and check the
+run a real experiment and a supervised map over workers and check the
 records, the metrics family, the ``--profile`` summary line, and the
 ``--trace-out`` JSONL records that land for parallel runs only.
 """
@@ -21,7 +21,7 @@ from repro.telemetry.lifecycle import RunnerLifecycle
 
 
 def _synthetic_map(lifecycle, jobs=2, tasks=()):
-    record = lifecycle.begin_map("pool", jobs)
+    record = lifecycle.begin_map(jobs)
     record.fork_s = 0.1
     for slot, (pid, exec_s, ser_s, bytes_, ship_s, merge_s) in \
             enumerate(tasks):
@@ -46,7 +46,7 @@ def test_imbalance_is_busiest_worker_above_mean():
 
 def test_idle_is_worker_seconds_not_spent_busy():
     lifecycle = RunnerLifecycle()
-    record = lifecycle.begin_map("pool", 4)
+    record = lifecycle.begin_map(4)
     record.started_at = time.monotonic() - 2.0  # wall ~2 s
     record.fork_s = 0.5
     task = lifecycle.record_task(record, 0, "t0", 100, 0.0, 1.0, 0.0, 0, 0.0)
@@ -58,7 +58,7 @@ def test_idle_is_worker_seconds_not_spent_busy():
 
 def test_summary_aggregates_and_covers_the_wall():
     lifecycle = RunnerLifecycle()
-    record = lifecycle.begin_map("supervised", 2)
+    record = lifecycle.begin_map(2)
     record.started_at = time.monotonic() - 1.0
     record.fork_s = 0.2
     lifecycle.record_task(record, 0, "a", 1, 0.05, 0.6, 0.1, 2048, 0.02)
@@ -99,7 +99,7 @@ def test_metrics_family_mirrors_records():
     assert rows[("runner.task.merge_s", "histogram")]["count"] == 2
 
 
-# -- integration: real pool + supervisor runs ---------------------------------
+# -- integration: real maps over workers --------------------------------------
 
 
 def _run_e7(jobs, **hub_kwargs):
@@ -122,7 +122,6 @@ def test_pool_run_records_every_task():
     lifecycle = run.lifecycle
     assert len(lifecycle.maps) == 1
     record = lifecycle.maps[0]
-    assert record.mode == "pool"
     # E7 at 2 ap_counts x 2 arms = 4 sweep cells -> 4 tasks
     assert len(record.tasks) == 4
     assert {t.slot for t in record.tasks} == {0, 1, 2, 3}
@@ -165,13 +164,13 @@ def _square(x):
     return x * x
 
 
-def test_supervised_map_records_lifecycle_under_hub():
-    from repro.runner.supervisor import supervised_map
+def test_a_labelled_map_records_lifecycle_under_hub():
+    from repro.runner import parallel_map
 
     HUB.start_run()
     try:
-        results = supervised_map(_square, [2, 3, 4], jobs=2,
-                                 labels=["a", "b", "c"])
+        results = parallel_map(_square, [2, 3, 4], jobs=2,
+                               labels=["a", "b", "c"])
     except BaseException:
         HUB.abort_run()
         raise
@@ -179,8 +178,7 @@ def test_supervised_map_records_lifecycle_under_hub():
     assert results == [4, 9, 16]
     assert len(run.lifecycle.maps) == 1
     record = run.lifecycle.maps[0]
-    assert record.mode == "supervised"
-    assert len(record.tasks) == 3
+    assert sorted(task.label for task in record.tasks) == ["a", "b", "c"]
     assert record.jobs == 2
 
 
@@ -227,8 +225,7 @@ def test_e19_fork_is_one_map_of_three_passes(shards):
         HUB.abort_run()
         raise
     run = HUB.finish_run()
-    assert [(record.mode, len(record.tasks))
-            for record in run.lifecycle.maps] == [("pool", 3)]
+    assert [len(record.tasks) for record in run.lifecycle.maps] == [3]
     assert sorted(task.label for task in run.lifecycle.maps[0].tasks) \
         == E19_PASSES
     # every pass still notes one stats entry per shard, in item order

@@ -16,7 +16,7 @@ import pytest
 
 from repro.epc.agents import ControlAgent, ControlChannel
 from repro.net.shardlink import CrossShardChannel
-from repro.runner import WorkerTaskError, parallel_map
+from repro.runner import TaskFailedError, parallel_map
 from repro.simcore.sharded import (
     ShardBoundary,
     ShardHost,
@@ -190,7 +190,7 @@ def test_lost_shard_worker_surfaces_and_is_reaped(
     passes = [[{"shard": s, "n_shards": 2, "limit": 450, "signal": doom}
                for s in range(2)] for doom in (None, signum)]
     started = time.monotonic()
-    with pytest.raises(WorkerTaskError) as excinfo:
+    with pytest.raises(TaskFailedError) as excinfo:
         parallel_map(_run_doomed_pass, passes, jobs=2)
     assert time.monotonic() - started < 3.0
     assert excinfo.value.slot == 1

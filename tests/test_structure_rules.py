@@ -68,8 +68,8 @@ RULES: Tuple[Rule, ...] = (
     Rule("gc-in-two-places",
          r"gc\.(collect|freeze)",
          ("src/",),
-         (r"^src/repro/(runner/parallel|runner/worker|__main__)\.py:",),
-         "each release point (between tasks of parallel_map's serial "
+         (r"^src/repro/(runner/supervisor|runner/worker|__main__)\.py:",),
+         "each release point (between tasks of parallel_map's inline "
          "loop, after a worker sends a task's reply, after each "
          "experiment of the CLI) collects the finished task and then "
          "freezes the survivors, so later collections walk only what the "

@@ -1,4 +1,4 @@
-"""Tests for the supervised runner (repro.runner.supervisor).
+"""Tests for the ordered map's supervision (repro.runner.supervisor).
 
 Covers the PR-4 execution layer: ordered results under supervision,
 crash/hang detection with SIGKILL + bounded retry, byte-identical
@@ -16,7 +16,7 @@ from repro.runner import (
     SupervisorReport,
     SweepCheckpoint,
     TaskFailedError,
-    supervised_map,
+    parallel_map,
 )
 from repro.runner.supervisor import TaskFailure
 
@@ -56,22 +56,26 @@ def _record_run(arg):
 
 def test_results_in_item_order():
     items = list(range(12))
-    assert supervised_map(_square, items, jobs=4) == [i * i for i in items]
+    assert parallel_map(_square, items, jobs=4) == [i * i for i in items]
 
 
 def test_serial_mode_matches():
-    assert supervised_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
+    assert parallel_map(_square, [1, 2, 3], jobs=1) == [1, 4, 9]
 
 
-def test_validations():
+def test_validations(tmp_path):
     with pytest.raises(ValueError):
-        supervised_map(_square, [1, 2], jobs=0)
+        parallel_map(_square, [1, 2], jobs=0)
     with pytest.raises(ValueError):
-        supervised_map(_square, [1, 2], jobs=2, retries=-1)
+        parallel_map(_square, [1, 2], jobs=2, retries=-1)
     with pytest.raises(ValueError):
-        supervised_map(_square, [1, 2], jobs=2, labels=["a"])
-    with pytest.raises(ValueError):
-        supervised_map(_square, [1, 2], jobs=2, labels=["a", "a"])
+        parallel_map(_square, [1, 2], jobs=2, labels=["a"])
+    # labels are journal keys only under a checkpoint; unique there
+    assert parallel_map(_square, [1, 2], labels=["a", "a"]) == [1, 4]
+    with SweepCheckpoint(str(tmp_path), run_id="t") as ckpt:
+        with pytest.raises(ValueError):
+            parallel_map(_square, [1, 2], jobs=2, labels=["a", "a"],
+                         checkpoint=ckpt)
 
 
 # -- crash detection + retry --------------------------------------------------------
@@ -80,8 +84,8 @@ def test_validations():
 def test_crashed_worker_retried_with_identical_result(tmp_path):
     items = [(2, "crash", str(tmp_path)), (3, "ok", str(tmp_path))]
     report = SupervisorReport()
-    results = supervised_map(_misbehave_once, items, jobs=2, retries=1,
-                             report=report)
+    results = parallel_map(_misbehave_once, items, jobs=2, retries=1,
+                           report=report)
     # the retried task reproduces the same answer the clean run gives
     assert results == [4, 9]
     assert report.crashes == 1
@@ -93,8 +97,8 @@ def test_crashed_worker_retried_with_identical_result(tmp_path):
 
 def test_retry_budget_exhausted_raises(tmp_path):
     with pytest.raises(TaskFailedError) as excinfo:
-        supervised_map(_always_crash, [1, 2], jobs=2, retries=1,
-                       labels=["left", "right"])
+        parallel_map(_always_crash, [1, 2], jobs=2, retries=1,
+                     labels=["left", "right"])
     err = excinfo.value
     assert err.failure.kind == "crash"
     assert err.failure.label in ("left", "right")
@@ -108,8 +112,8 @@ def test_retry_budget_exhausted_raises(tmp_path):
 def test_hung_task_killed_and_retried(tmp_path):
     items = [(5, "hang", str(tmp_path)), (6, "ok", str(tmp_path))]
     report = SupervisorReport()
-    results = supervised_map(_misbehave_once, items, jobs=2, retries=1,
-                             task_timeout_s=1.0, report=report)
+    results = parallel_map(_misbehave_once, items, jobs=2, retries=1,
+                           task_timeout_s=1.0, report=report)
     assert results == [25, 36]
     assert report.hangs == 1
     assert report.retries == 1
@@ -122,8 +126,8 @@ def test_hung_task_killed_and_retried(tmp_path):
 
 def test_worker_exception_surfaces_original_traceback():
     with pytest.raises(TaskFailedError) as excinfo:
-        supervised_map(_raise_value_error, [7, 8], jobs=2,
-                       labels=["exp:A", "exp:B"])
+        parallel_map(_raise_value_error, [7, 8], jobs=2,
+                     labels=["exp:A", "exp:B"])
     message = str(excinfo.value)
     # the worker-side traceback survives into the parent error ...
     assert "ValueError" in message
@@ -136,10 +140,35 @@ def test_worker_exception_surfaces_original_traceback():
 
 def test_serial_exception_same_contract():
     with pytest.raises(TaskFailedError) as excinfo:
-        supervised_map(_raise_value_error, [9], jobs=1, labels=["exp:S"])
+        parallel_map(_raise_value_error, [9], jobs=1, labels=["exp:S"])
     message = str(excinfo.value)
     assert "ValueError: bad item 9" in message
     assert "exp:S" in message
+
+
+def _fail_on_two(x):
+    if x == 2:
+        raise ValueError(f"bad item {x}")
+    return x
+
+
+def test_a_failing_task_fails_alike_inline_and_in_a_worker():
+    """One failure type: the same slot, exception type and traceback text
+    whether the task ran in the inline loop or in a worker."""
+    failures = []
+    for jobs in (1, 2):
+        with pytest.raises(TaskFailedError) as excinfo:
+            parallel_map(_fail_on_two, [1, 2, 3], jobs=jobs)
+        err = excinfo.value
+        failures.append((err.slot, err.item, err.exc_type,
+                         err.traceback_text, len(err.history)))
+    assert failures[0] == failures[1]
+    assert failures[0][:3] == (1, 2, "ValueError")
+    assert failures[0][3].endswith("ValueError: bad item 2\n")
+    # inline, the task's own exception is the cause
+    with pytest.raises(TaskFailedError) as excinfo:
+        parallel_map(_fail_on_two, [2])
+    assert isinstance(excinfo.value.__cause__, ValueError)
 
 
 # -- checkpoint replay --------------------------------------------------------------
@@ -151,8 +180,8 @@ def test_checkpoint_skips_journaled_tasks(tmp_path):
     out_dir.mkdir()
     items = [(1, str(out_dir)), (2, str(out_dir))]
     with SweepCheckpoint(run_dir, run_id="t") as ckpt:
-        first = supervised_map(_record_run, items, jobs=2,
-                               labels=["a", "b"], checkpoint=ckpt)
+        first = parallel_map(_record_run, items, jobs=2,
+                             labels=["a", "b"], checkpoint=ckpt)
     assert first == [10, 20]
     assert sorted(os.listdir(out_dir)) == ["ran-1", "ran-2"]
 
@@ -162,9 +191,9 @@ def test_checkpoint_skips_journaled_tasks(tmp_path):
     items2 = [(1, str(out2)), (2, str(out2))]
     report = SupervisorReport()
     with SweepCheckpoint(run_dir, run_id="t") as ckpt:
-        again = supervised_map(_record_run, items2, jobs=2,
-                               labels=["a", "b"], checkpoint=ckpt,
-                               report=report)
+        again = parallel_map(_record_run, items2, jobs=2,
+                             labels=["a", "b"], checkpoint=ckpt,
+                             report=report)
     assert again == [10, 20]
     assert os.listdir(out2) == []  # nothing re-ran
     assert report.replayed_from_checkpoint == 2
@@ -179,9 +208,9 @@ def test_chaos_plan_matches_labels_containing_colons(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CHAOS_PLAN", "exp:E1:crash")
     monkeypatch.setenv("REPRO_CHAOS_DIR", str(tmp_path))
     report = SupervisorReport()
-    results = supervised_map(_square, [4, 5], jobs=2,
-                             labels=["exp:E1", "exp:E2"], retries=1,
-                             report=report)
+    results = parallel_map(_square, [4, 5], jobs=2,
+                           labels=["exp:E1", "exp:E2"], retries=1,
+                           report=report)
     assert results == [16, 25]
     assert report.crashes == 1
     assert (tmp_path / "chaos-exp:E1.done").exists()
