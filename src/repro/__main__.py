@@ -27,11 +27,11 @@ unhandled exception dumps a post-mortem JSON (``--postmortem-dir``,
 ``$REPRO_POSTMORTEM_DIR``, or the working directory).
 
 Parallelism (``--jobs N``) operates at two levels, both deterministic:
-sweep-heavy experiments (E6, E7) fan their independent cells over
-workers and run in the parent process; everything else is fanned out
-whole, one experiment per worker, with captured output reprinted in id
-order. Tables are byte-identical to ``--jobs 1`` — only the wall-clock
-lines differ.
+sweep-heavy experiments (E6, E7, E17, E18, E19) fan their independent
+cells (E19: its sharded passes) over workers and run in the parent
+process; everything else is fanned out whole, one experiment per
+worker, with captured output reprinted in id order. Tables are
+byte-identical to ``--jobs 1`` — only the wall-clock lines differ.
 
 Robustness (see ROBUSTNESS.md)::
 
@@ -179,14 +179,13 @@ def _export_run(exp_id: str, run, metrics_out: Optional[str],
 def _dump_on_exception(exp_id: str, exc: BaseException) -> None:
     """Flight-recorder post-mortem for an unhandled experiment error.
 
-    Skipped for Ctrl-C and for errors that already carry a dump, or
-    whose cause does (the invariant checker writes its own, richer one
-    before raising, and the map's inline loop wraps it).
+    Skipped for Ctrl-C and for errors that already carry a dump (the
+    invariant checker writes its own, richer one before raising, and
+    a map's :class:`~repro.runner.TaskFailedError` carries the path of
+    its task's, inline or from a worker).
     """
-    if isinstance(exc, KeyboardInterrupt):
-        return
-    if (getattr(exc, "postmortem_path", None)
-            or getattr(exc.__cause__, "postmortem_path", None)):
+    if isinstance(exc, KeyboardInterrupt) or getattr(
+            exc, "postmortem_path", None):
         return
     path = flightrec.write_postmortem(
         "experiment-exception",

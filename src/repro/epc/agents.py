@@ -20,16 +20,16 @@ policy. Every offer and every shed is counted — ``enqueued``,
 conservation law ``enqueued == processed + shed + in_flight`` holds at
 every event boundary (see ``InvariantChecker.watch_agent``).
 
-A message costs one heap event (its service completion) when its agent
-is certain to be busy at its arrival: the arrival is *parked* on the
-agent instead of posted, and joins the queue as of its own time at the
-next touch (:class:`ControlAgent`).
+A channel's message is one heap event at its arrival (``enqueue``,
+posted at send time) and one at its service completion (``_finish``).
+Service starts inline: in the arrival that finds the agent idle, or in
+the completion that leaves a message waiting.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Deque, Dict, Optional, Sequence, Tuple
+from typing import Deque, Dict, Optional, Tuple
 from collections import deque
 
 from repro.epc.nas import AttachRequest
@@ -52,12 +52,6 @@ CHANNEL_LEDGER = (
 #: every agent's shed counters until its first shed (never written)
 _NO_SHEDS: Dict[str, Counter] = {}
 
-#: every agent's parked arrivals until its first park: an empty tuple
-#: reads as an empty deque everywhere and fails loudly on ``append``
-_NONE: Deque["ControlMessage"] = ()  # type: ignore[assignment]
-
-_NEG_INF = float("-inf")
-
 
 @dataclass(slots=True)
 class ControlMessage:
@@ -66,12 +60,8 @@ class ControlMessage:
     payload: object
     sender: "ControlAgent"
     sent_at: float = 0.0
-    #: when the message joins the receiver's queue: its arrival time
-    #: from a channel, else the moment ``enqueue`` was called
+    #: when the message joined the receiver's queue (set by ``enqueue``)
     queued_at: float = 0.0
-    #: the heap key's sequence number its arrival event has, reserved
-    #: when a channel handed it over (-1: handed to ``enqueue`` directly)
-    seq: int = -1
 
 
 class ControlAgent:
@@ -79,19 +69,6 @@ class ControlAgent:
 
     Subclasses implement :meth:`handle`. Metrics: messages processed,
     busy time, and peak queue depth — E7 reports all three.
-
-    **Parked arrivals.** A message that a channel hands over while this
-    agent is certain to be busy at its arrival time costs no heap event:
-    it waits in ``_parked`` under the key ``(arrival, seq)`` its event
-    would have had, and joins the queue as of that time, through
-    :meth:`_join` like any arrival, at the next touch that must see it.
-    Which arrivals park is :meth:`_arrive`'s rule; the touches are the
-    start of :meth:`_finish` and of :meth:`enqueue` (keys below their
-    own event's), and every reader (keys due by
-    :meth:`~repro.simcore.simulator.Simulator.ran_below`). A reader
-    inside a run does not see an arrival due at exactly ``now`` until
-    the next touch: that is the one place the lazy queue can differ
-    from one event per arrival.
     """
 
     #: every field is a slot, and so are those of the subclasses with
@@ -99,10 +76,9 @@ class ControlAgent:
     #: its keys with the class and costs ~1.6 kB per agent
     __slots__ = (
         "sim", "name", "service_time_s", "_queue", "_busy", "_in_handle",
-        "processed", "busy_time_s", "_peak", "_enqueued", "shed",
-        "shed_by_cause", "overload", "_parked", "arrivals_parked", "_end",
-        "_floor", "_pending", "_finish_seq", "_may_park", "_finish_cb",
-        "_m_wait", "_m_shed", "__weakref__")
+        "processed", "busy_time_s", "peak_queue_depth", "enqueued", "shed",
+        "shed_by_cause", "overload", "_finish_cb", "_m_wait", "_m_shed",
+        "__weakref__")
 
     #: ``processed`` is exported as it stands, read when telemetry is
     #: read; ``epc.agent.queue_depth`` is a gauge read from
@@ -122,32 +98,16 @@ class ControlAgent:
         self._in_handle = False
         self.processed = 0
         self.busy_time_s = 0.0
-        self._peak = 0
-        #: conservation ledger, read through :attr:`enqueued`
-        self._enqueued = 0
+        #: deepest the queue has been
+        self.peak_queue_depth = 0
+        #: every message offered to (and accepted into) this agent's
+        #: bookkeeping, including ones later shed
+        self.enqueued = 0
         self.shed = 0
         self.shed_by_cause: Dict[str, int] = {}
         #: bounded-queue policy; None (the default) keeps the seed's
         #: unbounded infinite-patience behavior byte for byte.
         self.overload: Optional[OverloadPolicy] = None
-        #: arrivals handed over but not yet in the queue, by key; see
-        #: :meth:`_arrive`
-        self._parked: Deque[ControlMessage] = _NONE
-        #: arrivals that joined the queue from ``_parked``: each is an
-        #: arrival event never posted
-        self.arrivals_parked = 0
-        #: an arrival may park iff ``_floor <= arrival < _end``: the
-        #: agent is certain to be busy until ``_end`` (the float chain
-        #: ``_finish`` will add up, or less), and ``_floor`` keeps the
-        #: parked deque sorted
-        self._end = _NEG_INF
-        self._floor = _NEG_INF
-        #: the arrival posted to this idle agent that will start its next
-        #: busy period (None: none posted)
-        self._pending: Optional[ControlMessage] = None
-        #: the key sequence number of the posted ``_finish``
-        self._finish_seq = -1
-        self._may_park = type(self).enqueue is ControlAgent.enqueue
         #: ``_finish`` bound once: read per post it would build a bound
         #: method per message
         self._finish_cb = self._finish
@@ -165,116 +125,16 @@ class ControlAgent:
             sim.checker.watch_agent(self)
 
     def configure_overload(self, policy: Optional[OverloadPolicy]) -> None:
-        """Install (or clear) a bounded-queue/shedding policy. An agent
-        with a policy parks nothing: its sheds can end a busy period."""
-        self._unpark()
+        """Install (or clear) a bounded-queue/shedding policy."""
         self.overload = policy
-        self._may_park = (policy is None
-                          and type(self).enqueue is ControlAgent.enqueue
-                          and type(self._queue) is deque)
 
     def _share_gauge(self) -> None:
         """A same-named agent joined this one's ``epc.agent.queue_depth``
-        gauge: stamp every queue change from now on, and park nothing (a
-        parked arrival joins its queue later than it arrives)."""
+        gauge: stamp every queue change from now on."""
         if type(self._queue) is not StampedQueue:
-            self._unpark()
             self._queue = StampedQueue(self._queue, self.sim.seq.__next__)
-            self._may_park = False
-
-    def _unpark(self) -> None:
-        """Admit what is due and post every other parked arrival under
-        its own key, as the channel would have; end the busy horizon."""
-        self.queue_depth  # a touch
-        parked = self._parked
-        while parked:
-            message = parked.popleft()
-            self.sim.post_keyed(message.queued_at, message.seq, self.enqueue,
-                                message)
-        self._end = self._floor = _NEG_INF
-        self._pending = None
 
     # -- arrivals --------------------------------------------------------------
-
-    def _arrive(self, message: ControlMessage) -> None:
-        """Hand over ``message`` from a channel, due at
-        ``message.queued_at``: reserve the key its arrival event has,
-        then park it or post that event.
-
-        It parks only when all of these hold (else the event is posted):
-        the agent has no overload policy and does not override
-        :meth:`enqueue` (``_may_park``); a busy period is certain to have
-        begun at a key at or below the arrival's — the agent is serving
-        now, or an arrival posted earlier will start one no later than
-        this one (``_pending``); the arrival is *strictly* before
-        ``_end``, the certain end of that period; and it is no earlier
-        than the last parked one. A message arriving at exactly the end
-        could find the agent gone idle, if the finish was keyed first.
-
-        Nothing parked ever becomes wrong: an arrival that turns up
-        later with an earlier key can only lengthen a policy-free busy
-        period, and ``_end`` is never more than the chain of service
-        times already certain.
-        """
-        at = message.queued_at
-        sim = self.sim
-        seq = message.seq = next(sim.seq)
-        if self._floor <= at < self._end and self._may_park:
-            parked = self._parked
-            if parked is _NONE:
-                parked = self._parked = deque()
-                sim.parkers.append(self)
-            parked.append(message)
-            self._end += self.service_time_s
-            self._floor = at
-            return
-        sim.post_keyed(at, seq, self.enqueue, message)
-        if not self._busy and self._pending is None:
-            self._pending = message
-            self._end = at + self.service_time_s
-            self._floor = at
-
-    def _admit_parked(self, at: float, seq: int) -> None:
-        """Parked arrivals keyed below ``(at, seq)`` join the queue, in
-        key order, each as of its own arrival."""
-        parked = self._parked
-        due = 0
-        for message in parked:
-            arrival = message.queued_at
-            if arrival > at or (arrival == at and message.seq >= seq):
-                break
-            due += 1
-        if not due:
-            return
-        if due == len(parked):
-            batch = list(parked)
-            parked.clear()
-        else:
-            batch = []
-            while due > len(batch):
-                batch.append(parked.popleft())
-        self.arrivals_parked += due
-        self._join(batch)
-
-    def _join(self, batch: Sequence[ControlMessage]) -> bool:
-        """The one admission body: each message of ``batch``, in order,
-        is offered to the queue as of its ``queued_at``. False when
-        overload protection shed one (a batch under a policy is a single
-        arrival: an agent with a policy parks nothing)."""
-        policy = self.overload
-        queue = self._queue
-        for message in batch:
-            self._enqueued += 1
-            if policy is not None and not self._admit(message, policy):
-                return False
-            queue.append(message)
-        depth = len(queue)  # only appends since the batch began
-        if depth > self._peak:
-            self._peak = depth
-            sim = self.sim
-            if depth > sim._agent_peak_queue:
-                sim._agent_peak_queue = depth
-        return True
 
     def enqueue(self, message: ControlMessage) -> None:
         """Accept an inbound message now (a channel's arrival event, or a
@@ -292,35 +152,26 @@ class ControlAgent:
         """
         sim = self.sim
         now = sim.now
-        if self._parked:
-            seq = getattr(message, "seq", -1)
-            if seq < 0:
-                self.queue_depth  # a direct call reads as a reader
-            else:
-                self._admit_parked(now, seq)
         message.queued_at = now
-        if not self._join((message,)):
+        self.enqueued += 1
+        policy = self.overload
+        if policy is not None and not self._admit(message, policy):
             return
-        pending = self._pending
+        queue = self._queue
+        queue.append(message)
+        depth = len(queue)
+        if depth > self.peak_queue_depth:
+            self.peak_queue_depth = depth
+            if depth > sim.agent_peak_queue:
+                sim.agent_peak_queue = depth
         if self._busy:
-            if message is pending:
-                self._pending = None
-            self._end += self.service_time_s
             return
         assert not self._in_handle, \
             f"{self.name}: re-entrant service start during handle()"
         self._busy = True
-        message = self._queue.popleft()
-        service = self.service_time_s
-        if message is pending:
-            self._pending = None  # _end already chains what parked
-        else:
-            self._end = now + service
-            parked = self._parked
-            self._floor = parked[-1].queued_at if parked else now
+        message = queue.popleft()
         self._m_wait.observe(now - message.queued_at)
-        seq = self._finish_seq = next(sim.seq)
-        sim.post_keyed(now + service, seq, self._finish_cb, message)
+        sim.post_at(now + self.service_time_s, self._finish_cb, message)
 
     # -- overload protection ---------------------------------------------------
 
@@ -383,9 +234,7 @@ class ControlAgent:
                   f"{type(message.payload).__name__}", cause=cause)
 
     def _shed_queue(self, cause: str) -> int:
-        """Shed every waiting message (e.g. a crash); returns the count.
-        Arrivals not yet due stay arrivals: they are posted."""
-        self._unpark()
+        """Shed every waiting message (e.g. a crash); returns the count."""
         queue = self._queue
         n = len(queue)
         while queue:
@@ -400,13 +249,9 @@ class ControlAgent:
     # -- serving ---------------------------------------------------------------
 
     def _finish(self, message: ControlMessage) -> None:
-        """Service completion: what arrived before this event joins the
-        queue, ``handle`` runs, and the next message starts service."""
-        sim = self.sim
-        if self._parked:
-            self._admit_parked(sim.now, self._finish_seq)
-        service = self.service_time_s
-        self.busy_time_s += service
+        """Service completion: ``handle`` runs, and the next message
+        starts service."""
+        self.busy_time_s += self.service_time_s
         self.processed += 1
         self._in_handle = True
         try:
@@ -415,53 +260,26 @@ class ControlAgent:
             self._in_handle = False
         queue = self._queue
         if not queue:
-            # the busy period ends now, and ``_end`` never exceeded it;
-            # an arrival already posted starts the next one
             self._busy = False
-            pending = self._pending
-            if pending is not None:
-                self._end = pending.queued_at + service
-                parked = self._parked
-                self._floor = (parked[-1].queued_at if parked
-                               else pending.queued_at)
             return
         message = queue.popleft()
+        sim = self.sim
         now = sim.now
         self._m_wait.observe(now - message.queued_at)
-        seq = self._finish_seq = next(sim.seq)
-        sim.post_keyed(now + service, seq, self._finish_cb, message)
+        sim.post_at(now + self.service_time_s, self._finish_cb, message)
 
-    # -- readers: each first admits the parked arrivals due by now -------------
+    # -- readers ---------------------------------------------------------------
 
     @property
     def queue_depth(self) -> int:
         """Messages currently waiting (excluding the one in service)."""
-        if self._parked:
-            self._admit_parked(*self.sim.ran_below())
         return len(self._queue)
 
     @property
     def in_flight(self) -> int:
         """Messages accepted but not yet fully served: the waiting queue
         plus the one in service (conservation-law term)."""
-        return self.queue_depth + (1 if self._busy else 0)
-
-    @property
-    def enqueued(self) -> int:
-        """Every message offered to (and accepted into) this agent's
-        bookkeeping, including ones later shed."""
-        self.queue_depth  # a touch
-        return self._enqueued
-
-    @enqueued.setter
-    def enqueued(self, count: int) -> None:
-        self._enqueued = count
-
-    @property
-    def peak_queue_depth(self) -> int:
-        """Deepest the queue has been."""
-        self.queue_depth  # a touch
-        return self._peak
+        return len(self._queue) + (1 if self._busy else 0)
 
     @property
     def _queue_gauge(self) -> Optional[Tuple[int, int, int, int]]:
@@ -476,10 +294,11 @@ class ControlAgent:
         deepest the queue has been, since only an append raises it.
         Stamped queues order same-named agents' readings.
         """
-        depth = self.queue_depth
-        if not self._peak:
+        peak = self.peak_queue_depth
+        if not peak:
             return None
-        return depth, 0, self._peak, getattr(self._queue, "stamp", 0)
+        queue = self._queue
+        return len(queue), 0, peak, getattr(queue, "stamp", 0)
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of elapsed time spent processing."""
@@ -549,6 +368,7 @@ class ControlChannel:
             return
         self.messages += 1
         self.bytes += getattr(payload, "size_bytes", 0)
-        now = self.sim.now
-        receiver._arrive(ControlMessage(payload, sender, now,
-                                        now + self.one_way_delay_s))
+        sim = self.sim
+        now = sim.now
+        sim.post_at(now + self.one_way_delay_s, receiver.enqueue,
+                    ControlMessage(payload, sender, now))

@@ -11,11 +11,13 @@ delivery into a heap they cannot see, they hand the payload to the shard
 boundary, which releases it at the next window barrier.
 
 Co-location contract: when both halves of a proxy pair live in the *same*
-shard (always true at ``shards=1``), the boundary short-circuits to a
-plain ``post_at`` into the local heap, and the channel resolves its real
-peer agent — timings, sender identities, and counters match the
-monolithic classes exactly. That is what makes ``shards=1`` the
-monolithic run rather than an approximation of it.
+shard (always true at ``shards=1``), the channel resolves its real peer
+agent and posts the arrival into the local heap at send time, as a
+:class:`~repro.epc.agents.ControlChannel` does (one event per arrival),
+and the boundary hands a link's record to its exit at once — timings,
+sender identities, and counters match the monolithic classes exactly.
+That is what makes ``shards=1`` the monolithic run rather than an
+approximation of it.
 
 Latency rule: a *cross*-shard proxy's one-way delay is a lookahead
 declaration — it must be strictly positive (the façade raises
@@ -136,26 +138,27 @@ class CrossShardChannel:
         self.messages += 1
         size = getattr(payload, "size_bytes", 0)
         self.bytes += size
-        sent_at = self.sim.now
+        sim = self.sim
+        sent_at = sim.now
         deliver_at = sent_at + self.one_way_delay_s
         peer = self.boundary.endpoints.get(self.peer_key)
         if peer is not None:
-            # Co-located: the arrival a ControlChannel hands over, with
+            # Co-located: the arrival event a ControlChannel posts, with
             # the *real* sender so identity routing holds.
             peer.received += 1
-            peer.local_agent._arrive(ControlMessage(payload, sender, sent_at,
-                                                    deliver_at))
+            sim.post_at(deliver_at, peer.local_agent.enqueue,
+                        ControlMessage(payload, sender, sent_at))
         else:
             self.boundary.buffer(self.peer_key, self.remote_shard,
                                  deliver_at, sent_at, payload)
 
     def _accept(self, deliver_at: float, payload: object,
                 sent_at: float) -> None:
-        """Ingress from the boundary: the local agent gets the message,
-        wrapped with the remote sender's stub, as a channel arrival."""
+        """Ingress from the boundary: post the local agent's arrival
+        event, the message wrapped with the remote sender's stub."""
         self.received += 1
-        self.local_agent._arrive(ControlMessage(payload, self._stub, sent_at,
-                                                deliver_at))
+        self.sim.post_at(deliver_at, self.local_agent.enqueue,
+                         ControlMessage(payload, self._stub, sent_at))
 
 
 class CrossShardLink(Link):

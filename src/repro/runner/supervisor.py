@@ -43,7 +43,8 @@ class TaskFailedError(RuntimeError):
     history, so the task-side traceback survives into the parent's
     error; ``slot``, ``exc_type`` (``"WorkerCrashed"``/``"WorkerHung"``
     when the process itself failed) and ``traceback_text`` read the
-    final failure. A task that raised inline has its own exception as
+    final failure, and ``postmortem_path`` the dump its exception
+    wrote, if any. A task that raised inline has its own exception as
     ``__cause__``.
     """
 
@@ -63,6 +64,7 @@ class TaskFailedError(RuntimeError):
         super().__init__("\n".join(lines))
         self.slot, self.exc_type = failure.slot, failure.exc_type
         self.traceback_text = failure.detail
+        self.postmortem_path = failure.postmortem_path
 
 
 @dataclass
@@ -215,7 +217,8 @@ def _run_inline(fn, items, labels, pending, retries, report,
                 failure = TaskFailure(
                     labels[slot], slot, len(history) + 1, "exception",
                     task_traceback(exc), time.monotonic() - started,
-                    type(exc).__name__)
+                    type(exc).__name__,
+                    getattr(exc, "postmortem_path", None))
                 _retry_or_raise(failure, items[slot], history, retries,
                                 report, cause=exc)
             else:

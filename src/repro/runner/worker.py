@@ -116,6 +116,9 @@ class TaskFailure:
     detail: str
     elapsed_s: float
     exc_type: str = ""
+    #: the post-mortem the task's exception already wrote, if any (an
+    #: invariant violation's dump), so the parent does not write another
+    postmortem_path: Optional[str] = None
 
 
 def run_task(fn: Callable[[Any], Any], item: Any) -> Any:
@@ -167,10 +170,11 @@ def _worker_main(conn) -> None:
     Protocol (one duplex pipe): parent -> worker ``(label, fn, item)``
     or ``None`` to stop; worker -> parent ``("beat",)`` every
     :data:`BEAT_S` while a task runs, then ``("done", result)`` or
-    ``("fail", exc_type, traceback_text)``. One task at a time, so a
-    reply always belongs to the task its handle holds. Replies are
-    pickled before the send lock is taken: an unpicklable result is a
-    task failure, not a torn pipe, and a beat never interleaves a result.
+    ``("fail", exc_type, traceback_text, postmortem_path)``. One task
+    at a time, so a reply always belongs to the task its handle holds.
+    Replies are pickled before the send lock is taken: an unpicklable
+    result is a task failure, not a torn pipe, and a beat never
+    interleaves a result.
     """
     if HUB.active:  # inherited via fork from a mid-run parent
         HUB.abort_run()
@@ -213,7 +217,8 @@ def _worker_main(conn) -> None:
                 reply = ForkingPickler.dumps(("done", result))
             except Exception as exc:
                 reply = ForkingPickler.dumps(
-                    ("fail", type(exc).__name__, task_traceback(exc)))
+                    ("fail", type(exc).__name__, task_traceback(exc),
+                     getattr(exc, "postmortem_path", None)))
             running.clear()
             with send_lock:
                 conn.send_bytes(reply)
@@ -279,10 +284,12 @@ class Worker:
         self.started_at = self.last_beat = time.monotonic()
         self.conn.send((label, fn, item))
 
-    def failure(self, kind: str, detail: str, exc_type: str) -> TaskFailure:
+    def failure(self, kind: str, detail: str, exc_type: str,
+                postmortem_path: Optional[str] = None) -> TaskFailure:
         """The current task's failure record."""
         return TaskFailure(self.label, self.slot, self.attempt, kind, detail,
-                           time.monotonic() - self.started_at, exc_type)
+                           time.monotonic() - self.started_at, exc_type,
+                           postmortem_path)
 
     def kill(self) -> None:
         """SIGTERM (the worker dumps its flight recorder and exits),
@@ -356,7 +363,7 @@ def watch(workers: List[Worker], task_timeout_s: Optional[float] = None
                 yield worker, "done", message[1]
             else:
                 yield worker, "exception", worker.failure(
-                    "exception", message[2], message[1])
+                    "exception", message[2], message[1], message[3])
         now = time.monotonic()
         for worker in busy.values():
             if not worker.busy:

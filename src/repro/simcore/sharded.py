@@ -105,8 +105,8 @@ class ShardBoundary:
     def register(self, key: str, endpoint: Any) -> None:
         """Register an ingress endpoint. It must expose ``_accept(deliver_at,
         payload, sent_at)``, called when the record is handed over (at a
-        barrier, or at once when co-located), which schedules or parks
-        the delivery."""
+        barrier, or at once when co-located), which schedules the
+        delivery."""
         if key in self.endpoints:
             raise ValueError(f"duplicate boundary endpoint key {key!r}")
         self.endpoints[key] = endpoint
@@ -161,7 +161,7 @@ class ShardHost:
 
     def inject(self, records: Sequence[Record]) -> None:
         """Hand cross-shard records to their endpoints, in order: each
-        reserves its heap key here, as a local send would at send time.
+        posts its delivery here, as a local send would at send time.
 
         Every record must be due at or after the local clock; an earlier
         deadline means some coupling declared more lookahead than the

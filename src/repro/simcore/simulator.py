@@ -65,14 +65,12 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self._heap: List[Tuple[float, int, ScheduledCall, Callable, tuple]] = []
         #: the heap's tie-break counter: entries at equal times run in
-        #: the order their numbers were drawn. ``next(sim.seq)`` reserves
-        #: a key now for an entry :meth:`post_keyed` may post later; a
-        #: number that is never posted is a gap, and gaps order nothing.
+        #: the order they were posted, one number per entry. A stamped
+        #: queue (``telemetry.registry.StampedQueue``) draws from it too,
+        #: to order same-named gauges' readings; a number that no entry
+        #: carries is a gap, and gaps order nothing.
         self.seq = itertools.count()
         self._running = False
-        #: the key below which every entry has run, as of the last
-        #: :meth:`run` (see :meth:`ran_below`)
-        self._ran_below: Tuple[float, int] = (float("-inf"), 0)
         #: horizon of the run in progress; None tells an audit sweep
         #: it must not keep the queue alive
         self._until: Optional[float] = None
@@ -84,13 +82,9 @@ class Simulator:
         self.heap_high_water = 0
         #: deepest ControlAgent queue seen in this sim and total messages
         #: shed by overload protection — maintained by repro.epc.agents,
-        #: exported alongside heap_high_water (plain ints: passive; the
-        #: peak is read through :attr:`agent_peak_queue`)
-        self._agent_peak_queue = 0
+        #: exported alongside heap_high_water (plain ints: passive)
+        self.agent_peak_queue = 0
         self.agents_shed = 0
-        #: agents holding parked arrivals (``ControlAgent._parked``),
-        #: caught up before :attr:`agent_peak_queue` is read
-        self.parkers: List[Any] = []
         #: deepest link egress queue seen and total ECN CE-marks applied
         #: — maintained by repro.net.links, same passive-int pattern
         self.link_peak_queue = 0
@@ -159,18 +153,6 @@ class Simulator:
                                 category, message, **fields)
 
     @property
-    def agent_peak_queue(self) -> int:
-        """Deepest ControlAgent queue seen: a reader, so every agent's
-        parked arrivals that are due by now join their queues first."""
-        for agent in self.parkers:
-            agent.queue_depth
-        return self._agent_peak_queue
-
-    @agent_peak_queue.setter
-    def agent_peak_queue(self, depth: int) -> None:
-        self._agent_peak_queue = depth
-
-    @property
     def metrics(self):
         """This simulator's :class:`~repro.telemetry.MetricsRegistry`."""
         return self.telemetry.metrics
@@ -211,19 +193,6 @@ class Simulator:
         """
         heap = self._heap
         heapq.heappush(heap, (time, next(self.seq), None, fn, args))
-        if len(heap) > self.heap_high_water:
-            self.heap_high_water = len(heap)
-
-    def post_keyed(self, time: float, seq: int, fn: Callable,
-                   *args: Any) -> None:
-        """:meth:`post_at` under a key reserved earlier with
-        ``next(sim.seq)``: the entry runs where it would have run had it
-        been posted at the moment of the reservation. A control channel
-        reserves its arrival's key at send time and posts the arrival
-        only when the receiving agent cannot park it
-        (``ControlAgent._arrive``)."""
-        heap = self._heap
-        heapq.heappush(heap, (time, seq, None, fn, args))
         if len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
 
@@ -309,7 +278,6 @@ class Simulator:
         fr_ring = self._fr_ring
         fr_cap = len(fr_ring)
         fr_idx = self._fr_idx
-        stopped_at = None
         try:
             while heap:
                 entry = heap[0]
@@ -317,7 +285,6 @@ class Simulator:
                     self.now = until
                     break
                 if bounded and executed >= max_events:
-                    stopped_at = entry[:2]
                     break
                 time, _seq, handle, fn, args = heappop(heap)
                 if handle is not None and handle.cancelled:
@@ -342,24 +309,7 @@ class Simulator:
         finally:
             self._fr_idx = fr_idx
             self._running = False
-            self._ran_below = (stopped_at if stopped_at is not None
-                               else (self.now, next(self.seq)))
         return self.now
-
-    def ran_below(self) -> Tuple[float, int]:
-        """The heap key below which every entry has run.
-
-        Outside :meth:`run` this is exact: the key of the first entry a
-        ``max_events`` stop left queued, else ``(now, n)`` with ``n`` a
-        number drawn when the run stopped, so everything due by ``now``
-        that was keyed before the stop counts as run. Inside a run it is
-        ``(now, -1)``: the running entry's own key is not kept (that
-        would be a store per event), so only what is due before ``now``
-        counts.
-        """
-        if self._running:
-            return (self.now, -1)
-        return self._ran_below
 
     def flight_events(self) -> List[Tuple[float, Callable]]:
         """The flight-recorder tail: recent ``(time, callback)`` dispatches.

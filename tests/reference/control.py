@@ -1,18 +1,17 @@
 """Test oracle: the control plane as one heap event per arrival.
 
-Frozen copies of the ``ControlAgent`` / ``ControlChannel`` bodies
-production ran until an arrival that finds its agent busy was parked
-instead of posted: a channel send posts an arrival event that calls
-``enqueue``; ``enqueue`` sets ``queued_at`` and the
-``epc.agent.queue_depth`` gauge and kicks ``_serve_next``, which pops,
-sets the gauge again, observes the wait and posts ``_finish``.
+Frozen copies of the ``ControlAgent`` / ``ControlChannel`` bodies as
+they ran before the queue-depth gauge was read at export: a channel
+send posts an arrival event that calls ``enqueue``; ``enqueue`` sets
+``queued_at`` and the ``epc.agent.queue_depth`` gauge and kicks
+``_serve_next``, which pops, sets the gauge again, observes the wait
+and posts ``_finish``. Production keeps the same events, with the
+service start inline and the gauge read when telemetry is read.
 
-Production must match these bit for bit in everything but the events it
-executes; ``test_control_twin.py`` runs random agent graphs through
-both, and ``test_shard_edge_twin.py`` runs sharded ones with
-:class:`ReferenceCrossShardChannel` at the boundary. Build a graph from
-these classes only: they deliver to ``enqueue``, which a production
-agent would treat as a direct call.
+Production must match these bit for bit; ``test_control_twin.py`` runs
+random agent graphs through both, and ``test_shard_edge_twin.py`` runs
+sharded ones with :class:`ReferenceCrossShardChannel` at the boundary.
+Build a graph from these classes only.
 """
 
 from __future__ import annotations

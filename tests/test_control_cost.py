@@ -5,23 +5,21 @@ whose handler does nothing, and the run is traced with ``sys.settrace``:
 ``call`` events count Python frames, and the simulator counts heap
 events. Both are divided by the messages served. The counts repeat
 exactly from run to run and time nothing. The same graph built from
-:mod:`tests.reference.control` (one arrival event per message, a queue
-gauge set on every change) is what the agent cost before arrivals that
-find it busy were parked.
+:mod:`tests.reference.control` (a queue gauge set on every change and a
+service start through ``_serve_next``) is the reference.
 
 Four agent states:
 
 - idle: messages 2 ms apart at 0.5 ms of service, so every arrival
-  finds the agent idle and is posted: two events, as before;
+  finds the agent idle;
 - burst: all messages sent at one instant, as X2 peers that report on
-  one clock send them: the first arrival is posted and starts the busy
-  period, the other k - 1 park, so k messages cost k + 1 events (2k
-  before);
-- queued: messages 0.3 ms apart, so each arrives mid-service and parks;
-- overload: the burst again under an ``OverloadPolicy``, which parks
-  nothing (its sheds can end a busy period): two events per message.
+  one clock send them;
+- queued: messages 0.3 ms apart, so each arrives mid-service;
+- overload: the burst again under an ``OverloadPolicy``.
 
-Frames fall in every state, parked or not, because the queue-depth
+Every state costs exactly the reference's two heap events per message:
+its arrival and its service completion. Frames per message stay
+strictly below the reference's in every state, because the queue-depth
 gauge is read at export instead of set twice per message and the
 service start is inline in ``enqueue`` and ``_finish``.
 """
@@ -77,20 +75,15 @@ def _cost(state, reference=False):
     return (sim.events_executed - MESSAGES) / MESSAGES, calls / MESSAGES
 
 
-#: state -> max frames per message. Measured 10.02 / 7.11 / 8.27 / 11.02;
-#: the reference reads 13.05 / 14.00 / 12.84 / 15.00.
-STATES = {"idle": 10.1, "burst": 7.2, "queued": 8.3, "overload": 11.1}
-#: heap events per message: two when the arrival is posted, and k + 1
-#: for k messages when all but the first park
-EVENTS = {"idle": 2.0, "burst": (MESSAGES + 1) / MESSAGES,
-          "queued": (MESSAGES + 1) / MESSAGES, "overload": 2.0}
+#: state -> max frames per message. Measured 8.02 / 8.02 / 8.02 / 9.02;
+#: the reference reads 13.02 / 12.03 / 12.03 / 13.03.
+STATES = {"idle": 8.1, "burst": 8.1, "queued": 8.1, "overload": 9.1}
 
 
 @pytest.mark.parametrize("state", list(STATES))
-def test_a_control_message_costs_one_event_when_its_agent_is_busy(state):
+def test_a_control_message_costs_two_events_and_fewer_frames(state):
     events, calls = _cost(state)
-    assert events == EVENTS[state], (state, events, calls)
-    assert calls <= STATES[state], (state, events, calls)
     ref_events, ref_calls = _cost(state, reference=True)
-    assert ref_events == 2.0
+    assert events == ref_events == 2.0, (state, events, ref_events)
+    assert calls <= STATES[state], (state, events, calls)
     assert calls < ref_calls, (state, calls, ref_calls)

@@ -1,41 +1,33 @@
-"""Hypothesis twin: parked arrivals against one event per arrival.
+"""Hypothesis twin: production control agents against the reference.
 
 Random agent graphs run twice, once built from ``ControlAgent`` /
 ``ControlChannel`` and once from :mod:`tests.reference.control`'s
-``ReferenceAgent`` / ``ReferenceChannel``, whose bodies are the control
-plane as it ran before an arrival that finds its agent busy was parked.
-The graphs vary service times and channel delays on one binary tick (so
-float sums tie exactly, and arrivals land on busy-period ends), mix
-self-channels with ordinary ones, and drive them with single sends,
-same-instant broadcasts, multi-hop relays, overload policies installed
-and cleared mid-run, direct ``enqueue`` calls, ``run(until=)`` stops and
-reads between and inside runs. Both runs must agree on every ``handle``
+``ReferenceAgent`` / ``ReferenceChannel``: one arrival event per
+message, a service start through ``_serve_next`` and a queue gauge set
+on every change. The graphs vary service times and channel delays on
+one binary tick (so float sums tie exactly, and arrivals land on
+busy-period ends), mix self-channels with ordinary ones, and drive them
+with single sends, same-instant broadcasts, multi-hop relays, overload
+policies installed and cleared mid-run, direct ``enqueue`` calls,
+``run(until=)`` stops and reads between and inside runs, on the arrival
+grid and half a tick off it. Both runs must agree on every ``handle``
 (time, agent, message, ``queued_at``, ``sent_at``, sender, in order),
 on every agent's depth, in-flight count, peak and ledger at every read,
 on the simulator's ``agent_peak_queue``, and on every exported row.
 
-What happens inside a run lands half a tick off the arrival grid. A
-reader, a direct call or a policy change at exactly an arrival's
-instant is the one documented difference (``ControlAgent``'s
-docstring): it does not see an arrival due at exactly ``now``.
-``test_a_read_at_an_arrival_instant_misses_only_what_arrives_then`` pins it.
-
-Two hand-made mutants show the comparison has teeth: a park that treats
-an arrival at exactly the end of a busy period as inside it (ignoring
-that the finish was keyed first), and a ``_finish`` that admits every
-arrival due by ``now`` instead of those keyed below its own event.
+A hand-made mutant shows the comparison has teeth: an idle agent that
+starts service through an event of its own at ``now`` instead of
+inline, which ``enqueue``'s docstring says would reorder seeded
+schedules.
 """
 
-import sys
-from collections import deque
 from dataclasses import dataclass
 
 import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from repro.epc.agents import (_NONE, ControlAgent, ControlChannel,
-                              ControlMessage)
+from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
 from repro.epc.nas import AttachRequest, DetachRequest
 from repro.epc.overload import OverloadPolicy
 from repro.simcore import Simulator
@@ -72,7 +64,8 @@ _scenarios = st.integers(2, 5).flatmap(lambda n: st.fixed_dictionaries({
                       min_size=1, max_size=30),
     "bursts": st.lists(st.tuples(st.integers(0, 40), st.integers(0, n - 1),
                                  st.integers(0, 2)), max_size=6),
-    "ops": st.lists(st.tuples(st.integers(0, 60), st.integers(0, n - 1),
+    "ops": st.lists(st.tuples(st.integers(0, 60), st.sampled_from([0, 0.5]),
+                              st.integers(0, n - 1),
                               st.sampled_from(["read", "read", "policy",
                                                "clear", "enqueue"])),
                     max_size=6),
@@ -162,8 +155,8 @@ def _run(scenario, agent_cls, channel_cls):
         sim.at(tick * TICK, send, channel, sender, hops, kind)
     for tick, which, hops in scenario["bursts"]:
         sim.at(tick * TICK, burst, agents[which], hops)
-    for tick, which, kind in scenario["ops"]:
-        sim.at((tick + 0.5) * TICK, op, kind, agents[which])
+    for tick, offset, which, kind in scenario["ops"]:
+        sim.at((tick + offset) * TICK, op, kind, agents[which])
     for stop in sorted(scenario["stops"]):
         sim.run(until=stop * TICK)
         reads.append(("stop", sim.now, _state(sim, agents),
@@ -181,79 +174,65 @@ def _twin_property(agent_base, **overrides):
     @settings(max_examples=200, deadline=None, derandomize=True,
               report_multiple_bugs=False, **overrides)
     def holds(scenario):
-        parked = _run(scenario, agent_cls, ControlChannel)
+        production = _run(scenario, agent_cls, ControlChannel)
         reference = _run(scenario, reference_cls, ReferenceChannel)
         for key in reference:
-            assert parked[key] == reference[key], key
+            assert production[key] == reference[key], key
     return holds
 
 
-test_parked_arrivals_match_one_event_per_arrival = _twin_property(
-    ControlAgent)
+test_agents_match_one_event_per_arrival = _twin_property(ControlAgent)
 
 
-def test_a_read_at_an_arrival_instant_misses_only_what_arrives_then():
-    """The documented difference, pinned: a reader running at exactly the
-    instant parked messages arrive does not count them yet (the events
-    they replace were keyed before the reader's); the next touch does,
-    and nothing else moves."""
-    for agent_cls, channel_cls, seen in (
-            (_agent_class(ControlAgent), ControlChannel, 0),
-            (_agent_class(ReferenceAgent), ReferenceChannel, 2)):
+def test_a_read_at_an_arrival_instant_sees_what_arrives_then():
+    """A reader running at exactly the instant messages arrive, keyed
+    after their arrival events, counts them, as the reference does."""
+    for agent_cls, channel_cls in (
+            (_agent_class(ControlAgent), ControlChannel),
+            (_agent_class(ReferenceAgent), ReferenceChannel)):
         sim = Simulator(seed=0)
         log, routes = [], _Routes()
         source = agent_cls(sim, "src", 0.0, log, routes)
         core = agent_cls(sim, "core", 4 * TICK, log, routes)
         channel = channel_cls(sim, source, core, TICK, name="c")
-        for uid in range(3):  # one in service from TICK, two parked
+        for uid in range(3):  # one in service from TICK, two waiting
             channel.send(source, routes.payload(uid, 0, "note"))
         depths = []
         sim.at(TICK, lambda: depths.append(core.queue_depth))
         sim.at(2 * TICK, lambda: depths.append(core.queue_depth))
         sim.run()
-        assert depths == [seen, 2]
+        assert depths == [2, 2]
         assert [uid for _t, name, uid, *_ in log] == [0, 1, 2]
 
 
-# -- mutants the twin must kill -----------------------------------------------
+# -- a mutant the twin must kill ----------------------------------------------
 
-class _SeqBlindPark(ControlAgent):
-    """Mutant: an arrival at exactly the end of the busy period parks,
-    as if it were keyed before the finish that ends the period."""
+class _PostedStart(ControlAgent):
+    """Mutant: an arrival that finds the agent idle only joins the
+    queue, and service starts in an event of its own posted at ``now``."""
 
-    def _arrive(self, message):
-        at = message.queued_at
-        sim = self.sim
-        seq = message.seq = next(sim.seq)
-        if self._floor <= at <= self._end and self._may_park:
-            if self._parked is _NONE:
-                self._parked = deque()
-                sim.parkers.append(self)
-            self._parked.append(message)
-            self._end += self.service_time_s
-            self._floor = at
+    def enqueue(self, message):
+        idle = not self._busy
+        # the inline start sees a busy agent; admission cannot tell, as
+        # no policy in POLICIES refuses below an admission limit of 2
+        self._busy = True
+        super().enqueue(message)
+        if idle:
+            self._busy = False
+            self.sim.post_at(self.sim.now, self._start)
+
+    def _start(self):
+        if self._busy or not self._queue:
             return
-        sim.post_keyed(at, seq, self.enqueue, message)
-        if not self._busy and self._pending is None:
-            self._pending = message
-            self._end = at + self.service_time_s
-            self._floor = at
+        self._busy = True
+        message = self._queue.popleft()
+        now = self.sim.now
+        self._m_wait.observe(now - message.queued_at)
+        self.sim.post_at(now + self.service_time_s, self._finish_cb, message)
 
 
-class _TimeOnlyFinish(ControlAgent):
-    """Mutant: a finish admits every parked arrival due by ``now``, also
-    those keyed after the finish itself."""
-
-    def _finish(self, message):
-        if self._parked:
-            self._admit_parked(self.sim.now, sys.maxsize)
-        self._finish_seq = -1  # nothing left for the real admission
-        super()._finish(message)
-
-
-@pytest.mark.parametrize("agent_base", [_SeqBlindPark, _TimeOnlyFinish],
-                         ids=["park-ignores-the-seq-tie",
-                              "finish-admits-by-time-only"])
+@pytest.mark.parametrize("agent_base", [_PostedStart],
+                         ids=["service-start-posted"])
 def test_the_twin_kills_a_mutant(agent_base):
     with pytest.raises(AssertionError):
         # generate only: nobody reads the shrunk example

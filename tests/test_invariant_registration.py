@@ -49,15 +49,8 @@ def test_armed_e16_watches_every_link_and_agent_it_builds(monkeypatch):
                 if law in watched:
                     watched[law] += 1
         # the sweep kept the parent's grid: an armed E16 executes exactly
-        # the events the walker-armed E16 did (dLTE arm, centralized arm),
-        # counting each parked arrival as the arrival event it replaces
-        for agent in built[ControlAgent]:
-            agent.queue_depth  # a read admits what is due
-        parked = [sum(agent.arrivals_parked for agent in built[ControlAgent]
-                      if agent.sim is c.sim) for c in audit]
-        assert [c.sim.events_executed + n
-                for c, n in zip(audit, parked)] == [4295, 7080]
-        assert parked == [54, 0]
+        # the events the walker-armed E16 did (dLTE arm, centralized arm)
+        assert [c.sim.events_executed for c in audit] == [4295, 7080]
     assert len(built[Link]) == watched["link-conservation"] == 90
     assert len(built[ControlAgent]) == watched["agent-conservation"] == 40
 
@@ -238,7 +231,12 @@ def test_a_leak_in_a_jobs_cell_fails_the_run(tmp_path, leaky_e7):
         main(argv + ["--invariants"])
     assert "link-conservation on leaky" in str(failure.value)
     assert failure.value.exc_type == "InvariantError"
-    assert _postmortems(tmp_path)
+    # one post-mortem per violation: the worker's, named by the error
+    # that came home, and none from the parent
+    assert os.path.basename(failure.value.postmortem_path) in _postmortems(
+        tmp_path)
+    assert not [name for name in os.listdir(tmp_path)
+                if name.startswith("postmortem-experiment-exception-")]
     assert Simulator.arming is None
 
 

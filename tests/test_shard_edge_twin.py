@@ -14,12 +14,12 @@ window or a whole multiple of it, so records fall due exactly on window
 edges. Agents with zero service time finish the instant a message
 arrives, so an event on an edge makes more events at that edge: if a
 window ran its edge, those would run before the records injected for
-that edge, not after. Parked arrivals meet injected records at the edge
-too: a record for an agent already busy parks at the barrier, behind
-what parked during the window. Both runs must agree on every ``handle``
-in every shard (time, agent, message, ``queued_at``, ``sent_at``,
-sender, in order), every agent's ledger and peak, and the records
-withheld past the horizon.
+that edge, not after. Arrivals meet injected records at the edge too:
+a record's arrival event is posted at the barrier, after every arrival
+the window posted for the same instant. Both runs must agree on every
+``handle`` in every shard (time, agent, message, ``queued_at``,
+``sent_at``, sender, in order), every agent's ledger and peak, and the
+records withheld past the horizon.
 
 The twin kills the mutant no E19 cell and no test in
 ``test_sharded_sim.py`` catches: a non-final window run inclusive of

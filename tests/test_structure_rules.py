@@ -110,6 +110,13 @@ RULES: Tuple[Rule, ...] = (
          ("src/",), (),
          "every link keeps the byte ledger on the one _admit/_advance; no "
          "mode flag that selects a twin"),
+    Rule("one-event-per-arrival",
+         r"post_keyed|ran_below|arrivals_parked|_admit_parked|_unpark\b"
+         r"|\.parkers",
+         ("src/",), (),
+         "every control arrival is one heap event posted at send time, as "
+         "tests/reference/control.py runs it; an arrival parked on a busy "
+         "agent and admitted lazily is a second queue a reader can see"),
 )
 
 #: rule name -> (path, line): a file holding the line must fail the rule
@@ -139,6 +146,9 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
         "src/repro/enodeb/cell.py", "self._scan_rows()"),
     "one-link-admission-path": (
         "src/repro/net/links.py", "if self._managed:"),
+    "one-event-per-arrival": (
+        "src/repro/epc/agents.py",
+        "self.sim.post_keyed(at, seq, self.enqueue, message)"),
 }
 
 #: (path, line number, text) of one line that matched a rule's pattern
