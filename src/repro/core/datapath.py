@@ -83,6 +83,9 @@ class EpcDataPlane(NetworkNode):
     def __init__(self, sim: Simulator, name: str, address: IPv4Address,
                  internet_via: str,
                  processing_delay_s: float = 0.2e-3) -> None:
+        if processing_delay_s < 0:
+            raise ValueError(f"processing delay must be non-negative, "
+                             f"got {processing_delay_s}")
         super().__init__(sim, name)
         self.address = address
         self.internet_via = internet_via
@@ -111,7 +114,9 @@ class EpcDataPlane(NetworkNode):
             self._teid_by_enb[enb_address] = teid
 
     def handle(self, packet: Packet) -> None:
-        self.sim.schedule(self.processing_delay_s, self._process, packet)
+        # never cancelled: no ScheduledCall per GTP packet
+        sim = self.sim
+        sim.post_at(sim.now + self.processing_delay_s, self._process, packet)
 
     def _process(self, packet: Packet) -> None:
         if packet.dst == self.address and packet.tunnel_depth > 0:

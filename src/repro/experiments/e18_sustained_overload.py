@@ -16,7 +16,7 @@ Each (architecture x load) cell runs twice:
   Deep buffers absorb the overload as seconds of queueing delay until
   they tail-drop in bursts; senders RTO and refill go-back-N style,
   and the duplicates compete with fresh data for the same bottleneck.
-* **AQM + ECN** — CoDel (or RED via ``aqm=``) on every access link,
+* **AQM + ECN** — CoDel on every access link,
   marking ECT traffic instead of dropping it: senders halve ``cwnd``
   without losing anything, sojourn stays near the 5 ms target, and
   goodput holds at capacity no matter how far past saturation the
@@ -55,7 +55,7 @@ from repro.epc.qos import (BearerPolicer, CLASS_BULK, CLASS_GBR,
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
 from repro.metrics.tables import ResultTable
-from repro.net.aqm import make_aqm
+from repro.net.aqm import CoDelDiscipline
 from repro.runner import parallel_map
 from repro.transport.base import ConnectionState, TransportDemux
 from repro.transport.tcp import TcpConnection, TcpListener
@@ -79,13 +79,9 @@ VIDEO_SEGMENT_S = 1.0
 WEB_RETRY_S = 3.0
 WEB_RETRIES = 3
 
-#: AQM parameters sized to the rural path (~100 ms RTT): CoDel's 5 ms
-#: LAN default would underutilize the pipe, RED's 5/15-packet
-#: thresholds would fire below this path's bandwidth-delay product
-AQM_KWARGS = {
-    "codel": {"target_s": 0.02, "interval_s": 0.2},
-    "red": {"min_th": 30.0, "max_th": 90.0},
-}
+#: CoDel sized to the rural path (~100 ms RTT): its 5 ms LAN default
+#: would underutilize the pipe
+CODEL_KWARGS = {"target_s": 0.02, "interval_s": 0.2}
 
 #: per-UE app assignment cycle — web-dominant, like the measured mix
 APP_CYCLE = ("web", "video", "voip", "web", "web", "web")
@@ -117,7 +113,7 @@ def _access_links(net) -> List:
 
 def _run_cell(task: Tuple) -> Dict[str, float]:
     """One (arch, mode, load) cell; picklable for parallel_map."""
-    (arch, aqm_on, load, n_aps, ue_per_ap, seed, scenario, qos, aqm,
+    (arch, aqm_on, load, n_aps, ue_per_ap, seed, scenario, qos,
      chaos_at_s, settle_s, warmup_s, measure_s, backhaul_bps) = task
     town = RuralTown(radius_m=1500.0, n_ues=n_aps * ue_per_ap,
                      n_aps=n_aps, seed=seed,
@@ -132,8 +128,7 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
     bottlenecks = _access_links(net)
     if aqm_on:
         for link in bottlenecks:
-            link.set_aqm(make_aqm(aqm, ecn=True,
-                                  **AQM_KWARGS.get(aqm, {})))
+            link.set_aqm(CoDelDiscipline(ecn=True, **CODEL_KWARGS))
 
     policer = None
     if qos and arch == "cent":
@@ -349,8 +344,7 @@ _ARCHITECTURES = (("Centralized LTE", "cent"), ("dLTE stubs", "dlte"))
 
 def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
         ue_per_ap: int = 6, seed: int = 11, scenario: str = "",
-        qos: bool = True, aqm: str = "codel",
-        chaos_at_s: float = 2.0, settle_s: float = 6.0,
+        qos: bool = True, chaos_at_s: float = 2.0, settle_s: float = 6.0,
         warmup_s: float = 2.0, measure_s: float = 15.0,
         backhaul_bps: float = 6e6) -> ResultTable:
     """Goodput-vs-offered-load across architectures and queue disciplines.
@@ -358,7 +352,7 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
     ``loads`` multiplies the aggregate access capacity: each cell
     offers ``load * n_aps * backhaul_bps`` of web/video traffic (plus
     fixed-rate VoIP) and is run once with the seed's drop-tail FIFO and
-    once with ``aqm`` (+ ECN) on every access link. ``qos`` installs
+    once with CoDel (+ ECN) on every access link. ``qos`` installs
     the per-bearer policer at the centralized gateway; ``scenario``
     overlays a named chaos storm at ``chaos_at_s`` after traffic
     starts. ``--invariants`` audits every cell, packet *and* byte
@@ -367,7 +361,7 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
     if loads is None:
         loads = (0.5, 2.0, 4.0)
     cells = [(arch_key, aqm_on, load, n_aps, ue_per_ap, seed, scenario,
-              qos, aqm, chaos_at_s, settle_s, warmup_s, measure_s,
+              qos, chaos_at_s, settle_s, warmup_s, measure_s,
               backhaul_bps)
              for load in loads
              for _label, arch_key in _ARCHITECTURES
@@ -378,7 +372,7 @@ def run(loads: Optional[Sequence[float]] = None, n_aps: int = 1,
     suffix = f" under {scenario!r}" if scenario else ""
     table = ResultTable(
         f"E18: sustained overload{suffix} — goodput vs offered load, "
-        f"{aqm}+ECN vs drop-tail",
+        "codel+ECN vs drop-tail",
         ["arch", "mode", "load_x", "offered_mbps", "goodput_mbps",
          "web_done", "web_fct_p50_s", "web_fct_p999_s", "video_p999_s",
          "voip_p999_ms", "ecn_marks", "aqm_drops", "tail_drops",

@@ -8,15 +8,13 @@ falls over, the spectrum registry is unreachable. The
 on the existing :class:`~repro.simcore.simulator.Simulator` clock.
 
 Every injection is *named* and *logged* (``injector.log``) and traced
-(``sim.trace("fault", ...)``), and all randomness a fault needs (packet
-loss draws) flows through the simulator's :class:`RngRegistry` — so a
-whole fault campaign is reproducible from ``(seed, schedule)`` alone.
+(``sim.trace("fault", ...)``), and no fault draws a random number — so
+a whole fault campaign is reproducible from ``(seed, schedule)`` alone.
 
 Fault kinds:
 
 * :meth:`FaultInjector.link_flap` — periodic down/up cycles of a
   :class:`~repro.net.links.Link`;
-* :meth:`FaultInjector.link_loss` — probabilistic per-packet loss;
 * :meth:`FaultInjector.crash` — crash anything with a
   ``crash()``/``restart()`` lifecycle (a :class:`DLTEAccessPoint`, a
   :class:`LocalCoreStub`), optionally restarting it later;
@@ -52,9 +50,8 @@ class FaultInjector:
 
     All methods take *absolute* simulated times (``at_s``), may be called
     before or during a run, and return immediately — the actions execute
-    on the simulator clock. The injector never draws randomness itself;
-    probabilistic loss is drawn inside :class:`Link` from a per-link
-    named stream, keeping campaigns deterministic.
+    on the simulator clock. The injector never draws randomness, keeping
+    campaigns deterministic.
     """
 
     def __init__(self, sim: Simulator) -> None:
@@ -126,22 +123,6 @@ class FaultInjector:
             self._at(t, fault, "down", self._cut, link)
             self._at(t + down_s, fault, "up", self._heal, link)
             t += down_s + up_s
-        return fault
-
-    def link_loss(self, link: Link, at_s: float, loss_rate: float,
-                  duration_s: Optional[float] = None,
-                  name: Optional[str] = None) -> str:
-        """Impose per-packet loss on ``link``; clears after the duration."""
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError("loss rate must be in [0, 1]")
-        if duration_s is not None and duration_s <= 0:
-            raise ValueError("duration must be positive")
-        fault = self._unique(name, f"link-loss:{link.name}")
-        self._at(at_s, fault, f"loss={loss_rate:g}",
-                 link.set_loss_rate, loss_rate)
-        if duration_s is not None:
-            self._at(at_s + duration_s, fault, "loss cleared",
-                     link.set_loss_rate, 0.0)
         return fault
 
     # -- control-plane faults ----------------------------------------------

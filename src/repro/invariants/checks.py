@@ -14,9 +14,9 @@ constructor:
   ``offered == delivered + dropped + in_flight`` in packets and in
   *bytes* on every link, with ``in_flight`` read off the link's queue
   and flight (a packet popped and never counted is a leak); every drop
-  is attributed to a cause (``overflow + down + loss + aqm ==
-  dropped``); marking instead of dropping must not leak a byte;
-  reading the link admits its due deferred offers, so none may remain;
+  is attributed to a cause (``overflow + down + aqm == dropped``);
+  marking instead of dropping must not leak a byte; reading the link
+  admits its due deferred offers, so none may remain;
 * **router hand-off** (:meth:`watch_router`): ``forwarded`` equals the
   offers its links admitted plus those still pending;
 * **NAT accounting** (:meth:`watch_nat`): bindings only exist for
@@ -112,13 +112,12 @@ class InvariantChecker:
         def check() -> List[str]:
             problems = []
             causes = (link.dropped_overflow + link.dropped_down
-                      + link.dropped_loss + link.dropped_aqm)
+                      + link.dropped_aqm)
             if causes != link.dropped:
                 problems.append(
                     f"unattributed drops: {link.dropped} total != "
                     f"{causes} by cause (overflow={link.dropped_overflow} "
-                    f"down={link.dropped_down} loss={link.dropped_loss} "
-                    f"aqm={link.dropped_aqm})")
+                    f"down={link.dropped_down} aqm={link.dropped_aqm})")
             accounted = link.delivered + link.dropped + link.in_flight
             if accounted != link.offered:
                 problems.append(
@@ -146,11 +145,6 @@ class InvariantChecker:
                     f"in_flight={in_flight_b}")
             if in_flight_b < 0:
                 problems.append(f"negative in_flight_bytes: {in_flight_b}")
-            if (link.queue_bytes is not None
-                    and link._egress_bytes > link.queue_bytes):
-                problems.append(
-                    f"queue over byte capacity: {link._egress_bytes} > "
-                    f"{link.queue_bytes}")
             if link.marked_ecn < 0 or link.dropped_aqm < 0:
                 problems.append("negative AQM counter")
             return problems

@@ -3,18 +3,17 @@
 A link is the unit of backhaul modelling: the AP's Internet uplink, the
 S1 path to a carrier EPC, the X2 path between peers. Serialization time
 (size/rate) plus propagation delay plus queueing; a finite queue drops
-from the tail, which is where a constrained backhaul bites (E18). An AQM
+from the tail, which is where a constrained backhaul bites (E18). A CoDel
 discipline (:mod:`repro.net.aqm`) may be installed on top at any time;
-without one the same admission path is plain drop-tail.
+without one the same admission path is plain drop-tail. A link draws no
+random numbers: every verdict depends on time and queue state alone.
 
 Links also carry the fault state the resilience experiments (E16) need:
 an ``up`` flag (a down link drops everything offered to it and loses
-whatever was queued or in flight) and a ``loss_rate`` (per-packet random
-drops drawn from the link's own named RNG stream, so a run stays
-reproducible from the seed). Drops are accounted *by cause* —
-``dropped_overflow`` vs ``dropped_down`` vs ``dropped_loss`` vs
-``dropped_aqm`` — so congestion can be told apart from failure, and
-every link keeps the conservation law in packets and in bytes::
+whatever was queued or in flight). Drops are accounted *by cause* —
+``dropped_overflow`` vs ``dropped_down`` vs ``dropped_aqm`` — so
+congestion can be told apart from failure, and every link keeps the
+conservation law in packets and in bytes::
 
     offered       == delivered       + dropped       + in_flight
     offered_bytes == delivered_bytes + dropped_bytes + in_flight_bytes
@@ -47,7 +46,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Callable, Deque, List, Optional, Tuple
 
-from repro.net.aqm import DROP, PASS, AqmDiscipline
+from repro.net.aqm import DROP, PASS, CoDelDiscipline
 from repro.net.packet import ECN_CE, ECN_ECT, Packet
 from repro.simcore.simulator import Simulator
 from repro.telemetry.registry import Gauge, StampedQueue
@@ -68,22 +67,20 @@ class Link:
         delay_s: propagation delay.
         queue_packets: drop-tail queue capacity (packets awaiting
             serialization); the packet in service is not counted.
-        queue_bytes: optional byte-based queue capacity enforced
-            alongside ``queue_packets`` (whichever bites first).
         name: for hop recording and diagnostics.
     """
 
     #: every field is a slot: past 30 attributes an instance dict
     #: stops sharing its keys with the class and costs ~1.6 kB per link
     __slots__ = (
-        "sim", "rate_bps", "delay_s", "queue_packets", "queue_bytes",
-        "name", "receiver", "_egress", "_egress_bytes", "_flight",
+        "sim", "rate_bps", "delay_s", "queue_packets", "name",
+        "receiver", "_egress", "_egress_bytes", "_flight",
         "_service_done", "_offers", "offers_admitted", "_wakeup_at",
-        "_wake", "_post_at", "up", "loss_rate", "offered", "delivered",
-        "dropped", "dropped_overflow", "dropped_down", "dropped_loss",
-        "dropped_aqm", "marked_ecn", "bytes_sent", "offered_bytes",
-        "delivered_bytes", "dropped_bytes", "_aqm", "_aqm_mirrored",
-        "_loss_rng", "_queue_peak", "_queue_min", "__weakref__")
+        "_wake", "_post_at", "up", "offered", "delivered", "dropped",
+        "dropped_overflow", "dropped_down", "dropped_aqm", "marked_ecn",
+        "bytes_sent", "offered_bytes", "delivered_bytes",
+        "dropped_bytes", "_aqm", "_aqm_mirrored", "_queue_peak",
+        "_queue_min", "__weakref__")
 
     #: ledger attributes exported as ``net.link.*`` counters, and the
     #: ``net.link.queue_depth`` gauge read from :attr:`_queue_gauge`:
@@ -94,7 +91,6 @@ class Link:
         ("bytes_sent", "net.link.bytes_sent", {}),
         ("dropped_overflow", "net.link.dropped", {"cause": "overflow"}),
         ("dropped_down", "net.link.dropped", {"cause": "down"}),
-        ("dropped_loss", "net.link.dropped", {"cause": "loss"}),
         ("_queue_gauge", "net.link.queue_depth", {}, Gauge),
     )
     #: joined by the first discipline installed: exports of a link that
@@ -105,21 +101,17 @@ class Link:
     )
 
     def __init__(self, sim: Simulator, rate_bps: float, delay_s: float,
-                 queue_packets: int = 100, name: str = "link",
-                 queue_bytes: Optional[int] = None) -> None:
+                 queue_packets: int = 100, name: str = "link") -> None:
         if rate_bps <= 0:
             raise ValueError("rate must be positive (use inf for ideal)")
         if delay_s < 0:
             raise ValueError("delay must be non-negative")
         if queue_packets < 1:
             raise ValueError("queue must hold at least one packet")
-        if queue_bytes is not None and queue_bytes < 1:
-            raise ValueError("queue_bytes must hold at least one byte")
         self.sim = sim
         self.rate_bps = rate_bps
         self.delay_s = delay_s
         self.queue_packets = queue_packets
-        self.queue_bytes = queue_bytes
         self.name = name
         self.receiver: Optional[Callable[[Packet], None]] = None
         #: packets waiting for the serializer (the drop-tail queue) as
@@ -144,7 +136,6 @@ class Link:
         self._wakeup_at = _INF
         # fault state
         self.up = True
-        self.loss_rate = 0.0
         # counters; ``dropped`` is the running total across all causes.
         # With ``in_flight`` they close the conservation law the
         # invariant checker audits at any instant, in packets and bytes.
@@ -153,7 +144,6 @@ class Link:
         self.dropped = 0
         self.dropped_overflow = 0
         self.dropped_down = 0
-        self.dropped_loss = 0
         self.dropped_aqm = 0
         self.marked_ecn = 0
         self.bytes_sent = 0
@@ -164,11 +154,8 @@ class Link:
         #: 1 until it refills after draining (see :attr:`_queue_gauge`)
         self._queue_peak = 0
         self._queue_min = 1
-        self._aqm: Optional[AqmDiscipline] = None
+        self._aqm: Optional[CoDelDiscipline] = None
         self._aqm_mirrored = False
-        #: the link's own loss stream, fetched by the first
-        #: set_loss_rate(> 0): most links never lose a packet
-        self._loss_rng = None
         earlier = sim.metrics.mirror(self, self._LEDGER, link=name)
         if earlier:
             for link in (*earlier, self):
@@ -198,8 +185,8 @@ class Link:
 
     # -- AQM / ECN ---------------------------------------------------------
 
-    def set_aqm(self, discipline: Optional[AqmDiscipline]) -> None:
-        """Install an AQM discipline, or ``None`` for plain drop-tail.
+    def set_aqm(self, discipline: Optional[CoDelDiscipline]) -> None:
+        """Install a CoDel discipline, or ``None`` for plain drop-tail.
 
         Legal at any time: whatever was due or in service by now was
         judged by the previous discipline, and a packet already queued
@@ -209,12 +196,9 @@ class Link:
         self._admit_due(now)
         self._advance(now)
         self._aqm = discipline
-        if discipline is not None:
-            discipline.bind(self)
-            if not self._aqm_mirrored:
-                self._aqm_mirrored = True
-                self.sim.metrics.mirror(self, self._AQM_LEDGER,
-                                        link=self.name)
+        if discipline is not None and not self._aqm_mirrored:
+            self._aqm_mirrored = True
+            self.sim.metrics.mirror(self, self._AQM_LEDGER, link=self.name)
 
     def _mark(self, packet: Packet) -> bool:
         """CE-mark an ECT packet; False means the caller must drop."""
@@ -296,17 +280,6 @@ class Link:
                 self.dropped += lost
                 self.dropped_down += lost
 
-    def set_loss_rate(self, loss_rate: float) -> None:
-        """Set the per-packet drop probability (0 disables loss)."""
-        if not 0.0 <= loss_rate <= 1.0:
-            raise ValueError("loss rate must be in [0, 1]")
-        self._admit_due(self.sim.now)
-        if loss_rate != self.loss_rate:
-            self.sim.trace("fault", f"link {self.name} loss={loss_rate:g}")
-        if loss_rate > 0.0 and self._loss_rng is None:
-            self._loss_rng = self.sim.rng(f"link-loss:{self.name}")
-        self.loss_rate = loss_rate
-
     def _drop(self, cause: str, at: float, size: int) -> bool:
         self.dropped += 1
         self.dropped_bytes += size
@@ -314,17 +287,15 @@ class Link:
             self.dropped_overflow += 1
         elif cause == "down":
             self.dropped_down += 1
-        elif cause == "aqm":
-            self.dropped_aqm += 1
         else:
-            self.dropped_loss += 1
+            self.dropped_aqm += 1
         self.sim.trace("drop", f"link {self.name}: {cause}", at=at)
         return False
 
     def send(self, packet: Packet) -> bool:
         """Enqueue a packet; returns False (and counts a drop by cause)
-        when the link is down, the loss draw fails, the queue is full,
-        or an installed AQM discipline says drop. Tie rule: an offer
+        when the link is down, the queue is full, or an installed AQM
+        discipline says drop. Tie rule: an offer
         (:meth:`send_at`) due at this instant is admitted first."""
         if self._flight is _NONE:
             self._open()
@@ -371,30 +342,19 @@ class Link:
             self._admit(at, packet)
 
     def _admit(self, now: float, packet: Packet) -> bool:
-        """Admit ``packet`` as of time ``now``: fault state, packet and
-        byte capacity, then the AQM discipline (if any) and ECN."""
+        """Admit ``packet`` as of time ``now``: fault state, queue
+        capacity, then the serializer or the queue."""
         size = packet.size_bytes
         self.offered += 1
         self.offered_bytes += size
         if not self.up:
             return self._drop("down", now, size)
-        if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
-            return self._drop("loss", now, size)
         if self._egress and self._service_done <= now:
             self._advance(now)
-        aqm = self._aqm
         if self._service_done > now:  # serializer busy: join the queue
             egress = self._egress
-            if len(egress) >= self.queue_packets or (
-                    self.queue_bytes is not None
-                    and self._egress_bytes + size > self.queue_bytes):
+            if len(egress) >= self.queue_packets:
                 return self._drop("overflow", now, size)
-            if aqm is not None:
-                verdict = aqm.on_enqueue(len(egress), self._egress_bytes,
-                                         packet, now)
-                if verdict != PASS and (verdict == DROP
-                                        or not self._mark(packet)):
-                    return self._drop("aqm", now, size)
             egress.append((now, packet))
             self._egress_bytes += size
             qlen = len(egress)
@@ -407,15 +367,10 @@ class Link:
             elif qlen == 1:
                 self._queue_min = 0  # a refill: the queue drained before
             return True
-        if aqm is not None:
-            # empty queue: the enqueue hook still observes the arrival
-            # (RED's average) and the dequeue hook sees a zero sojourn
-            # (CoDel leaves its dropping state)
-            verdict = aqm.on_enqueue(0, 0, packet, now)
-            if verdict == PASS:
-                verdict = aqm.on_dequeue(0.0, now)
-            if verdict != PASS and (verdict == DROP or not self._mark(packet)):
-                return self._drop("aqm", now, size)
+        if self._aqm is not None:
+            # an idle link is a zero sojourn, below any target: the
+            # verdict is PASS, and CoDel leaves its dropping state
+            self._aqm.on_dequeue(0.0, now)
         self._start_service(now, packet)
         return True
 

@@ -230,7 +230,8 @@ def fan_out(fn, items, labels, pending, costs, jobs, task_timeout_s,
             retries, report, finish) -> None:
     """Any-free-worker scheduling: assign, watch, retry or raise. Every
     worker is stopped or killed and joined on every exit path, Ctrl-C
-    included."""
+    included; when a task fails its last attempt, the busy siblings are
+    killed without a post-mortem."""
     queue = list(pending)
     if costs is not None:
         queue.sort(key=lambda slot: -costs[slot])
@@ -239,6 +240,7 @@ def fan_out(fn, items, labels, pending, costs, jobs, task_timeout_s,
     n_workers = min(jobs, len(pending))
     home = ShipHome(n_workers)
     workers: List[Worker] = []
+    failed = False
 
     def replace(worker: Worker) -> Worker:
         fresh = workers[workers.index(worker)] = Worker()
@@ -274,7 +276,12 @@ def fan_out(fn, items, labels, pending, costs, jobs, task_timeout_s,
                 if kind != "exception":  # the runtime killed it
                     worker = replace(worker)
             assign_next(worker)
+    except TaskFailedError:
+        failed = True
+        raise
     finally:
         for worker in workers:
-            worker.stop()
+            # the run's failure is not a busy sibling's: it is SIGKILLed,
+            # as the atexit reaper does, and writes no post-mortem
+            worker.stop(dump=not failed)
     home.merge()

@@ -36,7 +36,7 @@ import signal
 import threading
 import time
 import traceback
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from multiprocessing.connection import wait as _conn_wait
 from multiprocessing.reduction import ForkingPickler
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
@@ -291,15 +291,17 @@ class Worker:
                            time.monotonic() - self.started_at, exc_type,
                            postmortem_path)
 
-    def kill(self) -> None:
+    def kill(self, dump: bool = True) -> None:
         """SIGTERM (the worker dumps its flight recorder and exits),
         SIGKILL after ``_KILL_GRACE_S`` if it is too wedged to run the
-        handler — a stopped process never is — then reap and forget it."""
+        handler — a stopped process never is — then reap and forget it.
+        ``dump=False`` sends SIGKILL at once: no post-mortem."""
         self.busy = False
         try:
             if self.proc.is_alive():
-                self.proc.terminate()
-                self.proc.join(_KILL_GRACE_S)
+                if dump:
+                    self.proc.terminate()
+                    self.proc.join(_KILL_GRACE_S)
                 if self.proc.is_alive():
                     self.proc.kill()
             self.proc.join()
@@ -307,23 +309,29 @@ class Worker:
             _LIVE.discard(self)
             self.conn.close()
 
-    def stop(self) -> None:
-        """Let an idle worker exit cleanly; kill whatever remains."""
+    def stop(self, dump: bool = True) -> None:
+        """Let an idle worker exit cleanly; kill whatever remains (see
+        :meth:`kill` for ``dump``)."""
         if not self.busy:
             try:
                 self.conn.send(None)
                 self.proc.join(timeout=2.0)
             except OSError:
                 pass
-        self.kill()
+        self.kill(dump)
 
 
 def _put_down(worker: Worker, kind: str, detail: str) -> TaskFailure:
     """Kill a lost worker; dump which task, which attempt, how long —
-    with the worker's own SIGTERM dump, the black box of the failure."""
+    with the worker's own SIGTERM dump, the black box of the failure.
+    ``detail`` is completed once the worker is reaped, so its exit code
+    is the real one."""
     failure = worker.failure(
         kind, detail, "WorkerCrashed" if kind == "crash" else "WorkerHung")
     worker.kill()
+    failure = replace(failure, detail=(
+        f"{detail}; worker pid {worker.proc.pid}, exitcode "
+        f"{worker.proc.exitcode}"))
     flightrec.write_postmortem(
         f"supervisor-{kind}", detail=str(failure), sims=[],
         extra={"task": dict(asdict(failure), worker_pid=worker.proc.pid)})
@@ -350,10 +358,8 @@ def watch(workers: List[Worker], task_timeout_s: Optional[float] = None
             try:
                 message = conn.recv()
             except (EOFError, OSError):
-                yield worker, "crash", _put_down(
-                    worker, "crash",
-                    f"worker pid {worker.proc.pid} died (pipe EOF, "
-                    f"exitcode {worker.proc.exitcode})")
+                yield worker, "crash", _put_down(worker, "crash",
+                                                 "died (pipe EOF)")
                 continue
             if message[0] == "beat":
                 worker.last_beat = time.monotonic()
@@ -374,8 +380,7 @@ def watch(workers: List[Worker], task_timeout_s: Optional[float] = None
                 detail = f"exceeded task deadline of {task_timeout_s:g}s"
             elif now - worker.last_beat > BEAT_LIMIT_S:
                 kind = "hang" if worker.proc.is_alive() else "crash"
-                detail = (f"no heartbeat for {BEAT_LIMIT_S:g}s (worker pid "
-                          f"{worker.proc.pid} exitcode {worker.proc.exitcode})")
+                detail = f"no heartbeat for {BEAT_LIMIT_S:g}s"
             else:
                 continue
             yield worker, kind, _put_down(worker, kind, detail)

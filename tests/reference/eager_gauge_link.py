@@ -7,8 +7,10 @@ and each pop of ``_advance`` set a get-or-create ``Gauge``, so links
 sharing a name shared one gauge whose value is whichever set it last.
 Production now declares the gauge with ``MetricsRegistry.mirror`` and
 reads ``Link._queue_gauge``; ``test_link_gauge_twin.py`` drives both and
-requires equal rows. Put these links on a simulator of their own: their
-gauge is an ``set`` one, which a mirrored one of the same name refuses.
+requires equal rows. The copies lost the loss draw, the byte cap and the
+enqueue-side AQM hook when ``Link`` did: the twin no longer drives them.
+Put these links on a simulator of their own: their gauge is an ``set``
+one, which a mirrored one of the same name refuses.
 """
 
 from __future__ import annotations
@@ -51,23 +53,12 @@ class EagerGaugeLink(Link):
         self.offered_bytes += size
         if not self.up:
             return self._drop("down", now, size)
-        if self.loss_rate > 0.0 and self._loss_rng.random() < self.loss_rate:
-            return self._drop("loss", now, size)
         if self._egress and self._service_done <= now:
             self._advance(now)
-        aqm = self._aqm
         if self._service_done > now:
             egress = self._egress
-            if len(egress) >= self.queue_packets or (
-                    self.queue_bytes is not None
-                    and self._egress_bytes + size > self.queue_bytes):
+            if len(egress) >= self.queue_packets:
                 return self._drop("overflow", now, size)
-            if aqm is not None:
-                verdict = aqm.on_enqueue(len(egress), self._egress_bytes,
-                                         packet, now)
-                if verdict != PASS and (verdict == DROP
-                                        or not self._mark(packet)):
-                    return self._drop("aqm", now, size)
             egress.append((now, packet))
             self._egress_bytes += size
             qlen = len(egress)
@@ -76,12 +67,8 @@ class EagerGaugeLink(Link):
             if qlen > sim.link_peak_queue:
                 sim.link_peak_queue = qlen
             return True
-        if aqm is not None:
-            verdict = aqm.on_enqueue(0, 0, packet, now)
-            if verdict == PASS:
-                verdict = aqm.on_dequeue(0.0, now)
-            if verdict != PASS and (verdict == DROP or not self._mark(packet)):
-                return self._drop("aqm", now, size)
+        if self._aqm is not None:
+            self._aqm.on_dequeue(0.0, now)
         self._start_service(now, packet)
         return True
 

@@ -15,8 +15,7 @@ from repro.telemetry.registry import MetricsRegistry
 LINK = (("delivered", "net.link.delivered", {}),
         ("bytes_sent", "net.link.bytes_sent", {}),
         ("dropped_overflow", "net.link.dropped", {"cause": "overflow"}),
-        ("dropped_down", "net.link.dropped", {"cause": "down"}),
-        ("dropped_loss", "net.link.dropped", {"cause": "loss"}))
+        ("dropped_down", "net.link.dropped", {"cause": "down"}))
 #: fetched by the first ``set_aqm(discipline)``, never before
 LINK_AQM = (("dropped_aqm", "net.link.dropped", {"cause": "aqm"}),
             ("marked_ecn", "net.link.ecn_marked", {}))

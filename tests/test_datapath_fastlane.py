@@ -106,23 +106,6 @@ def test_down_mid_flight_drops_at_delivery_time(sim):
     assert link.offered == link.delivered + link.dropped
 
 
-def test_loss_draws_deterministic_across_runs():
-    """The cached per-link loss stream reproduces exactly from the seed."""
-    def run_once():
-        sim = Simulator(seed=42)
-        link = Link(sim, rate_bps=1e9, delay_s=0.001, name="lossy")
-        link.set_loss_rate(0.3)
-        got = []
-        link.connect(lambda p: got.append(p.seq))
-        for seq in range(40):
-            link.send(_packet(seq=seq))
-        sim.run()
-        return got
-    first, second = run_once(), run_once()
-    assert first == second
-    assert 0 < len(first) < 40
-
-
 def test_queue_depth_promotes_lazily(sim):
     """Reading queue_depth after time passed reflects completed service
     even though no event has touched the link in between."""
@@ -145,7 +128,7 @@ A, B = IP("10.0.0.1"), IP("10.0.1.1")
 
 
 def _bottleneck_chain(trace=False):
-    """a -> r1 -> (2 Mbps, CoDel+ECN, 1% loss) -> r2 -> b, offered ~1.4x
+    """a -> r1 -> (2 Mbps, CoDel+ECN) -> r2 -> b, offered ~1.4x
     the bottleneck in 40 bursts, with the bottleneck cut mid-flight."""
     sim = Simulator(seed=11)
     if trace:
@@ -161,7 +144,6 @@ def _bottleneck_chain(trace=False):
     bottleneck = r1.links["r2"]
     bottleneck.set_aqm(CoDelDiscipline(target_s=0.005, interval_s=0.05,
                                        ecn=True))
-    bottleneck.set_loss_rate(0.01)
     arrivals = []
     b.on_packet = lambda p: arrivals.append((sim.now, p.seq, p.ecn))
 
@@ -192,16 +174,16 @@ def test_fused_hops_reproduce_parent_deliveries_and_ledgers():
     assert arrivals[-3:] == [(1.266923200000003, 392, 0),
                              (1.270923200000003, 394, 0),
                              (1.274923200000003, 396, 0)]
-    assert _digest(arrivals) == "f816d2ededab1909"
+    assert _digest(arrivals) == "24b265c6f17b9d86"
     ledger = {name: getattr(bottleneck, name) for name in (
         "offered", "delivered", "dropped", "dropped_overflow",
-        "dropped_down", "dropped_loss", "dropped_aqm", "marked_ecn",
+        "dropped_down", "dropped_aqm", "marked_ecn",
         "offered_bytes", "delivered_bytes", "dropped_bytes",
         "in_flight_bytes", "bytes_sent")}
     assert ledger == {
         "offered": 400, "delivered": 281, "dropped": 119,
-        "dropped_overflow": 15, "dropped_down": 52, "dropped_loss": 1,
-        "dropped_aqm": 51, "marked_ecn": 74,
+        "dropped_overflow": 15, "dropped_down": 52,
+        "dropped_aqm": 52, "marked_ecn": 73,
         "offered_bytes": 415600, "delivered_bytes": 292040,
         "dropped_bytes": 123560, "in_flight_bytes": 0,
         "bytes_sent": 296200}
@@ -212,7 +194,7 @@ def test_fused_hops_reproduce_parent_deliveries_and_ledgers():
 
 
 def test_deferred_drops_are_traced_at_their_admission_time(tmp_path):
-    """A loss/overflow verdict reached when the link is next touched is
+    """An overflow verdict reached when the link is next touched is
     stamped with the instant the packet was offered for, and the
     exported trace stays time-ordered."""
     sim, _r1, _r2, _bottleneck, _arrivals = _bottleneck_chain(trace=True)
@@ -225,12 +207,10 @@ def test_deferred_drops_are_traced_at_their_admission_time(tmp_path):
     drops = [(r["time_s"], r["message"]) for r in records
              if r["category"] == "drop"]
     assert len(drops) == 91
-    assert [d for d in drops if d[1].endswith("loss")] == [
-        (0.5116248000000003, "link r1->r2: loss")]
     assert drops[:2] == [(0.06358, "link r1->r2: aqm"),
                          (0.15110639999999997, "link r1->r2: aqm")]
     assert drops[-1] == (1.2658232000000031, "link r1->r2: aqm")
-    assert _digest(drops) == "cf42c85430599ac6"
+    assert _digest(drops) == "819694e9d0289e10"
 
 
 def test_due_offer_is_admitted_before_a_direct_send(sim):
@@ -415,14 +395,6 @@ def test_add_route_inserts_where_the_stable_sort_put_it():
         net = ipaddress.IPv4Network(prefix)
         want = next(n for p, n in reference if net.network_address in p)
         assert router.lookup(net.network_address) == want
-
-
-def test_loss_stream_is_fetched_on_first_lossy_setting(sim):
-    link = Link(sim, rate_bps=1e9, delay_s=0.001, name="quiet")
-    link.set_loss_rate(0.0)
-    assert "link-loss:quiet" not in sim.rng._streams
-    link.set_loss_rate(0.2)
-    assert link._loss_rng is sim.rng("link-loss:quiet")
 
 
 def test_invariants_catch_a_stuck_offer_and_a_leaked_forward(sim,

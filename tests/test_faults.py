@@ -1,6 +1,6 @@
 """Unit tests for the fault-injection subsystem and control-plane hardening.
 
-Covers the E16 substrate: link up/down/loss with per-cause drop
+Covers the E16 substrate: link up/down with per-cause drop
 accounting, the :class:`FaultInjector` schedule, control-channel cuts,
 stub crash/restart, supervised NAS attach retries, spectrum-lease
 renewal and lapse, and SAS lease expiry authority.
@@ -67,37 +67,8 @@ def test_overflow_counted_separately_from_faults():
     results = [link.send(_pkt()) for _ in range(3)]
     assert results == [True, True, False]
     assert link.dropped_overflow == 1
-    assert link.dropped_down == 0 and link.dropped_loss == 0
+    assert link.dropped_down == 0 and link.dropped_aqm == 0
     assert link.dropped == 1  # running total across causes
-
-
-def _lossy_outcomes(seed):
-    sim = Simulator(seed)
-    link = Link(sim, rate_bps=float("inf"), delay_s=1e-3, name="lossy")
-    link.connect(lambda p: None)
-    link.set_loss_rate(0.5)
-    results = [link.send(_pkt()) for _ in range(100)]
-    sim.run()
-    return results, link
-
-
-def test_link_loss_rate_drops_and_is_deterministic():
-    results, link = _lossy_outcomes(42)
-    assert link.dropped_loss == results.count(False)
-    assert 20 <= link.dropped_loss <= 80
-    assert link.delivered == 100 - link.dropped_loss
-    # the draws come from the link's own named stream: reproducible
-    results2, link2 = _lossy_outcomes(42)
-    assert results2 == results
-
-
-def test_loss_rate_validated():
-    sim = Simulator(0)
-    link = Link(sim, rate_bps=1e6, delay_s=0)
-    with pytest.raises(ValueError):
-        link.set_loss_rate(1.5)
-    with pytest.raises(ValueError):
-        link.set_loss_rate(-0.1)
 
 
 # -- fault injector -----------------------------------------------------------------
@@ -160,10 +131,6 @@ def test_injector_validates():
         injector.link_flap(link, at_s=1.0, down_s=1, up_s=1, cycles=0)
     with pytest.raises(ValueError):
         injector.outage(lambda: None, lambda: None, at_s=1.0, duration_s=-1)
-    with pytest.raises(ValueError):  # fail at schedule time, not mid-run
-        injector.link_loss(link, at_s=1.0, loss_rate=1.5)
-    with pytest.raises(ValueError):
-        injector.link_loss(link, at_s=1.0, loss_rate=0.5, duration_s=0)
 
 
 def test_a_rejected_call_schedules_nothing():
@@ -171,20 +138,20 @@ def test_a_rejected_call_schedules_nothing():
     # the default name is still free
     sim = Simulator(0)
     stub, _ = _stub(sim)
-    link = Link(sim, rate_bps=1e6, delay_s=0, name="lossy")
+    link = Link(sim, rate_bps=1e6, delay_s=0, name="flaky")
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
     with pytest.raises(ValueError):
         injector.crash(stub, at_s=1.0, restart_after_s=0.0)
     with pytest.raises(ValueError):
-        injector.link_loss(link, at_s=1.0, loss_rate=0.5, duration_s=-1.0)
+        injector.link_flap(link, at_s=1.0, down_s=-1.0, up_s=1.0, cycles=1)
     sim.run(until=5.0)
     assert stub.crashes == 0 and stub.alive
-    assert link.loss_rate == 0.0
+    assert link.up
     assert injector.faults_injected == 0 and injector.log == []
     assert injector.crash(stub, at_s=6.0) == "crash:stub"
-    assert injector.link_loss(link, at_s=6.0, loss_rate=0.5) == \
-        "link-loss:lossy"
+    assert injector.link_flap(link, at_s=6.0, down_s=1.0, up_s=1.0,
+                              cycles=1) == "link-flap:flaky"
 
 
 def test_injector_registry_outage():

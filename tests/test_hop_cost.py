@@ -12,8 +12,8 @@ Three link states:
   whole hop is one ``_drain`` that admits, serves and delivers;
 - queued: packets 200 µs apart on 10 Mb/s, so the first link queues and
   the others always have a flight pending;
-- managed: the queued chain with CoDel + ECN and a lossy link on every
-  hop, so the AQM hooks and the loss draw run on the path.
+- managed: the queued chain with CoDel + ECN on every hop, so the AQM
+  hook runs on the path.
 
 What a router hop costs is frames, not lines. Fusing ``Router.receive``
 (it used to be ``NetworkNode.receive`` → ``Router.handle`` →
@@ -57,7 +57,6 @@ def _chain(gap_s, managed=False):
         for link in links:
             link.set_aqm(CoDelDiscipline(target_s=1e-3, interval_s=10e-3,
                                          ecn=True))
-            link.set_loss_rate(0.02)
     for seq in range(PACKETS):
         packet = Packet(src=A, dst=B, size_bytes=1000, seq=seq)
         packet.ecn = ECN_ECT
@@ -88,17 +87,17 @@ def _cost_per_delivery(gap_s, managed=False):
     assert deliveries > 2 * PACKETS
     if managed:
         assert sum(link.marked_ecn for link in links) > 0
-        assert sum(link.dropped_loss for link in links) > 0
     return calls / deliveries, lines / deliveries
 
 
 #: state -> (gap_s, managed, max calls, max lines) per delivery. Measured
-#: 6.78 / 87.9, 8.79 / 101.0 and 10.60 / 109.8; before the fused hop
-#: 9.03 / 92.4, 11.01 / 105.4 and 12.80 / 114.2.
+#: 6.78 / 87.9, 8.79 / 101.0 and 8.54 / 98.6; before the fused hop
+#: 9.03 / 92.4, 11.01 / 105.4 and 12.80 / 114.2 (managed with a 2%
+#: random loss, which links no longer draw).
 CHAINS = {
     "idle": (3e-3, False, 7.0, 89.0),
     "queued": (200e-6, False, 9.0, 102.0),
-    "managed": (200e-6, True, 10.8, 111.0),
+    "managed": (200e-6, True, 8.8, 100.0),
 }
 
 

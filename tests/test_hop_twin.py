@@ -5,8 +5,8 @@ side sink) run twice, once built from ``Router`` / ``Link`` and once
 from :mod:`tests.reference.hop`'s ``ReferenceRouter`` / ``ReferenceLink``,
 whose bodies are the hop as it ran before ``Router.receive`` was fused
 and the drain admitted due offers itself. The chains vary routes,
-forwarding delays, rates, queues, CoDel / RED with and without ECN,
-loss, ``set_up`` flaps, ``add_route`` / ``remove_routes_to`` landing
+forwarding delays, rates, queues, CoDel with and without ECN,
+``set_up`` flaps, ``add_route`` / ``remove_routes_to`` landing
 inside a forwarding delay (the offers are recalled and decided again),
 and a direct ``send()`` at the instant an offer falls due (the offer is
 admitted first). Both runs must agree on every delivery (time,
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 
 from repro.net import Host, Router
 from repro.net.addressing import address_key
-from repro.net.aqm import CoDelDiscipline, RedDiscipline
+from repro.net.aqm import CoDelDiscipline
 from repro.net.links import Link
 from repro.net.packet import ECN_ECT, Packet
 from repro.simcore import Simulator
@@ -43,7 +43,7 @@ DESTINATIONS = (B, B, B, IP("10.9.0.1"), None)
 TICK_S = 50e-6
 
 _LEDGER = ("offered", "delivered", "dropped", "dropped_overflow",
-           "dropped_down", "dropped_loss", "dropped_aqm", "marked_ecn",
+           "dropped_down", "dropped_aqm", "marked_ecn",
            "offered_bytes", "delivered_bytes", "dropped_bytes",
            "bytes_sent", "offers_admitted", "in_flight", "in_flight_bytes")
 
@@ -51,9 +51,7 @@ _links = st.fixed_dictionaries({
     "rate_bps": st.sampled_from([float("inf"), 1e6, 10e6, 100e6]),
     "delay_s": st.sampled_from([0.0, 1e-4, 2e-3]),
     "queue_packets": st.sampled_from([2, 5, 100]),
-    "queue_bytes": st.sampled_from([None, 4000]),
-    "aqm": st.sampled_from([None, "codel", "codel-ecn", "red", "red-ecn"]),
-    "loss_rate": st.sampled_from([0.0, 0.0, 0.1]),
+    "aqm": st.sampled_from([None, "codel", "codel-ecn"]),
 })
 _routers = st.fixed_dictionaries({
     "forwarding_delay_s": st.sampled_from([0.0, 20e-6, 1e-3]),
@@ -62,9 +60,9 @@ _routers = st.fixed_dictionaries({
 _ops = st.tuples(
     st.integers(0, 300),  # tick
     st.sampled_from(["flap", "divert", "undivert", "withdraw", "restore",
-                     "tie", "loss"]),
+                     "tie"]),
     st.integers(0, 7),    # which router / link (mod the chain)
-    st.integers(1, 40),   # flap length in ticks; odd turns loss on
+    st.integers(1, 40),   # flap length in ticks
 )
 _sends = st.tuples(
     st.integers(0, 300),              # tick
@@ -83,10 +81,8 @@ _scenarios = st.integers(1, 4).flatmap(lambda n: st.fixed_dictionaries({
 def _aqm(kind):
     if kind is None:
         return None
-    ecn = kind.endswith("-ecn")
-    if kind.startswith("codel"):
-        return CoDelDiscipline(target_s=1e-3, interval_s=5e-3, ecn=ecn)
-    return RedDiscipline(min_th=1.0, max_th=4.0, max_p=0.5, ecn=ecn)
+    return CoDelDiscipline(target_s=1e-3, interval_s=5e-3,
+                           ecn=kind.endswith("-ecn"))
 
 
 def _run(scenario, router_cls, link_cls):
@@ -102,16 +98,13 @@ def _run(scenario, router_cls, link_cls):
         return host
 
     def wire(left, right, rate_bps=10e6, delay_s=1e-3, queue_packets=100,
-             queue_bytes=None, aqm=None, loss_rate=0.0):
+             aqm=None):
         link = link_cls(sim, rate_bps, delay_s, queue_packets,
-                        name=f"{left.name}->{right.name}",
-                        queue_bytes=queue_bytes)
+                        name=f"{left.name}->{right.name}")
         link.connect(right.receive)
         left.links[right.name] = link
         if aqm is not None:
             link.set_aqm(_aqm(aqm))
-        if loss_rate:
-            link.set_loss_rate(loss_rate)
         return link
 
     a = Host(sim, "a", A)
@@ -156,11 +149,8 @@ def _run(scenario, router_cls, link_cls):
             sim.at(at, router.remove_routes_to, nxt)
         elif kind == "restore":
             sim.at(at, router.add_route, "10.0.1.0/24", nxt)
-        elif kind == "tie":
-            sim.at(at, tie, router, router.links[nxt], 10_000 + 2 * k)
         else:
-            sim.at(at, links[which % len(links)].set_loss_rate,
-                   0.3 if length % 2 else 0.0)
+            sim.at(at, tie, router, router.links[nxt], 10_000 + 2 * k)
     sim.run()
 
     ledgers = [(link.name, *(getattr(link, f) for f in _LEDGER))
@@ -193,11 +183,11 @@ SCRIPTED = {
                 {"forwarding_delay_s": 20e-6, "default_to_side": False}],
     "links": [
         {"rate_bps": 10e6, "delay_s": 1e-4, "queue_packets": 100,
-         "queue_bytes": None, "aqm": None, "loss_rate": 0.0},
+         "aqm": None},
         {"rate_bps": 1e6, "delay_s": 2e-3, "queue_packets": 5,
-         "queue_bytes": 4000, "aqm": "codel-ecn", "loss_rate": 0.1},
+         "aqm": "codel-ecn"},
         {"rate_bps": 1e6, "delay_s": 0.0, "queue_packets": 100,
-         "queue_bytes": None, "aqm": "red", "loss_rate": 0.0}],
+         "aqm": "codel"}],
     "sends": [(t, 1500, t % 8 == 0, t % len(DESTINATIONS))
               for t in range(0, 200, 4)],
     "ops": [(30, "withdraw", 0, 1), (31, "restore", 0, 1),
@@ -220,7 +210,7 @@ def test_a_scripted_chain_exercises_what_the_twin_compares():
     causes = {message.rsplit(": ", 1)[1]
               for _t, category, message, _f in fused["trace"]
               if category == "drop"}
-    assert causes == {"overflow", "down", "loss", "aqm"}
+    assert causes == {"overflow", "down", "aqm"}
     assert any(ecn == 3 for *_rest, ecn in fused["arrivals"])
     assert any(seq >= 10_000 for _t, _n, seq, *_ in fused["arrivals"])
 

@@ -240,6 +240,18 @@ def test_a_leak_in_a_jobs_cell_fails_the_run(tmp_path, leaky_e7):
     assert Simulator.arming is None
 
 
+def test_a_leak_in_a_jobs_cell_leaves_only_violation_dumps(tmp_path,
+                                                            leaky_e7):
+    # the busy sibling torn down with the run is not at fault: it is
+    # killed without a supervisor-kill post-mortem of its own
+    with pytest.raises(TaskFailedError):
+        main(["E7", "--jobs", "2", "--invariants", "--exp-arg",
+              "ap_counts=[1, 2]", "--exp-arg", "ue_per_ap=2"])
+    dumps = [name for name in os.listdir(tmp_path)
+             if name.startswith("postmortem-")]
+    assert dumps == _postmortems(tmp_path) != []
+
+
 def test_a_leak_in_a_fork_shard_names_the_shard(tmp_path, monkeypatch):
     send = Link.send
 

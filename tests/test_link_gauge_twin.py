@@ -5,8 +5,8 @@ every change to its egress queue. It is now declared with
 ``MetricsRegistry.mirror`` and read from the link at export; links that
 share a name (E6 re-attaches ``client->ap0``) stamp their queue changes
 so the shared row still takes its value from the link that changed
-last. The property test drives random sends, offers, cuts, losses, AQM
-drops and touches through two same-named links and one of their own,
+last. The property test drives random sends, offers, cuts, CoDel drops
+and touches through two same-named links and one of their own,
 beside the frozen eager-gauge links of
 ``tests/reference/eager_gauge_link.py`` on a second simulator, and
 requires equal ``net.link.queue_depth`` rows, values and types, after
@@ -16,7 +16,7 @@ every step.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.net.aqm import make_aqm
+from repro.net.aqm import CoDelDiscipline
 from repro.net.links import Link
 from repro.net.packet import ECN_ECT, ECN_NOT_ECT, Packet
 from repro.simcore.simulator import Simulator
@@ -24,8 +24,7 @@ from tests.reference.eager_gauge_link import EagerGaugeLink
 
 #: two links share a name, the third has its own
 NAMES = ("twin", "twin", "solo")
-_AQM_KWARGS = {"codel": {"target_s": 0.005, "interval_s": 0.05},
-               "red": {"min_th": 1.0, "max_th": 4.0, "weight": 0.5}}
+_CODEL_KWARGS = {"target_s": 0.005, "interval_s": 0.05}
 _which = st.sampled_from(range(len(NAMES)))
 _sizes = st.sampled_from([60, 400, 1500])
 _ecn = st.sampled_from([ECN_NOT_ECT, ECN_ECT])
@@ -36,10 +35,8 @@ _steps = st.lists(st.one_of(
               _ecn),
     st.tuples(st.just("send_at"), _which, _gaps, _sizes, _ecn),
     st.tuples(st.just("set_up"), _which, st.booleans()),
-    st.tuples(st.just("set_loss_rate"), _which,
-              st.sampled_from([0.0, 0.3])),
-    st.tuples(st.just("set_aqm"), _which,
-              st.sampled_from(["codel", "red", None]), st.booleans()),
+    st.tuples(st.just("set_aqm"), _which, st.sampled_from(["codel", None]),
+              st.booleans()),
     st.tuples(st.just("touch"), _which),
     st.tuples(st.just("run"), _gaps),
 ), min_size=8, max_size=40)
@@ -55,7 +52,7 @@ def _gauge_rows(sim):
 def _build(cls):
     sim = Simulator(seed=0)
     links = [cls(sim, rate_bps=80_000.0, delay_s=0.02, queue_packets=8,
-                 queue_bytes=4000, name=name) for name in NAMES]
+                 name=name) for name in NAMES]
     for link in links:
         link.connect(lambda packet: None)
     return sim, links
@@ -80,7 +77,7 @@ def _apply(sim, links, step, last_at):
     elif op == "set_aqm":
         kind, ecn = args
         link.set_aqm(None if kind is None
-                     else make_aqm(kind, ecn=ecn, **_AQM_KWARGS[kind]))
+                     else CoDelDiscipline(ecn=ecn, **_CODEL_KWARGS))
     elif op == "touch":
         link.queue_depth
     else:

@@ -54,10 +54,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _CLAIMS = ("called only by tests/test_paper_claims.py; ROADMAP item 2a "
            "makes the CLI print it")
-_LINK_LOSS = ("random link loss: README's fault example schedules it and "
-              "the hop, ledger and gauge twins drive it; ROADMAP item 11, "
-              "whose constraints include the per-link loss-RNG draw order, "
-              "decides whether the model keeps it")
 _STATIONARY = ("a scheduler no experiment installs: the arena twins, "
                "tests/reference/scalar_tti.py and the stationary case of "
                "the fluid-tier oracle in tests/test_fluid_traffic.py run "
@@ -88,8 +84,6 @@ ALLOWED: Dict[str, str] = {
     "repro.experiments.t1_design_space.dlte_quadrant_is_unique": _CLAIMS,
     "repro.mac.schedulers.RoundRobinScheduler": _STATIONARY,
     "repro.mac.schedulers.MaxCiScheduler": _STATIONARY,
-    "repro.net.links.Link.set_loss_rate": _LINK_LOSS,
-    "repro.faults.injector.FaultInjector.link_loss": _LINK_LOSS,
 }
 
 #: (identifier, owner) — ``owner`` is the qualified top-level name or

@@ -117,6 +117,12 @@ RULES: Tuple[Rule, ...] = (
          "every control arrival is one heap event posted at send time, as "
          "tests/reference/control.py runs it; an arrival parked on a busy "
          "agent and admitted lazily is a second queue a reader can see"),
+    Rule("links-draw-no-randomness",
+         r"\.rng\(|\.random\(",
+         ("src/repro/net/",), (),
+         "a hop's verdict depends on time and queue state alone: no random "
+         "loss and no random early drop, so no per-link stream whose draw "
+         "order a change to admission would have to keep"),
 )
 
 #: rule name -> (path, line): a file holding the line must fail the rule
@@ -149,6 +155,9 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "one-event-per-arrival": (
         "src/repro/epc/agents.py",
         "self.sim.post_keyed(at, seq, self.enqueue, message)"),
+    "links-draw-no-randomness": (
+        "src/repro/net/links.py",
+        "if self._loss_rng.random() < self.loss_rate:"),
 }
 
 #: (path, line number, text) of one line that matched a rule's pattern

@@ -106,6 +106,14 @@ def test_retry_budget_exhausted_raises(tmp_path):
     assert "failed 2 time(s)" in str(err)
 
 
+def test_a_crashed_worker_reports_its_real_exit_code():
+    with pytest.raises(TaskFailedError) as excinfo:
+        parallel_map(_always_crash, [1, 2], jobs=2, labels=["left", "right"])
+    # the detail is completed once the worker is reaped, not before
+    assert excinfo.value.failure.kind == "crash"
+    assert f"exitcode {-signal.SIGKILL}" in str(excinfo.value)
+
+
 # -- hang detection (deadline) ------------------------------------------------------
 
 

@@ -117,11 +117,11 @@ def test_a_ledger_counter_is_no_object_until_somebody_reads():
     names = collections.Counter(row["name"] for row in registry.snapshot())
     assert names == {
         "net.link.delivered": 100, "net.link.bytes_sent": 100,
-        "net.link.dropped": 300, "net.link.queue_depth": 100,
+        "net.link.dropped": 200, "net.link.queue_depth": 100,
         "epc.channel.messages": 100, "epc.channel.bytes": 100,
         "epc.channel.dropped": 100, "epc.agent.processed": 100,
         "epc.agent.queue_depth": 100, "epc.agent.queue_wait_s": 100}
-    assert len(registry) == len(registry._instruments) == 1200
+    assert len(registry) == len(registry._instruments) == 1100
     # a second read finds the same rows
     assert registry.snapshot() == registry.snapshot()
 
