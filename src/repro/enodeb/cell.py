@@ -159,13 +159,12 @@ class Cell:
             arena.columns(bank, self.scheduler), self.allowed_prbs)
         return self._deliver(bank, grants)
 
-    def _deliver(self, bank,
-                 grants: Dict[str, FrozenSet[int]]) -> Dict[str, float]:
+    def _deliver(self, bank, grants: Dict[str, int]) -> Dict[str, float]:
         """Shared grant->bits tail: CQI lookup, HARQ factor, telemetry.
 
-        Goodput per UE = granted PRBs x bits/PRB at its CQI x the HARQ
-        delivery factor at its SINR, all read from the refreshed bank
-        (grants arrive non-empty from the allocator). A factor still
+        Goodput per UE = granted PRB count x bits/PRB at its CQI x the
+        HARQ delivery factor at its SINR, all read from the refreshed
+        bank (counts arrive non-zero from the allocator). A factor still
         stale (NaN) since its row's refresh is filled here, for every
         granted row at once, the first time one is met.
         """
@@ -178,7 +177,7 @@ class Cell:
         harq = bank.harq.tolist()
         b = bank.b.tolist()
         harq_on = self.harq_enabled
-        for ue_id, prbs in grants.items():
+        for ue_id, n_prbs in grants.items():
             s = slot_of[ue_id]
             if cqi[s] < 0:
                 self._m_no_cqi.inc()
@@ -192,8 +191,8 @@ class Cell:
                     harq = bank.harq.tolist()
                     factor = harq[s]
                 self._m_harq.observe(factor)
-            self._m_prbs.observe(len(prbs))
-            delivered[ue_id] = len(prbs) * b[s] * factor
+            self._m_prbs.observe(n_prbs)
+            delivered[ue_id] = n_prbs * b[s] * factor
         return delivered
 
     def schedule_uplink_tti(self) -> Dict[str, float]:

@@ -48,6 +48,16 @@ the radio was replaced. What stays a per-TTI poll is the cell-level
 environment signature (interferer set, serving radio, link budget, HARQ
 config): it is O(interferers), not O(UEs), and a change dirties every
 row. A TTI on a cell nobody wrote to runs no per-UE Python.
+
+What a TTI reads of the arena is reused while it cannot have changed.
+Each bank's ``version`` moves when a refresh rewrites a row or the
+views are re-taken; the arena's ``demand_version`` moves at attach,
+detach and every context write. The scheduler columns' ``eff`` list and
+eligibility (:meth:`UeArena.columns`) are derived once per pair of the
+two, and ``Cell`` bins the downlink SINR column once per bank version,
+so a static cell's TTI converts no column for the scheduler. The
+backlog, GBR, priority, bits-per-PRB and EWMA columns are handed over
+as they are, never copied.
 """
 
 from __future__ import annotations
@@ -92,10 +102,11 @@ def _radio_sig(radio: Radio) -> tuple:
 
 
 def _model_sig(model: object) -> tuple:
-    """Value signature of a propagation model."""
+    """Value signature of a propagation model: its attributes in their
+    own (insertion) order. Equal tuples mean equal values; an equal model
+    whose attributes were set in another order only costs a refresh."""
     attrs = getattr(model, "__dict__", None)
-    items = tuple(sorted(attrs.items())) if attrs else ()
-    return (type(model).__name__, items)
+    return (type(model).__name__, tuple(attrs.items()) if attrs else ())
 
 
 class _PhyBank:
@@ -110,15 +121,18 @@ class _PhyBank:
     row, or the views were re-taken (attach / detach) — a reader that
     derived something from a column keeps it while ``version`` stands
     still. Filling a HARQ factor does not move it: the factor is a
-    function of the row's SINR and CQI, which stood still.
+    function of the row's SINR and CQI, which stood still. ``reads``
+    is :meth:`UeArena.columns`' own such reader: the versions it was
+    derived at and what it derived.
     """
 
     __slots__ = ("env_sig", "version", "dirty", "sinr", "cqi", "eff", "b",
-                 "harq")
+                 "harq", "reads")
 
     def __init__(self) -> None:
         self.env_sig: Optional[tuple] = None
         self.version = 0
+        self.reads: tuple = (None,)
 
     def bind(self, rows: np.ndarray) -> None:
         (self.dirty, self.sinr, self.cqi, self.eff, self.b,
@@ -147,6 +161,9 @@ class UeArena:
         # ``gbr`` are rows 0-1 of the block, taken by _bind_columns, as
         # is ``_inputs``)
         self.priority: List[int] = []
+        #: moves on every write to the demand (backlog, GBR, priority)
+        #: and on attach / detach
+        self.demand_version = 0
         self.dl = _PhyBank()
         self.ul = _PhyBank()
         self._block = np.zeros((_BLOCK_ROWS, 8))
@@ -183,6 +200,7 @@ class UeArena:
         self.backlog[slot] = ctx.backlog_bits
         self.gbr[slot] = ctx.gbr_bps
         self.priority[slot] = ctx.priority
+        self.demand_version += 1
         old = self._radios[slot]
         if ctx.radio is not old:  # the mark follows the context's radio
             old.unwatch(mark)
@@ -216,6 +234,7 @@ class UeArena:
         self._bind_columns()
         self.backlog[slot] = ctx.backlog_bits
         self.gbr[slot] = ctx.gbr_bps
+        self.demand_version += 1
         self._inputs[:, slot] = sig
         # a new row is dirty in both banks, so its other cells (whatever
         # an earlier tenant of the column left) are written before read
@@ -241,6 +260,7 @@ class UeArena:
         block = self._block
         block[:, slot:len(ids)] = block[:, slot + 1:len(ids) + 1]
         self._bind_columns()
+        self.demand_version += 1
         self._desc_stale = True
         for sched, avg in self._avg.items():
             self._avg[sched] = np.delete(avg, slot)
@@ -260,14 +280,25 @@ class UeArena:
         return avg
 
     def columns(self, bank: _PhyBank, scheduler: LteScheduler) -> UserColumns:
-        """This TTI's columns for ``scheduler`` over a refreshed bank."""
-        mask = (bank.eff > 0.0) & (self.backlog > 0.0)
-        desc = self.desc_order
+        """This TTI's columns for ``scheduler`` over a refreshed bank.
+
+        ``eff`` as a list and the two eligibility columns are derived
+        once per (bank version, demand version) and reused until either
+        moves; nothing a scheduler is handed is written by it except
+        ``avg``."""
+        key = (bank.version, self.demand_version)
+        reads = bank.reads
+        if reads[0] != key:
+            mask = (bank.eff > 0.0) & (self.backlog > 0.0)
+            desc = self.desc_order
+            reads = bank.reads = (key, bank.eff.tolist(),
+                                  mask.nonzero()[0].tolist(),
+                                  desc[mask[desc]])
+        _key, eff, elig, elig_desc = reads
         return UserColumns(
-            ids=self.ids, slot_of=self.slot_of, eff=bank.eff.tolist(),
-            b=bank.b, avg=self._avg_for(scheduler), gbr=self.gbr,
-            priority=self.priority, elig=mask.nonzero()[0].tolist(),
-            elig_desc=desc[mask[desc]])
+            ids=self.ids, eff=eff, b=bank.b, avg=self._avg_for(scheduler),
+            gbr=self.gbr, priority=self.priority, elig=elig,
+            elig_desc=elig_desc)
 
     # -- per-TTI refresh ---------------------------------------------------
 

@@ -1,11 +1,14 @@
 """LTE downlink/uplink PRB schedulers.
 
-Each scheduler answers one question per TTI: which user gets each PRB of
-the set this cell is allowed to use. The allowed set comes from the
-coordination layer (full grid when standalone, a slice under fair
+Each scheduler answers one question per TTI: how many PRBs of the set
+this cell is allowed to use each user gets. The allowed set comes from
+the coordination layer (full grid when standalone, a slice under fair
 sharing, a jointly-optimized slice in cooperative mode), which is exactly
 the paper's §4.3 division of labor: coordination decides the slices,
-the local scheduler fills them.
+the local scheduler fills them. A grant is a count, not a PRB set:
+SINR is wideband, so which PRBs a user gets changes nothing it is
+delivered (the PRB-level layout each policy implies is kept by the test
+oracle under ``tests/reference/``).
 
 Implemented policies:
 
@@ -23,7 +26,7 @@ from __future__ import annotations
 
 import heapq
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, List, NamedTuple
+from typing import AbstractSet, Dict, List, NamedTuple
 
 import numpy as np
 
@@ -40,13 +43,13 @@ class UserColumns(NamedTuple):
 
     Slot ``s`` is one user; every column is indexed by slot. A cell's
     :class:`repro.mac.arena.UeArena` holds each of these once and hands
-    its own columns over (``eff`` read out as a list, the two ``elig``
-    columns computed per TTI); ``avg`` is the arena's rate column for
-    the scheduler being run.
+    its own columns over (``eff`` read out as a list and the two
+    ``elig`` columns derived once per change of the bank or the
+    demand); ``avg`` is the arena's rate column for the scheduler being
+    run.
 
     Attributes:
         ids: user ids in slot order (grant maps are keyed in this order).
-        slot_of: inverse of ``ids``.
         eff: spectral efficiency per slot (list of Python floats).
         b: bits one PRB carries in one TTI per slot (float array).
         avg: EWMA average rate per slot in bits/s (float array, updated
@@ -60,7 +63,6 @@ class UserColumns(NamedTuple):
     """
 
     ids: List[str]
-    slot_of: Dict[str, int]
     eff: List[float]
     b: np.ndarray
     avg: np.ndarray
@@ -86,36 +88,33 @@ class LteScheduler(ABC):
     PF_WINDOW_TTIS = 100.0
 
     def allocate_columns(self, cols: UserColumns,
-                         prbs: FrozenSet[int]) -> Dict[str, FrozenSet[int]]:
-        """Assign each PRB in ``prbs`` to at most one user.
+                         prbs: AbstractSet[int]) -> Dict[str, int]:
+        """Grant the PRBs of ``prbs`` as per-user counts.
 
         Users outside ``cols.elig`` (below CQI 1, or no backlog) receive
-        nothing. Returns {user_id: prb set} in slot order; unassigned
-        PRBs are simply absent. Updates ``cols.avg`` in place.
+        nothing. Returns {user_id: PRB count} in slot order, for the
+        users granted at least one; the counts sum to at most
+        ``len(prbs)``. Updates ``cols.avg`` in place.
         """
-        grants: Dict[str, List[int]] = {}
+        counts: Dict[int, int] = {}
         if cols.elig and prbs:
-            grants = self._assign(cols, sorted(prbs))
-        slot_of = cols.slot_of
-        result = {uid: frozenset(grants[uid])
-                  for uid in sorted(grants, key=slot_of.__getitem__)
-                  if grants[uid]}
-        if cols.ids:
-            alpha = 1.0 / self.PF_WINDOW_TTIS
-            served = np.zeros(len(cols.ids))
-            for uid, g in result.items():
-                served[slot_of[uid]] = len(g)
-            avg = cols.avg
-            avg *= 1 - alpha
-            avg += alpha * (served * cols.b * 1e3)  # bits/s
+            counts = self._assign(cols, prbs)
+        ids = cols.ids
+        result = {ids[s]: counts[s] for s in sorted(counts) if counts[s]}
+        alpha = 1.0 / self.PF_WINDOW_TTIS
+        served = np.zeros(len(ids))
+        served[list(counts)] = list(counts.values())
+        avg = cols.avg
+        avg *= 1 - alpha
+        avg += alpha * (served * cols.b * 1e3)  # bits/s
         return result
 
     @abstractmethod
     def _assign(self, cols: UserColumns,
-                prbs: List[int]) -> Dict[str, List[int]]:
-        """Policy-specific assignment of sorted ``prbs`` over a non-empty
-        ``cols.elig``; returns {user_id: prbs} for the users it served,
-        in any order (users mapped to no PRBs are dropped)."""
+                prbs: AbstractSet[int]) -> Dict[int, int]:
+        """Policy-specific split of ``prbs`` over a non-empty
+        ``cols.elig``; returns {slot: PRB count} for the users it
+        served, in any order (a count of 0 is dropped)."""
 
 
 class RoundRobinScheduler(LteScheduler):
@@ -125,27 +124,30 @@ class RoundRobinScheduler(LteScheduler):
         self._next = 0
 
     def _assign(self, cols: UserColumns,
-                prbs: List[int]) -> Dict[str, List[int]]:
-        ids = cols.ids
+                prbs: AbstractSet[int]) -> Dict[int, int]:
+        # PRB i goes to eligible user (cursor + i) mod n: every user
+        # gets ``rounds`` and the ``extra`` users from the cursor on one
+        # more
         elig = cols.elig
-        grants: Dict[str, List[int]] = {}
         n = len(elig)
         nxt = self._next
-        for i, prb in enumerate(prbs):
-            grants.setdefault(ids[elig[(nxt + i) % n]], []).append(prb)
+        rounds, extra = divmod(len(prbs), n)
+        counts = dict.fromkeys(elig, rounds) if rounds else {}
+        for i in range(nxt, nxt + extra):
+            counts[elig[i % n]] = rounds + 1
         self._next = (nxt + len(prbs)) % n
-        return grants
+        return counts
 
 
 class MaxCiScheduler(LteScheduler):
     """Give every PRB to the user with the best channel."""
 
     def _assign(self, cols: UserColumns,
-                prbs: List[int]) -> Dict[str, List[int]]:
+                prbs: AbstractSet[int]) -> Dict[int, int]:
         ids = cols.ids
         eff = cols.eff
         best = max(cols.elig, key=lambda s: (eff[s], ids[s]))
-        return {ids[best]: list(prbs)}
+        return {best: len(prbs)}
 
 
 class ProportionalFairScheduler(LteScheduler):
@@ -156,16 +158,22 @@ class ProportionalFairScheduler(LteScheduler):
 
     Granting a PRB only lowers the winner's own metric (``inst / (avg +
     n*inst)`` is decreasing in ``n``) and touches nobody else's, so the
-    argmax scan over all users per PRB is replaced by a heap: pop the
-    winner, grant, re-push with its updated metric — O(log U) per PRB
-    instead of O(U) closure calls, with identical float arithmetic. Heap
-    entries are ``(-metric, rank)`` where rank ascends in *descending*
-    ``user_id`` order, replicating ``max(..., key=(metric, user_id))``
-    tie-breaking exactly (this is the F1/E7 radio-phase hot path).
+    argmax scan over all users per PRB is replaced by a heap: read the
+    winner at the top, count the grant, replace it with its updated
+    metric — O(log U) per PRB instead of O(U) closure calls, with
+    identical float arithmetic. Heap entries are ``(-metric, rank)``
+    where rank ascends in *descending* ``user_id`` order, replicating
+    ``max(..., key=(metric, user_id))`` tie-breaking exactly (this is
+    the F1/E7 radio-phase hot path).
     """
 
     def _assign(self, cols: UserColumns,
-                prbs: List[int]) -> Dict[str, List[int]]:
+                prbs: AbstractSet[int]) -> Dict[int, int]:
+        return self._fair_counts(cols, len(prbs))
+
+    @staticmethod
+    def _fair_counts(cols: UserColumns, n_prbs: int) -> Dict[int, int]:
+        """PF over ``n_prbs`` PRBs: {slot: count}."""
         # heap ranks in descending-uid order; the seed metrics are one
         # array division (IEEE division: the scalar expression's bits) and
         # everything the loop touches is a Python float (via tolist)
@@ -178,19 +186,20 @@ class ProportionalFairScheduler(LteScheduler):
         entries = list(zip((-(inst_arr / avg_arr)).tolist(),
                            range(len(insts))))
         heapq.heapify(entries)
-        pop = heapq.heappop
-        push = heapq.heappush
-        by_rank: Dict[int, List[int]] = {}
-        for prb in prbs:
-            _neg, rank = pop(entries)
-            granted = by_rank.get(rank)
-            if granted is None:
-                granted = by_rank[rank] = []
-            granted.append(prb)
+        replace = heapq.heapreplace
+        by_rank = [0] * len(insts)
+        won: List[int] = []
+        for _ in range(n_prbs):
+            # the top is the winner (ranks are distinct, so the order of
+            # winners does not depend on how the heap is laid out)
+            rank = entries[0][1]
+            n = by_rank[rank] = by_rank[rank] + 1
+            if n == 1:
+                won.append(rank)
             inst = insts[rank]
-            push(entries, (-(inst / (avgs[rank] + len(granted) * inst)), rank))
-        ids = cols.ids
-        return {ids[desc[rank]]: granted for rank, granted in by_rank.items()}
+            replace(entries, (-(inst / (avgs[rank] + n * inst)), rank))
+        slots = desc.tolist()
+        return {slots[rank]: by_rank[rank] for rank in won}
 
 
 class QosAwareScheduler(ProportionalFairScheduler):
@@ -203,24 +212,27 @@ class QosAwareScheduler(ProportionalFairScheduler):
     """
 
     def _assign(self, cols: UserColumns,
-                prbs: List[int]) -> Dict[str, List[int]]:
+                prbs: AbstractSet[int]) -> Dict[int, int]:
         ids = cols.ids
-        grants: Dict[str, List[int]] = {}
-        remaining = list(prbs)
+        counts: Dict[int, int] = {}
+        remaining = len(prbs)
         gbr = cols.gbr
         prio = cols.priority
         elig = cols.elig_desc
         gbr_slots = sorted(elig[gbr[elig] > 0].tolist(),
                            key=lambda s: (prio[s], ids[s]))
         for s in gbr_slots:
+            # one PRB at a time, as the guarantee's sequential float
+            # subtraction decides when it is met
             needed_bits = float(gbr[s]) * 1e-3  # per TTI
             per_prb = float(cols.b[s])
-            granted = grants[ids[s]] = []
+            n = 0
             while remaining and needed_bits > 0:
-                granted.append(remaining.pop(0))
+                n += 1
+                remaining -= 1
                 needed_bits -= per_prb
+            counts[s] = n
         if remaining:
-            pf = super()._assign(cols, remaining)
-            for uid, extra in pf.items():
-                grants.setdefault(uid, []).extend(extra)
-        return grants
+            for s, extra in self._fair_counts(cols, remaining).items():
+                counts[s] = counts.get(s, 0) + extra
+        return counts

@@ -15,22 +15,24 @@ compose so well with SC-FDMA uplinks.
 
 from __future__ import annotations
 
-from operator import itemgetter
-from typing import Dict, Iterable, List, Tuple
+from typing import AbstractSet, Dict, List, Tuple
 
 import numpy as np
 
 from repro.mac.schedulers import LteScheduler, UserColumns
 
 
-def contiguous_runs(prbs: Iterable[int]) -> List[Tuple[int, int]]:
-    """Maximal runs of consecutive indices as (start, length), sorted."""
+def contiguous_runs(prbs: AbstractSet[int]) -> List[Tuple[int, int]]:
+    """Maximal runs of consecutive indices as (start, length), sorted.
+
+    A run starts at every index whose predecessor is absent; only the
+    starts are sorted, never the set."""
     runs: List[Tuple[int, int]] = []
-    for prb in sorted(prbs):
-        if runs and prb == runs[-1][0] + runs[-1][1]:
-            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
-        else:
-            runs.append((prb, 1))
+    for start in sorted(p for p in prbs if p - 1 not in prbs):
+        end = start + 1
+        while end in prbs:
+            end += 1
+        runs.append((start, end - start))
     return runs
 
 
@@ -41,11 +43,12 @@ class ContiguousUplinkScheduler(LteScheduler):
     rate), then users are laid out greedily into the allowed set's
     contiguous runs, largest-share-first into largest-run-first. A user
     never spans two runs; leftovers inside a run go to the next user
-    that fits.
+    that fits. The grant is the block's size: where a run of a given
+    length sits in the grid changes no user's count.
     """
 
     def _assign(self, cols: UserColumns,
-                prbs: List[int]) -> Dict[str, List[int]]:
+                prbs: AbstractSet[int]) -> Dict[int, int]:
         total = len(prbs)
         floor = 1e3
         # demand weight ~ PF metric: efficiency / average rate
@@ -60,22 +63,20 @@ class ContiguousUplinkScheduler(LteScheduler):
         targets = np.maximum(1.0, np.rint(total * weights[asc] / weight_sum))
         # each served user takes at least one PRB: at most ``total`` are
         order = np.argsort(-targets, kind="stable")[:total]
-        # largest run first, equal lengths in PRB order
-        runs = sorted(contiguous_runs(prbs), key=itemgetter(1), reverse=True)
-        ids = cols.ids
-        grants: Dict[str, List[int]] = {}
+        # run lengths, largest first
+        rooms = sorted((length for _start, length in contiguous_runs(prbs)),
+                       reverse=True)
+        counts: Dict[int, int] = {}
         j = 0
-        start, room = runs[0]
+        room = rooms[0]
         for s, want in zip(asc[order].tolist(),
                            targets[order].astype(np.intp).tolist()):
             # the first run with room; shrink the block to fit
-            take = min(want, room)
-            grants[ids[s]] = list(range(start, start + take))
-            start += take
+            take = counts[s] = min(want, room)
             room -= take
             if not room:
                 j += 1
-                if j == len(runs):
+                if j == len(rooms):
                     break
-                start, room = runs[j]
-        return grants
+                room = rooms[j]
+        return counts

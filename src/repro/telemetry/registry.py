@@ -337,9 +337,10 @@ class Histogram(_Instrument):
         self._bucket_arr: Optional[np.ndarray] = None
 
     def bin(self, values: Sequence[float]
-            ) -> Tuple[List[float], float, float, List[int]]:
+            ) -> Tuple[List[float], float, float, List[Tuple[int, int]]]:
         """Everything about a batch that does not depend on what was
-        observed before it: ``(values, min, max, per-bucket counts)``.
+        observed before it: ``(values, min, max, [(bucket, count), ...])``
+        with only the non-empty buckets listed.
 
         A caller whose batch repeats (a static cell's SINR column) bins
         it once and feeds :meth:`observe_binned` per repetition. Bucket
@@ -352,20 +353,23 @@ class Histogram(_Instrument):
             return vals, 0.0, 0.0, []
         if self._bucket_arr is None:
             self._bucket_arr = np.array(self.buckets)
-        idx = np.searchsorted(self._bucket_arr, arr, side="left")
-        counts = np.bincount(idx, minlength=len(self.bucket_counts))
-        return vals, min(vals), max(vals), counts.tolist()
+        counts = np.bincount(np.searchsorted(self._bucket_arr, arr,
+                                             side="left"))
+        filled = counts.nonzero()[0]
+        return (vals, min(vals), max(vals),
+                list(zip(filled.tolist(), counts[filled].tolist())))
 
     def observe_binned(self, binned: Tuple[List[float], float, float,
-                                            List[int]]) -> None:
+                                            List[Tuple[int, int]]]) -> None:
         """Record a batch :meth:`bin` prepared, bit-identically to
-        calling :meth:`observe` per element in order.
+        calling :meth:`observe` per element in order; O(non-empty
+        buckets) apart from the sum.
 
         The running sum is a sequential left fold (same additions in
         the same order as the scalar path; not ``sum()``, which
         compensates float sums from CPython 3.12 on).
         """
-        vals, lo, hi, counts = binned
+        vals, lo, hi, filled = binned
         if not vals:
             return
         self.count += len(vals)
@@ -374,8 +378,9 @@ class Histogram(_Instrument):
             self.min = lo
         if hi > self.max:
             self.max = hi
-        self.bucket_counts = [have + new for have, new
-                              in zip(self.bucket_counts, counts)]
+        bucket_counts = self.bucket_counts
+        for bucket, count in filled:
+            bucket_counts[bucket] += count
         for tracker in self._quantiles:
             for value in vals:
                 tracker.observe(value)

@@ -32,6 +32,14 @@ schedulers' one front door, ``allocate_columns``, runs over, so unit
 tests can drive a policy without a cell; :func:`allocate_packed` runs
 the front door over them and writes the updated averages back.
 :func:`arena_rates` reads the production EWMA out of a cell's arena.
+
+The oracle grants PRB *sets*, laid out as each policy lays them out
+(round-robin cycling, the PF heap's per-PRB winners, GBR bearers first
+in PRB order, one contiguous block per uplink user), while production
+grants PRB *counts*. The properties of PRB identity (no PRB granted
+twice, every PRB inside the allowed set, one block per uplink user)
+are therefore held on :func:`allocate`'s sets, and production is held
+to the oracle's per-user set sizes (:func:`grant_counts`).
 """
 
 import heapq
@@ -151,7 +159,7 @@ def pack(users: Sequence[SchedulableUser],
                      for e, u in zip(eff, users)], dtype=bool)
     desc = descending_id_order(ids)
     return UserColumns(
-        ids=ids, slot_of={uid: s for s, uid in enumerate(ids)}, eff=eff,
+        ids=ids, eff=eff,
         b=np.array([bits_per_prb(e) for e in eff], dtype=float),
         avg=np.array([rates.get(uid, 0.0) for uid in ids], dtype=float),
         gbr=np.array([u.gbr_bps for u in users], dtype=float),
@@ -162,7 +170,7 @@ def pack(users: Sequence[SchedulableUser],
 def allocate_packed(sched: LteScheduler, users: Sequence[SchedulableUser],
                     prbs: FrozenSet[int],
                     rates: Optional[Dict[str, float]] = None
-                    ) -> Dict[str, FrozenSet[int]]:
+                    ) -> Dict[str, int]:
     """``sched.allocate_columns`` over :func:`pack`; the updated averages
     go back into ``rates`` (a fresh dict when None)."""
     rates = {} if rates is None else rates
@@ -170,6 +178,12 @@ def allocate_packed(sched: LteScheduler, users: Sequence[SchedulableUser],
     result = sched.allocate_columns(cols, prbs)
     rates.update(zip(cols.ids, cols.avg.tolist()))
     return result
+
+
+def grant_counts(grants: Dict[str, FrozenSet[int]]) -> Dict[str, int]:
+    """The oracle's PRB sets as the per-user counts production grants,
+    in the same key order."""
+    return {uid: len(prbs) for uid, prbs in grants.items()}
 
 
 # -- the scalar SINR evaluators, one link at a time ----------------------------

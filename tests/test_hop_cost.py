@@ -91,12 +91,14 @@ def _cost_per_delivery(gap_s, managed=False):
 
 
 #: state -> (gap_s, managed, max calls, max lines) per delivery. Measured
-#: 6.78 / 87.9, 8.79 / 101.0 and 8.54 / 98.6; before the fused hop
-#: 9.03 / 92.4, 11.01 / 105.4 and 12.80 / 114.2 (managed with a 2%
-#: random loss, which links no longer draw).
+#: 6.79 / 86.0, 7.50 / 91.9 and 8.54 / 98.6 on CPython 3.11.7, each bound
+#: about a quarter frame and a line and a half above; when the hop was
+#: fused, the idle and queued chains read 6.78 / 87.9 and 8.79 / 101.0;
+#: before the fused hop 9.03 / 92.4, 11.01 / 105.4 and 12.80 / 114.2
+#: (managed with a 2% random loss, which links no longer draw).
 CHAINS = {
-    "idle": (3e-3, False, 7.0, 89.0),
-    "queued": (200e-6, False, 9.0, 102.0),
+    "idle": (3e-3, False, 7.0, 87.5),
+    "queued": (200e-6, False, 7.7, 93.5),
     "managed": (200e-6, True, 8.8, 100.0),
 }
 

@@ -295,7 +295,7 @@ def test_a_subclassed_policy_runs_on_the_arena(monkeypatch):
         def _assign(self, cols, prbs):
             calls.append(cols)
             best = max(cols.elig, key=cols.eff.__getitem__)
-            return {cols.ids[best]: list(prbs)}
+            return {best: len(prbs)}
 
     def greedy_scalar(sched, users, prbs, rates):
         best = max(users, key=lambda u: u.efficiency)
@@ -315,8 +315,9 @@ def test_a_subclassed_policy_runs_on_the_arena(monkeypatch):
                          ids=lambda c: c.__name__)
 def test_allocate_columns_matches_the_oracle(sched_cls):
     """The front door on arena state agrees with the oracle on the same
-    users and averages: with the scalar ``allocate`` and with
-    ``allocate_columns`` over the oracle's packed columns."""
+    users and averages: with the sizes of the scalar ``allocate``'s PRB
+    sets and with ``allocate_columns`` over the oracle's packed
+    columns."""
     cell, _ = _build_cell(RoundRobinScheduler, 77, 23)
     cell.scheduler = sched_cls()
     arena = cell._arena
@@ -337,8 +338,8 @@ def test_allocate_columns_matches_the_oracle(sched_cls):
                      backlog_bits=arena.backlog[s],
                      gbr_bps=arena.gbr[s], priority=arena.priority[s])
                  for s, uid in enumerate(arena.ids)]
-        expected = scalar_tti.allocate(twins[0], users, frozenset(prbs),
-                                       scalar_rates)
+        expected = scalar_tti.grant_counts(scalar_tti.allocate(
+            twins[0], users, frozenset(prbs), scalar_rates))
         packed = allocate_packed(twins[1], users, frozenset(prbs),
                                  packed_rates)
         got = cell.scheduler.allocate_columns(

@@ -12,6 +12,14 @@ a downlink and an uplink TTI after every step. Delivered maps must be
 equal to the key order and every EWMA equal, so a row that kept a stale
 SINR, or a column that slipped a slot when the block grew or closed a
 gap, shows up at the step that caused it.
+
+Two ops are aimed at what the arena reuses between TTIs (the scheduler
+columns, kept while the bank and the demand stand still): ``demand``
+writes only backlog, GBR and priority, which moves no bank, and
+``prb_swap`` runs one more downlink TTI and then hands the cell a new
+allowed set, so the set changes between two TTIs over unchanged
+columns. A columns cache keyed on the bank version alone fails on the
+first.
 """
 
 from weakref import WeakKeyDictionary
@@ -37,10 +45,13 @@ STRUCTURAL = ("attach", "detach_first", "detach_middle", "detach_last")
 PER_UE = ("move", "replace_radio", "reparam", "backlog", "gbr", "priority")
 PER_CELL = ("swap_scheduler", "dl_interferer", "harq", "cell_power",
             "prb_mask")
+#: what the reused columns must hear of: a demand-only write, and an
+#: allowed set swapped between two TTIs
+REUSE = ("demand", "prb_swap")
 
 BACKLOGS = (float("inf"), 0.0, 5e5, 3e3)
 
-steps = st.tuples(st.sampled_from(STRUCTURAL + PER_UE + PER_CELL),
+steps = st.tuples(st.sampled_from(STRUCTURAL + PER_UE + PER_CELL + REUSE),
                   st.integers(min_value=0, max_value=10**6),
                   st.floats(min_value=-4000.0, max_value=4000.0),
                   st.floats(min_value=30.0, max_value=4000.0))
@@ -103,6 +114,14 @@ def _apply(cell, detach, op, pick, x, y, tag):
             cell.interferers.append(
                 Cell(f"x{tag}", cell.band, Point(x, -y), cell.link_budget,
                      metrics=MetricsRegistry()))
+    elif op == "demand":  # two UEs: one flips eligibility, one re-ranks
+        ctxs = list(cell._ues.values())
+        for k, ctx in enumerate(ctxs[pick % 3::5][:2]):
+            ctx.backlog_bits = BACKLOGS[(pick + k) % 4]
+            ctx.gbr_bps = (0.0, 2e6, 5e5)[(pick + k) % 3]
+            ctx.priority = 1 + (pick + k) % 9
+    elif op == "prb_swap":
+        cell.allowed_prbs = _swapped_prbs(cell, pick)
     elif op == "harq":
         cell.harq_enabled = not cell.harq_enabled
         cell.harq_max_retx = pick % 4
@@ -111,6 +130,21 @@ def _apply(cell, detach, op, pick, x, y, tag):
     else:
         cell.allowed_prbs = frozenset(
             p for p in cell.grid.all_prbs if p % 3 != pick % 3)
+
+
+def _swapped_prbs(cell, pick):
+    """A new allowed set: one slice, two runs, one PRB, or none."""
+    n = len(cell.grid.all_prbs)
+    lo = pick % n
+    shape = pick % 4
+    if shape == 0:
+        return frozenset(range(lo, min(n, lo + 1 + pick % 17)))
+    if shape == 1:
+        return (frozenset(range(0, 1 + lo % 7))
+                | frozenset(range(lo, min(n, lo + 3))))
+    if shape == 2:
+        return frozenset((lo,))
+    return frozenset()
 
 
 @given(st.integers(min_value=0, max_value=3),
@@ -124,9 +158,11 @@ def test_arena_cell_equals_scalar_walk_under_churn(sched, n_ue, seed, script):
         SCHEDULERS[sched], seed, n_ue, n_inter=seed % 2)
     _assert_tti_equal(ref, cell, "before the script")
     for tag, (op, pick, x, y) in enumerate(script):
+        where = f"step {tag}: {op}"
+        if op == "prb_swap":  # one more DL TTI, then the swap
+            assert cell.schedule_tti() == scalar_tti.schedule_tti(ref), where
         for twin, detach in zip((ref, cell), DETACH):
             _apply(twin, detach, op, pick, x, y, tag)
-        where = f"step {tag}: {op}"
         _assert_tti_equal(ref, cell, where)
         assert list(ref._ues) == cell._arena.ids, where
         _assert_rates_equal(ref, cell, where)

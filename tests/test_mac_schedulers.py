@@ -1,6 +1,8 @@
 """Unit tests for LTE PRB schedulers, driven through their one front
 door, ``allocate_columns``, over columns the oracle's packer builds from
-a user list (``tests/reference/scalar_tti.py``)."""
+a user list (``tests/reference/scalar_tti.py``). Production grants PRB
+counts; what a grant's PRB identities must satisfy is held on the
+oracle's PRB sets, and production on the oracle's set sizes."""
 
 from repro.mac import (
     MaxCiScheduler,
@@ -9,6 +11,7 @@ from repro.mac import (
     RoundRobinScheduler,
 )
 
+from tests.reference import scalar_tti
 from tests.reference.scalar_tti import SchedulableUser, allocate_packed
 
 
@@ -20,14 +23,9 @@ def _users(*sinrs, **kw):
 PRBS = frozenset(range(50))
 
 
-def _granted(result):
-    return {uid: len(prbs) for uid, prbs in result.items()}
-
-
 def test_round_robin_even_split():
     sched = RoundRobinScheduler()
-    result = allocate_packed(sched, _users(10, 10, 10, 10, 10), PRBS)
-    counts = _granted(result)
+    counts = allocate_packed(sched, _users(10, 10, 10, 10, 10), PRBS)
     assert sum(counts.values()) == 50
     assert all(c == 10 for c in counts.values())
 
@@ -38,17 +36,22 @@ def test_round_robin_rotates_start():
     second = allocate_packed(sched, _users(10, 10, 10), frozenset(range(4)))
     # 4 PRBs over 3 users: the extra PRB should rotate between calls
     def extra_user(result):
-        return max(result, key=lambda uid: len(result[uid]))
+        return max(result, key=result.__getitem__)
     assert extra_user(first) != extra_user(second)
 
 
 def test_each_prb_assigned_once():
-    for sched in (RoundRobinScheduler(), ProportionalFairScheduler(),
-                  MaxCiScheduler(), QosAwareScheduler()):
-        result = allocate_packed(sched, _users(5, 10, 15), PRBS)
-        all_prbs = [p for prbs in result.values() for p in prbs]
+    """The oracle's PRB sets are disjoint and inside the allowed set, and
+    production grants their sizes."""
+    for cls in (RoundRobinScheduler, ProportionalFairScheduler,
+                MaxCiScheduler, QosAwareScheduler):
+        users = _users(5, 10, 15)
+        sets = scalar_tti.allocate(cls(), users, PRBS, {})
+        all_prbs = [p for prbs in sets.values() for p in prbs]
         assert len(all_prbs) == len(set(all_prbs))
         assert set(all_prbs) <= PRBS
+        assert (allocate_packed(cls(), users, PRBS)
+                == scalar_tti.grant_counts(sets))
 
 
 def test_unreachable_users_get_nothing():
@@ -56,7 +59,7 @@ def test_unreachable_users_get_nothing():
     users = _users(-30, 10)  # u0 below CQI1
     result = allocate_packed(sched, users, PRBS)
     assert "u0" not in result
-    assert len(result["u1"]) == 50
+    assert result["u1"] == 50
 
 
 def test_zero_backlog_users_skipped():
@@ -64,7 +67,7 @@ def test_zero_backlog_users_skipped():
     users = [SchedulableUser("idle", 20, backlog_bits=0),
              SchedulableUser("busy", 20)]
     result = allocate_packed(sched, users, PRBS)
-    assert "idle" not in result and len(result["busy"]) == 50
+    assert "idle" not in result and result["busy"] == 50
 
 
 def test_empty_inputs():
@@ -75,13 +78,12 @@ def test_empty_inputs():
 
 def test_max_ci_takes_all():
     result = allocate_packed(MaxCiScheduler(), _users(3, 20, 10), PRBS)
-    assert _granted(result) == {"u1": 50}
+    assert result == {"u1": 50}
 
 
 def test_pf_spreads_within_single_tti():
-    result = allocate_packed(ProportionalFairScheduler(),
+    counts = allocate_packed(ProportionalFairScheduler(),
                              _users(15, 15, 15, 15), PRBS)
-    counts = _granted(result)
     assert len(counts) == 4
     assert max(counts.values()) - min(counts.values()) <= 2
 
@@ -93,8 +95,8 @@ def test_pf_long_run_fair_in_time_not_rate():
     rates = {}
     tallies = {"u0": 0, "u1": 0}
     for _ in range(300):
-        for uid, prbs in allocate_packed(sched, users, PRBS, rates).items():
-            tallies[uid] += len(prbs)
+        for uid, n in allocate_packed(sched, users, PRBS, rates).items():
+            tallies[uid] += n
     # both get meaningful airtime
     assert tallies["u0"] > 0.2 * tallies["u1"]
     # but the strong user ends with higher average rate
@@ -124,8 +126,8 @@ def test_qos_gbr_served_first():
     result = allocate_packed(sched, users, PRBS)
     # video at 5 dB -> CQI6 eff 1.1758 -> ~212 bits/PRB; 2 Mbps needs
     # 2000 bits/TTI -> ~10 PRBs guaranteed despite bulk's better channel.
-    assert len(result["video"]) >= 9
-    assert len(result["bulk"]) >= 1
+    assert result["video"] >= 9
+    assert result["bulk"] >= 1
 
 
 def test_qos_priority_order_between_gbr_users():
@@ -136,12 +138,12 @@ def test_qos_priority_order_between_gbr_users():
     ]
     # demands exceed the cell: the high-priority bearer should win more.
     result = allocate_packed(sched, users, PRBS)
-    assert len(result.get("high", ())) > len(result.get("low", ()))
+    assert result.get("high", 0) > result.get("low", 0)
 
 
 def test_qos_without_gbr_reduces_to_pf():
     qos = QosAwareScheduler()
     pf = ProportionalFairScheduler()
     users = _users(10, 12, 14)
-    assert (_granted(allocate_packed(qos, users, PRBS))
-            == _granted(allocate_packed(pf, users, PRBS)))
+    assert (allocate_packed(qos, users, PRBS)
+            == allocate_packed(pf, users, PRBS))

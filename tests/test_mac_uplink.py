@@ -1,9 +1,14 @@
-"""Unit tests for the SC-FDMA contiguous uplink scheduler."""
+"""Unit tests for the SC-FDMA contiguous uplink scheduler.
+
+Production grants block sizes; the blocks themselves are the oracle's
+(``tests/reference/scalar_tti.py``), so contiguity and placement are
+held on the oracle's grants, and production on their sizes."""
 
 import pytest
 
 from repro.mac import ContiguousUplinkScheduler, contiguous_runs
 
+from tests.reference import scalar_tti
 from tests.reference.scalar_tti import SchedulableUser, allocate_packed
 
 
@@ -28,6 +33,16 @@ def test_runs_empty():
 
 # -- contiguity of grants -------------------------------------------------------------
 
+def _blocks(users, allowed):
+    """The oracle's blocks, after checking that production grants their
+    sizes."""
+    blocks = scalar_tti.allocate(ContiguousUplinkScheduler(), users,
+                                 allowed, {})
+    assert (allocate_packed(ContiguousUplinkScheduler(), users, allowed)
+            == scalar_tti.grant_counts(blocks))
+    return blocks
+
+
 def _assert_contiguous(grants):
     for uid, prbs in grants.items():
         if prbs:
@@ -36,9 +51,7 @@ def _assert_contiguous(grants):
 
 
 def test_every_grant_is_one_block():
-    sched = ContiguousUplinkScheduler()
-    grants = allocate_packed(sched, _users(10, 15, 5, 20),
-                             frozenset(range(50)))
+    grants = _blocks(_users(10, 15, 5, 20), frozenset(range(50)))
     _assert_contiguous(grants)
     # grants are disjoint
     all_prbs = [p for g in grants.values() for p in g]
@@ -48,14 +61,13 @@ def test_every_grant_is_one_block():
 def test_everyone_gets_a_block_on_a_clean_grid():
     sched = ContiguousUplinkScheduler()
     grants = allocate_packed(sched, _users(10, 10, 10), frozenset(range(30)))
-    assert all(len(g) >= 1 for g in grants.values())
-    assert sum(len(g) for g in grants.values()) >= 27  # near-full use
+    assert all(n >= 1 for n in grants.values())
+    assert sum(grants.values()) >= 27  # near-full use
 
 
 def test_grants_respect_fragmented_allowed_set():
-    sched = ContiguousUplinkScheduler()
     allowed = frozenset(range(0, 10)) | frozenset(range(30, 35))
-    grants = allocate_packed(sched, _users(10, 10), allowed)
+    grants = _blocks(_users(10, 10), allowed)
     _assert_contiguous(grants)
     for g in grants.values():
         assert frozenset(g) <= allowed
@@ -79,5 +91,5 @@ def test_fair_sharing_slices_are_scfdma_friendly():
     for slice_ in partition.values():
         grants = allocate_packed(ContiguousUplinkScheduler(), _users(10, 12),
                                  slice_)
-        used = sum(len(g) for g in grants.values())
+        used = sum(grants.values())
         assert used / len(slice_) == pytest.approx(1.0, abs=0.1)

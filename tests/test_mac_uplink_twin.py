@@ -5,8 +5,10 @@ placement order as arrays; ``tests/reference/scalar_tti.py``'s
 ``_contiguous_uplink`` is the per-user walk it replaces. The production
 scheduler (over the oracle's packed columns) and the scalar allocation
 start from the same average rates, each in its own dict, and allocate
-the same users over the same PRB set for a few TTIs; grant maps must be
-equal to the key order and every EWMA rate equal, bit for bit.
+the same users over the same PRB set for a few TTIs; production's block
+sizes must equal the sizes of the oracle's blocks, to the key order,
+every EWMA rate must be equal, bit for bit, and the oracle's blocks
+must be contiguous, disjoint and inside the PRB set.
 
 The draws aim at the three places the two could part: the rounding of
 a target that lands exactly on ``.5`` (``round`` and ``np.rint`` both go
@@ -92,8 +94,15 @@ def test_uplink_packer_equals_the_scalar_policy(case):
     for tti in range(case[3]):
         got = scalar_tti.allocate_packed(sched, users, prbs, prod_rates)
         want = scalar_tti.allocate(sched, users, prbs, ref_rates)
-        assert list(got.items()) == list(want.items()), tti
+        assert (list(got.items())
+                == list(scalar_tti.grant_counts(want).items())), tti
         assert prod_rates == ref_rates, tti
+        seen = set()
+        for block in want.values():
+            lo = min(block)
+            assert block == frozenset(range(lo, lo + len(block))), tti
+            assert not block & seen and block <= prbs, tti
+            seen |= block
 
 
 def test_the_sum_order_case_flips_a_target():

@@ -30,6 +30,7 @@ from repro.phy import (
 from repro.phy.harq import block_error_rate
 from repro.simcore import Simulator
 
+from tests.reference import scalar_tti
 from tests.reference.scalar_tti import SchedulableUser, allocate_packed
 
 IP = ipaddress.IPv4Address
@@ -159,9 +160,24 @@ def test_reuse_partition_slices_within_colors(n_prbs, reuse, names):
 
 
 # -- schedulers conserve PRBs -------------------------------------------------------------------
+#
+# Production grants PRB counts; the PRB sets those counts stand for are
+# the oracle's (tests/reference/scalar_tti.py). Each property of PRB
+# identity is held on the oracle's sets, and production is held to the
+# oracle's per-user set sizes on the same drawn users.
 
 sinr_lists = st.lists(st.floats(min_value=-15, max_value=30),
                       min_size=1, max_size=12)
+
+
+def _oracle_sets(sched_cls, users, prbs):
+    """The oracle's PRB sets, after checking that production (a fresh
+    twin scheduler) grants their sizes, to the key order."""
+    sets = scalar_tti.allocate(sched_cls(), users, prbs, {})
+    counts = allocate_packed(sched_cls(), users, prbs)
+    assert list(counts.items()) == list(scalar_tti.grant_counts(sets).items())
+    assert sum(counts.values()) <= len(prbs)
+    return sets
 
 
 @given(sinr_lists, st.integers(min_value=0, max_value=100))
@@ -169,9 +185,9 @@ sinr_lists = st.lists(st.floats(min_value=-15, max_value=30),
 def test_schedulers_never_double_grant(sinrs, n_prbs):
     users = [SchedulableUser(f"u{i}", s) for i, s in enumerate(sinrs)]
     prbs = frozenset(range(n_prbs))
-    for sched in (RoundRobinScheduler(), ProportionalFairScheduler(),
-                  QosAwareScheduler()):
-        grants = allocate_packed(sched, users, prbs)
+    for sched_cls in (RoundRobinScheduler, ProportionalFairScheduler,
+                      QosAwareScheduler):
+        grants = _oracle_sets(sched_cls, users, prbs)
         seen = []
         for granted in grants.values():
             seen.extend(granted)
@@ -187,10 +203,9 @@ def test_schedulers_never_double_grant(sinrs, n_prbs):
 def test_full_grid_fully_used_when_someone_reachable(sinrs):
     users = [SchedulableUser(f"u{i}", s) for i, s in enumerate(sinrs)]
     prbs = frozenset(range(25))
-    sched = ProportionalFairScheduler()
-    grants = allocate_packed(sched, users, prbs)
+    grants = _oracle_sets(ProportionalFairScheduler, users, prbs)
     if any(u.efficiency > 0 for u in users):
-        assert sum(len(g) for g in grants.values()) == 25
+        assert frozenset().union(*grants.values()) == prbs
 
 
 # -- uplink contiguity invariant ----------------------------------------------------------------
@@ -203,8 +218,7 @@ def test_uplink_grants_always_contiguous_and_inside(sinrs, allowed_set):
 
     users = [SchedulableUser(f"u{i}", s) for i, s in enumerate(sinrs)]
     allowed = frozenset(allowed_set)
-    grants = allocate_packed(ContiguousUplinkScheduler(), users,
-                             allowed)
+    grants = _oracle_sets(ContiguousUplinkScheduler, users, allowed)
     seen = []
     for uid, prbs in grants.items():
         lst = sorted(prbs)

@@ -117,6 +117,13 @@ RULES: Tuple[Rule, ...] = (
          "every control arrival is one heap event posted at send time, as "
          "tests/reference/control.py runs it; an arrival parked on a busy "
          "agent and admitted lazily is a second queue a reader can see"),
+    Rule("grants-are-counts",
+         r"frozenset\(|sorted\(prbs\)",
+         ("src/repro/mac/schedulers.py", "src/repro/mac/uplink.py",
+          "src/repro/mac/arena.py", "src/repro/enodeb/cell.py"), (),
+         "a TTI grants PRB counts (SINR is wideband, so no reader needs "
+         "which PRB a UE got); the PRB sets each policy implies are the "
+         "oracle's, in tests/reference/scalar_tti.py"),
     Rule("links-draw-no-randomness",
          r"\.rng\(|\.random\(",
          ("src/repro/net/",), (),
@@ -155,6 +162,9 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "one-event-per-arrival": (
         "src/repro/epc/agents.py",
         "self.sim.post_keyed(at, seq, self.enqueue, message)"),
+    "grants-are-counts": (
+        "src/repro/mac/schedulers.py",
+        "result = {uid: frozenset(grants[uid]) for uid in grants}"),
     "links-draw-no-randomness": (
         "src/repro/net/links.py",
         "if self._loss_rng.random() < self.loss_rate:"),
