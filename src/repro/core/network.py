@@ -22,7 +22,6 @@ from __future__ import annotations
 import ipaddress
 from typing import Dict, List, Optional
 
-from repro.coordination.cooperative import CooperativeCluster
 from repro.coordination.icic import reuse_partition
 from repro.coordination.mesh import mesh_link_rate_bps
 from repro.core.access_point import AIR_DELAY_S, DLTEAccessPoint
@@ -155,28 +154,18 @@ class DLTENetwork(_BaseNetwork):
         self.ues: Dict[str, UserEquipment] = {}
         self.key_registry: Optional[PublishedKeyRegistry] = None
         self.spectrum_registry = None
-        self.coordination_mode = "fair-sharing"
-        self.cluster: Optional[CooperativeCluster] = None
         self._serving_ap: Dict[str, str] = {}
 
     @classmethod
-    def build(cls, town: RuralTown, band_name: str = "lte5", seed: int = 0,
-              coordination_mode: str = "fair-sharing",
-              spectrum_registry=None) -> "DLTENetwork":
-        """Assemble a dLTE federation over a town.
-
-        ``coordination_mode``: ``"fair-sharing"`` (default),
-        ``"cooperative"``, or ``"none"`` (the uncoordinated ablation —
-        overlapping cells interfere).
-        """
-        if coordination_mode not in ("fair-sharing", "cooperative", "none"):
-            raise ValueError(f"unknown coordination mode {coordination_mode!r}")
+    def build(cls, town: RuralTown, band_name: str = "lte5",
+              seed: int = 0) -> "DLTENetwork":
+        """Assemble a dLTE federation over a town: its APs split the
+        grid by fair sharing once they are licensed and peered."""
         sim = Simulator(seed)
         net = cls(sim, town)
-        net.coordination_mode = coordination_mode
         band = get_band(band_name)
         net.key_registry = PublishedKeyRegistry(sim, lookup_rtt_s=0.05)
-        net.spectrum_registry = spectrum_registry or SasRegistry(sim)
+        net.spectrum_registry = SasRegistry(sim)
 
         for i, position in enumerate(town.ap_positions()):
             ap = DLTEAccessPoint(
@@ -320,17 +309,6 @@ class DLTENetwork(_BaseNetwork):
                 report.attach_latencies_s.append(ue.attach_latency_s)
             else:
                 report.attach_failures += 1
-
-        if self.coordination_mode == "cooperative":
-            self.cluster = CooperativeCluster()
-            for ap in self.aps.values():
-                self.cluster.join(ap.cell)
-            self.cluster.optimize()
-        elif self.coordination_mode == "none":
-            cells = [ap.cell for ap in self.aps.values()]
-            for ap in self.aps.values():
-                ap.cell.allowed_prbs = ap.cell.grid.all_prbs
-                ap.cell.interferers = [c for c in cells if c is not ap.cell]
 
         report.control_bytes = sum(ap.x2.bytes_sent for ap in self.aps.values())
 

@@ -100,7 +100,6 @@ class Cell:
         self._sinr_version = -1
         self._m_harq = metrics.histogram("phy.harq.goodput_factor", cell=name,
                                          buckets=_FRACTION_BUCKETS)
-        self._m_no_cqi = metrics.counter("phy.mcs.below_cqi_floor", cell=name)
         self._m_ttis = metrics.counter("mac.cell.ttis", cell=name)
         self._m_prbs = metrics.histogram("mac.cell.granted_prbs", cell=name,
                                          buckets=_PRB_BUCKETS)
@@ -164,24 +163,21 @@ class Cell:
 
         Goodput per UE = granted PRB count x bits/PRB at its CQI x the
         HARQ delivery factor at its SINR, all read from the refreshed
-        bank (counts arrive non-zero from the allocator). A factor still
-        stale (NaN) since its row's refresh is filled here, for every
-        granted row at once, the first time one is met.
+        bank (counts arrive non-zero from the allocator, and only for
+        slots with a CQI row: eligibility requires ``eff > 0``). A
+        factor still stale (NaN) since its row's refresh is filled here,
+        for every granted row at once, the first time one is met.
         """
         delivered: Dict[str, float] = {}
         arena = self._arena
         slot_of = arena.slot_of
         # Python values: no numpy scalar may reach an instrument or the
         # delivered map
-        cqi = bank.cqi.tolist()
         harq = bank.harq.tolist()
         b = bank.b.tolist()
         harq_on = self.harq_enabled
         for ue_id, n_prbs in grants.items():
             s = slot_of[ue_id]
-            if cqi[s] < 0:
-                self._m_no_cqi.inc()
-                continue
             factor = 1.0
             if harq_on:
                 factor = harq[s]

@@ -35,7 +35,7 @@ from collections import deque
 from repro.epc.nas import AttachRequest
 from repro.epc.overload import CLASS_NEW_WORK, OverloadPolicy, message_class
 from repro.simcore.simulator import Simulator
-from repro.telemetry.registry import Counter, Gauge, StampedQueue
+from repro.telemetry.registry import Counter, Gauge
 
 
 #: a channel's ledger attributes as exported ``epc.channel.*`` counters
@@ -117,22 +117,13 @@ class ControlAgent:
         #: shed; copied on write, so an agent that never sheds shares
         #: the empty one
         self._m_shed: Dict[str, Counter] = _NO_SHEDS
-        earlier = sim.metrics.mirror(self, self._LEDGER, agent=name)
-        if earlier:
-            for agent in (*earlier, self):
-                agent._share_gauge()
+        sim.metrics.mirror(self, self._LEDGER, agent=name)
         if sim.checker is not None:
             sim.checker.watch_agent(self)
 
     def configure_overload(self, policy: Optional[OverloadPolicy]) -> None:
         """Install (or clear) a bounded-queue/shedding policy."""
         self.overload = policy
-
-    def _share_gauge(self) -> None:
-        """A same-named agent joined this one's ``epc.agent.queue_depth``
-        gauge: stamp every queue change from now on."""
-        if type(self._queue) is not StampedQueue:
-            self._queue = StampedQueue(self._queue, self.sim.seq.__next__)
 
     # -- arrivals --------------------------------------------------------------
 
@@ -282,23 +273,14 @@ class ControlAgent:
         return len(self._queue) + (1 if self._busy else 0)
 
     @property
-    def _queue_gauge(self) -> Optional[Tuple[int, int, int, int]]:
-        """``epc.agent.queue_depth`` as the registry reads it.
-
-        The gauge used to be set after every change to the queue: each
-        append in ``enqueue`` (depth after it), each pop that starts
-        service and each removal that sheds (depth after it). So it was
-        never set before the first append; after that its value is the
-        depth now, its min 0 (the first append found the agent idle, and
-        the pop that followed left the queue empty) and its max the
-        deepest the queue has been, since only an append raises it.
-        Stamped queues order same-named agents' readings.
-        """
+    def _queue_gauge(self) -> Optional[Tuple[int, int, int]]:
+        """``epc.agent.queue_depth`` as the registry reads it: None until
+        something has queued, then ``(depth now, 0, deepest)`` — the
+        queue starts empty, so 0 is its true minimum."""
         peak = self.peak_queue_depth
         if not peak:
             return None
-        queue = self._queue
-        return len(queue), 0, peak, getattr(queue, "stamp", 0)
+        return len(self._queue), 0, peak
 
     def utilization(self, elapsed_s: float) -> float:
         """Fraction of elapsed time spent processing."""

@@ -49,7 +49,7 @@ from typing import Callable, Deque, List, Optional, Tuple
 from repro.net.aqm import DROP, PASS, CoDelDiscipline
 from repro.net.packet import ECN_CE, ECN_ECT, Packet
 from repro.simcore.simulator import Simulator
-from repro.telemetry.registry import Gauge, StampedQueue
+from repro.telemetry.registry import Gauge
 
 _INF = float("inf")
 #: a link's three buffers until its first send: reads as empty, and an
@@ -80,7 +80,7 @@ class Link:
         "dropped_overflow", "dropped_down", "dropped_aqm", "marked_ecn",
         "bytes_sent", "offered_bytes", "delivered_bytes",
         "dropped_bytes", "_aqm", "_aqm_mirrored", "_queue_peak",
-        "_queue_min", "__weakref__")
+        "__weakref__")
 
     #: ledger attributes exported as ``net.link.*`` counters, and the
     #: ``net.link.queue_depth`` gauge read from :attr:`_queue_gauge`:
@@ -150,16 +150,11 @@ class Link:
         self.offered_bytes = 0
         self.delivered_bytes = 0
         self.dropped_bytes = 0
-        #: the deepest the egress queue has been (0: never queued), and
-        #: 1 until it refills after draining (see :attr:`_queue_gauge`)
+        #: the deepest the egress queue has been (0: never queued)
         self._queue_peak = 0
-        self._queue_min = 1
         self._aqm: Optional[CoDelDiscipline] = None
         self._aqm_mirrored = False
-        earlier = sim.metrics.mirror(self, self._LEDGER, link=name)
-        if earlier:
-            for link in (*earlier, self):
-                link._share_gauge()
+        sim.metrics.mirror(self, self._LEDGER, link=name)
         if sim.checker is not None:
             sim.checker.watch_link(self)
 
@@ -174,8 +169,7 @@ class Link:
         and its wake-up."""
         if self.receiver is None:
             raise RuntimeError(f"link {self.name!r} has no receiver connected")
-        if self._egress is _NONE:  # else a shared gauge's stamped queue
-            self._egress = deque()
+        self._egress = deque()
         self._flight = deque()
         self._offers = deque()
         #: the wake-up and the kernel's post, bound once: ``self._drain``
@@ -209,34 +203,17 @@ class Link:
         self.sim.ecn_marks += 1
         return True
 
-    def _share_gauge(self) -> None:
-        """A same-named link joined this one's ``net.link.queue_depth``
-        gauge: stamp every change to the egress queue from now on."""
-        if type(self._egress) is not StampedQueue:
-            self._egress = StampedQueue(self._egress, self.sim.seq.__next__)
-
     @property
-    def _queue_gauge(self) -> Optional[Tuple[int, int, int, int]]:
-        """``net.link.queue_depth`` as the registry reads it.
-
-        The gauge used to be set after every change to the egress
-        queue: each append (depth after it), each pop that starts
-        service or drops, and the flush of a cut. So it was never set
-        before the first append, which set 1; its value is the depth
-        now, unpromoted (promotion is a change the gauge saw only when
-        it happened); its max is the deepest the queue has been, since
-        only an append raises it; its min is 0 once a change emptied the
-        queue, which is either true now or was true before an append
-        refilled it (``_queue_min``). Stamped queues order same-named
-        links' readings.
-        """
+    def _queue_gauge(self) -> Optional[Tuple[int, int, int]]:
+        """``net.link.queue_depth`` as the registry reads it: None until
+        something has queued, then ``(depth now, 0, deepest)`` — the
+        queue starts empty, so 0 is its true minimum. The depth is
+        unpromoted: a packet whose service has started by now but that
+        nothing has touched since still counts."""
         peak = self._queue_peak
         if not peak:
             return None
-        egress = self._egress
-        depth = len(egress)
-        return (depth, self._queue_min if depth else 0, peak,
-                getattr(egress, "stamp", 0))
+        return len(self._egress), 0, peak
 
     @property
     def in_flight(self) -> int:
@@ -364,8 +341,6 @@ class Link:
                 sim = self.sim
                 if qlen > sim.link_peak_queue:
                     sim.link_peak_queue = qlen
-            elif qlen == 1:
-                self._queue_min = 0  # a refill: the queue drained before
             return True
         if self._aqm is not None:
             # an idle link is a zero sojourn, below any target: the

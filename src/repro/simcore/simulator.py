@@ -65,11 +65,8 @@ class Simulator:
         self.rng = RngRegistry(seed)
         self._heap: List[Tuple[float, int, ScheduledCall, Callable, tuple]] = []
         #: the heap's tie-break counter: entries at equal times run in
-        #: the order they were posted, one number per entry. A stamped
-        #: queue (``telemetry.registry.StampedQueue``) draws from it too,
-        #: to order same-named gauges' readings; a number that no entry
-        #: carries is a gap, and gaps order nothing.
-        self.seq = itertools.count()
+        #: the order they were posted, one number per entry
+        self._seq = itertools.count()
         self._running = False
         #: horizon of the run in progress; None tells an audit sweep
         #: it must not keep the queue alive
@@ -175,7 +172,7 @@ class Simulator:
             raise ValueError(f"cannot schedule at {time} < now {self.now}")
         handle = ScheduledCall(time, self)
         heap = self._heap
-        heapq.heappush(heap, (time, next(self.seq), handle, fn, args))
+        heapq.heappush(heap, (time, next(self._seq), handle, fn, args))
         if len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
         return handle
@@ -192,7 +189,7 @@ class Simulator:
         not validated; callers must guarantee it.
         """
         heap = self._heap
-        heapq.heappush(heap, (time, next(self.seq), None, fn, args))
+        heapq.heappush(heap, (time, next(self._seq), None, fn, args))
         if len(heap) > self.heap_high_water:
             self.heap_high_water = len(heap)
 

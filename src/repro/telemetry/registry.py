@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import operator
 from bisect import bisect_left
-from collections import deque
 from functools import reduce
 from itertools import chain
 from types import SimpleNamespace
@@ -32,7 +31,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry",
-           "P2Quantile", "StampedQueue", "DEFAULT_BUCKETS", "linear_buckets"]
+           "P2Quantile", "DEFAULT_BUCKETS", "linear_buckets"]
 
 #: Default histogram bucket upper bounds: half-decade geometric ladder
 #: wide enough for both latencies in seconds and counts/sizes.
@@ -55,16 +54,6 @@ def _label_key(labels: Dict[str, Any]) -> Tuple[Tuple[str, str], ...]:
     if len(labels) <= 1:
         return tuple((k, str(v)) for k, v in labels.items())
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def _flat_key(name: str, labels: Dict[str, Any],
-              extra: Dict[str, Any]) -> Tuple[str, ...]:
-    """``(name, k1, v1, ...)`` for ``labels`` joined by ``extra``: one
-    tuple where an instrument key is three. The index of mirrored gauges
-    holds one per declaring owner (an attach storm's thousands of idle
-    links) whether or not anybody reads."""
-    return (name, *chain.from_iterable(
-        _label_key({**labels, **extra} if extra else labels)))
 
 
 class _Instrument:
@@ -456,42 +445,6 @@ class Histogram(_Instrument):
                 "p99": 0.0 if empty else self.quantile(0.99)}
 
 
-class StampedQueue(deque):
-    """The queue of an owner that shares a mirrored depth gauge with a
-    same-named owner (two links, two agents): each change draws
-    ``stamp`` from ``draw`` (the simulator's key counter), so the shared
-    row's value can be the depth of the queue that changed last, as it
-    was when every change set the gauge (:meth:`MetricsRegistry.mirror`)."""
-
-    __slots__ = ("stamp", "_draw")
-
-    def __init__(self, items, draw) -> None:
-        super().__init__(items)
-        self._draw = draw
-        self.stamp = draw()
-
-    def append(self, item) -> None:
-        super().append(item)
-        self.stamp = self._draw()
-
-    def popleft(self):
-        item = super().popleft()
-        self.stamp = self._draw()
-        return item
-
-    def remove(self, item) -> None:
-        super().remove(item)
-        self.stamp = self._draw()
-
-    def __delitem__(self, index) -> None:
-        super().__delitem__(index)
-        self.stamp = self._draw()
-
-    def clear(self) -> None:
-        super().clear()
-        self.stamp = self._draw()
-
-
 class MetricsRegistry:
     """Get-or-create instrument store, keyed by (name, labels).
 
@@ -513,16 +466,14 @@ class MetricsRegistry:
         #: mirror() declarations no read has looked at yet: owner,
         #: declared fields, then the labels as k1, v1, k2, v2, ...
         self._pending: List[Tuple[Any, ...]] = []
-        #: (counter, owner, attribute) per declared attribute; several
-        #: owners may feed one counter (two links sharing a name)
-        self._mirrors: List[Tuple[Counter, Any, str]] = []
-        #: the counters :meth:`_sync` owns, by key — read, never ``inc``ed
+        #: (instrument, owner, attribute) per declared attribute, in
+        #: declaration order; several owners may feed one instrument
+        #: (two links sharing a name)
+        self._mirrors: List[Tuple[_Instrument, Any, str]] = []
+        #: the instruments :meth:`_sync` owns, by key — read, never
+        #: ``inc``ed or ``set``
         self._mirrored: Dict[Tuple[str, Tuple[Tuple[str, str], ...]],
                              _Instrument] = {}
-        #: mirrored gauges by :func:`_flat_key`: ``(gauge, owner,
-        #: attribute, owner, attribute, ...)``, the gauge None until the
-        #: first read, for every owner declared under the key
-        self._gauges: Dict[Tuple[str, ...], Tuple[Any, ...]] = {}
 
     def _get(self, cls, name: str, labels: Dict[str, Any], **kwargs):
         if not name:
@@ -561,10 +512,10 @@ class MetricsRegistry:
         return self._get(Histogram, name, labels, buckets=buckets,
                          quantiles=quantiles)
 
-    # -- mirrored counters ----------------------------------------------------
+    # -- mirrored counters and gauges ----------------------------------------
 
     def mirror(self, owner: Any, counters: Sequence[Tuple],
-               **labels: Any) -> List[Any]:
+               **labels: Any) -> None:
         """Export ``owner``'s plain count attributes as counters.
 
         ``counters`` is a class-level constant of ``(attribute, exported
@@ -577,25 +528,15 @@ class MetricsRegistry:
 
         A ``(attribute, exported name, extra labels, Gauge)`` entry
         exports a gauge instead. ``getattr(owner, attribute)`` is its
-        reading: ``(value, min, max, stamp)``, or None while the owner
-        would not yet have set it. Owners declaring one gauge combine as
-        a shared, eagerly set gauge did: min and max over every reading,
-        the value of the reading with the highest stamp. Returns the
-        owners that declared any of these gauges before ``owner``, so
-        that a shared gauge's owners can start stamping.
+        reading: ``(value, min, max)``, or None while the owner has no
+        level to report. Owners declaring one gauge fold in declaration
+        order: the value is the last-declared owner's reading that is
+        not None, min and max are taken over every reading.
         """
         # the labels wait as (k1, v1, ...): a dict would hold ~130 B more
         # per owner until the first read, and most owners are never read
         self._pending.append((owner, counters,
                               *chain.from_iterable(labels.items())))
-        earlier: List[Any] = []
-        for declared in counters:
-            if len(declared) == 4:
-                key = _flat_key(declared[1], labels, declared[2])
-                entry = self._gauges.get(key, (None,))
-                earlier.extend(entry[1::2])
-                self._gauges[key] = entry + (owner, declared[0])
-        return earlier
 
     def _bind(self, owner: Any, counters: Sequence[Tuple],
               *flat_labels: Any) -> None:
@@ -614,19 +555,12 @@ class MetricsRegistry:
                     f"already registered as an incremented "
                     f"{instruments[key].kind}")
         for declared, key in zip(counters, keys):
-            if len(declared) == 4:
-                flat = _flat_key(declared[1], labels, declared[2])
-                entry = self._gauges[flat]
-                if entry[0] is None:
-                    gauge = mirrored[key] = instruments[key] = Gauge(
-                        declared[1], dict(key[1]))
-                    self._gauges[flat] = (gauge, *entry[1:])
-                continue
-            counter = mirrored.get(key)
-            if counter is None:
-                counter = Counter(declared[1], dict(key[1]))
-                mirrored[key] = instruments[key] = counter
-            self._mirrors.append((counter, owner, declared[0]))
+            instrument = mirrored.get(key)
+            if instrument is None:
+                kind = declared[3] if len(declared) == 4 else Counter
+                instrument = kind(declared[1], dict(key[1]))
+                mirrored[key] = instruments[key] = instrument
+            self._mirrors.append((instrument, owner, declared[0]))
 
     def _sync(self) -> None:
         """Bring every mirrored instrument up to date (each reader's
@@ -644,58 +578,48 @@ class MetricsRegistry:
         if self._mirrored:
             for instrument in self._mirrored.values():
                 instrument.value = 0.0
-            for counter, owner, attribute in self._mirrors:
-                counter.value += getattr(owner, attribute)
-            for entry in self._gauges.values():
-                gauge = entry[0]
-                if gauge is None:
-                    continue
-                readings = [reading for reading in
-                            (getattr(owner, attribute) for owner, attribute
-                             in zip(entry[1::2], entry[2::2]))
-                            if reading is not None]
-                if readings:
-                    gauge.value = max(readings, key=lambda r: r[3])[0]
-                    gauge.min = min(reading[1] for reading in readings)
-                    gauge.max = max(reading[2] for reading in readings)
-                gauge.updates = len(readings)
+                if type(instrument) is Gauge:
+                    instrument.min = float("inf")
+                    instrument.max = float("-inf")
+                    instrument.updates = 0
+            for instrument, owner, attribute in self._mirrors:
+                reading = getattr(owner, attribute)
+                if type(instrument) is Counter:
+                    instrument.value += reading
+                elif reading is not None:
+                    instrument.value, low, high = reading
+                    if low < instrument.min:
+                        instrument.min = low
+                    if high > instrument.max:
+                        instrument.max = high
+                    instrument.updates += 1
 
     def __getstate__(self) -> Dict[str, Any]:
         # a shipped registry (a worker's, under --jobs) is a
         # reading: materialised counters, never the owners behind them
         self._sync()
         return {"_instruments": self._instruments,
-                "_pending": [], "_mirrors": [], "_mirrored": {},
-                "_gauges": {}}
+                "_pending": [], "_mirrors": [], "_mirrored": {}}
 
     def detach(self) -> None:
         """Let go of every owner, keeping what a read would export: each
         owner becomes a snapshot of the attributes it declared, read in
-        :meth:`_sync`'s order (every count, then every level), so the
-        instruments are still created only if somebody reads."""
+        :meth:`_sync`'s order, so the instruments are still created only
+        if somebody reads."""
         read: Dict[int, Dict[str, Any]] = {}
+        for _instrument, owner, attribute in self._mirrors:
+            read.setdefault(id(owner), {})[attribute] = \
+                getattr(owner, attribute)
         for owner, counters, *_labels in self._pending:
             values = read.setdefault(id(owner), {})
             for declared in counters:
-                if len(declared) == 3:
-                    values[declared[0]] = getattr(owner, declared[0])
-        for _counter, owner, attribute in self._mirrors:
-            read.setdefault(id(owner), {})[attribute] = \
-                getattr(owner, attribute)
-        for entry in self._gauges.values():
-            for owner, attribute in zip(entry[1::2], entry[2::2]):
-                read.setdefault(id(owner), {})[attribute] = \
-                    getattr(owner, attribute)
+                values[declared[0]] = getattr(owner, declared[0])
         snapshots = {key: SimpleNamespace(**values)
                      for key, values in read.items()}
         self._pending = [(snapshots[id(owner)], *rest)
                          for owner, *rest in self._pending]
-        self._mirrors = [(counter, snapshots[id(owner)], attribute)
-                         for counter, owner, attribute in self._mirrors]
-        self._gauges = {key: (entry[0], *chain.from_iterable(
-            (snapshots[id(owner)], attribute)
-            for owner, attribute in zip(entry[1::2], entry[2::2])))
-            for key, entry in self._gauges.items()}
+        self._mirrors = [(instrument, snapshots[id(owner)], attribute)
+                         for instrument, owner, attribute in self._mirrors]
 
     # -- queries ------------------------------------------------------------
 
@@ -734,4 +658,3 @@ class MetricsRegistry:
         self._pending.clear()
         self._mirrors.clear()
         self._mirrored.clear()
-        self._gauges.clear()

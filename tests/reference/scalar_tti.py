@@ -351,9 +351,8 @@ def _deliver(cell, grants: Dict[str, FrozenSet[int]],
             continue
         sinr = sinrs[ue_id]
         entry = select_lte_cqi(sinr)
-        if entry is None:
-            cell._m_no_cqi.inc()
-            continue
+        assert entry is not None, \
+            f"{ue_id} granted {len(prbs)} PRBs below the CQI floor"
         factor = 1.0
         if cell.harq_enabled:
             factor = harq_goodput_factor(sinr, entry.min_sinr_db,

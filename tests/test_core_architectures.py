@@ -125,28 +125,6 @@ def test_dlte_fair_sharing_splits_grid():
     assert len(slices[0]) + len(slices[1]) == 50
 
 
-def test_dlte_uncoordinated_ablation_interferes():
-    net = DLTENetwork.build(TOWN, seed=1, coordination_mode="none")
-    report = net.run()
-    for ap in net.aps.values():
-        assert ap.cell.interferers
-    assert report.attach_failures == 0
-
-
-def test_dlte_cooperative_mode_runs():
-    net = DLTENetwork.build(TOWN, seed=1, coordination_mode="cooperative")
-    report = net.run()
-    assert net.cluster is not None
-    assert report.attach_failures == 0
-    slices = [ap.cell.allowed_prbs for ap in net.aps.values()]
-    assert not (slices[0] & slices[1])
-
-
-def test_dlte_rejects_unknown_mode():
-    with pytest.raises(ValueError):
-        DLTENetwork.build(TOWN, coordination_mode="anarchy")
-
-
 def test_private_lte_faster_than_carrier(carrier_report):
     private = PrivateLTENetwork.build(TOWN, seed=1).run()
     assert private.mean_rtt_s < carrier_report.mean_rtt_s

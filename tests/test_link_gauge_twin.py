@@ -2,15 +2,18 @@
 
 ``net.link.queue_depth`` used to be a ``Gauge`` each link set after
 every change to its egress queue. It is now declared with
-``MetricsRegistry.mirror`` and read from the link at export; links that
-share a name (E6 re-attaches ``client->ap0``) stamp their queue changes
-so the shared row still takes its value from the link that changed
-last. The property test drives random sends, offers, cuts, CoDel drops
-and touches through two same-named links and one of their own,
-beside the frozen eager-gauge links of
-``tests/reference/eager_gauge_link.py`` on a second simulator, and
-requires equal ``net.link.queue_depth`` rows, values and types, after
-every step.
+``MetricsRegistry.mirror`` and read from the link at export: ``(depth
+now, 0, deepest)`` once anything has queued, with same-named links
+folded in declaration order. The property test drives random sends,
+offers, cuts, CoDel drops and touches through a ``twin`` link and a
+``solo`` one, beside the frozen eager-gauge links of
+``tests/reference/eager_gauge_link.py`` on a second simulator. At a
+drawn step both simulators run dry and a second ``twin`` is built, as
+E6 re-attaches ``client->ap0`` once the old link went quiet; from then
+on the first ``twin`` gets no steps. After every step each row's value
+and max, with their types, are the oracle's, and min is 0 on every row
+that has a reading (the eager gauge's min was 1 until its queue first
+drained, a figure no reader used).
 """
 
 from hypothesis import given, settings
@@ -22,10 +25,11 @@ from repro.net.packet import ECN_ECT, ECN_NOT_ECT, Packet
 from repro.simcore.simulator import Simulator
 from tests.reference.eager_gauge_link import EagerGaugeLink
 
-#: two links share a name, the third has its own
-NAMES = ("twin", "twin", "solo")
+#: the first ``twin``, the ``solo`` link, then the second ``twin``
+NAMES = ("twin", "solo", "twin")
 _CODEL_KWARGS = {"target_s": 0.005, "interval_s": 0.05}
-_which = st.sampled_from(range(len(NAMES)))
+#: 0 is the live ``twin`` (the first, then its successor), 1 ``solo``
+_which = st.sampled_from([0, 1])
 _sizes = st.sampled_from([60, 400, 1500])
 _ecn = st.sampled_from([ECN_NOT_ECT, ECN_ECT])
 _gaps = st.sampled_from([0.0, 0.001, 0.03, 0.2, 1.0])
@@ -49,13 +53,32 @@ def _gauge_rows(sim):
             if row["name"] == "net.link.queue_depth"]
 
 
+def _link(cls, sim, name):
+    link = cls(sim, rate_bps=80_000.0, delay_s=0.02, queue_packets=8,
+               name=name)
+    link.connect(lambda packet: None)
+    return link
+
+
 def _build(cls):
     sim = Simulator(seed=0)
-    links = [cls(sim, rate_bps=80_000.0, delay_s=0.02, queue_packets=8,
-                 name=name) for name in NAMES]
-    for link in links:
-        link.connect(lambda packet: None)
-    return sim, links
+    return sim, [_link(cls, sim, name) for name in NAMES[:2]]
+
+
+def _reattach(cls, sim, links):
+    """Run dry, then build the second ``twin`` in the first's place."""
+    sim.run()
+    links[0] = _link(cls, sim, NAMES[2])
+
+
+def _assert_rows_match(sim, eager_sim, step):
+    rows, eager_rows = _gauge_rows(sim), _gauge_rows(eager_sim)
+    assert len(rows) == len(eager_rows), step
+    for (name, value, low, high), (eager_name, eager_value, _low,
+                                   eager_high) in zip(rows, eager_rows):
+        assert (name, value, high) == (eager_name, eager_value,
+                                       eager_high), step
+        assert low == ((0, int) if high[0] else (0.0, float)), step
 
 
 def _apply(sim, links, step, last_at):
@@ -84,19 +107,23 @@ def _apply(sim, links, step, last_at):
         getattr(link, op)(*args)
 
 
-@given(_steps)
+@given(_steps, st.integers(min_value=0, max_value=40))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_read_queue_gauge_rows_are_the_eager_rows_after_every_step(steps):
+def test_read_queue_gauge_rows_are_the_eager_rows_after_every_step(
+        steps, reattach_at):
     sim, links = _build(Link)
     eager_sim, eager_links = _build(EagerGaugeLink)
-    last_at = [0.0] * len(NAMES)
-    eager_last_at = [0.0] * len(NAMES)
-    assert _gauge_rows(sim) == _gauge_rows(eager_sim)
-    for step in steps:
+    last_at = [0.0, 0.0]
+    eager_last_at = [0.0, 0.0]
+    _assert_rows_match(sim, eager_sim, "start")
+    for index, step in enumerate(steps):
+        if index == reattach_at:
+            _reattach(Link, sim, links)
+            _reattach(EagerGaugeLink, eager_sim, eager_links)
+            _assert_rows_match(sim, eager_sim, "reattach")
         _apply(sim, links, step, last_at)
         _apply(eager_sim, eager_links, step, eager_last_at)
-        assert _gauge_rows(sim) == _gauge_rows(eager_sim), step
+        _assert_rows_match(sim, eager_sim, step)
     sim.run()
     eager_sim.run()
-    assert _gauge_rows(sim) == _gauge_rows(eager_sim)
-
+    _assert_rows_match(sim, eager_sim, "end")

@@ -125,70 +125,101 @@ def _loaded_link(sim, name="l0", packets=3):
     return link
 
 
-def test_same_named_links_share_one_queue_depth_gauge():
-    # E6 re-attaches its client, so one simulator holds several links
-    # named ``client->ap0``. Their counters sum (above); their one
-    # queue-depth gauge spans all of them: min and max over every link,
-    # value from whichever set it last. A per-owner gauge mirror must
-    # reproduce exactly this row (ROADMAP item 5).
-    sim = Simulator(seed=0)
-    first, second = (Link(sim, rate_bps=8_000.0, delay_s=0.0,
-                          name="client->ap0") for _ in range(2))
-    for link, packets in ((first, 4), (second, 2)):
-        link.connect(lambda packet: None)
-        for _ in range(packets):
-            link.send(Packet(src=None, dst=None, size_bytes=1000))
-    assert (first.queue_depth, second.queue_depth) == (3, 1)
-    rows = [row for row in sim.metrics.snapshot()
-            if row["name"] == "net.link.queue_depth"]
-    assert rows == [{"kind": "gauge", "name": "net.link.queue_depth",
-                     "labels": {"link": "client->ap0"},
-                     "value": 1, "min": 1, "max": 3}]
-    sim.run()
+def _depth_row(sim, name, **labels):
     row, = (row for row in sim.metrics.snapshot()
-            if row["name"] == "net.link.queue_depth")
-    assert (row["value"], row["min"], row["max"]) == (0, 0, 3)
+            if row["name"] == name and row["labels"] == labels)
+    return row["value"], row["min"], row["max"]
+
+
+def test_same_named_links_share_one_queue_depth_gauge():
+    # E6 re-attaches its client, so one simulator holds a fresh
+    # ``client->ap0`` link per attach, built after its predecessor went
+    # quiet (E16's AP restart rebuilds its host links the same way).
+    # Their counters sum (above); their one queue-depth row folds the
+    # links' readings in declaration order: the value is the
+    # last-declared link's that has queued, min and max span them all.
+    sim = Simulator(seed=0)
+
+    def link(name, packets):
+        built = Link(sim, rate_bps=8_000.0, delay_s=0.0, name=name)
+        built.connect(lambda packet: None)
+        for _ in range(packets):  # one second of service each
+            built.send(Packet(src=None, dst=None, size_bytes=1000))
+        return built
+
+    def row(name):
+        return _depth_row(sim, "net.link.queue_depth", link=name)
+
+    first = link("client->ap0", 0)
+    assert row("client->ap0") == (0.0, 0.0, 0.0)  # nothing has queued
+    for _ in range(4):
+        first.send(Packet(src=None, dst=None, size_bytes=1000))
+    assert row("client->ap0") == (3, 0, 3)
+    sim.run()                                     # the first goes quiet
+    assert row("client->ap0") == (0, 0, 3)
+    second = link("client->ap0", 0)               # the re-attach
+    assert row("client->ap0") == (0, 0, 3)
+    for _ in range(3):
+        second.send(Packet(src=None, dst=None, size_bytes=1000))
+    assert row("client->ap0") == (2, 0, 3)
+    sim.run()
+    assert row("client->ap0") == (0, 0, 3)
+
+    # two live owners: the later-declared link's depth is the value even
+    # while the earlier one is deeper and changed last
+    early = link("twin", 0)
+    late = link("twin", 2)                        # 1 waits until t+1
+    start = sim.now
+    for _ in range(5):                            # 4 wait, the last till t+4
+        early.send(Packet(src=None, dst=None, size_bytes=1000))
+    assert (early.queue_depth, late.queue_depth) == (4, 1)
+    assert row("twin") == (1, 0, 4)
+    sim.run(until=start + 2.5)                    # late drained, early not
+    assert (early.queue_depth, late.queue_depth) == (2, 0)
+    assert row("twin") == (0, 0, 4)
+    assert [type(value) for value in row("twin")] == [int] * 3
 
 
 def test_same_named_agents_share_one_queue_depth_gauge():
-    # Two live agents named ``core`` on one simulator share one
-    # ``epc.agent.queue_depth`` row: min and max over both, value from
-    # whichever agent's queue changed last (``ControlAgent._queue_gauge``
-    # reads it; the stamps order the readings). The reads land where the last change was the first agent's, then the
-    # second's, then the first's again, mid-run, between runs and after.
+    # No experiment builds two agents with one name, but the rule is the
+    # links': a successor built after its predecessor went quiet takes
+    # over the ``epc.agent.queue_depth`` row once it queues, and of two
+    # live agents the later-declared one's depth is the value.
     sim = Simulator(seed=0)
-    first, second = (CallbackAgent(sim, "core", service_time_s=1.0)
-                     for _ in range(2))
     source = CallbackAgent(sim, "src")
-    near = ControlChannel(sim, source, first, 0.0, name="near")
-    far = ControlChannel(sim, source, second, 0.5, name="far")
-    rows = []
 
-    def read(label):
-        row, = (row for row in sim.metrics.snapshot()
-                if row["name"] == "epc.agent.queue_depth"
-                and row["labels"] == {"agent": "core"})
-        rows.append((label, row["value"], row["min"], row["max"]))
+    def row(name):
+        return _depth_row(sim, "epc.agent.queue_depth", agent=name)
 
-    read("before")
-    for _ in range(4):
-        near.send(source, "x")       # first: 1 in service, 3 queued at 0
-    far.send(source, "y")            # second: in service 0.5 to 1.5
-    sim.at(0.25, read, "0.25")
-    sim.at(0.75, read, "0.75")
-    sim.at(1.125, read, "1.125")     # first popped at 1.0
-    sim.at(1.25, second.enqueue, ControlMessage(payload="z", sender=source))
-    sim.at(1.375, read, "1.375")     # second queued one at 1.25
-    sim.at(1.75, read, "1.75")       # ... and popped it at 1.5
-    sim.run(until=2.5)               # first popped at 2.0
-    read("2.5")
+    def offer(agent, count):
+        for _ in range(count):
+            agent.enqueue(ControlMessage(payload="x", sender=source))
+
+    first = CallbackAgent(sim, "core", service_time_s=1.0)
+    assert row("core") == (0.0, 0.0, 0.0)
+    offer(first, 4)                               # 1 in service, 3 wait
+    assert row("core") == (3, 0, 3)
     sim.run()
-    read("end")
-    assert rows == [("before", 0.0, 0.0, 0.0),
-                    ("0.25", 3, 0, 3), ("0.75", 0, 0, 3),
-                    ("1.125", 2, 0, 3), ("1.375", 1, 0, 3),
-                    ("1.75", 0, 0, 3), ("2.5", 1, 0, 3), ("end", 0, 0, 3)]
-    assert [type(value) for _label, value, *_ in rows][:2] == [float, int]
+    assert row("core") == (0, 0, 3)
+    second = CallbackAgent(sim, "core", service_time_s=1.0)
+    assert row("core") == (0, 0, 3)
+    offer(second, 3)
+    assert row("core") == (2, 0, 3)
+    sim.run(until=sim.now + 1.5)
+    assert row("core") == (1, 0, 3)
+    sim.run()
+    assert row("core") == (0, 0, 3)
+
+    early, late = (CallbackAgent(sim, "twin", service_time_s=1.0)
+                   for _ in range(2))
+    start = sim.now
+    offer(late, 2)                                # 1 waits until t+1
+    offer(early, 5)                               # 4 wait
+    assert row("twin") == (1, 0, 4)
+    sim.run(until=start + 1.5)                    # late drained, early not
+    assert (early.queue_depth, late.queue_depth) == (3, 0)
+    assert row("twin") == (0, 0, 4)
+    assert [type(value) for value in row("twin")] == [int] * 3
 
 
 def test_a_discipline_installed_twice_exports_once():

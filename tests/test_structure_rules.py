@@ -124,6 +124,13 @@ RULES: Tuple[Rule, ...] = (
          "a TTI grants PRB counts (SINR is wideband, so no reader needs "
          "which PRB a UE got); the PRB sets each policy implies are the "
          "oracle's, in tests/reference/scalar_tti.py"),
+    Rule("queue-gauges-are-readings",
+         r"StampedQueue|_share_gauge|_queue_min",
+         ("src/repro/",), (),
+         "a mirrored queue gauge reads (depth, 0, peak) off its owner and "
+         "same-named owners fold in declaration order; no queue stamps "
+         "its changes and no hot path keeps a refill flag for a row that "
+         "only two live same-named owners could tell apart"),
     Rule("links-draw-no-randomness",
          r"\.rng\(|\.random\(",
          ("src/repro/net/",), (),
@@ -165,6 +172,9 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "grants-are-counts": (
         "src/repro/mac/schedulers.py",
         "result = {uid: frozenset(grants[uid]) for uid in grants}"),
+    "queue-gauges-are-readings": (
+        "src/repro/epc/agents.py",
+        "self._queue = StampedQueue(self._queue, self.sim.seq.__next__)"),
     "links-draw-no-randomness": (
         "src/repro/net/links.py",
         "if self._loss_rng.random() < self.loss_rate:"),
