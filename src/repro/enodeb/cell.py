@@ -16,25 +16,27 @@ from repro.mac.arena import UeArena
 from repro.mac.schedulers import LteScheduler, ProportionalFairScheduler
 from repro.mac.uplink import ContiguousUplinkScheduler
 from repro.phy.bands import Band
-from repro.phy.linkbudget import LinkBudget, Radio, Watched
+from repro.phy.linkbudget import LinkBudget, Radio
 from repro.phy.resource_grid import ResourceGrid
 from repro.telemetry import MetricsRegistry
 from repro.telemetry.hub import ambient_registry
 from repro.telemetry.registry import linear_buckets
 
 
-@dataclass
-class UeRadioContext(Watched):
+@dataclass(frozen=True)
+class UeRadioContext:
     """Cell-side radio state for one attached UE.
 
-    While attached, each serving cell's arena watches the context and
-    its radio, so a write to either reaches that UE's arena row. One
-    context may be attached to several cells; each of them hears.
+    Every UE is full-buffer, and its demand (GBR, priority) is fixed at
+    attach: the context is frozen, so a write raises. A UE whose demand
+    changes is detached and attached again with a fresh context. Its
+    radio still moves: while attached, each serving cell's arena watches
+    the radio, so a write to it reaches that UE's arena row. One context
+    may be attached to several cells; each of them hears.
     """
 
     ue_id: str
     radio: Radio
-    backlog_bits: float = float("inf")
     gbr_bps: float = 0.0
     priority: int = 9
 
@@ -64,8 +66,6 @@ class Cell:
                  antenna_gain_dbi: float = 15.0,
                  height_m: float = 30.0,
                  scheduler: Optional[LteScheduler] = None,
-                 harq_enabled: bool = True,
-                 harq_max_retx: int = 3,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self.name = name
         self.band = band
@@ -77,8 +77,6 @@ class Cell:
         self.scheduler = scheduler or ProportionalFairScheduler()
         #: PUSCH side: SC-FDMA requires contiguous per-UE blocks
         self.uplink_scheduler = ContiguousUplinkScheduler()
-        self.harq_enabled = harq_enabled
-        self.harq_max_retx = harq_max_retx
         self._ues: Dict[str, UeRadioContext] = {}
         self._arena = UeArena(self)
         #: PRBs this cell may use this TTI (set by coordination; default all)
@@ -162,11 +160,13 @@ class Cell:
         """Shared grant->bits tail: CQI lookup, HARQ factor, telemetry.
 
         Goodput per UE = granted PRB count x bits/PRB at its CQI x the
-        HARQ delivery factor at its SINR, all read from the refreshed
-        bank (counts arrive non-zero from the allocator, and only for
-        slots with a CQI row: eligibility requires ``eff > 0``). A
-        factor still stale (NaN) since its row's refresh is filled here,
-        for every granted row at once, the first time one is met.
+        HARQ delivery factor at its SINR (HARQ is always on, with
+        ``repro.phy.harq``'s default of three retransmissions), all read
+        from the refreshed bank (counts arrive non-zero from the
+        allocator, and only for slots with a CQI row: eligibility
+        requires ``eff > 0``). A factor still stale (NaN) since its
+        row's refresh is filled here, for every granted row at once, the
+        first time one is met.
         """
         delivered: Dict[str, float] = {}
         arena = self._arena
@@ -175,18 +175,14 @@ class Cell:
         # delivered map
         harq = bank.harq.tolist()
         b = bank.b.tolist()
-        harq_on = self.harq_enabled
         for ue_id, n_prbs in grants.items():
             s = slot_of[ue_id]
-            factor = 1.0
-            if harq_on:
+            factor = harq[s]
+            if factor != factor:  # NaN: stale since the refresh
+                arena.fill_harq(bank, list(map(slot_of.__getitem__, grants)))
+                harq = bank.harq.tolist()
                 factor = harq[s]
-                if factor != factor:  # NaN: stale since the refresh
-                    arena.fill_harq(bank, list(map(slot_of.__getitem__,
-                                                   grants)))
-                    harq = bank.harq.tolist()
-                    factor = harq[s]
-                self._m_harq.observe(factor)
+            self._m_harq.observe(factor)
             self._m_prbs.observe(n_prbs)
             delivered[ue_id] = n_prbs * b[s] * factor
         return delivered

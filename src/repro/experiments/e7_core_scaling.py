@@ -129,10 +129,10 @@ def run(ap_counts: Optional[List[int]] = None, ue_per_ap: int = 8,
         seed: int = 3) -> ResultTable:
     """Attach-storm latency and core load vs AP count, both shapes.
 
-    The MME/HSS process ~1 message/ms; each attach costs the MME four
-    messages, so the shared core saturates near 250 attaches/s — i.e.
-    between 32 and 128 APs at 8 UEs/AP over the 1 s storm — while the
-    per-site stubs never see more than their own site's load.
+    The MME/HSS process ~1 message/ms; each attach costs the MME six
+    messages (and the HSS one), so the shared core saturates near
+    167 attaches/s — about 21 APs at 8 UEs/AP over the 1 s storm —
+    while the per-site stubs never see more than their own site's load.
 
     Each (architecture, AP count) cell is an independent simulation with
     a fixed seed, so under ``--jobs N`` the cells fan out over workers

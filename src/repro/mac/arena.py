@@ -9,13 +9,18 @@ bank (SINR, CQI row index, spectral efficiency, per-PRB bits, HARQ
 goodput factor) and one EWMA average-rate array per scheduler the cell
 currently runs.
 
+Every UE is full-buffer and its demand (GBR, priority) is fixed at
+attach: a ``UeRadioContext`` is frozen, and a UE whose demand changes
+is detached and attached again. So the demand columns are written at
+attach and moved at detach, and by nothing else.
+
 Every per-UE datum is stored once. What the radio math reads of a UE
 are its input columns (position, power, gain, noise figure, cable loss,
 PAPR credit), written at attach and when a re-read finds the radio
 changed — one transposition per move, not one per bank per refresh;
 the per-slot value tuple is only what the next write is compared
 against. What the math writes (a bank's five columns), each
-bank's dirty flags, the backlog and the GBR are rows of the same float
+bank's dirty flags and the GBR are rows of the same float
 block, whose capacity doubles when full, so attach and detach are O(1)
 array operations and a refresh gathers from and scatters straight into
 the columns. A refresh leaves a row's HARQ factor stale (NaN): it is filled
@@ -35,36 +40,31 @@ downlink against the cell's interfering cells, the uplink against no
 interferer (none is modelled at the cell's receiver).
 
 Who changes a row says so; nothing polls the attached set. At attach the
-arena hangs a watcher on the UE's ``Radio`` and one on its
-``UeRadioContext`` (``repro.phy.linkbudget.Watched``), taken off at
-detach and re-made by a copied arena. Any assignment to the radio, by
-whoever moves or re-parameterises it, adds the UE to ``_touched``
-through a C-level call, and the next refresh re-reads those radios only.
-The re-read still compares the cached tuple *by value*: an equal write,
-or writes that end where they began, dirty nothing. An assignment to
-the context syncs backlog / GBR / priority on the spot (they never feed
-the radio math, so no bank is dirtied) and moves the radio watcher if
-the radio was replaced. What stays a per-TTI poll is the cell-level
-environment signature (interferer set, serving radio, link budget, HARQ
-config): it is O(interferers), not O(UEs), and a change dirties every
-row. A TTI on a cell nobody wrote to runs no per-UE Python.
+arena hangs a watcher on the UE's ``Radio``
+(``repro.phy.linkbudget.Watched``), taken off at detach and re-made by
+a copied arena. Any assignment to the radio, by whoever moves or
+re-parameterises it, adds the UE to ``_touched`` through a C-level
+call, and the next refresh re-reads those radios only. The re-read
+still compares the cached tuple *by value*: an equal write, or writes
+that end where they began, dirty nothing. What stays a per-TTI poll is
+the cell-level environment signature (interferer set, serving radio,
+link budget): it is O(interferers), not O(UEs), and a change dirties
+every row. A TTI on a cell nobody wrote to runs no per-UE Python.
 
 What a TTI reads of the arena is reused while it cannot have changed.
 Each bank's ``version`` moves when a refresh rewrites a row or the
-views are re-taken; the arena's ``demand_version`` moves at attach,
-detach and every context write. The scheduler columns' ``eff`` list and
-eligibility (:meth:`UeArena.columns`) are derived once per pair of the
-two, and ``Cell`` bins the downlink SINR column once per bank version,
-so a static cell's TTI converts no column for the scheduler. The
-backlog, GBR, priority, bits-per-PRB and EWMA columns are handed over
-as they are, never copied.
+views are re-taken, which attach and detach do. The scheduler columns'
+``eff`` list and eligibility (:meth:`UeArena.columns`) are derived once
+per bank version, and ``Cell`` bins the downlink SINR column once per
+bank version, so a static cell's TTI converts no column for the
+scheduler. The GBR, priority, bits-per-PRB and EWMA columns are handed
+over as they are, never copied.
 """
 
 from __future__ import annotations
 
 from functools import partial
-from typing import (TYPE_CHECKING, Callable, Dict, List, Optional, Sequence,
-                    Set, Tuple)
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Set
 
 import numpy as np
 
@@ -87,9 +87,9 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 __all__ = ["UeArena"]
 
-#: rows of an arena's column block: backlog, GBR, six per PHY bank, then
-#: the seven radio inputs of :func:`_radio_sig`
-_BLOCK_ROWS = 21
+#: rows of an arena's column block: GBR, six per PHY bank, then the
+#: seven radio inputs of :func:`_radio_sig`
+_BLOCK_ROWS = 20
 
 
 def _radio_sig(radio: Radio) -> tuple:
@@ -122,7 +122,7 @@ class _PhyBank:
     derived something from a column keeps it while ``version`` stands
     still. Filling a HARQ factor does not move it: the factor is a
     function of the row's SINR and CQI, which stood still. ``reads``
-    is :meth:`UeArena.columns`' own such reader: the versions it was
+    is :meth:`UeArena.columns`' own such reader: the version it was
     derived at and what it derived.
     """
 
@@ -148,22 +148,17 @@ class UeArena:
         #: UE ids in slot (attach) order — mirrors ``Cell._ues`` exactly.
         self.ids: List[str] = []
         self.slot_of: Dict[str, int] = {}
-        #: per-slot (context, its watcher, its radio's watcher)
-        self._hooks: List[Tuple["UeRadioContext", Callable, Callable]] = []
-        #: the radio each slot's watcher hangs on (its context's)
+        #: per-slot radio (its context's) and the watcher hung on it
         self._radios: List[Radio] = []
+        self._marks: List[Callable[[], None]] = []
         #: per-slot :func:`_radio_sig` as last read: what a write is
         #: compared against (the math reads the input rows of the block)
         self._sigs: List[tuple] = []
         #: ids of UEs whose radio was written since the last refresh
         self._touched: Set[str] = set()
-        # scheduler-visible per-slot demand state (``backlog`` and
-        # ``gbr`` are rows 0-1 of the block, taken by _bind_columns, as
-        # is ``_inputs``)
+        # scheduler-visible per-slot demand state (``gbr`` is row 0 of
+        # the block, taken by _bind_columns, as is ``_inputs``)
         self.priority: List[int] = []
-        #: moves on every write to the demand (backlog, GBR, priority)
-        #: and on attach / detach
-        self.demand_version = 0
         self.dl = _PhyBank()
         self.ul = _PhyBank()
         self._block = np.zeros((_BLOCK_ROWS, 8))
@@ -180,42 +175,26 @@ class UeArena:
     def _bind_columns(self) -> None:
         """Re-take every column as a view of the block's live slots."""
         live = self._block[:, :len(self.ids)]
-        self.backlog, self.gbr = live[:2]
-        self.dl.bind(live[2:8])
-        self.ul.bind(live[8:14])
-        self._inputs = live[14:21]
+        self.gbr = live[0]
+        self.dl.bind(live[1:7])
+        self.ul.bind(live[7:13])
+        self._inputs = live[13:20]
 
-    def _watch(self, ctx: "UeRadioContext") -> None:
+    def _watch(self, uid: str, radio: Radio) -> None:
         """A radio write marks the row with one C-level call (every UE
-        may move every TTI); a context write, rare, is synced on the spot."""
-        mark = partial(self._touched.add, ctx.ue_id)
-        sync = partial(self._context_written, ctx, ctx.ue_id, mark)
-        self._hooks.append((ctx, sync, mark))
-        ctx.watch(sync)
-        ctx.radio.watch(mark)
-
-    def _context_written(self, ctx: "UeRadioContext", uid: str,
-                         mark: Callable[[], None]) -> None:
-        slot = self.slot_of[uid]
-        self.backlog[slot] = ctx.backlog_bits
-        self.gbr[slot] = ctx.gbr_bps
-        self.priority[slot] = ctx.priority
-        self.demand_version += 1
-        old = self._radios[slot]
-        if ctx.radio is not old:  # the mark follows the context's radio
-            old.unwatch(mark)
-            ctx.radio.watch(mark)
-            self._radios[slot] = ctx.radio
-            mark()
+        may move every TTI)."""
+        mark = partial(self._touched.add, uid)
+        self._marks.append(mark)
+        radio.watch(mark)
 
     def __setstate__(self, state: dict) -> None:
-        # a pickled or deep-copied arena's contexts arrive unwatched and
+        # a pickled or deep-copied arena's radios arrive unwatched and
         # its columns as copies, not views: bind and hook its own
         self.__dict__.update(state)
         self._bind_columns()
-        stale, self._hooks = self._hooks, []
-        for ctx, _sync, _mark in stale:
-            self._watch(ctx)
+        self._marks = []
+        for uid, radio in zip(self.ids, self._radios):
+            self._watch(uid, radio)
 
     def attach(self, ctx: "UeRadioContext") -> None:
         uid = ctx.ue_id
@@ -226,15 +205,13 @@ class UeArena:
         sig = _radio_sig(ctx.radio)
         self._sigs.append(sig)
         self.priority.append(ctx.priority)
-        self._watch(ctx)
+        self._watch(uid, ctx.radio)
         block = self._block
         if slot == block.shape[1]:
             self._block = np.zeros((_BLOCK_ROWS, 2 * slot))
             self._block[:, :slot] = block
         self._bind_columns()
-        self.backlog[slot] = ctx.backlog_bits
         self.gbr[slot] = ctx.gbr_bps
-        self.demand_version += 1
         self._inputs[:, slot] = sig
         # a new row is dirty in both banks, so its other cells (whatever
         # an earlier tenant of the column left) are written before read
@@ -247,11 +224,9 @@ class UeArena:
         slot = self.slot_of.pop(uid, None)
         if slot is None:
             return
-        ctx, sync, mark = self._hooks[slot]
-        ctx.unwatch(sync)
-        self._radios[slot].unwatch(mark)
+        self._radios[slot].unwatch(self._marks[slot])
         self._touched.discard(uid)
-        for lst in (self.ids, self._hooks, self._radios, self._sigs,
+        for lst in (self.ids, self._radios, self._marks, self._sigs,
                     self.priority):
             del lst[slot]
         ids = self.ids
@@ -260,7 +235,6 @@ class UeArena:
         block = self._block
         block[:, slot:len(ids)] = block[:, slot + 1:len(ids) + 1]
         self._bind_columns()
-        self.demand_version += 1
         self._desc_stale = True
         for sched, avg in self._avg.items():
             self._avg[sched] = np.delete(avg, slot)
@@ -283,18 +257,17 @@ class UeArena:
         """This TTI's columns for ``scheduler`` over a refreshed bank.
 
         ``eff`` as a list and the two eligibility columns are derived
-        once per (bank version, demand version) and reused until either
-        moves; nothing a scheduler is handed is written by it except
-        ``avg``."""
-        key = (bank.version, self.demand_version)
+        once per bank version and reused until it moves; nothing a
+        scheduler is handed is written by it except ``avg``."""
+        version = bank.version
         reads = bank.reads
-        if reads[0] != key:
-            mask = (bank.eff > 0.0) & (self.backlog > 0.0)
+        if reads[0] != version:
+            mask = bank.eff > 0.0
             desc = self.desc_order
-            reads = bank.reads = (key, bank.eff.tolist(),
+            reads = bank.reads = (version, bank.eff.tolist(),
                                   mask.nonzero()[0].tolist(),
                                   desc[mask[desc]])
-        _key, eff, elig, elig_desc = reads
+        _version, eff, elig, elig_desc = reads
         return UserColumns(
             ids=self.ids, eff=eff, b=bank.b, avg=self._avg_for(scheduler),
             gbr=self.gbr, priority=self.priority, elig=elig,
@@ -368,7 +341,6 @@ class UeArena:
         lb = cell.link_budget
         inter = tuple(_radio_sig(r) for r in self._interferers(downlink))
         return (id(lb), lb.freq_mhz, lb.bandwidth_hz, _model_sig(lb.model),
-                cell.harq_enabled, cell.harq_max_retx,
                 _radio_sig(cell.radio), inter)
 
     # -- row recomputation -------------------------------------------------
@@ -399,12 +371,9 @@ class UeArena:
         bank.b[rows] = eff * PRB_BANDWIDTH_HZ * TTI_S
 
     def fill_harq(self, bank: _PhyBank, slots: List[int]) -> None:
-        """Fill the stale HARQ factors among granted ``slots`` (rows below
-        the CQI floor deliver nothing and stay stale)."""
+        """Fill the stale HARQ factors among granted ``slots``."""
         idx = np.array(slots, dtype=np.intp)
-        cqi = bank.cqi[idx]
-        stale = np.isnan(bank.harq[idx]) & (cqi >= 0.0)
-        idx = idx[stale]
+        idx = idx[np.isnan(bank.harq[idx])]
         bank.harq[idx] = harq_goodput_factor_many(
-            bank.sinr[idx], lte_min_sinr_for_index(cqi[stale].astype(np.intp)),
-            max_retx=self._cell.harq_max_retx)
+            bank.sinr[idx],
+            lte_min_sinr_for_index(bank.cqi[idx].astype(np.intp)))

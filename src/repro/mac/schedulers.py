@@ -57,7 +57,8 @@ class UserColumns(NamedTuple):
         gbr: guaranteed bit rate per slot, 0 for best effort (float
             array).
         priority: lower value = more important.
-        elig: slots with efficiency > 0 and backlog > 0, ascending.
+        elig: slots with efficiency > 0 (every UE is full-buffer),
+            ascending.
         elig_desc: the same slots in :func:`descending_id_order` (int
             array).
     """
@@ -91,10 +92,10 @@ class LteScheduler(ABC):
                          prbs: AbstractSet[int]) -> Dict[str, int]:
         """Grant the PRBs of ``prbs`` as per-user counts.
 
-        Users outside ``cols.elig`` (below CQI 1, or no backlog) receive
-        nothing. Returns {user_id: PRB count} in slot order, for the
-        users granted at least one; the counts sum to at most
-        ``len(prbs)``. Updates ``cols.avg`` in place.
+        Users outside ``cols.elig`` (below CQI 1) receive nothing.
+        Returns {user_id: PRB count} in slot order, for the users granted
+        at least one; the counts sum to at most ``len(prbs)``. Updates
+        ``cols.avg`` in place.
         """
         counts: Dict[int, int] = {}
         if cols.elig and prbs:

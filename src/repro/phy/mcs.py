@@ -105,7 +105,8 @@ def lte_efficiency_for_index(indices: np.ndarray) -> np.ndarray:
 
 def lte_min_sinr_for_index(indices: np.ndarray) -> np.ndarray:
     """HARQ threshold (``min_sinr_db``) per CQI row index (-1 maps to
-    0.0, never consumed: the TTI engine masks dead links first)."""
+    0.0, never consumed: a row below the CQI floor has efficiency 0.0,
+    so the TTI engine never grants it and never fills its factor)."""
     return _LTE_MIN_SINR_ARR[indices]
 
 

@@ -2,10 +2,10 @@
 
 Each source runs as a simcore process and calls an ``emit(bytes)``
 callback — typically wired to a transport connection's
-``send_app_data`` or a cell backlog. Rates and shapes follow the
-workloads the paper's rural deployment actually carries (§5: "data only,
-with voice and messaging provided via OTT services"): messaging bursts,
-web sessions, and adaptive video.
+``send_app_data``. Rates and shapes follow the workloads the paper's
+rural deployment actually carries (§5: "data only, with voice and
+messaging provided via OTT services"): messaging bursts, web sessions,
+and adaptive video.
 
 :class:`FlashCrowdAttachSource` stresses the *control* plane instead of
 the data plane: it models a stadium letting out (every UE storms the

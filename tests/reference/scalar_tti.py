@@ -6,9 +6,11 @@ engine until it became the only production path. One per-link SINR
 (:func:`sinr_to` / :func:`uplink_sinr_from`, built on
 :func:`link_sinr_db` and the :func:`sinr_db` combiner), one CQI lookup,
 one HARQ factor and one :class:`SchedulableUser` per UE per TTI, EWMA
-rates in a dict keyed by user id. Production must match it bit for bit:
-``test_mac_arena.py`` compares per TTI, and the ``oracle`` cells of
-``test_determinism.py`` swap :func:`schedule_tti` /
+rates in a dict keyed by user id. As in production, every UE is
+full-buffer (eligible whenever it reaches CQI 1) and HARQ is always on
+at ``repro.phy.harq``'s default budget. Production must match it bit
+for bit: ``test_mac_arena.py`` compares per TTI, and the ``oracle``
+cells of ``test_determinism.py`` swap :func:`schedule_tti` /
 :func:`schedule_uplink_tti` / :func:`remove_ue` in for the three ``Cell``
 methods and compare whole experiment tables. ``test_enodeb_cell.py`` and
 ``test_phy_linkbudget_grid.py`` test the SINR evaluators directly.
@@ -85,14 +87,12 @@ class SchedulableUser:
     Attributes:
         user_id: stable identity across TTIs (EWMA state keys off it).
         sinr_db: current wideband SINR toward this user.
-        backlog_bits: queued demand; users with zero backlog are skipped.
         gbr_bps: guaranteed bit rate, 0 for best-effort.
         priority: lower value = more important, used by QoS scheduler.
     """
 
     user_id: str
     sinr_db: float
-    backlog_bits: float = float("inf")
     gbr_bps: float = 0.0
     priority: int = 9
 
@@ -155,8 +155,7 @@ def pack(users: Sequence[SchedulableUser],
     in list order; ``avg`` reads ``rates`` (0 for a user it lacks)."""
     ids = [u.user_id for u in users]
     eff = [u.efficiency for u in users]
-    mask = np.array([e > 0 and u.backlog_bits > 0
-                     for e, u in zip(eff, users)], dtype=bool)
+    mask = np.array([e > 0 for e in eff], dtype=bool)
     desc = descending_id_order(ids)
     return UserColumns(
         ids=ids, eff=eff,
@@ -327,7 +326,7 @@ def allocate(sched: LteScheduler, users: Sequence[SchedulableUser],
              rates: Dict[str, float]) -> Dict[str, FrozenSet[int]]:
     """Scalar ``allocate_columns``: filter, assign, per-user EWMA update
     of ``rates``."""
-    eligible = [u for u in users if u.efficiency > 0 and u.backlog_bits > 0]
+    eligible = [u for u in users if u.efficiency > 0]
     grants: Grants = {}
     if eligible and prbs:
         grants = POLICIES[type(sched)](sched, eligible, sorted(prbs), rates)
@@ -353,11 +352,8 @@ def _deliver(cell, grants: Dict[str, FrozenSet[int]],
         entry = select_lte_cqi(sinr)
         assert entry is not None, \
             f"{ue_id} granted {len(prbs)} PRBs below the CQI floor"
-        factor = 1.0
-        if cell.harq_enabled:
-            factor = harq_goodput_factor(sinr, entry.min_sinr_db,
-                                         max_retx=cell.harq_max_retx)
-            cell._m_harq.observe(factor)
+        factor = harq_goodput_factor(sinr, entry.min_sinr_db)
+        cell._m_harq.observe(factor)
         cell._m_prbs.observe(len(prbs))
         delivered[ue_id] = (len(prbs) * bits_per_prb(entry.efficiency_bps_hz)
                             * factor)
@@ -374,7 +370,6 @@ def _walk(cell, scheduler, sinr_of, observe_sinr: bool) -> Dict[str, float]:
         if observe_sinr:
             cell._m_sinr.observe(sinr)
         users.append(SchedulableUser(user_id=ctx.ue_id, sinr_db=sinr,
-                                     backlog_bits=ctx.backlog_bits,
                                      gbr_bps=ctx.gbr_bps,
                                      priority=ctx.priority))
     grants = allocate(scheduler, users, cell.allowed_prbs,

@@ -1,12 +1,14 @@
 """Watch hygiene: push invalidation cannot go silently stale, and the
 hooks never leak an arena into a copy.
 
-A cell's arena learns that a UE's inputs moved from watchers it hangs on
-the ``UeRadioContext`` and its ``Radio`` at attach (see
-``repro.phy.linkbudget.Watched``): a radio write marks the row for the
-next refresh, a context write is synced into the demand columns on the
-spot. These tests hold the edges of that arrangement: who hears a write,
-who stops hearing, and what a copy of a watched object carries.
+A cell's arena learns that a UE's inputs moved from the watcher it hangs
+on the UE's ``Radio`` at attach (see ``repro.phy.linkbudget.Watched``):
+a radio write marks the row for the next refresh. The ``UeRadioContext``
+around the radio is frozen, because a UE's demand is fixed at attach: a
+write to it raises, and a UE given another demand or another radio is
+detached and attached again with a fresh context. These tests hold the
+edges of that arrangement: who hears a write, who stops hearing, and
+what a copy of a watched object carries.
 """
 
 import copy
@@ -72,17 +74,34 @@ def test_copy_of_watched_radio_is_unwatched_and_equal(clone):
 
 @pytest.mark.parametrize("clone", COPIES)
 def test_copy_of_watched_context_is_unwatched_and_equal(clone):
+    """An attached context carries no watcher of its own (only its radio
+    is watched); a copy is equal and as frozen, and the radio of a deep
+    copy reaches no arena."""
     cell = _cell("a")
     ctx = _ctx()
     cell.add_ue(ctx)
     twin = clone(ctx)
     assert twin == ctx and twin is not ctx
-    assert not twin._watchers
-    twin.backlog_bits = 7.0
+    assert "_watchers" not in vars(ctx) and "_watchers" not in vars(twin)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        twin.gbr_bps = 7.0
     if twin.radio is not ctx.radio:  # a deep copy has its own, unwatched
         twin.radio.position = Point(1.0, 2.0)
     assert not cell._arena._touched
-    assert cell._arena.backlog.tolist() == [float("inf")]
+    assert cell._arena.gbr.tolist() == [0.0]
+
+
+@pytest.mark.parametrize("field", [f.name for f in
+                                   dataclasses.fields(UeRadioContext)])
+def test_assigning_a_context_field_raises(field):
+    """A UE's demand is fixed at attach: a write raises instead of going
+    stale, even one that would store the value already there."""
+    cell = _cell("a")
+    ctx = _ctx()
+    cell.add_ue(ctx)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(ctx, field, getattr(ctx, field))
+    assert not cell._arena._touched
 
 
 def test_pickle_of_watched_radio_carries_no_arena():
@@ -95,7 +114,7 @@ def test_pickle_of_watched_radio_carries_no_arena():
 
 @pytest.mark.parametrize("clone", COPIES[:3])
 def test_copy_of_a_cell_watches_its_own_contexts(clone):
-    """The copy's contexts arrive unwatched; its arena re-hooks them and
+    """The copy's radios arrive unwatched; its arena re-hooks them and
     re-binds its columns, so it neither goes stale nor marks the
     original. Its rate columns come along, keyed by its own schedulers:
     its next PF and uplink TTIs are the original's, grant order
@@ -143,21 +162,26 @@ def test_detach_unhooks():
     assert cell._arena._touched == {"u0"}
     cell.remove_ue("u0")
     assert not cell._arena._touched
-    assert not ctx._watchers and not ctx.radio._watchers
+    assert not ctx.radio._watchers
     ctx.radio.position = Point(50.0, 50.0)
-    ctx.gbr_bps = 1e6
     assert not cell._arena._touched
-    cell.add_ue(ctx)  # re-attach reads the context as it is now
+    cell.add_ue(ctx)  # re-attach reads the radio as it is now
     assert _run(cell) == _fresh(cell)
 
 
 def test_replacing_the_radio_moves_the_hook():
+    """A context's radio cannot be assigned: the UE is detached and
+    attached again with a fresh context, and the hook moves with it."""
     cell = _cell("a")
     ctx = _ctx()
     old = ctx.radio
     cell.add_ue(ctx)
     _run(cell)
-    ctx.radio = Radio(Point(900.0, 10.0))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ctx.radio = Radio(Point(900.0, 10.0))
+    cell.remove_ue("u0")
+    ctx = dataclasses.replace(ctx, radio=Radio(Point(900.0, 10.0)))
+    cell.add_ue(ctx)
     assert not old._watchers and len(ctx.radio._watchers) == 1
     assert _run(cell) == _fresh(cell)
     old.position = Point(1.0, 1.0)
@@ -175,8 +199,6 @@ def test_equal_write_dirties_nothing():
     arena = cell._arena
     ctx.radio.position = Point(300.0, 40.0)
     ctx.radio.tx_power_dbm = ctx.radio.tx_power_dbm
-    ctx.backlog_bits = ctx.backlog_bits
-    ctx.radio = ctx.radio
     assert arena._touched == {"u0"}  # marked ...
     sig = arena._sigs[0]
     arena.refresh_downlink()
@@ -192,14 +214,14 @@ def test_one_context_on_two_cells_marks_both():
     a.add_ue(ctx)
     b.add_ue(ctx)
     _run(a), _run(b)
-    ctx.backlog_bits = 0.0
-    assert a._arena.backlog.tolist() == b._arena.backlog.tolist() == [0.0]
     ctx.radio.position = Point(2000.0, 30.0)
     assert a._arena._touched == b._arena._touched == {"u0"}
-    assert _run(a) == _fresh(a) == ({}, {})
+    assert _run(a) == _fresh(a)
     assert _run(b) == _fresh(b)
-    ctx.radio = Radio(Point(400.0, 0.0))  # both hooks move
-    ctx.backlog_bits = float("inf")
+    ctx.radio.position = Point(5e7, 5e7)  # out of range of both
+    assert _run(a) == _fresh(a) == ({}, {})
+    assert _run(b) == _fresh(b) == ({}, {})
+    ctx.radio.position = Point(400.0, 0.0)
     assert _run(a) == _fresh(a) != ({}, {})
     assert _run(b) == _fresh(b)
     a.remove_ue("u0")  # b keeps watching

@@ -4,13 +4,14 @@ The contract (see DESIGN.md / PERFORMANCE.md): a cell's per-TTI
 downlink and uplink scheduling must be *bit-identical* to the scalar
 walk in ``tests/reference/scalar_tti.py`` — identical delivered-bits
 maps (values AND key order), identical telemetry histograms, identical
-EWMA state. These tests randomize UE counts, positions, backlogs,
-GBR/priority, HARQ, interferers and fragmented PRB masks, and drive a
-production cell and an oracle-driven twin through mid-run mutations
-(mobility, backlog changes, detach, re-attach, scheduler swap)
-asserting equality at every TTI.
+EWMA state. These tests randomize UE counts, positions, GBR/priority,
+interferers and fragmented PRB masks, and drive a production cell and
+an oracle-driven twin through mid-run mutations (mobility, a re-attach
+with a new demand, detach, scheduler swap) asserting equality at every
+TTI.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -45,7 +46,7 @@ HISTOGRAMS = ("phy.sinr_db", "phy.harq.goodput_factor",
               "mac.cell.granted_prbs")
 
 
-def _build_cell(sched_cls, seed, n_ue, harq=True, n_inter=0, frag=False):
+def _build_cell(sched_cls, seed, n_ue, n_inter=0, frag=False):
     """A cell plus registry with n_ue randomly-placed UEs."""
     rng = random.Random(seed)
     band = get_band("lte31")
@@ -53,7 +54,7 @@ def _build_cell(sched_cls, seed, n_ue, harq=True, n_inter=0, frag=False):
                     bandwidth_hz=band.bandwidth_hz)
     reg = MetricsRegistry()
     cell = Cell("c0", band, Point(0.0, 0.0), lb, scheduler=sched_cls(),
-                harq_enabled=harq, metrics=reg)
+                metrics=reg)
     cell.interferers = [
         Cell(f"i{k}", band, Point(3000.0 * (k + 1), -1200.0), lb,
              metrics=reg)
@@ -62,13 +63,12 @@ def _build_cell(sched_cls, seed, n_ue, harq=True, n_inter=0, frag=False):
         cell.allowed_prbs = frozenset(
             p for p in cell.grid.all_prbs if p % 3 != 1)
     for u in range(n_ue):
-        backlog = rng.choice([float("inf"), float("inf"), 5e5, 0.0])
         gbr = rng.choice([0.0, 0.0, 0.0, 2e6])
         cell.add_ue(UeRadioContext(
             f"ue{u:03d}",
             Radio(Point(rng.uniform(-4000, 4000), rng.uniform(-4000, 4000)),
                   tx_power_dbm=23.0, ul_papr_advantage_db=3.0),
-            backlog_bits=backlog, gbr_bps=gbr, priority=rng.randint(1, 9)))
+            gbr_bps=gbr, priority=rng.randint(1, 9)))
     return cell, reg
 
 
@@ -89,8 +89,7 @@ def _plain_pair(scheduler_factory, n_ue, ue_point):
         cell = Cell("c0", band, Point(0.0, 0.0), lb,
                     scheduler=scheduler_factory())
         for u in range(n_ue):
-            cell.add_ue(UeRadioContext(f"ue{u}", Radio(ue_point(u)),
-                                       backlog_bits=float("inf")))
+            cell.add_ue(UeRadioContext(f"ue{u}", Radio(ue_point(u))))
         cells.append(cell)
     return cells
 
@@ -131,14 +130,17 @@ def test_randomized_cell_equivalence(trial):
     sched_cls = SCHEDULERS[trial % 4]
     n_ue = [0, 1, 3, 17, 40][trial % 5]
     ref, cell, reg_ref, reg = _build_pair(
-        sched_cls, 1000 + trial, n_ue, harq=trial % 3 != 0,
-        n_inter=trial % 3, frag=trial % 2 == 0)
+        sched_cls, 1000 + trial, n_ue, n_inter=trial % 3,
+        frag=trial % 2 == 0)
     for t in range(40):
         if t == 15 and n_ue > 2:
-            for c in (ref, cell):
+            for c, detach in ((ref, scalar_tti.remove_ue),
+                              (cell, Cell.remove_ue)):
                 ctx = c._ues["ue001"]
                 ctx.radio.position = Point(100.0 + trial, 50.0)
-                c._ues["ue002"].backlog_bits = 8e5
+                ctx = c._ues["ue002"]  # a new demand: re-attached
+                detach(c, "ue002")
+                c.add_ue(dataclasses.replace(ctx, gbr_bps=8e5, priority=2))
         if t == 25 and n_ue > 4:
             scalar_tti.remove_ue(ref, "ue003")
             cell.remove_ue("ue003")
@@ -170,17 +172,6 @@ def test_all_below_cqi_floor():
                 == cell.schedule_uplink_tti() == {})
 
 
-def test_zero_backlog_everywhere():
-    ref, cell, _, _ = _build_pair(QosAwareScheduler, 3, 0)
-    for c in (ref, cell):
-        for u in range(5):
-            c.add_ue(UeRadioContext(
-                f"ue{u}", Radio(Point(100.0 * u, 200.0)),
-                backlog_bits=0.0))
-    for t in range(4):
-        _assert_tti_equal(ref, cell, f"zero-backlog t={t}")
-
-
 def test_scheduler_swap_mid_run():
     """Swapping the scheduler object mid-run gives the new one a fresh
     arena column."""
@@ -202,9 +193,6 @@ def test_detach_reattach_drops_history(sched_cls):
     re-attaches to the same cell starts from a zero EWMA, downlink and
     uplink, on the arena and in the oracle alike."""
     ref, cell, _, _ = _build_pair(sched_cls, 21, 4)
-    for c in (ref, cell):
-        for ctx in c._ues.values():
-            ctx.backlog_bits = float("inf")
     for t in range(30):
         _assert_tti_equal(ref, cell, f"pre-detach t={t}")
     assert arena_rates(cell, cell.uplink_scheduler)["ue001"] > 0
@@ -270,8 +258,7 @@ def test_a_scheduler_shared_by_two_cells_keeps_a_column_per_arena():
             for u in range(3):
                 cell.add_ue(UeRadioContext(
                     f"{cell.name}-u{u}",
-                    Radio(Point(200.0 + i + 700.0 * u, 100.0)),
-                    backlog_bits=float("inf")))
+                    Radio(Point(200.0 + i + 700.0 * u, 100.0))))
         return shared, cells
 
     shared, (a, b) = two_cells()
@@ -335,7 +322,6 @@ def test_allocate_columns_matches_the_oracle(sched_cls):
         scalar_rates, packed_rates = dict(averages), dict(averages)
         users = [SchedulableUser(
                      user_id=uid, sinr_db=bank.sinr[s],
-                     backlog_bits=arena.backlog[s],
                      gbr_bps=arena.gbr[s], priority=arena.priority[s])
                  for s, uid in enumerate(arena.ids)]
         expected = scalar_tti.grant_counts(scalar_tti.allocate(
@@ -361,7 +347,7 @@ def test_arena_tracks_attach_detach():
     assert arena.ids == ["ue000", "ue001", "ue003", "ue004"]
     assert [arena.slot_of[u] for u in arena.ids] == [0, 1, 2, 3]
     cell.add_ue(UeRadioContext(
-        "ue009", Radio(Point(10.0, 10.0)), backlog_bits=1e5))
+        "ue009", Radio(Point(10.0, 10.0)), gbr_bps=1e5))
     assert arena.ids[-1] == "ue009"
     assert arena.slot_of["ue009"] == 4
 

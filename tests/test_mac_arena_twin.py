@@ -4,24 +4,26 @@ Twin cells are built from the same inputs; one is scheduled by
 ``Cell.schedule_tti`` / ``schedule_uplink_tti`` (the UE arena), the
 other by ``tests/reference/scalar_tti.py``. A random interleaving of
 everything that can invalidate arena state — attach, detach of the
-first / a middle / the last slot, moves, radio replacement and
-re-parameterisation, demand edits, scheduler swaps (to a fresh one or
-back to the one the last swap took out), downlink interferer
-churn, HARQ toggles, cell power and PRB masks — is applied to both, with
-a downlink and an uplink TTI after every step. Delivered maps must be
-equal to the key order and every EWMA equal, so a row that kept a stale
-SINR, or a column that slipped a slot when the block grew or closed a
-gap, shows up at the step that caused it.
+first / a middle / the last slot, moves, radio re-parameterisation,
+scheduler swaps (to a fresh one or back to the one the last swap took
+out), downlink interferer churn, cell power and PRB masks — is applied
+to both, with a downlink and an uplink TTI after every step. A context
+is frozen, so a new radio, GBR or priority reaches a UE the way
+production gives it one: a detach, then an attach of a fresh context.
+Delivered maps must be equal to the key order and every EWMA equal, so
+a row that kept a stale SINR, or a column that slipped a slot when the
+block grew or closed a gap, shows up at the step that caused it.
 
 Two ops are aimed at what the arena reuses between TTIs (the scheduler
-columns, kept while the bank and the demand stand still): ``demand``
-writes only backlog, GBR and priority, which moves no bank, and
-``prb_swap`` runs one more downlink TTI and then hands the cell a new
-allowed set, so the set changes between two TTIs over unchanged
-columns. A columns cache keyed on the bank version alone fails on the
-first.
+columns, kept while the bank stands still): ``demand`` re-attaches two
+UEs with a new GBR and priority, so the demand moves with the slots,
+and ``prb_swap`` runs one more downlink TTI and then hands the cell a
+new allowed set, so the set changes between two TTIs over unchanged
+columns. A columns cache that attach and detach did not move fails on
+the first.
 """
 
+import dataclasses
 from weakref import WeakKeyDictionary
 
 from hypothesis import given, settings
@@ -42,14 +44,11 @@ from tests.test_mac_arena import (
 )
 
 STRUCTURAL = ("attach", "detach_first", "detach_middle", "detach_last")
-PER_UE = ("move", "replace_radio", "reparam", "backlog", "gbr", "priority")
-PER_CELL = ("swap_scheduler", "dl_interferer", "harq", "cell_power",
-            "prb_mask")
-#: what the reused columns must hear of: a demand-only write, and an
+PER_UE = ("move", "replace_radio", "reparam", "gbr", "priority")
+PER_CELL = ("swap_scheduler", "dl_interferer", "cell_power", "prb_mask")
+#: what the reused columns must hear of: a demand-only re-attach, and an
 #: allowed set swapped between two TTIs
 REUSE = ("demand", "prb_swap")
-
-BACKLOGS = (float("inf"), 0.0, 5e5, 3e3)
 
 steps = st.tuples(st.sampled_from(STRUCTURAL + PER_UE + PER_CELL + REUSE),
                   st.integers(min_value=0, max_value=10**6),
@@ -65,6 +64,13 @@ DETACH = (scalar_tti.remove_ue, Cell.remove_ue)
 _SWAPPED_OUT: "WeakKeyDictionary[Cell, object]" = WeakKeyDictionary()
 
 
+def _reattach(cell, detach, ctx, **changes):
+    """Give a UE a new radio or demand as production does: detach it and
+    attach a fresh context."""
+    detach(cell, ctx.ue_id)
+    cell.add_ue(dataclasses.replace(ctx, **changes))
+
+
 def _apply(cell, detach, op, pick, x, y, tag):
     """Apply one step to ``cell``; every choice derives from the drawn
     values and the cell's own state, so twins stay in lockstep."""
@@ -72,8 +78,7 @@ def _apply(cell, detach, op, pick, x, y, tag):
         cell.add_ue(UeRadioContext(
             f"new{tag:02d}",
             Radio(Point(x, y), tx_power_dbm=23.0, ul_papr_advantage_db=3.0),
-            backlog_bits=BACKLOGS[pick % 4], gbr_bps=(0.0, 2e6)[pick % 2],
-            priority=1 + pick % 9))
+            gbr_bps=(0.0, 2e6)[pick % 2], priority=1 + pick % 9))
     elif op in STRUCTURAL:
         uids = list(cell._ues)
         if uids:
@@ -88,18 +93,17 @@ def _apply(cell, detach, op, pick, x, y, tag):
         if op == "move":
             ctx.radio.position = Point(x, y)
         elif op == "replace_radio":
-            ctx.radio = Radio(Point(x, y), tx_power_dbm=20.0)
+            _reattach(cell, detach, ctx,
+                      radio=Radio(Point(x, y), tx_power_dbm=20.0))
         elif op == "reparam":
             ctx.radio.tx_power_dbm = 10.0 + pick % 14
             ctx.radio.antenna_gain_dbi = float(pick % 5)
             ctx.radio.noise_figure_db = 5.0 + pick % 4
             ctx.radio.cable_loss_db = 0.5 * (pick % 3)
-        elif op == "backlog":
-            ctx.backlog_bits = BACKLOGS[pick % 4]
         elif op == "gbr":
-            ctx.gbr_bps = (0.0, 2e6, 5e5)[pick % 3]
+            _reattach(cell, detach, ctx, gbr_bps=(0.0, 2e6, 5e5)[pick % 3])
         else:
-            ctx.priority = 1 + pick % 9
+            _reattach(cell, detach, ctx, priority=1 + pick % 9)
     elif op == "swap_scheduler":
         previous = _SWAPPED_OUT.get(cell)
         _SWAPPED_OUT[cell] = cell.scheduler
@@ -114,17 +118,14 @@ def _apply(cell, detach, op, pick, x, y, tag):
             cell.interferers.append(
                 Cell(f"x{tag}", cell.band, Point(x, -y), cell.link_budget,
                      metrics=MetricsRegistry()))
-    elif op == "demand":  # two UEs: one flips eligibility, one re-ranks
+    elif op == "demand":  # two UEs re-ranked
         ctxs = list(cell._ues.values())
         for k, ctx in enumerate(ctxs[pick % 3::5][:2]):
-            ctx.backlog_bits = BACKLOGS[(pick + k) % 4]
-            ctx.gbr_bps = (0.0, 2e6, 5e5)[(pick + k) % 3]
-            ctx.priority = 1 + (pick + k) % 9
+            _reattach(cell, detach, ctx,
+                      gbr_bps=(0.0, 2e6, 5e5)[(pick + k) % 3],
+                      priority=1 + (pick + k) % 9)
     elif op == "prb_swap":
         cell.allowed_prbs = _swapped_prbs(cell, pick)
-    elif op == "harq":
-        cell.harq_enabled = not cell.harq_enabled
-        cell.harq_max_retx = pick % 4
     elif op == "cell_power":
         cell.radio.tx_power_dbm = 37.0 + pick % 7
     else:
@@ -171,8 +172,8 @@ def test_arena_cell_equals_scalar_walk_under_churn(sched, n_ue, seed, script):
 
 # -- push invalidation: who marks a row --------------------------------------
 #
-# The arena re-reads only the rows whose ``Radio`` / ``UeRadioContext``
-# were written since its last refresh. The ops below are the ways a write
+# The arena re-reads only the rows whose ``Radio`` was written since its
+# last refresh. The ops below are the ways a write
 # can miss its row (or hit one it should not), interleaved with every op
 # of the churn test above. Each twin gets a neighbour cell serving some of
 # the same UEs: through its own context around a shared radio (even
@@ -196,8 +197,7 @@ def _neighbour(cell):
         if i % 2:
             nbr.add_ue(ctx)
         else:
-            nbr.add_ue(UeRadioContext(ctx.ue_id, ctx.radio,
-                                      backlog_bits=5e5, priority=3))
+            nbr.add_ue(UeRadioContext(ctx.ue_id, ctx.radio, priority=3))
     return nbr
 
 
@@ -213,22 +213,16 @@ def _apply_write(cell, nbr, detach, op, pick, x, y):
     if op == "write_equal":
         radio.position = Point(radio.position.x, radio.position.y)
         radio.tx_power_dbm = radio.tx_power_dbm
-        ctx.backlog_bits = ctx.backlog_bits
-        ctx.radio = radio
     elif op in ("move_shared", "mid_tti_move"):
         radio.position = Point(x, y)
     elif op == "detached_write":
         detach(cell, ctx.ue_id)
         radio.position = Point(x, y)
-        ctx.backlog_bits = BACKLOGS[pick % 4]
-        ctx.gbr_bps = (0.0, 2e6)[pick % 2]
-        cell.add_ue(ctx)
+        cell.add_ue(dataclasses.replace(ctx, gbr_bps=(0.0, 2e6)[pick % 2]))
     else:  # burst: many writes, one refresh; the last values stand
         for k in range(6):
             radio.position = Point(x + 10.0 * k, y - 10.0 * k)
-            ctx.backlog_bits = BACKLOGS[(pick + k) % 4]
         radio.cable_loss_db = 0.5 * (pick % 3)
-        ctx.priority = 1 + pick % 9
 
 
 @given(st.integers(min_value=0, max_value=3),

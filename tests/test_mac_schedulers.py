@@ -62,14 +62,6 @@ def test_unreachable_users_get_nothing():
     assert result["u1"] == 50
 
 
-def test_zero_backlog_users_skipped():
-    sched = RoundRobinScheduler()
-    users = [SchedulableUser("idle", 20, backlog_bits=0),
-             SchedulableUser("busy", 20)]
-    result = allocate_packed(sched, users, PRBS)
-    assert "idle" not in result and result["busy"] == 50
-
-
 def test_empty_inputs():
     sched = ProportionalFairScheduler()
     assert allocate_packed(sched, [], PRBS) == {}
@@ -104,16 +96,15 @@ def test_pf_long_run_fair_in_time_not_rate():
 
 
 def test_pf_average_rate_tracks_and_forgets():
-    """The EWMA rises while a user is served and, once it idles, decays
-    by ``1 - 1/PF_WINDOW_TTIS`` per TTI."""
+    """The EWMA rises while a user is served and, once it drops below
+    CQI 1, decays by ``1 - 1/PF_WINDOW_TTIS`` per TTI."""
     sched = ProportionalFairScheduler()
     rates = {}
     for _ in range(50):
         allocate_packed(sched, _users(15), PRBS, rates)
     served = rates["u0"]
     assert served > 0
-    assert allocate_packed(sched, _users(15, backlog_bits=0), PRBS,
-                           rates) == {}
+    assert allocate_packed(sched, _users(-30), PRBS, rates) == {}
     assert rates["u0"] == served * (1 - 1 / sched.PF_WINDOW_TTIS)
 
 

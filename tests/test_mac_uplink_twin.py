@@ -41,8 +41,7 @@ weight = st.one_of(
     st.tuples(st.just("pow2"), st.sampled_from([-53, -52, -1, 0, 1, 2, 4])),
     st.tuples(st.just("rate"), st.floats(min_value=0.0, max_value=1e8)))
 
-user = st.tuples(st.integers(min_value=0, max_value=len(SINRS) - 1), weight,
-                 st.booleans())
+user = st.tuples(st.integers(min_value=0, max_value=len(SINRS) - 1), weight)
 
 
 @st.composite
@@ -60,9 +59,8 @@ def _build(case):
     """Users in slot order (ids a permutation of it) and their rates."""
     users, perm, _prbs, _rounds = case
     built, rates = [], {}
-    for slot, (cqi, (kind, value), idle) in enumerate(users):
-        u = SchedulableUser(f"u{perm[slot]:02d}", SINRS[cqi],
-                            backlog_bits=0.0 if idle else float("inf"))
+    for slot, (cqi, (kind, value)) in enumerate(users):
+        u = SchedulableUser(f"u{perm[slot]:02d}", SINRS[cqi])
         if kind == "pow2":
             rates[u.user_id] = bits_per_prb(u.efficiency) * 1e3 * 2.0 ** -value
         else:
@@ -75,15 +73,15 @@ def _two_big_two_tiny(total):
     # slot order: two weights of 2**-52, then two of 1.0; the big users
     # hold the lowest ids. In slot order the sum is 2 + 2**-51; summed
     # big-first it would be 2.0 (each tiny add rounds away)
-    big, tiny = (7, ("pow2", 0), False), (7, ("pow2", -52), False)
+    big, tiny = (7, ("pow2", 0)), (7, ("pow2", -52))
     return [tiny, tiny, big, big], [2, 3, 0, 1], list(range(total)), 1
 
 
 @given(cases())
-@example(([(7, ("pow2", 0), False)] * 2, [1, 0], [0, 1, 2], 1))  # 1.5 ties
-@example(([(7, ("pow2", 0), False)] * 4, [3, 1, 0, 2], list(range(10)), 2))
+@example(([(7, ("pow2", 0))] * 2, [1, 0], [0, 1, 2], 1))  # 1.5 ties
+@example(([(7, ("pow2", 0))] * 4, [3, 1, 0, 2], list(range(10)), 2))
 @example(_two_big_two_tiny(3))  # 3 / (2 + 2**-51) < 1.5 = 3 / 2
-@example(([(4, ("pow2", 0), False)] * 30, list(range(29, -1, -1)),
+@example(([(4, ("pow2", 0))] * 30, list(range(29, -1, -1)),
           [0, 1, 2, 5, 6, 9, 20, 21, 22, 23], 1))  # 30 equal targets
 @settings(max_examples=300, deadline=None, derandomize=True)
 def test_uplink_packer_equals_the_scalar_policy(case):

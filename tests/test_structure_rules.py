@@ -103,8 +103,8 @@ RULES: Tuple[Rule, ...] = (
     Rule("no-attached-set-scan",
          "_scan_rows",
          ("src/",), (),
-         "a write to a Radio / UeRadioContext marks its own arena row; no "
-         "per-TTI poll over every attached UE"),
+         "a write to a Radio marks its own arena row; no per-TTI poll over "
+         "every attached UE"),
     Rule("one-link-admission-path",
          "_managed|_enable_managed",
          ("src/",), (),
@@ -137,6 +137,15 @@ RULES: Tuple[Rule, ...] = (
          "a hop's verdict depends on time and queue state alone: no random "
          "loss and no random early drop, so no per-link stream whose draw "
          "order a change to admission would have to keep"),
+    Rule("a-ue-context-is-fixed-at-attach",
+         "_context_written|demand_version|backlog_bits|harq_enabled"
+         "|harq_max_retx",
+         ("src/repro/",), (),
+         "every UE is full-buffer with its demand fixed at attach: a "
+         "UeRadioContext is frozen and a new demand is a detach plus an "
+         "attach, and HARQ always runs at repro.phy.harq's default; no "
+         "context watcher, demand version, backlog column or per-cell "
+         "HARQ switch for a write that no experiment makes"),
 )
 
 #: rule name -> (path, line): a file holding the line must fail the rule
@@ -178,6 +187,9 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "links-draw-no-randomness": (
         "src/repro/net/links.py",
         "if self._loss_rng.random() < self.loss_rate:"),
+    "a-ue-context-is-fixed-at-attach": (
+        "src/repro/enodeb/cell.py",
+        'backlog_bits: float = float("inf")'),
 }
 
 #: (path, line number, text) of one line that matched a rule's pattern

@@ -1,24 +1,24 @@
 """Count gate: a static cell's TTI costs O(granted), not O(attached),
 in both directions.
 
-Nothing polls the attached set: a write to a ``Radio`` or a
-``UeRadioContext`` marks its arena row when it happens, policies return
-a PRB count for only the users they served (the contiguous uplink
-packer included), a row's HARQ factor is evaluated at its first grant
-after a refresh, and whatever still spans the attached set (the EWMA
-update, the SINR histogram's sum) is array work. So the Python a
-``schedule_tti()`` or ``schedule_uplink_tti()`` executes on a cell
-nobody wrote to is set by the PRB budget, plus two lines per SINR
-bucket the column fills (``Histogram.observe_binned`` adds the
-non-empty buckets only, at most the ladder's length), and the count of
-``sys.settrace`` line events inside one warm call, less those, must not
-grow with the attached count. The count repeats exactly from run to
+Nothing polls the attached set: a write to a ``Radio`` marks its arena
+row when it happens, policies return a PRB count for only the users
+they served (the contiguous uplink packer included), a row's HARQ
+factor is evaluated at its first grant after a refresh, and whatever
+still spans the attached set (the EWMA update, the SINR histogram's
+sum) is array work. So the Python a ``schedule_tti()`` or
+``schedule_uplink_tti()`` executes on a cell nobody wrote to is set by
+the PRB budget, plus two lines per SINR bucket the column fills
+(``Histogram.observe_binned`` adds the non-empty buckets only, at most
+the ladder's length), and the count of ``sys.settrace`` line events
+inside one warm call, less those, must not grow with the attached
+count. The count repeats exactly from run to
 run; the few lines of slack are the data-dependent min/max branches of
 ``Histogram.observe``.
 
 A warm static TTI also re-derives nothing: the scheduler columns the
 arena hands over (``eff`` as a list, the eligibility) are reused while
-the bank and the demand stand still, so the columns path converts no
+the bank stands still, so the columns path converts no
 array (``ndarray.tolist``), and grants are counts, so no module the TTI
 runs builds a ``frozenset``.
 
@@ -32,6 +32,7 @@ count reads the same whether or not a loop walks every UE.
 """
 
 import ast
+import dataclasses
 import inspect
 import sys
 import textwrap
@@ -116,7 +117,7 @@ def _fill_eligible(cell):
     filled the way a first grant fills them."""
     arena = cell._arena
     for bank in (arena.dl, arena.ul):
-        eligible = (bank.eff > 0.0) & (arena.backlog > 0.0)
+        eligible = bank.eff > 0.0
         arena.fill_harq(bank, eligible.nonzero()[0].tolist())
         assert not np.isnan(bank.harq[eligible]).any()
 
@@ -224,7 +225,8 @@ def test_a_warm_static_tti_rederives_no_column(sched_cls, uplink,
                                                monkeypatch):
     """No ``ndarray.tolist`` inside ``UeArena.columns`` and no
     ``frozenset(...)`` in any module the TTI runs, on a warm static cell
-    (the first TTI after a write derives the columns again)."""
+    (the first TTI after a write or a re-attach derives the columns
+    again)."""
     cell = _warm_cell(sched_cls, 64, MetricsRegistry())
     tti = cell.schedule_uplink_tti if uplink else cell.schedule_tti
     modules = set()
@@ -276,9 +278,12 @@ def test_a_warm_static_tti_rederives_no_column(sched_cls, uplink,
 
     assert profiled()
     assert conversions == [] and frozensets == []
-    # a demand write is seen: the next TTI derives the columns again
-    cell._ues["ue005"].backlog_bits = 0.0
-    assert "ue005" not in profiled()
+    # a new demand is a detach and an attach of a fresh context, and the
+    # next TTI derives the columns again
+    ctx = cell._ues["ue005"]
+    cell.remove_ue("ue005")
+    cell.add_ue(dataclasses.replace(ctx, priority=1))
+    assert profiled()
     assert conversions == ["columns", "columns"]
     assert frozensets == []
 

@@ -16,10 +16,16 @@ Usage::
 
     python tools/line_census.py                 # --all + examples
     python tools/line_census.py E3 --no-examples --out e3-census.txt
+    python tools/line_census.py E3 --no-examples -- --invariants
 
-Work that the experiments hand to forked workers is not seen; the CLI
-runs serially here, so only an experiment that forks on its own (a
-sharded pass in ``fork`` mode) hides lines this way.
+Everything after ``--`` is handed to ``python -m repro`` with the ids,
+so the CLI modes (``--invariants``, ``--metrics-out``, ``--trace-out``,
+``--profile``) can be censused too; the report's header names them.
+
+Work that the experiments hand to forked workers is not seen, so
+``--jobs`` above 1 is refused; the CLI runs serially here, and only an
+experiment that forks on its own (a sharded pass in ``fork`` mode)
+hides lines this way.
 """
 
 from __future__ import annotations
@@ -104,11 +110,11 @@ class Census:
             sys.settrace(previous)
 
 
-def _run_experiments(ids: Sequence[str]) -> None:
+def _run_experiments(argv: Sequence[str]) -> None:
     from repro.__main__ import main
-    code = main(list(ids) if ids else ["--all"])
+    code = main(list(argv))
     if code:
-        raise SystemExit(f"python -m repro {' '.join(ids)} exited {code}")
+        raise SystemExit(f"python -m repro {' '.join(argv)} exited {code}")
 
 
 def _run_example(path: Path) -> None:
@@ -120,13 +126,13 @@ def _run_example(path: Path) -> None:
         sys.argv = argv
 
 
-def take(ids: Sequence[str], examples: bool) -> Census:
-    """Run the experiments ``ids`` (all when empty) and, if asked, every
-    example under the tracer, with their output discarded."""
+def take(argv: Sequence[str], examples: bool) -> Census:
+    """Run ``python -m repro`` with ``argv`` and, if asked, every example
+    under the tracer, with their output discarded."""
     sys.path.insert(0, str(PACKAGE.parent))
     census = Census(PACKAGE)
     with contextlib.redirect_stdout(io.StringIO()), census.tracing():
-        _run_experiments(ids)
+        _run_experiments(argv)
         if examples:
             for path in sorted(EXAMPLES.glob("*.py")):
                 _run_example(path)
@@ -180,16 +186,39 @@ def report(census: Census, runs: str) -> str:
     return "\n".join(head + sections) + "\n"
 
 
+def _jobs(flags: Sequence[str]) -> List[str]:
+    """The values given to ``--jobs`` among the forwarded flags."""
+    found = []
+    for i, flag in enumerate(flags):
+        if flag == "--jobs" and i + 1 < len(flags):
+            found.append(flags[i + 1])
+        elif flag.startswith("--jobs="):
+            found.append(flag.split("=", 1)[1])
+    return found
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n")[0],
+        usage="%(prog)s [ids ...] [--no-examples] [--out OUT] "
+              "[-- CLI flags ...]")
     parser.add_argument("ids", nargs="*",
                         help="experiment ids (default: all of them)")
     parser.add_argument("--no-examples", action="store_true",
                         help="skip the scripts under examples/")
     parser.add_argument("--out", help="write the report here, not stdout")
+    argv = list(sys.argv[1:] if argv is None else argv)
+    flags: List[str] = []
+    if "--" in argv:
+        cut = argv.index("--")
+        argv, flags = argv[:cut], argv[cut + 1:]
     args = parser.parse_args(argv)
-    census = take(args.ids, examples=not args.no_examples)
-    runs = "python -m repro " + (" ".join(args.ids) or "--all")
+    if any(value != "1" for value in _jobs(flags)):
+        parser.error("--jobs above 1 runs experiments in forked workers, "
+                     "whose lines are not traced: census serially")
+    repro_argv = (args.ids or ["--all"]) + flags
+    census = take(repro_argv, examples=not args.no_examples)
+    runs = "python -m repro " + " ".join(repro_argv)
     if not args.no_examples:
         runs += " + examples/*.py"
     text = report(census, runs)
