@@ -86,8 +86,7 @@ class PeerMonitor:
         self._generation += 1
         for peer in self.x2.peer_ids:
             self._last_heard[peer] = self.sim.now
-        self.sim.process(self._run(self._generation),
-                         name=f"peer-monitor:{self.x2.ap_id}")
+        self.sim.process(self._run(self._generation))
 
     def stop(self) -> None:
         """Stop heartbeating (watching stops with it)."""

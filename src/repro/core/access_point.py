@@ -185,8 +185,7 @@ class DLTEAccessPoint:
         if retry_backoff_s <= 0:
             raise ValueError("retry backoff must be positive")
         self._renewing_lease = True
-        self.sim.process(self._lease_loop(margin_frac, retry_backoff_s),
-                         name=f"lease:{self.ap_id}")
+        self.sim.process(self._lease_loop(margin_frac, retry_backoff_s))
 
     def stop_lease_renewal(self) -> None:
         """Stop renewing (the grant then lapses at its ``expires_at``)."""
@@ -202,7 +201,7 @@ class DLTEAccessPoint:
             yield self.sim.timeout(wait)
             if not (self._renewing_lease and self.alive):
                 break
-            done = self.sim.event(f"lease-renew:{self.ap_id}")
+            done = self.sim.event()
             renew_span = self.sim.span("spectrum.lease.renew", ap=self.ap_id)
             heartbeat(self.ap_id, done.succeed)
             renewed = yield done
@@ -222,7 +221,7 @@ class DLTEAccessPoint:
                 # registry wants a fresh registration, not a heartbeat —
                 # and on success the renewal schedule resumes at once
                 # (sleeping the retry backoff could outlive the new lease)
-                redone = self.sim.event(f"lease-rereg:{self.ap_id}")
+                redone = self.sim.event()
                 self.register_spectrum(redone.succeed)
                 ok = yield redone
                 if ok:

@@ -627,7 +627,7 @@ class WiFiNetwork(_BaseNetwork):
     def _control_phase(self, report: NetworkReport) -> None:
         for k, ue_id in enumerate(sorted(self.ue_hosts)):
             self.sim.schedule(0.010 * k, lambda u=ue_id: self.sim.process(
-                self._associate(u), name=f"assoc:{u}"))
+                self._associate(u)))
         self.sim.run(until=self.sim.now + 2.0 + 0.010 * len(self.ue_hosts))
         report.attach_latencies_s = list(self.association_latencies.values())
         report.attach_failures = (len(self.ue_hosts)

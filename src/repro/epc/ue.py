@@ -163,7 +163,7 @@ class UserEquipment(ControlAgent):
                                 timeout_s: float = 2.0,
                                 base_backoff_s: float = 0.5,
                                 max_backoff_s: float = 16.0,
-                                jitter_frac: float = 0.25) -> "Process":  # noqa: F821
+                                jitter_frac: float = 0.25) -> None:
         """Attach under supervision: retry on rejection or silence.
 
         Each attempt is given ``timeout_s`` to complete (the T3410
@@ -173,14 +173,13 @@ class UserEquipment(ControlAgent):
         the simulator's named RNG, so a whole town retrying after an AP
         restart does not thundering-herd the stub. Out-of-coverage UEs
         (no air channel yet) keep waiting through the same backoff until
-        coverage returns. Returns the supervising process.
+        coverage returns.
         """
         if max_attempts < 1:
             raise ValueError("need at least one attach attempt")
-        return self.sim.process(
+        self.sim.process(
             self._attach_retry_loop(max_attempts, timeout_s, base_backoff_s,
-                                    max_backoff_s, jitter_frac),
-            name=f"attach-retry:{self.name}")
+                                    max_backoff_s, jitter_frac))
 
     def _attach_retry_loop(self, max_attempts: int, timeout_s: float,
                            base_backoff_s: float, max_backoff_s: float,
@@ -194,7 +193,7 @@ class UserEquipment(ControlAgent):
             self.server_backoff_s = 0.0
             if self.air is not None:
                 self.attach_attempts += 1
-                outcome = self.sim.event(f"attach-outcome:{self.name}")
+                outcome = self.sim.event()
                 self._attach_outcome = outcome
                 self.start_attach()
                 yield self.sim.any_of([outcome,

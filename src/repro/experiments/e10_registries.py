@@ -147,7 +147,7 @@ def service_continuity_under_outage(n_aps: int = 10, lease_s: float = 60.0,
         def on_grant(g, r=record):
             if g is not None:
                 grants[r.ap_id] = g
-                sim.process(keep_alive(r), name=f"hb:{r.ap_id}")
+                sim.process(keep_alive(r))
         sas.request_grant(record, on_grant)
     sim.schedule(outage_at_s, sas.fail)
     sim.run(until=horizon_s)

@@ -254,7 +254,7 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
                         lambda c=retry, n=st["size"]: c.send_app_data(n))
                     retry.connect()
 
-    sim.process(web_retry_sweep(), name="web-retry-sweep")
+    sim.process(web_retry_sweep())
 
     sources = []
     for ue, app in assignment:

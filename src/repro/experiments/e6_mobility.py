@@ -259,8 +259,7 @@ def _run_arm(arm: str, dwell: float, seed: int = 1,
     warmup = 1.0
     sim.run(until=warmup)
     start_bytes = app._acked_total()
-    sim.process(_drive(harness, arm, app, dwell, n_handovers),
-                name=f"drive:{arm}")
+    sim.process(_drive(harness, arm, app, dwell, n_handovers))
     duration = dwell * n_handovers + 1.0
     sim.run(until=warmup + duration)
     delivered = app._acked_total() - start_bytes

@@ -321,7 +321,7 @@ class InvariantChecker:
                 if sim._until is None and sim.live_queue_length == 0:
                     self._sweeping = False
 
-        sim.process(sweep(), name="invariant-sweep")
+        sim.process(sweep())
 
     def verify(self) -> None:
         """Final audit: run every check, raise if anything ever broke.

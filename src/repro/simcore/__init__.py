@@ -13,8 +13,8 @@ reproduction.
 from repro._lazy import lazy_exports
 
 __getattr__, __dir__, __all__ = lazy_exports(__name__, {
-    "events": ("Event", "EventCancelled", "Timeout"),
-    "process": ("Process", "ProcessKilled"),
+    "events": ("Event", "Timeout"),
+    "process": ("Process",),
     "rng": ("RngRegistry",),
     "sharded": (
         "ShardBoundary", "ShardHost", "ShardedSimulator",

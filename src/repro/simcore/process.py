@@ -9,94 +9,38 @@ reads far more naturally as a coroutine than as a callback chain::
         ...
 
 A :class:`Process` drives such a generator: each yielded :class:`Event`
-suspends the process until the event triggers; the event's value is sent
-back into the generator (or its exception thrown in). A process is itself
-an Event, succeeding with the generator's return value, so processes
-compose (a parent can ``yield`` a child).
+suspends the process until the event triggers, and the event's value is
+sent back into the generator. Every resume is its own queued call, so it
+takes its place among same-instant work when its trigger fires. A process
+is not an event and has no result: nothing waits on one. An exception
+raised in its body propagates out of :meth:`Simulator.run`, failing the
+run rather than a loop nobody watches.
 """
 
 from __future__ import annotations
 
-from typing import Generator
+from typing import Generator, Optional
 
 from repro.simcore.events import Event
 
 
-class ProcessKilled(Exception):
-    """Thrown into a process generator by :meth:`Process.kill`."""
-
-
-class Process(Event):
+class Process:
     """Runs a generator, suspending on yielded events."""
 
-    __slots__ = ("_gen", "_waiting_on")
+    __slots__ = ("_gen",)
 
-    def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:  # noqa: F821
-        super().__init__(sim, name=name or getattr(gen, "__name__", "process"))
+    def __init__(self, sim: "Simulator", gen: Generator) -> None:  # noqa: F821
         self._gen = gen
-        self._waiting_on: Event | None = None
         sim.call_soon(self._resume, None)
 
-    @property
-    def is_alive(self) -> bool:
-        """True while the generator has not finished."""
-        return not self.triggered
-
-    def kill(self, reason: str = "") -> None:
-        """Throw :class:`ProcessKilled` into the process at the current time.
-
-        A process may catch the exception to clean up; if it does not, the
-        process event *fails* with the ProcessKilled.
-        """
-        if self.triggered:
-            return
-        self.sim.call_soon(self._throw, ProcessKilled(reason or self.name))
-
-    # -- driving the generator ---------------------------------------------
-
-    def _resume(self, _trigger: object) -> None:
-        if self.triggered:
-            return
-        self._step(lambda: self._gen.send(None))
-
-    def _on_event(self, event: Event) -> None:
-        if self.triggered:
-            return
-        self._waiting_on = None
-        if event.ok:
-            self._step(lambda: self._gen.send(event.value))
-        else:
-            exc = event.exception or RuntimeError("event failed without exception")
-            self._step(lambda: self._gen.throw(exc))
-
-    def _throw(self, exc: BaseException) -> None:
-        if self.triggered:
-            return
-        if self._waiting_on is not None:
-            self._waiting_on = None
-        self._step(lambda: self._gen.throw(exc))
-
-    def _step(self, advance) -> None:
+    def _resume(self, event: Optional[Event]) -> None:
         try:
-            target = advance()
-        except StopIteration as stop:
-            self.succeed(stop.value)
-            return
-        except ProcessKilled as killed:
-            self.fail(killed)
-            return
-        except Exception as exc:
-            self.fail(exc)
+            target = self._gen.send(None if event is None else event.value)
+        except StopIteration:
             return
         if not isinstance(target, Event):
-            self._gen.close()
-            self.fail(TypeError(
-                f"process {self.name!r} yielded {target!r}; processes may "
-                f"only yield simcore Events (e.g. sim.timeout(...))"))
-            return
-        self._waiting_on = target
-        target.add_callback(self._on_event)
-
-    def __repr__(self) -> str:
-        state = "alive" if self.is_alive else ("ok" if self.ok else "failed")
-        return f"<Process {self.name!r} {state}>"
+            raise TypeError(
+                f"process {self._gen.__qualname__} yielded {target!r}; "
+                f"processes may only yield simcore Events "
+                f"(e.g. sim.timeout(...))")
+        target.add_callback(self._resume)

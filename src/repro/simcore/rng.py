@@ -40,13 +40,5 @@ class RngRegistry:
     def __call__(self, name: str) -> np.random.Generator:
         return self.stream(name)
 
-    def fork(self, salt: int) -> "RngRegistry":
-        """A registry whose streams are all independent of this one's.
-
-        Used when one experiment spawns several trials: each trial forks
-        with its trial index so trials are independent but reproducible.
-        """
-        return RngRegistry(seed=self.seed * 1_000_003 + salt + 1)
-
     def __repr__(self) -> str:
         return f"<RngRegistry seed={self.seed} streams={len(self._streams)}>"

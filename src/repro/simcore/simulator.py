@@ -222,42 +222,36 @@ class Simulator:
 
     # -- event factories ----------------------------------------------------
 
-    def event(self, name: str = "") -> Event:
+    def event(self) -> Event:
         """Create a fresh pending :class:`Event` bound to this simulator."""
-        return Event(self, name)
+        return Event(self)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
+    def timeout(self, delay: float) -> Timeout:
         """Create an event that succeeds after ``delay`` seconds."""
-        return Timeout(self, delay, value)
+        return Timeout(self, delay)
 
     def any_of(self, events: List[Event]) -> AnyOf:
         """Event that fires when the first of ``events`` fires."""
         return AnyOf(self, events)
 
-    def process(self, generator: Generator, name: str = "") -> Process:
+    def process(self, generator: Generator) -> Process:
         """Start a generator-based process (see :class:`simcore.Process`)."""
-        return Process(self, generator, name)
+        return Process(self, generator)
 
     # -- run loop -----------------------------------------------------------
-
-    def step(self) -> bool:
-        """Execute the next scheduled call. Returns False if queue empty."""
-        before = self.events_executed
-        self.run(max_events=1)
-        return self.events_executed > before
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> float:
         """Run until the queue drains, ``until`` is reached, or event budget spent.
 
         Returns the simulated time at which the run stopped. When stopped by
         ``until``, the clock is advanced to exactly ``until`` and events
-        scheduled at later times remain queued.
+        scheduled at later times remain queued. An exception raised by a
+        callback (a process body's included) propagates out of the run.
 
-        This is the only dispatch body (:meth:`step` is one pass of it),
-        with the heap and heappop bound locally — it dominates every
-        packet-level experiment (E6/E7 spend >90% of wall time here),
-        where the per-event method call and attribute lookups were
-        measurable.
+        This is the only dispatch body, with the heap and heappop bound
+        locally — it dominates every packet-level experiment (E6/E7
+        spend >90% of wall time here), where the per-event method call
+        and attribute lookups were measurable.
         """
         if self._running:
             raise RuntimeError("simulator is already running (re-entrant run())")

@@ -110,7 +110,7 @@ class SasRegistry(SpectrumRegistry):
                 yield self.sim.timeout(period)
                 self.purge_expired()
 
-        self.sim.process(sweep(), name="sas-expiry-sweep")
+        self.sim.process(sweep())
 
     def _active_grant(self, ap_id: str) -> Optional[SpectrumGrant]:
         grant = self._grants.get(ap_id)

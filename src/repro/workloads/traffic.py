@@ -26,7 +26,7 @@ Emit = Callable[[int], None]
 
 
 class _Source:
-    """Shared lifecycle: start/stop a generator process."""
+    """Shared lifecycle: start a generator process, once."""
 
     def __init__(self, sim: Simulator, emit: Emit, name: str) -> None:
         self.sim = sim
@@ -34,18 +34,14 @@ class _Source:
         self.name = name
         self.bytes_emitted = 0
         self.bursts_emitted = 0
-        self._process = None
+        self._started = False
 
     def start(self) -> None:
         """Begin emitting."""
-        if self._process is not None and self._process.is_alive:
-            raise RuntimeError(f"{self.name} already running")
-        self._process = self.sim.process(self._run(), name=self.name)
-
-    def stop(self) -> None:
-        """Stop emitting (idempotent)."""
-        if self._process is not None and self._process.is_alive:
-            self._process.kill("source stopped")
+        if self._started:
+            raise RuntimeError(f"{self.name} already started")
+        self._started = True
+        self.sim.process(self._run())
 
     def _emit(self, n_bytes: int) -> None:
         self.bytes_emitted += n_bytes

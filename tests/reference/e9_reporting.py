@@ -32,6 +32,6 @@ def _reporting_run(n_peers: int, period_s: float, duration_s: float,
             yield sim.timeout(period_s)
 
     for ep in endpoints:
-        sim.process(reporter(ep), name=f"report:{ep.ap_id}")
+        sim.process(reporter(ep))
     sim.run(until=duration_s)
     return endpoints[0].bytes_sent / duration_s

@@ -295,6 +295,20 @@ def test_attach_retry_waits_for_coverage():
     assert ue.attach_attempts == 1
 
 
+def test_a_settled_attach_stops_its_t3410_timer():
+    sim = Simulator(7)
+    registry, ue = _published_ue(sim, "999010000000007")
+    stub, enb = _stub(sim, registry)
+    _wire_air(sim, ue, enb)
+    ue.start_attach_with_retry(timeout_s=2.0)
+    sim.run(until=1.0)
+    assert ue.state is UeState.ATTACHED
+    assert ue.attach_attempts == 1
+    # the guard timer left the queue when the attach settled, instead
+    # of waking at t=2 s for nobody
+    assert sim.live_queue_length == 0
+
+
 def test_radio_lost_collapses_nas_state():
     sim = Simulator(5)
     registry, ue = _published_ue(sim, "999010000000005")

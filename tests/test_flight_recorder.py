@@ -60,7 +60,7 @@ def test_ring_is_consistent_after_step_interleaved_with_run():
     sim = Simulator(0)
     for i in range(3):
         sim.schedule(i * 1.0, _nop)
-    sim.step()  # record path outside the inlined run() loop
+    sim.run(max_events=1)  # a bounded run hands the ring index on
     sim.run()
     assert [t for t, _ in sim.flight_events()] == [0.0, 1.0, 2.0]
 

@@ -128,7 +128,7 @@ def test_gbr_survives_overload_while_bulk_sheds_first(sim):
             policer.admit(_packet("voice", size=250))
             policer.admit(_packet("video", size=750))
 
-    sim.process(offer(), name="load")
+    sim.process(offer())
     sim.run(until=20.0)
     assert policer.shed_by_class[CLASS_GBR] == 0
     assert policer.shed_by_class[CLASS_BULK] > 0

@@ -110,7 +110,7 @@ class _SteppedHost(ShardHost):
         sim = self.sim
         heap = sim._heap
         while heap and (heap[0][0] < until or (final and heap[0][0] <= until)):
-            sim.step()
+            sim.run(max_events=1)
         sim.now = until
         self.windows += 1
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import EventCancelled, Simulator
+from repro.simcore import Simulator
 
 
 @pytest.fixture
@@ -11,9 +11,9 @@ def sim():
 
 
 def test_event_starts_pending(sim):
-    ev = sim.event("e")
+    ev = sim.event()
     assert not ev.triggered
-    assert not ev.ok
+    assert ev.value is None
 
 
 def test_succeed_delivers_value(sim):
@@ -23,21 +23,7 @@ def test_succeed_delivers_value(sim):
     ev.succeed(42)
     sim.run()
     assert got == [42]
-    assert ev.ok and ev.triggered
-
-
-def test_fail_delivers_exception(sim):
-    ev = sim.event()
-    boom = RuntimeError("boom")
-    ev.fail(boom)
-    sim.run()
-    assert ev.triggered and not ev.ok
-    assert ev.exception is boom
-
-
-def test_fail_requires_exception_instance(sim):
-    with pytest.raises(TypeError):
-        sim.event().fail("not an exception")
+    assert ev.triggered
 
 
 def test_double_trigger_rejected(sim):
@@ -45,16 +31,6 @@ def test_double_trigger_rejected(sim):
     ev.succeed()
     with pytest.raises(RuntimeError):
         ev.succeed()
-    with pytest.raises(RuntimeError):
-        ev.fail(ValueError())
-
-
-def test_cancel_is_idempotent(sim):
-    ev = sim.event()
-    ev.cancel()
-    ev.cancel()  # no raise
-    assert ev.triggered and not ev.ok
-    assert isinstance(ev.exception, EventCancelled)
 
 
 def test_callback_after_trigger_still_runs(sim):
@@ -77,12 +53,12 @@ def test_callbacks_never_run_synchronously(sim):
 
 
 def test_timeout_fires_at_right_time(sim):
-    t = sim.timeout(3.5, value="done")
+    t = sim.timeout(3.5)
     fired_at = []
     t.add_callback(lambda e: fired_at.append(sim.now))
     sim.run()
     assert fired_at == [3.5]
-    assert t.value == "done"
+    assert t.triggered
 
 
 def test_timeout_negative_rejected(sim):
@@ -91,22 +67,29 @@ def test_timeout_negative_rejected(sim):
 
 
 def test_any_of_fires_on_first(sim):
-    slow = sim.timeout(10, "slow")
-    fast = sim.timeout(2, "fast")
+    slow = sim.timeout(10)
+    fast = sim.timeout(2)
     race = sim.any_of([slow, fast])
     winner = []
-    race.add_callback(lambda e: winner.append((sim.now, e.value.value)))
+    race.add_callback(lambda e: winner.append((sim.now, e.value)))
     sim.run(until=3)
-    assert winner == [(2, "fast")]
+    assert winner == [(2, fast)]
 
 
-def test_any_of_propagates_failure(sim):
-    ev = sim.event()
-    race = sim.any_of([ev, sim.timeout(100)])
-    ev.fail(ValueError("bad"))
-    sim.run(until=1)
-    assert race.triggered and not race.ok
-    assert isinstance(race.exception, ValueError)
+def test_any_of_cancels_its_pending_timeouts(sim):
+    outcome = sim.event()
+    guard = sim.timeout(100)
+    other = sim.event()
+    race = sim.any_of([outcome, guard, other])
+    sim.schedule(1, outcome.succeed, "done")
+    sim.run()
+    assert race.value is outcome
+    # the guard timer left the queue with the race: the run drained at
+    # t=1 instead of firing it for nobody at t=100
+    assert sim.now == 1
+    assert sim.live_queue_length == 0
+    assert not guard.triggered
+    assert not other.triggered  # a plain event is not the race's to cancel
 
 
 def test_any_of_empty_rejected(sim):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.simcore import ProcessKilled, Simulator
+from repro.simcore import Event, Simulator
 
 
 @pytest.fixture
@@ -11,41 +11,31 @@ def sim():
 
 
 def test_process_runs_and_returns(sim):
+    log = []
+
     def worker():
         yield sim.timeout(1)
         yield sim.timeout(2)
-        return "finished"
+        log.append("finished")
+        return "ignored"
 
-    proc = sim.process(worker())
+    sim.process(worker())
     sim.run()
-    assert proc.triggered and proc.ok
-    assert proc.value == "finished"
+    assert log == ["finished"]
     assert sim.now == 3
 
 
 def test_process_receives_event_value(sim):
-    def worker():
-        value = yield sim.timeout(1, value="hello")
-        return value
-
-    proc = sim.process(worker())
-    sim.run()
-    assert proc.value == "hello"
-
-
-def test_process_sees_event_failure_as_exception(sim):
     ev = sim.event()
+    got = []
 
     def worker():
-        try:
-            yield ev
-        except ValueError as exc:
-            return f"caught {exc}"
+        got.append((yield ev))
 
-    proc = sim.process(worker())
-    sim.schedule(1, ev.fail, ValueError("oops"))
+    sim.process(worker())
+    sim.schedule(1, ev.succeed, "hello")
     sim.run()
-    assert proc.value == "caught oops"
+    assert got == ["hello"]
 
 
 def test_uncaught_exception_fails_process(sim):
@@ -53,96 +43,61 @@ def test_uncaught_exception_fails_process(sim):
         yield sim.timeout(1)
         raise RuntimeError("exploded")
 
-    proc = sim.process(worker())
-    sim.run()
-    assert proc.triggered and not proc.ok
-    assert isinstance(proc.exception, RuntimeError)
-
-
-def test_processes_compose(sim):
-    def child():
-        yield sim.timeout(2)
-        return "child-result"
-
-    def parent():
-        result = yield sim.process(child())
-        return f"got {result}"
-
-    proc = sim.process(parent())
-    sim.run()
-    assert proc.value == "got child-result"
+    sim.process(worker())
+    with pytest.raises(RuntimeError, match="exploded"):
+        sim.run()
+    assert sim.now == 1
+    sim.schedule(1, lambda: None)
+    sim.run()  # the failed run left the simulator able to run again
     assert sim.now == 2
 
 
-def test_kill_interrupts_wait(sim):
-    def worker():
-        yield sim.timeout(100)
-        return "never"
+def test_key_error_in_a_process_body_fails_the_run(sim):
+    table = {}
 
-    proc = sim.process(worker(), name="victim")
-    sim.schedule(1, proc.kill, "shutdown")
-    sim.run(until=5)
-    assert proc.triggered and not proc.ok
-    assert isinstance(proc.exception, ProcessKilled)
-
-
-def test_kill_can_be_caught_for_cleanup(sim):
-    cleaned = []
-
-    def worker():
-        try:
-            yield sim.timeout(100)
-        except ProcessKilled:
-            cleaned.append(sim.now)
-            return "cleaned-up"
-
-    proc = sim.process(worker())
-    sim.schedule(3, proc.kill)
-    sim.run(until=10)
-    assert cleaned == [3]
-    assert proc.ok and proc.value == "cleaned-up"
-
-
-def test_kill_after_completion_is_noop(sim):
-    def worker():
+    def lease_loop():
         yield sim.timeout(1)
-        return "done"
+        table["ap0"] += 1
 
-    proc = sim.process(worker())
-    sim.run()
-    proc.kill()
-    sim.run()
-    assert proc.ok and proc.value == "done"
+    sim.process(lease_loop())
+    sim.schedule(5, lambda: None)  # later work the run never reaches
+    with pytest.raises(KeyError, match="ap0"):
+        sim.run()
+    assert sim.now == 1
 
 
 def test_yielding_non_event_fails_process(sim):
     def worker():
         yield 42
 
-    proc = sim.process(worker())
-    sim.run()
-    assert not proc.ok
-    assert isinstance(proc.exception, TypeError)
+    sim.process(worker())
+    with pytest.raises(TypeError, match=r"worker.*yielded 42"):
+        sim.run()
 
 
-def test_is_alive_lifecycle(sim):
-    def worker():
-        yield sim.timeout(5)
+def test_a_process_is_not_an_event(sim):
+    def child():
+        yield sim.timeout(2)
 
-    proc = sim.process(worker())
-    assert proc.is_alive
-    sim.run()
-    assert not proc.is_alive
+    def parent():
+        yield sim.process(child())
+
+    assert not isinstance(sim.process(child()), Event)
+    sim.process(parent())
+    with pytest.raises(TypeError, match="parent"):
+        sim.run()
 
 
 def test_process_waiting_on_any_of(sim):
-    def worker():
-        winner = yield sim.any_of([sim.timeout(5, "slow"), sim.timeout(1, "quick")])
-        return winner.value
+    quick = sim.timeout(1)
+    got = []
 
-    proc = sim.process(worker())
+    def worker():
+        got.append((yield sim.any_of([sim.timeout(5), quick])))
+
+    sim.process(worker())
     sim.run(until=2)
-    assert proc.value == "quick"
+    assert got == [quick]
 
 
 def test_many_processes_interleave_deterministically(sim):

@@ -137,11 +137,6 @@ def test_reentrant_run_rejected():
     sim.run()
 
 
-def test_step_returns_false_on_empty_queue():
-    sim = Simulator()
-    assert sim.step() is False
-
-
 def test_determinism_same_seed_same_draws():
     a = Simulator(seed=42).rng("traffic").random(5)
     b = Simulator(seed=42).rng("traffic").random(5)
@@ -162,10 +157,3 @@ def test_rng_streams_independent_of_creation_order():
 def test_rng_different_names_differ():
     sim = Simulator(seed=3)
     assert sim.rng("one").random() != sim.rng("two").random()
-
-
-def test_rng_fork_independent():
-    base = Simulator(seed=5).rng
-    f1 = base.fork(1).stream("s").random(3)
-    f2 = base.fork(2).stream("s").random(3)
-    assert not (f1 == f2).all()

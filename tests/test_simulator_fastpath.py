@@ -44,7 +44,9 @@ def test_uninstrumented_step_makes_zero_telemetry_calls():
     proxy = CountingProxy(sim.telemetry)
     sim.telemetry = proxy
     sim.schedule(0.001, lambda: None)
-    assert sim.step()
+    sim.schedule(0.002, lambda: None)
+    sim.run(max_events=1)
+    assert sim.events_executed == 1
     assert proxy.calls == 0
 
 

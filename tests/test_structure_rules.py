@@ -146,6 +146,13 @@ RULES: Tuple[Rule, ...] = (
          "attach, and HARQ always runs at repro.phy.harq's default; no "
          "context watcher, demand version, backlog column or per-cell "
          "HARQ switch for a write that no experiment makes"),
+    Rule("a-process-error-fails-the-run",
+         r"ProcessKilled|EventCancelled|is_alive\b",
+         ("src/repro/simcore/", "src/repro/workloads/"), (),
+         "a process is a generator the simulator steps: an exception in "
+         "its body propagates out of Simulator.run(), and no event is "
+         "failed or cancelled and no process killed, so a loop that dies "
+         "cannot leave the run printing tables computed without it"),
 )
 
 #: rule name -> (path, line): a file holding the line must fail the rule
@@ -190,6 +197,9 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "a-ue-context-is-fixed-at-attach": (
         "src/repro/enodeb/cell.py",
         'backlog_bits: float = float("inf")'),
+    "a-process-error-fails-the-run": (
+        "src/repro/workloads/traffic.py",
+        "if self._process is not None and self._process.is_alive:"),
 }
 
 #: (path, line number, text) of one line that matched a rule's pattern

@@ -29,16 +29,6 @@ def test_cbr_rate(sim):
     assert src.bytes_emitted == 120_000
 
 
-def test_cbr_stop(sim):
-    src = CbrSource(sim, lambda b: None, rate_bps=8000)
-    src.start()
-    sim.run(until=1)
-    src.stop()
-    count = src.bursts_emitted
-    sim.run(until=5)
-    assert src.bursts_emitted == count
-
-
 def test_cbr_double_start_rejected(sim):
     src = CbrSource(sim, lambda b: None, rate_bps=8000)
     src.start()
