@@ -294,7 +294,7 @@ def _run_all_parallel(ids: List[str], jobs: int,
     multi = len(ids) > 1
     outputs = {}
     report = SupervisorReport()
-    for group, group_jobs, deadline_s in (
+    for group, group_jobs, timeout_s in (
             ([i for i in ids if i in CELL_PARALLEL_IDS], 1, None),
             ([i for i in ids if i not in CELL_PARALLEL_IDS], jobs,
              task_timeout_s)):
@@ -304,7 +304,7 @@ def _run_all_parallel(ids: List[str], jobs: int,
             _run_captured, tasks, jobs=group_jobs,
             costs=[_COST_HINTS.get(i, 0.0) for i in group],
             labels=[f"exp:{i}" for i in group],
-            task_timeout_s=deadline_s, retries=retries,
+            task_timeout_s=timeout_s, retries=retries,
             checkpoint=checkpoint, report=report)
         outputs.update(zip(group, texts))
     for exp_id in ids:

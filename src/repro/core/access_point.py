@@ -360,7 +360,7 @@ class DLTEAccessPoint:
         self._ue_objects[ue.ue_id] = ue
 
     def disconnect_ue(self, ue: UserEquipment) -> None:
-        """Tear down radio + data link (after detach, or on radio loss)."""
+        """Tear down radio + data link (the AP's crash drops each UE)."""
         host = self._ue_hosts.pop(ue.ue_id, None)
         self._ue_objects.pop(ue.ue_id, None)
         self.enb.detach_ue(ue.ue_id)

@@ -14,8 +14,8 @@ numbers without dragging the full IP substrate into the control plane.
 
 Queues are unbounded by default (the seed's infinite-patience model);
 installing an :class:`~repro.epc.overload.OverloadPolicy` via
-:meth:`ControlAgent.configure_overload` bounds the queue and sheds per
-policy. Every offer and every shed is counted — ``enqueued``,
+:meth:`ControlAgent.configure_overload` bounds the queue and sheds by
+message priority. Every offer and every shed is counted — ``enqueued``,
 ``processed``, ``shed``, ``shed_by_cause`` — so the control-plane
 conservation law ``enqueued == processed + shed + in_flight`` holds at
 every event boundary (see ``InvariantChecker.watch_agent``).
@@ -167,8 +167,9 @@ class ControlAgent:
     # -- overload protection ---------------------------------------------------
 
     def _admit(self, message: ControlMessage, policy: OverloadPolicy) -> bool:
-        """Apply admission control and shedding; True if ``message`` may
-        join the queue (which is then guaranteed below ``queue_limit``)."""
+        """Apply admission control and priority shedding; True if
+        ``message`` may join the queue (which is then guaranteed below
+        ``queue_limit``)."""
         queue = self._queue
         payload = message.payload
         limit = policy.admission_limit
@@ -182,29 +183,20 @@ class ControlAgent:
             return False
         if len(queue) < policy.queue_limit:
             return True
-        if policy.shed == "deadline":
-            horizon = self.sim.now - policy.deadline_s
-            stale = [m for m in queue if m.queued_at < horizon]
-            for dead in stale:
-                queue.remove(dead)
-                self._shed(dead, "deadline")
-            if len(queue) < policy.queue_limit:
+        incoming = message_class(payload)
+        if incoming < CLASS_NEW_WORK:
+            # evict the youngest lowest-priority message iff it is
+            # strictly less important than the arrival
+            victim_idx, victim_class = -1, incoming
+            for idx, queued in enumerate(queue):
+                cls = message_class(queued.payload)
+                if cls >= victim_class:
+                    victim_idx, victim_class = idx, cls
+            if victim_idx >= 0 and victim_class > incoming:
+                victim = queue[victim_idx]
+                del queue[victim_idx]
+                self._shed(victim, "priority")
                 return True
-        elif policy.shed == "priority":
-            incoming = message_class(payload)
-            if incoming < CLASS_NEW_WORK:
-                # evict the youngest lowest-priority message iff it is
-                # strictly less important than the arrival
-                victim_idx, victim_class = -1, incoming
-                for idx, queued in enumerate(queue):
-                    cls = message_class(queued.payload)
-                    if cls >= victim_class:
-                        victim_idx, victim_class = idx, cls
-                if victim_idx >= 0 and victim_class > incoming:
-                    victim = queue[victim_idx]
-                    del queue[victim_idx]
-                    self._shed(victim, "priority")
-                    return True
         self._shed(message, "queue-full")
         return False
 

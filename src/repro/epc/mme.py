@@ -29,8 +29,6 @@ from repro.epc.nas import (
     AuthInfoRequest,
     CreateSessionRequest,
     CreateSessionResponse,
-    DeleteSessionRequest,
-    DetachRequest,
     Paging,
     SecurityModeCommand,
     SecurityModeComplete,
@@ -72,7 +70,7 @@ class UeContext:
 
 
 class Mme(ControlAgent):
-    """Serial MME agent: attach, detach, idle mode and paging."""
+    """Serial MME agent: attach, idle mode and paging."""
 
     __slots__ = (
         "s1", "s6a", "s11", "contexts", "_guti_counter",
@@ -139,8 +137,6 @@ class Mme(ControlAgent):
             self._on_session_response(payload)
         elif isinstance(payload, AttachComplete):
             self._on_attach_complete(payload)
-        elif isinstance(payload, DetachRequest):
-            self._on_detach(payload)
         elif isinstance(payload, UeContextRelease):
             self._on_context_release(payload)
         elif isinstance(payload, ServiceRequest):
@@ -247,11 +243,6 @@ class Mme(ControlAgent):
             span.end(status="ok")
         self.sim.trace("attach", f"{self.name}: attach complete",
                        ue=ctx.ue_id, enb=ctx.serving_enb)
-
-    def _on_detach(self, msg: DetachRequest) -> None:
-        ctx = self.contexts.pop(msg.ue_id, None)
-        if ctx is not None and self.s11 is not None:
-            self.s11.send(self, DeleteSessionRequest(ue_id=msg.ue_id))
 
     # -- idle mode / paging ----------------------------------------------------------
 

@@ -107,13 +107,6 @@ class AttachReject(NasMessage):
     size_bytes: int = 90
 
 
-@dataclass
-class DetachRequest(NasMessage):
-    """UE -> MME: leaving the network (releases bearer and address)."""
-
-    size_bytes: int = 100
-
-
 # -- S6a (MME <-> HSS) -----------------------------------------------------------
 
 @dataclass
@@ -152,13 +145,6 @@ class CreateSessionResponse(NasMessage):
     enb_teid: int = 0
     cause: str = ""
     size_bytes: int = 220
-
-
-@dataclass
-class DeleteSessionRequest(NasMessage):
-    """MME -> S-GW: tear down a bearer on detach."""
-
-    size_bytes: int = 120
 
 
 # -- idle mode / paging -----------------------------------------------------------

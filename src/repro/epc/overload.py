@@ -12,19 +12,13 @@ NAS message classifier. Agents opt in via
 ``ControlAgent.configure_overload(policy)``; with no policy installed
 the agent's hot path is byte-identical to the seed.
 
-Shedding policies (``policy.shed``):
-
-``drop-tail``
-    Queue full -> the incoming message is shed (cause ``queue-full``).
-``deadline``
-    Before dropping tail, expire queued messages that have already
-    waited longer than ``deadline_s`` (cause ``deadline``) — a message
-    whose sender has long since timed out is pure wasted service time.
-``priority``
-    Evict the *lowest-priority, youngest* queued message to make room
-    for a higher-priority arrival (cause ``priority``), so Detach,
-    Paging, and ServiceRequest survive an AttachRequest flood. Equal or
-    lower priority arrivals are shed instead (cause ``queue-full``).
+One shedding rule, priority eviction with a queue-full fallback: an
+arrival that finds the queue full evicts the *lowest-priority,
+youngest* queued message if that message is strictly less important
+(cause ``priority``), so Paging, ServiceRequest and context release
+survive an AttachRequest flood. An AttachRequest never evicts, and an
+arrival that finds nothing less important waiting is shed itself
+(cause ``queue-full``): over a queue of equals the rule is drop-tail.
 
 Admission control is orthogonal to shedding: when the backlog reaches
 ``admission_limit``, *new work* (AttachRequest) is refused at enqueue
@@ -48,19 +42,17 @@ from repro.epc import nas
 __all__ = ["OverloadPolicy", "message_class",
            "CLASS_CRITICAL", "CLASS_PROCEDURE", "CLASS_NEW_WORK"]
 
-#: must keep flowing under overload: teardown, reachability, idle-exit.
+#: must keep flowing under overload: reachability and idle-exit.
 CLASS_CRITICAL = 0
 #: mid-procedure steps — shedding these wastes work already invested.
 CLASS_PROCEDURE = 1
 #: brand-new work: first to shed, cheapest to refuse.
 CLASS_NEW_WORK = 2
 
-#: payload types that stay deliverable during an attach flood. Detach
-#: releases resources (shedding it *worsens* overload), Paging and
-#: ServiceRequest keep already-attached users reachable, context
-#: release lets the core shrink state, session teardown frees bearers.
-_CRITICAL_TYPES = (nas.DetachRequest, nas.Paging, nas.ServiceRequest,
-                   nas.UeContextRelease, nas.DeleteSessionRequest)
+#: payload types that stay deliverable during an attach flood: Paging
+#: and ServiceRequest keep already-attached users reachable, and
+#: context release lets the core shrink state.
+_CRITICAL_TYPES = (nas.Paging, nas.ServiceRequest, nas.UeContextRelease)
 
 
 def message_class(payload: object) -> int:
@@ -78,11 +70,8 @@ class OverloadPolicy:
 
     Attributes:
         queue_limit: max messages *waiting* (the one in service is not
-            counted); arrivals beyond this are shed per ``shed``.
-        shed: shedding policy — ``drop-tail``, ``deadline``, or
-            ``priority`` (see module docstring).
-        deadline_s: max queue wait before a message is considered dead
-            (``deadline`` policy only).
+            counted); an arrival beyond this evicts a less important
+            waiter or is shed (see module docstring).
         admission_limit: backlog depth at which new AttachRequests are
             refused with a congestion reject; ``None`` disables
             admission control (attaches then compete like any other
@@ -93,18 +82,12 @@ class OverloadPolicy:
     """
 
     queue_limit: int
-    shed: str = "drop-tail"
-    deadline_s: float = 1.0
     admission_limit: Optional[int] = None
     congestion_backoff_s: float = 2.0
 
     def __post_init__(self) -> None:
         if self.queue_limit < 1:
             raise ValueError("queue_limit must be >= 1")
-        if self.shed not in ("drop-tail", "deadline", "priority"):
-            raise ValueError(f"unknown shedding policy {self.shed!r}")
-        if self.deadline_s <= 0:
-            raise ValueError("deadline_s must be positive")
         if self.admission_limit is not None and self.admission_limit < 1:
             raise ValueError("admission_limit must be >= 1")
         if self.congestion_backoff_s < 0:

@@ -10,20 +10,16 @@ inside the per-AP stub.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
-from repro.epc.nas import (
-    CreateSessionRequest,
-    CreateSessionResponse,
-    DeleteSessionRequest,
-)
-from repro.net.addressing import AddressPool, IPv4Address, PoolExhausted
+from repro.epc.nas import CreateSessionRequest, CreateSessionResponse
+from repro.net.addressing import AddressPool, PoolExhausted
 from repro.simcore.simulator import Simulator
 
 
 class Pgw(ControlAgent):
-    """Serial P-GW agent: session creation/deletion over S5."""
+    """Serial P-GW agent: session creation over S5."""
 
     def __init__(self, sim: Simulator, pool: AddressPool, name: str = "pgw",
                  service_time_s: float = 0.5e-3) -> None:
@@ -31,7 +27,6 @@ class Pgw(ControlAgent):
         self.pool = pool
         self.s5: Optional[ControlChannel] = None
         self._teids = itertools.count(1000)
-        self.sessions: Dict[str, IPv4Address] = {}   # ue_id -> address
         self.rejected = 0
 
     def connect_sgw(self, channel: ControlChannel) -> None:
@@ -42,8 +37,6 @@ class Pgw(ControlAgent):
         payload = message.payload
         if isinstance(payload, CreateSessionRequest):
             self._create_session(payload)
-        elif isinstance(payload, DeleteSessionRequest):
-            self._delete_session(payload)
 
     def _create_session(self, request: CreateSessionRequest) -> None:
         try:
@@ -53,13 +46,7 @@ class Pgw(ControlAgent):
             self.s5.send(self, CreateSessionResponse(
                 ue_id=request.ue_id, cause="no-addresses"))
             return
-        self.sessions[request.ue_id] = address
         self.s5.send(self, CreateSessionResponse(
             ue_id=request.ue_id, ue_address=address,
             sgw_teid=next(self._teids), enb_teid=next(self._teids),
             cause="ok"))
-
-    def _delete_session(self, request: DeleteSessionRequest) -> None:
-        address = self.sessions.pop(request.ue_id, None)
-        if address is not None:
-            self.pool.release(address)

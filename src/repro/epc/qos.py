@@ -23,8 +23,8 @@ Mechanics — classic LTE bearer policing, simplified to three classes:
   spend bulk tokens, bulk spends only its own — so when the offered
   load exceeds the policed rate, bulk starves first, interactive
   second, and the guaranteed class last. That ordering is the
-  "Detach/Paging outranks bulk" story of ``overload.py``, restated for
-  bytes.
+  "Paging outranks a fresh attach" story of ``overload.py``, restated
+  for bytes.
 
 Buckets refill lazily on the sim clock (pure float arithmetic per
 ``admit``), so the policer schedules nothing and a data plane without

@@ -9,11 +9,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
-from repro.epc.nas import (
-    CreateSessionRequest,
-    CreateSessionResponse,
-    DeleteSessionRequest,
-)
+from repro.epc.nas import CreateSessionRequest, CreateSessionResponse
 from repro.simcore.simulator import Simulator
 
 
@@ -36,7 +32,7 @@ class Sgw(ControlAgent):
 
     def handle(self, message: ControlMessage) -> None:
         payload = message.payload
-        if isinstance(payload, (CreateSessionRequest, DeleteSessionRequest)):
+        if isinstance(payload, CreateSessionRequest):
             self.s5.send(self, payload)           # relay toward P-GW
         elif isinstance(payload, CreateSessionResponse):
             self.s11.send(self, payload)          # relay back to MME

@@ -30,7 +30,6 @@ from repro.epc.nas import (
     AuthenticationReject,
     AuthenticationRequest,
     AuthenticationResponse,
-    DetachRequest,
     SecurityModeCommand,
     SecurityModeComplete,
 )
@@ -164,8 +163,6 @@ class LocalCoreStub(ControlAgent):
             span = self._attach_spans.pop(payload.ue_id, None)
             if span is not None:
                 span.end(status="ok")
-        elif isinstance(payload, DetachRequest):
-            self._on_detach(payload)
 
     # -- attach -----------------------------------------------------------------------
 
@@ -235,14 +232,6 @@ class LocalCoreStub(ControlAgent):
             self.on_session_created(msg.ue_id, address)
         self.s1.send(self, AttachAccept(ue_id=msg.ue_id, ue_address=address,
                                         guti=f"{self.name}-{msg.ue_id}"))
-
-    def _on_detach(self, msg: DetachRequest) -> None:
-        address = self.sessions.pop(msg.ue_id, None)
-        if address is not None:
-            self.pool.release(address)
-            self._m_sessions.set(len(self.sessions))
-            if self.on_session_deleted is not None:
-                self.on_session_deleted(msg.ue_id)
 
     def _reject(self, ue_id: str, cause: str) -> None:
         self.attaches_rejected += 1

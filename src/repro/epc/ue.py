@@ -22,7 +22,6 @@ from repro.epc.nas import (
     AuthenticationReject,
     AuthenticationRequest,
     AuthenticationResponse,
-    DetachRequest,
     Paging,
     SecurityModeCommand,
     SecurityModeComplete,
@@ -240,13 +239,6 @@ class UserEquipment(ControlAgent):
         self.ecm_connected = True
         self._end_attach_span(status="radio-lost")
         self._settle_attach()
-
-    def detach(self) -> None:
-        """Leave the network, releasing the bearer."""
-        if self.state is UeState.ATTACHED and self.air is not None:
-            self.air.send(self, DetachRequest(ue_id=self.ue_id))
-        self.state = UeState.IDLE
-        self.ue_address = None
 
     def go_idle(self) -> None:
         """Release the RRC connection (battery save); stays attached."""

@@ -25,11 +25,6 @@ total messages shed, and the deepest control queue. The graceful-
 degradation claim (§4.1) is the *shape*: stubs sustain at least the
 centralized success rate at every intensity, and the gap widens as the
 storm grows.
-
-With ``overload=False`` no policy is installed and both arms degrade the
-seed way — unbounded queues, timeout-driven retries, no congestion
-signal — which is the honest baseline the protection layer is measured
-against.
 """
 
 from __future__ import annotations
@@ -55,9 +50,10 @@ RETRY_KWARGS = dict(max_attempts=4, timeout_s=2.0, base_backoff_s=0.5,
                     max_backoff_s=4.0, jitter_frac=0.5)
 
 #: bounded-queue + admission policy installed on the bottleneck agents
-#: (the MME / each stub): Detach and Paging outrank a flood of fresh
-#: AttachRequests, and refused attaches carry a 2 s T3346 backoff
-DEFAULT_POLICY = dict(queue_limit=24, shed="priority", admission_limit=16,
+#: (the MME / each stub): Paging, ServiceRequest and context release
+#: outrank a flood of fresh AttachRequests, and refused attaches carry
+#: a 2 s T3346 backoff
+DEFAULT_POLICY = dict(queue_limit=24, admission_limit=16,
                       congestion_backoff_s=2.0)
 
 #: time-to-attach quantiles (P50/P95/P99/P99.9 via streaming P²)
@@ -81,8 +77,8 @@ def _settle_dlte(net: DLTENetwork) -> None:
 
 def _run_cell(task: Tuple) -> Dict[str, float]:
     """One (architecture, intensity) cell; picklable for parallel_map."""
-    (arch, intensity, n_aps, ue_per_ap, seed, scenario, overload,
-     chaos_at_s, horizon_s) = task
+    (arch, intensity, n_aps, ue_per_ap, seed, scenario, chaos_at_s,
+     horizon_s) = task
     n_ues = n_aps * ue_per_ap * intensity
     town = RuralTown(radius_m=2500.0, n_ues=n_ues, n_aps=n_aps, seed=seed)
     if arch == "dlte":
@@ -92,10 +88,9 @@ def _run_cell(task: Tuple) -> Dict[str, float]:
     sim = net.sim
     if scenario:
         prepare_scenario(scenario, net)
-    if overload:
-        policy = OverloadPolicy(**DEFAULT_POLICY)
-        for agent in _bottleneck_agents(net):
-            agent.configure_overload(policy)
+    policy = OverloadPolicy(**DEFAULT_POLICY)
+    for agent in _bottleneck_agents(net):
+        agent.configure_overload(policy)
     if arch == "dlte":
         _settle_dlte(net)
 
@@ -140,30 +135,27 @@ _ARCHITECTURES = (("Centralized LTE", "cent"), ("dLTE stubs", "dlte"))
 
 def run(intensities: Optional[Sequence[int]] = None, n_aps: int = 3,
         ue_per_ap: int = 8, seed: int = 7, scenario: str = "",
-        overload: bool = True, chaos_at_s: float = 1.0,
-        horizon_s: float = 15.0) -> ResultTable:
+        chaos_at_s: float = 1.0, horizon_s: float = 15.0) -> ResultTable:
     """Attach-success and shed accounting across storm intensities.
 
     ``intensities`` scales the crowd: each cell storms
     ``n_aps * ue_per_ap * intensity`` UEs inside ``STORM_WINDOW_S``.
     ``scenario`` overlays a named chaos storm (``repro.faults``) at
     ``chaos_at_s`` after the crowd starts (``--invariants`` audits
-    every cell, in whichever process it runs); ``overload=False``
-    removes all queue bounds (the seed's infinite-patience baseline).
+    every cell, in whichever process it runs).
     """
     if intensities is None:
         intensities = (1, 8, 64)
     cells = [(arch_key, intensity, n_aps, ue_per_ap, seed, scenario,
-              overload, chaos_at_s, horizon_s)
+              chaos_at_s, horizon_s)
              for intensity in intensities
              for _label, arch_key in _ARCHITECTURES]
     results = parallel_map(_run_cell, cells,
                            costs=[cell[1] for cell in cells])
 
-    protection = "protected" if overload else "unprotected (seed baseline)"
     suffix = f" under {scenario!r}" if scenario else ""
     table = ResultTable(
-        f"E17: attach storm{suffix} — graceful degradation, {protection}",
+        f"E17: attach storm{suffix} — graceful degradation, protected",
         ["arch", "storm_ues", "attach_success", "p50_s", "p99_s", "p999_s",
          "congestion_rejects", "shed_total", "peak_queue"])
     labels = [label for intensity in intensities

@@ -15,11 +15,10 @@ Fault kinds:
 
 * :meth:`FaultInjector.link_flap` — periodic down/up cycles of a
   :class:`~repro.net.links.Link`;
-* :meth:`FaultInjector.crash` — crash anything with a
-  ``crash()``/``restart()`` lifecycle (a :class:`DLTEAccessPoint`, a
-  :class:`LocalCoreStub`), optionally restarting it later;
-* :meth:`FaultInjector.outage` — generic fail/restore pair (a
-  centralized EPC site, any custom subsystem);
+* :meth:`FaultInjector.outage` — generic fail/restore pair: a node's
+  ``crash``/``restart`` (a :class:`DLTEAccessPoint`, a
+  :class:`LocalCoreStub`), a centralized EPC site, any custom
+  subsystem;
 * :meth:`FaultInjector.registry_outage` — spectrum registry
   unavailability via the registry's own ``fail()``/``restore()``.
 """
@@ -126,25 +125,6 @@ class FaultInjector:
         return fault
 
     # -- control-plane faults ----------------------------------------------
-
-    def crash(self, node, at_s: float,
-              restart_after_s: Optional[float] = None,
-              name: Optional[str] = None) -> str:
-        """Crash a node with a ``crash()``/``restart()`` lifecycle.
-
-        Works on anything exposing those two methods — an AP, a core
-        stub, a whole-network adapter. Restart is scheduled relative to
-        the crash time when ``restart_after_s`` is given.
-        """
-        if restart_after_s is not None and restart_after_s <= 0:
-            raise ValueError("restart delay must be positive")
-        label = getattr(node, "ap_id", None) or getattr(node, "name", None) \
-            or type(node).__name__
-        fault = self._unique(name, f"crash:{label}")
-        self._at(at_s, fault, "crash", node.crash)
-        if restart_after_s is not None:
-            self._at(at_s + restart_after_s, fault, "restart", node.restart)
-        return fault
 
     def outage(self, fail: Callable[[], None], restore: Callable[[], None],
                at_s: float, duration_s: float,

@@ -278,9 +278,13 @@ class Simulator:
                 if bounded and executed >= max_events:
                     break
                 time, _seq, handle, fn, args = heappop(heap)
-                if handle is not None and handle.cancelled:
-                    self._cancelled -= 1
-                    continue
+                if handle is not None:
+                    if handle.cancelled:
+                        self._cancelled -= 1
+                        continue
+                    # it leaves the heap here: a later cancel() counts
+                    # no queued entry
+                    handle._sim = None
                 self.now = time
                 self.events_executed += 1
                 executed += 1

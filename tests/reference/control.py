@@ -91,30 +91,19 @@ class ReferenceAgent:
             return False
         if len(queue) < policy.queue_limit:
             return True
-        if policy.shed == "deadline":
-            horizon = self.sim.now - policy.deadline_s
-            stale = [m for m in queue if m.queued_at < horizon]
-            if stale:
-                for dead in stale:
-                    queue.remove(dead)
-                    self._shed(dead, "deadline")
+        incoming = message_class(payload)
+        if incoming < CLASS_NEW_WORK:
+            victim_idx, victim_class = -1, incoming
+            for idx, queued in enumerate(queue):
+                cls = message_class(queued.payload)
+                if cls >= victim_class:
+                    victim_idx, victim_class = idx, cls
+            if victim_idx >= 0 and victim_class > incoming:
+                victim = queue[victim_idx]
+                del queue[victim_idx]
+                self._shed(victim, "priority")
                 self._m_queue.set(len(queue))
-            if len(queue) < policy.queue_limit:
                 return True
-        elif policy.shed == "priority":
-            incoming = message_class(payload)
-            if incoming < CLASS_NEW_WORK:
-                victim_idx, victim_class = -1, incoming
-                for idx, queued in enumerate(queue):
-                    cls = message_class(queued.payload)
-                    if cls >= victim_class:
-                        victim_idx, victim_class = idx, cls
-                if victim_idx >= 0 and victim_class > incoming:
-                    victim = queue[victim_idx]
-                    del queue[victim_idx]
-                    self._shed(victim, "priority")
-                    self._m_queue.set(len(queue))
-                    return True
         self._shed(message, "queue-full")
         return False
 

@@ -8,7 +8,9 @@ on every change. The graphs vary service times and channel delays on
 one binary tick (so float sums tie exactly, and arrivals land on
 busy-period ends), mix self-channels with ordinary ones, and drive them
 with single sends, same-instant broadcasts, multi-hop relays, overload
-policies installed and cleared mid-run, direct ``enqueue`` calls,
+policies installed and cleared mid-run (chosen so that priority
+eviction, the queue-full fallback and admission refusal are all
+reached), direct ``enqueue`` calls,
 ``run(until=)`` stops and reads between and inside runs, on the arrival
 grid and half a tick off it. Both runs must agree on every ``handle``
 (time, agent, message, ``queued_at``, ``sent_at``, sender, in order),
@@ -28,15 +30,17 @@ from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
 from repro.epc.agents import ControlAgent, ControlChannel, ControlMessage
-from repro.epc.nas import AttachRequest, DetachRequest
+from repro.epc.nas import AttachRequest, Paging
 from repro.epc.overload import OverloadPolicy
 from repro.simcore import Simulator
 from tests.reference.control import ReferenceAgent, ReferenceChannel
 
 TICK = 2.0 ** -10
 POLICIES = (OverloadPolicy(queue_limit=2),
-            OverloadPolicy(queue_limit=1, shed="deadline", deadline_s=2 * TICK),
-            OverloadPolicy(queue_limit=2, shed="priority", admission_limit=2))
+            OverloadPolicy(queue_limit=1),
+            OverloadPolicy(queue_limit=2, admission_limit=2))
+#: the shed causes the POLICIES must reach across the generated graphs
+CAUSES = {"priority", "queue-full", "congestion"}
 
 
 @dataclass
@@ -47,7 +51,7 @@ class Note:
     size_bytes: int = 80
 
 
-KINDS = {"note": Note, "attach": AttachRequest, "detach": DetachRequest}
+KINDS = {"note": Note, "attach": AttachRequest, "paging": Paging}
 
 _scenarios = st.integers(2, 5).flatmap(lambda n: st.fixed_dictionaries({
     "service": st.lists(st.sampled_from([0, 1, 2, 3, 4]), min_size=n,
@@ -166,7 +170,9 @@ def _run(scenario, agent_cls, channel_cls):
             "rows": sim.metrics.snapshot()}
 
 
-def _twin_property(agent_base, **overrides):
+def _twin_property(agent_base, causes=None, **overrides):
+    """The twin comparison as a property; each shed cause a production
+    run reaches is added to ``causes`` when one is given."""
     agent_cls = _agent_class(agent_base)
     reference_cls = _agent_class(ReferenceAgent)
 
@@ -178,10 +184,16 @@ def _twin_property(agent_base, **overrides):
         reference = _run(scenario, reference_cls, ReferenceChannel)
         for key in reference:
             assert production[key] == reference[key], key
+        if causes is not None:
+            for *_, by_cause, _busy in production["final"][0]:
+                causes.update(by_cause)
     return holds
 
 
-test_agents_match_one_event_per_arrival = _twin_property(ControlAgent)
+def test_agents_match_one_event_per_arrival():
+    reached = set()
+    _twin_property(ControlAgent, causes=reached)()
+    assert reached == CAUSES
 
 
 def test_a_read_at_an_arrival_instant_sees_what_arrives_then():

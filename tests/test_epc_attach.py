@@ -124,20 +124,6 @@ def test_pool_exhaustion_rejects_attach():
     assert epc.pgw.rejected == 1
 
 
-def test_detach_releases_address():
-    sim = Simulator(1)
-    epc, (enb,) = build_centralized(sim)
-    prof = make_profile("001010000000001")
-    epc.provision(prof)
-    ue = attach_ue(sim, enb, prof)
-    sim.run(until=5)
-    assert epc.pgw.pool.in_use == 1
-    ue.detach()
-    sim.run(until=10)
-    assert epc.pgw.pool.in_use == 0
-    assert ue.state is UeState.IDLE
-
-
 def test_many_ues_attach_through_one_core():
     sim = Simulator(2)
     epc, enbs = build_centralized(sim, n_enbs=4)
@@ -178,8 +164,6 @@ def test_stub_caches_published_keys():
     ue = attach_ue(sim, enb, prof)
     sim.run(until=5)
     first_latency = ue.attach_latency_s
-    ue.detach()
-    sim.run(until=6)
     ue.start_attach()
     sim.run(until=12)
     assert ue.state is UeState.ATTACHED
@@ -229,7 +213,7 @@ def test_stub_attach_much_faster_than_centralized():
     assert ue_s.attach_latency_s < ue_c.attach_latency_s / 3
 
 
-def test_stub_detach_releases_local_address():
+def test_stub_crash_releases_local_address():
     sim = Simulator(1)
     stub, enb = build_stub(sim)
     prof = make_profile("001010000000070")
@@ -237,8 +221,7 @@ def test_stub_detach_releases_local_address():
     ue = attach_ue(sim, enb, prof)
     sim.run(until=5)
     assert stub.pool.in_use == 1
-    ue.detach()
-    sim.run(until=10)
+    stub.crash()
     assert stub.pool.in_use == 0
     assert ue.ue_id not in stub.sessions
 
@@ -253,7 +236,6 @@ def test_stub_session_callbacks_fire():
     stub.on_session_deleted = deleted.append
     ue = attach_ue(sim, enb, prof)
     sim.run(until=5)
-    ue.detach()
-    sim.run(until=10)
+    stub.crash()
     assert created and created[0][0] == ue.ue_id
     assert deleted == [ue.ue_id]

@@ -142,14 +142,15 @@ def test_a_rejected_call_schedules_nothing():
     link.connect(lambda p: None)
     injector = FaultInjector(sim)
     with pytest.raises(ValueError):
-        injector.crash(stub, at_s=1.0, restart_after_s=0.0)
+        injector.outage(stub.crash, stub.restart, at_s=1.0, duration_s=0.0)
     with pytest.raises(ValueError):
         injector.link_flap(link, at_s=1.0, down_s=-1.0, up_s=1.0, cycles=1)
     sim.run(until=5.0)
     assert stub.crashes == 0 and stub.alive
     assert link.up
     assert injector.faults_injected == 0 and injector.log == []
-    assert injector.crash(stub, at_s=6.0) == "crash:stub"
+    assert injector.outage(stub.crash, stub.restart, at_s=6.0,
+                           duration_s=1.0) == "outage"
     assert injector.link_flap(link, at_s=6.0, down_s=1.0, up_s=1.0,
                               cycles=1) == "link-flap:flaky"
 

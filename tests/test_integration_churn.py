@@ -122,21 +122,13 @@ def test_injected_crash_restart_via_fault_injector(federation):
     sim = net.sim
     victim_id, its_ue_ids = _busiest_ap(net)
     injector = FaultInjector(sim)
-
-    class _ApAdapter:
-        ap_id = victim_id
-
-        @staticmethod
-        def crash():
-            net.crash_ap(victim_id)
-
-        @staticmethod
-        def restart():
-            net.restart_ap(victim_id)
-
-    injector.crash(_ApAdapter, at_s=sim.now + 2.0, restart_after_s=8.0)
+    injector.outage(lambda: net.crash_ap(victim_id),
+                    lambda: net.restart_ap(victim_id),
+                    at_s=sim.now + 2.0, duration_s=8.0,
+                    name=f"crash:{victim_id}")
     sim.run(until=sim.now + 25.0)
-    assert [r.action for r in injector.log] == ["crash", "restart"]
+    assert [(r.name, r.action) for r in injector.log] == [
+        (f"crash:{victim_id}", "fail"), (f"crash:{victim_id}", "restore")]
     assert net.aps[victim_id].alive
     for ue_id in its_ue_ids:
         assert net.ues[ue_id].state is UeState.ATTACHED

@@ -44,7 +44,7 @@ from repro.runner import parallel_map
 from repro.simcore import Simulator
 
 #: one protected dLTE attach-storm cell at intensity 8 (192 UEs)
-CELL = ("dlte", 8, 3, 8, 3, "", True, 1.0, 15.0)
+CELL = ("dlte", 8, 3, 8, 3, "", 1.0, 15.0)
 
 
 def _traced_peak(fn):

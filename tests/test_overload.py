@@ -1,8 +1,9 @@
 """Overload protection: bounded agents, shedding, T3346, conservation.
 
 Covers the control-plane overload layer end to end: the
-:class:`~repro.epc.overload.OverloadPolicy` shedding disciplines on a
-bare agent, MME/stub admission control answering floods with
+:class:`~repro.epc.overload.OverloadPolicy` shedding rule (priority
+eviction, with drop-tail among equals) on a bare agent, MME/stub
+admission control answering floods with
 ``AttachReject(cause="congestion", backoff_s=T)``, the UE honoring the
 server's timer with deterministic per-UE jitter, the ``enqueue``
 re-entrancy contract, and the conservation law
@@ -20,7 +21,12 @@ from repro.epc import (
     UserEquipment,
 )
 from repro.epc.agents import ControlChannel, ControlMessage
-from repro.epc.nas import AttachRequest, DetachRequest, Paging
+from repro.epc.nas import (
+    AttachRequest,
+    Paging,
+    ServiceRequest,
+    UeContextRelease,
+)
 from repro.epc.overload import (
     CLASS_CRITICAL,
     CLASS_NEW_WORK,
@@ -59,10 +65,6 @@ def test_policy_validates():
     with pytest.raises(ValueError):
         OverloadPolicy(queue_limit=0)
     with pytest.raises(ValueError):
-        OverloadPolicy(queue_limit=4, shed="lifo")
-    with pytest.raises(ValueError):
-        OverloadPolicy(queue_limit=4, shed="deadline", deadline_s=0.0)
-    with pytest.raises(ValueError):
         OverloadPolicy(queue_limit=4, admission_limit=0)
     with pytest.raises(ValueError):
         OverloadPolicy(queue_limit=4, congestion_backoff_s=-1.0)
@@ -71,12 +73,13 @@ def test_policy_validates():
 def test_message_classes():
     attach = AttachRequest(ue_id="u", imsi="001")
     assert message_class(attach) == CLASS_NEW_WORK
-    assert message_class(DetachRequest(ue_id="u")) == CLASS_CRITICAL
     assert message_class(Paging(ue_id="u")) == CLASS_CRITICAL
+    assert message_class(ServiceRequest(ue_id="u")) == CLASS_CRITICAL
+    assert message_class(UeContextRelease(ue_id="u")) == CLASS_CRITICAL
     assert message_class("anything else") == CLASS_PROCEDURE
 
 
-# -- shedding disciplines ----------------------------------------------------------
+# -- the shedding rule -------------------------------------------------------------
 
 def test_unbounded_by_default():
     sim = Simulator(0)
@@ -91,6 +94,8 @@ def test_unbounded_by_default():
 
 
 def test_drop_tail_bounds_queue():
+    """Among equals (all procedure work) the rule is drop-tail: the
+    arrival that finds the queue full is shed itself."""
     sim = Simulator(0)
     agent = CallbackAgent(sim, "a", service_time_s=1e-3)
     agent.configure_overload(OverloadPolicy(queue_limit=8))
@@ -103,40 +108,21 @@ def test_drop_tail_bounds_queue():
     _assert_conserved(agent)
 
 
-def test_deadline_shedding_expires_stale_waiters():
-    sim = Simulator(0)
-    agent = CallbackAgent(sim, "a", service_time_s=10.0)  # glacial server
-    agent.configure_overload(
-        OverloadPolicy(queue_limit=4, shed="deadline", deadline_s=0.5))
-    _flood(agent, 5)  # 1 in service, 4 queued (at the limit) at t=0
-    assert agent.shed_by_cause.get("queue-full", 0) == 0
-    # by t=2 the queued messages have waited 2 s >> 0.5 s deadline; a
-    # fresh arrival evicts them instead of being dropped itself
-    sim.run(until=2.0)
-    agent.enqueue(_msg("late"))
-    assert agent.shed_by_cause["deadline"] == 4
-    assert [m.payload for m in agent._queue] == ["late"]
-    _assert_conserved(agent)
-    sim.run()
-    assert agent.processed == 2  # the first message and the late arrival
-    _assert_conserved(agent)
-
-
 def test_priority_shedding_lets_critical_messages_through():
     sim = Simulator(0)
     agent = CallbackAgent(sim, "a", service_time_s=1.0)
-    agent.configure_overload(OverloadPolicy(queue_limit=3, shed="priority"))
+    agent.configure_overload(OverloadPolicy(queue_limit=3))
     _flood(agent, 5, lambda i: AttachRequest(ue_id=f"u{i}", imsi="001"))
     # queue full of new-work attaches: another attach is refused ...
     agent.enqueue(_msg(AttachRequest(ue_id="u9", imsi="001")))
     assert agent.shed_by_cause["queue-full"] >= 1
-    # ... but a Detach evicts the youngest attach and joins the queue
+    # ... but a Paging evicts the youngest attach and joins the queue
     before = agent.shed
-    agent.enqueue(_msg(DetachRequest(ue_id="u1")))
+    agent.enqueue(_msg(Paging(ue_id="u1")))
     assert agent.shed == before + 1
     assert agent.shed_by_cause["priority"] == 1
     queued = [type(m.payload).__name__ for m in agent._queue]
-    assert "DetachRequest" in queued
+    assert "Paging" in queued
     _assert_conserved(agent)
     sim.run()
     _assert_conserved(agent)
@@ -145,8 +131,8 @@ def test_priority_shedding_lets_critical_messages_through():
 def test_priority_never_evicts_equal_or_higher_class():
     sim = Simulator(0)
     agent = CallbackAgent(sim, "a", service_time_s=1.0)
-    agent.configure_overload(OverloadPolicy(queue_limit=2, shed="priority"))
-    _flood(agent, 3, lambda i: DetachRequest(ue_id=f"u{i}"))
+    agent.configure_overload(OverloadPolicy(queue_limit=2))
+    _flood(agent, 3, lambda i: ServiceRequest(ue_id=f"u{i}"))
     # queue is all critical: an arriving Paging (also critical) must not
     # evict a peer — it is itself refused
     agent.enqueue(_msg(Paging(ue_id="u9")))
@@ -357,7 +343,7 @@ def test_watch_agent_passes_under_overload():
     sim = Simulator(0)
     checker = InvariantChecker(sim)
     agent = CallbackAgent(sim, "a", service_time_s=1e-3)
-    agent.configure_overload(OverloadPolicy(queue_limit=4, shed="priority"))
+    agent.configure_overload(OverloadPolicy(queue_limit=4))
     checker.watch_agent(agent)
     _flood(agent, 50, lambda i: AttachRequest(ue_id=f"u{i}", imsi="001"))
     assert checker.check_now() == []
@@ -381,8 +367,8 @@ def test_flash_crowd_during_flapping_backhaul_composes():
         net = DLTENetwork.build(town, seed=5)
     sim = net.sim
     prepare_scenario("flapping-backhaul", net)
-    policy = OverloadPolicy(queue_limit=8, shed="priority",
-                            admission_limit=6, congestion_backoff_s=1.0)
+    policy = OverloadPolicy(queue_limit=8, admission_limit=6,
+                            congestion_backoff_s=1.0)
     for ap in net.aps.values():
         ap.stub.configure_overload(policy)
 

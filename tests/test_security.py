@@ -85,8 +85,6 @@ def test_published_key_lets_any_stub_authenticate():
         ue = attach_ue(sim, enb, prof)
         sim.run(until=sim.now + 3.0)
         results.append(ue.state)
-        ue.detach()
-        sim.run(until=sim.now + 1.0)
     assert results == [UeState.ATTACHED, UeState.ATTACHED]
 
 

@@ -274,16 +274,17 @@ def test_per_shard_stats_populated():
 
 AIR = 0.005
 WAN = 0.03
-T_DETACH = 0.412  # 82.4 air-lookahead windows
+T_LEAVE = 0.412   # 82.4 air-lookahead windows
 T_HO = 0.512      # 102.4: both strictly mid-window
 
 
 def _build_handover(spec):
-    """UE attaches via enb-a (shard 0), detaches at T_DETACH, and at T_HO
-    is re-homed to enb-b (last shard) and re-attaches there — the dLTE
-    re-attach E6 models. The new air leg crosses the boundary: every
-    attach request goes up it, and the MME, which serves the eNB the
-    AttachRequest arrived from, answers back down it."""
+    """UE attaches via enb-a (shard 0), loses enb-a's radio at T_LEAVE,
+    and at T_HO is re-homed to enb-b (last shard) and re-attaches there
+    — the dLTE re-attach E6 models. The new air leg crosses the
+    boundary: every attach request goes up it, and the MME, which
+    serves the eNB the AttachRequest arrived from, answers back down
+    it."""
     from repro.enodeb.relay import EnbControlRelay
     from repro.epc.centralized import CentralizedEpc
     from repro.epc.subscriber import make_profile
@@ -318,7 +319,7 @@ def _build_handover(spec):
             ue.start_attach()
 
         sim.schedule(0.0, ue.start_attach)
-        sim.at(T_DETACH, ue.detach)
+        sim.at(T_LEAVE, ue.radio_lost)
         sim.at(T_HO, reattach_via_b)
         out["ue"], out["air_b_ue"] = ue, air_b_ue
     if shard == last:

@@ -81,6 +81,25 @@ def test_cancelled_call_does_not_run():
     assert ran == []
 
 
+def test_cancelling_a_call_that_already_ran_is_a_no_op():
+    """A dispatched handle has left the heap, so cancelling it counts
+    no cancelled entry: the live count stays exact (it decides whether
+    a run arms the checker, when the heap compacts and when the
+    invariant sweep stops)."""
+    sim = Simulator()
+    ran = []
+    handle = sim.schedule(0.0, ran.append, "x")
+    sim.run()
+    handle.cancel()
+    assert ran == ["x"]
+    assert sim.live_queue_length == 0
+    sim.schedule(1.0, ran.append, "y")
+    assert sim.live_queue_length == 1
+    sim.run()
+    assert ran == ["x", "y"]
+    assert sim.live_queue_length == 0
+
+
 def test_call_soon_runs_after_pending_same_time_work():
     sim = Simulator()
     order = []

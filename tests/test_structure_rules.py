@@ -153,6 +153,14 @@ RULES: Tuple[Rule, ...] = (
          "its body propagates out of Simulator.run(), and no event is "
          "failed or cancelled and no process killed, so a loop that dies "
          "cannot leave the run printing tables computed without it"),
+    Rule("one-shedding-rule",
+         r"DetachRequest|DeleteSessionRequest|deadline_s|policy\.shed\b"
+         "|\\bshed: str|\\bshed=[\"']",
+         ("src/repro/",), (),
+         "an agent's overload rule is priority eviction with a queue-full "
+         "fallback, and no experiment runs a detach: no shedding-discipline "
+         "field, no queue deadline and no NAS detach procedure for what "
+         "only tests reached"),
 )
 
 #: rule name -> (path, line): a file holding the line must fail the rule
@@ -200,6 +208,8 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
     "a-process-error-fails-the-run": (
         "src/repro/workloads/traffic.py",
         "if self._process is not None and self._process.is_alive:"),
+    "one-shedding-rule": (
+        "src/repro/epc/overload.py", '    shed: str = "drop-tail"'),
 }
 
 #: (path, line number, text) of one line that matched a rule's pattern
