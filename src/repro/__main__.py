@@ -14,7 +14,7 @@ Telemetry (see OBSERVABILITY.md)::
 
     python -m repro E16 --metrics-out e16.csv      # metrics snapshot
     python -m repro E16 --trace-out e16.jsonl      # traces + spans
-    python -m repro E16 --profile                  # hot-path table
+    python -m repro E16 --profile                  # hot-function table
     python -m repro E16 --profile-out e16.folded   # flamegraph stacks
     python -m repro E7 --jobs 4 --profile          # + [E7 runner: ...]
                                                    # fork/IPC/imbalance line
@@ -79,6 +79,7 @@ from repro.runner import (
 from repro.telemetry import flightrec
 from repro.telemetry.hub import HUB
 from repro.telemetry.exporters import (
+    profile_table,
     summary_table,
     write_events_jsonl,
     write_folded,
@@ -143,25 +144,20 @@ def _export_run(exp_id: str, run, metrics_out: Optional[str],
         print(f"[{exp_id} events: {n} lines -> {path}]")
     if profile_out:
         path = _suffixed(profile_out, exp_id, multi)
-        n = write_folded(path, profiler=run.profiler,
+        n = write_folded(path, profile=run.profile or (),
                          span_trackers=run.span_trackers)
         print(f"[{exp_id} folded: {n} stacks -> {path}]")
     print(summary_table(rows, title=f"{exp_id} telemetry summary").render())
     print(f"[{exp_id} subsystems: {', '.join(run.subsystems())}]")
-    if (profile or profile_out) and run.profiler is not None:
-        prof = run.profiler
+    if (profile or profile_out) and run.profile is not None:
         print()
-        print(f"[{exp_id} profile: {prof.events:,} events in "
-              f"{prof.wall_s:.3f} s wall "
-              f"({prof.events_per_sec:,.0f} events/s, "
+        print(f"[{exp_id} profile: {run.events_executed:,} events in "
+              f"{run.wall_s:.3f} s wall "
+              f"({run.events_executed / run.wall_s:,.0f} events/s, "
               f"heap high-water {run.heap_high_water}, "
               f"agent peak queue {run.agent_peak_queue}, "
               f"shed {run.agents_shed})]")
-        print(prof.hot_path_table().render())
-        category_table = prof.category_table()
-        if category_table.rows:
-            print()
-            print(category_table.render())
+        print(profile_table(run.profile).render())
     if run.lifecycle is not None and run.lifecycle.maps:
         print(f"[{exp_id} runner: {run.lifecycle.summary_line()}]")
     if run.shard_stats:
@@ -338,8 +334,9 @@ def main(argv: List[str] = None) -> int:
                         help="write trace events and spans as JSONL "
                              "per experiment")
     parser.add_argument("--profile", action="store_true",
-                        help="time every event callback; print events/sec "
-                             "and the top-10 hot paths")
+                        help="run each experiment under cProfile; print "
+                             "events/sec and the top-10 functions by "
+                             "self time")
     parser.add_argument("--profile-out", metavar="PATH",
                         help="write the profile as collapsed stacks "
                              "(flamegraph.pl/speedscope format) per "

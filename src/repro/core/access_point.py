@@ -88,7 +88,6 @@ class DLTEAccessPoint:
         self.stub = LocalCoreStub(sim, f"{ap_id}-core", self.pool,
                                   registry=key_registry)
         self.stub.on_session_created = self._on_session_created
-        self.stub.on_session_deleted = self._on_session_deleted
 
         # eNodeB: control relay + radio cell
         self.enb = EnbControlRelay(sim, f"{ap_id}-enb")
@@ -381,14 +380,6 @@ class DLTEAccessPoint:
         host.add_address(address)
         self._ue_addresses[ue_id] = address
         self.router.add_route(f"{address}/32", host.name)
-
-    def _on_session_deleted(self, ue_id: str) -> None:
-        host = self._ue_hosts.get(ue_id)
-        address = self._ue_addresses.pop(ue_id, None)
-        if host is not None and address is not None:
-            if address in host.addresses:
-                host.remove_address(address)
-            self.router.remove_routes_to(host.name)
 
     @property
     def attached_count(self) -> int:

@@ -46,7 +46,7 @@ class LocalCoreStub(ControlAgent):
         "attaches_rejected", "registry_fetches", "cache_hits", "crashes",
         "dropped_while_down", "_m_completed", "_m_rejected",
         "_m_cache_hits", "_m_fetches", "_m_crashes", "_m_sessions",
-        "_attach_spans", "on_session_created", "on_session_deleted")
+        "_attach_spans", "on_session_created")
 
     def __init__(self, sim: Simulator, name: str, pool: AddressPool,
                  registry: Optional[PublishedKeyRegistry] = None,
@@ -80,7 +80,6 @@ class LocalCoreStub(ControlAgent):
         self._attach_spans: Dict[str, object] = {}
         self.on_session_created: Optional[
             Callable[[str, IPv4Address], None]] = None
-        self.on_session_deleted: Optional[Callable[[str], None]] = None
 
     def connect_enb(self, channel: ControlChannel) -> None:
         """Register the (on-box) S1 channel to the co-located eNodeB."""
@@ -104,11 +103,9 @@ class LocalCoreStub(ControlAgent):
         for span in self._attach_spans.values():
             span.end(status="crashed")
         self._attach_spans.clear()
-        for ue_id in list(self.sessions):
-            address = self.sessions.pop(ue_id)
+        for address in self.sessions.values():
             self.pool.release(address)
-            if self.on_session_deleted is not None:
-                self.on_session_deleted(ue_id)
+        self.sessions.clear()
         self._pending_vector.clear()
         self._shed_queue("crash")  # accounted, not silently cleared
         self._m_sessions.set(0)

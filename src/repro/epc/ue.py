@@ -34,6 +34,11 @@ from repro.net.addressing import IPv4Address
 from repro.simcore.simulator import Simulator
 
 
+#: what the network sends a UE about an attach attempt in progress
+_ATTACH_REPLIES = (AuthenticationRequest, SecurityModeCommand, AttachAccept,
+                   AttachReject, AuthenticationReject)
+
+
 class UeState(enum.Enum):
     """UE NAS state."""
 
@@ -255,6 +260,16 @@ class UserEquipment(ControlAgent):
 
     def handle(self, message: ControlMessage) -> None:
         payload = message.payload
+        if self.air is None or (self._state is not UeState.ATTACHING
+                                and isinstance(payload, _ATTACH_REPLIES)):
+            # sent through a cell the UE has since lost (radio_lost), or
+            # for an attempt it has already seen refused: a handset
+            # discards it, and never answers it or attaches on it
+            cause = "radio-lost" if self.air is None else "no-attach"
+            self.sim.metrics.counter("nas.dropped", cause=cause).inc()
+            self.sim.trace("drop", f"{self.name}: "
+                           f"{type(payload).__name__}", cause=cause)
+            return
         if isinstance(payload, AuthenticationRequest):
             self._on_auth_request(payload)
         elif isinstance(payload, SecurityModeCommand):

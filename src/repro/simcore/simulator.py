@@ -75,7 +75,7 @@ class Simulator:
         #: cancelled entries still sitting in the heap (heap hygiene)
         self._cancelled = 0
         #: most entries the heap ever held at once — the memory/log-N
-        #: footprint of a run; exported by the profiler and bench JSON
+        #: footprint of a run; exported by ``--profile`` and bench JSON
         self.heap_high_water = 0
         #: deepest ControlAgent queue seen in this sim and total messages
         #: shed by overload protection — maintained by repro.epc.agents,
@@ -86,12 +86,8 @@ class Simulator:
         #: — maintained by repro.net.links, same passive-int pattern
         self.link_peak_queue = 0
         self.ecn_marks = 0
-        self._tracer = None
-        self._profiler = None
-        #: True iff a tracer or profiler is installed — the one flag the
-        #: per-event hot path checks, so uninstrumented runs make zero
-        #: telemetry calls per event (asserted by tests)
-        self._observed = False
+        #: optional :class:`~repro.simcore.trace.Tracer`; see :meth:`trace`
+        self.tracer = None
         #: always-on metrics + span bundle (recording is passive: no RNG,
         #: no scheduling — instrumented runs stay bit-identical)
         self.telemetry = Telemetry(lambda: self.now)
@@ -107,32 +103,6 @@ class Simulator:
         if Simulator.arming is not None:
             Simulator.arming(self)
 
-    # tracer/profiler stay plain assignable attributes to callers, but
-    # route through properties so the dispatch loop and trace() can test
-    # a single precomputed flag instead of two attributes per event.
-
-    @property
-    def tracer(self):
-        """Optional simcore.trace.Tracer; see :meth:`trace`."""
-        return self._tracer
-
-    @tracer.setter
-    def tracer(self, value) -> None:
-        self._tracer = value
-        self._observed = value is not None or self._profiler is not None
-
-    @property
-    def profiler(self):
-        """Optional telemetry.RunProfiler; when set, dispatch times every
-        callback (opt-in — costs a perf_counter pair per event; never
-        changes simulation results)."""
-        return self._profiler
-
-    @profiler.setter
-    def profiler(self, value) -> None:
-        self._profiler = value
-        self._observed = value is not None or self._tracer is not None
-
     def trace(self, category: str, message: str,
               at: Optional[float] = None, **fields: Any) -> None:
         """Record a trace event if a tracer is installed (else no-op).
@@ -141,13 +111,10 @@ class Simulator:
         verdict evaluated lazily that belongs to an earlier instant
         (a link admitting a deferred offer).
         """
-        if not self._observed:
-            return
-        if self._profiler is not None:
-            self._profiler.note_category(category)
-        if self._tracer is not None:
-            self._tracer.record(self.now if at is None else at,
-                                category, message, **fields)
+        tracer = self.tracer
+        if tracer is not None:
+            tracer.record(self.now if at is None else at,
+                          category, message, **fields)
 
     @property
     def metrics(self):
@@ -294,10 +261,7 @@ class Simulator:
                 fr_idx += 1
                 if fr_idx == fr_cap:
                     fr_idx = 0
-                if self._profiler is None:
-                    fn(*args)
-                else:
-                    self._profiler.run_callback(fn, args)
+                fn(*args)
             else:
                 if until is not None and until > self.now:
                     self.now = until

@@ -6,8 +6,9 @@ Four parts (see OBSERVABILITY.md for conventions):
   histograms, hierarchical by subsystem, cheap enough to stay on;
 * :mod:`repro.telemetry.spans` — causal spans on the simulated clock for
   multi-step procedures (attach, handover, paging, lease renewal);
-* :mod:`repro.telemetry.profiler` — wall-clock attribution per callback
-  site over the simulator heap loop (opt-in);
+* :mod:`repro.telemetry.hub` — collection across every simulator an
+  experiment builds, and the opt-in profile: the whole run under the
+  stdlib's ``cProfile``, folded per function;
 * :mod:`repro.telemetry.exporters` — JSONL / CSV / metrics-text /
   terminal-table output, wired into ``python -m repro`` via
   ``--metrics-out``, ``--trace-out``, and ``--profile``.
@@ -24,6 +25,5 @@ __getattr__, __dir__, __all__ = lazy_exports(__name__, {
     "registry": (
         "Counter", "Gauge", "Histogram", "MetricsRegistry", "P2Quantile"),
     "spans": ("Span", "SpanTracker", "Telemetry"),
-    "profiler": ("RunProfiler",),
     "hub": ("HUB", "RunTelemetry", "TelemetryHub", "ambient_registry"),
 })

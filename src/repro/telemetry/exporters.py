@@ -10,7 +10,8 @@ Three consumers, three formats:
   (or Prometheus-style line) per (name, labels). CSV for spreadsheets,
   text for eyeballs and scrapers.
 * **terminal summary** — a :class:`ResultTable` digest per subsystem,
-  printed by the CLI after an instrumented run.
+  printed by the CLI after an instrumented run, and the hot-path table
+  of a profiled one.
 
 Metrics schema 2. Columns and series names are those of schema 1; what
 changed is where histogram ``p50``/``p95``/``p99`` values come from: the
@@ -31,7 +32,7 @@ from repro.telemetry.hub import tagged_rows
 
 __all__ = ["tagged_rows", "write_metrics_csv", "write_metrics_text",
            "write_events_jsonl", "write_folded", "summary_table",
-           "METRICS_CSV_COLUMNS"]
+           "profile_table", "METRICS_CSV_COLUMNS"]
 
 #: Column order of the metrics CSV snapshot.
 METRICS_CSV_COLUMNS = ["sim", "kind", "name", "labels", "value", "count",
@@ -131,12 +132,12 @@ def write_events_jsonl(path: str,
     return count
 
 
-def _folded_frames(site: str) -> str:
+def _folded_frames(function: str) -> str:
     """``module.qualname`` -> semicolon-joined frames for folded stacks."""
-    return site.replace(";", "_").replace(".", ";")
+    return function.replace(";", "_").replace(".", ";")
 
 
-def write_folded(path: str, profiler: Any = None,
+def write_folded(path: str, profile: Sequence[Any] = (),
                  span_trackers: Sequence[Tuple[str, Any]] = ()) -> int:
     """Write collapsed-stack ("folded") lines; returns the line count.
 
@@ -144,18 +145,18 @@ def write_folded(path: str, profiler: Any = None,
     speedscope): ``frame;frame;leaf <count>``, one stack per line.
     Two stack families are emitted:
 
-    * ``wall;<module frames>;<qualname>`` — the profiler's per-callback-
-      site wall time, in integer microseconds (real time);
+    * ``wall;<module frames>;<qualname>`` — each profiled function's
+      self time (``RunTelemetry.profile`` rows), in integer
+      microseconds of real time;
     * ``sim:<tag>;<span name chain>`` — each simulator's finished span
       tree (causal parent chain), in integer microseconds of *simulated*
       time, self-time per node (children subtracted, clamped at zero).
     """
     lines: List[str] = []
-    if profiler is not None:
-        for stats in profiler.top_sites(len(profiler.sites)):
-            us = int(round(stats.wall_s * 1e6))
-            if us > 0:
-                lines.append(f"wall;{_folded_frames(stats.site)} {us}")
+    for row in profile:
+        us = int(round(row.self_s * 1e6))
+        if us > 0:
+            lines.append(f"wall;{_folded_frames(row.function)} {us}")
     for tag, tracker in span_trackers:
         finished = list(tracker.finished)
         by_id = {span.span_id: span for span in finished}
@@ -209,4 +210,21 @@ def summary_table(rows: Sequence[Dict[str, Any]],
                       instruments=int(agg["instruments"]),
                       counter_total=agg["counter_total"],
                       histogram_samples=int(agg["samples"]))
+    return table
+
+
+def profile_table(profile: Sequence[Any], n: int = 10) -> ResultTable:
+    """The ``n`` functions with the most self time in a profiled run
+    (``RunTelemetry.profile`` rows, already in that order)."""
+    total_s = sum(row.self_s for row in profile)
+    table = ResultTable(f"Profile: top-{n} functions by self time",
+                        ["function", "calls", "self_ms", "self_frac",
+                         "cum_ms", "us_per_call"])
+    for row in profile[:n]:
+        table.add_row(function=row.function, calls=row.calls,
+                      self_ms=row.self_s * 1e3,
+                      self_frac=row.self_s / total_s if total_s else 0.0,
+                      cum_ms=row.cum_s * 1e3,
+                      us_per_call=(row.self_s / row.calls * 1e6
+                                   if row.calls else 0.0))
     return table

@@ -80,7 +80,8 @@ def dump_dir() -> str:
 
 
 def _site(fn: Any) -> str:
-    """Callback-site label, matching the profiler's attribution."""
+    """Callback-site label: ``module.qualname``, as ``--profile`` names
+    a function."""
     try:
         return f"{fn.__module__}.{fn.__qualname__}"
     except AttributeError:
@@ -91,7 +92,6 @@ def snapshot_sim(sim: Any) -> Dict[str, Any]:
     """One simulator's flight-recorder state as a JSON-ready dict."""
     snap: Dict[str, Any] = {
         "now_s": sim.now,
-        "events_executed": sim.events_executed,
         "queue_length": sim.queue_length,
         **{name: getattr(sim, name) for name in SIM_GAUGES},
         "recent_events": [{"time_s": t, "site": _site(fn)}

@@ -7,9 +7,14 @@ to the process-wide :data:`HUB` at construction. While no run is active
 that is a single flag check; when the CLI (or a test) brackets an
 experiment with :meth:`TelemetryHub.start_run` / :meth:`finish_run`, the
 hub keeps a reference to each simulator born in between, optionally
-arms a profiler and a tracer on each, and at the end hands back one
-:class:`RunTelemetry` with every registry, span tracker, tracer, and a
-merged profile.
+arms a tracer on each, and at the end hands back one
+:class:`RunTelemetry` with every registry, span tracker and tracer.
+
+``start_run(profile=True)`` also runs the whole bracket under the
+stdlib's ``cProfile``, so every function the run calls is counted,
+whether or not an event loop dispatched it. The profile is folded into
+:class:`ProfileRow` rows keyed by code object; a worker ships its rows
+home with its simulators, and the parent adds them up.
 
 Components that have no simulator (a :class:`Cell` driven by explicit
 TTI calls, a :class:`CsmaSimulation` run) record into the
@@ -21,15 +26,17 @@ from __future__ import annotations
 
 import contextlib
 import operator
-from typing import (Any, Callable, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+import os
+import sys
+import time
+from typing import (Any, Callable, Dict, Iterator, List, NamedTuple,
+                    Optional, Sequence, Tuple)
 
 from repro.simcore.trace import Tracer
 from repro.telemetry.lifecycle import RunnerLifecycle
-from repro.telemetry.profiler import RunProfiler
 from repro.telemetry.registry import MetricsRegistry
 
-__all__ = ["HUB", "SIM_GAUGES", "TelemetryHub", "RunTelemetry",
+__all__ = ["HUB", "SIM_GAUGES", "ProfileRow", "TelemetryHub", "RunTelemetry",
            "WorkerSimTelemetry", "ambient_registry", "tagged_rows"]
 
 #: Fallback registry for sim-less components outside any hub run.
@@ -44,12 +51,70 @@ _TRACE_CAPACITY = 1_000_000
 #: value, :class:`WorkerSimTelemetry` ships the per-simulator one home
 #: and the flight recorder dumps it, all under the same name.
 SIM_GAUGES: Dict[str, Callable[[int, int], int]] = {
+    "events_executed": operator.add,  # dispatched events
     "heap_high_water": max,        # largest run-queue footprint
     "agent_peak_queue": max,       # deepest control-agent queue
     "agents_shed": operator.add,   # control messages shed under overload
     "link_peak_queue": max,        # deepest link egress queue
     "ecn_marks": operator.add,     # ECN CE-marks applied by AQM
 }
+
+
+#: a folded profile: (file, first line, qualname) of a code object, or
+#: ``("", 0, label)`` for a builtin -> [calls, self s, cumulative s]
+ProfileTotals = Dict[Tuple[str, int, str], List]
+
+
+class ProfileRow(NamedTuple):
+    """One function's share of a profiled run."""
+
+    function: str    # ``module.qualname``, or cProfile's builtin label
+    calls: int
+    self_s: float    # time in the function itself
+    cum_s: float     # time in it and everything it called
+
+
+def _add_totals(into: ProfileTotals, key: Tuple[str, int, str],
+                calls: int, self_s: float, cum_s: float) -> None:
+    totals = into.get(key)
+    if totals is None:
+        into[key] = [calls, self_s, cum_s]
+    else:
+        totals[0] += calls
+        totals[1] += self_s
+        totals[2] += cum_s
+
+
+def _fold_profile(profiler: Any, into: ProfileTotals) -> None:
+    """Add a ``cProfile.Profile``'s entries to ``into``, keyed by code
+    object, so that distinct code objects sharing one label (every
+    dataclass ``__init__``) add up rather than overwrite each other."""
+    for entry in profiler.getstats():
+        code = entry.code
+        if isinstance(code, str):  # a builtin: cProfile names it
+            key = ("", 0, code)
+        else:
+            key = (code.co_filename, code.co_firstlineno,
+                   getattr(code, "co_qualname", code.co_name))
+        _add_totals(into, key, entry.callcount, entry.inlinetime,
+                    entry.totaltime)
+
+
+def _profile_rows(totals: ProfileTotals) -> List[ProfileRow]:
+    """Label folded totals by module and sort them by self time."""
+    modules = {os.path.abspath(module.__file__): name
+               for name, module in list(sys.modules.items())
+               if getattr(module, "__file__", None)}
+    rows = []
+    for (filename, _line, qualname), (calls, self_s, cum_s) in \
+            totals.items():
+        if filename:
+            module = modules.get(os.path.abspath(filename)) \
+                or os.path.splitext(os.path.basename(filename))[0]
+            qualname = f"{module}.{qualname}"
+        rows.append(ProfileRow(qualname, calls, self_s, cum_s))
+    rows.sort(key=lambda row: (-row.self_s, row.function))
+    return rows
 
 
 def tagged_rows(registries: Sequence[Tuple[str, Any]]) -> List[Dict[str, Any]]:
@@ -73,14 +138,19 @@ class RunTelemetry:
     def __init__(self, registries: List[Tuple[str, MetricsRegistry]],
                  span_trackers: List[Tuple[str, Any]],
                  tracers: List[Tuple[str, Any]],
-                 profiler: Optional[RunProfiler],
+                 profile: Optional[List[ProfileRow]],
                  gauges: Dict[str, int],
+                 wall_s: float = 0.0,
                  lifecycle: Optional[RunnerLifecycle] = None,
                  shard_stats: Optional[List[dict]] = None) -> None:
         self.registries = registries
         self.span_trackers = span_trackers
         self.tracers = tracers
-        self.profiler = profiler
+        #: every function the run called, by self time (None unless
+        #: the run was started with ``profile=True``)
+        self.profile = profile
+        #: wall-clock seconds from start_run() to finish_run()
+        self.wall_s = wall_s
         #: runner-lifecycle log of the run's parallel maps (always
         #: present; empty — no maps — for serial runs)
         self.lifecycle = lifecycle if lifecycle is not None \
@@ -111,16 +181,16 @@ class WorkerSimTelemetry:
 
     Exposes exactly the attributes :meth:`TelemetryHub.finish_run` reads
     off a live :class:`~repro.simcore.simulator.Simulator` — ``telemetry``
-    (metrics + spans), ``tracer``, ``profiler`` — so absorbed worker
-    simulators and parent-process simulators merge identically.
+    (metrics + spans), ``tracer`` and the :data:`SIM_GAUGES` — so
+    absorbed worker simulators and parent-process simulators merge
+    identically.
     """
 
-    __slots__ = ("telemetry", "tracer", "profiler", *SIM_GAUGES)
+    __slots__ = ("telemetry", "tracer", *SIM_GAUGES)
 
     def __init__(self, sim: Any) -> None:
         self.telemetry = sim.telemetry
         self.tracer = sim.tracer
-        self.profiler = sim.profiler
         for name in SIM_GAUGES:
             setattr(self, name, getattr(sim, name))
 
@@ -130,7 +200,11 @@ class TelemetryHub:
 
     def __init__(self) -> None:
         self.active = False
-        self._profile = False
+        #: the active run's ``cProfile.Profile`` (None unless profiling)
+        self._profiler: Any = None
+        #: profile totals that workers shipped home during the run
+        self._profile_totals: ProfileTotals = {}
+        self._started_at = 0.0
         self._trace = False
         self._sims: List[Any] = []
         self._shared = MetricsRegistry()
@@ -155,8 +229,8 @@ class TelemetryHub:
 
     @property
     def profiling(self) -> bool:
-        """True when the active run arms a profiler on each simulator."""
-        return self.active and self._profile
+        """True when the active run is profiled."""
+        return self.active and self._profiler is not None
 
     @property
     def tracing(self) -> bool:
@@ -170,21 +244,23 @@ class TelemetryHub:
         if self.active:
             raise RuntimeError("a telemetry run is already active")
         self.active = True
-        self._profile = profile
         self._trace = trace
         self._sims = []
         self._shared = MetricsRegistry()
         self._worker_shared = []
         self._lifecycle = RunnerLifecycle()
         self._shard_stats = []
+        self._started_at = time.perf_counter()
+        if profile:
+            import cProfile  # only a profiled run pays for the import
+            self._profiler = cProfile.Profile()
+            self._profiler.enable()
 
     def adopt(self, sim: Any) -> None:
         """Called by every Simulator constructor; no-op outside a run."""
         if not self.active:
             return
         self._sims.append(sim)
-        if self._profile and sim.profiler is None:
-            sim.profiler = RunProfiler()
         if self._trace and sim.tracer is None:
             sim.tracer = Tracer(max_events=_TRACE_CAPACITY)
 
@@ -199,12 +275,12 @@ class TelemetryHub:
         """Stop collecting and return everything gathered."""
         if not self.active:
             raise RuntimeError("no telemetry run is active")
+        totals = self._stop_profile()
+        wall_s = time.perf_counter() - self._started_at
         self.active = False
         registries: List[Tuple[str, MetricsRegistry]] = []
         span_trackers: List[Tuple[str, Any]] = []
         tracers: List[Tuple[str, Any]] = []
-        profiler: Optional[RunProfiler] = \
-            RunProfiler() if self._profile else None
         gauges = dict.fromkeys(SIM_GAUGES, 0)
         for index, sim in enumerate(self._sims):
             tag = f"s{index}"
@@ -212,8 +288,6 @@ class TelemetryHub:
             span_trackers.append((tag, sim.telemetry.spans))
             if sim.tracer is not None:
                 tracers.append((tag, sim.tracer))
-            if profiler is not None and sim.profiler is not None:
-                profiler.merge(sim.profiler)
             for name, fold in SIM_GAUGES.items():
                 gauges[name] = fold(gauges[name], getattr(sim, name))
         if len(self._shared):
@@ -226,21 +300,36 @@ class TelemetryHub:
             # family that legitimately differs between serial and --jobs
             registries.append(("runner", lifecycle.registry))
         shard_stats = self._shard_stats
-        self._sims = []
-        self._worker_shared = []
-        self._lifecycle = None
-        self._shard_stats = []
-        return RunTelemetry(registries, span_trackers, tracers, profiler,
-                            gauges, lifecycle=lifecycle,
-                            shard_stats=shard_stats)
+        self._clear()
+        return RunTelemetry(
+            registries, span_trackers, tracers,
+            None if totals is None else _profile_rows(totals), gauges,
+            wall_s=wall_s, lifecycle=lifecycle, shard_stats=shard_stats)
 
     def abort_run(self) -> None:
-        """Drop an active run without collecting (test cleanup)."""
+        """Drop an active run without collecting (test cleanup, and a
+        forked worker's copy of its parent's run)."""
+        self._stop_profile()
+        self._clear()
+
+    def _stop_profile(self) -> Optional[ProfileTotals]:
+        """Switch the run's profiler off; the run's folded profile (its
+        own and what workers shipped), or None if it is not profiled."""
+        profiler = self._profiler
+        if profiler is None:
+            return None
+        profiler.disable()
+        self._profiler = None
+        _fold_profile(profiler, self._profile_totals)
+        return self._profile_totals
+
+    def _clear(self) -> None:
         self.active = False
         self._sims = []
         self._worker_shared = []
         self._lifecycle = None
         self._shard_stats = []
+        self._profile_totals = {}
 
     @contextlib.contextmanager
     def task(self) -> Iterator[None]:
@@ -285,27 +374,26 @@ class TelemetryHub:
         if not self.active:
             raise RuntimeError("no telemetry run is active")
         payload = {
+            "profile": self._stop_profile(),
             "sims": [WorkerSimTelemetry(sim) for sim in self._sims],
             "shared": self._worker_shared + (
                 [self._shared] if len(self._shared) else []),
             "shards": self._shard_stats,
         }
-        self.active = False
-        self._sims = []
-        self._worker_shared = []
-        self._lifecycle = None
-        self._shard_stats = []
+        self._clear()
         return payload
 
     def absorb_worker_run(self, payload: dict) -> None:
         """Splice a worker payload into the active run, in call order.
 
         Each shipped simulator joins ``_sims`` exactly where a locally
-        built one would have, so tags, exports, and the merged profile
-        come out in the same order as a serial run.
+        built one would have, so tags and exports come out in the same
+        order as a serial run; the worker's profile adds to the run's.
         """
         if not self.active:
             return
+        for key, totals in (payload["profile"] or {}).items():
+            _add_totals(self._profile_totals, key, *totals)
         self._sims.extend(payload["sims"])
         self._worker_shared.extend(payload["shared"])
         self._shard_stats.extend(payload.get("shards", ()))

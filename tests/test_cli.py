@@ -86,12 +86,27 @@ def test_trace_out_jsonl_well_formed(tmp_path, capsys):
         assert span["end_s"] >= span["start_s"]
 
 
+def _profiled_functions(out):
+    """The function column of the ``--profile`` hot-path table."""
+    table = out.split("Profile: top-10 functions by self time", 1)[1]
+    rows = table.split("\n\n", 1)[0].splitlines()[4:]
+    return [row.split()[0] for row in rows]
+
+
 def test_profile_reports_hot_paths(capsys):
-    assert main(["E16", "--profile"]) == 0
-    out = capsys.readouterr().out
-    assert "events/s" in out
-    assert "callback_site" in out  # hot-path table header
-    assert "us_per_call" in out
+    # no event loop runs in E5 or E3: the radio engine, the CSMA model
+    # and the closed forms are profiled all the same
+    for exp_id, package in (("E16", "repro."),
+                            ("E5", ("repro.mac.", "repro.coordination.")),
+                            ("E3", "repro.")):
+        assert main([exp_id, "--profile"]) == 0
+        out = capsys.readouterr().out
+        assert "events/s" in out
+        assert "us_per_call" in out
+        functions = _profiled_functions(out)
+        assert len(functions) == 10
+        assert any(name.startswith(package) for name in functions), \
+            (exp_id, functions)
 
 
 def test_multi_experiment_suffixes_artifacts(tmp_path, capsys):

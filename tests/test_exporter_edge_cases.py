@@ -15,6 +15,7 @@ Three corners the happy-path telemetry tests never hit:
 
 from repro.telemetry.exporters import (tagged_rows, write_folded,
                                        write_metrics_text)
+from repro.telemetry.hub import ProfileRow
 from repro.telemetry.registry import Histogram, MetricsRegistry
 from repro.telemetry.spans import SpanTracker
 
@@ -86,29 +87,14 @@ def test_midrun_read_leaves_later_estimates_unchanged():
 # -- folded-stack export ------------------------------------------------------
 
 
-class _FakeStats:
-    def __init__(self, site, wall_s):
-        self.site = site
-        self.wall_s = wall_s
-
-
-class _FakeProfiler:
-    def __init__(self, stats):
-        self.sites = {s.site: s for s in stats}
-        self._stats = stats
-
-    def top_sites(self, n):
-        return self._stats[:n]
-
-
 def test_folded_wall_lines_are_integer_microseconds(tmp_path):
-    profiler = _FakeProfiler([
-        _FakeStats("repro.epc.agents.ControlAgent._finish", 0.0884),
-        _FakeStats("weird;site.fn", 0.001),
-        _FakeStats("too.fast", 0.0000001),  # rounds to 0 us: dropped
-    ])
+    profile = [
+        ProfileRow("repro.epc.agents.ControlAgent._finish", 7, 0.0884, 0.1),
+        ProfileRow("weird;site.fn", 1, 0.001, 0.001),
+        ProfileRow("too.fast", 1, 0.0000001, 0.0),  # 0 us: dropped
+    ]
     path = tmp_path / "p.folded"
-    count = write_folded(str(path), profiler=profiler)
+    count = write_folded(str(path), profile=profile)
     lines = path.read_text().splitlines()
     assert count == len(lines) == 2
     assert "wall;repro;epc;agents;ControlAgent;_finish 88400" in lines

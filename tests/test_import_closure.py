@@ -146,6 +146,20 @@ print(json.dumps(mods()))
                       "repro.runner.seeds"]
 
 
+def test_only_a_profiled_run_loads_the_profiler():
+    loaded = _probe("""
+import repro.simcore.simulator
+from repro.telemetry.hub import HUB
+PROFILER = ("cProfile", "pstats", "_lsprof")
+before = [m for m in PROFILER if m in sys.modules]
+HUB.start_run(profile=True)
+HUB.finish_run()
+print(json.dumps([before, [m for m in PROFILER if m in sys.modules]]))
+""")
+    before, after = loaded
+    assert before == [] and "cProfile" in after
+
+
 # -- (a), (c), (d) the CLI ---------------------------------------------------
 
 def _experiment_modules(loaded):

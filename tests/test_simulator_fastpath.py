@@ -1,12 +1,13 @@
 """The uninstrumented dispatch path makes zero telemetry calls.
 
-Guards the simcore fast path: with no tracer, no profiler, and no
-metrics consumers, `Simulator.step`/`run` must not touch the telemetry
-object at all — per-event cost is heap-pop plus callback, nothing else.
+Guards the simcore fast path: with no tracer and no metrics consumers,
+`Simulator.run` must not touch the telemetry object at all — per-event
+cost is heap-pop plus callback, nothing else — and a profiled run
+(`HUB.start_run(profile=True)`) dispatches through the same loop.
 """
 
 from repro.simcore.simulator import Simulator
-from repro.telemetry import RunProfiler
+from repro.telemetry import HUB
 
 
 class CountingProxy:
@@ -66,29 +67,30 @@ class CountingTracer:
         self.records += 1
 
 
-def test_observed_flag_tracks_tracer_and_profiler():
+def test_trace_records_only_while_a_tracer_is_set():
     sim = Simulator(0)
-    assert not sim._observed
+    assert sim.tracer is None
     tracer = CountingTracer()
     sim.tracer = tracer
-    assert sim._observed
     sim.trace("mac", "kept")
     assert tracer.records == 1
     sim.tracer = None
-    assert not sim._observed
-
-    profiler = RunProfiler()
-    sim.profiler = profiler
-    assert sim._observed
-    sim.profiler = None
-    assert not sim._observed
+    sim.trace("mac", "dropped")
+    assert tracer.records == 1
 
 
 def test_profiled_run_still_counts_events():
-    sim = Simulator(0)
-    sim.profiler = RunProfiler()
-    for i in range(100):
-        sim.schedule(i * 1e-3, lambda: None)
-    sim.run()
+    HUB.start_run(profile=True)
+    try:
+        sim = Simulator(0)
+        proxy = CountingProxy(sim.telemetry)
+        sim.telemetry = proxy
+        for i in range(100):
+            sim.schedule(i * 1e-3, lambda: None)
+        sim.run()
+        # profiling is the hub's: the dispatch loop makes no telemetry call
+        assert proxy.calls == 0
+    finally:
+        run = HUB.finish_run()
     assert sim.events_executed == 100
-    assert sim.profiler.events == 100
+    assert run.events_executed == 100

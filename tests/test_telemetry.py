@@ -1,7 +1,8 @@
 """Tests for the telemetry subsystem (repro.telemetry).
 
-Covers the four parts — metrics registry, causal spans, run profiler,
-exporters — plus the hub that collects them across an experiment run,
+Covers the four parts — metrics registry, causal spans, the run's
+cProfile fold, exporters — plus the hub that collects them across an
+experiment run,
 and the determinism guarantee the whole design leans on: recording is
 passive, so instrumented runs are bit-identical to uninstrumented ones.
 """
@@ -24,10 +25,10 @@ from repro.telemetry import (
     Histogram,
     MetricsRegistry,
     P2Quantile,
-    RunProfiler,
     SpanTracker,
 )
 from repro.telemetry.exporters import (
+    profile_table,
     summary_table,
     tagged_rows,
     write_events_jsonl,
@@ -330,29 +331,44 @@ class TestSpans:
 # -- profiler ---------------------------------------------------------------
 
 
+def _profiled(body):
+    """Run ``body()`` inside a profiled hub run; the run's telemetry."""
+    HUB.start_run(profile=True)
+    try:
+        body()
+    except BaseException:
+        HUB.abort_run()
+        raise
+    return HUB.finish_run()
+
+
+def _row(run, suffix):
+    [row] = [row for row in run.profile if row.function.endswith(suffix)]
+    return row
+
+
+def _busy():
+    sum(range(2000))
+
+
 class TestProfiler:
     def test_attributes_wall_time_per_site(self):
-        sim = Simulator(0)
-        sim.profiler = RunProfiler()
+        def body():
+            sim = Simulator(0)
+            for i in range(5):
+                sim.schedule(0.1 * i, _busy)
+            sim.run()
 
-        def busy():
-            sum(range(2000))
-
-        for i in range(5):
-            sim.schedule(0.1 * i, busy)
-        sim.run()
-        assert sim.profiler.events == 5
-        [site] = sim.profiler.top_sites()
-        assert site.calls == 5 and site.wall_s > 0
-        assert "busy" in site.site
-        assert sim.profiler.events_per_sec > 0
+        run = _profiled(body)
+        row = _row(run, "test_telemetry._busy")
+        assert row.calls == 5 and row.self_s > 0
+        assert row.cum_s >= row.self_s
+        assert run.events_executed == 5 and run.wall_s > 0
 
     def test_profiled_run_results_unchanged(self):
-        """The profiler observes dispatch; it must not alter outcomes."""
-        def build_and_run(profile):
+        """The profiler observes the run; it must not alter outcomes."""
+        def build_and_run():
             sim = Simulator(seed=5)
-            if profile:
-                sim.profiler = RunProfiler()
             samples = []
             def draw():
                 samples.append(float(sim.rng("x").random()))
@@ -361,34 +377,36 @@ class TestProfiler:
             sim.run()
             return samples, sim.events_executed
 
-        assert build_and_run(False) == build_and_run(True)
+        plain = build_and_run()
+        profiled = []
+        run = _profiled(lambda: profiled.append(build_and_run()))
+        assert profiled == [plain]
+        assert _row(run, "build_and_run.<locals>.draw").calls == 20
 
-    def test_counts_trace_categories_without_tracer(self):
-        sim = Simulator(0)
-        sim.profiler = RunProfiler()
-        sim.schedule(0.0, lambda: sim.trace("drop", "x"))
-        sim.schedule(0.1, lambda: sim.trace("drop", "y"))
-        sim.run()
-        assert sim.profiler.category_counts == {"drop": 2}
+    def test_profile_sees_code_no_event_loop_runs(self):
+        """A sim-less computation (a TTI engine, a closed form) is
+        profiled as fully as a dispatched callback."""
+        run = _profiled(lambda: [_busy() for _ in range(3)])
+        assert _row(run, "test_telemetry._busy").calls == 3
+        assert run.events_executed == 0
 
-    def test_merge(self):
-        a, b = RunProfiler(), RunProfiler()
-        a.run_callback(sum, (range(10),))
-        b.run_callback(sum, (range(10),))
-        b.note_category("drop")
-        a.merge(b)
-        assert a.events == 2
-        assert a.sites["builtins.sum"].calls == 2
-        assert a.category_counts == {"drop": 1}
+    def test_profile_table_is_sorted_by_self_time(self):
+        run = _profiled(lambda: [_busy() for _ in range(3)])
+        table = profile_table(run.profile, n=3)
+        assert table.columns == ["function", "calls", "self_ms",
+                                 "self_frac", "cum_ms", "us_per_call"]
+        assert len(table) == 3
+        self_ms = [row["self_ms"] for row in table.rows]
+        assert self_ms == sorted(self_ms, reverse=True)
 
-    def test_hot_path_table_shape(self):
-        profiler = RunProfiler()
-        profiler.run_callback(sum, (range(10),))
-        table = profiler.hot_path_table()
-        assert table.columns == ["callback_site", "calls", "wall_ms",
-                                 "wall_frac", "us_per_call"]
-        assert len(table) == 1
-        assert table.rows[0]["wall_frac"] == pytest.approx(1.0)
+    def test_worker_profile_adds_to_the_run(self):
+        """Rows a worker ships home add up with the parent's, keyed by
+        code object, as if the work had run here."""
+        HUB.start_run(profile=True)
+        _busy()
+        payload = pickle.loads(pickle.dumps(HUB.export_worker_run()))
+        run = _profiled(lambda: (_busy(), HUB.absorb_worker_run(payload)))
+        assert _row(run, "test_telemetry._busy").calls == 2
 
 
 # -- exporters --------------------------------------------------------------
@@ -467,6 +485,7 @@ class TestHub:
         tags = [tag for tag, _ in run.registries]
         assert tags == ["s0", "s1"]
         assert run.subsystems() == ["epc", "net"]
+        assert run.profile is None  # profiled only when asked
         assert not HUB.active
 
     def test_gauges_fold_across_simulators_local_and_shipped(self):
@@ -500,13 +519,15 @@ class TestHub:
             HUB.start_run()
         HUB.abort_run()
 
-    def test_profile_arms_every_simulator(self):
-        HUB.start_run(profile=True)
-        sim = Simulator(0)
-        sim.schedule(0.0, lambda: None)
-        sim.run()
-        run = HUB.finish_run()
-        assert run.profiler is not None and run.profiler.events == 1
+    def test_profile_counts_every_simulators_events(self):
+        def body():
+            for seed in range(2):
+                sim = Simulator(seed)
+                sim.schedule(0.0, lambda: None)
+                sim.run()
+
+        run = _profiled(body)
+        assert run.events_executed == 2
 
     def test_trace_arms_every_simulator(self):
         HUB.start_run(trace=True)
