@@ -139,13 +139,11 @@ def _export_run(exp_id: str, run, metrics_out: Optional[str],
     if trace_out:
         path = _suffixed(trace_out, exp_id, multi)
         n = write_events_jsonl(path, tracers=run.tracers,
-                               span_trackers=run.span_trackers,
                                lifecycle=run.lifecycle)
         print(f"[{exp_id} events: {n} lines -> {path}]")
     if profile_out:
         path = _suffixed(profile_out, exp_id, multi)
-        n = write_folded(path, profile=run.profile or (),
-                         span_trackers=run.span_trackers)
+        n = write_folded(path, profile=run.profile or (), rows=rows)
         print(f"[{exp_id} folded: {n} stacks -> {path}]")
     print(summary_table(rows, title=f"{exp_id} telemetry summary").render())
     print(f"[{exp_id} subsystems: {', '.join(run.subsystems())}]")

@@ -54,12 +54,12 @@ class UserEquipment(ControlAgent):
     __slots__ = (
         "_state", "_state_observer", "profile", "air", "ue_address",
         "guti", "_seen_rands", "attach_started_at", "attach_completed_at",
-        "attach_attempts", "attach_retries_exhausted", "_attach_outcome",
-        "server_backoff_s", "congestion_rejects", "on_attached",
-        "on_rejected", "on_service_resumed", "network_auth_failures",
-        "ecm_connected", "went_idle_at", "service_resumed_at",
-        "pages_received", "_m_attach_s", "_m_attempts", "_m_rejects",
-        "_m_pages", "_attach_span")
+        "attach_attempts", "attach_retries_exhausted", "_supervised",
+        "_attach_outcome", "server_backoff_s", "congestion_rejects",
+        "on_attached", "on_rejected", "on_service_resumed",
+        "network_auth_failures", "ecm_connected", "went_idle_at",
+        "service_resumed_at", "pages_received", "_m_attach_s",
+        "_m_attempts", "_m_rejects", "_m_pages", "_attach_span")
 
     @property
     def state(self) -> UeState:
@@ -103,6 +103,8 @@ class UserEquipment(ControlAgent):
         # retry machinery (supervised attach; see start_attach_with_retry)
         self.attach_attempts = 0
         self.attach_retries_exhausted = 0
+        #: True while a retry supervisor runs; a UE runs at most one
+        self._supervised = False
         self._attach_outcome = None  # Event the retry loop waits on
         #: T3346 analogue: the backoff the network assigned with its
         #: last congestion reject; the retry loop honors it as a floor.
@@ -178,9 +180,16 @@ class UserEquipment(ControlAgent):
         restart does not thundering-herd the stub. Out-of-coverage UEs
         (no air channel yet) keep waiting through the same backoff until
         coverage returns.
+
+        A no-op while this UE's supervisor runs: that one keeps trying,
+        so a restarted AP and a flash crowd never drive one UE with two
+        retry loops.
         """
         if max_attempts < 1:
             raise ValueError("need at least one attach attempt")
+        if self._supervised:
+            return
+        self._supervised = True
         self.sim.process(
             self._attach_retry_loop(max_attempts, timeout_s, base_backoff_s,
                                     max_backoff_s, jitter_frac))
@@ -204,6 +213,7 @@ class UserEquipment(ControlAgent):
                                        self.sim.timeout(timeout_s)])
                 self._attach_outcome = None
                 if self.state is UeState.ATTACHED:
+                    self._supervised = False
                     return
             if attempt == max_attempts - 1:
                 break
@@ -221,6 +231,7 @@ class UserEquipment(ControlAgent):
                            attempt=attempt + 1, backoff_s=wait + jitter)
             yield self.sim.timeout(wait + jitter)
             backoff = min(backoff * 2.0, max_backoff_s)
+        self._supervised = False
         self.attach_retries_exhausted += 1
         self.sim.trace("nas", f"{self.name}: attach retries exhausted",
                        attempts=self.attach_attempts)

@@ -28,7 +28,7 @@ from ``(seed, schedule)``.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Set, Tuple
+from typing import List, Optional, Set, Tuple
 
 from repro.core.network import (
     SERVER_ADDR,
@@ -37,6 +37,7 @@ from repro.core.network import (
 )
 from repro.epc.ue import UeState
 from repro.faults import FaultInjector, compose_scenario, prepare_scenario
+from repro.faults.scenarios import busiest_ap
 from repro.metrics.tables import ResultTable
 from repro.net.packet import Packet
 from repro.workloads.topology import RuralTown
@@ -114,14 +115,6 @@ def _settle_centralized(net: CentralizedLTENetwork) -> None:
     net.sim.run(until=net.sim.now + 5.0 + 0.010 * len(net.ues))
 
 
-def _busiest_ap(net: DLTENetwork) -> str:
-    """The AP serving the most clients (deterministic tie-break)."""
-    counts: Dict[str, int] = {ap_id: 0 for ap_id in net.aps}
-    for serving in net._serving_ap.values():
-        counts[serving] += 1
-    return max(sorted(counts), key=lambda ap_id: counts[ap_id])
-
-
 def _dlte_surviving_frac(net: DLTENetwork, victims) -> float:
     """Fraction of clients whose serving AP is not directly attacked."""
     hit = sum(1 for s in net._serving_ap.values() if s in set(victims))
@@ -169,7 +162,7 @@ def run(seed: int = 11, n_aps: int = 3, n_ues: int = 12,
     else:
         # default shape: one site dark for outage_s — dLTE loses its
         # busiest AP, centralized loses the EPC site.
-        crash_ap = _busiest_ap(dlte_net)
+        crash_ap = busiest_ap(dlte_net)
         surviving_frac = _dlte_surviving_frac(dlte_net, (crash_ap,))
         dlte.injector.outage(
             lambda: dlte_net.crash_ap(crash_ap),

@@ -27,8 +27,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.faults.injector import FaultInjector
 
-__all__ = ["ChaosScenario", "SCENARIOS", "ScenarioPlan", "compose_scenario",
-           "get_scenario", "list_scenarios", "prepare_scenario"]
+__all__ = ["ChaosScenario", "SCENARIOS", "ScenarioPlan", "busiest_ap",
+           "compose_scenario", "get_scenario", "list_scenarios",
+           "prepare_scenario"]
 
 #: Lease used by :data:`sas-outage-during-lease-renewal` (seconds). The
 #: renewal loop heartbeats at half this (margin_frac=0.5), so an outage
@@ -75,7 +76,7 @@ class ChaosScenario:
     prepare: Optional[Callable[..., None]] = None
 
 
-def _busiest_ap(net) -> str:
+def busiest_ap(net) -> str:
     """The AP serving the most clients (deterministic tie-break)."""
     counts: Dict[str, int] = {ap_id: 0 for ap_id in net.aps}
     for serving in net._serving_ap.values():
@@ -107,7 +108,7 @@ def _flapping_backhaul(net, injector: FaultInjector,
     """
     victims: Tuple[str, ...] = ()
     if getattr(net, "aps", None):
-        victim = _busiest_ap(net)
+        victim = busiest_ap(net)
         router = net.aps[victim].router
         victims = (victim,)
     else:

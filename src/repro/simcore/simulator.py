@@ -90,7 +90,7 @@ class Simulator:
         self.tracer = None
         #: always-on metrics + span bundle (recording is passive: no RNG,
         #: no scheduling — instrumented runs stay bit-identical)
-        self.telemetry = Telemetry(lambda: self.now)
+        self.telemetry = Telemetry(self)
         #: flight-recorder ring of the last N dispatched events, written
         #: in place by the dispatch loop (two slot stores + an index
         #: bump per event — no allocation, no telemetry calls) and read
@@ -122,7 +122,7 @@ class Simulator:
         return self.telemetry.metrics
 
     def span(self, name: str, **attrs: Any):
-        """Open a causal span on the simulated clock (see telemetry.spans)."""
+        """Open a span on the simulated clock (see telemetry.spans)."""
         return self.telemetry.spans.begin(name, **attrs)
 
     # -- scheduling -------------------------------------------------------

@@ -4,8 +4,8 @@ Four parts (see OBSERVABILITY.md for conventions):
 
 * :mod:`repro.telemetry.registry` — named, labelled counters / gauges /
   histograms, hierarchical by subsystem, cheap enough to stay on;
-* :mod:`repro.telemetry.spans` — causal spans on the simulated clock for
-  multi-step procedures (attach, handover, paging, lease renewal);
+* :mod:`repro.telemetry.spans` — spans on the simulated clock for
+  multi-step procedures (attach, paging, lease renewal);
 * :mod:`repro.telemetry.hub` — collection across every simulator an
   experiment builds, and the opt-in profile: the whole run under the
   stdlib's ``cProfile``, folded per function;

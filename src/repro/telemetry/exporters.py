@@ -4,8 +4,9 @@ Three consumers, three formats:
 
 * **JSONL** — one JSON object per line, for diffing runs and feeding
   external tooling. Trace events carry ``"type": "trace"``, finished
-  spans ``"type": "span"``; both carry the source tag (``sim``) so
-  multi-simulator experiments (E16 runs two arms) stay distinguishable.
+  spans ``"type": "span"``; both come from the run's tracers and carry
+  the source tag (``sim``) so multi-simulator experiments (E16 runs two
+  arms) stay distinguishable.
 * **CSV / metrics text** — flat snapshots of every instrument, one row
   (or Prometheus-style line) per (name, labels). CSV for spreadsheets,
   text for eyeballs and scrapers.
@@ -97,12 +98,12 @@ def write_metrics_text(rows: Iterable[Dict[str, Any]], path: str) -> int:
 
 def write_events_jsonl(path: str,
                        tracers: Sequence[Tuple[str, Any]] = (),
-                       span_trackers: Sequence[Tuple[str, Any]] = (),
                        lifecycle: Any = None) -> int:
     """Write trace events and finished spans as JSONL; returns line count.
 
-    ``tracers``/``span_trackers`` are (tag, Tracer) / (tag, SpanTracker)
-    pairs; lines are grouped by source and time-ordered within each.
+    ``tracers`` are (tag, Tracer) pairs. Every tracer's events come
+    first, in time order, then every tracer's span records, in end
+    order; each line carries its tracer's tag as ``sim``.
     ``lifecycle`` (a :class:`~repro.telemetry.lifecycle.RunnerLifecycle`)
     appends the run's runner-lifecycle records (``"type": "runner"``) —
     the wall-clock parallel-path timings, present only for ``--jobs``
@@ -119,11 +120,10 @@ def write_events_jsonl(path: str,
                           "fields": event.fields}
                 fh.write(json.dumps(record, default=str) + "\n")
                 count += 1
-        for tag, tracker in span_trackers:
-            for span in tracker.finished:
-                record = span.to_dict()
-                record["sim"] = tag
-                fh.write(json.dumps(record, default=str) + "\n")
+        for tag, tracer in tracers:
+            for record in tracer.spans:
+                fh.write(json.dumps({**record, "sim": tag}, default=str)
+                         + "\n")
                 count += 1
         if lifecycle is not None:
             for record in lifecycle.records():
@@ -138,7 +138,7 @@ def _folded_frames(function: str) -> str:
 
 
 def write_folded(path: str, profile: Sequence[Any] = (),
-                 span_trackers: Sequence[Tuple[str, Any]] = ()) -> int:
+                 rows: Iterable[Dict[str, Any]] = ()) -> int:
     """Write collapsed-stack ("folded") lines; returns the line count.
 
     The format every flamegraph consumer reads (flamegraph.pl,
@@ -148,42 +148,29 @@ def write_folded(path: str, profile: Sequence[Any] = (),
     * ``wall;<module frames>;<qualname>`` — each profiled function's
       self time (``RunTelemetry.profile`` rows), in integer
       microseconds of real time;
-    * ``sim:<tag>;<span name chain>`` — each simulator's finished span
-      tree (causal parent chain), in integer microseconds of *simulated*
-      time, self-time per node (children subtracted, clamped at zero).
+    * ``sim:<tag>;<span name>`` — each simulator's total time in each
+      procedure, in integer microseconds of *simulated* time: the
+      ``sum`` of its ``span.<name>.duration_s`` histograms across
+      statuses, read off tagged snapshot ``rows``.
     """
     lines: List[str] = []
     for row in profile:
         us = int(round(row.self_s * 1e6))
         if us > 0:
             lines.append(f"wall;{_folded_frames(row.function)} {us}")
-    for tag, tracker in span_trackers:
-        finished = list(tracker.finished)
-        by_id = {span.span_id: span for span in finished}
-        child_time: Dict[int, float] = {}
-        for span in finished:
-            if span.parent_id is not None and span.parent_id in by_id:
-                child_time[span.parent_id] = \
-                    child_time.get(span.parent_id, 0.0) + \
-                    (span.duration_s or 0.0)
-        stacks: Dict[str, int] = {}
-        for span in finished:
-            names = [span.name]
-            seen = {span.span_id}
-            parent = by_id.get(span.parent_id)
-            while parent is not None and parent.span_id not in seen:
-                names.append(parent.name)
-                seen.add(parent.span_id)
-                parent = by_id.get(parent.parent_id)
-            names.reverse()
-            self_s = max(0.0, (span.duration_s or 0.0)
-                         - child_time.get(span.span_id, 0.0))
-            us = int(round(self_s * 1e6))
+    per_sim: Dict[str, Dict[str, float]] = {}
+    for row in rows:
+        name = row["name"]
+        if (row["kind"] == "histogram" and name.startswith("span.")
+                and name.endswith(".duration_s")):
+            stack = f"sim:{row['sim']};" + name[5:-11].replace(";", "_")
+            stacks = per_sim.setdefault(row["sim"], {})
+            stacks[stack] = stacks.get(stack, 0.0) + row["sum"]
+    for stacks in per_sim.values():
+        for stack, total_s in sorted(stacks.items()):
+            us = int(round(total_s * 1e6))
             if us > 0:
-                stack = f"sim:{tag};" + ";".join(
-                    name.replace(";", "_") for name in names)
-                stacks[stack] = stacks.get(stack, 0) + us
-        lines.extend(f"{stack} {us}" for stack, us in sorted(stacks.items()))
+                lines.append(f"{stack} {us}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     return len(lines)

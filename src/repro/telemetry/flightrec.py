@@ -9,8 +9,9 @@ module tracks live simulators in a :class:`weakref.WeakSet` and, when
 something goes wrong — an invariant violation, a supervisor
 kill/timeout, an unhandled experiment exception — writes a structured
 JSON post-mortem: the last N events per simulator, a metrics snapshot,
-recent/open spans, and the five passive simulator gauges (heap, agent
-queue and link queue high-water marks, shed and ECN-mark counts).
+the span tracker's last finished spans and its open ones, and the
+five passive simulator gauges (heap, agent queue and link queue
+high-water marks, shed and ECN-mark counts).
 
 The dump is the *only* cost beyond the ring stores, and it happens only
 on the failure path, so healthy runs pay nothing but the ring writes.
@@ -34,15 +35,11 @@ from typing import Any, Dict, List, Optional, Sequence
 
 from repro.telemetry.hub import SIM_GAUGES
 
-__all__ = ["FLIGHT_CAPACITY", "SPAN_TAIL", "track", "tracked_sims",
+__all__ = ["FLIGHT_CAPACITY", "track", "tracked_sims",
            "set_dump_dir", "dump_dir", "snapshot_sim", "write_postmortem"]
 
 #: Ring slots per simulator (the "last N events" of a dump).
 FLIGHT_CAPACITY = 256
-
-#: Finished spans included per simulator in a dump (most recent first
-#: in time order — the tail of the tracker's bounded deque).
-SPAN_TAIL = 64
 
 #: Live simulators -> construction sequence; weak keys so the recorder
 #: never extends a simulator's lifetime.
@@ -100,8 +97,7 @@ def snapshot_sim(sim: Any) -> Dict[str, Any]:
     telemetry = getattr(sim, "telemetry", None)
     if telemetry is not None:
         spans = telemetry.spans
-        snap["recent_spans"] = [span.to_dict()
-                                for span in list(spans.finished)[-SPAN_TAIL:]]
+        snap["recent_spans"] = [span.to_dict() for span in spans.tail]
         snap["open_spans"] = [span.to_dict() for span in spans.open_spans()]
         snap["metrics"] = telemetry.metrics.snapshot()
     return snap

@@ -8,7 +8,9 @@ that is a single flag check; when the CLI (or a test) brackets an
 experiment with :meth:`TelemetryHub.start_run` / :meth:`finish_run`, the
 hub keeps a reference to each simulator born in between, optionally
 arms a tracer on each, and at the end hands back one
-:class:`RunTelemetry` with every registry, span tracker and tracer.
+:class:`RunTelemetry` with every registry and tracer. A traced run's
+finished spans are in its tracers (``Tracer.spans``); the span trackers
+stay with their simulators, since only a post-mortem reads them.
 
 ``start_run(profile=True)`` also runs the whole bracket under the
 stdlib's ``cProfile``, so every function the run calls is counted,
@@ -136,7 +138,6 @@ class RunTelemetry:
     """Everything collected between start_run() and finish_run()."""
 
     def __init__(self, registries: List[Tuple[str, MetricsRegistry]],
-                 span_trackers: List[Tuple[str, Any]],
                  tracers: List[Tuple[str, Any]],
                  profile: Optional[List[ProfileRow]],
                  gauges: Dict[str, int],
@@ -144,7 +145,6 @@ class RunTelemetry:
                  lifecycle: Optional[RunnerLifecycle] = None,
                  shard_stats: Optional[List[dict]] = None) -> None:
         self.registries = registries
-        self.span_trackers = span_trackers
         self.tracers = tracers
         #: every function the run called, by self time (None unless
         #: the run was started with ``profile=True``)
@@ -180,16 +180,16 @@ class WorkerSimTelemetry:
     """Picklable stand-in for one simulator collected in a worker process.
 
     Exposes exactly the attributes :meth:`TelemetryHub.finish_run` reads
-    off a live :class:`~repro.simcore.simulator.Simulator` — ``telemetry``
-    (metrics + spans), ``tracer`` and the :data:`SIM_GAUGES` — so
-    absorbed worker simulators and parent-process simulators merge
-    identically.
+    off a live :class:`~repro.simcore.simulator.Simulator` — ``metrics``,
+    ``tracer`` (with the spans of a traced run) and the
+    :data:`SIM_GAUGES` — so absorbed worker simulators and
+    parent-process simulators merge identically.
     """
 
-    __slots__ = ("telemetry", "tracer", *SIM_GAUGES)
+    __slots__ = ("metrics", "tracer", *SIM_GAUGES)
 
     def __init__(self, sim: Any) -> None:
-        self.telemetry = sim.telemetry
+        self.metrics = sim.metrics
         self.tracer = sim.tracer
         for name in SIM_GAUGES:
             setattr(self, name, getattr(sim, name))
@@ -279,13 +279,11 @@ class TelemetryHub:
         wall_s = time.perf_counter() - self._started_at
         self.active = False
         registries: List[Tuple[str, MetricsRegistry]] = []
-        span_trackers: List[Tuple[str, Any]] = []
         tracers: List[Tuple[str, Any]] = []
         gauges = dict.fromkeys(SIM_GAUGES, 0)
         for index, sim in enumerate(self._sims):
             tag = f"s{index}"
-            registries.append((tag, sim.telemetry.metrics))
-            span_trackers.append((tag, sim.telemetry.spans))
+            registries.append((tag, sim.metrics))
             if sim.tracer is not None:
                 tracers.append((tag, sim.tracer))
             for name, fold in SIM_GAUGES.items():
@@ -302,7 +300,7 @@ class TelemetryHub:
         shard_stats = self._shard_stats
         self._clear()
         return RunTelemetry(
-            registries, span_trackers, tracers,
+            registries, tracers,
             None if totals is None else _profile_rows(totals), gauges,
             wall_s=wall_s, lifecycle=lifecycle, shard_stats=shard_stats)
 
@@ -338,8 +336,8 @@ class TelemetryHub:
 
         The task records sim-less components into a fresh shared
         registry. When it returns, the simulators it built are swapped
-        for what a worker ships home for them (their readings, spans
-        and traces stay, their graphs go), so that nothing it built is
+        for what a worker ships home for them (their readings and
+        traces stay, their graphs go), so that nothing it built is
         alive at the next release point, and its shared registry, if
         non-empty, joins the per-task list where
         :meth:`absorb_worker_run` puts a worker's. The outer shared
@@ -354,8 +352,7 @@ class TelemetryHub:
             yield
             for index in range(start, len(self._sims)):
                 sim = self._sims[index]
-                sim.telemetry.metrics.detach()
-                sim.telemetry.spans.detach()
+                sim.metrics.detach()
                 self._sims[index] = WorkerSimTelemetry(sim)
             if len(self._shared):
                 self._worker_shared.append(self._shared)
@@ -368,8 +365,7 @@ class TelemetryHub:
         """Harvest this (worker-side) run into a picklable payload.
 
         Ends the run: the worker collected telemetry only to ship it
-        home. Span trackers drop their clock closure in transit (see
-        ``SpanTracker.__getstate__``); finished spans travel intact.
+        home. A traced run's finished spans travel in the tracers.
         """
         if not self.active:
             raise RuntimeError("no telemetry run is active")

@@ -3,7 +3,9 @@
 A table must come out the same however it is produced: serially, fanned
 over ``--jobs`` workers, armed (``--invariants``), on the scalar TTI
 oracle, with telemetry on, over E19's shards, or through the CLI under
-a crash and retry, a resume, or an artifact flag. Every cell here is
+a crash and retry, a resume, or an artifact flag. The chaos experiments
+(E16–E18) are also run under every chaos scenario, serially and over
+two workers. Every cell here is
 compared against one serial reference per experiment, computed once per
 session by :func:`serial`, so each (experiment, axis) cell runs
 ``run()`` once. Experiments run with small-but-real parameters
@@ -27,6 +29,7 @@ import pytest
 from repro.__main__ import _print_result, main
 from repro.enodeb.cell import Cell
 from repro.experiments import ALL_EXPERIMENTS
+from repro.faults import list_scenarios
 from repro.invariants import armed
 from repro.runner import get_jobs, set_jobs
 from repro.telemetry.exporters import write_events_jsonl
@@ -107,7 +110,6 @@ def _traced(exp_id, jobs=1, **overrides) -> Traced:
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "events.jsonl")
         write_events_jsonl(path, tracers=run.tracers,
-                           span_trackers=run.span_trackers,
                            lifecycle=run.lifecycle)
         with open(path) as handle:
             events = handle.read().splitlines()
@@ -182,6 +184,17 @@ AXES = {"jobs": _at_jobs_4, "armed": _armed, "oracle": _on_oracle,
 def test_matrix(axis, exp_id, monkeypatch):
     reference = serial(exp_id).text
     assert AXES[axis](exp_id, monkeypatch) == reference
+
+
+@pytest.mark.parametrize("scenario", list_scenarios())
+@pytest.mark.parametrize("exp_id", ["E16", "E17", "E18"])
+def test_chaos(exp_id, scenario):
+    """Under every chaos scenario a table is the same over two workers
+    as serially."""
+    assert get_jobs() == 1
+    reference = _run(exp_id, scenario=scenario)
+    with _jobs(2):
+        assert _run(exp_id, scenario=scenario) == reference
 
 
 @pytest.mark.parametrize("mode,shards", [

@@ -10,14 +10,14 @@ Three corners the happy-path telemetry tests never hit:
   export reads;
 * the collapsed-stack (``.folded``) export must emit the
   ``frame;frame;leaf <integer>`` grammar flamegraph tooling parses,
-  for both wall-clock callback sites and simulated-time span trees.
+  for both wall-clock profile rows and simulated-time span totals.
 """
 
+from repro.simcore import Simulator
 from repro.telemetry.exporters import (tagged_rows, write_folded,
                                        write_metrics_text)
 from repro.telemetry.hub import ProfileRow
 from repro.telemetry.registry import Histogram, MetricsRegistry
-from repro.telemetry.spans import SpanTracker
 
 
 # -- Prometheus label-value escaping ------------------------------------------
@@ -105,24 +105,25 @@ def test_folded_wall_lines_are_integer_microseconds(tmp_path):
         assert stack and int(value) > 0
 
 
-def test_folded_span_trees_subtract_child_time(tmp_path):
-    clock = {"now": 0.0}
-    tracker = SpanTracker(lambda: clock["now"])
-    root = tracker.begin("attach")
-    clock["now"] = 0.5
-    child = tracker.begin("paging", parent=root)
-    clock["now"] = 0.8
-    child.end()
-    clock["now"] = 1.0
-    root.end()
+def test_folded_sim_lines_sum_span_histograms(tmp_path):
+    """One ``sim:<tag>;<name>`` line per procedure: the sum of its
+    span-duration histograms across statuses, in simulated µs."""
+    sim = Simulator(0)
+    attach = sim.span("attach")
+    paging = sim.span("paging")
+    sim.schedule(0.5, attach.end)
+    sim.schedule(0.8, paging.end, "timeout")
+    retry = sim.span("attach")
+    sim.schedule(0.25, retry.end, "failed")
+    sim.schedule(1.2, lambda: sim.telemetry.spans.event("fault"))
+    sim.run()
     path = tmp_path / "spans.folded"
-    count = write_folded(str(path), span_trackers=[("dlte", tracker)])
-    assert count == 2
-    lines = dict(line.rsplit(" ", 1)
-                 for line in path.read_text().splitlines())
-    # root self-time: 1.0 total - 0.3 child = 0.7 s
-    assert int(lines["sim:dlte;attach"]) == 700000
-    assert int(lines["sim:dlte;attach;paging"]) == 300000
+    count = write_folded(str(path),
+                         rows=tagged_rows([("dlte", sim.metrics)]))
+    lines = path.read_text().splitlines()
+    # zero-duration events sum to 0 µs and are left out
+    assert count == len(lines) == 2
+    assert lines == ["sim:dlte;attach 750000", "sim:dlte;paging 800000"]
 
 
 def test_folded_empty_inputs_write_empty_file(tmp_path):

@@ -8,7 +8,7 @@ protocol reconverges.
 import pytest
 
 from repro.core import DLTENetwork
-from repro.epc.ue import UeState
+from repro.epc.ue import UeState, UserEquipment
 from repro.faults import FaultInjector
 from repro.workloads import RuralTown
 
@@ -134,3 +134,34 @@ def test_injected_crash_restart_via_fault_injector(federation):
         assert net.ues[ue_id].state is UeState.ATTACHED
     sizes = sorted(len(ap.cell.allowed_prbs) for ap in net.aps.values())
     assert sizes == [16, 17, 17]
+
+
+def test_restart_during_a_backoff_keeps_one_supervisor(federation,
+                                                       monkeypatch):
+    """A UE whose retry supervisor is backing off when its AP comes back
+    is not handed a second one: one AttachRequest leaves it per wake."""
+    net = federation
+    sim = net.sim
+    victim_id, its_ue_ids = _busiest_ap(net)
+    ue = net.ues[its_ue_ids[0]]
+    net.crash_ap(victim_id)
+    # out of coverage: the supervisor's first wait is a 4 s backoff
+    ue.start_attach_with_retry(base_backoff_s=4.0, max_backoff_s=4.0,
+                               jitter_frac=0.0)
+    sim.run(until=sim.now + 1.0)
+    sent = []
+    start_attach = UserEquipment.start_attach
+
+    def counting_start_attach(self):  # the one sender of AttachRequest
+        if self is ue:
+            sent.append(sim.now)
+        start_attach(self)
+
+    monkeypatch.setattr(UserEquipment, "start_attach", counting_start_attach)
+    net.restart_ap(victim_id)
+    restarted_at = sim.now
+    sim.run(until=sim.now + 10.0)
+    assert ue.state is UeState.ATTACHED
+    # the backing-off supervisor sends once, at its wake; a second
+    # supervisor would have sent at the restart itself
+    assert sent == [restarted_at + 3.0]

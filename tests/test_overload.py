@@ -260,7 +260,7 @@ def test_ue_honors_server_backoff_timer():
     T3346 before the next attempt — even when its own exponential
     backoff would retry sooner."""
     sim = Simulator(5)
-    tracer = Tracer(categories=["nas"])
+    tracer = Tracer()
     sim.tracer = tracer
     epc, ues = _centralized(sim, n_ues=12, admission_limit=2,
                             max_attempts=3, timeout_s=2.0,
@@ -283,7 +283,7 @@ def _retry_waits(seed, n_ues=4):
     """Backoff waits per UE against a dead core (every attempt times
     out), keyed by UE name."""
     sim = Simulator(seed)
-    tracer = Tracer(categories=["nas"])
+    tracer = Tracer()
     sim.tracer = tracer
     epc = CentralizedEpc(sim, AddressPool("10.0.0.0/16"))
     enb = EnbControlRelay(sim, "enb0")

@@ -21,45 +21,30 @@ def test_record_and_query():
     sim.schedule(1.0, lambda: sim.trace("cat", "hello", n=1))
     sim.schedule(2.0, lambda: sim.trace("dog", "world"))
     sim.run()
-    assert len(sim.tracer) == 2
+    assert len(sim.tracer.events()) == 2
     cats = sim.tracer.events("cat")
     assert len(cats) == 1
     assert cats[0].time_s == 1.0
     assert cats[0].fields == {"n": 1}
-    assert sim.tracer.categories() == ["cat", "dog"]
+    assert [e.category for e in sim.tracer.events()] == ["cat", "dog"]
 
 
-def test_category_filter():
-    tracer = Tracer(categories=["keep"])
+def test_events_query_filters_by_category():
+    """A tracer records every category; a reader picks one."""
+    tracer = Tracer()
     tracer.record(0.0, "keep", "yes")
     tracer.record(0.0, "drop", "no")
-    assert tracer.count() == 1
-    assert tracer.recorded == 1
-    assert tracer.filtered == 1
+    assert [e.message for e in tracer.events("keep")] == ["yes"]
+    assert tracer.recorded == 2
 
 
 def test_ring_buffer_bounds_memory():
     tracer = Tracer(max_events=10)
     for i in range(100):
         tracer.record(float(i), "x", f"event{i}")
-    assert len(tracer) == 10
+    assert len(tracer.events()) == 10
     assert tracer.events()[0].time_s == 90.0  # oldest dropped
     assert tracer.recorded == 100
-
-
-def test_dump_renders_fields():
-    tracer = Tracer()
-    tracer.record(1.5, "attach", "session created", ue="ue3")
-    text = tracer.dump()
-    assert "attach" in text and "session created" in text and "ue=ue3" in text
-
-
-def test_clear():
-    tracer = Tracer()
-    tracer.record(0.0, "x", "a")
-    tracer.clear()
-    assert len(tracer) == 0
-    assert tracer.recorded == 1  # counters survive
 
 
 def test_validates():
@@ -78,38 +63,18 @@ def test_eviction_exactly_at_capacity():
     tracer = Tracer(max_events=5)
     for i in range(5):
         tracer.record(float(i), "x", f"event{i}")
-    assert len(tracer) == 5
+    assert len(tracer.events()) == 5
     assert tracer.events()[0].time_s == 0.0  # nothing evicted yet
     tracer.record(5.0, "x", "event5")        # one past capacity
-    assert len(tracer) == 5
+    assert len(tracer.events()) == 5
     assert tracer.events()[0].time_s == 1.0  # exactly the oldest dropped
     assert tracer.recorded == 6
-
-
-def test_filtered_counter_tracks_every_rejection():
-    tracer = Tracer(categories=["keep"])
-    for i in range(7):
-        tracer.record(float(i), "drop", "no")
-    tracer.record(7.0, "keep", "yes")
-    assert tracer.filtered == 7
-    assert tracer.recorded == 1
-
-
-def test_clear_keeps_filter_counters():
-    tracer = Tracer(categories=["keep"])
-    tracer.record(0.0, "keep", "a")
-    tracer.record(0.0, "drop", "b")
-    tracer.clear()
-    assert len(tracer) == 0
-    assert tracer.recorded == 1 and tracer.filtered == 1
-    tracer.record(1.0, "drop", "c")  # the filter itself survives clear()
-    assert tracer.filtered == 2
 
 
 def _exported(tracer, path):
     """The trace lines ``--trace-out``'s writer puts in ``path``."""
     assert write_events_jsonl(str(path), tracers=[("s", tracer)]) == \
-        len(tracer)
+        len(tracer.events())
     return [json.loads(line) for line in path.read_text().splitlines()]
 
 
@@ -144,8 +109,8 @@ def test_network_run_emits_protocol_traces():
     net = DLTENetwork.build(town, seed=2)
     net.sim.tracer = Tracer()
     net.run(duration_s=3.0)
-    assert net.sim.tracer.count("attach") == 4      # one per UE session
-    assert net.sim.tracer.count("coordination") >= 2  # both APs installed
+    assert len(net.sim.tracer.events("attach")) == 4  # one per UE session
+    assert len(net.sim.tracer.events("coordination")) >= 2  # both APs
     for event in net.sim.tracer.events("attach"):
         assert "address" in event.fields
 

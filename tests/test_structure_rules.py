@@ -161,6 +161,16 @@ RULES: Tuple[Rule, ...] = (
          "fallback, and no experiment runs a detach: no shedding-discipline "
          "field, no queue deadline and no NAS detach procedure for what "
          "only tests reached"),
+    Rule("a-span-is-kept-where-it-is-read",
+         r"_MAX_FINISHED|span_trackers|__enter__"
+         r"|\b(categories|parent)(=|: Optional)",
+         ("src/repro/telemetry/", "src/repro/simcore/",
+          "src/repro/__main__.py"), (),
+         "a finished span feeds its histogram, the tracker's post-mortem "
+         "tail and, in a traced run, the tracer; no archive of every span "
+         "per simulator, no span tracker shipped home or exported, no "
+         "with-block or parent nesting that no procedure uses, and no "
+         "record-time category filter in the tracer"),
 )
 
 #: rule name -> (path, line): a file holding the line must fail the rule
@@ -210,6 +220,8 @@ MUTANTS: Dict[str, Tuple[str, str]] = {
         "if self._process is not None and self._process.is_alive:"),
     "one-shedding-rule": (
         "src/repro/epc/overload.py", '    shed: str = "drop-tail"'),
+    "a-span-is-kept-where-it-is-read": (
+        "src/repro/telemetry/spans.py", "_MAX_FINISHED = 100_000"),
 }
 
 #: (path, line number, text) of one line that matched a rule's pattern

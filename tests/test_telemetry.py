@@ -1,12 +1,13 @@
 """Tests for the telemetry subsystem (repro.telemetry).
 
-Covers the four parts — metrics registry, causal spans, the run's
+Covers the four parts — metrics registry, spans, the run's
 cProfile fold, exporters — plus the hub that collects them across an
 experiment run,
 and the determinism guarantee the whole design leans on: recording is
 passive, so instrumented runs are bit-identical to uninstrumented ones.
 """
 
+import gc
 import json
 import math
 import pickle
@@ -19,13 +20,12 @@ import pytest
 from repro.core import DLTENetwork
 from repro.experiments import e5_coordination
 from repro.metrics.stats import percentile
-from repro.simcore import Simulator
+from repro.simcore import Simulator, Tracer
 from repro.telemetry import (
     HUB,
     Histogram,
     MetricsRegistry,
     P2Quantile,
-    SpanTracker,
 )
 from repro.telemetry.exporters import (
     profile_table,
@@ -36,7 +36,7 @@ from repro.telemetry.exporters import (
     write_metrics_text,
 )
 from repro.telemetry.registry import linear_buckets
-from repro.telemetry import spans as spans_module
+from repro.telemetry.spans import SPAN_TAIL, Span
 from repro.workloads import RuralTown
 
 
@@ -268,23 +268,28 @@ class TestSpans:
         assert span.finished and span.duration_s == 0.25
         assert span.status == "ok" and span.attrs == {"ue": "ue1"}
 
-    def test_context_manager_nesting_sets_parent(self):
+    def test_span_records_carry_a_null_parent_id(self):
+        """Spans do not nest; the record keeps ``parent_id`` (null) so
+        the JSONL schema stays stable."""
         sim = Simulator(0)
-        tracker = sim.telemetry.spans
-        with sim.span("outer") as outer:
-            with sim.span("inner") as inner:
-                pass
-        assert inner.parent_id == outer.span_id
-        assert outer.parent_id is None
-        assert list(tracker.finished) == [inner, outer]
+        sim.tracer = Tracer()
+        sim.span("outer").end()
+        (record,) = sim.tracer.spans
+        assert "parent_id" in record and record["parent_id"] is None
+        assert list(record) == ["type", "name", "span_id", "parent_id",
+                                "start_s", "end_s", "duration_s", "status",
+                                "attrs"]
 
     def test_end_is_idempotent(self):
         sim = Simulator(0)
-        tracker = sim.telemetry.spans
         span = sim.span("p")
         span.end(status="ok")
         span.end(status="failed")  # ignored
-        assert span.status == "ok" and tracker.ended == 1
+        assert span.status == "ok"
+        assert sim.metrics.histogram("span.p.duration_s",
+                                     status="ok").count == 1
+        assert not [row for row in sim.metrics.snapshot()
+                    if row["labels"].get("status") == "failed"]
 
     def test_duration_feeds_metrics_histogram(self):
         sim = Simulator(0)
@@ -301,30 +306,71 @@ class TestSpans:
         assert span.finished and span.duration_s == 0.0
         assert span.status == "event"
 
-    def test_error_exit_marks_span(self):
+    def test_end_status_labels_the_histogram(self):
         sim = Simulator(0)
-        with pytest.raises(RuntimeError):
-            with sim.span("doomed"):
-                raise RuntimeError("boom")
-        assert sim.telemetry.spans.spans("doomed")[0].status == "error"
+        span = sim.span("doomed")
+        sim.schedule(0.25, span.end, "error")
+        sim.run()
+        assert span.status == "error"
+        hist = sim.metrics.histogram("span.doomed.duration_s",
+                                     status="error")
+        assert hist.count == 1 and hist.sum == 0.25
 
-    def test_finished_ring_buffer_bounds_memory(self, monkeypatch):
-        monkeypatch.setattr(spans_module, "_MAX_FINISHED", 4)
+    def test_untraced_tracker_holds_only_the_tail(self):
+        """An untraced simulator keeps the open spans and the last
+        SPAN_TAIL finished ones; the histogram still counts them all."""
         sim = Simulator(0)
-        tracker = SpanTracker(lambda: sim.now)
-        for i in range(10):
-            tracker.begin(f"s{i}").end()
-        assert len(tracker.finished) == 4
-        assert tracker.ended == 10
+        tracker = sim.telemetry.spans
+        pending = [sim.span("epc.attach", ue=f"u{i}") for i in range(1000)]
+
+        def end_all():  # one callback, so the flight ring holds no span
+            while pending:
+                pending.pop(0).end()
+
+        sim.schedule(0.5, end_all)
+        sim.run()
+        assert SPAN_TAIL == 64
+        held = [obj for obj in gc.get_objects()
+                if isinstance(obj, Span) and obj._tracker is tracker]
+        assert len(held) <= SPAN_TAIL
+        assert [span.attrs["ue"] for span in tracker.tail] == \
+            [f"u{i}" for i in range(1000 - SPAN_TAIL, 1000)]
+        assert tracker.open_spans() == []
+        assert sim.metrics.histogram("span.epc.attach.duration_s",
+                                     status="ok").count == 1000
+
+    def test_traced_run_exports_every_span(self, tmp_path):
+        """Under a traced run every finished span reaches the JSONL
+        that ``--trace-out`` writes."""
+        HUB.start_run(trace=True)
+        try:
+            sim = Simulator(0)
+            for i in range(1000):
+                span = sim.span("epc.attach", ue=f"u{i}")
+                sim.schedule(0.001 * (i + 1), span.end)
+            sim.run()
+        except BaseException:
+            HUB.abort_run()
+            raise
+        run = HUB.finish_run()
+        path = str(tmp_path / "events.jsonl")
+        write_events_jsonl(path, tracers=run.tracers,
+                           lifecycle=run.lifecycle)
+        records = [json.loads(line) for line in open(path)]
+        spans = [r for r in records if r["type"] == "span"]
+        assert [r["attrs"]["ue"] for r in spans] == \
+            [f"u{i}" for i in range(1000)]
+        assert {r["sim"] for r in spans} == {"s0"}
 
     def test_durations_query(self):
         sim = Simulator(0)
+        sim.tracer = Tracer()
         for delay in (0.1, 0.2):
             span = sim.span("epc.attach")
             sim.schedule(sim.now + delay, span.end)
         sim.run()
-        durations = [span.duration_s
-                     for span in sim.telemetry.spans.spans("epc.attach")]
+        durations = [record["duration_s"] for record in sim.tracer.spans
+                     if record["name"] == "epc.attach"]
         assert durations == pytest.approx([0.1, 0.2])
 
 
@@ -444,17 +490,13 @@ class TestExporters:
         assert 'quantile="0.95"' in text
 
     def test_events_jsonl_mixes_traces_and_spans(self, tmp_path):
-        from repro.simcore.trace import Tracer
-
         sim = Simulator(0)
-        tracer = Tracer()
-        tracer.record(1.0, "drop", "link x: overflow")
+        sim.tracer = Tracer()
+        sim.tracer.record(1.0, "drop", "link x: overflow")
         span = sim.span("epc.attach", ue="u")
         span.end()
         path = str(tmp_path / "events.jsonl")
-        count = write_events_jsonl(
-            path, tracers=[("s0", tracer)],
-            span_trackers=[("s0", sim.telemetry.spans)])
+        count = write_events_jsonl(path, tracers=[("s0", sim.tracer)])
         records = [json.loads(line) for line in open(path)]
         assert count == len(records) == 2
         kinds = {r["type"] for r in records}
@@ -536,7 +578,7 @@ class TestHub:
         sim.run()
         run = HUB.finish_run()
         assert len(run.tracers) == 1
-        assert run.tracers[0][1].count("c") == 1
+        assert len(run.tracers[0][1].events("c")) == 1
 
     def test_network_run_covers_six_subsystems(self):
         """A real dLTE bring-up emits metrics from >= 6 subsystems."""
@@ -559,7 +601,7 @@ class TestHub:
         assert sum(r["value"] for r in attach) == 4
 
     def test_attach_spans_recorded_end_to_end(self):
-        HUB.start_run()
+        HUB.start_run(trace=True)
         try:
             town = RuralTown(radius_m=1500, n_ues=3, n_aps=1, seed=4)
             net = DLTENetwork.build(town, seed=4)
@@ -568,9 +610,10 @@ class TestHub:
             HUB.abort_run()
             raise
         run = HUB.finish_run()
-        all_spans = [span for _tag, tracker in run.span_trackers
-                     for span in tracker.spans("nas.attach")]
-        ok = [s for s in all_spans if s.status == "ok"]
+        all_spans = [record for _tag, tracer in run.tracers
+                     for record in tracer.spans
+                     if record["name"] == "nas.attach"]
+        ok = [s for s in all_spans if s["status"] == "ok"]
         assert len(ok) == 3
         for span in ok:
-            assert span.duration_s > 0  # attach takes simulated time
+            assert span["duration_s"] > 0  # attach takes simulated time
