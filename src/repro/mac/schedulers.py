@@ -158,14 +158,23 @@ class ProportionalFairScheduler(LteScheduler):
     back into the metric so one TTI already spreads PRBs when averages tie.
 
     Granting a PRB only lowers the winner's own metric (``inst / (avg +
-    n*inst)`` is decreasing in ``n``) and touches nobody else's, so the
-    argmax scan over all users per PRB is replaced by a heap: read the
-    winner at the top, count the grant, replace it with its updated
-    metric — O(log U) per PRB instead of O(U) closure calls, with
-    identical float arithmetic. Heap entries are ``(-metric, rank)``
-    where rank ascends in *descending* ``user_id`` order, replicating
-    ``max(..., key=(metric, user_id))`` tie-breaking exactly (this is
-    the F1/E7 radio-phase hot path).
+    n*inst)`` never rises with ``n``) and touches nobody else's, so the
+    argmax scan over all users per PRB is a heap: read the winner at the
+    top, count the grant, replace it with its updated metric. Heap
+    entries are ``(-metric, rank)`` where rank ascends in *descending*
+    ``user_id`` order, replicating ``max(..., key=(metric, user_id))``
+    tie-breaking exactly.
+
+    Because no user's metric rises as it wins, the greedy grants the
+    ``n_prbs`` smallest entries of all users' ``(-metric, rank)``
+    sequences. When users outnumber PRBs and no winner's second-grant
+    entry sorts before the ``n_prbs``-th best first-grant entry, those
+    are the first grants alone: each of the top ``n_prbs`` users gets
+    one PRB, read off one stable sort of the first-grant keys with the
+    loop's float arithmetic, and the heap never runs. That is every
+    TTI of a dense cell (E5 at 64 UEs per AP); the heap runs when some
+    user can win twice, or when PRBs outnumber users (E5 at its
+    published defaults, F1, E19's fluid cells).
     """
 
     def _assign(self, cols: UserColumns,
@@ -175,17 +184,29 @@ class ProportionalFairScheduler(LteScheduler):
     @staticmethod
     def _fair_counts(cols: UserColumns, n_prbs: int) -> Dict[int, int]:
         """PF over ``n_prbs`` PRBs: {slot: count}."""
-        # heap ranks in descending-uid order; the seed metrics are one
-        # array division (IEEE division: the scalar expression's bits) and
-        # everything the loop touches is a Python float (via tolist)
+        # ranks are positions in descending-uid order; the first-grant
+        # heap keys are one array division (IEEE division: the scalar
+        # expression's bits)
         desc = cols.elig_desc
         floor = 1e3  # avoids div-by-zero for new users, biases toward them
         inst_arr = cols.b[desc] * 1e3
         avg_arr = np.maximum(cols.avg[desc], floor)
+        keys = -(inst_arr / avg_arr)
+        if len(desc) > n_prbs:
+            # the n_prbs best first grants in (key, rank) order; if every
+            # winner's second grant sorts after the last of them, each
+            # winner gets exactly one PRB
+            top = keys.argsort(kind="stable")[:n_prbs]
+            last = top[-1]
+            bar = keys[last]
+            inst_top = inst_arr[top]
+            second = -(inst_top / (avg_arr[top] + inst_top))
+            if ((second > bar) | ((second == bar) & (top >= last))).all():
+                return dict.fromkeys(desc[top].tolist(), 1)
+        # everything the loop touches is a Python float (via tolist)
         insts = inst_arr.tolist()
         avgs = avg_arr.tolist()
-        entries = list(zip((-(inst_arr / avg_arr)).tolist(),
-                           range(len(insts))))
+        entries = list(zip(keys.tolist(), range(len(insts))))
         heapq.heapify(entries)
         replace = heapq.heapreplace
         by_rank = [0] * len(insts)

@@ -59,7 +59,7 @@ PRB_BUDGET = 6
 GBR_BEARERS = 2
 
 
-def _static_cell(sched_cls, n_ue, metrics):
+def _static_cell(sched_cls, n_ue, metrics, budget=PRB_BUDGET):
     band = get_band("lte31")
     lb = LinkBudget(FreeSpace(), freq_mhz=band.dl_mhz,
                     bandwidth_hz=band.bandwidth_hz)
@@ -67,7 +67,7 @@ def _static_cell(sched_cls, n_ue, metrics):
                 metrics=metrics)
     cell.interferers = [Cell("i0", band, Point(4000.0, 0.0), lb,
                              metrics=metrics)]
-    cell.allowed_prbs = frozenset(range(PRB_BUDGET))
+    cell.allowed_prbs = frozenset(range(budget))
     for u in range(n_ue):
         cell.add_ue(UeRadioContext(
             f"ue{u:03d}", Radio(Point(120.0 + 9.0 * u, 40.0 + 3.0 * u)),
@@ -122,8 +122,8 @@ def _fill_eligible(cell):
         assert not np.isnan(bank.harq[eligible]).any()
 
 
-def _warm_cell(sched_cls, n_ue, metrics):
-    cell = _static_cell(sched_cls, n_ue, metrics)
+def _warm_cell(sched_cls, n_ue, metrics, budget=PRB_BUDGET):
+    cell = _static_cell(sched_cls, n_ue, metrics, budget)
     for _ in range(5):
         cell.schedule_tti()
         cell.schedule_uplink_tti()
@@ -170,13 +170,14 @@ def _registry(private):
 
 #: raw line events of one warm static TTI at 16 / 128 UEs, measured on
 #: CPython 3.11.7 (the SINR column fills 4 / 12 buckets): downlink PF
-#: 303 / 320 and QoS 329 / 345, uplink 286 / 286. With PRB sets, a
-#: columns path re-derived per TTI and a dense bucket add they were PF
-#: 406 / 407, QoS 428 / 428 and uplink 324 / 324. The ceilings carry
-#: the count gate's slack.
-CEILINGS = {(ProportionalFairScheduler, False): (313, 330),
-            (QosAwareScheduler, False): (339, 355),
-            (ProportionalFairScheduler, True): (296, 296)}
+#: 233 / 250 and QoS 275 / 291, uplink 264 / 264. With the PF heap run
+#: on every TTI they were PF 281 / 298 and QoS 307 / 323; with PRB sets,
+#: a columns path re-derived per TTI and a dense bucket add, PF 406 /
+#: 407, QoS 428 / 428 and uplink 324 / 324. The ceilings carry the
+#: count gate's slack.
+CEILINGS = {(ProportionalFairScheduler, False): (243, 260),
+            (QosAwareScheduler, False): (285, 301),
+            (ProportionalFairScheduler, True): (274, 274)}
 
 
 @REGISTRIES
@@ -210,6 +211,37 @@ def test_static_uplink_tti_lines_do_not_grow_with_attached(
     ceiling_small, ceiling_large = CEILINGS[ProportionalFairScheduler, True]
     assert small_raw <= ceiling_small and large_raw <= ceiling_large, (
         small_raw, large_raw)
+
+
+def test_a_single_grant_pf_tti_costs_the_same_at_any_budget():
+    """A warm static 128-UE cell has more eligible users than PRBs at 6
+    and at 50 PRBs, and PF grants each winner one PRB: the selection is
+    one sort, so ``_fair_counts`` runs the same lines at both budgets
+    (a heap step per PRB cost 58 lines at 6 PRBs and 366 at 50)."""
+    code = ProportionalFairScheduler._fair_counts.__code__
+    counts = []
+    for budget in (PRB_BUDGET, 50):
+        cell = _warm_cell(ProportionalFairScheduler, 128, MetricsRegistry(),
+                          budget)
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            if event == "line":
+                lines += 1
+            return local
+
+        outer = sys.gettrace()
+        sys.settrace(lambda frame, event, arg:
+                     local if frame.f_code is code else None)
+        try:
+            delivered = cell.schedule_tti()
+        finally:
+            sys.settrace(outer)
+        # one PRB each: as many users served as PRBs granted
+        assert len(delivered) == budget
+        counts.append(lines)
+    assert counts[0] == counts[1], counts
 
 
 def _counting(calls, real, *args, **kwargs):
